@@ -12,6 +12,7 @@
 package primopt
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -59,42 +60,42 @@ func logTable(b *testing.B, tb *report.Table, err error) {
 
 func BenchmarkFig2CommonSourceTradeoff(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tb, err := paper.Fig2(tech)
+		tb, err := paper.Fig2(context.Background(), tech)
 		logTable(b, tb, err)
 	}
 }
 
 func BenchmarkTable1PrimitiveMetrics(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tb, err := paper.Table1(tech)
+		tb, err := paper.Table1(context.Background(), tech)
 		logTable(b, tb, err)
 	}
 }
 
 func BenchmarkTable2LibraryEntries(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tb, err := paper.Table2()
+		tb, err := paper.Table2(context.Background())
 		logTable(b, tb, err)
 	}
 }
 
 func BenchmarkTable3DPLayoutOptions(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tb, err := paper.Table3(tech)
+		tb, err := paper.Table3(context.Background(), tech)
 		logTable(b, tb, err)
 	}
 }
 
 func BenchmarkTable4PortOptimization(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tb, err := paper.Table4(tech)
+		tb, err := paper.Table4(context.Background(), tech)
 		logTable(b, tb, err)
 	}
 }
 
 func BenchmarkTable5SimulationCounts(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tb, err := paper.Table5(tech)
+		tb, err := paper.Table5(context.Background(), tech)
 		logTable(b, tb, err)
 	}
 }
@@ -110,7 +111,7 @@ var (
 
 func table6(b *testing.B) (*report.Table, []*flow.Result) {
 	table6Once.Do(func() {
-		table6Table, table6Cached, table6CachedE = paper.Table6(tech)
+		table6Table, table6Cached, table6CachedE = paper.Table6(context.Background(), tech)
 	})
 	if table6CachedE != nil {
 		b.Fatal(table6CachedE)
@@ -131,7 +132,7 @@ func BenchmarkTable6OTAStrongARM(b *testing.B) {
 
 func BenchmarkTable7ROVCO(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tb, results, err := paper.Table7(tech, 8)
+		tb, results, err := paper.Table7(context.Background(), tech, 8)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -146,35 +147,35 @@ func BenchmarkTable7ROVCO(b *testing.B) {
 func BenchmarkTable8Runtime(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, results := table6(b)
-		tb, err := paper.Table8(tech, results)
+		tb, err := paper.Table8(context.Background(), tech, results)
 		logTable(b, tb, err)
 	}
 }
 
 func BenchmarkAblationBinning(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tb, err := paper.AblationBinning(tech)
+		tb, err := paper.AblationBinning(context.Background(), tech)
 		logTable(b, tb, err)
 	}
 }
 
 func BenchmarkAblationLDE(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tb, err := paper.AblationLDE(tech)
+		tb, err := paper.AblationLDE(context.Background(), tech)
 		logTable(b, tb, err)
 	}
 }
 
 func BenchmarkAblationCurvature(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tb, err := paper.AblationCurvature(tech)
+		tb, err := paper.AblationCurvature(context.Background(), tech)
 		logTable(b, tb, err)
 	}
 }
 
 func BenchmarkAblationReconcile(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tb, err := paper.AblationReconcile(tech)
+		tb, err := paper.AblationReconcile(context.Background(), tech)
 		logTable(b, tb, err)
 	}
 }
@@ -193,7 +194,7 @@ func BenchmarkExtensionTelescopic(b *testing.B) {
 			"Metric", "Schematic", "Conventional", "This work")
 		results := map[flow.Mode]*flow.Result{}
 		for _, mode := range []flow.Mode{flow.Schematic, flow.Conventional, flow.Optimized} {
-			r, err := flow.Run(tech, bm, mode, flow.Params{Seed: 1})
+			r, err := flow.RunContext(context.Background(), tech, bm, mode, flow.Params{Seed: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -221,7 +222,7 @@ func BenchmarkMonteCarloOffset(b *testing.B) {
 		{NFin: 12, NF: 20, M: 4, Dummies: 2, Pattern: cellgen.PatAABB},
 	}
 	for i := 0; i < b.N; i++ {
-		stats, err := mc.CompareOffsets(tech, primlib.DiffPair, sz, bias, cfgs,
+		stats, err := mc.CompareOffsets(context.Background(), tech, primlib.DiffPair, sz, bias, cfgs,
 			mc.Params{Samples: 2000, Seed: 1})
 		if err != nil {
 			b.Fatal(err)

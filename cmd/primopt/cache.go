@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -74,7 +75,7 @@ func runCacheWarm(args []string) int {
 	}
 	p := flow.Params{Seed: *seed, CacheDir: *dir, CacheMaxBytes: *maxBytes}
 	p.Optimize.Cache = evcache.New()
-	r, err := flow.Run(tech, bm, flow.Optimized, p)
+	r, err := flow.RunContext(context.Background(), tech, bm, flow.Optimized, p)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "primopt cache warm:", err)
 		return 2

@@ -151,9 +151,9 @@ func main() {
 	var runErr error
 	switch {
 	case *mcRun:
-		runErr = runMC(tech)
+		runErr = runMC(ctx, tech)
 	case *table != "":
-		runErr = runTables(tech, *table, *stages)
+		runErr = runTables(ctx, tech, *table, *stages)
 	case *circuitName != "":
 		runErr = runCircuit(ctx, tech, *circuitName, *mode, *stages, *seed, *cache, *cacheDir, *cacheMax, *workers, *placeReplicas, ff)
 	default:
@@ -294,20 +294,20 @@ func modeNames(modes []flow.Mode) []string {
 	return out
 }
 
-func runTables(tech *pdk.Tech, which string, stages int) error {
+func runTables(ctx context.Context, tech *pdk.Tech, which string, stages int) error {
 	type gen struct {
 		name string
 		f    func() (*report.Table, error)
 	}
 	gens := []gen{
-		{"fig2", func() (*report.Table, error) { return paper.Fig2(tech) }},
-		{"1", func() (*report.Table, error) { return paper.Table1(tech) }},
-		{"2", func() (*report.Table, error) { return paper.Table2() }},
-		{"3", func() (*report.Table, error) { return paper.Table3(tech) }},
-		{"4", func() (*report.Table, error) { return paper.Table4(tech) }},
-		{"5", func() (*report.Table, error) { return paper.Table5(tech) }},
+		{"fig2", func() (*report.Table, error) { return paper.Fig2(ctx, tech) }},
+		{"1", func() (*report.Table, error) { return paper.Table1(ctx, tech) }},
+		{"2", func() (*report.Table, error) { return paper.Table2(ctx) }},
+		{"3", func() (*report.Table, error) { return paper.Table3(ctx, tech) }},
+		{"4", func() (*report.Table, error) { return paper.Table4(ctx, tech) }},
+		{"5", func() (*report.Table, error) { return paper.Table5(ctx, tech) }},
 		{"6", func() (*report.Table, error) {
-			tb, results, err := paper.Table6(tech)
+			tb, results, err := paper.Table6(ctx, tech)
 			if err == nil {
 				for _, line := range paper.ShapeChecks(results) {
 					tb.Note("%s", line)
@@ -316,7 +316,7 @@ func runTables(tech *pdk.Tech, which string, stages int) error {
 			return tb, err
 		}},
 		{"7", func() (*report.Table, error) {
-			tb, results, err := paper.Table7(tech, stages)
+			tb, results, err := paper.Table7(ctx, tech, stages)
 			if err == nil {
 				for _, line := range paper.ShapeChecks(results) {
 					tb.Note("%s", line)
@@ -324,8 +324,8 @@ func runTables(tech *pdk.Tech, which string, stages int) error {
 			}
 			return tb, err
 		}},
-		{"8", func() (*report.Table, error) { return paper.Table8(tech, nil) }},
-		{"ablations", func() (*report.Table, error) { return nil, runAblations(tech) }},
+		{"8", func() (*report.Table, error) { return paper.Table8(ctx, tech, nil) }},
+		{"ablations", func() (*report.Table, error) { return nil, runAblations(ctx, tech) }},
 	}
 	want := strings.ToLower(which)
 	ran := false
@@ -349,12 +349,12 @@ func runTables(tech *pdk.Tech, which string, stages int) error {
 	return nil
 }
 
-func runAblations(tech *pdk.Tech) error {
-	for _, f := range []func(*pdk.Tech) (*report.Table, error){
+func runAblations(ctx context.Context, tech *pdk.Tech) error {
+	for _, f := range []func(context.Context, *pdk.Tech) (*report.Table, error){
 		paper.AblationBinning, paper.AblationLDE,
 		paper.AblationCurvature, paper.AblationReconcile,
 	} {
-		tb, err := f(tech)
+		tb, err := f(ctx, tech)
 		if err != nil {
 			return err
 		}
@@ -366,7 +366,7 @@ func runAblations(tech *pdk.Tech) error {
 
 // runMC prints the Monte Carlo offset comparison across the DP
 // placement patterns (see internal/mc).
-func runMC(tech *pdk.Tech) error {
+func runMC(ctx context.Context, tech *pdk.Tech) error {
 	sz := primlib.Sizing{TotalFins: 960, L: tech.GateL}
 	bias := primlib.Bias{Vdd: 0.8, VCM: 0.45, VD: 0.4, ITail: 100e-6, CLoad: 5e-15}
 	cfgs := []cellgen.Config{
@@ -374,7 +374,7 @@ func runMC(tech *pdk.Tech) error {
 		{NFin: 12, NF: 20, M: 4, Dummies: 2, Pattern: cellgen.PatABAB},
 		{NFin: 12, NF: 20, M: 4, Dummies: 2, Pattern: cellgen.PatAABB},
 	}
-	stats, err := mc.CompareOffsets(tech, primlib.DiffPair, sz, bias, cfgs,
+	stats, err := mc.CompareOffsets(ctx, tech, primlib.DiffPair, sz, bias, cfgs,
 		mc.Params{Samples: 5000, Seed: 1})
 	if err != nil {
 		return err

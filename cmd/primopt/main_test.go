@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -30,7 +31,7 @@ func TestCacheStatsLineSuppression(t *testing.T) {
 		return &evcache.Entry{Cost: 1}, nil
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := c.Do(nil, "k", compute); err != nil {
+		if _, err := c.DoCtx(context.Background(), "k", compute); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -50,7 +51,7 @@ func TestCacheStatsLineSuppression(t *testing.T) {
 	defer d.Close()
 	cd := evcache.New()
 	cd.AttachDisk(d)
-	if _, err := cd.Do(nil, "k", compute); err != nil {
+	if _, err := cd.DoCtx(context.Background(), "k", compute); err != nil {
 		t.Fatal(err)
 	}
 	line = cacheStatsLine(flow.Optimized, cd)

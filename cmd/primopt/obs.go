@@ -1,8 +1,9 @@
 // Observability surface of the primopt CLI: the -trace/-metrics/-v
-// flags install a process-wide obs.Trace that every flow stage and
-// solver reports into, the profiling flags hook the standard pprof
-// machinery, and the checktrace subcommand validates an exported
-// trace (used by CI to keep the span taxonomy honest).
+// flags install a process-wide obs.Trace, the one a run reports into
+// when its context carries no trace of its own (obs.From); the
+// profiling flags hook the standard pprof machinery; and the
+// checktrace subcommand validates an exported trace (used by CI to
+// keep the span taxonomy honest).
 package main
 
 import (
@@ -93,8 +94,9 @@ func buildMeta() obs.Meta {
 // so partial traces still land on disk).
 func setupObs(f obsFlags) (func() error, error) {
 	enabled := f.trace != "" || f.metrics || f.verbose || f.benchOut != "" || f.telemetry != ""
+	var tr *obs.Trace
 	if enabled {
-		tr := obs.New()
+		tr = obs.New()
 		tr.SetMeta(buildMeta())
 		tr.SetMemAttribution(true)
 		if f.verbose {
@@ -104,7 +106,7 @@ func setupObs(f obsFlags) (func() error, error) {
 	}
 	var telemetrySrv *telemetry.Server
 	if f.telemetry != "" {
-		srv, err := telemetry.Start(f.telemetry, obs.Default())
+		srv, err := telemetry.Start(f.telemetry, tr)
 		if err != nil {
 			return nil, fmt.Errorf("telemetry: %w", err)
 		}
@@ -147,7 +149,6 @@ func setupObs(f obsFlags) (func() error, error) {
 				return err
 			}
 		}
-		tr := obs.Default()
 		if !tr.Enabled() {
 			return nil
 		}

@@ -50,12 +50,11 @@ func runServeCmd(args []string) int {
 		return 2
 	}
 
-	// The daemon trace is the process-wide sink: the SPICE layers
-	// report their counters there, serve.* admission metrics land
-	// there, and /metrics reads from it.
+	// The daemon trace: serve.* admission metrics land there, every
+	// finished request's counters fold into it, and /metrics reads
+	// from it.
 	tr := obs.New()
 	tr.SetMeta(buildMeta())
-	obs.SetDefault(tr)
 
 	tech := pdk.Default()
 	if err := tech.Validate(); err != nil {

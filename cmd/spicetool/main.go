@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -36,7 +37,7 @@ func main() {
 	}
 
 	tech := pdk.Default()
-	res, deck, err := spice.RunSource(tech, string(src))
+	res, deck, err := spice.RunSourceCtx(context.Background(), tech, string(src))
 	if err != nil {
 		fatal(err)
 	}

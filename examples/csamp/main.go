@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -22,14 +23,14 @@ import (
 func main() {
 	tech := pdk.Default()
 
-	fig2, err := paper.Fig2(tech)
+	fig2, err := paper.Fig2(context.Background(), tech)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Print(fig2.String())
 	fmt.Println()
 
-	t1, err := paper.Table1(tech)
+	t1, err := paper.Table1(context.Background(), tech)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -28,7 +29,7 @@ func main() {
 	p := flow.Params{Seed: 1}
 	results := map[flow.Mode]*flow.Result{}
 	for _, mode := range []flow.Mode{flow.Schematic, flow.Conventional, flow.Optimized} {
-		r, err := flow.Run(tech, bm, mode, p)
+		r, err := flow.RunContext(context.Background(), tech, bm, mode, p)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -36,7 +37,7 @@ func main() {
 		CLoad: 5e-15,  // external load per drain
 	}
 
-	res, err := optimize.Optimize(tech, entry, sizing, bias, optimize.Params{Bins: 3})
+	res, err := optimize.OptimizeCtx(context.Background(), tech, entry, sizing, bias, optimize.Params{Bins: 3})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -39,7 +40,7 @@ func main() {
 	fmt.Println()
 
 	for _, mode := range []flow.Mode{flow.Schematic, flow.Conventional, flow.Optimized} {
-		r, err := flow.Run(tech, bm, mode, flow.Params{Seed: 1})
+		r, err := flow.RunContext(context.Background(), tech, bm, mode, flow.Params{Seed: 1})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -49,7 +50,7 @@ func main() {
 		}
 		fmt.Printf("%-14s", mode)
 		for _, v := range vctrls {
-			f, ok, err := circuits.EvalVCOAt(tech, nl, v)
+			f, ok, err := circuits.EvalVCOAtCtx(context.Background(), tech, nl, v)
 			if err != nil {
 				log.Fatal(err)
 			}

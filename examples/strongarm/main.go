@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -30,7 +31,7 @@ func main() {
 
 	results := map[flow.Mode]*flow.Result{}
 	for _, mode := range []flow.Mode{flow.Schematic, flow.Conventional, flow.Optimized} {
-		r, err := flow.Run(tech, bm, mode, flow.Params{Seed: 1})
+		r, err := flow.RunContext(context.Background(), tech, bm, mode, flow.Params{Seed: 1})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,7 +30,7 @@ func main() {
 
 	results := map[flow.Mode]*flow.Result{}
 	for _, mode := range []flow.Mode{flow.Schematic, flow.Conventional, flow.Optimized} {
-		r, err := flow.Run(tech, bm, mode, flow.Params{Seed: 1})
+		r, err := flow.RunContext(context.Background(), tech, bm, mode, flow.Params{Seed: 1})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -50,7 +51,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	otaSch, err := flow.Run(tech, ota, flow.Schematic, flow.Params{Seed: 1})
+	otaSch, err := flow.RunContext(context.Background(), tech, ota, flow.Schematic, flow.Params{Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

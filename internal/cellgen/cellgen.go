@@ -16,7 +16,6 @@ import (
 
 	"primopt/internal/geom"
 	"primopt/internal/lde"
-	"primopt/internal/obs"
 	"primopt/internal/pdk"
 )
 
@@ -557,10 +556,6 @@ func GenerateAll(t *pdk.Tech, spec Spec, cons *Constraints) ([]*Layout, error) {
 			return nil, err
 		}
 		out = append(out, lay)
-	}
-	if tr := obs.Default(); tr.Enabled() {
-		tr.Counter("cellgen.generate_calls").Inc()
-		tr.Counter("cellgen.layouts_generated").Add(int64(len(out)))
 	}
 	return out, nil
 }

@@ -87,7 +87,7 @@ func (b *Benchmark) Inst(name string) *Inst {
 // nets must exist in the schematic, and its kind must be registered.
 func (b *Benchmark) Validate() error {
 	for _, in := range b.Insts {
-		if _, err := primlib.Lookup(in.Kind); err != nil {
+		if _, err := primlib.Lookup(context.TODO(), in.Kind); err != nil {
 			return fmt.Errorf("%s/%s: %w", b.Name, in.Name, err)
 		}
 		for _, dn := range append(append([]string(nil), in.DevA...), in.DevB...) {
@@ -144,21 +144,15 @@ func Build(t *pdk.Tech, name string, stages int) (*Benchmark, error) {
 
 // opOf simulates the schematic operating point.
 func opOf(ctx context.Context, t *pdk.Tech, nl *circuit.Netlist) (*spice.OPResult, error) {
-	e, err := spice.New(t, nl)
+	e, err := spice.New(ctx, t, nl)
 	if err != nil {
 		return nil, err
 	}
-	e.WithContext(ctx)
 	return e.OP()
 }
 
-// SchematicOP exposes the benchmark's operating point for bias
+// SchematicOPCtx exposes the benchmark's operating point for bias
 // derivation.
-func (b *Benchmark) SchematicOP(t *pdk.Tech) (*spice.OPResult, error) {
-	return b.SchematicOPCtx(context.Background(), t)
-}
-
-// SchematicOPCtx is SchematicOP bound to a context.
 func (b *Benchmark) SchematicOPCtx(ctx context.Context, t *pdk.Tech) (*spice.OPResult, error) {
 	return opOf(ctx, t, b.Schematic)
 }

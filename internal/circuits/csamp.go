@@ -102,11 +102,10 @@ func CommonSource(t *pdk.Tech) (*Benchmark, error) {
 			return nil, fmt.Errorf("csamp eval: vin missing")
 		}
 		vinDev.SetParam("acmag", 1)
-		e, err := spice.New(t, sim)
+		e, err := spice.New(ctx, t, sim)
 		if err != nil {
 			return nil, err
 		}
-		e.WithContext(ctx)
 		op, err := e.OP()
 		if err != nil {
 			return nil, err

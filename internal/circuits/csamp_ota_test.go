@@ -19,7 +19,7 @@ func TestCommonSourceBuilds(t *testing.T) {
 		t.Fatalf("insts = %d", len(bm.Insts))
 	}
 	// Bias search left the output near mid-rail.
-	op, err := bm.SchematicOP(tech)
+	op, err := bm.SchematicOPCtx(context.Background(), tech)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestOTA5TSchematicMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := bm.SchematicOP(tech)
+	op, err := bm.SchematicOPCtx(context.Background(), tech)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestInstBiasFallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := bm.SchematicOP(tech)
+	op, err := bm.SchematicOPCtx(context.Background(), tech)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestInstBiasFallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opc, err := cs.SchematicOP(tech)
+	opc, err := cs.SchematicOPCtx(context.Background(), tech)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestEvalVCOCurveNoOscillation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Control voltages far below threshold: nothing oscillates.
-	if _, err := EvalVCOCurve(tech, bm.Schematic, []float64{0.0, 0.05}); err == nil {
+	if _, err := EvalVCOCurveCtx(context.Background(), tech, bm.Schematic, []float64{0.0, 0.05}); err == nil {
 		t.Error("dead VCO produced a curve")
 	}
 }

@@ -20,7 +20,7 @@ import (
 //
 // The returned benchmark's Eval sweeps nothing; it measures the
 // oscillation frequency at a fixed control voltage (VCO curves are
-// produced by EvalVCOAt across control points).
+// produced by EvalVCOAtCtx across control points).
 func ROVCO(t *pdk.Tech, stages int) (*Benchmark, error) {
 	if stages < 2 || stages%2 != 0 {
 		return nil, fmt.Errorf("rovco: stages must be even and >= 2, got %d", stages)
@@ -115,14 +115,9 @@ func ringNets(stages int) []string {
 	return append(nets, "vctl")
 }
 
-// EvalVCOAt measures the oscillation frequency of the (schematic or
-// post-layout) VCO netlist at one control voltage; ok=false when the
-// ring does not oscillate there.
-func EvalVCOAt(t *pdk.Tech, nl *circuit.Netlist, vctrl float64) (float64, bool, error) {
-	return EvalVCOAtCtx(context.Background(), t, nl, vctrl)
-}
-
-// EvalVCOAtCtx is EvalVCOAt bound to a context.
+// EvalVCOAtCtx measures the oscillation frequency of the (schematic
+// or post-layout) VCO netlist at one control voltage; ok=false when
+// the ring does not oscillate there.
 func EvalVCOAtCtx(ctx context.Context, t *pdk.Tech, nl *circuit.Netlist, vctrl float64) (float64, bool, error) {
 	sim := nl.Clone()
 	vdd := 0.8
@@ -135,11 +130,10 @@ func EvalVCOAtCtx(ctx context.Context, t *pdk.Tech, nl *circuit.Netlist, vctrl f
 	if d := sim.Device("vcp"); d != nil {
 		d.SetParam("dc", vdd-vctrl)
 	}
-	e, err := spice.New(t, sim)
+	e, err := spice.New(ctx, t, sim)
 	if err != nil {
 		return 0, false, err
 	}
-	e.WithContext(ctx)
 	// Kick the ring out of its metastable symmetric point. Start with
 	// a short window (fast oscillation at high vctrl resolves in a few
 	// ns) and extend only if no crossings appear — slow starved rings
@@ -191,13 +185,8 @@ func EvalVCOAtCtx(ctx context.Context, t *pdk.Tech, nl *circuit.Netlist, vctrl f
 	return 0, false, nil
 }
 
-// EvalVCOCurve sweeps control voltages and reports fmax, fmin, and
-// the oscillating control range (Table VII's rows).
-func EvalVCOCurve(t *pdk.Tech, nl *circuit.Netlist, vctrls []float64) (map[string]float64, error) {
-	return EvalVCOCurveCtx(context.Background(), t, nl, vctrls)
-}
-
-// EvalVCOCurveCtx is EvalVCOCurve bound to a context.
+// EvalVCOCurveCtx sweeps control voltages and reports fmax, fmin,
+// and the oscillating control range (Table VII's rows).
 func EvalVCOCurveCtx(ctx context.Context, t *pdk.Tech, nl *circuit.Netlist, vctrls []float64) (map[string]float64, error) {
 	fmax, fmin := 0.0, 0.0
 	vlo, vhi := 0.0, 0.0

@@ -1,6 +1,7 @@
 package circuits
 
 import (
+	"context"
 	"testing"
 )
 
@@ -19,7 +20,7 @@ func TestROVCOOscillates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, ok, err := EvalVCOAt(tech, bm.Schematic, 0.8)
+	f, ok, err := EvalVCOAtCtx(context.Background(), tech, bm.Schematic, 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +31,7 @@ func TestROVCOOscillates(t *testing.T) {
 		t.Errorf("fosc = %g, want 0.1..50 GHz", f)
 	}
 	// Lower control voltage starves the stages: slower.
-	f2, ok2, err := EvalVCOAt(tech, bm.Schematic, 0.45)
+	f2, ok2, err := EvalVCOAtCtx(context.Background(), tech, bm.Schematic, 0.45)
 	if err != nil {
 		t.Fatal(err)
 	}

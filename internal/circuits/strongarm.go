@@ -116,11 +116,10 @@ func StrongARM(t *pdk.Tech) (*Benchmark, error) {
 		MetricUnit:  map[string]string{"delay": "s", "power": "W"},
 	}
 	bm.Eval = func(ctx context.Context, t *pdk.Tech, nl *circuit.Netlist) (map[string]float64, error) {
-		e, err := spice.New(t, nl)
+		e, err := spice.New(ctx, t, nl)
 		if err != nil {
 			return nil, err
 		}
-		e.WithContext(ctx)
 		res, err := e.Tran(4e-12, 1.5*clkPer, spice.TranOpts{})
 		if err != nil {
 			return nil, err

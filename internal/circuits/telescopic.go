@@ -112,11 +112,10 @@ func Telescopic(t *pdk.Tech) (*Benchmark, error) {
 		vp.SetParam("acmag", 0.5)
 		vn.SetParam("acmag", 0.5)
 		vn.SetParam("acphase", 180)
-		e, err := spice.New(t, sim)
+		e, err := spice.New(ctx, t, sim)
 		if err != nil {
 			return nil, err
 		}
-		e.WithContext(ctx)
 		op, err := e.OP()
 		if err != nil {
 			return nil, err

@@ -11,7 +11,7 @@ func TestTelescopicSchematic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := bm.SchematicOP(tech)
+	op, err := bm.SchematicOPCtx(context.Background(), tech)
 	if err != nil {
 		t.Fatal(err)
 	}

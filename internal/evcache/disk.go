@@ -32,6 +32,7 @@ package evcache
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
@@ -276,8 +277,9 @@ func scanSegment(dir string, seq int) (*segment, []scannedRec, error) {
 // get looks key up in the disk tier. The fault site and every read
 // failure (including an injected panic) degrade to a miss: the bad
 // index entry is dropped so the key recomputes exactly once, and the
-// caller falls through to compute.
-func (d *Disk) get(key string, inj *fault.Injector, tr *obs.Trace) (*Entry, bool) {
+// caller falls through to compute. The fault site and the read-error
+// counter belong to the run on ctx.
+func (d *Disk) get(ctx context.Context, key string) (*Entry, bool) {
 	if d == nil {
 		return nil, false
 	}
@@ -298,10 +300,10 @@ func (d *Disk) get(key string, inj *fault.Injector, tr *obs.Trace) (*Entry, bool
 		d.misses.Add(1)
 		return nil, false
 	}
-	ent, err := d.readRecord(path, key, loc, inj)
+	ent, err := d.readRecord(ctx, path, key, loc)
 	if err != nil {
 		d.readErrs.Add(1)
-		tr.Counter("evcache.disk_read_errors").Inc()
+		obs.From(ctx).Counter("evcache.disk_read_errors").Inc()
 		d.misses.Add(1)
 		d.dropKey(key, loc)
 		return nil, false
@@ -313,13 +315,13 @@ func (d *Disk) get(key string, inj *fault.Injector, tr *obs.Trace) (*Entry, bool
 // readRecord re-verifies and decodes one record. The recover turns
 // an injected (or real) panic during the read into an ordinary
 // error, upholding degrade-never-crash for the whole read path.
-func (d *Disk) readRecord(path, key string, loc recordLoc, inj *fault.Injector) (ent *Entry, err error) {
+func (d *Disk) readRecord(ctx context.Context, path, key string, loc recordLoc) (ent *Entry, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			ent, err = nil, fmt.Errorf("evcache: disk read panic: %v", r)
 		}
 	}()
-	if err := inj.Hit(fault.SiteEvcacheDisk); err != nil {
+	if err := fault.From(ctx).Hit(ctx, fault.SiteEvcacheDisk); err != nil {
 		return nil, err
 	}
 	f, err := os.Open(path)

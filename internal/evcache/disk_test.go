@@ -41,7 +41,7 @@ func TestDiskRoundTrip(t *testing.T) {
 	mustPut(t, d, "k2", diskEntryFor(2.5))
 
 	// Same process: served from the index immediately.
-	got, ok := d.get("k1", nil, nil)
+	got, ok := d.get(context.Background(), "k1")
 	if !ok || got.Cost != 1.5 {
 		t.Fatalf("get k1 = %+v, %v", got, ok)
 	}
@@ -62,12 +62,12 @@ func TestDiskRoundTrip(t *testing.T) {
 	}
 	defer d2.Close()
 	for key, cost := range map[string]float64{"k1": 1.5, "k2": 2.5} {
-		got, ok := d2.get(key, nil, nil)
+		got, ok := d2.get(context.Background(), key)
 		if !ok || got.Cost != cost {
 			t.Errorf("reopened get %q = %+v, %v (want cost %g)", key, got, ok, cost)
 		}
 	}
-	if _, ok := d2.get("absent", nil, nil); ok {
+	if _, ok := d2.get(context.Background(), "absent"); ok {
 		t.Error("absent key served")
 	}
 	st := d2.Stats()
@@ -84,7 +84,7 @@ func TestDiskSchematicEntryRoundTrip(t *testing.T) {
 	}
 	defer d.Close()
 	mustPut(t, d, "sch", &Entry{Eval: &primlib.Eval{Values: map[string]float64{"gm": 7}, Sims: 1}})
-	got, ok := d.get("sch", nil, nil)
+	got, ok := d.get(context.Background(), "sch")
 	if !ok || got.Layout != nil || got.Ex != nil || got.Eval.Values["gm"] != 7 {
 		t.Errorf("schematic entry = %+v, %v", got, ok)
 	}
@@ -131,19 +131,19 @@ func TestDiskTornTail(t *testing.T) {
 				t.Fatalf("reopen after truncation: %v", err)
 			}
 			// The torn record is dropped, never served.
-			if _, ok := d.get("c", nil, nil); ok {
+			if _, ok := d.get(context.Background(), "c"); ok {
 				t.Fatal("torn record served")
 			}
 			// Everything before the tear is intact.
 			for key, cost := range map[string]float64{"a": 1, "b": 2} {
-				got, ok := d.get(key, nil, nil)
+				got, ok := d.get(context.Background(), key)
 				if !ok || got.Cost != cost {
 					t.Fatalf("pre-tear record %q = %+v, %v", key, got, ok)
 				}
 			}
 			// The next append lands on a repaired tail...
 			mustPut(t, d, "c", diskEntryFor(3))
-			got, ok := d.get("c", nil, nil)
+			got, ok := d.get(context.Background(), "c")
 			if !ok || got.Cost != 3 {
 				t.Fatalf("re-put after repair = %+v, %v", got, ok)
 			}
@@ -155,7 +155,7 @@ func TestDiskTornTail(t *testing.T) {
 			}
 			defer d2.Close()
 			for key, cost := range map[string]float64{"a": 1, "b": 2, "c": 3} {
-				got, ok := d2.get(key, nil, nil)
+				got, ok := d2.get(context.Background(), key)
 				if !ok || got.Cost != cost {
 					t.Fatalf("post-repair reopen %q = %+v, %v", key, got, ok)
 				}
@@ -195,10 +195,10 @@ func TestDiskCorruptRecordDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	if _, ok := d2.get("b", nil, nil); ok {
+	if _, ok := d2.get(context.Background(), "b"); ok {
 		t.Error("corrupt record served")
 	}
-	if got, ok := d2.get("a", nil, nil); !ok || got.Cost != 1 {
+	if got, ok := d2.get(context.Background(), "a"); !ok || got.Cost != 1 {
 		t.Errorf("record before corruption = %+v, %v", got, ok)
 	}
 	if st := d2.Stats(); st.Bytes != preB {
@@ -232,7 +232,7 @@ func TestDiskSchemaMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := d2.get("a", nil, nil); ok {
+	if _, ok := d2.get(context.Background(), "a"); ok {
 		t.Error("foreign-schema record served")
 	}
 	st := d2.Stats()
@@ -252,7 +252,7 @@ func TestDiskSchemaMismatch(t *testing.T) {
 	if _, err := os.Stat(seg); !os.IsNotExist(err) {
 		t.Error("foreign segment survived GC")
 	}
-	if got, ok := d2.get("b", nil, nil); !ok || got.Cost != 2 {
+	if got, ok := d2.get(context.Background(), "b"); !ok || got.Cost != 2 {
 		t.Errorf("live record lost to GC: %+v, %v", got, ok)
 	}
 	d2.Close()
@@ -278,18 +278,18 @@ func TestDiskEviction(t *testing.T) {
 		t.Fatalf("pre-eviction stats = %+v", st)
 	}
 	// Touch k1 so k2 becomes the LRU victim.
-	if _, ok := d.get("k1", nil, nil); !ok {
+	if _, ok := d.get(context.Background(), "k1"); !ok {
 		t.Fatal("k1 missing")
 	}
 	removed, remaining := d.GC(st.Bytes - 1) // one byte over: exactly one segment goes
 	if removed != 1 {
 		t.Fatalf("GC removed %d, want 1 (remaining %d)", removed, remaining)
 	}
-	if _, ok := d.get("k2", nil, nil); ok {
+	if _, ok := d.get(context.Background(), "k2"); ok {
 		t.Error("LRU victim k2 still served after eviction")
 	}
 	for _, k := range []string{"k1", "k3", "k4"} {
-		if _, ok := d.get(k, nil, nil); !ok {
+		if _, ok := d.get(context.Background(), k); !ok {
 			t.Errorf("%s evicted, want k2 only", k)
 		}
 	}
@@ -315,7 +315,7 @@ func TestDiskFaultDegradesToCompute(t *testing.T) {
 			tr := obs.New()
 
 			// Warm the disk through the cache.
-			if _, err := c.Do(tr, "k", func() (*Entry, error) { return diskEntryFor(1), nil }); err != nil {
+			if _, err := c.DoCtx(obs.With(context.Background(), tr), "k", func() (*Entry, error) { return diskEntryFor(1), nil }); err != nil {
 				t.Fatal(err)
 			}
 
@@ -329,7 +329,7 @@ func TestDiskFaultDegradesToCompute(t *testing.T) {
 			}
 			ctx := fault.With(context.Background(), inj)
 			computed := false
-			got, err := c2.DoCtx(ctx, tr, "k", func() (*Entry, error) {
+			got, err := c2.DoCtx(obs.With(ctx, tr), "k", func() (*Entry, error) {
 				computed = true
 				return diskEntryFor(9), nil
 			})
@@ -363,7 +363,7 @@ func TestCacheDiskIntegration(t *testing.T) {
 	}
 	c1 := New()
 	c1.AttachDisk(d1)
-	if _, err := c1.Do(tr, "k", func() (*Entry, error) { return diskEntryFor(4), nil }); err != nil {
+	if _, err := c1.DoCtx(obs.With(context.Background(), tr), "k", func() (*Entry, error) { return diskEntryFor(4), nil }); err != nil {
 		t.Fatal(err)
 	}
 	d1.Close()
@@ -377,7 +377,7 @@ func TestCacheDiskIntegration(t *testing.T) {
 	c2 := New()
 	c2.AttachDisk(d2)
 	tr2 := obs.New()
-	got, err := c2.Do(tr2, "k", func() (*Entry, error) {
+	got, err := c2.DoCtx(obs.With(context.Background(), tr2), "k", func() (*Entry, error) {
 		t.Fatal("warm run must not compute")
 		return nil, nil
 	})
@@ -393,7 +393,7 @@ func TestCacheDiskIntegration(t *testing.T) {
 	}
 	// The memory tier now holds the entry: the next request is a pure
 	// memory hit, not a second disk read.
-	if _, err := c2.Do(tr2, "k", func() (*Entry, error) { return nil, fmt.Errorf("no") }); err != nil {
+	if _, err := c2.DoCtx(obs.With(context.Background(), tr2), "k", func() (*Entry, error) { return nil, fmt.Errorf("no") }); err != nil {
 		t.Fatal(err)
 	}
 	if st := c2.Stats(); st.Hits != 1 || st.DiskHits != 1 {

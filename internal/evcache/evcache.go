@@ -261,6 +261,9 @@ func (c *Cache) AttachDisk(d *Disk) {
 	c.mu.Unlock()
 }
 
+// HasDisk reports whether a disk tier backs the cache.
+func (c *Cache) HasDisk() bool { return c.diskTier() != nil }
+
 // diskTier returns the attached disk tier, if any.
 func (c *Cache) diskTier() *Disk {
 	if c == nil {
@@ -305,25 +308,24 @@ func (c *Cache) RecordRequest(tr *obs.Trace, key string) {
 	}
 }
 
-// Do returns the entry for key, computing it at most once. On a hit
-// (including waiting out another goroutine's in-flight computation)
-// the caller receives a deep copy, free to mutate. On a miss the
-// computed entry is returned as-is and a deep copy is stored, so the
-// cache never aliases the caller's live layout. Counters land on tr
-// (nil-safe): evcache.hits, evcache.misses, evcache.bytes.
-func (c *Cache) Do(tr *obs.Trace, key string, compute func() (*Entry, error)) (*Entry, error) {
-	return c.DoCtx(context.Background(), tr, key, compute)
-}
-
-// DoCtx is Do bound to a context. A failed or canceled in-flight
-// computation never poisons waiters: each waiter wakes, re-checks,
-// and (with a healthy context of its own) re-attempts the
-// computation; a waiter whose own context is done returns that
-// context's error instead of the first caller's. The computation slot
-// is panic-safe — a panicking compute releases the key and wakes the
-// waiters before the panic propagates, so a recovered worker crash
-// cannot strand other goroutines or corrupt the cache.
-func (c *Cache) DoCtx(ctx context.Context, tr *obs.Trace, key string, compute func() (*Entry, error)) (*Entry, error) {
+// DoCtx returns the entry for key, computing it at most once. On a
+// hit (including waiting out another goroutine's in-flight
+// computation) the caller receives a deep copy, free to mutate. On a
+// miss the computed entry is returned as-is and a deep copy is
+// stored, so the cache never aliases the caller's live layout.
+// Counters land on the context's trace: evcache.hits, evcache.misses,
+// evcache.bytes, and the disk tier's.
+//
+// A failed or canceled in-flight computation never poisons waiters:
+// each waiter wakes, re-checks, and (with a healthy context of its
+// own) re-attempts the computation; a waiter whose own context is
+// done returns that context's error instead of the first caller's.
+// The computation slot is panic-safe — a panicking compute releases
+// the key and wakes the waiters before the panic propagates, so a
+// recovered worker crash cannot strand other goroutines or corrupt
+// the cache.
+func (c *Cache) DoCtx(ctx context.Context, key string, compute func() (*Entry, error)) (*Entry, error) {
+	tr := obs.From(ctx)
 	inj := fault.From(ctx)
 	for {
 		if err := ctx.Err(); err != nil {
@@ -386,14 +388,14 @@ func (c *Cache) runCompute(ctx context.Context, tr *obs.Trace, key string, ch ch
 		close(ch)
 	}()
 	if d := c.diskTier(); d != nil {
-		if de, ok := d.get(key, inj, tr); ok {
+		if de, ok := d.get(ctx, key); ok {
 			tr.Counter("evcache.disk_hits").Inc()
 			done = true
 			return de, nil
 		}
 		tr.Counter("evcache.disk_misses").Inc()
 	}
-	if err = inj.Hit(fault.SiteEvcacheCompute); err != nil {
+	if err = inj.Hit(ctx, fault.SiteEvcacheCompute); err != nil {
 		done = true
 		return nil, err
 	}

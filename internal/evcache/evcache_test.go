@@ -1,6 +1,7 @@
 package evcache
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -87,7 +88,7 @@ func TestDoSingleflight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			ent, err := c.Do(tr, "k", func() (*Entry, error) {
+			ent, err := c.DoCtx(obs.With(context.Background(), tr), "k", func() (*Entry, error) {
 				computes.Add(1)
 				return testEntry(), nil
 			})
@@ -112,10 +113,10 @@ func TestDoSingleflight(t *testing.T) {
 
 func TestDoDeepIsolation(t *testing.T) {
 	c := New()
-	if _, err := c.Do(nil, "k", func() (*Entry, error) { return testEntry(), nil }); err != nil {
+	if _, err := c.DoCtx(context.Background(), "k", func() (*Entry, error) { return testEntry(), nil }); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Do(nil, "k", func() (*Entry, error) {
+	got, err := c.DoCtx(context.Background(), "k", func() (*Entry, error) {
 		t.Fatal("hit path must not compute")
 		return nil, nil
 	})
@@ -125,7 +126,7 @@ func TestDoDeepIsolation(t *testing.T) {
 	// Mutating the handed-out copy must not reach the cache.
 	got.Layout.Wires["s"].NWires = 99
 	got.Eval.Values["gain"] = -1
-	again, err := c.Do(nil, "k", func() (*Entry, error) { return nil, errors.New("no") })
+	again, err := c.DoCtx(context.Background(), "k", func() (*Entry, error) { return nil, errors.New("no") })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,13 +144,13 @@ func TestDoDeepIsolation(t *testing.T) {
 func TestDoErrorNotCached(t *testing.T) {
 	c := New()
 	boom := errors.New("boom")
-	if _, err := c.Do(nil, "k", func() (*Entry, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, err := c.DoCtx(context.Background(), "k", func() (*Entry, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
 		t.Errorf("failed compute leaked into stats: %+v", st)
 	}
-	ent, err := c.Do(nil, "k", func() (*Entry, error) { return testEntry(), nil })
+	ent, err := c.DoCtx(context.Background(), "k", func() (*Entry, error) { return testEntry(), nil })
 	if err != nil || ent.Cost != 4.5 {
 		t.Fatalf("recompute after error: ent=%v err=%v", ent, err)
 	}
@@ -212,7 +213,7 @@ func TestMissesCountDistinctSnapshots(t *testing.T) {
 		for n := 1; n <= maxW; n++ {
 			lay.Wires["d_a"].NWires = n
 			key := Key(testTech, "csamp", sz, bias, lay, nil)
-			if _, err := c.Do(nil, key, func() (*Entry, error) {
+			if _, err := c.DoCtx(context.Background(), key, func() (*Entry, error) {
 				computes++
 				return testEntry(), nil
 			}); err != nil {

@@ -26,7 +26,7 @@ func TestDoCtxFailedComputeDoesNotPoisonWaiters(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, err := c.Do(nil, "k", func() (*Entry, error) {
+		_, err := c.DoCtx(context.Background(), "k", func() (*Entry, error) {
 			close(firstEntered)
 			<-release
 			return nil, boom
@@ -43,7 +43,7 @@ func TestDoCtxFailedComputeDoesNotPoisonWaiters(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ent, err := c.Do(nil, "k", func() (*Entry, error) {
+			ent, err := c.DoCtx(context.Background(), "k", func() (*Entry, error) {
 				recomputes.Add(1)
 				return testEntry(), nil
 			})
@@ -64,7 +64,7 @@ func TestDoCtxFailedComputeDoesNotPoisonWaiters(t *testing.T) {
 		t.Errorf("entries = %d, want 1", st.Entries)
 	}
 	// The error itself must never have been cached.
-	ent, err := c.Do(nil, "k", func() (*Entry, error) {
+	ent, err := c.DoCtx(context.Background(), "k", func() (*Entry, error) {
 		t.Error("compute re-ran for a cached key")
 		return nil, nil
 	})
@@ -88,7 +88,7 @@ func TestDoCtxPanicReleasesSlot(t *testing.T) {
 				t.Error("panic did not propagate to the computing caller")
 			}
 		}()
-		c.Do(nil, "k", func() (*Entry, error) {
+		c.DoCtx(context.Background(), "k", func() (*Entry, error) {
 			close(entered)
 			time.Sleep(20 * time.Millisecond)
 			panic("compute crashed")
@@ -98,7 +98,7 @@ func TestDoCtxPanicReleasesSlot(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		ent, err := c.Do(nil, "k", func() (*Entry, error) { return testEntry(), nil })
+		ent, err := c.DoCtx(context.Background(), "k", func() (*Entry, error) { return testEntry(), nil })
 		if err != nil || ent == nil {
 			t.Errorf("waiter after panic: ent=%v err=%v", ent, err)
 		}
@@ -125,7 +125,7 @@ func TestDoCtxCancellation(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		c.Do(nil, "k", func() (*Entry, error) {
+		c.DoCtx(context.Background(), "k", func() (*Entry, error) {
 			close(entered)
 			<-release
 			return testEntry(), nil
@@ -137,7 +137,7 @@ func TestDoCtxCancellation(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		cancel()
 	}()
-	if _, err := c.DoCtx(ctx, nil, "k", nil); !errors.Is(err, context.Canceled) {
+	if _, err := c.DoCtx(ctx, "k", nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("canceled waiter: err = %v, want context.Canceled", err)
 	}
 	close(release)
@@ -145,7 +145,7 @@ func TestDoCtxCancellation(t *testing.T) {
 
 	dead, cancel2 := context.WithCancel(context.Background())
 	cancel2()
-	if _, err := c.DoCtx(dead, nil, "other", func() (*Entry, error) {
+	if _, err := c.DoCtx(dead, "other", func() (*Entry, error) {
 		t.Error("compute ran under a dead context")
 		return nil, nil
 	}); !errors.Is(err, context.Canceled) {
@@ -164,7 +164,7 @@ func TestDoCtxFaultInjection(t *testing.T) {
 	ctx := fault.With(context.Background(), inj)
 	c := New()
 	ran := false
-	_, err = c.DoCtx(ctx, nil, "k", func() (*Entry, error) {
+	_, err = c.DoCtx(ctx, "k", func() (*Entry, error) {
 		ran = true
 		return testEntry(), nil
 	})
@@ -174,7 +174,7 @@ func TestDoCtxFaultInjection(t *testing.T) {
 	if ran {
 		t.Error("compute ran despite the injected fault")
 	}
-	ent, err := c.DoCtx(ctx, nil, "k", func() (*Entry, error) { return testEntry(), nil })
+	ent, err := c.DoCtx(ctx, "k", func() (*Entry, error) { return testEntry(), nil })
 	if err != nil || ent == nil {
 		t.Fatalf("retry after injected fault: ent=%v err=%v", ent, err)
 	}

@@ -9,6 +9,7 @@
 package extract
 
 import (
+	"context"
 	"fmt"
 
 	"primopt/internal/cellgen"
@@ -77,12 +78,13 @@ const spineInjectionFactor = 16
 
 // Primitive extracts a primitive layout: wire estimates become RC
 // (including the via stack from the device level to the wire layer),
-// LDE shifts and junction geometry become device parameters.
-func Primitive(t *pdk.Tech, lay *cellgen.Layout) (*Extracted, error) {
+// LDE shifts and junction geometry become device parameters. Each
+// run counts extract.runs on the context's trace.
+func Primitive(ctx context.Context, t *pdk.Tech, lay *cellgen.Layout) (*Extracted, error) {
 	if lay == nil {
 		return nil, fmt.Errorf("extract: nil layout")
 	}
-	obs.Default().Counter("extract.runs").Inc()
+	obs.From(ctx).Counter("extract.runs").Inc()
 	ex := &Extracted{Layout: lay, Term: make(map[string]TermRC, len(lay.Wires))}
 	for term, w := range lay.Wires {
 		if w.Length < 0 || w.StrapLen < 0 {
@@ -131,21 +133,6 @@ func Primitive(t *pdk.Tech, lay *cellgen.Layout) (*Extracted, error) {
 		})
 	}
 	return ex, nil
-}
-
-// WithWireCount re-extracts the layout with the given terminal's
-// parallel-wire count overridden — the primitive tuning move. The
-// layout itself is not mutated.
-func WithWireCount(t *pdk.Tech, lay *cellgen.Layout, term string, n int) (*Extracted, error) {
-	w, ok := lay.Wires[term]
-	if !ok {
-		return nil, fmt.Errorf("extract: %s has no terminal %q", lay.Spec.Name, term)
-	}
-	old := w.NWires
-	w.NWires = n
-	ex, err := Primitive(t, lay)
-	w.NWires = old
-	return ex, err
 }
 
 // Route describes one external global route at a primitive port, as

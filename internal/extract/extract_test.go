@@ -1,6 +1,7 @@
 package extract
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -22,7 +23,7 @@ func dpLayout(t *testing.T, cfg cellgen.Config) *cellgen.Layout {
 
 func TestPrimitiveExtraction(t *testing.T) {
 	lay := dpLayout(t, cellgen.Config{NFin: 8, NF: 20, M: 6, Dummies: 2, Pattern: cellgen.PatABAB})
-	ex, err := Primitive(tech, lay)
+	ex, err := Primitive(context.Background(), tech, lay)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +69,13 @@ func TestPrimitiveExtraction(t *testing.T) {
 
 func TestWireCountTradeoff(t *testing.T) {
 	lay := dpLayout(t, cellgen.Config{NFin: 8, NF: 20, M: 6, Dummies: 2, Pattern: cellgen.PatABAB})
-	base, err := Primitive(tech, lay)
+	base, err := Primitive(context.Background(), tech, lay)
 	if err != nil {
 		t.Fatal(err)
 	}
-	quad, err := WithWireCount(tech, lay, "s", 4)
+	wide := lay.Clone()
+	wide.Wires["s"].NWires = 4
+	quad, err := Primitive(context.Background(), tech, wide)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,24 +85,17 @@ func TestWireCountTradeoff(t *testing.T) {
 	if got := quad.Term["s"].Total() / base.Term["s"].Total(); math.Abs(got-4) > 0.01 {
 		t.Errorf("4 wires should quadruple C: ratio %g", got)
 	}
-	// The original layout is untouched.
-	if lay.Wires["s"].NWires != 1 {
-		t.Error("WithWireCount mutated the layout")
-	}
-	if _, err := WithWireCount(tech, lay, "nosuch", 2); err == nil {
-		t.Error("unknown terminal accepted")
-	}
 }
 
 func TestExtractionSeesLDEDifferences(t *testing.T) {
 	// AABB has device Vth mismatch; ABBA (2-row CC) does not.
 	gg := dpLayout(t, cellgen.Config{NFin: 12, NF: 20, M: 4, Dummies: 2, Pattern: cellgen.PatAABB})
 	cc := dpLayout(t, cellgen.Config{NFin: 12, NF: 20, M: 4, Dummies: 2, Pattern: cellgen.PatABBA})
-	exg, err := Primitive(tech, gg)
+	exg, err := Primitive(context.Background(), tech, gg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exc, err := Primitive(tech, cc)
+	exc, err := Primitive(context.Background(), tech, cc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,12 +138,12 @@ func TestRouteRC(t *testing.T) {
 }
 
 func TestExtractErrors(t *testing.T) {
-	if _, err := Primitive(tech, nil); err == nil {
+	if _, err := Primitive(context.Background(), tech, nil); err == nil {
 		t.Error("nil layout accepted")
 	}
 	lay := dpLayout(t, cellgen.Config{NFin: 8, NF: 20, M: 6, Dummies: 2, Pattern: cellgen.PatABAB})
 	lay.Wires["bad"] = &cellgen.WireEst{Layer: 0, Length: -5, NWires: 1}
-	if _, err := Primitive(tech, lay); err == nil {
+	if _, err := Primitive(context.Background(), tech, lay); err == nil {
 		t.Error("negative length accepted")
 	}
 }

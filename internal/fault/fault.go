@@ -9,8 +9,8 @@
 // The package follows internal/obs's nil-safety contract: every
 // method works on a nil *Injector and does nothing, so the disabled
 // path costs a single nil check and no allocation. Sites resolve
-// their injector once (from a context or the process-wide default)
-// and then call Hit in hot loops without further lookups.
+// their injector once from the run's context and then call Hit in
+// hot loops without further lookups.
 package fault
 
 import (
@@ -21,7 +21,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"primopt/internal/obs"
@@ -121,11 +120,6 @@ type armState struct {
 // are both valid, disabled injectors. Concurrency-safe: worker pools
 // hit sites from many goroutines.
 type Injector struct {
-	// Trace, when set, receives the fault.injected counters; nil
-	// falls back to obs.Default(). Set it before the injector is
-	// shared across goroutines.
-	Trace *obs.Trace
-
 	seed int64
 	spec string
 
@@ -261,11 +255,12 @@ func (in *Injector) Spec() string {
 // Enabled reports whether any site is armed.
 func (in *Injector) Enabled() bool { return in != nil && len(in.arms) > 0 }
 
-// Hit registers one hit of a site. If the site is armed and this hit
-// fires, Hit returns an *Error (mode error), panics with an *Error
-// (mode panic), or sleeps and returns nil (mode delay). Unarmed
-// sites and nil injectors return nil immediately.
-func (in *Injector) Hit(site string) error {
+// Hit registers one hit of a site by the run ctx belongs to. If the
+// site is armed and this hit fires, Hit counts fault.injected on the
+// run's trace (obs.From(ctx)) and returns an *Error (mode error),
+// panics with an *Error (mode panic), or sleeps and returns nil (mode
+// delay). Unarmed sites and nil injectors return nil immediately.
+func (in *Injector) Hit(ctx context.Context, site string) error {
 	if in == nil {
 		return nil
 	}
@@ -292,9 +287,10 @@ func (in *Injector) Hit(site string) error {
 	if !fire {
 		return nil
 	}
-	in.trace().Counter("fault.injected").Inc()
+	tr := obs.From(ctx)
+	tr.Counter("fault.injected").Inc()
 	//lint:allow spanhygiene site names come from the finite fault-spec grammar and are stable for a given (seed, spec)
-	in.trace().Counter("fault.injected." + site).Inc()
+	tr.Counter("fault.injected." + site).Inc()
 	fe := &Error{Site: site, Hit: hit}
 	switch mode {
 	case ModePanic:
@@ -338,19 +334,12 @@ func (in *Injector) Armed() []string {
 	return out
 }
 
-func (in *Injector) trace() *obs.Trace {
-	if in.Trace != nil {
-		return in.Trace
-	}
-	return obs.Default()
-}
-
-// ---- context carriage and process-wide default ----
+// ---- context carriage ----
 
 type ctxKey struct{}
 
-// With returns a context carrying the injector. A nil injector is
-// fine: From will fall through to the process default.
+// With returns a context carrying the injector. A nil injector
+// returns ctx unchanged.
 func With(ctx context.Context, in *Injector) context.Context {
 	if in == nil {
 		return ctx
@@ -358,27 +347,16 @@ func With(ctx context.Context, in *Injector) context.Context {
 	return context.WithValue(ctx, ctxKey{}, in)
 }
 
-// From returns the context's injector, or the process-wide default
-// when the context carries none. The result may be nil (disabled) —
-// all methods are nil-safe, so callers use it without checking.
+// From returns the context's injector, or nil (disabled) when the
+// context carries none. All methods are nil-safe, so callers use the
+// result without checking.
 func From(ctx context.Context) *Injector {
-	if ctx != nil {
-		if in, ok := ctx.Value(ctxKey{}).(*Injector); ok {
-			return in
-		}
+	if ctx == nil {
+		return nil
 	}
-	return Default()
+	in, _ := ctx.Value(ctxKey{}).(*Injector)
+	return in
 }
-
-var defaultInjector atomic.Pointer[Injector]
-
-// Default returns the process-wide injector installed by SetDefault
-// (nil when none is installed — the normal production state).
-func Default() *Injector { return defaultInjector.Load() }
-
-// SetDefault installs the process-wide injector (the -fault-spec flag
-// does this once at startup). Pass nil to disable.
-func SetDefault(in *Injector) { defaultInjector.Store(in) }
 
 // Jitter returns a deterministic duration in [0, max) drawn from a
 // stream seeded by (seed, tag) — used by tests that need reproducible

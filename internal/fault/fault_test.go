@@ -12,7 +12,7 @@ import (
 
 func TestNilInjectorIsFree(t *testing.T) {
 	var in *Injector
-	if err := in.Hit(SiteSpiceOP); err != nil {
+	if err := in.Hit(context.Background(), SiteSpiceOP); err != nil {
 		t.Fatalf("nil injector Hit: %v", err)
 	}
 	if in.Enabled() {
@@ -39,7 +39,7 @@ func TestErrorAtNthHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 5; i++ {
-		err := in.Hit(SiteSpiceOP)
+		err := in.Hit(context.Background(), SiteSpiceOP)
 		if i == 3 {
 			if err == nil {
 				t.Fatalf("hit %d: expected injected error", i)
@@ -65,11 +65,11 @@ func TestErrorFromNthHitOn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in.Hit(SiteRouteNet) != nil {
+	if in.Hit(context.Background(), SiteRouteNet) != nil {
 		t.Fatal("hit 1 should pass")
 	}
 	for i := 2; i <= 4; i++ {
-		if in.Hit(SiteRouteNet) == nil {
+		if in.Hit(context.Background(), SiteRouteNet) == nil {
 			t.Fatalf("hit %d should fail", i)
 		}
 	}
@@ -87,7 +87,7 @@ func TestPanicMode(t *testing.T) {
 			t.Fatalf("recovered %v, want *fault.Error at place.replica", r)
 		}
 	}()
-	in.Hit(SitePlaceReplica)
+	in.Hit(context.Background(), SitePlaceReplica)
 	t.Fatal("Hit should have panicked")
 }
 
@@ -97,7 +97,7 @@ func TestDelayMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if err := in.Hit(SiteExtract); err != nil {
+	if err := in.Hit(context.Background(), SiteExtract); err != nil {
 		t.Fatalf("delay mode returned error: %v", err)
 	}
 	if d := time.Since(start); d < 25*time.Millisecond {
@@ -113,7 +113,7 @@ func TestProbabilisticDeterminism(t *testing.T) {
 		}
 		var fired []int
 		for i := 1; i <= 200; i++ {
-			if in.Hit(SiteSpiceDC) != nil {
+			if in.Hit(context.Background(), SiteSpiceDC) != nil {
 				fired = append(fired, i)
 			}
 		}
@@ -159,7 +159,7 @@ func TestMultiSiteSpec(t *testing.T) {
 		t.Fatal("armed injector reports disabled")
 	}
 	// Unarmed site stays free.
-	if err := in.Hit(SiteEvcacheCompute); err != nil {
+	if err := in.Hit(context.Background(), SiteEvcacheCompute); err != nil {
 		t.Fatalf("unarmed site: %v", err)
 	}
 }
@@ -191,9 +191,9 @@ func TestCountersEmitted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in.Trace = tr
-	in.Hit(SiteSpiceOP)
-	in.Hit(SiteSpiceOP)
+	ctx := obs.With(context.Background(), tr)
+	in.Hit(ctx, SiteSpiceOP)
+	in.Hit(ctx, SiteSpiceOP)
 	if got := tr.Counter("fault.injected").Value(); got != 2 {
 		t.Fatalf("fault.injected = %d, want 2", got)
 	}
@@ -211,29 +211,12 @@ func TestContextCarriage(t *testing.T) {
 	if got := From(ctx); got != in {
 		t.Fatalf("From(ctx) = %p, want %p", got, in)
 	}
-	if got := From(context.Background()); got != Default() {
-		t.Fatalf("From(background) should fall back to Default")
+	if got := From(context.Background()); got != nil {
+		t.Fatalf("From(background) = %p, want nil", got)
 	}
 	// With(nil injector) is a no-op.
-	if ctx2 := With(context.Background(), nil); From(ctx2) != Default() {
-		t.Fatal("With(nil) should not shadow the default")
-	}
-}
-
-func TestDefaultInstall(t *testing.T) {
-	old := Default()
-	defer SetDefault(old)
-	in, err := New(1, "spice.tran:error@1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	SetDefault(in)
-	if From(context.Background()) != in {
-		t.Fatal("From should pick up the installed default")
-	}
-	SetDefault(nil)
-	if Default() != nil {
-		t.Fatal("SetDefault(nil) should clear")
+	if ctx2 := With(context.Background(), nil); From(ctx2) != nil {
+		t.Fatal("With(nil) should leave injection off")
 	}
 }
 

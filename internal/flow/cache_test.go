@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -66,14 +67,14 @@ func TestCacheDeterminism(t *testing.T) {
 			}
 			plainP := fastParams()
 			plainP.Verify.Mode = VerifyWarn
-			plain, err := Run(tech, bm, Optimized, plainP)
+			plain, err := RunContext(context.Background(), tech, bm, Optimized, plainP)
 			if err != nil {
 				t.Fatalf("uncached run: %v", err)
 			}
 			cachedP := fastParams()
 			cachedP.Verify.Mode = VerifyWarn
 			cachedP.Optimize.Cache = evcache.New()
-			cached, err := Run(tech, bm, Optimized, cachedP)
+			cached, err := RunContext(context.Background(), tech, bm, Optimized, cachedP)
 			if err != nil {
 				t.Fatalf("cached run: %v", err)
 			}
@@ -109,11 +110,10 @@ func TestCacheHitsMatchRepeatEvalsInFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := obs.New()
-	withDefaultTrace(t, tr)
 	p := fastParams()
 	p.Trace = tr
 	p.Optimize.Cache = evcache.New()
-	if _, err := Run(tech, bm, Optimized, p); err != nil {
+	if _, err := RunContext(context.Background(), tech, bm, Optimized, p); err != nil {
 		t.Fatal(err)
 	}
 	repeats := tr.Counter("optimize.repeat_evals").Value()

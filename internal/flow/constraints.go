@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -34,7 +35,7 @@ func (r *Result) RouterConstraints(bm *circuits.Benchmark) string {
 	// Symmetric net pairs, from the primitives' symmetric ports.
 	seen := map[string]bool{}
 	for _, in := range bm.Insts {
-		entry, err := primlib.Lookup(in.Kind)
+		entry, err := primlib.Lookup(context.TODO(), in.Kind)
 		if err != nil {
 			continue
 		}

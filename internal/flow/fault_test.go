@@ -13,18 +13,12 @@ import (
 	"primopt/internal/verify"
 )
 
-func testTrace(t *testing.T) *obs.Trace {
-	t.Helper()
-	old := obs.Default()
-	tr := obs.New()
-	obs.SetDefault(tr)
-	t.Cleanup(func() { obs.SetDefault(old) })
-	return tr
-}
-
+// faultParams returns fast flow params with a fresh run trace and a
+// fault injector armed by spec.
 func faultParams(t *testing.T, spec string) Params {
 	t.Helper()
 	p := fastParams()
+	p.Trace = obs.New()
 	inj, err := fault.New(1, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -37,13 +31,13 @@ func faultParams(t *testing.T, spec string) Params {
 // failing on every hit, the optimized run must complete on the
 // conventional fallback, mark every instance Degraded, and count it.
 func TestFlowDegradesToConventionalOnOptimizeFault(t *testing.T) {
-	tr := testTrace(t)
 	bm, err := circuits.CommonSource(tech)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := faultParams(t, fault.SiteExtract+":error@1+")
-	res, err := Run(tech, bm, Optimized, p)
+	tr := p.Trace
+	res, err := RunContext(context.Background(), tech, bm, Optimized, p)
 	if err != nil {
 		t.Fatalf("run died instead of degrading: %v", err)
 	}
@@ -69,13 +63,13 @@ func TestFlowDegradesToConventionalOnOptimizeFault(t *testing.T) {
 // TestFlowRetryClearsOneShotFault: a fault firing exactly once is
 // absorbed by the single retry — no degradation, one flow.retries.
 func TestFlowRetryClearsOneShotFault(t *testing.T) {
-	tr := testTrace(t)
 	bm, err := circuits.CommonSource(tech)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := faultParams(t, fault.SiteExtract+":error@1")
-	res, err := Run(tech, bm, Optimized, p)
+	tr := p.Trace
+	res, err := RunContext(context.Background(), tech, bm, Optimized, p)
 	if err != nil {
 		t.Fatalf("run died on a one-shot fault: %v", err)
 	}
@@ -98,10 +92,10 @@ func TestFlowRetryLadderConfigurable(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tr := testTrace(t)
 	p := faultParams(t, fault.SiteExtract+":error@1")
+	tr := p.Trace
 	p.Retry = fault.Backoff{Attempts: 1}
-	res, err := Run(tech, bm, Optimized, p)
+	res, err := RunContext(context.Background(), tech, bm, Optimized, p)
 	if err != nil {
 		t.Fatalf("no-retry run died instead of degrading: %v", err)
 	}
@@ -112,10 +106,10 @@ func TestFlowRetryLadderConfigurable(t *testing.T) {
 		t.Errorf("Attempts=1: flow.retries = %d, want 0", n)
 	}
 
-	tr = testTrace(t)
 	p = faultParams(t, fault.SiteExtract+":error@1")
+	tr = p.Trace
 	p.Retry = fault.Backoff{Attempts: 4, Base: time.Microsecond}
-	res, err = Run(tech, bm, Optimized, p)
+	res, err = RunContext(context.Background(), tech, bm, Optimized, p)
 	if err != nil {
 		t.Fatalf("widened-ladder run died: %v", err)
 	}
@@ -130,13 +124,12 @@ func TestFlowRetryLadderConfigurable(t *testing.T) {
 // TestFlowPanicFaultDegrades: a panic-mode fault inside the primitive
 // pipeline is recovered and follows the same degradation ladder.
 func TestFlowPanicFaultDegrades(t *testing.T) {
-	testTrace(t)
 	bm, err := circuits.CommonSource(tech)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := faultParams(t, fault.SiteExtract+":panic@1+")
-	res, err := Run(tech, bm, Optimized, p)
+	res, err := RunContext(context.Background(), tech, bm, Optimized, p)
 	if err != nil {
 		t.Fatalf("run died on a recovered panic: %v", err)
 	}
@@ -148,13 +141,12 @@ func TestFlowPanicFaultDegrades(t *testing.T) {
 // TestFlowRouteFaultDegradesNet: an injected per-net routing failure
 // records a net:<name> degradation and the run still completes.
 func TestFlowRouteFaultDegradesNet(t *testing.T) {
-	testTrace(t)
 	bm, err := circuits.CommonSource(tech)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := faultParams(t, fault.SiteRouteNet+":error@1")
-	res, err := Run(tech, bm, Conventional, p)
+	res, err := RunContext(context.Background(), tech, bm, Conventional, p)
 	if err != nil {
 		t.Fatalf("run died on a per-net routing failure: %v", err)
 	}
@@ -172,13 +164,12 @@ func TestFlowRouteFaultDegradesNet(t *testing.T) {
 // TestVerifyRejectsInjectedRouteFailure: the same fault surfaces as a
 // route_failed violation through the verification path.
 func TestVerifyRejectsInjectedRouteFailure(t *testing.T) {
-	testTrace(t)
 	bm, err := circuits.CommonSource(tech)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := faultParams(t, fault.SiteRouteNet+":error@1")
-	rep, err := Verify(tech, bm, Conventional, p)
+	rep, err := VerifyContext(context.Background(), tech, bm, Conventional, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +187,6 @@ func TestVerifyRejectsInjectedRouteFailure(t *testing.T) {
 // TestFlowStageTimeout: a vanishing per-stage deadline fails the run
 // with the deadline error — promptly, not by hanging.
 func TestFlowStageTimeout(t *testing.T) {
-	testTrace(t)
 	bm, err := circuits.CommonSource(tech)
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +194,7 @@ func TestFlowStageTimeout(t *testing.T) {
 	p := fastParams()
 	p.StageTimeout = time.Nanosecond
 	start := time.Now()
-	_, err = Run(tech, bm, Conventional, p)
+	_, err = RunContext(context.Background(), tech, bm, Conventional, p)
 	if err == nil {
 		t.Fatal("run succeeded under a 1ns stage deadline")
 	}
@@ -225,7 +215,7 @@ func TestFlowFingerprintUnchangedByDisabledRuntime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := Run(tech, bm, Optimized, fastParams())
+	base, err := RunContext(context.Background(), tech, bm, Optimized, fastParams())
 	if err != nil {
 		t.Fatal(err)
 	}

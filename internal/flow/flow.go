@@ -90,11 +90,11 @@ type Params struct {
 	Place    place.Params
 	Route    route.Params
 	Verify   VerifyParams
-	// Trace, when set, receives the flow's spans and metrics (tests
-	// inject one here); when nil the flow falls back to the
-	// process-wide obs.Default(), which cmd/primopt installs.
-	// Tracing is strictly passive — traced and untraced runs produce
-	// byte-identical layouts.
+	// Trace, when set, is the run's trace: the run carries it on its
+	// context, and every layer reports its spans and metrics there.
+	// When nil the run reports to the trace its context already
+	// carries (obs.From). Tracing is strictly passive — traced and
+	// untraced runs produce byte-identical layouts.
 	Trace *obs.Trace
 	// StageTimeout, when positive, bounds each flow stage (schematic
 	// OP, primitive optimization, placement, routing, evaluation) with
@@ -125,12 +125,15 @@ type Params struct {
 	Retry fault.Backoff
 }
 
-// bind installs the run's fault injector into ctx.
-func (p Params) bind(ctx context.Context) context.Context {
-	if p.Fault != nil {
-		return fault.With(ctx, p.Fault)
+// bind puts the run's fault injector and trace on ctx. A nil Trace
+// becomes the trace ctx already carries, so afterwards p.Trace and
+// ctx agree on where the run reports.
+func (p *Params) bind(ctx context.Context) context.Context {
+	ctx = fault.With(ctx, p.Fault)
+	if p.Trace == nil {
+		p.Trace = obs.From(ctx)
 	}
-	return ctx
+	return obs.With(ctx, p.Trace)
 }
 
 // stage derives the bounded context for one flow stage. The returned
@@ -140,14 +143,6 @@ func (p Params) stage(ctx context.Context) (context.Context, context.CancelFunc)
 		return context.WithTimeout(ctx, p.StageTimeout)
 	}
 	return context.WithCancel(ctx)
-}
-
-// trace resolves the observability sink for this run.
-func (p Params) trace() *obs.Trace {
-	if p.Trace != nil {
-		return p.Trace
-	}
-	return obs.Default()
 }
 
 // attachDisk opens the CacheDir disk tier and attaches it behind the
@@ -214,16 +209,39 @@ type chosen struct {
 	routes  map[string]extract.Route
 }
 
-// Run executes one methodology on a benchmark.
-func Run(t *pdk.Tech, bm *circuits.Benchmark, mode Mode, p Params) (*Result, error) {
-	return RunContext(context.Background(), t, bm, mode, p)
+// runAttrs are the per-run attributes of the flow.run span. Each is
+// the delta, across the run, of one counter on the run's trace, so it
+// is the run's own figure even when one trace holds several runs
+// (-mode all) or one cache serves several concurrent runs (the
+// daemon). Cache rows apply only to runs with a cache, disk rows only
+// to runs whose cache has a disk tier.
+var runAttrs = [...]struct {
+	attr, counter string
+	scope         int
+}{
+	{"duplicate_decks", "spice.duplicate_decks", scopeAll},
+	{"factor_reused", "spice.factor.reused", scopeAll},
+	{"newton_bypassed", "spice.newton.bypassed", scopeAll},
+	{"cache_hits", "evcache.hits", scopeCache},
+	{"cache_misses", "evcache.misses", scopeCache},
+	{"disk_hits", "evcache.disk_hits", scopeDisk},
+	{"disk_misses", "evcache.disk_misses", scopeDisk},
+	{"disk_write_errors", "evcache.disk_write_errors", scopeDisk},
+	{"disk_evictions", "evcache.disk_evictions", scopeDisk},
 }
 
-// RunContext is Run bound to a context: cancellation reaches every
-// solver inner loop (Newton, annealing bands, A* expansions), each
-// stage optionally runs under its own Params.StageTimeout deadline,
-// and Params.Fault (or an injector already on ctx) arms the
-// deterministic fault sites.
+// Scopes of runAttrs rows, each including the ones before it.
+const (
+	scopeAll = iota
+	scopeCache
+	scopeDisk
+)
+
+// RunContext executes one methodology on a benchmark. Cancellation
+// reaches every solver inner loop (Newton, annealing bands, A*
+// expansions), each stage optionally runs under its own
+// Params.StageTimeout deadline, and Params.Fault (or an injector
+// already on ctx) arms the deterministic fault sites.
 func RunContext(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, mode Mode, p Params) (*Result, error) {
 	start := time.Now() //lint:allow rngpurity wall time feeds Result.Runtime reporting metadata only, never layout or metric values
 	ctx = p.bind(ctx)
@@ -233,22 +251,26 @@ func RunContext(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, mode M
 	}
 	defer detach()
 	res := &Result{Mode: mode, Benchmark: bm.Name}
-	root := p.trace().Start("flow.run")
+	root := p.Trace.Start("flow.run")
 	root.SetAttr("circuit", bm.Name)
 	root.SetAttr("mode", mode.String())
 	root.SetAttr("seed", p.Seed)
 	root.SetAttr("cache", p.Optimize.Cache != nil)
-	// The deck-dedup counter lives on the process-wide sink (the spice
-	// layer reports there, not to an injected trace) and spans the whole
-	// trace; the delta across this run attributes redundant decks to it
-	// specifically, even when one trace holds several runs (-mode all).
-	dups0 := obs.Default().Counter("spice.duplicate_decks").Value()
-	// Same delta treatment for the solver fast-path counters: factored
-	// pivot-order reuses and Jacobian-bypassed Newton iterations both
-	// explain wall clock (more reuse/bypass = cheaper iterations), so
-	// the bench writer gates on them per run.
-	reuse0 := obs.Default().Counter("spice.factor.reused").Value()
-	bypass0 := obs.Default().Counter("spice.newton.bypassed").Value()
+	scope := scopeAll
+	if c := p.Optimize.Cache; c.HasDisk() {
+		scope = scopeDisk
+	} else if c != nil {
+		scope = scopeCache
+	}
+	var ctrs [len(runAttrs)]*obs.Counter
+	var base [len(runAttrs)]int64
+	for i, a := range runAttrs {
+		if a.scope <= scope {
+			//lint:allow spanhygiene the names come from the fixed runAttrs table
+			ctrs[i] = p.Trace.Counter(a.counter)
+			base[i] = ctrs[i].Value()
+		}
+	}
 	defer func() {
 		res.Runtime = time.Since(start) //lint:allow rngpurity wall time feeds Result.Runtime reporting metadata only, never layout or metric values
 		root.SetAttr("sims", res.Sims)
@@ -259,20 +281,11 @@ func RunContext(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, mode M
 		// (and anyone reading the trace) can explain a run's wall clock:
 		// a cache-on run slower than cache-off shows its misses dwarfing
 		// its hits right here on the root span.
-		if c := p.Optimize.Cache; c != nil {
-			st := c.Stats()
-			root.SetAttr("cache_hits", st.Hits)
-			root.SetAttr("cache_misses", st.Misses)
-			if st.DiskTier {
-				root.SetAttr("disk_hits", st.DiskHits)
-				root.SetAttr("disk_misses", st.DiskMisses)
-				root.SetAttr("disk_write_errors", st.DiskWriteErrs)
-				root.SetAttr("disk_evictions", st.DiskEvictions)
+		for i, a := range runAttrs {
+			if ctrs[i] != nil {
+				root.SetAttr(a.attr, ctrs[i].Value()-base[i])
 			}
 		}
-		root.SetAttr("duplicate_decks", obs.Default().Counter("spice.duplicate_decks").Value()-dups0)
-		root.SetAttr("factor_reused", obs.Default().Counter("spice.factor.reused").Value()-reuse0)
-		root.SetAttr("newton_bypassed", obs.Default().Counter("spice.newton.bypassed").Value()-bypass0)
 		root.End()
 	}()
 
@@ -321,7 +334,6 @@ func RunContext(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, mode M
 // call this directly to check geometry without paying for post-layout
 // simulation.
 func runLayout(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, mode Mode, p Params, res *Result, root *obs.Span) (map[string]*chosen, error) {
-	ctx = p.bind(ctx)
 	sp := root.Start("flow.schematic_op")
 	octx, ocancel := p.stage(ctx)
 	op, err := bm.SchematicOPCtx(octx, t)
@@ -337,7 +349,7 @@ func runLayout(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, mode Mo
 	var choices map[string]*chosen
 	switch mode {
 	case Conventional:
-		choices, err = conventionalChoices(t, bm, op, prsp)
+		choices, err = conventionalChoices(pctx, t, bm, op, prsp)
 	case Optimized, Manual:
 		choices, err = optimizedChoices(pctx, t, bm, op, mode, p, res, prsp)
 	default:
@@ -384,7 +396,7 @@ func runLayout(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, mode Mo
 		if nr := routing.Nets[n]; nr != nil && nr.Err != "" {
 			why = nr.Err
 		}
-		res.degrade(p.trace(), "net:"+n, why)
+		res.degrade(p.Trace, "net:"+n, why)
 	}
 	attachRoutes(bm, choices, routing)
 
@@ -405,7 +417,7 @@ func runLayout(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, mode Mo
 			if len(ch.routes) == 0 {
 				continue
 			}
-			metrics, err := primMetrics(t, ch, p)
+			metrics, err := primMetrics(ctx, t, ch, p)
 			if err != nil {
 				posp.End()
 				return nil, err
@@ -420,7 +432,7 @@ func runLayout(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, mode Mo
 				SymGroups: ch.entry.SymPorts,
 			})
 		}
-		pres, err := portopt.Optimize(t, prims, pp)
+		pres, err := portopt.Optimize(ctx, t, prims, pp)
 		if err != nil {
 			posp.End()
 			return nil, fmt.Errorf("flow: %s port optimization: %w", bm.Name, err)
@@ -506,16 +518,12 @@ func runVerification(t *pdk.Tech, bm *circuits.Benchmark, choices map[string]*ch
 	return nil
 }
 
-// Verify runs the layout portion of one methodology — through
+// VerifyContext runs the layout portion of one methodology — through
 // placement, routing, and port optimization — and returns the static
 // verification report without assembling or simulating the result.
 // The report is returned (when available) even when the run errors,
-// so callers can print what was found before a VerifyFail abort.
-func Verify(t *pdk.Tech, bm *circuits.Benchmark, mode Mode, p Params) (*verify.Report, error) {
-	return VerifyContext(context.Background(), t, bm, mode, p)
-}
-
-// VerifyContext is Verify bound to a context (see RunContext).
+// so callers can print what was found before a VerifyFail abort. The
+// context binds the run as in RunContext.
 func VerifyContext(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, mode Mode, p Params) (*verify.Report, error) {
 	if mode == Schematic {
 		return nil, fmt.Errorf("flow: schematic mode has no layout to verify")
@@ -523,13 +531,14 @@ func VerifyContext(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, mod
 	if p.Verify.Mode == VerifyOff {
 		p.Verify.Mode = VerifyWarn
 	}
+	ctx = p.bind(ctx)
 	detach, err := p.attachDisk()
 	if err != nil {
 		return nil, err
 	}
 	defer detach()
 	res := &Result{Mode: mode, Benchmark: bm.Name}
-	root := p.trace().Start("flow.run")
+	root := p.Trace.Start("flow.run")
 	root.SetAttr("circuit", bm.Name)
 	root.SetAttr("mode", mode.String())
 	root.SetAttr("verify_only", true)
@@ -542,13 +551,13 @@ func VerifyContext(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, mod
 
 // conventionalChoices picks the most compact legal configuration per
 // primitive — geometric constraints only, no performance awareness.
-func conventionalChoices(t *pdk.Tech, bm *circuits.Benchmark, op *spice.OPResult, sp *obs.Span) (map[string]*chosen, error) {
+func conventionalChoices(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, op *spice.OPResult, sp *obs.Span) (map[string]*chosen, error) {
 	out := map[string]*chosen{}
 	for _, in := range bm.Insts {
 		ps := sp.Start("flow.prim")
 		ps.SetAttr("inst", in.Name)
 		ps.SetAttr("kind", in.Kind)
-		ch, configs, err := conventionalChoice(t, in, op)
+		ch, configs, err := conventionalChoice(ctx, t, in, op)
 		if err != nil {
 			ps.End()
 			return nil, err
@@ -564,12 +573,12 @@ func conventionalChoices(t *pdk.Tech, bm *circuits.Benchmark, op *spice.OPResult
 // the most compact legal configuration, extracted. It is both the
 // Conventional mode's selection and the graceful-degradation fallback
 // when Algorithm 1 fails for an instance.
-func conventionalChoice(t *pdk.Tech, in *circuits.Inst, op *spice.OPResult) (*chosen, int, error) {
-	entry, err := primlib.Lookup(in.Kind)
+func conventionalChoice(ctx context.Context, t *pdk.Tech, in *circuits.Inst, op *spice.OPResult) (*chosen, int, error) {
+	entry, err := primlib.Lookup(ctx, in.Kind)
 	if err != nil {
 		return nil, 0, err
 	}
-	lays, err := entry.FindLayouts(t, in.Sizing, nil)
+	lays, err := entry.FindLayouts(ctx, t, in.Sizing, nil)
 	if err != nil {
 		return nil, 0, fmt.Errorf("flow: conventional %s: %w", in.Name, err)
 	}
@@ -578,7 +587,7 @@ func conventionalChoice(t *pdk.Tech, in *circuits.Inst, op *spice.OPResult) (*ch
 		return nil, 0, fmt.Errorf("flow: conventional %s (%s, %d fins): %w",
 			in.Name, in.Kind, in.Sizing.TotalFins, err)
 	}
-	ex, err := extract.Primitive(t, best)
+	ex, err := extract.Primitive(ctx, t, best)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -614,7 +623,7 @@ func optimizedChoices(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, 
 	mode Mode, p Params, res *Result, sp *obs.Span) (map[string]*chosen, error) {
 	res.PrimResults = map[string]*optimize.Result{}
 	out := map[string]*chosen{}
-	tr := p.trace()
+	tr := p.Trace
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	errs := make([]error, len(bm.Insts))
@@ -632,7 +641,7 @@ func optimizedChoices(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, 
 			defer ps.End()
 			ps.SetAttr("inst", in.Name)
 			ps.SetAttr("kind", in.Kind)
-			entry, err := primlib.Lookup(in.Kind)
+			entry, err := primlib.Lookup(ctx, in.Kind)
 			if err != nil {
 				errs[i] = err
 				return
@@ -695,7 +704,7 @@ func optimizedChoices(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, 
 				return
 			}
 			// Rung 2: fall back to the conventional candidate.
-			ch, _, ferr := conventionalChoice(t, in, op)
+			ch, _, ferr := conventionalChoice(ctx, t, in, op)
 			if ferr != nil {
 				errs[i] = fmt.Errorf("flow: optimizing %s: %w (conventional fallback also failed: %v)", in.Name, err, ferr)
 				return
@@ -720,17 +729,16 @@ func optimizedChoices(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, 
 // reusing the Algorithm 1 result when available. The schematic
 // reference eval routes through the cache under the same key the
 // optimizer uses, so a warm disk tier satisfies it without SPICE.
-func primMetrics(t *pdk.Tech, ch *chosen, p Params) ([]cost.Metric, error) {
+func primMetrics(ctx context.Context, t *pdk.Tech, ch *chosen, p Params) ([]cost.Metric, error) {
 	if ch.metrics != nil {
 		return ch.metrics, nil
 	}
 	var sch *primlib.Eval
 	if c := p.Optimize.Cache; c != nil {
-		tr := p.trace()
 		key := evcache.Key(t, ch.entry.Kind, ch.inst.Sizing, ch.bias, nil, nil)
-		c.RecordRequest(tr, key)
-		ent, err := c.Do(tr, key, func() (*evcache.Entry, error) {
-			ev, err := ch.entry.Evaluate(t, ch.inst.Sizing, ch.bias, nil, nil)
+		c.RecordRequest(p.Trace, key)
+		ent, err := c.DoCtx(ctx, key, func() (*evcache.Entry, error) {
+			ev, err := ch.entry.EvaluateCtx(ctx, t, ch.inst.Sizing, ch.bias, nil, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -742,7 +750,7 @@ func primMetrics(t *pdk.Tech, ch *chosen, p Params) ([]cost.Metric, error) {
 		sch = ent.Eval
 	} else {
 		var err error
-		sch, err = ch.entry.Evaluate(t, ch.inst.Sizing, ch.bias, nil, nil)
+		sch, err = ch.entry.EvaluateCtx(ctx, t, ch.inst.Sizing, ch.bias, nil, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -933,16 +941,11 @@ func sortedKeys(m map[string]*chosen) []string {
 	return out
 }
 
-// RunFixedWires runs the geometric (conventional) flow but with every
-// within-primitive wire and every global route forced to n parallel
-// wires — the "narrow" (n=1) and "wide" (large n) corners of the
-// paper's Fig. 2 trade-off.
-func RunFixedWires(t *pdk.Tech, bm *circuits.Benchmark, n int, p Params) (*Result, error) {
-	return RunFixedWiresContext(context.Background(), t, bm, n, p)
-}
-
-// RunFixedWiresContext is RunFixedWires bound to a context (see
-// RunContext).
+// RunFixedWiresContext runs the geometric (conventional) flow but
+// with every within-primitive wire and every global route forced to n
+// parallel wires — the "narrow" (n=1) and "wide" (large n) corners of
+// the paper's Fig. 2 trade-off. The context binds the run as in
+// RunContext.
 func RunFixedWiresContext(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, n int, p Params) (*Result, error) {
 	start := time.Now() //lint:allow rngpurity wall time feeds Result.Runtime reporting metadata only, never layout or metric values
 	ctx = p.bind(ctx)
@@ -950,7 +953,7 @@ func RunFixedWiresContext(ctx context.Context, t *pdk.Tech, bm *circuits.Benchma
 	if n < 1 {
 		n = 1
 	}
-	root := p.trace().Start("flow.run")
+	root := p.Trace.Start("flow.run")
 	root.SetAttr("circuit", bm.Name)
 	root.SetAttr("mode", "fixed_wires")
 	root.SetAttr("n_wires", n)
@@ -970,7 +973,7 @@ func RunFixedWiresContext(ctx context.Context, t *pdk.Tech, bm *circuits.Benchma
 	}
 	prsp := root.Start("flow.primitives")
 	prsp.SetAttr("n_insts", len(bm.Insts))
-	choices, err := conventionalChoices(t, bm, op, prsp)
+	choices, err := conventionalChoices(ctx, t, bm, op, prsp)
 	if err != nil {
 		prsp.End()
 		return nil, err
@@ -981,7 +984,7 @@ func RunFixedWiresContext(ctx context.Context, t *pdk.Tech, bm *circuits.Benchma
 		for _, w := range ch.ex.Layout.Wires {
 			w.NWires = n
 		}
-		ex, err := extract.Primitive(t, ch.ex.Layout)
+		ex, err := extract.Primitive(ctx, t, ch.ex.Layout)
 		if err != nil {
 			prsp.End()
 			return nil, err

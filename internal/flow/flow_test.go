@@ -31,7 +31,7 @@ func TestCSAmpFourModes(t *testing.T) {
 	}
 	results := map[Mode]*Result{}
 	for _, mode := range []Mode{Schematic, Conventional, Optimized} {
-		r, err := Run(tech, bm, mode, fastParams())
+		r, err := RunContext(context.Background(), tech, bm, mode, fastParams())
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
@@ -84,15 +84,15 @@ func TestOTAFlowOptimizedBeatsConventional(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sch, err := Run(tech, bm, Schematic, fastParams())
+	sch, err := RunContext(context.Background(), tech, bm, Schematic, fastParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	conv, err := Run(tech, bm, Conventional, fastParams())
+	conv, err := RunContext(context.Background(), tech, bm, Conventional, fastParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := Run(tech, bm, Optimized, fastParams())
+	opt, err := RunContext(context.Background(), tech, bm, Optimized, fastParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,11 +125,11 @@ func TestManualOracleAtLeastAsGoodAsOptimized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sch, err := Run(tech, bm, Schematic, fastParams())
+	sch, err := RunContext(context.Background(), tech, bm, Schematic, fastParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	man, err := Run(tech, bm, Manual, fastParams())
+	man, err := RunContext(context.Background(), tech, bm, Manual, fastParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestAssembleStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Run(tech, bm, Conventional, fastParams())
+	r, err := RunContext(context.Background(), tech, bm, Conventional, fastParams())
 	if err != nil {
 		t.Fatal(err)
 	}

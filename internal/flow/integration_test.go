@@ -21,7 +21,7 @@ func TestStrongARMFlowShape(t *testing.T) {
 	p := fastParams()
 	results := map[Mode]*Result{}
 	for _, mode := range []Mode{Schematic, Conventional, Optimized} {
-		r, err := Run(tech, bm, mode, p)
+		r, err := RunContext(context.Background(), tech, bm, mode, p)
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
@@ -63,7 +63,7 @@ func TestROVCOFlowShape(t *testing.T) {
 	p := fastParams()
 	results := map[Mode]*Result{}
 	for _, mode := range []Mode{Schematic, Conventional, Optimized} {
-		r, err := Run(tech, bm, mode, p)
+		r, err := RunContext(context.Background(), tech, bm, mode, p)
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
@@ -90,11 +90,11 @@ func TestRunFixedWiresMonotoneR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := RunFixedWires(tech, bm, 1, fastParams())
+	r1, err := RunFixedWiresContext(context.Background(), tech, bm, 1, fastParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r8, err := RunFixedWires(tech, bm, 8, fastParams())
+	r8, err := RunFixedWiresContext(context.Background(), tech, bm, 8, fastParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,11 +117,11 @@ func TestFlowDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Run(tech, bm, Optimized, fastParams())
+	a, err := RunContext(context.Background(), tech, bm, Optimized, fastParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(tech, bm, Optimized, fastParams())
+	b, err := RunContext(context.Background(), tech, bm, Optimized, fastParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestRouterConstraintsOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Run(tech, bm, Optimized, fastParams())
+	r, err := RunContext(context.Background(), tech, bm, Optimized, fastParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestRouterConstraintsOutput(t *testing.T) {
 		}
 	}
 	// Schematic runs emit nothing.
-	s, err := Run(tech, bm, Schematic, fastParams())
+	s, err := RunContext(context.Background(), tech, bm, Schematic, fastParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestSpliceCascodePair(t *testing.T) {
 	if err := bm.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := Run(tech, bm, Conventional, fastParams())
+	r, err := RunContext(context.Background(), tech, bm, Conventional, fastParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestSpliceCascodePair(t *testing.T) {
 		t.Errorf("cascode gate moved to %s", nl.Device("mc1").Nets[1])
 	}
 	// The assembled netlist still solves.
-	e, err := spice.New(tech, nl)
+	e, err := spice.New(context.Background(), tech, nl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestTelescopicFlowShape(t *testing.T) {
 	p := fastParams()
 	results := map[Mode]*Result{}
 	for _, mode := range []Mode{Schematic, Conventional, Optimized} {
-		r, err := Run(tech, bm, mode, p)
+		r, err := RunContext(context.Background(), tech, bm, mode, p)
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
@@ -279,17 +279,17 @@ func TestConventionalPicksCompactLayouts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := bm.SchematicOP(tech)
+	op, err := bm.SchematicOPCtx(context.Background(), tech)
 	if err != nil {
 		t.Fatal(err)
 	}
-	choices, err := conventionalChoices(tech, bm, op, nil)
+	choices, err := conventionalChoices(context.Background(), tech, bm, op, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, ch := range choices {
 		entry := ch.entry
-		lays, err := entry.FindLayouts(tech, ch.inst.Sizing, nil)
+		lays, err := entry.FindLayouts(context.Background(), tech, ch.inst.Sizing, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,7 +314,7 @@ func TestRunRejectsUnknownMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(tech, bm, Mode(42), fastParams()); err == nil {
+	if _, err := RunContext(context.Background(), tech, bm, Mode(42), fastParams()); err == nil {
 		t.Error("unknown mode accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -10,16 +11,6 @@ import (
 	"primopt/internal/evcache"
 	"primopt/internal/obs"
 )
-
-// withDefaultTrace installs tr as the process-wide sink for the
-// duration of a test, so the deep packages (spice, primlib, cellgen,
-// extract) report into the same trace the flow spans land in.
-func withDefaultTrace(t *testing.T, tr *obs.Trace) {
-	t.Helper()
-	old := obs.Default()
-	obs.SetDefault(tr)
-	t.Cleanup(func() { obs.SetDefault(old) })
-}
 
 // TestTraceSpanTree runs the optimized CS-amp flow with an injected
 // trace and asserts the full span taxonomy: the flow.run root, the
@@ -31,10 +22,9 @@ func TestTraceSpanTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := obs.New()
-	withDefaultTrace(t, tr)
 	p := fastParams()
 	p.Trace = tr
-	if _, err := Run(tech, bm, Optimized, p); err != nil {
+	if _, err := RunContext(context.Background(), tech, bm, Optimized, p); err != nil {
 		t.Fatal(err)
 	}
 
@@ -140,14 +130,13 @@ func TestRunCacheAccountingAttrs(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := obs.New()
-	withDefaultTrace(t, tr)
 
 	var runDups [2]float64
 	for run := 0; run < 2; run++ {
 		p := fastParams()
 		p.Trace = tr
 		p.Optimize.Cache = evcache.New()
-		if _, err := Run(tech, bm, Optimized, p); err != nil {
+		if _, err := RunContext(context.Background(), tech, bm, Optimized, p); err != nil {
 			t.Fatal(err)
 		}
 		st := p.Optimize.Cache.Stats()
@@ -269,19 +258,17 @@ func TestTracingDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Traced run: injected trace plus process-wide default so
-			// every layer's instrumentation is active.
+			// Traced run: the run's trace reaches every layer, so every
+			// layer's instrumentation is active.
 			tr := obs.New()
-			withDefaultTrace(t, tr)
 			p := fastParams()
 			p.Trace = tr
-			traced, err := Run(tech, bm, Optimized, p)
+			traced, err := RunContext(context.Background(), tech, bm, Optimized, p)
 			if err != nil {
 				t.Fatalf("traced run: %v", err)
 			}
 			// Untraced run: everything off.
-			obs.SetDefault(nil)
-			bare, err := Run(tech, bm, Optimized, fastParams())
+			bare, err := RunContext(context.Background(), tech, bm, Optimized, fastParams())
 			if err != nil {
 				t.Fatalf("untraced run: %v", err)
 			}

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -23,7 +24,7 @@ func TestPlacementReplicaWorkerInvariance(t *testing.T) {
 		p := fastParams()
 		p.Place.Replicas = 3
 		p.Optimize.Workers = workers
-		r, err := Run(tech, bm, Optimized, p)
+		r, err := RunContext(context.Background(), tech, bm, Optimized, p)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -48,11 +49,10 @@ func TestPlacementReplicaSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := obs.New()
-	withDefaultTrace(t, tr)
 	p := fastParams()
 	p.Trace = tr
 	p.Place.Replicas = 3
-	if _, err := Run(tech, bm, Optimized, p); err != nil {
+	if _, err := RunContext(context.Background(), tech, bm, Optimized, p); err != nil {
 		t.Fatal(err)
 	}
 	var buf strings.Builder

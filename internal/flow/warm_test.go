@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"context"
 	"testing"
 
 	"primopt/internal/circuits"
@@ -25,12 +26,11 @@ func TestWarmDiskRunSolvesZeroDecks(t *testing.T) {
 
 	run := func(label string) (*Result, *obs.Trace) {
 		tr := obs.New()
-		withDefaultTrace(t, tr)
 		p := fastParams()
 		p.Trace = tr
 		p.Optimize.Cache = evcache.New()
 		p.CacheDir = dir
-		res, err := Run(tech, bm, Optimized, p)
+		res, err := RunContext(context.Background(), tech, bm, Optimized, p)
 		if err != nil {
 			t.Fatalf("%s run: %v", label, err)
 		}

@@ -1,6 +1,7 @@
 package layoutio
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -88,7 +89,7 @@ func realPlacement(t *testing.T) *place.Placement {
 		{Name: "b", Variants: []place.Variant{{W: 800, H: 700}}},
 		{Name: "c", Variants: []place.Variant{{W: 600, H: 600}}},
 	}
-	pl, err := place.Place(blocks, nil, nil, place.Params{Seed: 3})
+	pl, err := place.PlaceCtx(context.Background(), blocks, nil, nil, place.Params{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

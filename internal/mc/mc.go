@@ -8,6 +8,7 @@
 package mc
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -42,7 +43,7 @@ type Params struct {
 // analytic sensitivity (offset ≈ ΔVth for a matched pair), so one
 // simulation per layout suffices — the "cheap" philosophy of the
 // paper.
-func OffsetMC(t *pdk.Tech, e *primlib.Entry, sz primlib.Sizing, bias primlib.Bias,
+func OffsetMC(ctx context.Context, t *pdk.Tech, e *primlib.Entry, sz primlib.Sizing, bias primlib.Bias,
 	cfg cellgen.Config, p Params) (*OffsetStats, error) {
 	if p.Samples <= 0 {
 		p.Samples = 500
@@ -51,11 +52,11 @@ func OffsetMC(t *pdk.Tech, e *primlib.Entry, sz primlib.Sizing, bias primlib.Bia
 	if err != nil {
 		return nil, err
 	}
-	ex, err := extract.Primitive(t, lay)
+	ex, err := extract.Primitive(ctx, t, lay)
 	if err != nil {
 		return nil, err
 	}
-	ev, err := e.Evaluate(t, sz, bias, ex, nil)
+	ev, err := e.EvaluateCtx(ctx, t, sz, bias, ex, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -95,11 +96,11 @@ func OffsetMC(t *pdk.Tech, e *primlib.Entry, sz primlib.Sizing, bias primlib.Bia
 // CompareOffsets runs OffsetMC across layout configurations and
 // returns them sorted by P99 — the pattern ranking a yield-driven
 // designer cares about.
-func CompareOffsets(t *pdk.Tech, e *primlib.Entry, sz primlib.Sizing, bias primlib.Bias,
+func CompareOffsets(ctx context.Context, t *pdk.Tech, e *primlib.Entry, sz primlib.Sizing, bias primlib.Bias,
 	cfgs []cellgen.Config, p Params) ([]*OffsetStats, error) {
 	out := make([]*OffsetStats, 0, len(cfgs))
 	for _, cfg := range cfgs {
-		st, err := OffsetMC(t, e, sz, bias, cfg, p)
+		st, err := OffsetMC(ctx, t, e, sz, bias, cfg, p)
 		if err != nil {
 			return nil, fmt.Errorf("mc: config %s: %w", cfg.ID(), err)
 		}

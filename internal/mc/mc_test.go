@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -20,7 +21,7 @@ func dpSetup() (primlib.Sizing, primlib.Bias) {
 func TestOffsetMCStatistics(t *testing.T) {
 	sz, bias := dpSetup()
 	cfg := cellgen.Config{NFin: 12, NF: 20, M: 4, Dummies: 2, Pattern: cellgen.PatABBA}
-	st, err := OffsetMC(tech, primlib.DiffPair, sz, bias, cfg, Params{Samples: 2000, Seed: 1})
+	st, err := OffsetMC(context.Background(), tech, primlib.DiffPair, sz, bias, cfg, Params{Samples: 2000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestCompareOffsetsRanksPatterns(t *testing.T) {
 		{NFin: 12, NF: 20, M: 4, Dummies: 2, Pattern: cellgen.PatABBA},
 		{NFin: 12, NF: 20, M: 4, Dummies: 2, Pattern: cellgen.PatABAB},
 	}
-	stats, err := CompareOffsets(tech, primlib.DiffPair, sz, bias, cfgs, Params{Samples: 1000, Seed: 2})
+	stats, err := CompareOffsets(context.Background(), tech, primlib.DiffPair, sz, bias, cfgs, Params{Samples: 1000, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +72,11 @@ func TestCompareOffsetsRanksPatterns(t *testing.T) {
 func TestOffsetMCDeterministic(t *testing.T) {
 	sz, bias := dpSetup()
 	cfg := cellgen.Config{NFin: 12, NF: 20, M: 4, Dummies: 2, Pattern: cellgen.PatABAB}
-	a, err := OffsetMC(tech, primlib.DiffPair, sz, bias, cfg, Params{Samples: 200, Seed: 7})
+	a, err := OffsetMC(context.Background(), tech, primlib.DiffPair, sz, bias, cfg, Params{Samples: 200, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := OffsetMC(tech, primlib.DiffPair, sz, bias, cfg, Params{Samples: 200, Seed: 7})
+	b, err := OffsetMC(context.Background(), tech, primlib.DiffPair, sz, bias, cfg, Params{Samples: 200, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,13 +88,13 @@ func TestOffsetMCDeterministic(t *testing.T) {
 func TestOffsetMCErrors(t *testing.T) {
 	sz, bias := dpSetup()
 	// A primitive without an offset metric is rejected.
-	if _, err := OffsetMC(tech, primlib.CSAmp, primlib.Sizing{TotalFins: 64, L: 14},
+	if _, err := OffsetMC(context.Background(), tech, primlib.CSAmp, primlib.Sizing{TotalFins: 64, L: 14},
 		bias, cellgen.Config{NFin: 8, NF: 8, M: 1, Dummies: 2, Pattern: cellgen.PatA},
 		Params{Samples: 10}); err == nil {
 		t.Error("offset MC on an offset-less primitive accepted")
 	}
 	// Bad config propagates.
-	if _, err := OffsetMC(tech, primlib.DiffPair, sz, bias,
+	if _, err := OffsetMC(context.Background(), tech, primlib.DiffPair, sz, bias,
 		cellgen.Config{NFin: 7, NF: 7, M: 7}, Params{}); err == nil {
 		t.Error("bad config accepted")
 	}

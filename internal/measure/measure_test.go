@@ -1,6 +1,7 @@
 package measure
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -22,7 +23,7 @@ func idealAmp(t *testing.T, gm, r, c float64) *spice.ACResult {
 		R("r1", "out", "0", r).
 		C("c1", "out", "0", c).
 		Netlist()
-	e, err := spice.New(tech, nl)
+	e, err := spice.New(context.Background(), tech, nl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestACMetricsTwoPole(t *testing.T) {
 		R("r2", "out", "0", r).
 		C("c2", "out", "0", c).
 		Netlist()
-	e, err := spice.New(tech, nl)
+	e, err := spice.New(context.Background(), tech, nl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func rcStep(t *testing.T) *spice.TranResult {
 		R("r1", "in", "out", 1e3).
 		C("c1", "out", "0", 100e-15).
 		Netlist()
-	e, err := spice.New(tech, nl)
+	e, err := spice.New(context.Background(), tech, nl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestOscFrequency(t *testing.T) {
 		VSin("v1", "a", "0", 0.4, 0.3, 2e9).
 		R("r1", "a", "0", 1e3).
 		Netlist()
-	e, err := spice.New(tech, nl)
+	e, err := spice.New(context.Background(), tech, nl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestOscFrequency(t *testing.T) {
 	}
 	// DC net: not oscillating.
 	nl2 := circuit.NewBuilder("dc").V("v1", "a", "0", 0.4).R("r1", "a", "0", 1e3).Netlist()
-	e2, _ := spice.New(tech, nl2)
+	e2, _ := spice.New(context.Background(), tech, nl2)
 	res2, err := e2.Tran(10e-12, 1e-9, spice.TranOpts{})
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +208,7 @@ func TestAvgSupplyPower(t *testing.T) {
 		V("vdd", "vdd", "0", 0.8).
 		R("r1", "vdd", "0", 800).
 		Netlist()
-	e, err := spice.New(tech, nl)
+	e, err := spice.New(context.Background(), tech, nl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +236,7 @@ func TestSupplyCurrentSign(t *testing.T) {
 		V("vdd", "vdd", "0", 0.8).
 		R("r1", "vdd", "0", 800).
 		Netlist()
-	e, _ := spice.New(tech, nl)
+	e, _ := spice.New(context.Background(), tech, nl)
 	op, err := e.OP()
 	if err != nil {
 		t.Fatal(err)
@@ -285,7 +286,7 @@ func TestACOfRejectsShortSweep(t *testing.T) {
 		VAC("v", "a", "0", 0, 1).
 		R("r", "a", "0", 1e3).
 		Netlist()
-	e, err := spice.New(tech, nl)
+	e, err := spice.New(context.Background(), tech, nl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +309,7 @@ func TestOscFrequencyRejectsTooFewCrossings(t *testing.T) {
 		VPulse("v", "a", "0", 0, 1, 100e-12, 10e-12, 10e-12, 10e-9, 0).
 		R("r", "a", "0", 1e3).
 		Netlist()
-	e, _ := spice.New(tech, nl)
+	e, _ := spice.New(context.Background(), tech, nl)
 	res, err := e.Tran(10e-12, 1e-9, spice.TranOpts{})
 	if err != nil {
 		t.Fatal(err)

@@ -47,8 +47,8 @@ type BenchRun struct {
 	// FactorReused counts Newton solves served by recycling the pivot
 	// order of an earlier LU factorization; NewtonBypassed counts
 	// Newton iterations that skipped the Jacobian restamp/refactor
-	// entirely. Both are per-run deltas of the process-wide spice
-	// counters. A drop means the solver fast path stopped engaging —
+	// entirely. Both are per-run deltas of the spice counters on the
+	// run's trace. A drop means the solver fast path stopped engaging —
 	// a perf regression even when wall clock hides it in noise — so
 	// the diff gate watches them alongside the stage timings.
 	FactorReused   int64              `json:"factor_reused,omitempty"`

@@ -17,10 +17,13 @@ import (
 // a "log" import in non-test internal code fails the build here.
 // (internal/report and internal/layoutio produce output as their
 // purpose, but they return strings rather than printing, so they
-// pass unexceptioned.)
+// pass unexceptioned.) Library code also reports to the trace on its
+// run's context: a call to obs.Default() outside internal/obs, which
+// would bypass that trace, fails too.
 func TestNoStrayPrintsInInternal(t *testing.T) {
 	root := filepath.Join("..", "..")
 	internalDir := filepath.Join(root, "internal")
+	obsDir := filepath.Join(internalDir, "obs")
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(internalDir, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -34,6 +37,7 @@ func TestNoStrayPrintsInInternal(t *testing.T) {
 			t.Errorf("%s: parse: %v", path, err)
 			return nil
 		}
+		inObs := strings.HasPrefix(path, obsDir+string(filepath.Separator))
 		for _, imp := range f.Imports {
 			p, _ := strconv.Unquote(imp.Path.Value)
 			if p == "log" {
@@ -47,10 +51,13 @@ func TestNoStrayPrintsInInternal(t *testing.T) {
 			}
 			switch fun := call.Fun.(type) {
 			case *ast.SelectorExpr:
-				if id, ok := fun.X.(*ast.Ident); ok && id.Name == "fmt" &&
-					strings.HasPrefix(fun.Sel.Name, "Print") {
+				id, ok := fun.X.(*ast.Ident)
+				if ok && id.Name == "fmt" && strings.HasPrefix(fun.Sel.Name, "Print") {
 					t.Errorf("%s: fmt.%s call — route output through internal/obs or return it",
 						path, fun.Sel.Name)
+				}
+				if ok && id.Name == "obs" && fun.Sel.Name == "Default" && !inObs {
+					t.Errorf("%s: obs.Default() call — report to the run's trace, obs.From(ctx)", path)
 				}
 			case *ast.Ident:
 				if fun.Name == "println" || fun.Name == "print" {

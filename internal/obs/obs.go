@@ -2,11 +2,12 @@
 // wall-time spans, named counters/gauges/histograms, JSONL export,
 // and a human-readable tree renderer — stdlib only.
 //
-// Two sinks exist. An explicit *Trace can be injected (flow.Params,
-// the Obs span fields of the stage packages) for tests and embedded
-// use; everything else falls back to the process-wide default set
-// with SetDefault, which cmd/primopt installs when any observability
-// flag is given.
+// One trace belongs to one run and travels on the run's context:
+// With attaches it, From reads it back, and every layer reports to
+// the trace From returns. A context that carries no trace falls back
+// to the process-wide default installed with SetDefault (cmd/primopt
+// installs one when any observability flag is given); From is the
+// only reader of that default.
 //
 // The whole API is nil-safe by design: a nil *Trace — and the nil
 // *Span / *Counter / *Gauge / *Histogram values it hands out — turns
@@ -24,6 +25,7 @@
 package obs
 
 import (
+	"context"
 	rtmetrics "runtime/metrics"
 	"sync"
 	"sync/atomic"
@@ -45,6 +47,9 @@ type Trace struct {
 
 	memAttr   atomic.Bool
 	onSpanEnd atomic.Value // func(*Span)
+
+	seenMu sync.Mutex
+	seen   map[string]map[uint64]struct{} // Seen's key sets, by name
 }
 
 // New returns an empty enabled trace.
@@ -119,15 +124,61 @@ func heapAllocBytes() uint64 {
 	return 0
 }
 
+// Seen records key in the trace's key set named set and reports
+// whether the trace had recorded it there before. The sets live and
+// die with the trace, so a repeat is always a repeat within the
+// trace's own run. A nil trace records nothing and reports false.
+func (t *Trace) Seen(set string, key uint64) bool {
+	if t == nil {
+		return false
+	}
+	t.seenMu.Lock()
+	defer t.seenMu.Unlock()
+	keys := t.seen[set]
+	if keys == nil {
+		if t.seen == nil {
+			t.seen = map[string]map[uint64]struct{}{}
+		}
+		keys = map[uint64]struct{}{}
+		t.seen[set] = keys
+	}
+	_, dup := keys[key]
+	keys[key] = struct{}{}
+	return dup
+}
+
 // defaultTrace is the process-wide sink; nil means disabled.
 var defaultTrace atomic.Pointer[Trace]
 
 // Default returns the process-wide trace, or nil when observability
-// is off. The nil result is safe to use directly.
+// is off. The nil result is safe to use directly. Library code reads
+// it only through From.
 func Default() *Trace { return defaultTrace.Load() }
 
 // SetDefault installs (or, with nil, removes) the process-wide trace.
 func SetDefault(t *Trace) { defaultTrace.Store(t) }
+
+type ctxKey struct{}
+
+// With returns a context carrying tr. A nil tr returns ctx unchanged.
+func With(ctx context.Context, tr *Trace) context.Context {
+	if tr == nil {
+		return ctx
+	}
+	return context.WithValue(ctx, ctxKey{}, tr)
+}
+
+// From returns the trace ctx carries, or the process-wide Default
+// when it carries none. The result may be nil (disabled); every
+// method is nil-safe, so callers use it without checking.
+func From(ctx context.Context) *Trace {
+	if ctx != nil {
+		if tr, ok := ctx.Value(ctxKey{}).(*Trace); ok {
+			return tr
+		}
+	}
+	return Default()
+}
 
 // Span is one timed region of the trace tree.
 type Span struct {

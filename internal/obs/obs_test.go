@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -258,12 +259,57 @@ func TestDisabledPathAllocations(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("disabled path allocates %.1f per op, want 0", n)
 	}
-	// Default() unset behaves the same.
+	// An untraced context with no Default behaves the same.
+	ctx := context.Background()
 	if n := testing.AllocsPerRun(1000, func() {
-		Default().Counter("x").Inc()
-		Default().Start("y").End()
+		From(ctx).Counter("x").Inc()
+		From(ctx).Start("y").End()
 	}); n != 0 {
-		t.Errorf("unset Default path allocates %.1f per op, want 0", n)
+		t.Errorf("untraced context path allocates %.1f per op, want 0", n)
+	}
+}
+
+// TestContextCarriage: a run's trace rides on its context, and a
+// context without one falls back to the process-wide Default.
+func TestContextCarriage(t *testing.T) {
+	tr := New()
+	ctx := With(context.Background(), tr)
+	if From(ctx) != tr {
+		t.Fatal("From did not return the carried trace")
+	}
+	if From(With(ctx, nil)) != tr {
+		t.Error("With(nil) shadowed the carried trace")
+	}
+	if From(context.Background()) != nil {
+		t.Error("untraced context with no Default returned a trace")
+	}
+	def := New()
+	SetDefault(def)
+	defer SetDefault(nil)
+	if From(context.Background()) != def {
+		t.Error("untraced context did not fall back to Default")
+	}
+	if From(ctx) != tr {
+		t.Error("Default shadowed the carried trace")
+	}
+}
+
+// TestSeenIsPerTrace: Seen reports repeats within one trace and set
+// only; another trace starts with nothing seen.
+func TestSeenIsPerTrace(t *testing.T) {
+	a, b := New(), New()
+	if a.Seen("decks", 1) || !a.Seen("decks", 1) {
+		t.Error("first sighting should be new, the second a repeat")
+	}
+	if a.Seen("other", 1) {
+		t.Error("sets with different names share keys")
+	}
+	if b.Seen("decks", 1) {
+		t.Error("a fresh trace has already seen a key")
+	}
+	var none *Trace
+	if none.Seen("decks", 1) || none.Seen("decks", 1) {
+		t.Error("a nil trace reported a repeat")
 	}
 }
 

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -149,18 +150,15 @@ func TestLiveRunTelemetry(t *testing.T) {
 	}
 	tr := obs.New()
 	tr.SetMemAttribution(true)
-	// The solver layers (spice Newton counters, deck accounting)
-	// report into the process-wide sink, exactly as a -telemetry CLI
-	// run wires it; the flow's spans use the injected trace.
-	old := obs.Default()
-	obs.SetDefault(tr)
-	t.Cleanup(func() { obs.SetDefault(old) })
+	// The run carries tr on its context, so the solver layers (spice
+	// Newton counters, deck accounting) report into the same trace as
+	// the flow's spans.
 	srv := httptest.NewServer(Handler(tr))
 	defer srv.Close()
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := flow.Run(tech, bm, flow.Optimized, flow.Params{Seed: 1, Trace: tr})
+		_, err := flow.RunContext(context.Background(), tech, bm, flow.Optimized, flow.Params{Seed: 1, Trace: tr})
 		done <- err
 	}()
 

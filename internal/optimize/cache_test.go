@@ -1,6 +1,7 @@
 package optimize
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -10,21 +11,12 @@ import (
 	"primopt/internal/primlib"
 )
 
-// installTrace makes tr the process-wide default for one test, so the
-// deep layers (spice deck counting in particular) report into it.
-func installTrace(t *testing.T, tr *obs.Trace) {
-	t.Helper()
-	old := obs.Default()
-	obs.SetDefault(tr)
-	t.Cleanup(func() { obs.SetDefault(old) })
-}
-
 // newTestEnv builds the evaluation environment the internal tuning
 // helpers need, the same way Optimize does.
 func newTestEnv(t *testing.T, e *primlib.Entry, sz primlib.Sizing, bias primlib.Bias,
 	cache *evcache.Cache, tr *obs.Trace) *evalEnv {
 	t.Helper()
-	sch, err := e.Evaluate(tech, sz, bias, nil, nil)
+	sch, err := e.EvaluateCtx(context.Background(), tech, sz, bias, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +25,8 @@ func newTestEnv(t *testing.T, e *primlib.Entry, sz primlib.Sizing, bias primlib.
 		t.Fatal(err)
 	}
 	return &evalEnv{
-		t: tech, e: e, sz: sz, bias: bias, metrics: metrics,
+		ctx: obs.With(context.Background(), tr),
+		t:   tech, e: e, sz: sz, bias: bias, metrics: metrics,
 		et: newEvalTracker(tr, cache), cache: cache, tr: tr,
 		sem: make(chan struct{}, 4),
 	}
@@ -51,7 +44,7 @@ func TestAllOptionsWiresUntouchedByTuning(t *testing.T) {
 		if cached {
 			p.Cache = evcache.New()
 		}
-		res, err := Optimize(tech, e, sz, bias, p)
+		res, err := OptimizeCtx(context.Background(), tech, e, sz, bias, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,13 +76,13 @@ func TestAllOptionsWiresUntouchedByTuning(t *testing.T) {
 func TestCachedResultsMatchUncached(t *testing.T) {
 	e, sz, bias := dpSetup()
 	base := Params{Bins: 3, MaxWires: 6, Cons: smallCons()}
-	plain, err := Optimize(tech, e, sz, bias, base)
+	plain, err := OptimizeCtx(context.Background(), tech, e, sz, bias, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	withCache := base
 	withCache.Cache = evcache.New()
-	cached, err := Optimize(tech, e, sz, bias, withCache)
+	cached, err := OptimizeCtx(context.Background(), tech, e, sz, bias, withCache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,9 +126,8 @@ func TestCachedResultsMatchUncached(t *testing.T) {
 func TestCacheCountersAndNoDuplicateDecks(t *testing.T) {
 	e, sz, bias := dpSetup()
 	tr := obs.New()
-	installTrace(t, tr)
 	p := Params{Bins: 3, MaxWires: 6, Cons: smallCons(), Cache: evcache.New()}
-	if _, err := Optimize(tech, e, sz, bias, p); err != nil {
+	if _, err := OptimizeCtx(obs.With(context.Background(), tr), tech, e, sz, bias, p); err != nil {
 		t.Fatal(err)
 	}
 	evals := tr.Counter("optimize.evals").Value()
@@ -174,12 +166,12 @@ func TestCacheCountersAndNoDuplicateDecks(t *testing.T) {
 func TestCacheSharedAcrossOptimizeCalls(t *testing.T) {
 	e, sz, bias := dpSetup()
 	p := Params{Bins: 3, MaxWires: 6, Cons: smallCons(), Cache: evcache.New()}
-	first, err := Optimize(tech, e, sz, bias, p)
+	first, err := OptimizeCtx(context.Background(), tech, e, sz, bias, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	missesAfterFirst := p.Cache.Stats().Misses
-	second, err := Optimize(tech, e, sz, bias, p)
+	second, err := OptimizeCtx(context.Background(), tech, e, sz, bias, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +200,7 @@ func TestSweepJointErrorLeavesWiresUntouched(t *testing.T) {
 	sz := primlib.Sizing{TotalFins: 240, L: 14, NominalI: 50e-6}
 	bias := primlib.Bias{Vdd: 0.8, VD: 0.4, CLoad: 2e-15}
 	env := newTestEnv(t, e, sz, bias, nil, nil)
-	lays, err := e.FindLayouts(tech, sz, &cellgen.Constraints{MinNFin: 8, MaxNFin: 12, MaxM: 4})
+	lays, err := e.FindLayouts(context.Background(), tech, sz, &cellgen.Constraints{MinNFin: 8, MaxNFin: 12, MaxM: 4})
 	if err != nil || len(lays) == 0 {
 		t.Fatalf("layouts: %v (%d)", err, len(lays))
 	}
@@ -249,7 +241,7 @@ func TestSweepJointTruncationCounter(t *testing.T) {
 	e, sz, bias := dpSetup()
 	tr := obs.New()
 	env := newTestEnv(t, e, sz, bias, nil, tr)
-	lays, err := e.FindLayouts(tech, sz, smallCons())
+	lays, err := e.FindLayouts(context.Background(), tech, sz, smallCons())
 	if err != nil || len(lays) == 0 {
 		t.Fatalf("layouts: %v (%d)", err, len(lays))
 	}

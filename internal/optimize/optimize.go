@@ -68,7 +68,7 @@ type Params struct {
 	// and without it; only the amount of repeated SPICE work changes.
 	Cache *evcache.Cache
 	// Obs, when set, parents the optimize.select / optimize.tune
-	// spans; metrics fall back to obs.Default() when nil.
+	// spans. Metrics go to the trace on the context.
 	Obs *obs.Span
 }
 
@@ -128,21 +128,14 @@ func (r *Result) Best() *Option {
 	return best
 }
 
-// Optimize runs Algorithm 1.
-func Optimize(t *pdk.Tech, e *primlib.Entry, sz primlib.Sizing, bias primlib.Bias, p Params) (*Result, error) {
-	return OptimizeCtx(context.Background(), t, e, sz, bias, p)
-}
-
-// OptimizeCtx is Optimize bound to a context: every SPICE evaluation
-// underneath polls ctx for cancellation, and the context's fault
-// injector arms the extract/spice/evcache fault sites.
+// OptimizeCtx runs Algorithm 1. Every SPICE evaluation underneath
+// polls ctx for cancellation and reports to its trace, and the
+// context's fault injector arms the extract/spice/evcache fault
+// sites.
 func OptimizeCtx(ctx context.Context, t *pdk.Tech, e *primlib.Entry, sz primlib.Sizing, bias primlib.Bias, p Params) (*Result, error) {
 	p = p.withDefaults()
 	res := &Result{Entry: e, Sizing: sz, Bias: bias}
-	tr := p.Obs.Trace()
-	if tr == nil {
-		tr = obs.Default()
-	}
+	tr := obs.From(ctx)
 	et := newEvalTracker(tr, p.Cache)
 
 	sel := obs.StartSpan(tr, p.Obs, "optimize.select")
@@ -163,7 +156,7 @@ func OptimizeCtx(ctx context.Context, t *pdk.Tech, e *primlib.Entry, sz primlib.
 	var schEnt *evcache.Entry
 	var err error
 	if p.Cache != nil {
-		schEnt, err = p.Cache.DoCtx(ctx, tr, schKey, schCompute)
+		schEnt, err = p.Cache.DoCtx(ctx, schKey, schCompute)
 	} else {
 		schEnt, err = schCompute()
 	}
@@ -187,7 +180,7 @@ func OptimizeCtx(ctx context.Context, t *pdk.Tech, e *primlib.Entry, sz primlib.
 	}
 
 	// Step 1 (lines 3–7): evaluate every layout option.
-	layouts, err := e.FindLayouts(t, sz, p.Cons)
+	layouts, err := e.FindLayouts(ctx, t, sz, p.Cons)
 	if err != nil {
 		sel.End()
 		return nil, err
@@ -310,22 +303,13 @@ type evalEnv struct {
 	sem     chan struct{}
 }
 
-// context returns the env's context, defaulting to Background so a
-// directly-constructed env (tests) behaves like an unbound Optimize.
-func (env *evalEnv) context() context.Context {
-	if env.ctx == nil {
-		return context.Background()
-	}
-	return env.ctx
-}
-
 // eval extracts and simulates one layout configuration, through the
 // cache when one is installed. The compute path reads lay's current
 // wire state, which matches the key because each caller owns its
 // layout (selection layouts are per-goroutine, tuning works on
 // clones).
 func (env *evalEnv) eval(lay *cellgen.Layout) (*Option, error) {
-	ctx := env.context()
+	ctx := env.ctx
 	key := evcache.Key(env.t, env.e.Kind, env.sz, env.bias, lay, nil)
 	env.et.record(key)
 	compute := func() (*evcache.Entry, error) {
@@ -335,10 +319,10 @@ func (env *evalEnv) eval(lay *cellgen.Layout) (*Option, error) {
 			return nil, ctx.Err()
 		}
 		defer func() { <-env.sem }()
-		if err := env.inj.Hit(fault.SiteExtract); err != nil {
+		if err := env.inj.Hit(ctx, fault.SiteExtract); err != nil {
 			return nil, fmt.Errorf("extract %s: %w", lay.Config.ID(), err)
 		}
-		ex, err := extract.Primitive(env.t, lay)
+		ex, err := extract.Primitive(ctx, env.t, lay)
 		if err != nil {
 			return nil, err
 		}
@@ -355,7 +339,7 @@ func (env *evalEnv) eval(lay *cellgen.Layout) (*Option, error) {
 	var ent *evcache.Entry
 	var err error
 	if env.cache != nil {
-		ent, err = env.cache.DoCtx(ctx, env.tr, key, compute)
+		ent, err = env.cache.DoCtx(ctx, key, compute)
 	} else {
 		ent, err = compute()
 	}

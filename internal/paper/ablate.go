@@ -1,6 +1,7 @@
 package paper
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -18,8 +19,8 @@ import (
 // against keeping only the single global-minimum-cost option: binning
 // hands the placer dimensionally diverse options at a small cost
 // premium on the non-best bins.
-func AblationBinning(t *pdk.Tech) (*report.Table, error) {
-	res, err := optimize.Optimize(t, primlib.DiffPair, dpSizing(), dpBias(), optimize.Params{
+func AblationBinning(ctx context.Context, t *pdk.Tech) (*report.Table, error) {
+	res, err := optimize.OptimizeCtx(ctx, t, primlib.DiffPair, dpSizing(), dpBias(), optimize.Params{
 		Bins: 3,
 		Cons: tableIIIConstraints(),
 	})
@@ -49,7 +50,7 @@ func AblationBinning(t *pdk.Tech) (*report.Table, error) {
 // as the symmetric patterns (its wires are even slightly shorter), so
 // an LDE-blind selector would happily pick the layout whose offset
 // explodes in silicon — the core argument of the paper.
-func AblationLDE(t *pdk.Tech) (*report.Table, error) {
+func AblationLDE(ctx context.Context, t *pdk.Tech) (*report.Table, error) {
 	noLDE := *t
 	noLDE.LODVthRef = 0
 	noLDE.LODMuFrac = 0
@@ -66,7 +67,7 @@ func AblationLDE(t *pdk.Tech) (*report.Table, error) {
 		{NFin: 12, NF: 20, M: 4, Dummies: 2, Pattern: cellgen.PatAABB},
 	}
 	costWith := func(tech *pdk.Tech, cfg cellgen.Config) (float64, error) {
-		sch, err := primlib.DiffPair.Evaluate(tech, sz, bias, nil, nil)
+		sch, err := primlib.DiffPair.EvaluateCtx(ctx, tech, sz, bias, nil, nil)
 		if err != nil {
 			return 0, err
 		}
@@ -78,11 +79,11 @@ func AblationLDE(t *pdk.Tech) (*report.Table, error) {
 		if err != nil {
 			return 0, err
 		}
-		ex, err := extract.Primitive(tech, lay)
+		ex, err := extract.Primitive(ctx, tech, lay)
 		if err != nil {
 			return 0, err
 		}
-		ev, err := primlib.DiffPair.Evaluate(tech, sz, bias, ex, nil)
+		ev, err := primlib.DiffPair.EvaluateCtx(ctx, tech, sz, bias, ex, nil)
 		if err != nil {
 			return 0, err
 		}
@@ -109,10 +110,10 @@ func AblationLDE(t *pdk.Tech) (*report.Table, error) {
 // cost-vs-wires sweep of the DP source mesh: stop at the
 // diminishing-returns knee (the paper's rule for monotone curves)
 // versus always sweeping to the maximum.
-func AblationCurvature(t *pdk.Tech) (*report.Table, error) {
+func AblationCurvature(ctx context.Context, t *pdk.Tech) (*report.Table, error) {
 	sz := dpSizing()
 	bias := dpBias()
-	sch, err := primlib.DiffPair.Evaluate(t, sz, bias, nil, nil)
+	sch, err := primlib.DiffPair.EvaluateCtx(ctx, t, sz, bias, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -131,11 +132,11 @@ func AblationCurvature(t *pdk.Tech) (*report.Table, error) {
 		for _, w := range []string{"s", "s_a", "s_b"} {
 			lay.Wires[w].NWires = n
 		}
-		ex, err := extract.Primitive(t, lay)
+		ex, err := extract.Primitive(ctx, t, lay)
 		if err != nil {
 			return nil, err
 		}
-		ev, err := primlib.DiffPair.Evaluate(t, sz, bias, ex, nil)
+		ev, err := primlib.DiffPair.EvaluateCtx(ctx, t, sz, bias, ex, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -158,7 +159,7 @@ func AblationCurvature(t *pdk.Tech) (*report.Table, error) {
 // AblationReconcile contrasts the paper's disjoint-interval
 // reconciliation (joint re-simulation over the gap, minimizing the
 // summed cost) against the naive midpoint of the two intervals.
-func AblationReconcile(t *pdk.Tech) (*report.Table, error) {
+func AblationReconcile(ctx context.Context, t *pdk.Tech) (*report.Table, error) {
 	m3 := pdk.Layer(2)
 	mkDP := func() (*portopt.PrimInstance, error) {
 		sz := dpSizing()
@@ -168,11 +169,11 @@ func AblationReconcile(t *pdk.Tech) (*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ex, err := extract.Primitive(t, lay)
+		ex, err := extract.Primitive(ctx, t, lay)
 		if err != nil {
 			return nil, err
 		}
-		sch, err := primlib.DiffPair.Evaluate(t, sz, bias, nil, nil)
+		sch, err := primlib.DiffPair.EvaluateCtx(ctx, t, sz, bias, nil, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -199,11 +200,11 @@ func AblationReconcile(t *pdk.Tech) (*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ex, err := extract.Primitive(t, lay)
+		ex, err := extract.Primitive(ctx, t, lay)
 		if err != nil {
 			return nil, err
 		}
-		sch, err := primlib.CurrentMirror.Evaluate(t, sz, bias, nil, nil)
+		sch, err := primlib.CurrentMirror.EvaluateCtx(ctx, t, sz, bias, nil, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -233,7 +234,7 @@ func AblationReconcile(t *pdk.Tech) (*report.Table, error) {
 		{Prim: "dp", Net: "shared", WMin: 5, WMax: 6},
 		{Prim: "cm", Net: "shared", WMin: 1, WMax: 2},
 	}
-	wires, _, err := portopt.Reconcile(t, []*portopt.PrimInstance{dp, cm}, cons, portopt.Params{MaxWires: 6})
+	wires, _, err := portopt.Reconcile(ctx, t, []*portopt.PrimInstance{dp, cm}, cons, portopt.Params{MaxWires: 6})
 	if err != nil {
 		return nil, err
 	}
@@ -243,7 +244,7 @@ func AblationReconcile(t *pdk.Tech) (*report.Table, error) {
 	totalCost := func(n int) (float64, error) {
 		tot := 0.0
 		for _, pi := range []*portopt.PrimInstance{dp, cm} {
-			ev, err := pi.Entry.Evaluate(t, pi.Sizing, pi.Bias, pi.Ex, symRoutes(pi, "shared", n))
+			ev, err := pi.Entry.EvaluateCtx(ctx, t, pi.Sizing, pi.Bias, pi.Ex, symRoutes(pi, "shared", n))
 			if err != nil {
 				return 0, err
 			}

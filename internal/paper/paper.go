@@ -8,6 +8,7 @@
 package paper
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -43,26 +44,26 @@ func tableIIIConstraints() *cellgen.Constraints {
 // amplifier's circuit metrics for the schematic, a narrow-wire layout
 // (1 wire everywhere), a wide-wire layout (maximum parallel wires),
 // and the optimized layout produced by the full flow.
-func Fig2(t *pdk.Tech) (*report.Table, error) {
+func Fig2(ctx context.Context, t *pdk.Tech) (*report.Table, error) {
 	bm, err := circuits.CommonSource(t)
 	if err != nil {
 		return nil, err
 	}
 	p := flow.Params{Seed: 1}
 
-	sch, err := flow.Run(t, bm, flow.Schematic, p)
+	sch, err := flow.RunContext(ctx, t, bm, flow.Schematic, p)
 	if err != nil {
 		return nil, err
 	}
-	narrow, err := flow.Run(t, bm, flow.Conventional, p) // compact cell, single wires
+	narrow, err := flow.RunContext(ctx, t, bm, flow.Conventional, p) // compact cell, single wires
 	if err != nil {
 		return nil, err
 	}
-	wide, err := flow.RunFixedWires(t, bm, 8, p) // everything at max width
+	wide, err := flow.RunFixedWiresContext(ctx, t, bm, 8, p) // everything at max width
 	if err != nil {
 		return nil, err
 	}
-	opt, err := flow.Run(t, bm, flow.Optimized, p)
+	opt, err := flow.RunContext(ctx, t, bm, flow.Optimized, p)
 	if err != nil {
 		return nil, err
 	}
@@ -84,22 +85,22 @@ func Fig2(t *pdk.Tech) (*report.Table, error) {
 
 // Table1 reproduces the primitive-level metrics of the common-source
 // amplifier's two primitives under the same four wire conditions.
-func Table1(t *pdk.Tech) (*report.Table, error) {
+func Table1(ctx context.Context, t *pdk.Tech) (*report.Table, error) {
 	bm, err := circuits.CommonSource(t)
 	if err != nil {
 		return nil, err
 	}
-	op, err := bm.SchematicOP(t)
+	op, err := bm.SchematicOPCtx(ctx, t)
 	if err != nil {
 		return nil, err
 	}
 	cs1 := bm.Inst("cs1")
 	cs2 := bm.Inst("cs2")
-	e1, err := primlib.Lookup(cs1.Kind)
+	e1, err := primlib.Lookup(ctx, cs1.Kind)
 	if err != nil {
 		return nil, err
 	}
-	e2, err := primlib.Lookup(cs2.Kind)
+	e2, err := primlib.Lookup(ctx, cs2.Kind)
 	if err != nil {
 		return nil, err
 	}
@@ -107,13 +108,13 @@ func Table1(t *pdk.Tech) (*report.Table, error) {
 
 	evalAt := func(e *primlib.Entry, sz primlib.Sizing, bias primlib.Bias, wires int) (map[string]float64, error) {
 		if wires == 0 { // schematic
-			ev, err := e.Evaluate(t, sz, bias, nil, nil)
+			ev, err := e.EvaluateCtx(ctx, t, sz, bias, nil, nil)
 			if err != nil {
 				return nil, err
 			}
 			return ev.Values, nil
 		}
-		lays, err := e.FindLayouts(t, sz, nil)
+		lays, err := e.FindLayouts(ctx, t, sz, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -126,11 +127,11 @@ func Table1(t *pdk.Tech) (*report.Table, error) {
 		for _, w := range lay.Wires {
 			w.NWires = wires
 		}
-		ex, err := extract.Primitive(t, lay)
+		ex, err := extract.Primitive(ctx, t, lay)
 		if err != nil {
 			return nil, err
 		}
-		ev, err := e.Evaluate(t, sz, bias, ex, nil)
+		ev, err := e.EvaluateCtx(ctx, t, sz, bias, ex, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -138,7 +139,7 @@ func Table1(t *pdk.Tech) (*report.Table, error) {
 	}
 	// Optimized: Algorithm 1's best option.
 	evalOpt := func(e *primlib.Entry, sz primlib.Sizing, bias primlib.Bias) (map[string]float64, error) {
-		r, err := optimize.Optimize(t, e, sz, bias, optimize.Params{Bins: 3})
+		r, err := optimize.OptimizeCtx(ctx, t, e, sz, bias, optimize.Params{Bins: 3})
 		if err != nil {
 			return nil, err
 		}
@@ -183,11 +184,11 @@ func Table1(t *pdk.Tech) (*report.Table, error) {
 // Table2 renders the primitive library catalog: metrics, weights, and
 // tuning terminals per entry (from the live registry, not static
 // text).
-func Table2() (*report.Table, error) {
+func Table2(ctx context.Context) (*report.Table, error) {
 	tb := report.New("Table II: primitive metrics, weights, tuning terminals",
 		"Primitive", "Objectives (alpha)", "Tuning terminals")
 	for _, kind := range primlib.Kinds() {
-		e, err := primlib.Lookup(kind)
+		e, err := primlib.Lookup(ctx, kind)
 		if err != nil {
 			return nil, err
 		}
@@ -217,8 +218,8 @@ func Table2() (*report.Table, error) {
 // Table3 reproduces the DP layout-option study: cost components for
 // every (nfin, nf, m) x pattern configuration, binned by aspect
 // ratio, with the per-bin winners marked.
-func Table3(t *pdk.Tech) (*report.Table, error) {
-	res, err := optimize.Optimize(t, primlib.DiffPair, dpSizing(), dpBias(), optimize.Params{
+func Table3(ctx context.Context, t *pdk.Tech) (*report.Table, error) {
+	res, err := optimize.OptimizeCtx(ctx, t, primlib.DiffPair, dpSizing(), dpBias(), optimize.Params{
 		Bins: 3,
 		Cons: tableIIIConstraints(),
 	})
@@ -253,7 +254,7 @@ func Table3(t *pdk.Tech) (*report.Table, error) {
 			cfg.Pattern.String(), dGm, dGmCt, dOff,
 			fmt.Sprintf("%.1f", o.Cost), fmt.Sprintf("%d", o.Bin+1), pick)
 	}
-	sigma, err := offsetSigma(t)
+	sigma, err := offsetSigma(ctx, t)
 	if err != nil {
 		return nil, err
 	}
@@ -262,7 +263,7 @@ func Table3(t *pdk.Tech) (*report.Table, error) {
 	return tb, nil
 }
 
-func offsetSigma(t *pdk.Tech) (float64, error) {
+func offsetSigma(ctx context.Context, t *pdk.Tech) (float64, error) {
 	m, err := primlib.DiffPair.CostMetrics(t, dpSizing(), &primlib.Eval{Values: map[string]float64{
 		"Gm": 1, "Gm/Ctotal": 1,
 	}})
@@ -279,7 +280,7 @@ func offsetSigma(t *pdk.Tech) (float64, error) {
 
 // Table4 reproduces the port-optimization cost sweeps: DP and passive
 // CM cost versus the number of parallel routes at their ports.
-func Table4(t *pdk.Tech) (*report.Table, error) {
+func Table4(ctx context.Context, t *pdk.Tech) (*report.Table, error) {
 	const maxW = 7
 	m3 := pdk.Layer(2)
 
@@ -290,11 +291,11 @@ func Table4(t *pdk.Tech) (*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ex, err := extract.Primitive(t, lay)
+		ex, err := extract.Primitive(ctx, t, lay)
 		if err != nil {
 			return nil, err
 		}
-		sch, err := e.Evaluate(t, sz, bias, nil, nil)
+		sch, err := e.EvaluateCtx(ctx, t, sz, bias, nil, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -331,11 +332,11 @@ func Table4(t *pdk.Tech) (*report.Table, error) {
 		return nil, err
 	}
 
-	dpCons, _, err := portopt.GenerateConstraints(t, dp, portopt.Params{MaxWires: maxW})
+	dpCons, _, err := portopt.GenerateConstraints(ctx, t, dp, portopt.Params{MaxWires: maxW})
 	if err != nil {
 		return nil, err
 	}
-	cmCons, _, err := portopt.GenerateConstraints(t, cm, portopt.Params{MaxWires: maxW})
+	cmCons, _, err := portopt.GenerateConstraints(ctx, t, cm, portopt.Params{MaxWires: maxW})
 	if err != nil {
 		return nil, err
 	}
@@ -365,7 +366,7 @@ func Table4(t *pdk.Tech) (*report.Table, error) {
 // Table5 reproduces the simulation-count accounting for three
 // primitives through selection, tuning, and port-constraint
 // generation, with the wall time of the (parallelized) run.
-func Table5(t *pdk.Tech) (*report.Table, error) {
+func Table5(ctx context.Context, t *pdk.Tech) (*report.Table, error) {
 	type row struct {
 		name      string
 		entry     *primlib.Entry
@@ -410,7 +411,7 @@ func Table5(t *pdk.Tech) (*report.Table, error) {
 	var wall [3]time.Duration
 	for i, r := range rows {
 		start := time.Now()
-		res, err := optimize.Optimize(t, r.entry, r.sz, r.bias, optimize.Params{Bins: 3})
+		res, err := optimize.OptimizeCtx(ctx, t, r.entry, r.sz, r.bias, optimize.Params{Bins: 3})
 		if err != nil {
 			return nil, fmt.Errorf("table5 %s: %w", r.name, err)
 		}
@@ -420,7 +421,7 @@ func Table5(t *pdk.Tech) (*report.Table, error) {
 			Ex: res.Best().Ex, Metrics: res.Metrics,
 			Routes: r.portWires, NetOf: r.nets,
 		}
-		_, sims, err := portopt.GenerateConstraints(t, pi, portopt.Params{MaxWires: 8})
+		_, sims, err := portopt.GenerateConstraints(ctx, t, pi, portopt.Params{MaxWires: 8})
 		if err != nil {
 			return nil, err
 		}
@@ -441,7 +442,7 @@ func Table5(t *pdk.Tech) (*report.Table, error) {
 
 // Table6 reproduces the OTA and StrongARM comparison across the four
 // methodologies.
-func Table6(t *pdk.Tech) (*report.Table, []*flow.Result, error) {
+func Table6(ctx context.Context, t *pdk.Tech) (*report.Table, []*flow.Result, error) {
 	tb := report.New("Table VI: high-frequency OTA & StrongARM comparator",
 		"Circuit", "Metric", "Schematic", "Manual", "Conventional", "This work")
 	var all []*flow.Result
@@ -451,7 +452,7 @@ func Table6(t *pdk.Tech) (*report.Table, []*flow.Result, error) {
 		p := flow.Params{Seed: 1}
 		results := map[flow.Mode]*flow.Result{}
 		for _, mode := range []flow.Mode{flow.Schematic, flow.Manual, flow.Conventional, flow.Optimized} {
-			r, err := flow.Run(t, bm, mode, p)
+			r, err := flow.RunContext(ctx, t, bm, mode, p)
 			if err != nil {
 				return fmt.Errorf("%s %v: %w", bm.Name, mode, err)
 			}
@@ -495,7 +496,7 @@ func Table6(t *pdk.Tech) (*report.Table, []*flow.Result, error) {
 }
 
 // Table7 reproduces the eight-stage RO-VCO comparison.
-func Table7(t *pdk.Tech, stages int) (*report.Table, []*flow.Result, error) {
+func Table7(ctx context.Context, t *pdk.Tech, stages int) (*report.Table, []*flow.Result, error) {
 	bm, err := circuits.ROVCO(t, stages)
 	if err != nil {
 		return nil, nil, err
@@ -504,7 +505,7 @@ func Table7(t *pdk.Tech, stages int) (*report.Table, []*flow.Result, error) {
 	var all []*flow.Result
 	results := map[flow.Mode]*flow.Result{}
 	for _, mode := range []flow.Mode{flow.Schematic, flow.Conventional, flow.Optimized} {
-		r, err := flow.Run(t, bm, mode, p)
+		r, err := flow.RunContext(ctx, t, bm, mode, p)
 		if err != nil {
 			return nil, nil, fmt.Errorf("rovco %v: %w", mode, err)
 		}
@@ -532,7 +533,7 @@ func Table7(t *pdk.Tech, stages int) (*report.Table, []*flow.Result, error) {
 // Table8 reports the optimized-flow runtime per circuit, from flow
 // results produced by Table6/Table7 (pass their outputs in) or fresh
 // runs when nil.
-func Table8(t *pdk.Tech, prior []*flow.Result) (*report.Table, error) {
+func Table8(ctx context.Context, t *pdk.Tech, prior []*flow.Result) (*report.Table, error) {
 	byBench := map[string]time.Duration{}
 	sims := map[string]int{}
 	have := map[string]bool{}
@@ -560,7 +561,7 @@ func Table8(t *pdk.Tech, prior []*flow.Result) (*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		r, err := flow.Run(t, bm, flow.Optimized, flow.Params{Seed: 1})
+		r, err := flow.RunContext(ctx, t, bm, flow.Optimized, flow.Params{Seed: 1})
 		if err != nil {
 			return nil, err
 		}

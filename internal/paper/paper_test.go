@@ -1,6 +1,7 @@
 package paper
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -13,7 +14,7 @@ import (
 var tech = pdk.Default()
 
 func TestFig2(t *testing.T) {
-	tb, err := Fig2(tech)
+	tb, err := Fig2(context.Background(), tech)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +28,7 @@ func TestFig2(t *testing.T) {
 }
 
 func TestTable1(t *testing.T) {
-	tb, err := Table1(tech)
+	tb, err := Table1(context.Background(), tech)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func TestTable1(t *testing.T) {
 }
 
 func TestTable2(t *testing.T) {
-	tb, err := Table2()
+	tb, err := Table2(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestTable2(t *testing.T) {
 }
 
 func TestTable3(t *testing.T) {
-	tb, err := Table3(tech)
+	tb, err := Table3(context.Background(), tech)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestTable3(t *testing.T) {
 }
 
 func TestTable4(t *testing.T) {
-	tb, err := Table4(tech)
+	tb, err := Table4(context.Background(), tech)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestTable4(t *testing.T) {
 }
 
 func TestTable5(t *testing.T) {
-	tb, err := Table5(tech)
+	tb, err := Table5(context.Background(), tech)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestTable5(t *testing.T) {
 }
 
 func TestTable6(t *testing.T) {
-	tb, results, err := Table6(tech)
+	tb, results, err := Table6(context.Background(), tech)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestTable7(t *testing.T) {
 	if testing.Short() {
 		t.Skip("VCO flow is slow")
 	}
-	tb, results, err := Table7(tech, 4) // 4 stages keep the test fast
+	tb, results, err := Table7(context.Background(), tech, 4) // 4 stages keep the test fast
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestTable7(t *testing.T) {
 }
 
 func TestAblationBinning(t *testing.T) {
-	tb, err := AblationBinning(tech)
+	tb, err := AblationBinning(context.Background(), tech)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestAblationBinning(t *testing.T) {
 }
 
 func TestAblationLDE(t *testing.T) {
-	tb, err := AblationLDE(tech)
+	tb, err := AblationLDE(context.Background(), tech)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestAblationLDE(t *testing.T) {
 }
 
 func TestAblationCurvature(t *testing.T) {
-	tb, err := AblationCurvature(tech)
+	tb, err := AblationCurvature(context.Background(), tech)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestAblationCurvature(t *testing.T) {
 }
 
 func TestAblationReconcile(t *testing.T) {
-	tb, err := AblationReconcile(tech)
+	tb, err := AblationReconcile(context.Background(), tech)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +178,7 @@ func TestShapeChecksHandlesPartialResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := flow.Run(tech, bm, flow.Schematic, flow.Params{})
+	r, err := flow.RunContext(context.Background(), tech, bm, flow.Schematic, flow.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestShapeChecksHandlesPartialResults(t *testing.T) {
 }
 
 func TestOffsetSigmaPositive(t *testing.T) {
-	s, err := offsetSigma(tech)
+	s, err := offsetSigma(context.Background(), tech)
 	if err != nil {
 		t.Fatal(err)
 	}

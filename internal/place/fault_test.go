@@ -22,13 +22,10 @@ func faultCtx(t *testing.T, spec string) context.Context {
 // by an injected error, the reduction picks among the survivors and
 // the result matches the no-fault placement of some surviving seed.
 func TestPlaceReplicaFailureSurvives(t *testing.T) {
-	old := obs.Default()
 	tr := obs.New()
-	obs.SetDefault(tr)
-	t.Cleanup(func() { obs.SetDefault(old) })
 
 	blocks := squareBlocks("a", "b", "c", "d", "e")
-	ctx := faultCtx(t, fault.SitePlaceReplica+":error@1")
+	ctx := obs.With(faultCtx(t, fault.SitePlaceReplica+":error@1"), tr)
 	pl, err := PlaceCtx(ctx, blocks, nil, nil, Params{Seed: 1, Replicas: 3})
 	if err != nil {
 		t.Fatalf("placement died with 2 healthy replicas: %v", err)
@@ -48,13 +45,10 @@ func TestPlaceReplicaFailureSurvives(t *testing.T) {
 // TestPlaceReplicaPanicRecovered: a panicking replica is converted to
 // a per-replica failure, not a process crash.
 func TestPlaceReplicaPanicRecovered(t *testing.T) {
-	old := obs.Default()
 	tr := obs.New()
-	obs.SetDefault(tr)
-	t.Cleanup(func() { obs.SetDefault(old) })
 
 	blocks := squareBlocks("a", "b", "c")
-	ctx := faultCtx(t, fault.SitePlaceReplica+":panic@2")
+	ctx := obs.With(faultCtx(t, fault.SitePlaceReplica+":panic@2"), tr)
 	pl, err := PlaceCtx(ctx, blocks, nil, nil, Params{Seed: 1, Replicas: 2})
 	if err != nil {
 		t.Fatalf("placement died on a recovered replica panic: %v", err)

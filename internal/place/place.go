@@ -78,8 +78,8 @@ type Params struct {
 	// here so one flag governs all pools.
 	Workers int
 	// Obs, when set, parents the place.anneal span (and receives the
-	// schedule attributes); metrics fall back to obs.Default() when
-	// nil. Tracing is passive: it never touches the RNG stream.
+	// schedule attributes). Metrics go to the trace on the context.
+	// Tracing is passive: it never touches the RNG stream.
 	Obs *obs.Span
 }
 
@@ -149,16 +149,11 @@ type Placement struct {
 	SymErr  float64 // residual symmetry violation, nm
 }
 
-// Place runs the annealer and returns the best placement found.
-func Place(blocks []Block, nets []Net, sym []SymPair, p Params) (*Placement, error) {
-	return PlaceCtx(context.Background(), blocks, nets, sym, p)
-}
-
-// PlaceCtx is Place bound to a context. Each replica polls ctx once
-// per temperature band, so cancellation surfaces within one band of
-// moves; a replica that panics or is fault-injected fails alone and
-// is excluded from the deterministic reduction (all replicas failing
-// fails the placement).
+// PlaceCtx runs the annealer and returns the best placement found.
+// Each replica polls ctx once per temperature band, so cancellation
+// surfaces within one band of moves; a replica that panics or is
+// fault-injected fails alone and is excluded from the deterministic
+// reduction (all replicas failing fails the placement).
 func PlaceCtx(ctx context.Context, blocks []Block, nets []Net, sym []SymPair, p Params) (*Placement, error) {
 	if len(blocks) == 0 {
 		return nil, fmt.Errorf("place: no blocks")
@@ -191,10 +186,7 @@ func PlaceCtx(ctx context.Context, blocks []Block, nets []Net, sym []SymPair, p 
 	}
 	st.buildTopology()
 
-	tr := p.Obs.Trace()
-	if tr == nil {
-		tr = obs.Default()
-	}
+	tr := obs.From(ctx)
 	sp := obs.StartSpan(tr, p.Obs, "place.anneal")
 	sp.SetAttr("blocks", len(blocks))
 	sp.SetAttr("nets", len(nets))
@@ -286,7 +278,7 @@ func safeReplica(ctx context.Context, inj *fault.Injector, template *state, r in
 			}
 		}
 	}()
-	if err := inj.Hit(fault.SitePlaceReplica); err != nil {
+	if err := inj.Hit(ctx, fault.SitePlaceReplica); err != nil {
 		return replicaResult{err: err}
 	}
 	return runReplica(ctx, template, r, p, tr, parent)

@@ -1,6 +1,7 @@
 package place
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -20,7 +21,7 @@ func squareBlocks(names ...string) []Block {
 
 func TestPlaceNoOverlap(t *testing.T) {
 	blocks := squareBlocks("a", "b", "c", "d", "e")
-	pl, err := Place(blocks, nil, nil, Params{Seed: 1})
+	pl, err := PlaceCtx(context.Background(), blocks, nil, nil, Params{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func TestPlaceCompactsArea(t *testing.T) {
 	// square-ish packing 2x3 -> 6e6. The annealer must land well
 	// under the worst diagonal arrangement (25e6).
 	blocks := squareBlocks("a", "b", "c", "d", "e")
-	pl, err := Place(blocks, nil, nil, Params{Seed: 2})
+	pl, err := PlaceCtx(context.Background(), blocks, nil, nil, Params{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestPlaceCompactsArea(t *testing.T) {
 func TestPlaceWirelengthPullsConnectedBlocksTogether(t *testing.T) {
 	blocks := squareBlocks("a", "b", "c", "d", "e", "f")
 	nets := []Net{{Name: "n1", Blocks: []string{"a", "f"}, Weight: 10}}
-	pl, err := Place(blocks, nets, nil, Params{Seed: 3})
+	pl, err := PlaceCtx(context.Background(), blocks, nets, nil, Params{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestPlaceWirelengthPullsConnectedBlocksTogether(t *testing.T) {
 func TestPlaceSymmetryPairs(t *testing.T) {
 	blocks := squareBlocks("dpa", "dpb", "load", "tail")
 	sym := []SymPair{{A: "dpa", B: "dpb"}}
-	pl, err := Place(blocks, nil, sym, Params{Seed: 4, SymWeight: 50})
+	pl, err := PlaceCtx(context.Background(), blocks, nil, sym, Params{Seed: 4, SymWeight: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestPlaceChoosesVariantsForPacking(t *testing.T) {
 		{Name: "b2", Variants: []Variant{{W: 1000, H: 1000}}},
 		{Name: "b3", Variants: []Variant{{W: 1000, H: 1000}}},
 	}
-	pl, err := Place(blocks, nil, nil, Params{Seed: 5})
+	pl, err := PlaceCtx(context.Background(), blocks, nil, nil, Params{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,30 +107,30 @@ func TestPlaceChoosesVariantsForPacking(t *testing.T) {
 }
 
 func TestPlaceValidation(t *testing.T) {
-	if _, err := Place(nil, nil, nil, Params{}); err == nil {
+	if _, err := PlaceCtx(context.Background(), nil, nil, nil, Params{}); err == nil {
 		t.Error("empty block list accepted")
 	}
-	if _, err := Place([]Block{{Name: "a"}}, nil, nil, Params{}); err == nil {
+	if _, err := PlaceCtx(context.Background(), []Block{{Name: "a"}}, nil, nil, Params{}); err == nil {
 		t.Error("variant-less block accepted")
 	}
 	dup := []Block{
 		{Name: "a", Variants: []Variant{{W: 1, H: 1}}},
 		{Name: "a", Variants: []Variant{{W: 1, H: 1}}},
 	}
-	if _, err := Place(dup, nil, nil, Params{}); err == nil {
+	if _, err := PlaceCtx(context.Background(), dup, nil, nil, Params{}); err == nil {
 		t.Error("duplicate block accepted")
 	}
 	blocks := squareBlocks("a")
-	if _, err := Place(blocks, []Net{{Name: "n", Blocks: []string{"ghost"}}}, nil, Params{}); err == nil {
+	if _, err := PlaceCtx(context.Background(), blocks, []Net{{Name: "n", Blocks: []string{"ghost"}}}, nil, Params{}); err == nil {
 		t.Error("net with unknown block accepted")
 	}
-	if _, err := Place(blocks, nil, []SymPair{{A: "a", B: "ghost"}}, Params{}); err == nil {
+	if _, err := PlaceCtx(context.Background(), blocks, nil, []SymPair{{A: "a", B: "ghost"}}, Params{}); err == nil {
 		t.Error("symmetry with unknown block accepted")
 	}
 }
 
 func TestPlaceSingleBlock(t *testing.T) {
-	pl, err := Place(squareBlocks("only"), nil, nil, Params{Seed: 7})
+	pl, err := PlaceCtx(context.Background(), squareBlocks("only"), nil, nil, Params{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,11 +145,11 @@ func TestPlaceSingleBlock(t *testing.T) {
 func TestPlaceDeterministicWithSeed(t *testing.T) {
 	blocks := squareBlocks("a", "b", "c", "d")
 	nets := []Net{{Name: "n", Blocks: []string{"a", "b"}}}
-	p1, err := Place(blocks, nets, nil, Params{Seed: 42})
+	p1, err := PlaceCtx(context.Background(), blocks, nets, nil, Params{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := Place(squareBlocks("a", "b", "c", "d"), nets, nil, Params{Seed: 42})
+	p2, err := PlaceCtx(context.Background(), squareBlocks("a", "b", "c", "d"), nets, nil, Params{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func TestPlaceNoOverlapProperty(t *testing.T) {
 				Variants: []Variant{{W: w, H: h}},
 			}
 		}
-		pl, err := Place(blocks, nil, nil, Params{Seed: seed, Iterations: 30})
+		pl, err := PlaceCtx(context.Background(), blocks, nil, nil, Params{Seed: seed, Iterations: 30})
 		if err != nil {
 			return false
 		}
@@ -222,7 +223,7 @@ func TestPlaceSymPairVariantLockstep(t *testing.T) {
 			{Name: "tail", Variants: []Variant{{W: 1000, H: 1000}}},
 		}
 		sym := []SymPair{{A: "dpa", B: "dpb"}}
-		pl, err := Place(blocks, nil, sym, Params{Seed: seed})
+		pl, err := PlaceCtx(context.Background(), blocks, nil, sym, Params{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,7 +253,7 @@ func TestPlaceIncrementalMatchesFull(t *testing.T) {
 		{Name: "n3", Blocks: []string{"d", "e", "a"}},
 	}
 	sym := []SymPair{{A: "a", B: "b"}}
-	if _, err := Place(blocks, nets, sym, Params{Seed: 11, Replicas: 2}); err != nil {
+	if _, err := PlaceCtx(context.Background(), blocks, nets, sym, Params{Seed: 11, Replicas: 2}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -275,7 +276,7 @@ func TestPlaceReplicaWorkerInvariance(t *testing.T) {
 	var ref *Placement
 	for _, workers := range []int{1, 2, 8, 1} {
 		blocks, nets, sym := mk()
-		pl, err := Place(blocks, nets, sym, Params{Seed: 9, Replicas: 5, Workers: workers})
+		pl, err := PlaceCtx(context.Background(), blocks, nets, sym, Params{Seed: 9, Replicas: 5, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -335,7 +336,7 @@ func TestPlaceScheduleBandCountPinned(t *testing.T) {
 	root := tr.Start("test")
 	blocks := squareBlocks("a", "b", "c", "d", "e")
 	nets := []Net{{Name: "n", Blocks: []string{"a", "e"}}}
-	if _, err := Place(blocks, nets, nil, Params{Seed: 42, Obs: root}); err != nil {
+	if _, err := PlaceCtx(obs.With(context.Background(), tr), blocks, nets, nil, Params{Seed: 42, Obs: root}); err != nil {
 		t.Fatal(err)
 	}
 	root.End()

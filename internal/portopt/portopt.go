@@ -14,6 +14,7 @@
 package portopt
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -66,8 +67,8 @@ type Params struct {
 	MaxWires int     // sweep range per port (default 8)
 	Tol      float64 // relative tolerance for the wmax cutoff (default 0.01)
 	// Obs, when set, parents the portopt.constraints /
-	// portopt.reconcile spans; metrics fall back to obs.Default()
-	// when nil.
+	// portopt.reconcile spans. Metrics go to the trace on the
+	// context.
 	Obs *obs.Span
 	// Cache, when set, memoizes the route-override evaluations. The
 	// sweep and the reconcile gap search revisit (layout, routes)
@@ -138,9 +139,10 @@ func routesWith(pi *PrimInstance, net string, n int) map[string]extract.Route {
 // the Eval (the layout and extraction are the caller's own), and
 // every request is booked via RecordRequest so the trace-wide
 // evcache.hits == optimize.repeat_evals invariant survives portopt
-// joining the cache's consumers.
-func costAt(t *pdk.Tech, pi *PrimInstance, net string, n int, p Params) (float64, int, error) {
-	obs.Default().Counter("portopt.evals").Inc()
+// joining the cache's consumers. The evaluation runs on ctx.
+func costAt(ctx context.Context, t *pdk.Tech, pi *PrimInstance, net string, n int, p Params) (float64, int, error) {
+	tr := obs.From(ctx)
+	tr.Counter("portopt.evals").Inc()
 	routes := routesWith(pi, net, n)
 	var ev *primlib.Eval
 	if p.Cache != nil {
@@ -148,14 +150,10 @@ func costAt(t *pdk.Tech, pi *PrimInstance, net string, n int, p Params) (float64
 		if pi.Ex != nil {
 			lay = pi.Ex.Layout
 		}
-		tr := p.Obs.Trace()
-		if tr == nil {
-			tr = obs.Default()
-		}
 		key := evcache.Key(t, pi.Entry.Kind, pi.Sizing, pi.Bias, lay, routes)
 		p.Cache.RecordRequest(tr, key)
-		ent, err := p.Cache.Do(tr, key, func() (*evcache.Entry, error) {
-			e, err := pi.Entry.Evaluate(t, pi.Sizing, pi.Bias, pi.Ex, routes)
+		ent, err := p.Cache.DoCtx(ctx, key, func() (*evcache.Entry, error) {
+			e, err := pi.Entry.EvaluateCtx(ctx, t, pi.Sizing, pi.Bias, pi.Ex, routes)
 			if err != nil {
 				return nil, err
 			}
@@ -167,7 +165,7 @@ func costAt(t *pdk.Tech, pi *PrimInstance, net string, n int, p Params) (float64
 		ev = ent.Eval
 	} else {
 		var err error
-		ev, err = pi.Entry.Evaluate(t, pi.Sizing, pi.Bias, pi.Ex, routes)
+		ev, err = pi.Entry.EvaluateCtx(ctx, t, pi.Sizing, pi.Bias, pi.Ex, routes)
 		if err != nil {
 			return 0, 0, fmt.Errorf("portopt: %s on %s (n=%d): %w", pi.Name, net, n, err)
 		}
@@ -181,7 +179,7 @@ func costAt(t *pdk.Tech, pi *PrimInstance, net string, n int, p Params) (float64
 
 // GenerateConstraints runs step 1 for one primitive: an interval per
 // routed net.
-func GenerateConstraints(t *pdk.Tech, pi *PrimInstance, p Params) ([]Constraint, int, error) {
+func GenerateConstraints(ctx context.Context, t *pdk.Tech, pi *PrimInstance, p Params) ([]Constraint, int, error) {
 	p = p.withDefaults()
 	// Collect the nets this primitive constrains, deterministically.
 	netSet := map[string]bool{}
@@ -203,7 +201,7 @@ func GenerateConstraints(t *pdk.Tech, pi *PrimInstance, p Params) ([]Constraint,
 	for _, net := range nets {
 		curve := make([]float64, 0, p.MaxWires)
 		for n := 1; n <= p.MaxWires; n++ {
-			c, s, err := costAt(t, pi, net, n, p)
+			c, s, err := costAt(ctx, t, pi, net, n, p)
 			if err != nil {
 				return nil, sims, err
 			}
@@ -251,7 +249,7 @@ func intervalFromCurve(curve []float64, tol float64) Constraint {
 // Reconcile runs step 2 over all primitives: group constraints by
 // net, intersect where possible, and re-simulate the gap interval
 // where not.
-func Reconcile(t *pdk.Tech, prims []*PrimInstance, cons []Constraint, p Params) (map[string]int, int, error) {
+func Reconcile(ctx context.Context, t *pdk.Tech, prims []*PrimInstance, cons []Constraint, p Params) (map[string]int, int, error) {
 	p = p.withDefaults()
 	byNet := map[string][]Constraint{}
 	for _, c := range cons {
@@ -290,7 +288,7 @@ func Reconcile(t *pdk.Tech, prims []*PrimInstance, cons []Constraint, p Params) 
 		// Lines 12–14: disjoint — search [min(wmax), max(wmin)] for
 		// the count minimizing the total cost of the primitives on
 		// this net.
-		obs.Default().Counter("portopt.gap_nets").Inc()
+		obs.From(ctx).Counter("portopt.gap_nets").Inc()
 		lo, hi := minWMax, maxWMin
 		bestN, bestCost := lo, math.Inf(1)
 		for n := lo; n <= hi; n++ {
@@ -300,7 +298,7 @@ func Reconcile(t *pdk.Tech, prims []*PrimInstance, cons []Constraint, p Params) 
 				if !ok {
 					return nil, sims, fmt.Errorf("portopt: unknown primitive %q in constraint", c.Prim)
 				}
-				cv, s, err := costAt(t, pi, net, n, p)
+				cv, s, err := costAt(ctx, t, pi, net, n, p)
 				if err != nil {
 					return nil, sims, err
 				}
@@ -317,18 +315,17 @@ func Reconcile(t *pdk.Tech, prims []*PrimInstance, cons []Constraint, p Params) 
 	return out, sims, nil
 }
 
-// Optimize runs both steps for a set of placed primitives.
-func Optimize(t *pdk.Tech, prims []*PrimInstance, p Params) (*Result, error) {
+// Optimize runs both steps for a set of placed primitives. Every
+// evaluation runs on ctx: it honors the deadline, cancellation and
+// fault injector, and reports to the trace the context carries.
+func Optimize(ctx context.Context, t *pdk.Tech, prims []*PrimInstance, p Params) (*Result, error) {
 	p = p.withDefaults()
-	tr := p.Obs.Trace()
-	if tr == nil {
-		tr = obs.Default()
-	}
+	tr := obs.From(ctx)
 	res := &Result{Wires: map[string]int{}}
 	for _, pi := range prims {
 		sp := obs.StartSpan(tr, p.Obs, "portopt.constraints")
 		sp.SetAttr("prim", pi.Name)
-		cons, sims, err := GenerateConstraints(t, pi, p)
+		cons, sims, err := GenerateConstraints(ctx, t, pi, p)
 		res.Sims += sims
 		if err != nil {
 			sp.End()
@@ -340,7 +337,7 @@ func Optimize(t *pdk.Tech, prims []*PrimInstance, p Params) (*Result, error) {
 		res.Constraints = append(res.Constraints, cons...)
 	}
 	sp := obs.StartSpan(tr, p.Obs, "portopt.reconcile")
-	wires, sims, err := Reconcile(t, prims, res.Constraints, p)
+	wires, sims, err := Reconcile(ctx, t, prims, res.Constraints, p)
 	res.Sims += sims
 	if err != nil {
 		sp.End()

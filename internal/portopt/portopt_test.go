@@ -1,11 +1,14 @@
 package portopt
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"primopt/internal/cellgen"
 	"primopt/internal/evcache"
 	"primopt/internal/extract"
+	"primopt/internal/fault"
 	"primopt/internal/obs"
 	"primopt/internal/pdk"
 	"primopt/internal/primlib"
@@ -23,11 +26,11 @@ func dpInstance(t *testing.T, name string) *PrimInstance {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := extract.Primitive(tech, lay)
+	ex, err := extract.Primitive(context.Background(), tech, lay)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sch, err := e.Evaluate(tech, sz, bias, nil, nil)
+	sch, err := e.EvaluateCtx(context.Background(), tech, sz, bias, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,11 +59,11 @@ func cmInstance(t *testing.T, name, outNet string) *PrimInstance {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := extract.Primitive(tech, lay)
+	ex, err := extract.Primitive(context.Background(), tech, lay)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sch, err := e.Evaluate(tech, sz, bias, nil, nil)
+	sch, err := e.EvaluateCtx(context.Background(), tech, sz, bias, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +83,7 @@ func cmInstance(t *testing.T, name, outNet string) *PrimInstance {
 
 func TestGenerateConstraintsDP(t *testing.T) {
 	pi := dpInstance(t, "dp0")
-	cons, sims, err := GenerateConstraints(tech, pi, Params{MaxWires: 7})
+	cons, sims, err := GenerateConstraints(context.Background(), tech, pi, Params{MaxWires: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +148,7 @@ func TestReconcileOverlap(t *testing.T) {
 		{Prim: "a", Net: "n2", WMin: 2, WMax: 5},
 		{Prim: "b", Net: "n2", WMin: 3, WMax: 6},
 	}
-	wires, sims, err := Reconcile(tech, nil, cons, Params{})
+	wires, sims, err := Reconcile(context.Background(), tech, nil, cons, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +175,7 @@ func TestReconcileDisjointResimulates(t *testing.T) {
 		{Prim: "dp0", Net: "shared", WMin: 5, WMax: 6},
 		{Prim: "cm0", Net: "shared", WMin: 1, WMax: 2},
 	}
-	wires, sims, err := Reconcile(tech, []*PrimInstance{dp, cm}, cons, Params{MaxWires: 6})
+	wires, sims, err := Reconcile(context.Background(), tech, []*PrimInstance{dp, cm}, cons, Params{MaxWires: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +193,7 @@ func TestOptimizeEndToEnd(t *testing.T) {
 	// The CM output drives the same net as the DP's d_a (the paper's
 	// net 3 situation, here named net4).
 	cm := cmInstance(t, "cm0", "net4")
-	res, err := Optimize(tech, []*PrimInstance{dp, cm}, Params{MaxWires: 6})
+	res, err := Optimize(context.Background(), tech, []*PrimInstance{dp, cm}, Params{MaxWires: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +214,7 @@ func TestOptimizeEndToEnd(t *testing.T) {
 func TestGenerateConstraintsMissingNet(t *testing.T) {
 	pi := dpInstance(t, "dp0")
 	delete(pi.NetOf, "d_a")
-	if _, _, err := GenerateConstraints(tech, pi, Params{MaxWires: 3}); err == nil {
+	if _, _, err := GenerateConstraints(context.Background(), tech, pi, Params{MaxWires: 3}); err == nil {
 		t.Error("route without net accepted")
 	}
 }
@@ -221,7 +224,7 @@ func TestReconcileUnknownPrimitive(t *testing.T) {
 		{Prim: "ghost", Net: "n", WMin: 5, WMax: 6},
 		{Prim: "ghost2", Net: "n", WMin: 1, WMax: 2},
 	}
-	if _, _, err := Reconcile(tech, nil, cons, Params{}); err == nil {
+	if _, _, err := Reconcile(context.Background(), tech, nil, cons, Params{}); err == nil {
 		t.Error("unknown primitive in disjoint reconciliation accepted")
 	}
 }
@@ -235,13 +238,14 @@ func TestOptimizeCached(t *testing.T) {
 	mk := func() []*PrimInstance {
 		return []*PrimInstance{dpInstance(t, "dp0"), cmInstance(t, "cm0", "net4")}
 	}
-	base, err := Optimize(tech, mk(), Params{MaxWires: 5})
+	base, err := Optimize(context.Background(), tech, mk(), Params{MaxWires: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := evcache.New()
 	tr := obs.New()
-	cached, err := Optimize(tech, mk(), Params{MaxWires: 5, Cache: c, Obs: tr.Start("test")})
+	ctx := obs.With(context.Background(), tr)
+	cached, err := Optimize(ctx, tech, mk(), Params{MaxWires: 5, Cache: c, Obs: tr.Start("test")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +263,7 @@ func TestOptimizeCached(t *testing.T) {
 	}
 	// Same instances again: everything is a repeat request, and the
 	// request accounting must balance hits exactly.
-	again, err := Optimize(tech, mk(), Params{MaxWires: 5, Cache: c, Obs: tr.Start("test2")})
+	again, err := Optimize(ctx, tech, mk(), Params{MaxWires: 5, Cache: c, Obs: tr.Start("test2")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +276,30 @@ func TestOptimizeCached(t *testing.T) {
 	if st2.Misses != st.Misses {
 		t.Errorf("warm re-optimize computed %d new entries", st2.Misses-st.Misses)
 	}
-	if hits := tr.Counter("evcache.hits").Value(); hits != tr.Counter("optimize.repeat_evals").Value() {
+	if hits := tr.Counter("evcache.hits").Value(); hits == 0 || hits != tr.Counter("optimize.repeat_evals").Value() {
 		t.Errorf("evcache.hits %d != optimize.repeat_evals %d", hits, tr.Counter("optimize.repeat_evals").Value())
+	}
+}
+
+// TestOptimizeRunsOnContext: port optimization's SPICE runs on the
+// caller's context. An armed fault site on it fails the run with the
+// injected error, and a canceled context stops it with
+// context.Canceled. A fresh cache per run keeps every evaluation a
+// real SPICE run.
+func TestOptimizeRunsOnContext(t *testing.T) {
+	prims := []*PrimInstance{dpInstance(t, "dp0"), cmInstance(t, "cm0", "net4")}
+	inj, err := fault.New(1, fault.SiteSpiceOP+":error@1+")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Optimize(fault.With(context.Background(), inj), tech, prims, Params{MaxWires: 3, Cache: evcache.New()})
+	if !fault.IsInjected(err) {
+		t.Errorf("armed spice.op: err = %v, want an injected fault", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err = Optimize(ctx, tech, prims, Params{MaxWires: 3, Cache: evcache.New()})
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("canceled context: err = %v, want context.Canceled", err)
 	}
 }

@@ -10,13 +10,13 @@
 package primlib
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
 	"primopt/internal/cellgen"
 	"primopt/internal/circuit"
 	"primopt/internal/cost"
-	"primopt/internal/extract"
 	"primopt/internal/obs"
 	"primopt/internal/pdk"
 )
@@ -145,14 +145,16 @@ func register(e *Entry) *Entry {
 	return e
 }
 
-// Lookup returns the library entry for a primitive kind.
-func Lookup(kind string) (*Entry, error) {
+// Lookup returns the library entry for a primitive kind, counting the
+// lookup on the context's trace.
+func Lookup(ctx context.Context, kind string) (*Entry, error) {
+	tr := obs.From(ctx)
 	e, ok := registry[kind]
 	if !ok {
-		obs.Default().Counter("primlib.lookup_misses").Inc()
+		tr.Counter("primlib.lookup_misses").Inc()
 		return nil, fmt.Errorf("primlib: unknown primitive kind %q", kind)
 	}
-	obs.Default().Counter("primlib.lookups").Inc()
+	tr.Counter("primlib.lookups").Inc()
 	return e, nil
 }
 
@@ -487,17 +489,17 @@ var (
 	})
 )
 
-// FindLayouts generates all candidate layouts for an entry and sizing.
-func (e *Entry) FindLayouts(t *pdk.Tech, sz Sizing, cons *cellgen.Constraints) ([]*cellgen.Layout, error) {
+// FindLayouts generates all candidate layouts for an entry and sizing,
+// counting the generator's and this query's output on the context's
+// trace.
+func (e *Entry) FindLayouts(ctx context.Context, t *pdk.Tech, sz Sizing, cons *cellgen.Constraints) ([]*cellgen.Layout, error) {
 	lays, err := cellgen.GenerateAll(t, e.Spec(sz), cons)
-	if tr := obs.Default(); tr.Enabled() && err == nil {
+	if tr := obs.From(ctx); tr.Enabled() && err == nil {
+		n := int64(len(lays))
+		tr.Counter("cellgen.generate_calls").Inc()
+		tr.Counter("cellgen.layouts_generated").Add(n)
 		tr.Counter("primlib.layout_queries").Inc()
-		tr.Counter("primlib.layouts_found").Add(int64(len(lays)))
+		tr.Counter("primlib.layouts_found").Add(n)
 	}
 	return lays, err
-}
-
-// Extract extracts a layout for this entry.
-func (e *Entry) Extract(t *pdk.Tech, lay *cellgen.Layout) (*extract.Extracted, error) {
-	return extract.Primitive(t, lay)
 }

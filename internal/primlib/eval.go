@@ -46,21 +46,16 @@ func canonicalConfig(sz Sizing) cellgen.Config {
 	return cellgen.Config{NFin: sz.TotalFins, NF: 1, M: 1, Pattern: cellgen.PatA}
 }
 
-// Evaluate runs the entry's metric testbenches. ex == nil gives the
-// schematic reference (no parasitics, no LDEs). routes, when present,
-// adds external global-route RC beyond the named ports (keyed by the
-// cellgen wire name) — the primitive port optimization view.
-func (e *Entry) Evaluate(t *pdk.Tech, sz Sizing, bias Bias, ex *extract.Extracted,
-	routes map[string]extract.Route) (*Eval, error) {
-	return e.EvaluateCtx(context.Background(), t, sz, bias, ex, routes)
-}
-
-// EvaluateCtx is Evaluate bound to a context: the underlying SPICE
-// runs poll ctx for cancellation and honor its fault injector.
+// EvaluateCtx runs the entry's metric testbenches. ex == nil gives
+// the schematic reference (no parasitics, no LDEs). routes, when
+// present, adds external global-route RC beyond the named ports
+// (keyed by the cellgen wire name) — the primitive port optimization
+// view. The SPICE runs poll ctx for cancellation, honor its fault
+// injector, and report to its trace.
 func (e *Entry) EvaluateCtx(ctx context.Context, t *pdk.Tech, sz Sizing, bias Bias,
 	ex *extract.Extracted, routes map[string]extract.Route) (*Eval, error) {
 	ev, err := e.evaluate(ctx, t, sz, bias, ex, routes)
-	if tr := obs.Default(); tr.Enabled() {
+	if tr := obs.From(ctx); tr.Enabled() {
 		if ex == nil {
 			tr.Counter("primlib.schematic_evals").Inc()
 		} else {

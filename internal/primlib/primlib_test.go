@@ -1,6 +1,7 @@
 package primlib
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -25,7 +26,7 @@ func extractCfg(t *testing.T, e *Entry, sz Sizing, cfg cellgen.Config) *extract.
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := extract.Primitive(tech, lay)
+	ex, err := extract.Primitive(context.Background(), tech, lay)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func TestRegistryCatalog(t *testing.T) {
 		t.Errorf("library has %d entries, expected a full catalog (>= 15)", len(kinds))
 	}
 	for _, k := range kinds {
-		e, err := Lookup(k)
+		e, err := Lookup(context.Background(), k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,13 +55,13 @@ func TestRegistryCatalog(t *testing.T) {
 			}
 		}
 	}
-	if _, err := Lookup("nosuch"); err == nil {
+	if _, err := Lookup(context.Background(), "nosuch"); err == nil {
 		t.Error("unknown kind accepted")
 	}
 }
 
 func TestDiffPairSchematicEval(t *testing.T) {
-	ev, err := DiffPair.Evaluate(tech, dpSizing(), dpBias(), nil, nil)
+	ev, err := DiffPair.EvaluateCtx(context.Background(), tech, dpSizing(), dpBias(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,12 +87,12 @@ func TestDiffPairSchematicEval(t *testing.T) {
 
 func TestDiffPairLayoutDegradesGm(t *testing.T) {
 	sz := dpSizing()
-	sch, err := DiffPair.Evaluate(tech, sz, dpBias(), nil, nil)
+	sch, err := DiffPair.EvaluateCtx(context.Background(), tech, sz, dpBias(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ex := extractCfg(t, DiffPair, sz, cellgen.Config{NFin: 8, NF: 20, M: 6, Dummies: 2, Pattern: cellgen.PatABAB})
-	lay, err := DiffPair.Evaluate(tech, sz, dpBias(), ex, nil)
+	lay, err := DiffPair.EvaluateCtx(context.Background(), tech, sz, dpBias(), ex, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +115,11 @@ func TestDiffPairOffsetByPattern(t *testing.T) {
 	sz := dpSizing()
 	cc := extractCfg(t, DiffPair, sz, cellgen.Config{NFin: 12, NF: 20, M: 4, Dummies: 2, Pattern: cellgen.PatABBA})
 	gg := extractCfg(t, DiffPair, sz, cellgen.Config{NFin: 12, NF: 20, M: 4, Dummies: 2, Pattern: cellgen.PatAABB})
-	evCC, err := DiffPair.Evaluate(tech, sz, dpBias(), cc, nil)
+	evCC, err := DiffPair.EvaluateCtx(context.Background(), tech, sz, dpBias(), cc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	evGG, err := DiffPair.Evaluate(tech, sz, dpBias(), gg, nil)
+	evGG, err := DiffPair.EvaluateCtx(context.Background(), tech, sz, dpBias(), gg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestDiffPairOffsetByPattern(t *testing.T) {
 
 func TestDiffPairCostMetricsAndCost(t *testing.T) {
 	sz := dpSizing()
-	sch, err := DiffPair.Evaluate(tech, sz, dpBias(), nil, nil)
+	sch, err := DiffPair.EvaluateCtx(context.Background(), tech, sz, dpBias(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,11 +164,11 @@ func TestDiffPairCostMetricsAndCost(t *testing.T) {
 	// offset term blows up).
 	ab := extractCfg(t, DiffPair, sz, cellgen.Config{NFin: 12, NF: 20, M: 4, Dummies: 2, Pattern: cellgen.PatABAB})
 	gg := extractCfg(t, DiffPair, sz, cellgen.Config{NFin: 12, NF: 20, M: 4, Dummies: 2, Pattern: cellgen.PatAABB})
-	evAB, err := DiffPair.Evaluate(tech, sz, dpBias(), ab, nil)
+	evAB, err := DiffPair.EvaluateCtx(context.Background(), tech, sz, dpBias(), ab, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	evGG, err := DiffPair.Evaluate(tech, sz, dpBias(), gg, nil)
+	evGG, err := DiffPair.EvaluateCtx(context.Background(), tech, sz, dpBias(), gg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func TestDiffPairTuningImprovesGm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex1, err := extract.Primitive(tech, lay)
+	ex1, err := extract.Primitive(context.Background(), tech, lay)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,18 +206,18 @@ func TestDiffPairTuningImprovesGm(t *testing.T) {
 	for _, w := range []string{"s", "s_a", "s_b"} {
 		lay.Wires[w].NWires = 4
 	}
-	ex4, err := extract.Primitive(tech, lay)
+	ex4, err := extract.Primitive(context.Background(), tech, lay)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []string{"s", "s_a", "s_b"} {
 		lay.Wires[w].NWires = 1
 	}
-	ev1, err := DiffPair.Evaluate(tech, sz, dpBias(), ex1, nil)
+	ev1, err := DiffPair.EvaluateCtx(context.Background(), tech, sz, dpBias(), ex1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev4, err := DiffPair.Evaluate(tech, sz, dpBias(), ex4, nil)
+	ev4, err := DiffPair.EvaluateCtx(context.Background(), tech, sz, dpBias(), ex4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func TestDiffPairTuningImprovesGm(t *testing.T) {
 func TestCurrentMirrorEval(t *testing.T) {
 	sz := Sizing{TotalFins: 240, L: 14, NominalI: 50e-6}
 	bias := Bias{Vdd: 0.8, VD: 0.4, ITail: 50e-6, CLoad: 2e-15}
-	sch, err := CurrentMirror.Evaluate(tech, sz, bias, nil, nil)
+	sch, err := CurrentMirror.EvaluateCtx(context.Background(), tech, sz, bias, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestCurrentMirrorEval(t *testing.T) {
 	// Layout: ratio drifts from the schematic value.
 	ex := extractCfg(t, CurrentMirror, sz,
 		cellgen.Config{NFin: 12, NF: 10, M: 2, Dummies: 2, Pattern: cellgen.PatABAB})
-	lay, err := CurrentMirror.Evaluate(tech, sz, bias, ex, nil)
+	lay, err := CurrentMirror.EvaluateCtx(context.Background(), tech, sz, bias, ex, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +259,7 @@ func TestCurrentMirrorEval(t *testing.T) {
 func TestPMOSMirrorEval(t *testing.T) {
 	sz := Sizing{TotalFins: 240, L: 14, NominalI: 50e-6}
 	bias := Bias{Vdd: 0.8, VD: 0.4, ITail: 50e-6}
-	sch, err := CurrentMirrorP.Evaluate(tech, sz, bias, nil, nil)
+	sch, err := CurrentMirrorP.EvaluateCtx(context.Background(), tech, sz, bias, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +273,7 @@ func TestMirrorRatioScales(t *testing.T) {
 	// metric stays near 1.
 	sz := Sizing{TotalFins: 120, L: 14, NominalI: 25e-6, RatioB: 2}
 	bias := Bias{Vdd: 0.8, VD: 0.4}
-	sch, err := CurrentMirror.Evaluate(tech, sz, bias, nil, nil)
+	sch, err := CurrentMirror.EvaluateCtx(context.Background(), tech, sz, bias, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +288,7 @@ func TestMirrorRatioScales(t *testing.T) {
 func TestCurrentSourceEval(t *testing.T) {
 	sz := Sizing{TotalFins: 64, L: 14}
 	bias := Bias{Vdd: 0.8, VCM: 0.45, VD: 0.4}
-	sch, err := CurrentSource.Evaluate(tech, sz, bias, nil, nil)
+	sch, err := CurrentSource.EvaluateCtx(context.Background(), tech, sz, bias, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +304,7 @@ func TestCurrentSourceEval(t *testing.T) {
 	// Layout version has slightly less current (source R, LDE).
 	ex := extractCfg(t, CurrentSource, sz,
 		cellgen.Config{NFin: 8, NF: 8, M: 1, Dummies: 2, Pattern: cellgen.PatA})
-	lay, err := CurrentSource.Evaluate(tech, sz, bias, ex, nil)
+	lay, err := CurrentSource.EvaluateCtx(context.Background(), tech, sz, bias, ex, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +316,7 @@ func TestCurrentSourceEval(t *testing.T) {
 func TestCSAmpEval(t *testing.T) {
 	sz := Sizing{TotalFins: 64, L: 14}
 	bias := Bias{Vdd: 0.8, VCM: 0.45, VD: 0.4, CLoad: 5e-15}
-	sch, err := CSAmp.Evaluate(tech, sz, bias, nil, nil)
+	sch, err := CSAmp.EvaluateCtx(context.Background(), tech, sz, bias, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +325,7 @@ func TestCSAmpEval(t *testing.T) {
 	}
 	ex := extractCfg(t, CSAmp, sz,
 		cellgen.Config{NFin: 8, NF: 8, M: 1, Dummies: 2, Pattern: cellgen.PatA})
-	lay, err := CSAmp.Evaluate(tech, sz, bias, ex, nil)
+	lay, err := CSAmp.EvaluateCtx(context.Background(), tech, sz, bias, ex, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +337,7 @@ func TestCSAmpEval(t *testing.T) {
 func TestCSInverterEval(t *testing.T) {
 	sz := Sizing{TotalFins: 16, L: 14}
 	bias := Bias{Vdd: 0.8, VCtrl: 0.5, CLoad: 2e-15}
-	sch, err := CSInverter.Evaluate(tech, sz, bias, nil, nil)
+	sch, err := CSInverter.EvaluateCtx(context.Background(), tech, sz, bias, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +353,7 @@ func TestCSInverterEval(t *testing.T) {
 	// Layout adds output wire C: delay grows.
 	ex := extractCfg(t, CSInverter, sz,
 		cellgen.Config{NFin: 4, NF: 2, M: 2, Dummies: 2, Pattern: cellgen.PatABAB})
-	lay, err := CSInverter.Evaluate(tech, sz, bias, ex, nil)
+	lay, err := CSInverter.EvaluateCtx(context.Background(), tech, sz, bias, ex, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +368,7 @@ func TestPortRoutesDegradeMetrics(t *testing.T) {
 	// route R against ro) and Ctotal grows (route C).
 	sz := dpSizing()
 	ex := extractCfg(t, DiffPair, sz, cellgen.Config{NFin: 8, NF: 20, M: 6, Dummies: 2, Pattern: cellgen.PatABAB})
-	noRoutes, err := DiffPair.Evaluate(tech, sz, dpBias(), ex, nil)
+	noRoutes, err := DiffPair.EvaluateCtx(context.Background(), tech, sz, dpBias(), ex, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +377,7 @@ func TestPortRoutesDegradeMetrics(t *testing.T) {
 		"d_a": {Layer: m3, Length: 2000, NWires: 1, PinLayer: 0},
 		"d_b": {Layer: m3, Length: 2000, NWires: 1, PinLayer: 0},
 	}
-	withRoutes, err := DiffPair.Evaluate(tech, sz, dpBias(), ex, routes)
+	withRoutes, err := DiffPair.EvaluateCtx(context.Background(), tech, sz, dpBias(), ex, routes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +389,7 @@ func TestPortRoutesDegradeMetrics(t *testing.T) {
 		"d_a": {Layer: m3, Length: 2000, NWires: 4, PinLayer: 0},
 		"d_b": {Layer: m3, Length: 2000, NWires: 4, PinLayer: 0},
 	}
-	wide, err := DiffPair.Evaluate(tech, sz, dpBias(), ex, routes4)
+	wide, err := DiffPair.EvaluateCtx(context.Background(), tech, sz, dpBias(), ex, routes4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +418,7 @@ func TestSpecConstruction(t *testing.T) {
 
 func TestEvaluateUnknownFamily(t *testing.T) {
 	bad := &Entry{Kind: "zzz", Family: "zzz"}
-	if _, err := bad.Evaluate(tech, Sizing{TotalFins: 8, L: 14}, Bias{}, nil, nil); err == nil {
+	if _, err := bad.EvaluateCtx(context.Background(), tech, Sizing{TotalFins: 8, L: 14}, Bias{}, nil, nil); err == nil {
 		t.Error("unknown family accepted")
 	}
 }
@@ -426,7 +427,7 @@ func TestCapacitorEval(t *testing.T) {
 	// A realistic few-fF MOM cap needs thousands of unit cells.
 	sz := Sizing{TotalFins: 2560, L: 14}
 	bias := Bias{Vdd: 0.8}
-	sch, err := Capacitor.Evaluate(tech, sz, bias, nil, nil)
+	sch, err := Capacitor.EvaluateCtx(context.Background(), tech, sz, bias, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +436,7 @@ func TestCapacitorEval(t *testing.T) {
 	}
 	ex := extractCfg(t, Capacitor, sz,
 		cellgen.Config{NFin: 16, NF: 20, M: 8, Dummies: 2, Pattern: cellgen.PatA})
-	lay, err := Capacitor.Evaluate(tech, sz, bias, ex, nil)
+	lay, err := Capacitor.EvaluateCtx(context.Background(), tech, sz, bias, ex, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,11 +454,11 @@ func TestCapacitorEval(t *testing.T) {
 	for _, w := range []string{"d", "s"} {
 		lay2.Wires[w].NWires = 4
 	}
-	ex4, err := extract.Primitive(tech, lay2)
+	ex4, err := extract.Primitive(context.Background(), tech, lay2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := Capacitor.Evaluate(tech, sz, bias, ex4, nil)
+	wide, err := Capacitor.EvaluateCtx(context.Background(), tech, sz, bias, ex4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,12 +479,12 @@ func TestCapacitorEval(t *testing.T) {
 func TestCapacitorThroughAlgorithm1(t *testing.T) {
 	// The cap primitive runs through the full Algorithm 1 machinery.
 	sz := Sizing{TotalFins: 2560, L: 14}
-	sch, err := Capacitor.Evaluate(tech, sz, Bias{}, nil, nil)
+	sch, err := Capacitor.EvaluateCtx(context.Background(), tech, sz, Bias{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = sch
-	lays, err := Capacitor.FindLayouts(tech, sz, &cellgen.Constraints{MinNFin: 8, MaxNFin: 32})
+	lays, err := Capacitor.FindLayouts(context.Background(), tech, sz, &cellgen.Constraints{MinNFin: 8, MaxNFin: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,7 +496,7 @@ func TestCapacitorThroughAlgorithm1(t *testing.T) {
 func TestCascodeDiffPairEval(t *testing.T) {
 	sz := Sizing{TotalFins: 240, L: 14}
 	bias := Bias{Vdd: 0.8, VCM: 0.42, VD: 0.55, ITail: 50e-6, VCasc: 0.6, CLoad: 5e-15}
-	sch, err := DiffPairCascode.Evaluate(tech, sz, bias, nil, nil)
+	sch, err := DiffPairCascode.EvaluateCtx(context.Background(), tech, sz, bias, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,7 +509,7 @@ func TestCascodeDiffPairEval(t *testing.T) {
 	// Layout evaluation through extraction.
 	ex := extractCfg(t, DiffPairCascode, sz,
 		cellgen.Config{NFin: 12, NF: 10, M: 2, Dummies: 2, Pattern: cellgen.PatABBA})
-	lay, err := DiffPairCascode.Evaluate(tech, sz, bias, ex, nil)
+	lay, err := DiffPairCascode.EvaluateCtx(context.Background(), tech, sz, bias, ex, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,7 +526,7 @@ func TestCascodeDiffPairEval(t *testing.T) {
 		"d_a": {Layer: m3, Length: 4000, NWires: 1, PinLayer: 0},
 		"d_b": {Layer: m3, Length: 4000, NWires: 1, PinLayer: 0},
 	}
-	cascRouted, err := DiffPairCascode.Evaluate(tech, sz, bias, ex, longRoute)
+	cascRouted, err := DiffPairCascode.EvaluateCtx(context.Background(), tech, sz, bias, ex, longRoute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,11 +535,11 @@ func TestCascodeDiffPairEval(t *testing.T) {
 	plainBias := Bias{Vdd: 0.8, VCM: 0.45, VD: 0.4, ITail: 50e-6, CLoad: 5e-15}
 	exPlain := extractCfg(t, DiffPair, sz,
 		cellgen.Config{NFin: 12, NF: 10, M: 2, Dummies: 2, Pattern: cellgen.PatABBA})
-	plain, err := DiffPair.Evaluate(tech, sz, plainBias, exPlain, nil)
+	plain, err := DiffPair.EvaluateCtx(context.Background(), tech, sz, plainBias, exPlain, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plainRouted, err := DiffPair.Evaluate(tech, sz, plainBias, exPlain, longRoute)
+	plainRouted, err := DiffPair.EvaluateCtx(context.Background(), tech, sz, plainBias, exPlain, longRoute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -553,7 +554,7 @@ func TestCascodeDiffPairEval(t *testing.T) {
 
 func TestPolyResistorEval(t *testing.T) {
 	sz := Sizing{TotalFins: 50, L: 14} // 50 squares -> 10 kOhm nominal
-	sch, err := PolyResistor.Evaluate(tech, sz, Bias{}, nil, nil)
+	sch, err := PolyResistor.EvaluateCtx(context.Background(), tech, sz, Bias{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -562,7 +563,7 @@ func TestPolyResistorEval(t *testing.T) {
 	}
 	ex := extractCfg(t, PolyResistor, sz,
 		cellgen.Config{NFin: 10, NF: 5, M: 1, Dummies: 2, Pattern: cellgen.PatA})
-	lay, err := PolyResistor.Evaluate(tech, sz, Bias{}, ex, nil)
+	lay, err := PolyResistor.EvaluateCtx(context.Background(), tech, sz, Bias{}, ex, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -592,11 +593,11 @@ func TestPolyResistorEval(t *testing.T) {
 	for _, w := range []string{"d", "s"} {
 		ex.Layout.Wires[w].NWires = 4
 	}
-	ex4, err := extract.Primitive(tech, ex.Layout)
+	ex4, err := extract.Primitive(context.Background(), tech, ex.Layout)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := PolyResistor.Evaluate(tech, sz, Bias{}, ex4, nil)
+	wide, err := PolyResistor.EvaluateCtx(context.Background(), tech, sz, Bias{}, ex4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -621,7 +622,7 @@ func TestTestbenchDeckTextIsValidSpice(t *testing.T) {
 	b.f("vgb %s 0 DC 0.45", b.outer("g_b"))
 	b.f("ita %s 0 DC 1e-4", b.outer("s"))
 	b.f(".op")
-	if _, _, err := spice.RunSource(tech, b.String()); err != nil {
+	if _, _, err := spice.RunSourceCtx(context.Background(), tech, b.String()); err != nil {
 		t.Fatalf("generated deck rejected: %v\n%s", err, b.String())
 	}
 	// Wire sections are emitted exactly once per terminal.
@@ -638,7 +639,7 @@ func TestEvaluateRoutesDoNotMutateExtraction(t *testing.T) {
 	routes := map[string]extract.Route{
 		"d_a": {Layer: 2, Length: 2000, NWires: 3, PinLayer: 0},
 	}
-	if _, err := DiffPair.Evaluate(tech, sz, dpBias(), ex, routes); err != nil {
+	if _, err := DiffPair.EvaluateCtx(context.Background(), tech, sz, dpBias(), ex, routes); err != nil {
 		t.Fatal(err)
 	}
 	if ex.Term["d_a"] != before {

@@ -125,8 +125,8 @@ type Params struct {
 	// each round. Default 0 — disabled — so results stay byte-identical
 	// to the ladder-free router unless a caller opts in.
 	MaxRipup int
-	// Obs, when set, parents the per-net route.net spans; metrics
-	// fall back to obs.Default() when nil.
+	// Obs, when set, parents the per-net route.net spans. Metrics go
+	// to the trace on the context.
 	Obs *obs.Span
 }
 
@@ -188,28 +188,20 @@ type router struct {
 	inj     *fault.Injector
 }
 
-// Route routes all nets within the region (placement bounding box
-// plus margin).
-func Route(t *pdk.Tech, region geom.Rect, nets []NetReq, p Params) (*Result, error) {
-	return RouteCtx(context.Background(), t, region, nets, p)
-}
-
-// RouteCtx is Route bound to a context: the A* search polls ctx at
-// bounded intervals, and ctx's fault injector arms the route.net
-// site. A net that fails to route no longer aborts the run — it is
-// recorded with Status NetFailed (and, when Params.MaxRipup > 0,
-// retried under the rip-up ladder first) so callers decide whether a
-// partial routing is tolerable. Only cancellation and structural
-// errors return a non-nil error.
+// RouteCtx routes all nets within the region (placement bounding box
+// plus margin). The A* search polls ctx at bounded intervals, and
+// ctx's fault injector arms the route.net site. A net that fails to
+// route no longer aborts the run — it is recorded with Status
+// NetFailed (and, when Params.MaxRipup > 0, retried under the rip-up
+// ladder first) so callers decide whether a partial routing is
+// tolerable. Only cancellation and structural errors return a non-nil
+// error.
 func RouteCtx(ctx context.Context, t *pdk.Tech, region geom.Rect, nets []NetReq, p Params) (*Result, error) {
 	p = p.withDefaults(t)
 	if region.Empty() {
 		return nil, fmt.Errorf("route: empty region")
 	}
-	tr := p.Obs.Trace()
-	if tr == nil {
-		tr = obs.Default()
-	}
+	tr := obs.From(ctx)
 	r := &router{
 		tech:     t,
 		p:        p,
@@ -331,7 +323,7 @@ func (r *router) routeOne(region geom.Rect, net NetReq, p Params, res *Result) e
 // routeNetOnce arms the route.net fault site in front of one routing
 // attempt.
 func (r *router) routeNetOnce(region geom.Rect, net NetReq) (*NetRoute, error) {
-	if err := r.inj.Hit(fault.SiteRouteNet); err != nil {
+	if err := r.inj.Hit(r.ctx, fault.SiteRouteNet); err != nil {
 		return nil, fmt.Errorf("route: net %s: %w", net.Name, err)
 	}
 	return r.routeNet(region, net)

@@ -1,6 +1,7 @@
 package route
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -20,7 +21,7 @@ func TestRouteTwoPinNet(t *testing.T) {
 			{Block: "b", At: geom.Point{X: 8500, Y: 500}},
 		},
 	}}
-	res, err := Route(tech, region(), nets, Params{})
+	res, err := RouteCtx(context.Background(), tech, region(), nets, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestRouteUsesPreferredDirections(t *testing.T) {
 			{At: geom.Point{X: 9500, Y: 5000}},
 		},
 	}}
-	res, err := Route(tech, region(), nets, Params{})
+	res, err := RouteCtx(context.Background(), tech, region(), nets, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestRouteLShapeCountsVias(t *testing.T) {
 			{At: geom.Point{X: 8000, Y: 8000}},
 		},
 	}}
-	res, err := Route(tech, region(), nets, Params{})
+	res, err := RouteCtx(context.Background(), tech, region(), nets, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestRouteMultiPinSteiner(t *testing.T) {
 			{At: geom.Point{X: 5000, Y: 9500}},
 		},
 	}}
-	res, err := Route(tech, region(), nets, Params{})
+	res, err := RouteCtx(context.Background(), tech, region(), nets, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestRouteCongestionSpreadsNets(t *testing.T) {
 			},
 		})
 	}
-	res, err := Route(tech, region(), nets, Params{})
+	res, err := RouteCtx(context.Background(), tech, region(), nets, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestRouteCongestionSpreadsNets(t *testing.T) {
 
 func TestRouteSinglePinNet(t *testing.T) {
 	nets := []NetReq{{Name: "solo", Pins: []Pin{{At: geom.Point{X: 100, Y: 100}}}}}
-	res, err := Route(tech, region(), nets, Params{})
+	res, err := RouteCtx(context.Background(), tech, region(), nets, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestRouteSinglePinNet(t *testing.T) {
 }
 
 func TestRouteEmptyRegion(t *testing.T) {
-	if _, err := Route(tech, geom.Rect{}, nil, Params{}); err == nil {
+	if _, err := RouteCtx(context.Background(), tech, geom.Rect{}, nil, Params{}); err == nil {
 		t.Error("empty region accepted")
 	}
 }
@@ -167,11 +168,11 @@ func TestRouteDeterministic(t *testing.T) {
 		{Name: "x", Pins: []Pin{{At: geom.Point{X: 500, Y: 500}}, {At: geom.Point{X: 9000, Y: 9000}}}},
 		{Name: "y", Pins: []Pin{{At: geom.Point{X: 9000, Y: 500}}, {At: geom.Point{X: 500, Y: 9000}}}},
 	}
-	r1, err := Route(tech, region(), nets, Params{})
+	r1, err := RouteCtx(context.Background(), tech, region(), nets, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Route(tech, region(), nets, Params{})
+	r2, err := RouteCtx(context.Background(), tech, region(), nets, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestRoutePinsOutsideRegionClamped(t *testing.T) {
 			{At: geom.Point{X: 99999, Y: 99999}},
 		},
 	}}
-	if _, err := Route(tech, region(), nets, Params{}); err != nil {
+	if _, err := RouteCtx(context.Background(), tech, region(), nets, Params{}); err != nil {
 		t.Fatalf("clamped routing failed: %v", err)
 	}
 }
@@ -208,7 +209,7 @@ func TestRouteLowerBoundProperty(t *testing.T) {
 			return true // same/adjacent gcell: trivial
 		}
 		nets := []NetReq{{Name: "n", Pins: []Pin{{At: a}, {At: b}}}}
-		res, err := Route(tech, region(), nets, Params{})
+		res, err := RouteCtx(context.Background(), tech, region(), nets, Params{})
 		if err != nil {
 			return false
 		}
@@ -252,12 +253,12 @@ func TestRouteDeterministicCongested(t *testing.T) {
 		})
 		return nets
 	}
-	ref, err := Route(tech, region(), mk(), Params{})
+	ref, err := RouteCtx(context.Background(), tech, region(), mk(), Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for run := 0; run < 5; run++ {
-		res, err := Route(tech, region(), mk(), Params{})
+		res, err := RouteCtx(context.Background(), tech, region(), mk(), Params{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,7 +303,7 @@ func TestRouteSameGcellPins(t *testing.T) {
 			{Block: "b", At: geom.Point{X: 180, Y: 150}},
 		},
 	}}
-	res, err := Route(tech, region(), nets, Params{})
+	res, err := RouteCtx(context.Background(), tech, region(), nets, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

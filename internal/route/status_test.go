@@ -84,7 +84,7 @@ func TestRouteOverflowStatus(t *testing.T) {
 			{At: geom.Point{X: 8500, Y: 8500}},
 		}})
 	}
-	res, err := Route(tech, region(), nets, Params{EdgeCapacity: 1})
+	res, err := RouteCtx(context.Background(), tech, region(), nets, Params{EdgeCapacity: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestRouteOverflowStatus(t *testing.T) {
 // TestRouteDefaultNoRipup: the ladder must stay off by default so
 // default results remain identical to the ladder-free router.
 func TestRouteDefaultNoRipup(t *testing.T) {
-	res, err := Route(tech, region(), twoNets(), Params{})
+	res, err := RouteCtx(context.Background(), tech, region(), twoNets(), Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,18 +12,6 @@ import (
 	"primopt/internal/obs"
 )
 
-// withDefaultTrace swaps the process-wide sink for the test's, so the
-// SPICE layers' counters (spice.decks and friends) are attributable
-// to this test alone.
-func withDefaultTrace(t *testing.T) *obs.Trace {
-	t.Helper()
-	old := obs.Default()
-	tr := obs.New()
-	obs.SetDefault(tr)
-	t.Cleanup(func() { obs.SetDefault(old) })
-	return tr
-}
-
 // newRealServer builds a Server running the real flow.
 func newRealServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
@@ -53,7 +41,6 @@ func TestCoalescingIdenticalConcurrentRequests(t *testing.T) {
 	const n = 4
 	req := `{"circuit":"csamp","mode":"optimized","seed":1}`
 
-	withDefaultTrace(t)
 	base := newRealServer(t, Config{Workers: 1, Trace: obs.New()})
 	baseSrv := httptest.NewServer(base.Handler())
 	defer baseSrv.Close()
@@ -111,7 +98,6 @@ func TestCoalescingWaiterCancelMidFlight(t *testing.T) {
 		t.Skip("real-flow test")
 	}
 	req := `{"circuit":"csamp","mode":"optimized","seed":1}`
-	withDefaultTrace(t)
 	s := newRealServer(t, Config{Workers: 2, QueueDepth: 4, Trace: obs.New()})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()

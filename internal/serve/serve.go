@@ -71,9 +71,10 @@ type Config struct {
 	FaultSeed int64
 	// RetrySeed seeds the jittered Retry-After hint stream (default 1).
 	RetrySeed int64
-	// Trace is the daemon-lifetime observability sink: serve.* and
-	// folded per-request counters land here and the telemetry surface
-	// reads from it. Nil falls back to obs.Default().
+	// Trace is the daemon-lifetime observability sink: serve.*
+	// admission counters land here, every finished request's own
+	// trace folds its counters in, and the telemetry surface reads
+	// from it. Nil leaves the daemon untraced.
 	Trace *obs.Trace
 }
 
@@ -161,11 +162,8 @@ func New(tech *pdk.Tech, cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:   cfg,
 		tech:  tech,
+		tr:    cfg.Trace,
 		cache: evcache.New(),
-	}
-	s.tr = cfg.Trace
-	if s.tr == nil {
-		s.tr = obs.Default()
 	}
 	if cfg.FaultSpec != "" {
 		inj, err := fault.New(cfg.FaultSeed, cfg.FaultSpec)
@@ -330,10 +328,13 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 func (s *Server) CacheStats() evcache.Stats { return s.cache.Stats() }
 
 // foldRequestMetrics accumulates a finished request's counters onto
-// the daemon trace, so /metrics aggregates flow.retries,
-// flow.degraded, fault.injected, and friends across the daemon's
-// lifetime. Spans are deliberately NOT folded — a long-lived daemon
-// accumulating every request's span forest would never stop growing.
+// the daemon trace, so /metrics aggregates every layer's counters
+// (spice.*, evcache.*, flow.retries, fault.injected, and friends)
+// across the daemon's lifetime. Each request's run reports to its own
+// trace, so the fold counts every piece of work exactly once. Spans
+// are deliberately NOT folded — a long-lived daemon accumulating every
+// request's span forest would never stop growing, and neither is the
+// request trace's set of seen deck hashes, which dies with it.
 func (s *Server) foldRequestMetrics(reqTr *obs.Trace) {
 	_, metrics := reqTr.Snapshot()
 	for _, m := range metrics {

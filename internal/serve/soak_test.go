@@ -57,7 +57,6 @@ func TestChaosSoak(t *testing.T) {
 		t.Skip("soak test")
 	}
 	dir := t.TempDir()
-	withDefaultTrace(t)
 	s := newRealServer(t, Config{
 		Workers:    3,
 		QueueDepth: 4,
@@ -211,9 +210,6 @@ func TestChaosSoak(t *testing.T) {
 	// must answer the identical request from the tier alone — zero
 	// SPICE decks solved, disk hits recorded, same response body.
 	warmTr := obs.New()
-	old := obs.Default()
-	obs.SetDefault(warmTr)
-	defer obs.SetDefault(old)
 	warm := newRealServer(t, Config{Workers: 1, CacheDir: dir, Trace: warmTr})
 	warmSrv := httptest.NewServer(warm.Handler())
 	defer warmSrv.Close()

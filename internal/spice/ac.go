@@ -8,7 +8,6 @@ import (
 
 	"primopt/internal/device"
 	"primopt/internal/numeric"
-	"primopt/internal/obs"
 )
 
 // ACResult is a small-signal frequency sweep.
@@ -63,7 +62,7 @@ func (e *Engine) AC(fstart, fstop float64, pointsPerDecade int, op *OPResult) (*
 	}
 	freqs := numeric.Logspace(fstart, fstop, npts)
 
-	tr := obs.Default()
+	tr := e.tr
 	var t0 time.Time
 	if tr.Enabled() {
 		t0 = time.Now() //lint:allow rngpurity trace-gated read feeding the spice.ac.solve_ns histogram only; tracing is passive (obs doc)

@@ -1,6 +1,7 @@
 package spice
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -28,7 +29,7 @@ Rg gout 0 1k
 .measure tran epp pp v(eout)
 .measure tran gavg avg v(gout)
 `
-	res, _, err := RunSource(tech, src)
+	res, _, err := RunSourceCtx(context.Background(), tech, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestMeasureErrorPaths(t *testing.T) {
 		".measure ac x find i(r1) at=1e6",      // no branch current
 	}
 	for _, m := range bad {
-		if _, _, err := RunSource(tech, base+m+"\n"); err == nil {
+		if _, _, err := RunSourceCtx(context.Background(), tech, base+m+"\n"); err == nil {
 			t.Errorf("accepted: %s", m)
 		}
 	}
@@ -152,7 +153,7 @@ L1 b 0 1u
 .ac dec 5 1e6 1e8
 .measure ac il find i(l1) at=1e6
 `
-	res, _, err := RunSource(tech, src)
+	res, _, err := RunSourceCtx(context.Background(), tech, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ C1 b 0 100f
 .tran 20p 1n
 .measure tran vend max v(a) from=0.9n to=1n
 `
-	res, _, err := RunSource(tech, src)
+	res, _, err := RunSourceCtx(context.Background(), tech, src)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 
 	"primopt/internal/fault"
 	"primopt/internal/numeric"
-	"primopt/internal/obs"
 )
 
 // Newton iteration limits and tolerances.
@@ -118,12 +117,12 @@ func (r *OPResult) Current(name string) (float64, error) {
 // stepping, then source stepping. Capacitors are open, inductors are
 // shorts (via their branch equations with zero voltage drop).
 func (e *Engine) OP() (*OPResult, error) {
-	tr := obs.Default()
+	tr := e.tr
 	if !tr.Enabled() {
-		return e.op(tr)
+		return e.op()
 	}
 	t0 := time.Now() //lint:allow rngpurity trace-gated read feeding the spice.op.solve_ns histogram only; tracing is passive (obs doc)
-	r, err := e.op(tr)
+	r, err := e.op()
 	//lint:allow rngpurity trace-gated read feeding the spice.op.solve_ns histogram only; tracing is passive (obs doc)
 	tr.Histogram("spice.op.solve_ns").Observe(float64(time.Since(t0).Nanoseconds()))
 	tr.Counter("spice.op.runs").Inc()
@@ -133,8 +132,8 @@ func (e *Engine) OP() (*OPResult, error) {
 	return r, err
 }
 
-func (e *Engine) op(tr *obs.Trace) (*OPResult, error) {
-	if err := e.inj.Hit(fault.SiteSpiceOP); err != nil {
+func (e *Engine) op() (*OPResult, error) {
+	if err := e.inj.Hit(e.ctx, fault.SiteSpiceOP); err != nil {
 		return nil, fmt.Errorf("spice: OP for %s: %w", e.NL.Name, err)
 	}
 	x := make([]float64, e.n)
@@ -147,7 +146,7 @@ func (e *Engine) op(tr *obs.Trace) (*OPResult, error) {
 	if err := e.canceled(); err != nil {
 		return nil, err
 	}
-	tr.Counter("spice.op.fallbacks").Inc()
+	e.tr.Counter("spice.op.fallbacks").Inc()
 	// gmin stepping: converge with a large shunt conductance, then
 	// relax it geometrically, warm-starting each stage.
 	for i := range x {
@@ -188,11 +187,11 @@ func (e *Engine) newtonDC(x []float64, gmin, srcScale float64) error {
 	n := e.n
 	sc := e.scratch()
 	J, rhs, xNew := sc.J, sc.rhs, sc.xNew
-	tr := obs.Default()
+	tr := e.tr
 	// An armed spice.dc site forces this solve down its genuine
 	// nonconvergence path: same counter, same error text, so tests
 	// of the escape hatches exercise the real recovery code.
-	if err := e.inj.Hit(fault.SiteSpiceDC); err != nil {
+	if err := e.inj.Hit(e.ctx, fault.SiteSpiceDC); err != nil {
 		tr.Counter("spice.dc.nonconverged").Inc()
 		return fmt.Errorf("no convergence in %d iterations: %w", maxNewtonIters, err)
 	}

@@ -1,6 +1,7 @@
 package spice
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -13,7 +14,7 @@ var tech = pdk.Default()
 
 func mustEngine(t *testing.T, nl *circuit.Netlist) *Engine {
 	t.Helper()
-	e, err := New(tech, nl)
+	e, err := New(context.Background(), tech, nl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,10 +219,10 @@ func TestEngineRejectsBadDevices(t *testing.T) {
 	d := &circuit.Device{Name: "r1", Type: circuit.Resistor, Nets: []string{"a", "0"}}
 	d.SetParam("r", -5)
 	nl.MustAdd(d)
-	if _, err := New(tech, nl); err == nil {
+	if _, err := New(context.Background(), tech, nl); err == nil {
 		t.Error("negative resistor accepted")
 	}
-	if _, err := New(tech, circuit.New("empty")); err == nil {
+	if _, err := New(context.Background(), tech, circuit.New("empty")); err == nil {
 		t.Error("empty circuit accepted")
 	}
 }
@@ -235,7 +236,7 @@ func TestFloatingNodeHandled(t *testing.T) {
 		MOS("m1", circuit.NMOS, "d", "g", "0", "0", 2, 1, 1, 14).
 		R("rd", "vdd", "d", 10e3).
 		Netlist()
-	_, err := New(tech, nl)
+	_, err := New(context.Background(), tech, nl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,13 +276,20 @@ func TestNodeAndBranchIndex(t *testing.T) {
 // factor, and solve for nothing. A resistor divider is exact after one
 // Newton step, so the iteration counter must read exactly 1.
 func TestNewtonConvergesOnFirstIteration(t *testing.T) {
-	tr := withTrace(t)
+	ctx, tr := traceCtx()
 	nl := circuit.NewBuilder("div").
 		V("v1", "in", "0", 1.0).
 		R("r1", "in", "mid", 1e3).
 		R("r2", "mid", "0", 1e3).
 		Netlist()
-	_, op := mustOP(t, nl)
+	e, err := New(ctx, tech, nl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op, err := e.OP()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if v := op.Volt("mid"); math.Abs(v-0.5) > 1e-9 {
 		t.Errorf("divider mid = %g, want 0.5", v)
 	}

@@ -1,6 +1,7 @@
 package spice
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -135,7 +136,7 @@ Mp d g vdd vdd pmos nfin=4 nf=2 m=1
 Mn d g 0 0 nmos nfin=4 nf=2 m=1
 .dc vin 0 0.8 0.05
 `
-	res, _, err := RunSource(tech, src)
+	res, _, err := RunSourceCtx(context.Background(), tech, src)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package spice
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -29,7 +30,7 @@ Cl out 0 5f
 .measure ac g1 find vdb(mid) at=1e6
 .end
 `
-	res, deck, err := RunSource(tech, src)
+	res, deck, err := RunSourceCtx(context.Background(), tech, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ Cb b 0 2f
 .measure tran bhigh min v(b) from=1.9n to=2n
 `
 	// "find0" is junk in the middle measure: it must be rejected.
-	if _, _, err := RunSource(tech, src); err == nil {
+	if _, _, err := RunSourceCtx(context.Background(), tech, src); err == nil {
 		t.Fatal("malformed measure accepted")
 	}
 	// Remove the bad line and run for real.
@@ -85,7 +86,7 @@ Cb b 0 2f
 			good += ln + "\n"
 		}
 	}
-	res, _, err := RunSource(tech, good)
+	res, _, err := RunSourceCtx(context.Background(), tech, good)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ X3 n3 n1 vdd inv
 .tran 2p 3n uic
 .measure tran vpp pp v(n1) from=1n to=3n
 `
-	res, _, err := RunSource(tech, src)
+	res, _, err := RunSourceCtx(context.Background(), tech, src)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,6 +19,7 @@ import (
 	"primopt/internal/circuit"
 	"primopt/internal/device"
 	"primopt/internal/fault"
+	"primopt/internal/obs"
 	"primopt/internal/pdk"
 )
 
@@ -28,13 +29,14 @@ type Engine struct {
 	Tech *pdk.Tech
 	NL   *circuit.Netlist
 
-	// ctx, when set via WithContext, is polled by the Newton and
-	// transient inner loops so a deadline or cancellation aborts a
-	// stuck solve promptly. inj is the fault injector resolved once
-	// at construction (and re-resolved by WithContext) so the hot
-	// loops pay one nil check per hit, not a context lookup.
+	// ctx is polled by the Newton and transient inner loops so a
+	// deadline or cancellation aborts a stuck solve promptly. inj and
+	// tr are the run's fault injector and trace, resolved from ctx
+	// once at construction so the hot loops pay one nil check per
+	// hit or count, not a context lookup.
 	ctx context.Context
 	inj *fault.Injector
+	tr  *obs.Trace
 
 	nodeOf    map[string]int // net -> unknown index; ground absent
 	nodeNames []string       // index -> net
@@ -71,12 +73,17 @@ type Engine struct {
 	scr *solverScratch // lazily-built DC Newton scratch (see dc.go)
 }
 
-// New builds the MNA structure for nl under technology t.
-func New(t *pdk.Tech, nl *circuit.Netlist) (*Engine, error) {
+// New builds the MNA structure for nl under technology t, bound to
+// ctx: inner solver loops poll it for cancellation, and the engine
+// reports to the context's trace and honors its fault injector. The
+// engine is not concurrency-safe.
+func New(ctx context.Context, t *pdk.Tech, nl *circuit.Netlist) (*Engine, error) {
 	e := &Engine{
 		Tech:     t,
 		NL:       nl,
-		inj:      fault.Default(),
+		ctx:      ctx,
+		inj:      fault.From(ctx),
+		tr:       obs.From(ctx),
 		nodeOf:   make(map[string]int),
 		branchOf: make(map[string]int),
 	}
@@ -146,22 +153,9 @@ func New(t *pdk.Tech, nl *circuit.Netlist) (*Engine, error) {
 	return e, nil
 }
 
-// WithContext binds the engine to ctx: inner solver loops poll it for
-// cancellation, and the context's fault injector (if any) replaces the
-// process default. Call before the first analysis; the engine is not
-// otherwise concurrency-safe. Returns e for chaining.
-func (e *Engine) WithContext(ctx context.Context) *Engine {
-	e.ctx = ctx
-	e.inj = fault.From(ctx)
-	return e
-}
-
 // canceled returns the binding context's error once it is done, nil
-// otherwise (including for unbound engines).
+// otherwise.
 func (e *Engine) canceled() error {
-	if e.ctx == nil {
-		return nil
-	}
 	select {
 	case <-e.ctx.Done():
 		return e.ctx.Err()

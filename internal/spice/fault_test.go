@@ -11,25 +11,25 @@ import (
 	"primopt/internal/obs"
 )
 
-// withTrace installs a fresh default trace for the test and restores
-// the old one, so the engine's escape-hatch counters are observable.
-func withTrace(t *testing.T) *obs.Trace {
-	t.Helper()
-	old := obs.Default()
+// traceCtx returns a context carrying a fresh trace, so the engine's
+// escape-hatch counters are observable.
+func traceCtx() (context.Context, *obs.Trace) {
 	tr := obs.New()
-	obs.SetDefault(tr)
-	t.Cleanup(func() { obs.SetDefault(old) })
-	return tr
+	return obs.With(context.Background(), tr), tr
 }
 
-func faultEngine(t *testing.T, nl *circuit.Netlist, spec string) *Engine {
+// faultEngine builds an engine on ctx with a fault injector armed by
+// spec.
+func faultEngine(t *testing.T, ctx context.Context, nl *circuit.Netlist, spec string) *Engine {
 	t.Helper()
-	e := mustEngine(t, nl)
 	inj, err := fault.New(1, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.WithContext(fault.With(context.Background(), inj))
+	e, err := New(fault.With(ctx, inj), tech, nl)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return e
 }
 
@@ -46,8 +46,8 @@ func dividerNetlist() *circuit.Netlist {
 // asserts the sweep survives via the full-OP fallback: correct
 // values, and exactly one spice.dc.nonconverged on the counter.
 func TestDCSweepWarmStartFallback(t *testing.T) {
-	tr := withTrace(t)
-	e := faultEngine(t, dividerNetlist(), fault.SiteSpiceDC+":error@2")
+	ctx, tr := traceCtx()
+	e := faultEngine(t, ctx, dividerNetlist(), fault.SiteSpiceDC+":error@2")
 	sw, err := e.DCSweep("vin", 0, 1, 0.1)
 	if err != nil {
 		t.Fatalf("sweep did not survive the warm-start failure: %v", err)
@@ -70,8 +70,8 @@ func TestDCSweepWarmStartFallback(t *testing.T) {
 // solve; OP must recover through gmin stepping and count the
 // fallback.
 func TestOPGminFallback(t *testing.T) {
-	tr := withTrace(t)
-	e := faultEngine(t, dividerNetlist(), fault.SiteSpiceDC+":error@1")
+	ctx, tr := traceCtx()
+	e := faultEngine(t, ctx, dividerNetlist(), fault.SiteSpiceDC+":error@1")
 	op, err := e.OP()
 	if err != nil {
 		t.Fatalf("OP did not survive the injected nonconvergence: %v", err)
@@ -98,8 +98,8 @@ func rcNetlist() *circuit.Netlist {
 // TestTranStepHalvingRecovers injects one step nonconvergence; the
 // recursive halving ladder must absorb it and complete the analysis.
 func TestTranStepHalvingRecovers(t *testing.T) {
-	tr := withTrace(t)
-	e := faultEngine(t, rcNetlist(), fault.SiteSpiceTranStep+":error@1")
+	ctx, tr := traceCtx()
+	e := faultEngine(t, ctx, rcNetlist(), fault.SiteSpiceTranStep+":error@1")
 	res, err := e.Tran(1e-11, 1e-9, TranOpts{UIC: true})
 	if err != nil {
 		t.Fatalf("tran did not survive one failed step: %v", err)
@@ -116,8 +116,8 @@ func TestTranStepHalvingRecovers(t *testing.T) {
 // of depth and the analysis must stall with a structured error — no
 // panic, no hang.
 func TestTranStepHalvingExhausts(t *testing.T) {
-	tr := withTrace(t)
-	e := faultEngine(t, rcNetlist(), fault.SiteSpiceTranStep+":error@1+")
+	ctx, tr := traceCtx()
+	e := faultEngine(t, ctx, rcNetlist(), fault.SiteSpiceTranStep+":error@1+")
 	_, err := e.Tran(1e-11, 1e-9, TranOpts{UIC: true})
 	if err == nil {
 		t.Fatal("tran succeeded with every step nonconvergent")
@@ -135,8 +135,7 @@ func TestTranStepHalvingExhausts(t *testing.T) {
 
 // TestTranFaultSiteAborts arms the whole-analysis site.
 func TestTranFaultSiteAborts(t *testing.T) {
-	withTrace(t)
-	e := faultEngine(t, rcNetlist(), fault.SiteSpiceTran+":error@1")
+	e := faultEngine(t, context.Background(), rcNetlist(), fault.SiteSpiceTran+":error@1")
 	if _, err := e.Tran(1e-11, 1e-9, TranOpts{UIC: true}); !fault.IsInjected(err) {
 		t.Fatalf("err = %v, want injected", err)
 	}
@@ -145,11 +144,12 @@ func TestTranFaultSiteAborts(t *testing.T) {
 // TestEngineCancellation: a canceled context stops OP and Tran with
 // the context error rather than a convergence report.
 func TestEngineCancellation(t *testing.T) {
-	withTrace(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	e := mustEngine(t, rcNetlist())
-	e.WithContext(ctx)
+	e, err := New(ctx, tech, rcNetlist())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := e.OP(); !errors.Is(err, context.Canceled) {
 		t.Errorf("OP err = %v, want context.Canceled", err)
 	}

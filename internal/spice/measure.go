@@ -6,7 +6,6 @@ import (
 	"hash/fnv"
 	"math"
 	"strings"
-	"sync"
 
 	"primopt/internal/obs"
 	"primopt/internal/pdk"
@@ -484,61 +483,34 @@ func RunDeck(e *Engine, deck *Deck) (*Results, error) {
 	return res, nil
 }
 
-// deckDedup tracks the deck-source hashes seen under the current
-// default trace, feeding the spice.duplicate_decks counter — the
-// ground-truth check that the evaluation cache really eliminated
-// repeated simulations. The set resets whenever a new default trace
-// is installed, so each traced run is scored independently and the
-// map cannot grow across runs.
-var deckDedup struct {
-	mu   sync.Mutex
-	tr   *obs.Trace
-	seen map[uint64]bool
-}
-
-func recordDeck(tr *obs.Trace, src string) {
-	h := fnv.New64a()
-	//lint:allow errflow hash.Hash.Write is documented to never return an error
-	h.Write([]byte(src))
-	sum := h.Sum64()
-	deckDedup.mu.Lock()
-	defer deckDedup.mu.Unlock()
-	if deckDedup.tr != tr {
-		deckDedup.tr = tr
-		deckDedup.seen = make(map[uint64]bool)
-	}
-	if deckDedup.seen[sum] {
-		tr.Counter("spice.duplicate_decks").Inc()
-	}
-	deckDedup.seen[sum] = true
-}
-
-// RunSource parses deck text and executes it in one call — the
-// workhorse for primitive testbenches.
-func RunSource(t *pdk.Tech, src string) (*Results, *Deck, error) {
-	return RunSourceCtx(context.Background(), t, src)
-}
-
-// RunSourceCtx is RunSource bound to a context: the solver inner
-// loops poll ctx for cancellation, and the context's fault injector
-// (if any) arms the engine's fault sites.
+// RunSourceCtx parses deck text and executes it in one call — the
+// workhorse for primitive testbenches. The solver inner loops poll
+// ctx for cancellation, the context's fault injector (if any) arms
+// the engine's fault sites, and the deck is counted on the context's
+// trace: spice.decks, and spice.duplicate_decks when the trace has
+// already solved a byte-identical deck — the ground-truth check that
+// the evaluation cache really eliminated repeated simulations.
 func RunSourceCtx(ctx context.Context, t *pdk.Tech, src string) (*Results, *Deck, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	if tr := obs.Default(); tr.Enabled() {
+	if tr := obs.From(ctx); tr.Enabled() {
 		tr.Counter("spice.decks").Inc()
-		recordDeck(tr, src)
+		h := fnv.New64a()
+		//lint:allow errflow hash.Hash.Write is documented to never return an error
+		h.Write([]byte(src))
+		if tr.Seen("spice.decks", h.Sum64()) {
+			tr.Counter("spice.duplicate_decks").Inc()
+		}
 	}
 	deck, err := ParseDeck(src)
 	if err != nil {
 		return nil, nil, err
 	}
-	e, err := New(t, deck.Netlist)
+	e, err := New(ctx, t, deck.Netlist)
 	if err != nil {
 		return nil, nil, err
 	}
-	e.WithContext(ctx)
 	res, err := RunDeck(e, deck)
 	if err != nil {
 		return nil, nil, err

@@ -1,6 +1,7 @@
 package spice
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -285,7 +286,7 @@ C1 out 0 1p
 .measure ac lowgain find vdb(out) at=1meg
 .measure ac ugf when vdb(out)=-3.0103
 `
-	res, deck, err := RunSource(tech, src)
+	res, deck, err := RunSourceCtx(context.Background(), tech, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +315,7 @@ C1 b 0 100f
 .measure tran vmax max v(b)
 .measure tran vavg avg v(b) from=0 to=100p
 `
-	res, _, err := RunSource(tech, src)
+	res, _, err := RunSourceCtx(context.Background(), tech, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +357,7 @@ R1 a 0 1k
 .op
 .measure tran x max v(a)
 `
-	if _, _, err := RunSource(tech, src); err == nil ||
+	if _, _, err := RunSourceCtx(context.Background(), tech, src); err == nil ||
 		!strings.Contains(err.Error(), "needs a .tran") {
 		t.Errorf("missing-analysis err = %v", err)
 	}

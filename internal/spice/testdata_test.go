@@ -1,6 +1,7 @@
 package spice
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -21,7 +22,7 @@ func TestShippedDecksRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, deck, err := RunSource(tech, string(src))
+		res, deck, err := RunSourceCtx(context.Background(), tech, string(src))
 		if err != nil {
 			t.Errorf("%s: %v", f, err)
 			continue

@@ -8,7 +8,6 @@ import (
 	"primopt/internal/device"
 	"primopt/internal/fault"
 	"primopt/internal/numeric"
-	"primopt/internal/obs"
 )
 
 // TranResult is a transient waveform set sampled at the requested
@@ -138,8 +137,8 @@ func (e *Engine) Tran(tstep, tstop float64, opts TranOpts) (*TranResult, error) 
 	if tstep <= 0 || tstop <= 0 || tstop < tstep {
 		return nil, fmt.Errorf("spice: bad tran range step=%g stop=%g", tstep, tstop)
 	}
-	if err := e.inj.Hit(fault.SiteSpiceTran); err != nil {
-		obs.Default().Counter("spice.tran.failures").Inc()
+	if err := e.inj.Hit(e.ctx, fault.SiteSpiceTran); err != nil {
+		e.tr.Counter("spice.tran.failures").Inc()
 		return nil, fmt.Errorf("spice: tran for %s: %w", e.NL.Name, err)
 	}
 	x := make([]float64, e.n)
@@ -220,7 +219,7 @@ func (e *Engine) Tran(tstep, tstop float64, opts TranOpts) (*TranResult, error) 
 	if opts.MaxInternalStep > 0 && opts.MaxInternalStep < h {
 		h = opts.MaxInternalStep
 	}
-	tr := obs.Default()
+	tr := e.tr
 	var t0 time.Time
 	if tr.Enabled() {
 		t0 = time.Now() //lint:allow rngpurity trace-gated read feeding the spice.tran.solve_ns histogram only; tracing is passive (obs doc)
@@ -267,7 +266,7 @@ func (st *tranState) advanceTo(x []float64, t, tEnd, h float64, depth int) error
 			if depth >= 12 {
 				return err
 			}
-			obs.Default().Counter("spice.tran.halvings").Inc()
+			st.e.tr.Counter("spice.tran.halvings").Inc()
 			if err2 := st.advanceTo(x, t, t+step, step/2, depth+1); err2 != nil {
 				return err2
 			}
@@ -336,7 +335,7 @@ func (st *tranState) step(x []float64, t, h float64) ([]float64, []float64, erro
 	// An armed spice.tran.step site fails this step like a Newton
 	// nonconvergence would, driving the recursive halving path; armed
 	// @N+ it exhausts the halving depth and stalls the analysis.
-	if err := e.inj.Hit(fault.SiteSpiceTranStep); err != nil {
+	if err := e.inj.Hit(e.ctx, fault.SiteSpiceTranStep); err != nil {
 		return nil, nil, fmt.Errorf("tran step no convergence (h=%.3g): %w", h, err)
 	}
 	n := e.n
@@ -385,7 +384,7 @@ func (st *tranState) step(x []float64, t, h float64) ([]float64, []float64, erro
 		icomps[i] = indComp{req: req, veq: -vPrev - req*st.indIPrev[i]}
 	}
 
-	tr := obs.Default()
+	tr := e.tr
 	tr.Counter("spice.tran.steps").Inc()
 	var iters, reusedPiv, bypassed int64
 	defer func() {
