@@ -16,9 +16,11 @@ import (
 	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
+	"primopt/internal/circuits"
 	"primopt/internal/obs"
 	"primopt/internal/obs/analyze"
 	"primopt/internal/obs/telemetry"
@@ -326,6 +328,59 @@ var (
 	}
 )
 
+// checkEvalPoints checks the attribution of RO-VCO evaluation: the
+// flow.eval stage of a rovco flow.run sweeps its tuning curve, one
+// eval.point child per control voltage, each inside the stage's
+// window (give or take the self-time rule's wire-format tolerance).
+// A fault-armed run may cancel the points after a failing one before
+// they start, so there only the window rule applies.
+func checkEvalPoints(t *analyze.Tree, faulted bool) []string {
+	const tolUS = 100
+	want := circuits.VCOCurveVoltages()
+	var problems []string
+	var walk func(n *analyze.Node)
+	walk = func(n *analyze.Node) {
+		for _, c := range n.Children {
+			walk(c)
+		}
+		if n.Name != "flow.run" || attrString(n.Attrs, "circuit") != "rovco" {
+			return
+		}
+		for _, ev := range n.Children {
+			if ev.Name != "flow.eval" {
+				continue
+			}
+			count := make([]int, len(want))
+			for _, p := range ev.Children {
+				if p.Name != "eval.point" {
+					continue
+				}
+				if p.StartUS < ev.StartUS-tolUS || p.EndUS() > ev.EndUS()+tolUS {
+					problems = append(problems, fmt.Sprintf(
+						"eval.point (id %d) runs outside its flow.eval (id %d) window", p.ID, ev.ID))
+				}
+				v, _ := p.Attrs["vctrl"].(float64)
+				if i := slices.Index(want, v); i >= 0 {
+					count[i]++
+				} else {
+					problems = append(problems, fmt.Sprintf(
+						"eval.point (id %d) has vctrl %v, not a control voltage of the RO-VCO curve", p.ID, p.Attrs["vctrl"]))
+				}
+			}
+			for i, c := range count {
+				if c != 1 && (c > 1 || !faulted) {
+					problems = append(problems, fmt.Sprintf(
+						"flow.eval (id %d) of an RO-VCO run has %d eval.point children at vctrl %v, want 1", ev.ID, c, want[i]))
+				}
+			}
+		}
+	}
+	for _, r := range t.Roots {
+		walk(r)
+	}
+	return problems
+}
+
 // runCheckTrace implements `primopt checktrace <file>`: parse the
 // JSONL trace and assert the span taxonomy and metric families the
 // instrumented flow is supposed to emit. Exit status 0 means the
@@ -505,6 +560,8 @@ func runCheckTrace(args []string) int {
 		problems = append(problems, fmt.Sprintf(
 			"flow.degraded (%.0f) with fault.injected absent: flow degraded on a clean run", degradedCount))
 	}
+
+	problems = append(problems, checkEvalPoints(analyze.BuildTree(d), faulted)...)
 
 	// Solver fast-path accounting: a factorization can only be reused
 	// inside a Newton iteration (DC or transient) or an AC point solve,

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"primopt/internal/circuits"
 	"primopt/internal/obs"
 	"primopt/internal/obs/analyze"
 )
@@ -337,6 +338,41 @@ func TestCheckTraceRejectsNegativeSelfTime(t *testing.T) {
 	ok := writeTraceFile(t, dir, "concurrent.jsonl", lines...)
 	if rc := runCheckTrace([]string{ok}); rc != 0 {
 		t.Errorf("concurrent children rejected (exit %d)", rc)
+	}
+}
+
+// An RO-VCO run's flow.eval must hold one eval.point child per control
+// voltage of the curve, each inside the stage's window.
+func TestCheckTraceEvalPoints(t *testing.T) {
+	dir := t.TempDir()
+	trace := func(points ...string) []string {
+		lines := conventionalTraceLines(validMetaLine)
+		lines[1] = strings.Replace(lines[1], `"csamp"`, `"rovco"`, 1)
+		return append(lines, points...)
+	}
+	point := func(id int, vctrl float64, start int) string {
+		return fmt.Sprintf(`{"type":"span","id":%d,"parent":7,"name":"eval.point","start_us":%d,"dur_us":40,"attrs":{"vctrl":%v,"ok":true}}`, id, start, vctrl)
+	}
+	var all []string
+	for i, v := range circuits.VCOCurveVoltages() {
+		all = append(all, point(10+i, v, 900+10*(i%2)))
+	}
+	ok := writeTraceFile(t, dir, "points_ok.jsonl", trace(all...)...)
+	if rc := runCheckTrace([]string{ok}); rc != 0 {
+		t.Errorf("complete eval.point set rejected (exit %d)", rc)
+	}
+	for name, points := range map[string][]string{
+		"missing":   all[1:],
+		"duplicate": append(all[:len(all):len(all)], point(20, 0.35, 950)),
+		"outside":   append(all[1:len(all):len(all)], point(20, 0.35, 1500)),
+		"stray":     append(all[:len(all):len(all)], point(20, 0.7, 950)),
+	} {
+		bad := writeTraceFile(t, dir, "points_"+name+".jsonl", trace(points...)...)
+		var rc int
+		out := captureStderr(t, func() { rc = runCheckTrace([]string{bad}) })
+		if rc == 0 || !strings.Contains(out, "eval.point") {
+			t.Errorf("%s eval.point: exit %d, stderr %q", name, rc, out)
+		}
 	}
 }
 

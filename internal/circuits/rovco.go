@@ -3,9 +3,14 @@ package circuits
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"primopt/internal/circuit"
 	"primopt/internal/measure"
+	"primopt/internal/obs"
 	"primopt/internal/pdk"
 	"primopt/internal/primlib"
 	"primopt/internal/spice"
@@ -82,13 +87,21 @@ func ROVCO(t *pdk.Tech, stages int) (*Benchmark, error) {
 		MetricUnit:  map[string]string{"fmax": "Hz", "fmin": "Hz", "vlo": "V", "vhi": "V"},
 	}
 	bm.Eval = func(ctx context.Context, t *pdk.Tech, nl *circuit.Netlist) (map[string]float64, error) {
-		return EvalVCOCurveCtx(ctx, t, nl, []float64{0.35, 0.40, 0.45, 0.50, 0.60, 0.80})
+		return EvalVCOCurveCtx(ctx, t, nl, vcoCurve)
 	}
 	if err := bm.Validate(); err != nil {
 		return nil, err
 	}
 	return bm, nil
 }
+
+// vcoCurve is the control-voltage sweep of the RO-VCO's tuning curve.
+var vcoCurve = []float64{0.35, 0.40, 0.45, 0.50, 0.60, 0.80}
+
+// VCOCurveVoltages returns the control voltages at which the RO-VCO
+// benchmark's Eval measures its tuning curve (Table VII), in sweep
+// order.
+func VCOCurveVoltages() []float64 { return slices.Clone(vcoCurve) }
 
 // addCSInv emits one current-starved inverter: starved NMOS and PMOS
 // stacks. Device names are prefixed so the flow can splice parasitics.
@@ -117,8 +130,23 @@ func ringNets(stages int) []string {
 
 // EvalVCOAtCtx measures the oscillation frequency of the (schematic
 // or post-layout) VCO netlist at one control voltage; ok=false when
-// the ring does not oscillate there.
-func EvalVCOAtCtx(ctx context.Context, t *pdk.Tech, nl *circuit.Netlist, vctrl float64) (float64, bool, error) {
+// the ring does not oscillate there. On a traced context it records
+// an eval.point span, under the span the context carries, with the
+// control voltage, the outcome, and each transient window it ran
+// (windows_s) with that window's time step (steps_s).
+func EvalVCOAtCtx(ctx context.Context, t *pdk.Tech, nl *circuit.Netlist, vctrl float64) (hz float64, ok bool, err error) {
+	sp := obs.StartSpan(obs.From(ctx), obs.SpanFrom(ctx), "eval.point")
+	var windows, steps []float64
+	defer func() {
+		if sp != nil {
+			sp.SetAttr("vctrl", vctrl)
+			sp.SetAttr("ok", ok)
+			sp.SetAttr("hz", hz)
+			sp.SetAttr("windows_s", windows)
+			sp.SetAttr("steps_s", steps)
+		}
+		sp.End()
+	}()
 	sim := nl.Clone()
 	vdd := 0.8
 	if d := sim.Device("vdd"); d != nil {
@@ -139,6 +167,8 @@ func EvalVCOAtCtx(ctx context.Context, t *pdk.Tech, nl *circuit.Netlist, vctrl f
 	// ns) and extend only if no crossings appear — slow starved rings
 	// need tens of ns.
 	run := func(tstep, tstop float64) (float64, bool, error) {
+		windows = append(windows, tstop)
+		steps = append(steps, tstep)
 		res, err := e.Tran(tstep, tstop, spice.TranOpts{
 			IC: map[string]float64{"p0": vdd, "n0": 0},
 		})
@@ -185,20 +215,46 @@ func EvalVCOAtCtx(ctx context.Context, t *pdk.Tech, nl *circuit.Netlist, vctrl f
 	return 0, false, nil
 }
 
+// vcoPoint is one control voltage's outcome in a curve sweep.
+type vcoPoint struct {
+	hz  float64
+	ok  bool
+	err error
+	rec any // the value the point panicked with, nil if it did not
+}
+
 // EvalVCOCurveCtx sweeps control voltages and reports fmax, fmin,
 // and the oscillating control range (Table VII's rows).
+//
+// The points are independent, so they run on
+// min(len(vctrls), GOMAXPROCS) goroutines, and the fold runs in vctrl
+// order, so the result is the serial sweep's bit for bit. Failures
+// keep the serial semantics too: the sweep reports the error of the
+// lowest-index failing point, the points after it are canceled, and
+// the points before it run to completion (one of them may fail and
+// take its place). A point that panics fails the same way, and the
+// panic is raised again on the caller's goroutine, where a request's
+// recover barrier can catch it.
 func EvalVCOCurveCtx(ctx context.Context, t *pdk.Tech, nl *circuit.Netlist, vctrls []float64) (map[string]float64, error) {
+	pts := sweep(ctx, len(vctrls), func(ctx context.Context, i int) (float64, bool, error) {
+		return EvalVCOAtCtx(ctx, t, nl, vctrls[i])
+	})
 	fmax, fmin := 0.0, 0.0
 	vlo, vhi := 0.0, 0.0
 	any := false
-	for _, v := range vctrls {
-		f, ok, err := EvalVCOAtCtx(ctx, t, nl, v)
-		if err != nil {
-			return nil, err
+	for i, v := range vctrls {
+		p := pts[i]
+		if p.rec != nil {
+			//lint:allow errflow re-raises a sweep point's panic on the caller's goroutine, as the serial sweep raised it
+			panic(p.rec)
 		}
-		if !ok {
+		if p.err != nil {
+			return nil, p.err
+		}
+		if !p.ok {
 			continue
 		}
+		f := p.hz
 		if !any {
 			fmax, fmin, vlo, vhi = f, f, v, v
 			any = true
@@ -221,4 +277,66 @@ func EvalVCOCurveCtx(ctx context.Context, t *pdk.Tech, nl *circuit.Netlist, vctr
 		return nil, fmt.Errorf("rovco eval: no oscillation at any control voltage")
 	}
 	return map[string]float64{"fmax": fmax, "fmin": fmin, "vlo": vlo, "vhi": vhi}, nil
+}
+
+// sweep runs eval for points 0..n-1 on the bounded pool and returns
+// the outcomes in index order. Points start in index order; each runs
+// under its own context, which a failure at a lower index cancels, and
+// a point whose context is already done when its turn comes records
+// the context's error without running.
+func sweep(ctx context.Context, n int, eval func(ctx context.Context, i int) (float64, bool, error)) []vcoPoint {
+	pts := make([]vcoPoint, n)
+	ctxs := make([]context.Context, n)
+	cancels := make([]context.CancelFunc, n)
+	for i := range ctxs {
+		ctxs[i], cancels[i] = context.WithCancel(ctx)
+	}
+	defer func() {
+		for _, cancel := range cancels {
+			cancel()
+		}
+	}()
+	var mu sync.Mutex
+	firstFailed := n // lowest failing index so far
+	fail := func(i int) {
+		mu.Lock()
+		defer mu.Unlock()
+		for j := i + 1; j < firstFailed; j++ {
+			cancels[j]()
+		}
+		firstFailed = min(firstFailed, i)
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(n, runtime.GOMAXPROCS(0)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				p := &pts[i]
+				if err := ctxs[i].Err(); err != nil {
+					p.err = err
+				} else {
+					*p = runPoint(ctxs[i], i, eval)
+				}
+				if p.err != nil || p.rec != nil {
+					fail(i)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return pts
+}
+
+// runPoint runs one point, turning a panic into its outcome so that
+// the panic cannot escape the pool goroutine.
+func runPoint(ctx context.Context, i int, eval func(ctx context.Context, i int) (float64, bool, error)) (p vcoPoint) {
+	defer func() {
+		if r := recover(); r != nil {
+			p = vcoPoint{rec: r}
+		}
+	}()
+	p.hz, p.ok, p.err = eval(ctx, i)
+	return p
 }

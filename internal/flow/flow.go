@@ -290,11 +290,7 @@ func RunContext(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, mode M
 	}()
 
 	if mode == Schematic {
-		sp := root.Start("flow.eval")
-		ectx, cancel := p.stage(ctx)
-		vals, err := bm.Eval(ectx, t, bm.Schematic)
-		cancel()
-		sp.End()
+		vals, err := evaluate(ctx, p, root, t, bm, bm.Schematic)
 		if err != nil {
 			return nil, fmt.Errorf("flow: %s schematic eval: %w", bm.Name, err)
 		}
@@ -315,16 +311,23 @@ func RunContext(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, mode M
 		return nil, err
 	}
 	res.Netlist = nl
-	ev := root.Start("flow.eval")
-	ectx, cancel := p.stage(ctx)
-	vals, err := bm.Eval(ectx, t, nl)
-	cancel()
-	ev.End()
+	vals, err := evaluate(ctx, p, root, t, bm, nl)
 	if err != nil {
 		return nil, fmt.Errorf("flow: %s post-layout eval (%v): %w", bm.Name, mode, err)
 	}
 	res.Metrics = vals
 	return res, nil
+}
+
+// evaluate runs the benchmark's evaluation of nl as the flow.eval
+// stage. The stage span rides on the context, so the evaluation's own
+// spans (the RO-VCO's eval.point per control voltage) nest under it.
+func evaluate(ctx context.Context, p Params, root *obs.Span, t *pdk.Tech, bm *circuits.Benchmark, nl *circuit.Netlist) (map[string]float64, error) {
+	sp := root.Start("flow.eval")
+	defer sp.End()
+	ectx, cancel := p.stage(ctx)
+	defer cancel()
+	return bm.Eval(obs.WithSpan(ectx, sp), t, nl)
 }
 
 // runLayout executes the layout portion of one methodology —
@@ -1029,11 +1032,7 @@ func RunFixedWiresContext(ctx context.Context, t *pdk.Tech, bm *circuits.Benchma
 		return nil, err
 	}
 	res.Netlist = nl
-	ev := root.Start("flow.eval")
-	ectx, ecancel := p.stage(ctx)
-	vals, err := bm.Eval(ectx, t, nl)
-	ecancel()
-	ev.End()
+	vals, err := evaluate(ctx, p, root, t, bm, nl)
 	if err != nil {
 		return nil, fmt.Errorf("flow: %s fixed-wires eval: %w", bm.Name, err)
 	}

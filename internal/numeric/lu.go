@@ -1,10 +1,15 @@
-// Package numeric provides the small dense linear-algebra kernel used
-// by the MNA circuit simulator (real and complex LU factorization with
-// partial pivoting) together with curve utilities used by the
-// primitive-tuning stopping rules (discrete curvature, monotonicity).
+// Package numeric provides the linear-algebra kernel used by the MNA
+// circuit simulator (real and complex LU factorization with partial
+// pivoting) together with curve utilities used by the primitive-tuning
+// stopping rules (discrete curvature, monotonicity).
 //
-// Circuit matrices here are tiny (tens of nodes), so dense LU with
-// partial pivoting is both simpler and faster than sparse machinery.
+// Matrices are stored dense and every fresh, pivot-searching
+// factorization is dense. A real Workspace given the structural
+// Pattern of its matrices refactors and solves large, sparse ones in
+// compact form along the fill of the current pivot order; the result
+// is bit-identical to the dense loops (see pattern.go). Primitive
+// testbench matrices (tens of unknowns) stay on the dense loops and
+// pay for no analysis.
 package numeric
 
 import (
@@ -285,17 +290,39 @@ const pivotReuseTol = 0.1
 // same matrix pattern first try the previous pivot order (checking a
 // growth bound each step) before falling back to fresh partial
 // pivoting. Not concurrency-safe; use one Workspace per engine.
+//
+// A workspace built by NewPatternWorkspace also derives, after each
+// fresh factorization of a large enough matrix, the fill of the new
+// pivot order; while that fill is compact, refactorizations that
+// replay the order and all solves touch only the entries it holds.
 type Workspace struct {
 	n     int
 	lu    []float64
 	swaps []int
 	valid bool    // a prior factorization's swap order can be retried
 	tiny  float64 // scale threshold from the last fresh factorization
+
+	pat     *Pattern  // structural pattern; nil keeps every pass dense
+	cp      compactLU // compact factors for the current pivot order
+	compact bool      // the current factorization lives in cp
 }
 
 // NewWorkspace returns a workspace for n×n systems.
 func NewWorkspace(n int) *Workspace {
 	return &Workspace{n: n, lu: make([]float64, n*n), swaps: make([]int, n)}
+}
+
+// NewPatternWorkspace returns a workspace for the p.N()×p.N() systems
+// whose nonzeros all lie in p. The workspace chooses between the
+// dense and the compact path from the matrix size and the fill each
+// pivot order produces; matrices below the compact path's minimum
+// size never pay for the analysis.
+func NewPatternWorkspace(p *Pattern) *Workspace {
+	w := NewWorkspace(p.n)
+	if p.n >= compactMinN {
+		w.pat = p
+	}
+	return w
 }
 
 // Invalidate drops the remembered pivot order (and marks the current
@@ -312,17 +339,28 @@ func (w *Workspace) FactorInto(m *Matrix) (reused bool, err error) {
 		w.lu = make([]float64, w.n*w.n)
 		w.swaps = make([]int, w.n)
 		w.valid = false
+		w.pat = nil // the pattern described the old size
 	}
-	if w.valid && w.tryReusePivots(m) {
-		return true, nil
+	if w.valid {
+		if w.compact {
+			reused = w.cp.refactor(m, w.tiny)
+		} else {
+			reused = w.tryReusePivots(m)
+		}
+		if reused {
+			return true, nil
+		}
 	}
-	w.valid = false
+	w.valid, w.compact = false, false
 	tiny, err := factorReal(m, w.lu, w.swaps, nil)
 	if err != nil {
 		return false, err
 	}
 	w.tiny = tiny
 	w.valid = true
+	if w.pat != nil {
+		w.compact = w.cp.prepare(w.pat, w.swaps, w.lu)
+	}
 	return false, nil
 }
 
@@ -367,6 +405,10 @@ func (w *Workspace) tryReusePivots(m *Matrix) bool {
 // SolveInPlace solves Ax = b where x holds b on entry and the
 // solution on exit, using the most recent FactorInto. Allocation-free.
 func (w *Workspace) SolveInPlace(x []float64) {
+	if w.compact {
+		w.cp.solve(w.swaps, x)
+		return
+	}
 	substituteReal(w.n, w.lu, w.swaps, x)
 }
 
@@ -376,7 +418,7 @@ func (w *Workspace) Solve(b, x []float64) {
 	if &x[0] != &b[0] {
 		copy(x, b)
 	}
-	substituteReal(w.n, w.lu, w.swaps, x)
+	w.SolveInPlace(x)
 }
 
 // CMatrix is a dense, row-major complex matrix used by AC analysis.

@@ -7,7 +7,9 @@
 // the trace From returns. A context that carries no trace falls back
 // to the process-wide default installed with SetDefault (cmd/primopt
 // installs one when any observability flag is given); From is the
-// only reader of that default.
+// only reader of that default. A stage that wants a layer's spans
+// nested under its own puts its span on the context too (WithSpan,
+// SpanFrom).
 //
 // The whole API is nil-safe by design: a nil *Trace — and the nil
 // *Span / *Counter / *Gauge / *Histogram values it hands out — turns
@@ -178,6 +180,27 @@ func From(ctx context.Context) *Trace {
 		}
 	}
 	return Default()
+}
+
+type spanKey struct{}
+
+// WithSpan returns a context carrying sp as the parent for the spans
+// a layer below starts (StartSpan(From(ctx), SpanFrom(ctx), name)).
+// A nil sp returns ctx unchanged.
+func WithSpan(ctx context.Context, sp *Span) context.Context {
+	if sp == nil {
+		return ctx
+	}
+	return context.WithValue(ctx, spanKey{}, sp)
+}
+
+// SpanFrom returns the span ctx carries, or nil when it carries none.
+func SpanFrom(ctx context.Context) *Span {
+	if ctx == nil {
+		return nil
+	}
+	sp, _ := ctx.Value(spanKey{}).(*Span)
+	return sp
 }
 
 // Span is one timed region of the trace tree.

@@ -56,7 +56,7 @@ func (e *Engine) scratch() *solverScratch {
 			resid:  make([]float64, e.n),
 			Jlin:   numeric.NewMatrix(e.n),
 			rhsLin: make([]float64, e.n),
-			ws:     numeric.NewWorkspace(e.n),
+			ws:     e.newWorkspace(),
 		}
 	}
 	return e.scr
@@ -232,7 +232,7 @@ func (e *Engine) newtonDC(x []float64, gmin, srcScale float64) error {
 			// confirms the solution — the old loop demanded a second
 			// full iteration (and the 0.3 V damping clamp stretched a
 			// 1 V supply over four) even though nothing could change.
-			reused, err := sc.ws.FactorInto(J)
+			reused, err := e.factor(sc.ws, J)
 			if err != nil {
 				return fmt.Errorf("newton iter %d: %w", iter, err)
 			}
@@ -270,7 +270,7 @@ func (e *Engine) newtonDC(x []float64, gmin, srcScale float64) error {
 				xNew[i] = x[i] - resid[i]
 			}
 		} else if !linear {
-			reused, err := sc.ws.FactorInto(J)
+			reused, err := e.factor(sc.ws, J)
 			if err != nil {
 				return fmt.Errorf("newton iter %d: %w", iter, err)
 			}

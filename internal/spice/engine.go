@@ -6,9 +6,13 @@
 // .measure evaluation make the primitive testbenches real SPICE decks,
 // as in the paper (Section II-B).
 //
-// The engine is sized for the paper's workload — primitives with a
-// handful of transistors and full circuits with tens of nodes — so it
-// uses dense LU throughout.
+// Matrices are stamped dense. Each engine computes once the
+// structural pattern of its real MNA matrices and gives it to the LU
+// workspaces of its operating-point and transient solves, which
+// refactor and solve large sparse systems (the post-layout RO-VCO)
+// along that pattern, bit-identically to the dense loops; primitive
+// testbench matrices stay on the dense loops. AC analysis is dense
+// throughout.
 package spice
 
 import (
@@ -19,6 +23,7 @@ import (
 	"primopt/internal/circuit"
 	"primopt/internal/device"
 	"primopt/internal/fault"
+	"primopt/internal/numeric"
 	"primopt/internal/obs"
 	"primopt/internal/pdk"
 )
@@ -70,7 +75,13 @@ type Engine struct {
 	// device re-evaluation per step.
 	mosState []device.MOSState
 
-	scr *solverScratch // lazily-built DC Newton scratch (see dc.go)
+	scr    *solverScratch     // lazily-built DC Newton scratch (see dc.go)
+	pat    *numeric.Pattern   // lazily-built MNA pattern (see pattern)
+	tranWS *numeric.Workspace // transient LU workspace (see tranWorkspace)
+
+	// factorHook, when set, sees every real matrix the engine hands to
+	// an LU workspace. Tests use it to check pattern coverage.
+	factorHook func(*numeric.Matrix)
 }
 
 // New builds the MNA structure for nl under technology t, bound to
@@ -151,6 +162,93 @@ func New(ctx context.Context, t *pdk.Tech, nl *circuit.Netlist) (*Engine, error)
 	}
 	e.mosState = make([]device.MOSState, len(e.mos))
 	return e, nil
+}
+
+// pattern returns the structural pattern of the engine's real MNA
+// matrices, built on first use: a superset of every position a DC or
+// transient stamp writes. Two-terminal elements (resistors,
+// capacitors) couple their nodes; a MOS is the full block over its
+// four terminals, which holds its conductances, its gmin shunts and
+// its five capacitances; sources and inductors add their branch rows
+// and columns; the diagonal is always present.
+func (e *Engine) pattern() *numeric.Pattern {
+	if e.pat != nil {
+		return e.pat
+	}
+	b := numeric.NewPatternBuilder(e.n)
+	couple := func(p, q int) {
+		b.Add(p, p)
+		b.Add(q, q)
+		b.Add(p, q)
+		b.Add(q, p)
+	}
+	branch := func(br, p, q int) {
+		b.Add(p, br)
+		b.Add(q, br)
+		b.Add(br, p)
+		b.Add(br, q)
+	}
+	for _, d := range e.res {
+		couple(e.node(d.Nets[0]), e.node(d.Nets[1]))
+	}
+	for _, d := range e.caps {
+		couple(e.node(d.Nets[0]), e.node(d.Nets[1]))
+	}
+	for _, nodes := range e.mosNode {
+		for _, i := range nodes {
+			for _, j := range nodes {
+				b.Add(i, j)
+			}
+		}
+	}
+	for di, d := range e.vsrc {
+		branch(e.vsrcBr[di], e.node(d.Nets[0]), e.node(d.Nets[1]))
+	}
+	for di, d := range e.vcvs {
+		br := e.vcvsBr[di]
+		branch(br, e.node(d.Nets[0]), e.node(d.Nets[1]))
+		b.Add(br, e.node(d.Nets[2]))
+		b.Add(br, e.node(d.Nets[3]))
+	}
+	for _, d := range e.vccs {
+		p, q := e.node(d.Nets[0]), e.node(d.Nets[1])
+		cp, cn := e.node(d.Nets[2]), e.node(d.Nets[3])
+		b.Add(p, cp)
+		b.Add(p, cn)
+		b.Add(q, cp)
+		b.Add(q, cn)
+	}
+	for di, d := range e.inds {
+		branch(e.indBr[di], e.node(d.Nets[0]), e.node(d.Nets[1]))
+	}
+	e.pat = b.Build()
+	return e.pat
+}
+
+// newWorkspace returns an LU workspace for the engine's real MNA
+// matrices, carrying their pattern.
+func (e *Engine) newWorkspace() *numeric.Workspace {
+	return numeric.NewPatternWorkspace(e.pattern())
+}
+
+// tranWorkspace returns the engine's transient LU workspace with its
+// pivot order forgotten, so that a run's first factorization pivots
+// afresh exactly as on a new workspace, while the buffers and the
+// compact analysis carry over between the runs of one engine.
+func (e *Engine) tranWorkspace() *numeric.Workspace {
+	if e.tranWS == nil {
+		e.tranWS = e.newWorkspace()
+	}
+	e.tranWS.Invalidate()
+	return e.tranWS
+}
+
+// factor factors m into ws.
+func (e *Engine) factor(ws *numeric.Workspace, m *numeric.Matrix) (bool, error) {
+	if e.factorHook != nil {
+		e.factorHook(m)
+	}
+	return ws.FactorInto(m)
 }
 
 // canceled returns the binding context's error once it is done, nil

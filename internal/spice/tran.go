@@ -166,7 +166,7 @@ func (e *Engine) Tran(tstep, tstop float64, opts TranOpts) (*TranResult, error) 
 		xPrev:    make([]float64, e.n),
 		xTry:     make([]float64, e.n),
 		resid:    make([]float64, e.n),
-		ws:       numeric.NewWorkspace(e.n),
+		ws:       e.tranWorkspace(),
 	}
 	st.predPrev = make([]float64, e.n)
 	// Explicit capacitors.
@@ -463,7 +463,7 @@ func (st *tranState) step(x []float64, t, h float64) ([]float64, []float64, erro
 			// No transistors: Jlin/rhsLin already ARE the full system,
 			// so factor and solve them directly — one factor+solve is
 			// exact once the residual confirms it.
-			reused, err := st.ws.FactorInto(Jlin)
+			reused, err := e.factor(st.ws, Jlin)
 			if err != nil {
 				return nil, nil, fmt.Errorf("tran newton: %w", err)
 			}
@@ -488,18 +488,11 @@ func (st *tranState) step(x []float64, t, h float64) ([]float64, []float64, erro
 			// linearization terms cancel from F = J·x − rhs: what
 			// remains is the linear part plus each device's current and
 			// gmin shunts. The full Jacobian is never materialized here,
-			// saving the n² copy and stamp per bypassed iteration.
+			// saving the n² copy and stamp per bypassed iteration, and
+			// the linear part walks only the pattern's entries.
 			bypassed++
 			resid := st.resid
-			xn := xNew[:n]
-			for i := 0; i < n; i++ {
-				s := -rhsLin[i]
-				row := Jlin.Data[i*n : i*n+n]
-				for j, jv := range row {
-					s += jv * xn[j]
-				}
-				resid[i] = s
-			}
+			e.pattern().Residual(Jlin, xNew, rhsLin, resid)
 			e.addMOSResidual(resid, xNew, 1e-12)
 			st.ws.SolveInPlace(resid)
 			for i := 0; i < n; i++ {
@@ -509,7 +502,7 @@ func (st *tranState) step(x []float64, t, h float64) ([]float64, []float64, erro
 			copy(J.Data, Jlin.Data)
 			copy(rhs, rhsLin)
 			e.stampMOSDC(J, rhs, xNew, 1e-12)
-			reused, err := st.ws.FactorInto(J)
+			reused, err := e.factor(st.ws, J)
 			if err != nil {
 				return nil, nil, fmt.Errorf("tran newton: %w", err)
 			}
