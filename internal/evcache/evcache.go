@@ -6,9 +6,16 @@
 // kind, sizing and bias fingerprints, the full layout configuration,
 // and the sorted per-terminal wire counts. Because the key carries
 // sizing and bias, a single cache is safe to share across Optimize
-// calls and across every primitive instance of a circuit flow — the
-// RO-VCO's N identical current-starved stages all hit the same
-// entries, the reuse-across-the-hierarchy ALIGN motivates.
+// calls and across every primitive instance of a circuit flow. The
+// bias part is only what the family's testbenches read
+// (primlib.Entry.TestbenchBias), and EvaluateCtx evaluates that same
+// projection, so equal keys are equal evaluations. The projection is
+// what lets instances share: the RO-VCO's current-starved stages get
+// schematic-OP gate and drain voltages (VCM, VD) that differ across
+// the symmetric ring only in the last bits and that no csinv
+// testbench reads, so the stages request one set of keys and single
+// flight computes each once — the reuse across the hierarchy that
+// ALIGN motivates.
 //
 // Correctness rests on two properties:
 //
@@ -36,8 +43,9 @@
 // ("csamp", "csource_p") and sizings, share nothing, and measure ~18
 // hits against ~114 misses — exactly the count of distinct
 // (config, wires) snapshots its selection + tuning visits. The big
-// ratios come from instance symmetry: the RO-VCO's N identical stages
-// request the same keys and all but the first are hits.
+// ratios come from instance symmetry: the RO-VCO's N stages request
+// the same keys, so all but the first request of each are hits and
+// the miss count does not grow with N.
 // TestMissesCountDistinctSnapshots pins this accounting.
 package evcache
 
@@ -66,6 +74,11 @@ import (
 // resurrect stale results. v2 added the PDK fingerprint and the
 // external-route section to the key (v1 keys were process-local and
 // omitted both — the cross-PDK collision this version fixes).
+// Projecting the bias onto the fields the testbenches read did not
+// bump it: a projected key equals a full-bias key only when the full
+// bias already had zeros in the dropped fields, and then both key the
+// same evaluation; full-bias csinv keys are simply never requested
+// again and age out of the disk tier.
 const SchemaVersion = 2
 
 // Entry is one cached evaluation. Layout evaluations fill every
@@ -129,21 +142,25 @@ func layoutBytes(l *cellgen.Layout) int64 {
 }
 
 // Key renders the canonical snapshot key for a layout evaluation of
-// one primitive. The key is fully content-addressed: it opens with
+// primitive e. The key is fully content-addressed: it opens with
 // the cache schema version and the PDK fingerprint, so entries that
 // outlive a process (the disk tier) can never be served across model
 // changes or key-format generations — in-process both are constant,
-// which is why their omission was latent until entries persisted. A
-// nil layout keys the schematic reference evaluation of the same
-// (kind, sizing, bias). The layout part is the full configuration
+// which is why their omission was latent until entries persisted.
+// The bias part is e.TestbenchBias(bias), the fields the entry's
+// testbenches read (dropped fields print as 0); EvaluateCtx applies
+// the same projection, so equal keys evaluate equal inputs. A nil
+// layout keys the schematic reference evaluation of the same (kind,
+// sizing, bias). The layout part is the full configuration
 // (including dummies, which Config.ID omits) plus the sorted
 // per-terminal wire counts; routes, when present, add the sorted
 // external global-route geometry per port (the port-optimization
 // sweeps evaluate the same layout under different route overrides) —
 // exactly the state the testbench decks depend on.
-func Key(t *pdk.Tech, kind string, sz primlib.Sizing, bias primlib.Bias, lay *cellgen.Layout, routes map[string]extract.Route) string {
+func Key(t *pdk.Tech, e *primlib.Entry, sz primlib.Sizing, bias primlib.Bias, lay *cellgen.Layout, routes map[string]extract.Route) string {
+	bias = e.TestbenchBias(bias)
 	var b strings.Builder
-	fmt.Fprintf(&b, "v%d|pdk=%s|%s", SchemaVersion, t.Fingerprint(), kind)
+	fmt.Fprintf(&b, "v%d|pdk=%s|%s", SchemaVersion, t.Fingerprint(), e.Kind)
 	fmt.Fprintf(&b, "|fins=%d;L=%d;rB=%d;I=%g", sz.TotalFins, sz.L, sz.RatioB, sz.NominalI)
 	fmt.Fprintf(&b, "|vdd=%g;vcm=%g;vd=%g;it=%g;cl=%g;vctl=%g;vcas=%g",
 		bias.Vdd, bias.VCM, bias.VD, bias.ITail, bias.CLoad, bias.VCtrl, bias.VCasc)

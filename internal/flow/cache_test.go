@@ -103,35 +103,53 @@ func TestCacheDeterminism(t *testing.T) {
 // TestCacheHitsMatchRepeatEvalsInFlow asserts the accounting identity
 // on a traced flow run: with the cache shared across every primitive
 // instance, each repeated evaluation request anywhere in the circuit
-// is exactly one cache hit.
+// is exactly one cache hit, and no SPICE deck is solved twice. The
+// 2-stage RO-VCO's stages differ only in the schematic-OP voltages
+// their csinv testbenches never read, so they must share one set of
+// evaluations.
 func TestCacheHitsMatchRepeatEvalsInFlow(t *testing.T) {
-	bm, err := circuits.CommonSource(tech)
-	if err != nil {
-		t.Fatal(err)
+	builds := []struct {
+		name string
+		f    func() (*circuits.Benchmark, error)
+	}{
+		{"csamp", func() (*circuits.Benchmark, error) { return circuits.CommonSource(tech) }},
+		{"rovco2", func() (*circuits.Benchmark, error) { return circuits.ROVCO(tech, 2) }},
 	}
-	tr := obs.New()
-	p := fastParams()
-	p.Trace = tr
-	p.Optimize.Cache = evcache.New()
-	if _, err := RunContext(context.Background(), tech, bm, Optimized, p); err != nil {
-		t.Fatal(err)
-	}
-	repeats := tr.Counter("optimize.repeat_evals").Value()
-	hits := tr.Counter("evcache.hits").Value()
-	misses := tr.Counter("evcache.misses").Value()
-	evals := tr.Counter("optimize.evals").Value()
-	if repeats == 0 {
-		t.Fatal("flow produced no repeated evaluations; nothing proven")
-	}
-	if hits != repeats {
-		t.Errorf("evcache.hits = %d, optimize.repeat_evals = %d; want equal", hits, repeats)
-	}
-	if misses != evals-repeats {
-		t.Errorf("evcache.misses = %d, want evals-repeats = %d", misses, evals-repeats)
-	}
-	st := p.Optimize.Cache.Stats()
-	if st.Hits != hits || st.Misses != misses {
-		t.Errorf("cache stats %+v disagree with trace (hits=%d misses=%d)", st, hits, misses)
+	for _, bc := range builds {
+		t.Run(bc.name, func(t *testing.T) {
+			bm, err := bc.f()
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := obs.New()
+			p := fastParams()
+			p.Trace = tr
+			p.Optimize.Cache = evcache.New()
+			if _, err := RunContext(context.Background(), tech, bm, Optimized, p); err != nil {
+				t.Fatal(err)
+			}
+			repeats := tr.Counter("optimize.repeat_evals").Value()
+			hits := tr.Counter("evcache.hits").Value()
+			misses := tr.Counter("evcache.misses").Value()
+			evals := tr.Counter("optimize.evals").Value()
+			if repeats == 0 {
+				t.Fatal("flow produced no repeated evaluations; nothing proven")
+			}
+			if hits != repeats {
+				t.Errorf("evcache.hits = %d, optimize.repeat_evals = %d; want equal", hits, repeats)
+			}
+			if misses != evals-repeats {
+				t.Errorf("evcache.misses = %d, want evals-repeats = %d", misses, evals-repeats)
+			}
+			if dups := tr.Counter("spice.duplicate_decks").Value(); dups != 0 {
+				t.Errorf("spice.duplicate_decks = %d of %d decks, want 0",
+					dups, tr.Counter("spice.decks").Value())
+			}
+			st := p.Optimize.Cache.Stats()
+			if st.Hits != hits || st.Misses != misses {
+				t.Errorf("cache stats %+v disagree with trace (hits=%d misses=%d)", st, hits, misses)
+			}
+		})
 	}
 }
 

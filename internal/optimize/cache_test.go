@@ -160,35 +160,57 @@ func TestCacheCountersAndNoDuplicateDecks(t *testing.T) {
 	}
 }
 
-// TestCacheSharedAcrossOptimizeCalls re-runs the same optimization on
-// one cache: the second call must add no misses and repeat the exact
+// TestCacheSharedAcrossOptimizeCalls re-runs an optimization on one
+// cache: the second call must add no misses and repeat the exact
 // result (the flow relies on this for identical primitive instances).
+// The csinv case is two RO-VCO stages, whose biases differ only in
+// the schematic-OP gate and drain voltages that the csinv testbenches
+// never read.
 func TestCacheSharedAcrossOptimizeCalls(t *testing.T) {
-	e, sz, bias := dpSetup()
-	p := Params{Bins: 3, MaxWires: 6, Cons: smallCons(), Cache: evcache.New()}
-	first, err := OptimizeCtx(context.Background(), tech, e, sz, bias, p)
-	if err != nil {
-		t.Fatal(err)
+	dp, dpSz, dpBias := dpSetup()
+	stage := primlib.Bias{Vdd: 0.8, VCM: 0.35967466467973946, VD: 0.35967466467973963, CLoad: 6e-15, VCtrl: 0.6}
+	nextStage := stage
+	nextStage.VCM, nextStage.VD = 0.3596746646797397, 0.35967466467973946
+	cases := []struct {
+		name          string
+		e             *primlib.Entry
+		sz            primlib.Sizing
+		first, second primlib.Bias
+	}{
+		{"diffpair", dp, dpSz, dpBias, dpBias},
+		{"csinv", primlib.CSInverter, primlib.Sizing{TotalFins: 16, L: 14}, stage, nextStage},
 	}
-	missesAfterFirst := p.Cache.Stats().Misses
-	second, err := OptimizeCtx(context.Background(), tech, e, sz, bias, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Cache.Stats().Misses; got != missesAfterFirst {
-		t.Errorf("second run added %d misses, want 0", got-missesAfterFirst)
-	}
-	if first.TotalSims() != second.TotalSims() {
-		t.Errorf("sims accounting drifted across cached runs: %d vs %d",
-			first.TotalSims(), second.TotalSims())
-	}
-	if len(first.Selected) != len(second.Selected) {
-		t.Fatalf("selected: %d vs %d", len(first.Selected), len(second.Selected))
-	}
-	for i := range first.Selected {
-		if first.Selected[i].Cost != second.Selected[i].Cost {
-			t.Errorf("selected[%d] cost %v vs %v", i, first.Selected[i].Cost, second.Selected[i].Cost)
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := Params{Bins: 3, MaxWires: 6, Cons: smallCons(), Cache: evcache.New()}
+			first, err := OptimizeCtx(context.Background(), tech, tc.e, tc.sz, tc.first, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			missesAfterFirst := p.Cache.Stats().Misses
+			second, err := OptimizeCtx(context.Background(), tech, tc.e, tc.sz, tc.second, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := p.Cache.Stats().Misses; got != missesAfterFirst {
+				t.Errorf("second run added %d misses, want 0", got-missesAfterFirst)
+			}
+			if first.TotalSims() != second.TotalSims() {
+				t.Errorf("sims accounting drifted across cached runs: %d vs %d",
+					first.TotalSims(), second.TotalSims())
+			}
+			if second.Bias != tc.second {
+				t.Errorf("result bias %+v, want the full bias %+v", second.Bias, tc.second)
+			}
+			if len(first.Selected) != len(second.Selected) {
+				t.Fatalf("selected: %d vs %d", len(first.Selected), len(second.Selected))
+			}
+			for i := range first.Selected {
+				if first.Selected[i].Cost != second.Selected[i].Cost {
+					t.Errorf("selected[%d] cost %v vs %v", i, first.Selected[i].Cost, second.Selected[i].Cost)
+				}
+			}
+		})
 	}
 }
 

@@ -140,9 +140,10 @@ func OptimizeCtx(ctx context.Context, t *pdk.Tech, e *primlib.Entry, sz primlib.
 
 	sel := obs.StartSpan(tr, p.Obs, "optimize.select")
 	// Line 3 precondition: schematic reference and cost metrics. The
-	// reference deck depends only on (kind, sizing, bias), so with a
-	// shared cache identical instances of a circuit reuse it too.
-	schKey := evcache.Key(t, e.Kind, sz, bias, nil, nil)
+	// reference depends only on the kind, the sizing and the bias
+	// fields its testbenches read, so with a shared cache instances
+	// that differ elsewhere (the RO-VCO's stages) reuse it too.
+	schKey := evcache.Key(t, e, sz, bias, nil, nil)
 	if p.Cache != nil {
 		et.record(schKey)
 	}
@@ -310,7 +311,7 @@ type evalEnv struct {
 // clones).
 func (env *evalEnv) eval(lay *cellgen.Layout) (*Option, error) {
 	ctx := env.ctx
-	key := evcache.Key(env.t, env.e.Kind, env.sz, env.bias, lay, nil)
+	key := evcache.Key(env.t, env.e, env.sz, env.bias, lay, nil)
 	env.et.record(key)
 	compute := func() (*evcache.Entry, error) {
 		select {

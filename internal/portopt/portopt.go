@@ -150,7 +150,7 @@ func costAt(ctx context.Context, t *pdk.Tech, pi *PrimInstance, net string, n in
 		if pi.Ex != nil {
 			lay = pi.Ex.Layout
 		}
-		key := evcache.Key(t, pi.Entry.Kind, pi.Sizing, pi.Bias, lay, routes)
+		key := evcache.Key(t, pi.Entry, pi.Sizing, pi.Bias, lay, routes)
 		p.Cache.RecordRequest(tr, key)
 		ent, err := p.Cache.DoCtx(ctx, key, func() (*evcache.Entry, error) {
 			e, err := pi.Entry.EvaluateCtx(ctx, t, pi.Sizing, pi.Bias, pi.Ex, routes)

@@ -50,11 +50,13 @@ func canonicalConfig(sz Sizing) cellgen.Config {
 // the schematic reference (no parasitics, no LDEs). routes, when
 // present, adds external global-route RC beyond the named ports
 // (keyed by the cellgen wire name) — the primitive port optimization
-// view. The SPICE runs poll ctx for cancellation, honor its fault
-// injector, and report to its trace.
+// view. The testbenches see only TestbenchBias(bias), so an
+// evaluation is a function of exactly the fields the evaluation
+// cache keys. The SPICE runs poll ctx for cancellation, honor its
+// fault injector, and report to its trace.
 func (e *Entry) EvaluateCtx(ctx context.Context, t *pdk.Tech, sz Sizing, bias Bias,
 	ex *extract.Extracted, routes map[string]extract.Route) (*Eval, error) {
-	ev, err := e.evaluate(ctx, t, sz, bias, ex, routes)
+	ev, err := e.evaluate(ctx, t, sz, e.TestbenchBias(bias), ex, routes)
 	if tr := obs.From(ctx); tr.Enabled() {
 		if ex == nil {
 			tr.Counter("primlib.schematic_evals").Inc()
@@ -101,6 +103,37 @@ func (e *Entry) evaluate(ctx context.Context, t *pdk.Tech, sz Sizing, bias Bias,
 		return evalRes(ctx, e, t, sz, bias, ex, routes)
 	default:
 		return nil, fmt.Errorf("primlib: no evaluator for family %q", e.Family)
+	}
+}
+
+// TestbenchBias projects bias onto the fields the entry's family
+// testbenches read, zeroing the rest. Circuit-level biases carry more
+// than a testbench uses: the RO-VCO's stages get their schematic-OP
+// gate and drain voltages in VCM and VD, which the csinv testbenches
+// never read and which differ across the symmetric ring only in the
+// last bits. Keying and evaluating the projection lets such instances
+// share one evaluation. The table is per family; a few entries keep a
+// field they do not read (Vdd on NMOS pairs), and a family missing
+// here keeps its full bias.
+func (e *Entry) TestbenchBias(b Bias) Bias {
+	switch e.Family {
+	case "diffpair":
+		return Bias{Vdd: b.Vdd, VCM: b.VCM, VD: b.VD, ITail: b.ITail, CLoad: b.CLoad}
+	case "diffpair_cascode":
+		return Bias{VCM: b.VCM, VD: b.VD, ITail: b.ITail, CLoad: b.CLoad, VCasc: b.VCasc}
+	case "cmirror":
+		// ITail is the reference current when Sizing.NominalI is 0.
+		return Bias{Vdd: b.Vdd, VD: b.VD, ITail: b.ITail, CLoad: b.CLoad}
+	case "csource":
+		return Bias{Vdd: b.Vdd, VCM: b.VCM, VD: b.VD}
+	case "csamp":
+		return Bias{VCM: b.VCM, VD: b.VD, CLoad: b.CLoad}
+	case "csinv":
+		return Bias{Vdd: b.Vdd, VCtrl: b.VCtrl, CLoad: b.CLoad}
+	case "cap", "res":
+		return Bias{}
+	default:
+		return b
 	}
 }
 

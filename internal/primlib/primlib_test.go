@@ -649,3 +649,61 @@ func TestEvaluateRoutesDoNotMutateExtraction(t *testing.T) {
 		t.Error("evaluation mutated the layout wires")
 	}
 }
+
+// TestTestbenchBiasCoversTestbenchReads pins the projection table
+// against the testbenches. For every registered kind, the unprojected
+// family dispatch and EvaluateCtx (which projects) must give
+// bit-identical values and equal sim counts, on the schematic
+// reference and on the first extracted layout. All seven bias fields
+// are nonzero and off the testbenches' defaults (VCasc is not
+// VCM+0.15, VCtrl is not Vdd/2), and Sizing.NominalI is 0 so the
+// mirrors read ITail: a testbench that reads a field the table drops
+// sees 0 there and fails here.
+func TestTestbenchBiasCoversTestbenchReads(t *testing.T) {
+	ctx := context.Background()
+	bias := Bias{Vdd: 0.8, VCM: 0.45, VD: 0.4, ITail: 100e-6, CLoad: 5e-15, VCtrl: 0.6, VCasc: 0.62}
+	for _, kind := range Kinds() {
+		e := registry[kind]
+		t.Run(kind, func(t *testing.T) {
+			sz := Sizing{TotalFins: 240, L: 14}
+			cons := &cellgen.Constraints{MinNFin: 4, MaxNFin: 16, MaxM: 4}
+			switch e.Family {
+			case "csinv":
+				sz.TotalFins = 16
+			case "cap":
+				sz.TotalFins = 2560
+				cons = &cellgen.Constraints{MinNFin: 8, MaxNFin: 32}
+			case "res":
+				sz.TotalFins = 50
+			}
+			lays, err := e.FindLayouts(ctx, tech, sz, cons)
+			if err != nil || len(lays) == 0 {
+				t.Fatalf("layouts: %v (%d)", err, len(lays))
+			}
+			ex, err := extract.Primitive(ctx, tech, lays[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, x := range []*extract.Extracted{nil, ex} {
+				full, err := e.evaluate(ctx, tech, sz, bias, x, nil)
+				if err != nil {
+					t.Fatalf("full bias (layout %t): %v", x != nil, err)
+				}
+				proj, err := e.EvaluateCtx(ctx, tech, sz, bias, x, nil)
+				if err != nil {
+					t.Fatalf("projected bias (layout %t): %v", x != nil, err)
+				}
+				if full.Sims != proj.Sims || len(full.Values) != len(proj.Values) {
+					t.Errorf("layout %t: sims %d vs %d, %d vs %d values",
+						x != nil, full.Sims, proj.Sims, len(full.Values), len(proj.Values))
+				}
+				for name, v := range full.Values {
+					if p, ok := proj.Values[name]; !ok || math.Float64bits(p) != math.Float64bits(v) {
+						t.Errorf("layout %t: %s = %.17g with the full bias, %.17g projected",
+							x != nil, name, v, p)
+					}
+				}
+			}
+		})
+	}
+}
