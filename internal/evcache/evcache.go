@@ -51,9 +51,8 @@ package evcache
 
 import (
 	"context"
-	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -62,7 +61,6 @@ import (
 	"primopt/internal/extract"
 	"primopt/internal/fault"
 	"primopt/internal/obs"
-	"primopt/internal/pdk"
 	"primopt/internal/primlib"
 )
 
@@ -147,6 +145,11 @@ func layoutBytes(l *cellgen.Layout) int64 {
 // outlive a process (the disk tier) can never be served across model
 // changes or key-format generations — in-process both are constant,
 // which is why their omission was latent until entries persisted.
+// pdkFP is the Fingerprint of the Tech the caller evaluates with,
+// computed once per call (OptimizeCtx, GenerateConstraints,
+// Reconcile, primMetrics) rather than once per key; it is never
+// stored on the Tech, which the ablation harness copies by value and
+// tests edit, so a stored fingerprint could go stale.
 // The bias part is e.TestbenchBias(bias), the fields the entry's
 // testbenches read (dropped fields print as 0); EvaluateCtx applies
 // the same projection, so equal keys evaluate equal inputs. A nil
@@ -157,25 +160,49 @@ func layoutBytes(l *cellgen.Layout) int64 {
 // external global-route geometry per port (the port-optimization
 // sweeps evaluate the same layout under different route overrides) —
 // exactly the state the testbench decks depend on.
-func Key(t *pdk.Tech, e *primlib.Entry, sz primlib.Sizing, bias primlib.Bias, lay *cellgen.Layout, routes map[string]extract.Route) string {
+//
+// The text is the on-disk key, so its bytes are part of the disk
+// format: integers print as fmt's %d does and floats as its %g does
+// (strconv's shortest 'g' form), pinned by TestKeyGolden, and a
+// change to any byte needs a SchemaVersion bump.
+func Key(pdkFP string, e *primlib.Entry, sz primlib.Sizing, bias primlib.Bias, lay *cellgen.Layout, routes map[string]extract.Route) string {
 	bias = e.TestbenchBias(bias)
-	var b strings.Builder
-	fmt.Fprintf(&b, "v%d|pdk=%s|%s", SchemaVersion, t.Fingerprint(), e.Kind)
-	fmt.Fprintf(&b, "|fins=%d;L=%d;rB=%d;I=%g", sz.TotalFins, sz.L, sz.RatioB, sz.NominalI)
-	fmt.Fprintf(&b, "|vdd=%g;vcm=%g;vd=%g;it=%g;cl=%g;vctl=%g;vcas=%g",
-		bias.Vdd, bias.VCM, bias.VD, bias.ITail, bias.CLoad, bias.VCtrl, bias.VCasc)
+	var buf [512]byte
+	b := appendInt(buf[:0], "v", SchemaVersion)
+	b = append(b, "|pdk="...)
+	b = append(b, pdkFP...)
+	b = append(b, '|')
+	b = append(b, e.Kind...)
+	b = appendInt(b, "|fins=", int64(sz.TotalFins))
+	b = appendInt(b, ";L=", sz.L)
+	b = appendInt(b, ";rB=", int64(sz.RatioB))
+	b = appendG(b, ";I=", sz.NominalI)
+	b = appendG(b, "|vdd=", bias.Vdd)
+	b = appendG(b, ";vcm=", bias.VCM)
+	b = appendG(b, ";vd=", bias.VD)
+	b = appendG(b, ";it=", bias.ITail)
+	b = appendG(b, ";cl=", bias.CLoad)
+	b = appendG(b, ";vctl=", bias.VCtrl)
+	b = appendG(b, ";vcas=", bias.VCasc)
 	if lay == nil {
-		b.WriteString("|schematic")
+		b = append(b, "|schematic"...)
 	} else {
 		c := lay.Config
-		fmt.Fprintf(&b, "|cfg=%d/%d/%d/%d/%s", c.NFin, c.NF, c.M, c.Dummies, c.Pattern)
+		b = appendInt(b, "|cfg=", int64(c.NFin))
+		b = appendInt(b, "/", int64(c.NF))
+		b = appendInt(b, "/", int64(c.M))
+		b = appendInt(b, "/", int64(c.Dummies))
+		b = append(b, '/')
+		b = append(b, c.Pattern.String()...)
 		names := make([]string, 0, len(lay.Wires))
 		for w := range lay.Wires {
 			names = append(names, w)
 		}
 		sort.Strings(names)
 		for _, w := range names {
-			fmt.Fprintf(&b, "|%s=%d", w, lay.Wires[w].NWires)
+			b = append(b, '|')
+			b = append(b, w...)
+			b = appendInt(b, "=", int64(lay.Wires[w].NWires))
 		}
 	}
 	if len(routes) > 0 {
@@ -186,10 +213,28 @@ func Key(t *pdk.Tech, e *primlib.Entry, sz primlib.Sizing, bias primlib.Bias, la
 		sort.Strings(ports)
 		for _, w := range ports {
 			r := routes[w]
-			fmt.Fprintf(&b, "|r:%s=%d/%d/%d/%d/%d", w, r.Layer, r.Length, r.NWires, r.PinLayer, r.Vias)
+			b = append(b, "|r:"...)
+			b = append(b, w...)
+			b = appendInt(b, "=", int64(r.Layer))
+			b = appendInt(b, "/", r.Length)
+			b = appendInt(b, "/", int64(r.NWires))
+			b = appendInt(b, "/", int64(r.PinLayer))
+			b = appendInt(b, "/", int64(r.Vias))
 		}
 	}
-	return b.String()
+	return string(b)
+}
+
+// appendInt appends sep and v as fmt's %d prints it.
+func appendInt(b []byte, sep string, v int64) []byte {
+	return strconv.AppendInt(append(b, sep...), v, 10)
+}
+
+// appendG appends sep and v as fmt's %g prints it: the shortest
+// representation that round-trips, including for -0, subnormals,
+// ±Inf and NaN.
+func appendG(b []byte, sep string, v float64) []byte {
+	return strconv.AppendFloat(append(b, sep...), v, 'g', -1, 64)
 }
 
 // Cache is a concurrency-safe memoization table of evaluation

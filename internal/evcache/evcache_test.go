@@ -17,7 +17,8 @@ import (
 	"primopt/internal/primlib"
 )
 
-var testTech = pdk.Default()
+// testFP is the fingerprint of the default PDK, the tests' Tech.
+var testFP = pdk.Default().Fingerprint()
 
 func testLayout() *cellgen.Layout {
 	return &cellgen.Layout{
@@ -42,34 +43,34 @@ func TestKeySnapshot(t *testing.T) {
 	bias := primlib.Bias{Vdd: 0.8, VCM: 0.45, VD: 0.4, ITail: 100e-6, CLoad: 5e-15}
 	lay := testLayout()
 	dp := primlib.DiffPair
-	base := Key(testTech, dp, sz, bias, lay, nil)
+	base := Key(testFP, dp, sz, bias, lay, nil)
 
-	if again := Key(testTech, dp, sz, bias, lay, nil); again != base {
+	if again := Key(testFP, dp, sz, bias, lay, nil); again != base {
 		t.Errorf("key not stable: %q vs %q", base, again)
 	}
 	// Dummies are part of the snapshot even though Config.ID omits
 	// them — a dummy-count change moves the LDE environment.
 	moreDummies := testLayout()
 	moreDummies.Config.Dummies = 4
-	if Key(testTech, dp, sz, bias, moreDummies, nil) == base {
+	if Key(testFP, dp, sz, bias, moreDummies, nil) == base {
 		t.Error("dummy count not in the key")
 	}
 	wires := testLayout()
 	wires.Wires["s"].NWires = 3
-	if Key(testTech, dp, sz, bias, wires, nil) == base {
+	if Key(testFP, dp, sz, bias, wires, nil) == base {
 		t.Error("wire count not in the key")
 	}
 	otherBias := bias
 	otherBias.ITail = 50e-6
-	if Key(testTech, dp, sz, otherBias, lay, nil) == base {
+	if Key(testFP, dp, sz, otherBias, lay, nil) == base {
 		t.Error("bias not in the key")
 	}
 	otherSz := sz
 	otherSz.TotalFins = 480
-	if Key(testTech, dp, otherSz, bias, lay, nil) == base {
+	if Key(testFP, dp, otherSz, bias, lay, nil) == base {
 		t.Error("sizing not in the key")
 	}
-	if Key(testTech, primlib.CurrentMirror, sz, bias, lay, nil) == base {
+	if Key(testFP, primlib.CurrentMirror, sz, bias, lay, nil) == base {
 		t.Error("kind not in the key")
 	}
 	// Kinds of one family project the bias identically but carry
@@ -81,12 +82,12 @@ func TestKeySnapshot(t *testing.T) {
 		if twin.TestbenchBias(bias) != dp.TestbenchBias(bias) {
 			t.Fatalf("%s projects the bias differently from %s", twin.Kind, dp.Kind)
 		}
-		if Key(testTech, twin, sz, bias, lay, nil) == base {
+		if Key(testFP, twin, sz, bias, lay, nil) == base {
 			t.Errorf("%s shares a key with %s: kind not in the key", twin.Kind, dp.Kind)
 		}
 	}
 	// The schematic key is distinct from every layout key.
-	if sk := Key(testTech, dp, sz, bias, nil, nil); sk == base {
+	if sk := Key(testFP, dp, sz, bias, nil, nil); sk == base {
 		t.Error("schematic key collides with layout key")
 	}
 
@@ -96,12 +97,12 @@ func TestKeySnapshot(t *testing.T) {
 	inv := primlib.CSInverter
 	invSz := primlib.Sizing{TotalFins: 16, L: 14}
 	stage := primlib.Bias{Vdd: 0.8, VCM: 0.35967466467973946, VD: 0.4, CLoad: 6e-15, VCtrl: 0.6}
-	invKey := Key(testTech, inv, invSz, stage, lay, nil)
+	invKey := Key(testFP, inv, invSz, stage, lay, nil)
 	vcmTwin, vdTwin := stage, stage
 	vcmTwin.VCM = 0.35967466467973963
 	vdTwin.VD = 0.41
 	for _, twin := range []primlib.Bias{vcmTwin, vdTwin} {
-		if k := Key(testTech, inv, invSz, twin, lay, nil); k != invKey {
+		if k := Key(testFP, inv, invSz, twin, lay, nil); k != invKey {
 			t.Errorf("csinv stages differing in unread VCM/VD got two keys:\n%s\n%s", invKey, k)
 		}
 	}
@@ -111,7 +112,7 @@ func TestKeySnapshot(t *testing.T) {
 	}
 	ctl := stage
 	ctl.VCtrl = 0.5
-	if Key(testTech, inv, invSz, ctl, lay, nil) == invKey {
+	if Key(testFP, inv, invSz, ctl, lay, nil) == invKey {
 		t.Error("csinv VCtrl not in the key")
 	}
 	// A field the family reads keys at full precision: a current
@@ -120,7 +121,7 @@ func TestKeySnapshot(t *testing.T) {
 	csBias := primlib.Bias{Vdd: 0.8, VCM: 0.45, VD: 0.4}
 	csVD := csBias
 	csVD.VD = math.Nextafter(csBias.VD, 1)
-	if Key(testTech, cs, sz, csVD, lay, nil) == Key(testTech, cs, sz, csBias, lay, nil) {
+	if Key(testFP, cs, sz, csVD, lay, nil) == Key(testFP, cs, sz, csBias, lay, nil) {
 		t.Error("csource VD not in the key")
 	}
 }
@@ -261,7 +262,7 @@ func TestMissesCountDistinctSnapshots(t *testing.T) {
 		lay := testLayout()
 		for n := 1; n <= maxW; n++ {
 			lay.Wires["d_a"].NWires = n
-			key := Key(testTech, primlib.CSAmp, sz, bias, lay, nil)
+			key := Key(testFP, primlib.CSAmp, sz, bias, lay, nil)
 			if _, err := c.DoCtx(context.Background(), key, func() (*Entry, error) {
 				computes++
 				return testEntry(), nil
@@ -295,13 +296,13 @@ func TestMissesCountDistinctSnapshots(t *testing.T) {
 	// identical sizing/bias/layout — the csamp situation, where the
 	// "csamp" and "csource_p" instances can never serve each other.
 	lay := testLayout()
-	if Key(testTech, primlib.CSAmp, sz, bias, lay, nil) == Key(testTech, primlib.CurrentSourceP, sz, bias, lay, nil) {
+	if Key(testFP, primlib.CSAmp, sz, bias, lay, nil) == Key(testFP, primlib.CurrentSourceP, sz, bias, lay, nil) {
 		t.Error("distinct primitive kinds share a key")
 	}
 	// Nor does a kind of the same family, whose projected bias is
 	// identical: common-source and common-gate amplifiers weigh
 	// different metrics.
-	if Key(testTech, primlib.CSAmp, sz, bias, lay, nil) == Key(testTech, primlib.CGAmp, sz, bias, lay, nil) {
+	if Key(testFP, primlib.CSAmp, sz, bias, lay, nil) == Key(testFP, primlib.CGAmp, sz, bias, lay, nil) {
 		t.Error("same-family kinds csamp and cgamp share a key")
 	}
 }
@@ -318,11 +319,11 @@ func TestKeyPDKFingerprint(t *testing.T) {
 	bias := primlib.Bias{Vdd: 0.8, VCM: 0.45}
 	lay := testLayout()
 
-	base := Key(pdk.Default(), primlib.DiffPair, sz, bias, lay, nil)
+	base := Key(pdk.Default().Fingerprint(), primlib.DiffPair, sz, bias, lay, nil)
 
 	// A second Tech value with identical parameters: same key.
 	twin := pdk.Default()
-	if Key(twin, primlib.DiffPair, sz, bias, lay, nil) != base {
+	if Key(twin.Fingerprint(), primlib.DiffPair, sz, bias, lay, nil) != base {
 		t.Error("identical PDK content produced different keys (pointer-addressed, not content-addressed)")
 	}
 
@@ -330,13 +331,13 @@ func TestKeyPDKFingerprint(t *testing.T) {
 	// same sizing and layout must NOT share a key.
 	variant := pdk.Default()
 	variant.U0N *= 1.1
-	if Key(variant, primlib.DiffPair, sz, bias, lay, nil) == base {
+	if Key(variant.Fingerprint(), primlib.DiffPair, sz, bias, lay, nil) == base {
 		t.Error("PDK variant shares a key with the base PDK — wrong-PDK entries would be served")
 	}
 	// Structural variants too (an extra metal layer).
 	taller := pdk.Default()
 	taller.Metals = append(taller.Metals, taller.Metals[len(taller.Metals)-1])
-	if Key(taller, primlib.DiffPair, sz, bias, lay, nil) == base {
+	if Key(taller.Fingerprint(), primlib.DiffPair, sz, bias, lay, nil) == base {
 		t.Error("metal-stack variant shares a key with the base PDK")
 	}
 
@@ -354,12 +355,12 @@ func TestKeyRoutes(t *testing.T) {
 	bias := primlib.Bias{Vdd: 0.8, VCM: 0.45}
 	lay := testLayout()
 
-	bare := Key(testTech, primlib.DiffPair, sz, bias, lay, nil)
+	bare := Key(testFP, primlib.DiffPair, sz, bias, lay, nil)
 	r1 := map[string]extract.Route{
 		"out": {Layer: 2, Length: 500, NWires: 1, PinLayer: 1, Vias: 2},
 		"in":  {Layer: 1, Length: 300, NWires: 2, PinLayer: 1, Vias: 1},
 	}
-	routed := Key(testTech, primlib.DiffPair, sz, bias, lay, r1)
+	routed := Key(testFP, primlib.DiffPair, sz, bias, lay, r1)
 	if routed == bare {
 		t.Error("route overrides not in the key")
 	}
@@ -368,14 +369,14 @@ func TestKeyRoutes(t *testing.T) {
 		"in":  {Layer: 1, Length: 300, NWires: 2, PinLayer: 1, Vias: 1},
 		"out": {Layer: 2, Length: 500, NWires: 1, PinLayer: 1, Vias: 2},
 	}
-	if Key(testTech, primlib.DiffPair, sz, bias, lay, r2) != routed {
+	if Key(testFP, primlib.DiffPair, sz, bias, lay, r2) != routed {
 		t.Error("route key depends on map iteration order")
 	}
 	wider := map[string]extract.Route{
 		"out": {Layer: 2, Length: 500, NWires: 4, PinLayer: 1, Vias: 2},
 		"in":  r1["in"],
 	}
-	if Key(testTech, primlib.DiffPair, sz, bias, lay, wider) == routed {
+	if Key(testFP, primlib.DiffPair, sz, bias, lay, wider) == routed {
 		t.Error("route wire count not in the key")
 	}
 }

@@ -738,7 +738,7 @@ func primMetrics(ctx context.Context, t *pdk.Tech, ch *chosen, p Params) ([]cost
 	}
 	var sch *primlib.Eval
 	if c := p.Optimize.Cache; c != nil {
-		key := evcache.Key(t, ch.entry, ch.inst.Sizing, ch.bias, nil, nil)
+		key := evcache.Key(t.Fingerprint(), ch.entry, ch.inst.Sizing, ch.bias, nil, nil)
 		c.RecordRequest(p.Trace, key)
 		ent, err := c.DoCtx(ctx, key, func() (*evcache.Entry, error) {
 			ev, err := ch.entry.EvaluateCtx(ctx, t, ch.inst.Sizing, ch.bias, nil, nil)

@@ -26,7 +26,7 @@ func newTestEnv(t *testing.T, e *primlib.Entry, sz primlib.Sizing, bias primlib.
 	}
 	return &evalEnv{
 		ctx: obs.With(context.Background(), tr),
-		t:   tech, e: e, sz: sz, bias: bias, metrics: metrics,
+		t:   tech, pdkFP: tech.Fingerprint(), e: e, sz: sz, bias: bias, metrics: metrics,
 		et: newEvalTracker(tr, cache), cache: cache, tr: tr,
 		sem: make(chan struct{}, 4),
 	}

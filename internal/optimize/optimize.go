@@ -143,7 +143,8 @@ func OptimizeCtx(ctx context.Context, t *pdk.Tech, e *primlib.Entry, sz primlib.
 	// reference depends only on the kind, the sizing and the bias
 	// fields its testbenches read, so with a shared cache instances
 	// that differ elsewhere (the RO-VCO's stages) reuse it too.
-	schKey := evcache.Key(t, e, sz, bias, nil, nil)
+	pdkFP := t.Fingerprint()
+	schKey := evcache.Key(pdkFP, e, sz, bias, nil, nil)
 	if p.Cache != nil {
 		et.record(schKey)
 	}
@@ -175,7 +176,7 @@ func OptimizeCtx(ctx context.Context, t *pdk.Tech, e *primlib.Entry, sz primlib.
 
 	env := &evalEnv{
 		ctx: ctx, inj: fault.From(ctx),
-		t: t, e: e, sz: sz, bias: bias, metrics: metrics,
+		t: t, pdkFP: pdkFP, e: e, sz: sz, bias: bias, metrics: metrics,
 		et: et, cache: p.Cache, tr: tr,
 		sem: make(chan struct{}, p.Workers),
 	}
@@ -294,6 +295,7 @@ type evalEnv struct {
 	ctx     context.Context
 	inj     *fault.Injector
 	t       *pdk.Tech
+	pdkFP   string // t.Fingerprint(), once per Optimize call
 	e       *primlib.Entry
 	sz      primlib.Sizing
 	bias    primlib.Bias
@@ -311,7 +313,7 @@ type evalEnv struct {
 // clones).
 func (env *evalEnv) eval(lay *cellgen.Layout) (*Option, error) {
 	ctx := env.ctx
-	key := evcache.Key(env.t, env.e, env.sz, env.bias, lay, nil)
+	key := evcache.Key(env.pdkFP, env.e, env.sz, env.bias, lay, nil)
 	env.et.record(key)
 	compute := func() (*evcache.Entry, error) {
 		select {

@@ -139,8 +139,9 @@ func routesWith(pi *PrimInstance, net string, n int) map[string]extract.Route {
 // the Eval (the layout and extraction are the caller's own), and
 // every request is booked via RecordRequest so the trace-wide
 // evcache.hits == optimize.repeat_evals invariant survives portopt
-// joining the cache's consumers. The evaluation runs on ctx.
-func costAt(ctx context.Context, t *pdk.Tech, pi *PrimInstance, net string, n int, p Params) (float64, int, error) {
+// joining the cache's consumers. pdkFP is t.Fingerprint(), computed
+// once by the calling step. The evaluation runs on ctx.
+func costAt(ctx context.Context, t *pdk.Tech, pdkFP string, pi *PrimInstance, net string, n int, p Params) (float64, int, error) {
 	tr := obs.From(ctx)
 	tr.Counter("portopt.evals").Inc()
 	routes := routesWith(pi, net, n)
@@ -150,7 +151,7 @@ func costAt(ctx context.Context, t *pdk.Tech, pi *PrimInstance, net string, n in
 		if pi.Ex != nil {
 			lay = pi.Ex.Layout
 		}
-		key := evcache.Key(t, pi.Entry, pi.Sizing, pi.Bias, lay, routes)
+		key := evcache.Key(pdkFP, pi.Entry, pi.Sizing, pi.Bias, lay, routes)
 		p.Cache.RecordRequest(tr, key)
 		ent, err := p.Cache.DoCtx(ctx, key, func() (*evcache.Entry, error) {
 			e, err := pi.Entry.EvaluateCtx(ctx, t, pi.Sizing, pi.Bias, pi.Ex, routes)
@@ -196,12 +197,13 @@ func GenerateConstraints(ctx context.Context, t *pdk.Tech, pi *PrimInstance, p P
 	}
 	sort.Strings(nets)
 
+	pdkFP := t.Fingerprint()
 	sims := 0
 	var out []Constraint
 	for _, net := range nets {
 		curve := make([]float64, 0, p.MaxWires)
 		for n := 1; n <= p.MaxWires; n++ {
-			c, s, err := costAt(ctx, t, pi, net, n, p)
+			c, s, err := costAt(ctx, t, pdkFP, pi, net, n, p)
 			if err != nil {
 				return nil, sims, err
 			}
@@ -265,6 +267,7 @@ func Reconcile(ctx context.Context, t *pdk.Tech, prims []*PrimInstance, cons []C
 	}
 	sort.Strings(nets)
 
+	pdkFP := t.Fingerprint()
 	out := make(map[string]int, len(nets))
 	sims := 0
 	for _, net := range nets {
@@ -298,7 +301,7 @@ func Reconcile(ctx context.Context, t *pdk.Tech, prims []*PrimInstance, cons []C
 				if !ok {
 					return nil, sims, fmt.Errorf("portopt: unknown primitive %q in constraint", c.Prim)
 				}
-				cv, s, err := costAt(ctx, t, pi, net, n, p)
+				cv, s, err := costAt(ctx, t, pdkFP, pi, net, n, p)
 				if err != nil {
 					return nil, sims, err
 				}
