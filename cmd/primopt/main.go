@@ -102,8 +102,6 @@ func main() {
 			os.Exit(runTraceCmp(os.Args[2:]))
 		case "report":
 			os.Exit(runReport(os.Args[2:]))
-		case "benchdiff":
-			os.Exit(runBenchDiff(os.Args[2:]))
 		case "cache":
 			os.Exit(runCacheCmd(os.Args[2:]))
 		case "serve":
@@ -143,8 +141,8 @@ func main() {
 
 	// SIGINT/SIGTERM cancel the flow context: solver inner loops
 	// unwind promptly, and because finishObs still runs below, the
-	// partial -trace/-bench-out artifacts land on disk anyway. A
-	// second signal falls through to the default handler (hard kill).
+	// partial -trace file lands on disk anyway. A second signal falls
+	// through to the default handler (hard kill).
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 

@@ -7,7 +7,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
@@ -35,7 +34,6 @@ type obsFlags struct {
 	pprofAddr  string // serve net/http/pprof on this address
 	cpuprofile string // write a CPU profile here
 	memprofile string // write a heap profile here
-	benchOut   string // write BENCH_flow.json-style stage timings here
 }
 
 // registerObsFlags adds the shared observability flags to a flag set.
@@ -48,7 +46,6 @@ func registerObsFlags(fs *flag.FlagSet, f *obsFlags) {
 	fs.StringVar(&f.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	fs.StringVar(&f.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&f.memprofile, "memprofile", "", "write a heap profile to this file")
-	fs.StringVar(&f.benchOut, "bench-out", "", "write per-stage wall-clock timings as JSON to this file")
 }
 
 // metaClock stamps trace metadata; a package variable so tests can
@@ -91,11 +88,11 @@ func buildMeta() obs.Meta {
 }
 
 // setupObs installs the process-wide trace and profiling hooks. The
-// returned function flushes trace, metrics, bench timings, and
-// profiles; call it once after the run (including on the error path,
-// so partial traces still land on disk).
+// returned function flushes trace, metrics and profiles; call it once
+// after the run (including on the error path, so partial traces still
+// land on disk).
 func setupObs(f obsFlags) (func() error, error) {
-	enabled := f.trace != "" || f.metrics || f.verbose || f.benchOut != "" || f.telemetry != ""
+	enabled := f.trace != "" || f.metrics || f.verbose || f.telemetry != ""
 	var tr *obs.Trace
 	if enabled {
 		tr = obs.New()
@@ -168,12 +165,6 @@ func setupObs(f obsFlags) (func() error, error) {
 			}
 			fmt.Fprintf(os.Stderr, "wrote trace to %s\n", f.trace)
 		}
-		if f.benchOut != "" {
-			if err := writeBench(tr, f.benchOut); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "wrote bench timings to %s\n", f.benchOut)
-		}
 		if f.metrics {
 			fmt.Fprint(os.Stderr, tr.MetricsTable())
 		}
@@ -199,109 +190,6 @@ func liveStageLine(s *obs.Span) {
 		extra = fmt.Sprintf(" circuit=%v mode=%v", v, s.Attr("mode"))
 	}
 	fmt.Fprintf(os.Stderr, "[obs] %-18s %10s%s\n", name, s.Dur().Round(time.Microsecond), extra)
-}
-
-// attrInt64 reads a numeric span attribute (JSON numbers arrive as
-// float64 after the export round-trip; live attrs may still be int64).
-func attrInt64(attrs map[string]any, key string) int64 {
-	switch v := attrs[key].(type) {
-	case float64:
-		return int64(v)
-	case int64:
-		return v
-	case int:
-		return int64(v)
-	}
-	return 0
-}
-
-// writeBench distills the trace's flow.run spans into a small JSON
-// benchmark artifact: wall-clock per stage plus the cache accounting,
-// per run, stamped with the run environment. It merges into an
-// existing file — entries for other (circuit, mode, cache, replicas)
-// configurations are kept — so repeated partial runs accumulate a
-// before/after perf trajectory instead of clobbering each other. The
-// meta block always reflects the newest write.
-func writeBench(tr *obs.Trace, path string) error {
-	var buf strings.Builder
-	if err := tr.WriteJSONL(&buf); err != nil {
-		return err
-	}
-	d, err := obs.ReadJSONL(strings.NewReader(buf.String()))
-	if err != nil {
-		return err
-	}
-	bf := &analyze.BenchFile{}
-	// A missing or malformed existing file is simply overwritten.
-	if prev, err := analyze.ReadBenchFile(path); err == nil {
-		bf.Runs = prev.Runs
-	}
-	if d.Meta != nil {
-		bf.Meta = analyze.BenchMeta{
-			GoVersion: d.Meta.GoVersion,
-			Host:      d.Meta.Host,
-			Commit:    d.Meta.Commit,
-			Timestamp: d.Meta.StartTime,
-		}
-	}
-	for _, root := range d.SpansNamed("flow.run") {
-		br := analyze.BenchRun{
-			Circuit:        attrString(root.Attrs, "circuit"),
-			Mode:           attrString(root.Attrs, "mode"),
-			TotalMS:        float64(root.DurUS) / 1e3,
-			EvcacheHits:    attrInt64(root.Attrs, "cache_hits"),
-			EvcacheMisses:  attrInt64(root.Attrs, "cache_misses"),
-			DiskHits:       attrInt64(root.Attrs, "disk_hits"),
-			DiskMisses:     attrInt64(root.Attrs, "disk_misses"),
-			DuplicateDecks: attrInt64(root.Attrs, "duplicate_decks"),
-			FactorReused:   attrInt64(root.Attrs, "factor_reused"),
-			NewtonBypassed: attrInt64(root.Attrs, "newton_bypassed"),
-			Stages:         map[string]float64{},
-		}
-		if v, ok := root.Attrs["cache"].(bool); ok {
-			br.Cache = v
-		}
-		if v, ok := root.Attrs["sims"].(float64); ok {
-			br.Sims = v
-		}
-		for _, c := range d.Children(root.ID) {
-			br.Stages[c.Name] += float64(c.DurUS) / 1e3
-			if c.Name != "flow.place" {
-				continue
-			}
-			// Pull the replica count and winning cost off the nested
-			// place.anneal span so the bench file carries the
-			// placement-quality axis next to the wall-clock one.
-			for _, a := range d.Children(c.ID) {
-				if a.Name != "place.anneal" {
-					continue
-				}
-				if v, ok := a.Attrs["replicas"].(float64); ok {
-					br.Replicas = int(v)
-				}
-				if v, ok := a.Attrs["best_cost"].(float64); ok {
-					br.PlaceBestCost = v
-				}
-			}
-		}
-		replaced := false
-		for i := range bf.Runs {
-			if bf.Runs[i].Key() == br.Key() {
-				bf.Runs[i] = br
-				replaced = true
-				break
-			}
-		}
-		if !replaced {
-			bf.Runs = append(bf.Runs, br)
-		}
-	}
-	bf.SortRuns()
-	out, err := json.MarshalIndent(bf, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }
 
 func attrString(attrs map[string]any, key string) string {

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -14,7 +13,6 @@ import (
 
 	"primopt/internal/circuits"
 	"primopt/internal/obs"
-	"primopt/internal/obs/analyze"
 )
 
 // pinClock fixes the meta timestamp for the duration of a test.
@@ -66,14 +64,13 @@ func TestRegisterObsFlagsParsing(t *testing.T) {
 		"-trace", "t.jsonl", "-metrics", "-v",
 		"-telemetry", ":0", "-pprof", "localhost:6060",
 		"-cpuprofile", "cpu.out", "-memprofile", "mem.out",
-		"-bench-out", "bench.json",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f.trace != "t.jsonl" || !f.metrics || !f.verbose || f.telemetry != ":0" ||
 		f.pprofAddr != "localhost:6060" || f.cpuprofile != "cpu.out" ||
-		f.memprofile != "mem.out" || f.benchOut != "bench.json" {
+		f.memprofile != "mem.out" {
 		t.Errorf("parsed flags = %+v", f)
 	}
 	// Defaults: everything off.
@@ -109,17 +106,14 @@ func TestBuildMetaStampsRunContext(t *testing.T) {
 	}
 }
 
-// The core flag-plumbing path: -trace and -bench-out through setupObs
-// and its finish hook, producing a meta-stamped trace file and a bench
-// file carrying the run's cache accounting.
-func TestSetupObsTraceAndBenchOut(t *testing.T) {
+// The core flag-plumbing path: -trace through setupObs and its finish
+// hook, producing a meta-stamped trace file.
+func TestSetupObsTrace(t *testing.T) {
 	pinClock(t)
 	keepDefault(t)
-	dir := t.TempDir()
-	tracePath := filepath.Join(dir, "trace.jsonl")
-	benchPath := filepath.Join(dir, "bench.json")
+	tracePath := filepath.Join(t.TempDir(), "trace.jsonl")
 
-	finish, err := setupObs(obsFlags{trace: tracePath, benchOut: benchPath})
+	finish, err := setupObs(obsFlags{trace: tracePath})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,16 +121,8 @@ func TestSetupObsTraceAndBenchOut(t *testing.T) {
 	if !tr.Enabled() {
 		t.Fatal("setupObs did not install a default trace")
 	}
-	// Simulate a flow run's root span with the accounting attrs the
-	// real flow sets.
 	root := tr.Start("flow.run")
 	root.SetAttr("circuit", "csamp")
-	root.SetAttr("mode", "optimized")
-	root.SetAttr("cache", true)
-	root.SetAttr("sims", 42.0)
-	root.SetAttr("cache_hits", int64(10))
-	root.SetAttr("cache_misses", int64(30))
-	root.SetAttr("duplicate_decks", int64(3))
 	root.Start("flow.place").End()
 	root.End()
 
@@ -145,7 +131,7 @@ func TestSetupObsTraceAndBenchOut(t *testing.T) {
 			t.Errorf("finish: %v", err)
 		}
 	})
-	if !strings.Contains(out, "wrote trace") || !strings.Contains(out, "wrote bench") {
+	if !strings.Contains(out, "wrote trace") {
 		t.Errorf("finish output = %q", out)
 	}
 
@@ -161,48 +147,8 @@ func TestSetupObsTraceAndBenchOut(t *testing.T) {
 	if d.Meta == nil || d.Meta.Schema != obs.TraceSchema || d.Meta.StartTime != "2026-08-08T12:00:00Z" {
 		t.Errorf("trace meta = %+v", d.Meta)
 	}
-
-	bf, err := analyze.ReadBenchFile(benchPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bf.Meta.Timestamp != "2026-08-08T12:00:00Z" || bf.Meta.GoVersion == "" {
-		t.Errorf("bench meta = %+v", bf.Meta)
-	}
-	if len(bf.Runs) != 1 {
-		t.Fatalf("bench runs = %+v", bf.Runs)
-	}
-	br := bf.Runs[0]
-	if br.Circuit != "csamp" || !br.Cache || br.EvcacheHits != 10 ||
-		br.EvcacheMisses != 30 || br.DuplicateDecks != 3 || br.Sims != 42 {
-		t.Errorf("bench run = %+v", br)
-	}
-	if _, ok := br.Stages["flow.place"]; !ok {
-		t.Errorf("bench run missing stage timings: %+v", br.Stages)
-	}
-
-	// A second write merges: same key replaces, other keys survive.
-	finish2, err := setupObs(obsFlags{benchOut: benchPath})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr2 := obs.Default()
-	r2 := tr2.Start("flow.run")
-	r2.SetAttr("circuit", "ota5t")
-	r2.SetAttr("mode", "optimized")
-	r2.SetAttr("cache", true)
-	r2.End()
-	_ = captureStderr(t, func() {
-		if err := finish2(); err != nil {
-			t.Errorf("finish2: %v", err)
-		}
-	})
-	bf, err = analyze.ReadBenchFile(benchPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bf.Runs) != 2 {
-		t.Errorf("merged bench runs = %d, want 2 (csamp kept, ota5t added)", len(bf.Runs))
+	if d.Span("flow.place") == nil {
+		t.Errorf("trace spans = %+v", d.Spans)
 	}
 }
 
@@ -453,9 +399,9 @@ func TestCheckTraceRequireWarm(t *testing.T) {
 }
 
 // End-to-end over the CLI entry points: tracecmp fails on a seeded
-// regression and passes on identical traces; benchdiff gates a 2x
-// stage slowdown.
-func TestTraceCmpAndBenchDiffExitCodes(t *testing.T) {
+// regression, passes on identical traces and rejects a threshold that
+// cannot gate anything; report renders a trace.
+func TestTraceCmpExitCodes(t *testing.T) {
 	dir := t.TempDir()
 	base := writeTraceFile(t, dir, "a.jsonl", conventionalTraceLines(validMetaLine)...)
 	// Seed a 3x regression into flow.place (300µs -> 900µs); index 4
@@ -493,41 +439,16 @@ func TestTraceCmpAndBenchDiffExitCodes(t *testing.T) {
 	}); rc != 0 {
 		t.Errorf("tracecmp on identical traces = %d, want 0", rc)
 	}
+	for _, bad := range []string{"NaN", "Inf", "-50%"} {
+		var rc int
+		out := captureStderr(t, func() {
+			rc = runTraceCmp([]string{"-max-regress", bad, base, cur})
+		})
+		if rc != 2 || !strings.Contains(out, "threshold") {
+			t.Errorf("tracecmp -max-regress %s = %d, stderr %q; want 2 and a threshold error", bad, rc, out)
+		}
+	}
 	if rc := quiet(func() int { return runReport([]string{"-top", "3", base}) }); rc != 0 {
 		t.Errorf("report = %d, want 0", rc)
-	}
-
-	baseBench := filepath.Join(dir, "base.json")
-	curBench := filepath.Join(dir, "cur.json")
-	writeBenchFixture(t, baseBench, 50)
-	writeBenchFixture(t, curBench, 100)
-	if rc := quiet(func() int {
-		return runBenchDiff([]string{"-max-regress", "20%", "-min-ms", "5", baseBench, curBench})
-	}); rc != 1 {
-		t.Errorf("benchdiff on 2x slowdown = %d, want 1", rc)
-	}
-	if rc := quiet(func() int {
-		return runBenchDiff([]string{"-max-regress", "20%", "-min-ms", "5", baseBench, baseBench})
-	}); rc != 0 {
-		t.Errorf("benchdiff on identical files = %d, want 0", rc)
-	}
-}
-
-func writeBenchFixture(t *testing.T, path string, placeMS float64) {
-	t.Helper()
-	bf := &analyze.BenchFile{
-		Meta: analyze.BenchMeta{GoVersion: "go1.24.0", Host: "h", Timestamp: "2026-08-08T12:00:00Z"},
-		Runs: []analyze.BenchRun{{
-			Circuit: "csamp", Mode: "optimized", Cache: true,
-			TotalMS: placeMS + 30,
-			Stages:  map[string]float64{"flow.place": placeMS, "flow.route": 20},
-		}},
-	}
-	data, err := json.MarshalIndent(bf, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -1,7 +1,7 @@
 // Trace analytics subcommands: `primopt tracecmp` diffs two exported
 // traces with per-span and per-counter deltas, critical paths, and a
-// threshold regression verdict (exit 1 on regression, so it gates
-// perf PRs in CI); `primopt report` renders one trace as a
+// threshold regression verdict (exit 1 on regression), for finding
+// the stage a change moved; `primopt report` renders one trace as a
 // flame-style tree with self/cumulative times and a hotspot ranking.
 package main
 

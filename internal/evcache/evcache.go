@@ -323,9 +323,6 @@ func (c *Cache) AttachDisk(d *Disk) {
 	c.mu.Unlock()
 }
 
-// HasDisk reports whether a disk tier backs the cache.
-func (c *Cache) HasDisk() bool { return c.diskTier() != nil }
-
 // diskTier returns the attached disk tier, if any.
 func (c *Cache) diskTier() *Disk {
 	if c == nil {

@@ -209,34 +209,6 @@ type chosen struct {
 	routes  map[string]extract.Route
 }
 
-// runAttrs are the per-run attributes of the flow.run span. Each is
-// the delta, across the run, of one counter on the run's trace, so it
-// is the run's own figure even when one trace holds several runs
-// (-mode all) or one cache serves several concurrent runs (the
-// daemon). Cache rows apply only to runs with a cache, disk rows only
-// to runs whose cache has a disk tier.
-var runAttrs = [...]struct {
-	attr, counter string
-	scope         int
-}{
-	{"duplicate_decks", "spice.duplicate_decks", scopeAll},
-	{"factor_reused", "spice.factor.reused", scopeAll},
-	{"newton_bypassed", "spice.newton.bypassed", scopeAll},
-	{"cache_hits", "evcache.hits", scopeCache},
-	{"cache_misses", "evcache.misses", scopeCache},
-	{"disk_hits", "evcache.disk_hits", scopeDisk},
-	{"disk_misses", "evcache.disk_misses", scopeDisk},
-	{"disk_write_errors", "evcache.disk_write_errors", scopeDisk},
-	{"disk_evictions", "evcache.disk_evictions", scopeDisk},
-}
-
-// Scopes of runAttrs rows, each including the ones before it.
-const (
-	scopeAll = iota
-	scopeCache
-	scopeDisk
-)
-
 // RunContext executes one methodology on a benchmark. Cancellation
 // reaches every solver inner loop (Newton, annealing bands, A*
 // expansions), each stage optionally runs under its own
@@ -256,35 +228,11 @@ func RunContext(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, mode M
 	root.SetAttr("mode", mode.String())
 	root.SetAttr("seed", p.Seed)
 	root.SetAttr("cache", p.Optimize.Cache != nil)
-	scope := scopeAll
-	if c := p.Optimize.Cache; c.HasDisk() {
-		scope = scopeDisk
-	} else if c != nil {
-		scope = scopeCache
-	}
-	var ctrs [len(runAttrs)]*obs.Counter
-	var base [len(runAttrs)]int64
-	for i, a := range runAttrs {
-		if a.scope <= scope {
-			//lint:allow spanhygiene the names come from the fixed runAttrs table
-			ctrs[i] = p.Trace.Counter(a.counter)
-			base[i] = ctrs[i].Value()
-		}
-	}
 	defer func() {
 		res.Runtime = time.Since(start) //lint:allow rngpurity wall time feeds Result.Runtime reporting metadata only, never layout or metric values
 		root.SetAttr("sims", res.Sims)
 		if len(res.Degraded) > 0 {
 			root.SetAttr("degraded", len(res.Degraded))
-		}
-		// Per-run cache and redundancy accounting, so the bench writer
-		// (and anyone reading the trace) can explain a run's wall clock:
-		// a cache-on run slower than cache-off shows its misses dwarfing
-		// its hits right here on the root span.
-		for i, a := range runAttrs {
-			if ctrs[i] != nil {
-				root.SetAttr(a.attr, ctrs[i].Value()-base[i])
-			}
 		}
 		root.End()
 	}()
@@ -409,7 +357,6 @@ func runLayout(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, mode Mo
 	if mode == Optimized || mode == Manual {
 		posp := root.Start("flow.portopt")
 		pp := p.Port
-		pp.Obs = posp
 		pp.Cache = p.Optimize.Cache
 		if mode == Manual && pp.MaxWires == 0 {
 			pp.MaxWires = 10
@@ -435,7 +382,7 @@ func runLayout(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, mode Mo
 				SymGroups: ch.entry.SymPorts,
 			})
 		}
-		pres, err := portopt.Optimize(ctx, t, prims, pp)
+		pres, err := portopt.Optimize(obs.WithSpan(ctx, posp), t, prims, pp)
 		if err != nil {
 			posp.End()
 			return nil, fmt.Errorf("flow: %s port optimization: %w", bm.Name, err)
@@ -650,7 +597,6 @@ func optimizedChoices(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, 
 				return
 			}
 			op1 := p.Optimize
-			op1.Obs = ps
 			if mode == Manual {
 				// The oracle: more bins, deeper tuning sweeps.
 				if op1.Bins == 0 {
@@ -666,7 +612,7 @@ func optimizedChoices(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, 
 						err = fmt.Errorf("recovered panic: %v", rec)
 					}
 				}()
-				return optimize.OptimizeCtx(ctx, t, entry, in.Sizing, in.Bias(op), op1)
+				return optimize.OptimizeCtx(obs.WithSpan(ctx, ps), t, entry, in.Sizing, in.Bias(op), op1)
 			}
 			// Rung 1: retry under the jittered backoff schedule — an
 			// injected or transient fault at a specific hit count
@@ -824,11 +770,10 @@ func runPlacement(ctx context.Context, bm *circuits.Benchmark, choices map[strin
 	// worker bound for the replica pool unless overridden.
 	pp := p.Place
 	pp.Seed = p.Seed
-	pp.Obs = sp
 	if pp.Workers == 0 {
 		pp.Workers = p.Optimize.Workers
 	}
-	pl, err := place.PlaceCtx(ctx, blocks, nets, sym, pp)
+	pl, err := place.PlaceCtx(obs.WithSpan(ctx, sp), blocks, nets, sym, pp)
 	if err != nil {
 		return nil, fmt.Errorf("flow: placement: %w", err)
 	}
@@ -886,9 +831,7 @@ func runRouting(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, pl *pl
 			reqs = append(reqs, req)
 		}
 	}
-	rp := p.Route
-	rp.Obs = sp
-	return route.RouteCtx(ctx, t, region, reqs, rp)
+	return route.RouteCtx(obs.WithSpan(ctx, sp), t, region, reqs, p.Route)
 }
 
 // attachRoutes converts per-net routing geometry into per-instance

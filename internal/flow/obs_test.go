@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"primopt/internal/circuits"
-	"primopt/internal/evcache"
 	"primopt/internal/obs"
 )
 
@@ -116,69 +115,6 @@ func TestTraceSpanTree(t *testing.T) {
 	}
 	if m := d.Metric("place.anneal.acceptance_rate"); m == nil || m.Count == 0 {
 		t.Error("acceptance-rate histogram empty")
-	}
-}
-
-// TestRunCacheAccountingAttrs asserts the per-run accounting the bench
-// writer reads off the flow.run root: evcache hit/miss totals from the
-// run's own cache and the duplicate-deck delta from the process-wide
-// counter. Two back-to-back runs in one trace must each carry their
-// own delta, not the cumulative counter value.
-func TestRunCacheAccountingAttrs(t *testing.T) {
-	bm, err := circuits.CommonSource(tech)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := obs.New()
-
-	var runDups [2]float64
-	for run := 0; run < 2; run++ {
-		p := fastParams()
-		p.Trace = tr
-		p.Optimize.Cache = evcache.New()
-		if _, err := RunContext(context.Background(), tech, bm, Optimized, p); err != nil {
-			t.Fatal(err)
-		}
-		st := p.Optimize.Cache.Stats()
-		var buf strings.Builder
-		if err := tr.WriteJSONL(&buf); err != nil {
-			t.Fatal(err)
-		}
-		d, err := obs.ReadJSONL(strings.NewReader(buf.String()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		roots := d.SpansNamed("flow.run")
-		if len(roots) != run+1 {
-			t.Fatalf("flow.run spans = %d, want %d", len(roots), run+1)
-		}
-		root := roots[run]
-		if got := root.Attrs["cache_hits"].(float64); int64(got) != st.Hits {
-			t.Errorf("run %d cache_hits attr = %v, cache says %d", run, got, st.Hits)
-		}
-		if got := root.Attrs["cache_misses"].(float64); int64(got) != st.Misses {
-			t.Errorf("run %d cache_misses attr = %v, cache says %d", run, got, st.Misses)
-		}
-		dups, ok := root.Attrs["duplicate_decks"].(float64)
-		if !ok {
-			t.Fatalf("run %d missing duplicate_decks attr: %v", run, root.Attrs)
-		}
-		runDups[run] = dups
-		// The deck-dedup set persists for the lifetime of the default
-		// trace, so the second identical run re-simulates every deck the
-		// first one registered: its per-run delta must strictly exceed
-		// run 0's (which only counts within-run repeats outside the
-		// evcache's reach). The attr must be the per-run delta, not the
-		// cumulative counter — run 0's recorded value may not move when
-		// run 1 ends.
-		if run == 1 {
-			if runDups[1] <= runDups[0] {
-				t.Errorf("duplicate_decks deltas = %v, want run 1 > run 0 (everything repeats)", runDups)
-			}
-			if v := roots[0].Attrs["duplicate_decks"].(float64); v != runDups[0] {
-				t.Errorf("run 0 attr mutated to %v after run 1 (was %v)", v, runDups[0])
-			}
-		}
 	}
 }
 

@@ -1,9 +1,9 @@
-// Package analyze turns exported obs traces and bench files into
-// decisions: span trees with self/cumulative time, critical paths,
-// hotspot rankings, diffs between two runs with per-span and
-// per-counter deltas, and threshold-based regression verdicts. It is
-// the engine behind the `primopt tracecmp`, `primopt report`, and
-// `primopt benchdiff` subcommands and the CI perf-regression gate.
+// Package analyze turns exported obs traces into decisions: span
+// trees with self/cumulative time, critical paths, hotspot rankings,
+// diffs between two runs with per-span and per-counter deltas, and
+// threshold-based regression verdicts. It is the engine behind the
+// `primopt tracecmp` and `primopt report` subcommands, and perfbench
+// builds its per-layer metrics on its trees.
 //
 // Self time is computed as a span's duration minus the wall-clock
 // union of its children's intervals (clipped to the span's own
@@ -15,6 +15,7 @@ package analyze
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -248,19 +249,22 @@ func (t *Tree) LongestRoot() *Node {
 }
 
 // ParsePercent parses a regression threshold given as "20%", "0.2",
-// or "1.5" (the latter two as plain fractions).
+// or "1.5" (the latter two as plain fractions). A threshold must be
+// finite and non-negative: NaN compares false against every slowdown
+// and Inf tolerates any, so neither could fail a run, and a negative
+// one fails identical runs.
 func ParsePercent(s string) (float64, error) {
 	s = strings.TrimSpace(s)
+	num, scale := s, 1.0
 	if t, ok := strings.CutSuffix(s, "%"); ok {
-		v, err := strconv.ParseFloat(strings.TrimSpace(t), 64)
-		if err != nil {
-			return 0, fmt.Errorf("analyze: bad percentage %q: %w", s, err)
-		}
-		return v / 100, nil
+		num, scale = strings.TrimSpace(t), 100
 	}
-	v, err := strconv.ParseFloat(s, 64)
+	v, err := strconv.ParseFloat(num, 64)
 	if err != nil {
 		return 0, fmt.Errorf("analyze: bad threshold %q (want e.g. \"20%%\" or \"0.2\"): %w", s, err)
 	}
-	return v, nil
+	if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+		return 0, fmt.Errorf("analyze: threshold %q must be finite and non-negative", s)
+	}
+	return v / scale, nil
 }

@@ -219,6 +219,11 @@ func TestParsePercent(t *testing.T) {
 		{"1.5", 1.5, false},
 		{"abc", 0, true},
 		{"%", 0, true},
+		{"NaN", 0, true},
+		{"Inf", 0, true},
+		{"inf%", 0, true},
+		{"-50%", 0, true},
+		{"-0.2", 0, true},
 	} {
 		got, err := ParsePercent(tc.in)
 		if (err != nil) != tc.err {
@@ -227,204 +232,6 @@ func TestParsePercent(t *testing.T) {
 		}
 		if !tc.err && got != tc.want {
 			t.Errorf("ParsePercent(%q) = %v, want %v", tc.in, got, tc.want)
-		}
-	}
-}
-
-func benchFixture(placeMS float64) *BenchFile {
-	return &BenchFile{
-		Meta: BenchMeta{GoVersion: "go1.24.0", Host: "h", Timestamp: "2026-08-08T00:00:00Z"},
-		Runs: []BenchRun{
-			{
-				Circuit: "csamp", Mode: "optimized", Cache: true, Replicas: 1,
-				TotalMS: placeMS + 30, Sims: 120,
-				EvcacheHits: 40, EvcacheMisses: 80, DuplicateDecks: 40,
-				Stages: map[string]float64{
-					"flow.place": placeMS,
-					"flow.route": 20,
-					"flow.lvs":   10,
-				},
-			},
-			{
-				Circuit: "ota5t", Mode: "baseline", Cache: false,
-				TotalMS: 5, Stages: map[string]float64{"flow.place": 3, "flow.route": 2},
-			},
-		},
-	}
-}
-
-// Acceptance criterion: the bench gate fails on a synthetic 2x stage
-// slowdown.
-func TestDiffBenchFailsOnDoubledStage(t *testing.T) {
-	base := benchFixture(50)
-	cur := benchFixture(100) // flow.place doubled: 50ms -> 100ms
-	d := DiffBench(base, cur)
-	if len(d.Matched) != 2 {
-		t.Fatalf("matched = %d, want 2", len(d.Matched))
-	}
-	regs := d.Regressions(BenchOptions{MaxRegress: 0.2, MinMS: 5})
-	var hit *BenchRegression
-	for i := range regs {
-		if regs[i].Stage == "flow.place" && strings.HasPrefix(regs[i].RunKey, "csamp|") {
-			hit = &regs[i]
-		}
-	}
-	if hit == nil {
-		t.Fatalf("doubled flow.place not flagged: %+v", regs)
-	}
-	if hit.Ratio < 1.99 || hit.Ratio > 2.01 {
-		t.Errorf("ratio = %v, want ~2.0", hit.Ratio)
-	}
-	// The run total regressed too (80 -> 130ms).
-	foundTotal := false
-	for _, r := range regs {
-		if r.Stage == "total_ms" && strings.HasPrefix(r.RunKey, "csamp|") {
-			foundTotal = true
-		}
-	}
-	if !foundTotal {
-		t.Errorf("total_ms regression not flagged: %+v", regs)
-	}
-
-	var buf bytes.Buffer
-	if err := d.Render(&buf, BenchOptions{MaxRegress: 0.2, MinMS: 5}); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"<< REGRESSION", "evcache (a/b)", "hits 40/40", "dup_decks 40/40"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("bench render missing %q:\n%s", want, out)
-		}
-	}
-}
-
-// The counter gate fails when the solver fast-path counters drop past
-// the threshold, tolerates smaller drifts and increases, and stays
-// silent when disabled or when the baseline never engaged the fast
-// path.
-func TestDiffBenchCounterDropGate(t *testing.T) {
-	base := benchFixture(50)
-	base.Runs[0].FactorReused = 1000
-	base.Runs[0].NewtonBypassed = 8000
-	cur := benchFixture(50)
-	cur.Runs[0].FactorReused = 700    // -30%: past a 25% gate
-	cur.Runs[0].NewtonBypassed = 7900 // -1.25%: fine
-
-	regs := DiffBench(base, cur).Regressions(BenchOptions{MaxRegress: 0.2, MinMS: 5, CounterRegress: 0.25})
-	var hit *BenchRegression
-	for i := range regs {
-		if regs[i].Stage == "newton_bypassed" {
-			t.Errorf("in-threshold counter flagged: %+v", regs[i])
-		}
-		if regs[i].Stage == "factor_reused" {
-			hit = &regs[i]
-		}
-	}
-	if hit == nil {
-		t.Fatalf("30%% factor_reused drop not flagged: %+v", regs)
-	}
-	if hit.Ratio < 0.69 || hit.Ratio > 0.71 {
-		t.Errorf("ratio = %v, want ~0.7", hit.Ratio)
-	}
-
-	// CounterRegress == 0 disables the gate entirely.
-	if regs := DiffBench(base, cur).Regressions(BenchOptions{MaxRegress: 0.2, MinMS: 5}); len(regs) != 0 {
-		t.Errorf("disabled counter gate still flagged: %+v", regs)
-	}
-
-	// A zero baseline (fast path never engaged) gates nothing, and a
-	// counter increase is never a regression.
-	base.Runs[0].FactorReused = 0
-	cur.Runs[0].FactorReused = 0
-	cur.Runs[0].NewtonBypassed = 16000
-	if regs := DiffBench(base, cur).Regressions(BenchOptions{MaxRegress: 0.2, MinMS: 5, CounterRegress: 0.25}); len(regs) != 0 {
-		t.Errorf("zero baseline / counter increase flagged: %+v", regs)
-	}
-
-	// Render marks the dropped counter.
-	base.Runs[0].FactorReused = 1000
-	cur.Runs[0].FactorReused = 700
-	var buf bytes.Buffer
-	if err := DiffBench(base, cur).Render(&buf, BenchOptions{MaxRegress: 0.2, MinMS: 5, CounterRegress: 0.25}); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"solver (a/b)", "factor_reused 1000/700", "<< REGRESSION"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("bench render missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestDiffBenchCleanPass(t *testing.T) {
-	base := benchFixture(50)
-	cur := benchFixture(52) // 4% drift, inside a 20% gate
-	regs := DiffBench(base, cur).Regressions(BenchOptions{MaxRegress: 0.2, MinMS: 5})
-	if len(regs) != 0 {
-		t.Errorf("clean diff flagged: %+v", regs)
-	}
-}
-
-func TestDiffBenchNoiseFloorAndUnmatched(t *testing.T) {
-	base := benchFixture(50)
-	cur := benchFixture(50)
-	// flow.lvs triples but sits below a 15ms floor.
-	cur.Runs[0].Stages["flow.lvs"] = 30
-	regs := DiffBench(base, cur).Regressions(BenchOptions{MaxRegress: 0.2, MinMS: 15})
-	for _, r := range regs {
-		if r.Stage == "flow.lvs" {
-			t.Errorf("below-floor stage flagged: %+v", r)
-		}
-	}
-	// Unmatched runs land in OnlyA/OnlyB, never in regressions.
-	cur.Runs = cur.Runs[:1]
-	cur.Runs = append(cur.Runs, BenchRun{Circuit: "rovco", Mode: "optimized", Cache: true, TotalMS: 9,
-		Stages: map[string]float64{"flow.place": 9}})
-	d := DiffBench(base, cur)
-	if len(d.OnlyA) != 1 || !strings.HasPrefix(d.OnlyA[0], "ota5t|") {
-		t.Errorf("OnlyA = %v", d.OnlyA)
-	}
-	if len(d.OnlyB) != 1 || !strings.HasPrefix(d.OnlyB[0], "rovco|") {
-		t.Errorf("OnlyB = %v", d.OnlyB)
-	}
-}
-
-func TestParseBenchOldFileWithoutMeta(t *testing.T) {
-	f, err := ParseBench([]byte(`{"runs":[{"circuit":"csamp","mode":"optimized","cache":true,"total_ms":42,"stages_ms":{"flow.place":30}}]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Meta.GoVersion != "" || len(f.Runs) != 1 || f.Runs[0].TotalMS != 42 {
-		t.Errorf("old bench file parse = %+v", f)
-	}
-	if f.Runs[0].Key() != "csamp|optimized|true|r0" {
-		t.Errorf("key = %q", f.Runs[0].Key())
-	}
-}
-
-func TestBenchFileSortRuns(t *testing.T) {
-	f := &BenchFile{Runs: []BenchRun{
-		{Circuit: "ota5t", Mode: "optimized", Cache: true},
-		{Circuit: "csamp", Mode: "optimized", Cache: true, Replicas: 4},
-		{Circuit: "csamp", Mode: "optimized", Cache: false},
-		{Circuit: "csamp", Mode: "baseline", Cache: false},
-		{Circuit: "csamp", Mode: "optimized", Cache: true, Replicas: 1},
-	}}
-	f.SortRuns()
-	var keys []string
-	for _, r := range f.Runs {
-		keys = append(keys, r.Key())
-	}
-	want := []string{
-		"csamp|baseline|false|r0",
-		"csamp|optimized|false|r0",
-		"csamp|optimized|true|r1",
-		"csamp|optimized|true|r4",
-		"ota5t|optimized|true|r0",
-	}
-	for i := range want {
-		if keys[i] != want[i] {
-			t.Fatalf("sort order = %v, want %v", keys, want)
 		}
 	}
 }

@@ -73,8 +73,8 @@ func (t *Trace) OnSpanEnd(fn func(*Span)) {
 }
 
 // SetMeta attaches run metadata to the trace; WriteJSONL emits it as
-// the first record so consumers (checktrace, tracecmp, benchdiff)
-// can attribute measurements to a build and host.
+// the first record so consumers (checktrace, tracecmp, report) can
+// attribute measurements to a build and host.
 func (t *Trace) SetMeta(m Meta) {
 	if t == nil {
 		return

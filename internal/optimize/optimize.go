@@ -67,9 +67,6 @@ type Params struct {
 	// instances of one flow, typically). Results are identical with
 	// and without it; only the amount of repeated SPICE work changes.
 	Cache *evcache.Cache
-	// Obs, when set, parents the optimize.select / optimize.tune
-	// spans. Metrics go to the trace on the context.
-	Obs *obs.Span
 }
 
 func (p Params) withDefaults() Params {
@@ -131,14 +128,15 @@ func (r *Result) Best() *Option {
 // OptimizeCtx runs Algorithm 1. Every SPICE evaluation underneath
 // polls ctx for cancellation and reports to its trace, and the
 // context's fault injector arms the extract/spice/evcache fault
-// sites.
+// sites. The optimize.select and optimize.tune spans nest under the
+// span ctx carries (obs.SpanFrom).
 func OptimizeCtx(ctx context.Context, t *pdk.Tech, e *primlib.Entry, sz primlib.Sizing, bias primlib.Bias, p Params) (*Result, error) {
 	p = p.withDefaults()
 	res := &Result{Entry: e, Sizing: sz, Bias: bias}
 	tr := obs.From(ctx)
 	et := newEvalTracker(tr, p.Cache)
 
-	sel := obs.StartSpan(tr, p.Obs, "optimize.select")
+	sel := obs.StartSpan(tr, obs.SpanFrom(ctx), "optimize.select")
 	// Line 3 precondition: schematic reference and cost metrics. The
 	// reference depends only on the kind, the sizing and the bias
 	// fields its testbenches read, so with a shared cache instances
@@ -247,7 +245,7 @@ func OptimizeCtx(ctx context.Context, t *pdk.Tech, e *primlib.Entry, sz primlib.
 	// are independent (distinct aspect-ratio bins), so they tune in
 	// parallel; each individual evaluation still respects the Workers
 	// bound through env.eval.
-	tune := obs.StartSpan(tr, p.Obs, "optimize.tune")
+	tune := obs.StartSpan(tr, obs.SpanFrom(ctx), "optimize.tune")
 	tuneSims := make([]int, len(selected))
 	tuneErrs := make([]error, len(selected))
 	var twg sync.WaitGroup

@@ -77,10 +77,6 @@ type Params struct {
 	// GOMAXPROCS). The flow threads its SPICE worker knob through
 	// here so one flag governs all pools.
 	Workers int
-	// Obs, when set, parents the place.anneal span (and receives the
-	// schedule attributes). Metrics go to the trace on the context.
-	// Tracing is passive: it never touches the RNG stream.
-	Obs *obs.Span
 }
 
 func (p Params) withDefaults() Params {
@@ -153,7 +149,9 @@ type Placement struct {
 // Each replica polls ctx once per temperature band, so cancellation
 // surfaces within one band of moves; a replica that panics or is
 // fault-injected fails alone and is excluded from the deterministic
-// reduction (all replicas failing fails the placement).
+// reduction (all replicas failing fails the placement). The
+// place.anneal span nests under the span ctx carries (obs.SpanFrom).
+// Tracing is passive: it never touches the RNG stream.
 func PlaceCtx(ctx context.Context, blocks []Block, nets []Net, sym []SymPair, p Params) (*Placement, error) {
 	if len(blocks) == 0 {
 		return nil, fmt.Errorf("place: no blocks")
@@ -187,7 +185,7 @@ func PlaceCtx(ctx context.Context, blocks []Block, nets []Net, sym []SymPair, p 
 	st.buildTopology()
 
 	tr := obs.From(ctx)
-	sp := obs.StartSpan(tr, p.Obs, "place.anneal")
+	sp := obs.StartSpan(tr, obs.SpanFrom(ctx), "place.anneal")
 	sp.SetAttr("blocks", len(blocks))
 	sp.SetAttr("nets", len(nets))
 	sp.SetAttr("replicas", p.Replicas)

@@ -336,7 +336,8 @@ func TestPlaceScheduleBandCountPinned(t *testing.T) {
 	root := tr.Start("test")
 	blocks := squareBlocks("a", "b", "c", "d", "e")
 	nets := []Net{{Name: "n", Blocks: []string{"a", "e"}}}
-	if _, err := PlaceCtx(obs.With(context.Background(), tr), blocks, nets, nil, Params{Seed: 42, Obs: root}); err != nil {
+	ctx := obs.WithSpan(obs.With(context.Background(), tr), root)
+	if _, err := PlaceCtx(ctx, blocks, nets, nil, Params{Seed: 42}); err != nil {
 		t.Fatal(err)
 	}
 	root.End()

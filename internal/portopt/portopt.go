@@ -66,10 +66,6 @@ type Constraint struct {
 type Params struct {
 	MaxWires int     // sweep range per port (default 8)
 	Tol      float64 // relative tolerance for the wmax cutoff (default 0.01)
-	// Obs, when set, parents the portopt.constraints /
-	// portopt.reconcile spans. Metrics go to the trace on the
-	// context.
-	Obs *obs.Span
 	// Cache, when set, memoizes the route-override evaluations. The
 	// sweep and the reconcile gap search revisit (layout, routes)
 	// snapshots — and with a disk tier a repeat run revisits all of
@@ -320,13 +316,15 @@ func Reconcile(ctx context.Context, t *pdk.Tech, prims []*PrimInstance, cons []C
 
 // Optimize runs both steps for a set of placed primitives. Every
 // evaluation runs on ctx: it honors the deadline, cancellation and
-// fault injector, and reports to the trace the context carries.
+// fault injector, and reports to the trace the context carries. The
+// portopt.constraints and portopt.reconcile spans nest under the span
+// ctx carries (obs.SpanFrom).
 func Optimize(ctx context.Context, t *pdk.Tech, prims []*PrimInstance, p Params) (*Result, error) {
 	p = p.withDefaults()
 	tr := obs.From(ctx)
 	res := &Result{Wires: map[string]int{}}
 	for _, pi := range prims {
-		sp := obs.StartSpan(tr, p.Obs, "portopt.constraints")
+		sp := obs.StartSpan(tr, obs.SpanFrom(ctx), "portopt.constraints")
 		sp.SetAttr("prim", pi.Name)
 		cons, sims, err := GenerateConstraints(ctx, t, pi, p)
 		res.Sims += sims
@@ -339,7 +337,7 @@ func Optimize(ctx context.Context, t *pdk.Tech, prims []*PrimInstance, p Params)
 		sp.End()
 		res.Constraints = append(res.Constraints, cons...)
 	}
-	sp := obs.StartSpan(tr, p.Obs, "portopt.reconcile")
+	sp := obs.StartSpan(tr, obs.SpanFrom(ctx), "portopt.reconcile")
 	wires, sims, err := Reconcile(ctx, t, prims, res.Constraints, p)
 	res.Sims += sims
 	if err != nil {

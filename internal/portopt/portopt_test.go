@@ -245,7 +245,7 @@ func TestOptimizeCached(t *testing.T) {
 	c := evcache.New()
 	tr := obs.New()
 	ctx := obs.With(context.Background(), tr)
-	cached, err := Optimize(ctx, tech, mk(), Params{MaxWires: 5, Cache: c, Obs: tr.Start("test")})
+	cached, err := Optimize(obs.WithSpan(ctx, tr.Start("test")), tech, mk(), Params{MaxWires: 5, Cache: c})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestOptimizeCached(t *testing.T) {
 	}
 	// Same instances again: everything is a repeat request, and the
 	// request accounting must balance hits exactly.
-	again, err := Optimize(ctx, tech, mk(), Params{MaxWires: 5, Cache: c, Obs: tr.Start("test2")})
+	again, err := Optimize(obs.WithSpan(ctx, tr.Start("test2")), tech, mk(), Params{MaxWires: 5, Cache: c})
 	if err != nil {
 		t.Fatal(err)
 	}

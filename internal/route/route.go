@@ -125,9 +125,6 @@ type Params struct {
 	// each round. Default 0 — disabled — so results stay byte-identical
 	// to the ladder-free router unless a caller opts in.
 	MaxRipup int
-	// Obs, when set, parents the per-net route.net spans. Metrics go
-	// to the trace on the context.
-	Obs *obs.Span
 }
 
 func (p Params) withDefaults(t *pdk.Tech) Params {
@@ -195,7 +192,8 @@ type router struct {
 // NetFailed (and, when Params.MaxRipup > 0, retried under the rip-up
 // ladder first) so callers decide whether a partial routing is
 // tolerable. Only cancellation and structural errors return a non-nil
-// error.
+// error. The route.net spans nest under the span ctx carries
+// (obs.SpanFrom).
 func RouteCtx(ctx context.Context, t *pdk.Tech, region geom.Rect, nets []NetReq, p Params) (*Result, error) {
 	p = p.withDefaults(t)
 	if region.Empty() {
@@ -288,7 +286,7 @@ func RouteCtx(ctx context.Context, t *pdk.Tech, region geom.Rect, nets []NetReq,
 // routing failure into a NetFailed entry (cancellation still aborts).
 func (r *router) routeOne(region geom.Rect, net NetReq, p Params, res *Result) error {
 	tr := r.tr
-	sp := obs.StartSpan(tr, p.Obs, "route.net")
+	sp := obs.StartSpan(tr, obs.SpanFrom(r.ctx), "route.net")
 	sp.SetAttr("net", net.Name)
 	sp.SetAttr("pins", len(net.Pins))
 	nr, err := r.routeNetOnce(region, net)

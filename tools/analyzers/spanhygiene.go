@@ -20,11 +20,12 @@ import (
 //     key on stable metric names across runs.
 //
 // Handing a span to someone else — returning it, storing it in a
-// struct or field (stage Params.Obs), capturing it in a goroutine —
-// transfers the End obligation out of the function, so such spans are
-// not tracked further. Passing a span as a plain call argument does
-// not: the flow's convention is that the creator ends stage spans it
-// passes down (flow.go ends psp after runPlacement returns).
+// struct or field, capturing it in a goroutine — transfers the End
+// obligation out of the function, so such spans are not tracked
+// further. Passing a span as a plain call argument does not, and that
+// includes putting it on a context with obs.WithSpan to parent the
+// layers' spans: the flow's convention is that the creator ends stage
+// spans it passes down (flow.go ends psp after runPlacement returns).
 var SpanHygiene = &Analyzer{
 	Name: "spanhygiene",
 	Doc: "flag obs spans not ended on every return path and metrics " +
@@ -163,7 +164,7 @@ func collectSpanFacts(p *Pass, body *ast.BlockStmt) *spanFacts {
 			}
 		case *ast.AssignStmt:
 			// A bare span identifier on the right of an assignment
-			// aliases or stores the handle (pp.Obs = sp, sp2 := sp).
+			// aliases or stores the handle (x.span = sp, sp2 := sp).
 			for _, rhs := range x.Rhs {
 				if id, ok := rhs.(*ast.Ident); ok {
 					if obj := p.Info.Uses[id]; obj != nil && fx.created[obj] {
