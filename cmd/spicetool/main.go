@@ -1,6 +1,7 @@
-// Command spicetool parses and runs a SPICE deck (the same subset the
-// primitive testbenches use) on the built-in simulator and prints the
-// operating point and measure results.
+// Command spicetool parses and runs a SPICE deck (the subset
+// spice.ParseDeck reads: elements, .subckt, .param, .op/.dc/.ac/.tran
+// and .measure) on the built-in simulator and prints the operating
+// point and measure results.
 //
 // Usage:
 //

@@ -1,7 +1,6 @@
 package primlib
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -63,7 +62,7 @@ func capDesignC(lay *cellgen.Layout, sz Sizing) float64 {
 // evalCap measures the effective capacitance between the terminals
 // through the extracted lead RC, and the usable frequency (the RC
 // corner of the total lead resistance against the cap).
-func evalCap(ctx context.Context, e *Entry, t *pdk.Tech, sz Sizing, bias Bias, ex *extract.Extracted,
+func evalCap(s solver, e *Entry, t *pdk.Tech, sz Sizing, bias Bias, ex *extract.Extracted,
 	routes map[string]extract.Route) (*Eval, error) {
 	ev := &Eval{Values: make(map[string]float64)}
 	var lay *cellgen.Layout
@@ -79,14 +78,14 @@ func evalCap(ctx context.Context, e *Entry, t *pdk.Tech, sz Sizing, bias Bias, e
 	// with the bottom grounded, read from Im(Y) at a frequency low
 	// enough that the lead R is invisible.
 	b := newTB(t, "momcap c testbench", ex, routes)
-	b.f("cmain %s %s %.6g", b.dev("d"), b.dev("s"), cNom)
-	b.f("rtb %s 0 1e-3", b.outer("s"))
-	b.f("ix 0 %s AC 1", b.outer("d"))
-	b.f("rbig %s 0 1e9", b.outer("d")) // DC path
-	b.f(".ac dec 5 1e6 1e8")
-	b.f(".measure ac vre find vr(%s) at=%g", b.outer("d"), fCap)
-	b.f(".measure ac vim find vi(%s) at=%g", b.outer("d"), fCap)
-	res, err := run(ctx, t, b.String())
+	b.capacitor("cmain", b.dev("d"), b.dev("s"), g6(cNom))
+	b.resistor("rtb", b.outer("s"), "0", 1e-3)
+	b.isrc("ix", "0", b.outer("d"), 0).ac(1)
+	b.resistor("rbig", b.outer("d"), "0", 1e9) // DC path
+	b.acSweep(5, 1e6, 1e8)
+	b.find("vre", "vr("+b.outer("d")+")", fCap)
+	b.find("vim", "vi("+b.outer("d")+")", fCap)
+	res, err := s.run(b)
 	if err != nil {
 		return nil, fmt.Errorf("momcap c testbench: %w", err)
 	}
@@ -102,11 +101,11 @@ func evalCap(ctx context.Context, e *Entry, t *pdk.Tech, sz Sizing, bias Bias, e
 	// through a replica resistive path: measure the series lead R by
 	// shorting the cap plates with a 1 mΩ link).
 	b = newTB(t, "momcap r testbench", ex, routes)
-	b.f("rshort %s %s 1e-3", b.dev("d"), b.dev("s"))
-	b.f("rtb %s 0 1e-3", b.outer("s"))
-	b.f("ix 0 %s DC 1e-3", b.outer("d"))
-	b.f(".op")
-	res, err = run(ctx, t, b.String())
+	b.resistor("rshort", b.dev("d"), b.dev("s"), 1e-3)
+	b.resistor("rtb", b.outer("s"), "0", 1e-3)
+	b.isrc("ix", "0", b.outer("d"), 1e-3)
+	b.op()
+	res, err = s.run(b)
 	if err != nil {
 		return nil, fmt.Errorf("momcap r testbench: %w", err)
 	}

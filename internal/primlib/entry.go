@@ -2,11 +2,11 @@
 // (Section II): for each primitive it records the performance metrics
 // with their weights α, the tuning terminals (and which are
 // correlated), and — the paper's key mechanism — a SPICE testbench per
-// metric, built as real deck text with excitation and .measure
-// statements and executed on the internal simulator. Evaluating a
-// primitive layout runs those testbenches against the extracted
-// parasitics and LDE shifts; evaluating with a nil extraction gives
-// the schematic reference values.
+// metric: a deck with excitation and .measure statements, built in
+// memory as a spice.Deck and solved on the internal simulator.
+// Evaluating a primitive layout runs those testbenches against the
+// extracted parasitics and LDE shifts; evaluating with a nil
+// extraction gives the schematic reference values.
 package primlib
 
 import (

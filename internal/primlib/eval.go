@@ -6,12 +6,14 @@ import (
 	"math"
 
 	"primopt/internal/cellgen"
+	"primopt/internal/circuit"
 	"primopt/internal/cost"
 	"primopt/internal/extract"
 	"primopt/internal/lde"
 	"primopt/internal/obs"
 	"primopt/internal/pdk"
 	"primopt/internal/spice"
+	"primopt/internal/units"
 )
 
 // Measurement frequencies: transconductances are read in the flat
@@ -56,7 +58,7 @@ func canonicalConfig(sz Sizing) cellgen.Config {
 // fault injector, and report to its trace.
 func (e *Entry) EvaluateCtx(ctx context.Context, t *pdk.Tech, sz Sizing, bias Bias,
 	ex *extract.Extracted, routes map[string]extract.Route) (*Eval, error) {
-	ev, err := e.evaluate(ctx, t, sz, e.TestbenchBias(bias), ex, routes)
+	ev, err := e.evaluate(runOn(ctx, t), t, sz, e.TestbenchBias(bias), ex, routes)
 	if tr := obs.From(ctx); tr.Enabled() {
 		if ex == nil {
 			tr.Counter("primlib.schematic_evals").Inc()
@@ -72,7 +74,24 @@ func (e *Entry) EvaluateCtx(ctx context.Context, t *pdk.Tech, sz Sizing, bias Bi
 	return ev, err
 }
 
-func (e *Entry) evaluate(ctx context.Context, t *pdk.Tech, sz Sizing, bias Bias,
+// solver solves one testbench deck. Evaluation solves on the run's
+// context (runOn); the deck-equivalence test also records the decks.
+type solver func(*spice.Deck) (*spice.Results, error)
+
+// runOn returns the solver that runs decks with spice.Run on ctx.
+func runOn(ctx context.Context, t *pdk.Tech) solver {
+	return func(d *spice.Deck) (*spice.Results, error) { return spice.Run(ctx, t, d) }
+}
+
+// run solves b's deck, or returns the error that stopped its build.
+func (s solver) run(b *tb) (*spice.Results, error) {
+	if b.err != nil {
+		return nil, b.err
+	}
+	return s(b.deck)
+}
+
+func (e *Entry) evaluate(s solver, t *pdk.Tech, sz Sizing, bias Bias,
 	ex *extract.Extracted, routes map[string]extract.Route) (*Eval, error) {
 	cfg := canonicalConfig(sz)
 	if ex != nil {
@@ -80,27 +99,27 @@ func (e *Entry) evaluate(ctx context.Context, t *pdk.Tech, sz Sizing, bias Bias,
 	}
 	switch e.Family {
 	case "diffpair":
-		return evalDiffPair(ctx, e, t, sz, bias, cfg, ex, routes)
+		return evalDiffPair(s, e, t, sz, bias, cfg, ex, routes)
 	case "diffpair_cascode":
-		return evalDiffPairCascode(ctx, e, t, sz, bias, cfg, ex, routes)
+		return evalDiffPairCascode(s, e, t, sz, bias, cfg, ex, routes)
 	case "cmirror":
-		return evalCMirror(ctx, e, t, sz, bias, cfg, ex, routes)
+		return evalCMirror(s, e, t, sz, bias, cfg, ex, routes)
 	case "csource":
-		return evalCSource(ctx, e, t, sz, bias, cfg, ex, routes)
+		return evalCSource(s, e, t, sz, bias, cfg, ex, routes)
 	case "csamp":
-		return evalCSAmp(ctx, e, t, sz, bias, cfg, ex, routes)
+		return evalCSAmp(s, e, t, sz, bias, cfg, ex, routes)
 	case "csinv":
-		return evalCSInv(ctx, e, t, sz, bias, cfg, ex, routes)
+		return evalCSInv(s, e, t, sz, bias, cfg, ex, routes)
 	case "cap":
 		if ex == nil {
 			return capSchematicEval(sz), nil
 		}
-		return evalCap(ctx, e, t, sz, bias, ex, routes)
+		return evalCap(s, e, t, sz, bias, ex, routes)
 	case "res":
 		if ex == nil {
 			return resSchematicEval(t, sz), nil
 		}
-		return evalRes(ctx, e, t, sz, bias, ex, routes)
+		return evalRes(s, e, t, sz, bias, ex, routes)
 	default:
 		return nil, fmt.Errorf("primlib: no evaluator for family %q", e.Family)
 	}
@@ -173,14 +192,9 @@ func Cost(metrics []cost.Metric, ev *Eval) (float64, []cost.Value, error) {
 	return cost.Total(vals), vals, nil
 }
 
-func run(ctx context.Context, t *pdk.Tech, deck string) (*spice.Results, error) {
-	res, _, err := spice.RunSourceCtx(ctx, t, deck)
-	return res, err
-}
-
 // --- differential pair family ---
 
-func evalDiffPair(ctx context.Context, e *Entry, t *pdk.Tech, sz Sizing, bias Bias, cfg cellgen.Config,
+func evalDiffPair(s solver, e *Entry, t *pdk.Tech, sz Sizing, bias Bias, cfg cellgen.Config,
 	ex *extract.Extracted, routes map[string]extract.Route) (*Eval, error) {
 	ev := &Eval{Values: make(map[string]float64)}
 	// PMOS pairs (cross-coupled latch loads) mirror to the supply
@@ -192,19 +206,19 @@ func evalDiffPair(ctx context.Context, e *Entry, t *pdk.Tech, sz Sizing, bias Bi
 	}
 	header := func(b *tb) {
 		if isP {
-			b.f("vdd vdd 0 DC %.6g", bias.Vdd)
+			b.vsrc("vdd", "vdd", "0", g6(bias.Vdd))
 		}
 		b.mos("a", e, sz, 0, cfg, b.dev("d_a"), b.dev("g_a"), b.dev("s_a"), rail)
 		b.mos("b", e, sz, 1, cfg, b.dev("d_b"), b.dev("g_b"), b.dev("s_b"), rail)
 		// Per-side source straps join at the common spine tap.
-		b.f("rtsa %s %s 1e-3", b.port("s_a"), b.dev("s"))
-		b.f("rtsb %s %s 1e-3", b.port("s_b"), b.dev("s"))
+		b.resistor("rtsa", b.port("s_a"), b.dev("s"), 1e-3)
+		b.resistor("rtsb", b.port("s_b"), b.dev("s"), 1e-3)
 	}
 	tail := func(b *tb) {
 		if isP {
-			b.f("ita vdd %s DC %.6g", b.outer("s"), bias.ITail)
+			b.isrc("ita", "vdd", b.outer("s"), g6(bias.ITail))
 		} else {
-			b.f("ita %s 0 DC %.6g", b.outer("s"), bias.ITail)
+			b.isrc("ita", b.outer("s"), "0", g6(bias.ITail))
 		}
 	}
 
@@ -212,14 +226,14 @@ func evalDiffPair(ctx context.Context, e *Entry, t *pdk.Tech, sz Sizing, bias Bi
 	// AC drain current read through the drain voltage source.
 	b := newTB(t, "dp gm testbench", ex, routes)
 	header(b)
-	b.f("vga %s 0 DC %.6g AC 0.5", b.outer("g_a"), bias.VCM)
-	b.f("vgb %s 0 DC %.6g AC 0.5 180", b.outer("g_b"), bias.VCM)
-	b.f("vda %s 0 DC %.6g", b.outer("d_a"), bias.VD)
-	b.f("vdb %s 0 DC %.6g", b.outer("d_b"), bias.VD)
+	b.vsrc("vga", b.outer("g_a"), "0", g6(bias.VCM)).ac(0.5)
+	b.vsrc("vgb", b.outer("g_b"), "0", g6(bias.VCM)).ac(0.5).phase(180)
+	b.vsrc("vda", b.outer("d_a"), "0", g6(bias.VD))
+	b.vsrc("vdb", b.outer("d_b"), "0", g6(bias.VD))
 	tail(b)
-	b.f(".ac dec 5 1e5 1e7")
-	b.f(".measure ac gmhalf find i(vda) at=%g", fGm)
-	res, err := run(ctx, t, b.String())
+	b.acSweep(5, 1e5, 1e7)
+	b.find("gmhalf", "i(vda)", fGm)
+	res, err := s.run(b)
 	if err != nil {
 		return nil, fmt.Errorf("dp gm testbench: %w", err)
 	}
@@ -231,19 +245,19 @@ func evalDiffPair(ctx context.Context, e *Entry, t *pdk.Tech, sz Sizing, bias Bi
 	// through an inductor, C = 1/(ω·|V|) in the capacitive region.
 	b = newTB(t, "dp ctotal testbench", ex, routes)
 	header(b)
-	b.f("vga %s 0 DC %.6g", b.outer("g_a"), bias.VCM)
-	b.f("vgb %s 0 DC %.6g", b.outer("g_b"), bias.VCM)
-	b.f("vdb %s 0 DC %.6g", b.outer("d_b"), bias.VD)
+	b.vsrc("vga", b.outer("g_a"), "0", g6(bias.VCM))
+	b.vsrc("vgb", b.outer("g_b"), "0", g6(bias.VCM))
+	b.vsrc("vdb", b.outer("d_b"), "0", g6(bias.VD))
 	tail(b)
-	b.f("ix 0 %s AC 1", b.outer("d_a"))
+	b.isrc("ix", "0", b.outer("d_a"), 0).ac(1)
 	b.capBiasInductor("da", b.outer("d_a"), bias.VD)
 	if bias.CLoad > 0 {
-		b.f("cext %s 0 %.6g", b.outer("d_a"), bias.CLoad)
+		b.capacitor("cext", b.outer("d_a"), "0", g6(bias.CLoad))
 	}
-	b.f(".ac dec 5 1e6 1e8")
-	b.f(".measure ac vre find vr(%s) at=%g", b.outer("d_a"), fCap)
-	b.f(".measure ac vim find vi(%s) at=%g", b.outer("d_a"), fCap)
-	res, err = run(ctx, t, b.String())
+	b.acSweep(5, 1e6, 1e8)
+	b.find("vre", "vr("+b.outer("d_a")+")", fCap)
+	b.find("vim", "vi("+b.outer("d_a")+")", fCap)
+	res, err = s.run(b)
 	if err != nil {
 		return nil, fmt.Errorf("dp ctotal testbench: %w", err)
 	}
@@ -262,13 +276,13 @@ func evalDiffPair(ctx context.Context, e *Entry, t *pdk.Tech, sz Sizing, bias Bi
 	di := func(vdiff float64) (float64, error) {
 		b := newTB(t, "dp offset testbench", ex, routes)
 		header(b)
-		b.f("vga %s 0 DC %.9g", b.outer("g_a"), bias.VCM+vdiff/2)
-		b.f("vgb %s 0 DC %.9g", b.outer("g_b"), bias.VCM-vdiff/2)
-		b.f("vda %s 0 DC %.6g", b.outer("d_a"), bias.VD)
-		b.f("vdb %s 0 DC %.6g", b.outer("d_b"), bias.VD)
+		b.vsrc("vga", b.outer("g_a"), "0", g9(bias.VCM+vdiff/2))
+		b.vsrc("vgb", b.outer("g_b"), "0", g9(bias.VCM-vdiff/2))
+		b.vsrc("vda", b.outer("d_a"), "0", g6(bias.VD))
+		b.vsrc("vdb", b.outer("d_b"), "0", g6(bias.VD))
 		tail(b)
-		b.f(".op")
-		res, err := run(ctx, t, b.String())
+		b.op()
+		res, err := s.run(b)
 		if err != nil {
 			return 0, fmt.Errorf("dp offset testbench: %w", err)
 		}
@@ -300,7 +314,7 @@ func evalDiffPair(ctx context.Context, e *Entry, t *pdk.Tech, sz Sizing, bias Bi
 
 // --- current mirror family ---
 
-func evalCMirror(ctx context.Context, e *Entry, t *pdk.Tech, sz Sizing, bias Bias, cfg cellgen.Config,
+func evalCMirror(s solver, e *Entry, t *pdk.Tech, sz Sizing, bias Bias, cfg cellgen.Config,
 	ex *extract.Extracted, routes map[string]extract.Route) (*Eval, error) {
 	ev := &Eval{Values: make(map[string]float64)}
 	isP := e.MOSType.String() == "PMOS"
@@ -326,31 +340,31 @@ func evalCMirror(ctx context.Context, e *Entry, t *pdk.Tech, sz Sizing, bias Bia
 	header := func(title string) *tb {
 		b := newTB(t, title, ex, routes)
 		if isP {
-			b.f("vdd vdd 0 DC %.6g", bias.Vdd)
+			b.vsrc("vdd", "vdd", "0", g6(bias.Vdd))
 		}
 		b.mos("a", e, sz, 0, cfg, b.dev("d_a"), b.dev("g_a"), b.dev("s_a"), rail)
 		b.mos("b", e, sz, 1, cfg, b.dev("d_b"), b.dev("g_b"), b.dev("s_b"), rail)
 		// Per-side source straps join the spine, which ties to the
 		// rail; both gates tie to the input port through their wires.
-		b.f("rtsa %s %s 1e-3", b.port("s_a"), b.dev("s"))
-		b.f("rtsb %s %s 1e-3", b.port("s_b"), b.dev("s"))
-		b.f("rtss %s %s 1e-3", b.outer("s"), rail)
-		b.f("rtga %s %s 1e-3", b.outer("g_a"), b.outer("d_a"))
-		b.f("rtgb %s %s 1e-3", b.outer("g_b"), b.outer("d_a"))
+		b.resistor("rtsa", b.port("s_a"), b.dev("s"), 1e-3)
+		b.resistor("rtsb", b.port("s_b"), b.dev("s"), 1e-3)
+		b.resistor("rtss", b.outer("s"), rail, 1e-3)
+		b.resistor("rtga", b.outer("g_a"), b.outer("d_a"), 1e-3)
+		b.resistor("rtgb", b.outer("g_b"), b.outer("d_a"), 1e-3)
 		return b
 	}
 
 	// Testbench 1: current ratio at DC.
 	b := header("cm ratio testbench")
 	if isP {
-		b.f("iref %s 0 DC %.6g", b.outer("d_a"), iref) // pulls current out of the diode
-		b.f("vout %s 0 DC %.6g", b.outer("d_b"), bias.VD)
+		b.isrc("iref", b.outer("d_a"), "0", g6(iref)) // pulls current out of the diode
+		b.vsrc("vout", b.outer("d_b"), "0", g6(bias.VD))
 	} else {
-		b.f("iref 0 %s DC %.6g", b.outer("d_a"), iref) // pushes current into the diode
-		b.f("vout %s 0 DC %.6g", b.outer("d_b"), bias.VD)
+		b.isrc("iref", "0", b.outer("d_a"), g6(iref)) // pushes current into the diode
+		b.vsrc("vout", b.outer("d_b"), "0", g6(bias.VD))
 	}
-	b.f(".op")
-	res, err := run(ctx, t, b.String())
+	b.op()
+	res, err := s.run(b)
 	if err != nil {
 		return nil, fmt.Errorf("cm ratio testbench: %w", err)
 	}
@@ -365,19 +379,19 @@ func evalCMirror(ctx context.Context, e *Entry, t *pdk.Tech, sz Sizing, bias Bia
 	// Testbench 2: output capacitance.
 	b = header("cm cout testbench")
 	if isP {
-		b.f("iref %s 0 DC %.6g", b.outer("d_a"), iref)
+		b.isrc("iref", b.outer("d_a"), "0", g6(iref))
 	} else {
-		b.f("iref 0 %s DC %.6g", b.outer("d_a"), iref)
+		b.isrc("iref", "0", b.outer("d_a"), g6(iref))
 	}
-	b.f("ix 0 %s AC 1", b.outer("d_b"))
+	b.isrc("ix", "0", b.outer("d_b"), 0).ac(1)
 	b.capBiasInductor("out", b.outer("d_b"), bias.VD)
 	if bias.CLoad > 0 {
-		b.f("cext %s 0 %.6g", b.outer("d_b"), bias.CLoad)
+		b.capacitor("cext", b.outer("d_b"), "0", g6(bias.CLoad))
 	}
-	b.f(".ac dec 5 1e6 1e8")
-	b.f(".measure ac vre find vr(%s) at=%g", b.outer("d_b"), fCap)
-	b.f(".measure ac vim find vi(%s) at=%g", b.outer("d_b"), fCap)
-	res, err = run(ctx, t, b.String())
+	b.acSweep(5, 1e6, 1e8)
+	b.find("vre", "vr("+b.outer("d_b")+")", fCap)
+	b.find("vim", "vi("+b.outer("d_b")+")", fCap)
+	res, err = s.run(b)
 	if err != nil {
 		return nil, fmt.Errorf("cm cout testbench: %w", err)
 	}
@@ -392,7 +406,7 @@ func evalCMirror(ctx context.Context, e *Entry, t *pdk.Tech, sz Sizing, bias Bia
 
 // --- current source / load family ---
 
-func evalCSource(ctx context.Context, e *Entry, t *pdk.Tech, sz Sizing, bias Bias, cfg cellgen.Config,
+func evalCSource(s solver, e *Entry, t *pdk.Tech, sz Sizing, bias Bias, cfg cellgen.Config,
 	ex *extract.Extracted, routes map[string]extract.Route) (*Eval, error) {
 	ev := &Eval{Values: make(map[string]float64)}
 	isP := e.MOSType.String() == "PMOS"
@@ -403,17 +417,17 @@ func evalCSource(ctx context.Context, e *Entry, t *pdk.Tech, sz Sizing, bias Bia
 	mk := func(title string, vd float64) *tb {
 		b := newTB(t, title, ex, routes)
 		if isP {
-			b.f("vdd vdd 0 DC %.6g", bias.Vdd)
+			b.vsrc("vdd", "vdd", "0", g6(bias.Vdd))
 		}
 		b.mos("a", e, sz, 0, cfg, b.dev("d"), b.dev("g"), b.dev("s"), rail)
-		b.f("rtss %s %s 1e-3", b.outer("s"), rail)
-		b.f("vg %s 0 DC %.6g", b.outer("g"), bias.VCM)
-		b.f("vd %s 0 DC %.9g", b.outer("d"), vd)
-		b.f(".op")
+		b.resistor("rtss", b.outer("s"), rail, 1e-3)
+		b.vsrc("vg", b.outer("g"), "0", g6(bias.VCM))
+		b.vsrc("vd", b.outer("d"), "0", g9(vd))
+		b.op()
 		return b
 	}
 	ivAt := func(vd float64) (float64, error) {
-		res, err := run(ctx, t, mk("cs current testbench", vd).String())
+		res, err := s.run(mk("cs current testbench", vd))
 		if err != nil {
 			return 0, fmt.Errorf("cs current testbench: %w", err)
 		}
@@ -448,19 +462,19 @@ func evalCSource(ctx context.Context, e *Entry, t *pdk.Tech, sz Sizing, bias Bia
 
 // --- common-source amplifier family ---
 
-func evalCSAmp(ctx context.Context, e *Entry, t *pdk.Tech, sz Sizing, bias Bias, cfg cellgen.Config,
+func evalCSAmp(s solver, e *Entry, t *pdk.Tech, sz Sizing, bias Bias, cfg cellgen.Config,
 	ex *extract.Extracted, routes map[string]extract.Route) (*Eval, error) {
 	ev := &Eval{Values: make(map[string]float64)}
 
 	// Testbench 1: Gm — AC at the gate, drain held, current measured.
 	b := newTB(t, "cs gm testbench", ex, routes)
 	b.mos("a", e, sz, 0, cfg, b.dev("d"), b.dev("g"), b.dev("s"), "0")
-	b.f("rtss %s 0 1e-3", b.outer("s"))
-	b.f("vg %s 0 DC %.6g AC 1", b.outer("g"), bias.VCM)
-	b.f("vd %s 0 DC %.6g", b.outer("d"), bias.VD)
-	b.f(".ac dec 5 1e5 1e7")
-	b.f(".measure ac gmv find i(vd) at=%g", fGm)
-	res, err := run(ctx, t, b.String())
+	b.resistor("rtss", b.outer("s"), "0", 1e-3)
+	b.vsrc("vg", b.outer("g"), "0", g6(bias.VCM)).ac(1)
+	b.vsrc("vd", b.outer("d"), "0", g6(bias.VD))
+	b.acSweep(5, 1e5, 1e7)
+	b.find("gmv", "i(vd)", fGm)
+	res, err := s.run(b)
 	if err != nil {
 		return nil, fmt.Errorf("cs gm testbench: %w", err)
 	}
@@ -471,11 +485,11 @@ func evalCSAmp(ctx context.Context, e *Entry, t *pdk.Tech, sz Sizing, bias Bias,
 	ivAt := func(vd float64) (float64, error) {
 		b := newTB(t, "cs ro testbench", ex, routes)
 		b.mos("a", e, sz, 0, cfg, b.dev("d"), b.dev("g"), b.dev("s"), "0")
-		b.f("rtss %s 0 1e-3", b.outer("s"))
-		b.f("vg %s 0 DC %.6g", b.outer("g"), bias.VCM)
-		b.f("vd %s 0 DC %.9g", b.outer("d"), vd)
-		b.f(".op")
-		res, err := run(ctx, t, b.String())
+		b.resistor("rtss", b.outer("s"), "0", 1e-3)
+		b.vsrc("vg", b.outer("g"), "0", g6(bias.VCM))
+		b.vsrc("vd", b.outer("d"), "0", g9(vd))
+		b.op()
+		res, err := s.run(b)
 		if err != nil {
 			return 0, fmt.Errorf("cs ro testbench: %w", err)
 		}
@@ -500,17 +514,17 @@ func evalCSAmp(ctx context.Context, e *Entry, t *pdk.Tech, sz Sizing, bias Bias,
 	// Cout for downstream consumers (not in the cost by default).
 	b = newTB(t, "cs cout testbench", ex, routes)
 	b.mos("a", e, sz, 0, cfg, b.dev("d"), b.dev("g"), b.dev("s"), "0")
-	b.f("rtss %s 0 1e-3", b.outer("s"))
-	b.f("vg %s 0 DC %.6g", b.outer("g"), bias.VCM)
-	b.f("ix 0 %s AC 1", b.outer("d"))
+	b.resistor("rtss", b.outer("s"), "0", 1e-3)
+	b.vsrc("vg", b.outer("g"), "0", g6(bias.VCM))
+	b.isrc("ix", "0", b.outer("d"), 0).ac(1)
 	b.capBiasInductor("d", b.outer("d"), bias.VD)
 	if bias.CLoad > 0 {
-		b.f("cext %s 0 %.6g", b.outer("d"), bias.CLoad)
+		b.capacitor("cext", b.outer("d"), "0", g6(bias.CLoad))
 	}
-	b.f(".ac dec 5 1e6 1e8")
-	b.f(".measure ac vre find vr(%s) at=%g", b.outer("d"), fCap)
-	b.f(".measure ac vim find vi(%s) at=%g", b.outer("d"), fCap)
-	res, err = run(ctx, t, b.String())
+	b.acSweep(5, 1e6, 1e8)
+	b.find("vre", "vr("+b.outer("d")+")", fCap)
+	b.find("vim", "vi("+b.outer("d")+")", fCap)
+	res, err = s.run(b)
 	if err != nil {
 		return nil, fmt.Errorf("cs cout testbench: %w", err)
 	}
@@ -523,7 +537,17 @@ func evalCSAmp(ctx context.Context, e *Entry, t *pdk.Tech, sz Sizing, bias Bias,
 
 // --- current-starved inverter family ---
 
-func evalCSInv(ctx context.Context, e *Entry, t *pdk.Tech, sz Sizing, bias Bias, cfg cellgen.Config,
+// The delay testbench's PULSE delay (where its current average also
+// starts), edge time and transient step, as its deck text spelled
+// them. units.Parse scales the mantissa in float64, so 0.2n is
+// 0.2 × 1e-9 = 2.0000000000000003e-10, not the constant 2e-10.
+var (
+	csinvDelay = units.MustParse("0.2n")
+	csinvEdge  = units.MustParse("20p")
+	csinvStep  = units.MustParse("5p")
+)
+
+func evalCSInv(s solver, e *Entry, t *pdk.Tech, sz Sizing, bias Bias, cfg cellgen.Config,
 	ex *extract.Extracted, routes map[string]extract.Route) (*Eval, error) {
 	ev := &Eval{Values: make(map[string]float64)}
 	vdd := bias.Vdd
@@ -537,7 +561,7 @@ func evalCSInv(ctx context.Context, e *Entry, t *pdk.Tech, sz Sizing, bias Bias,
 	// configuration and wire geometry (stacked rows).
 	header := func(title string, ex *extract.Extracted) *tb {
 		b := newTB(t, title, ex, routes)
-		b.f("vdd vdd 0 DC %.6g", vdd)
+		b.vsrc("vdd", "vdd", "0", g6(vdd))
 		// NMOS half: out — Min — midn — (mid wire R) — Msn — (source
 		// wire R) — ground; PMOS half mirrored to vdd.
 		var rmid, rsrc float64
@@ -551,38 +575,36 @@ func evalCSInv(ctx context.Context, e *Entry, t *pdk.Tech, sz Sizing, bias Bias,
 		if rsrc <= 0 {
 			rsrc = 1e-3
 		}
-		b.mosPolarity("in", "nmos", Sizing{TotalFins: sz.TotalFins, L: sz.L}, 0, cfg,
+		b.mosPolarity("in", circuit.NMOS, Sizing{TotalFins: sz.TotalFins, L: sz.L}, 0, cfg,
 			b.dev("d_a"), b.dev("g_a"), "midn", "0")
-		b.f("rmidn midn midn2 %.6g", rmid)
-		b.mosPolarity("sn", "nmos", Sizing{TotalFins: sz.TotalFins, L: sz.L}, 1, cfg,
+		b.resistor("rmidn", "midn", "midn2", g6(rmid))
+		b.mosPolarity("sn", circuit.NMOS, Sizing{TotalFins: sz.TotalFins, L: sz.L}, 1, cfg,
 			"midn2", b.dev("g_b"), "srn", "0")
-		b.f("rsrcn srn 0 %.6g", rsrc)
-		b.mosPolarity("ip", "pmos", Sizing{TotalFins: sz.TotalFins, L: sz.L}, 0, cfg,
+		b.resistor("rsrcn", "srn", "0", g6(rsrc))
+		b.mosPolarity("ip", circuit.PMOS, Sizing{TotalFins: sz.TotalFins, L: sz.L}, 0, cfg,
 			b.dev("d_a"), b.dev("g_a"), "midp", "vdd")
-		b.f("rmidp midp midp2 %.6g", rmid)
-		b.mosPolarity("sp", "pmos", Sizing{TotalFins: sz.TotalFins, L: sz.L}, 1, cfg,
+		b.resistor("rmidp", "midp", "midp2", g6(rmid))
+		b.mosPolarity("sp", circuit.PMOS, Sizing{TotalFins: sz.TotalFins, L: sz.L}, 1, cfg,
 			"midp2", "ctrlp", "srp", "vdd")
-		b.f("rsrcp srp vdd %.6g", rsrc)
-		b.f("vctln %s 0 DC %.6g", b.outer("g_b"), vctrl)
-		b.f("vctlp ctrlp 0 DC %.6g", vdd-vctrl)
+		b.resistor("rsrcp", "srp", "vdd", g6(rsrc))
+		b.vsrc("vctln", b.outer("g_b"), "0", g6(vctrl))
+		b.vsrc("vctlp", "ctrlp", "0", g6(vdd-vctrl))
 		return b
 	}
 
 	// Testbench 1: transient — stage delay and supply current.
 	per := 4e-9
 	b := header("csinv delay testbench", ex)
-	b.f("vin %s 0 PULSE(0 %.6g 0.2n 20p 20p %.6g %.6g)", b.outer("g_a"), vdd, per/2, per)
+	b.pulse("vin", b.outer("g_a"), "0", 0, g6(vdd), csinvDelay, csinvEdge, csinvEdge, g6(per/2), g6(per))
 	if bias.CLoad > 0 {
-		b.f("cload %s 0 %.6g", b.outer("d_a"), bias.CLoad)
+		b.capacitor("cload", b.outer("d_a"), "0", g6(bias.CLoad))
 	}
-	b.f(".tran 5p %.6g", per*1.5)
+	b.tran(csinvStep, g6(per*1.5))
 	mid := vdd / 2
-	b.f(".measure tran tdf trig v(%s) val=%.6g rise=1 targ v(%s) val=%.6g fall=1",
-		b.outer("g_a"), mid, b.outer("d_a"), mid)
-	b.f(".measure tran tdr trig v(%s) val=%.6g fall=1 targ v(%s) val=%.6g rise=1",
-		b.outer("g_a"), mid, b.outer("d_a"), mid)
-	b.f(".measure tran iavg avg i(vdd) from=0.2n to=%.6g", 0.2e-9+per)
-	res, err := run(ctx, t, b.String())
+	b.trigTarg("tdf", "v("+b.outer("g_a")+")", g6(mid), "rise", "v("+b.outer("d_a")+")", g6(mid), "fall")
+	b.trigTarg("tdr", "v("+b.outer("g_a")+")", g6(mid), "fall", "v("+b.outer("d_a")+")", g6(mid), "rise")
+	b.avg("iavg", "i(vdd)", csinvDelay, g6(0.2e-9+per))
+	res, err := s.run(b)
 	if err != nil {
 		return nil, fmt.Errorf("csinv delay testbench: %w", err)
 	}
@@ -592,13 +614,13 @@ func evalCSInv(ctx context.Context, e *Entry, t *pdk.Tech, sz Sizing, bias Bias,
 
 	// Testbench 2: small-signal gain near midscale.
 	b = header("csinv gain testbench", ex)
-	b.f("vin %s 0 DC %.6g AC 1", b.outer("g_a"), vdd/2)
+	b.vsrc("vin", b.outer("g_a"), "0", g6(vdd/2)).ac(1)
 	if bias.CLoad > 0 {
-		b.f("cload %s 0 %.6g", b.outer("d_a"), bias.CLoad)
+		b.capacitor("cload", b.outer("d_a"), "0", g6(bias.CLoad))
 	}
-	b.f(".ac dec 5 1e5 1e7")
-	b.f(".measure ac av find vm(%s) at=1e6", b.outer("d_a"))
-	res, err = run(ctx, t, b.String())
+	b.acSweep(5, 1e5, 1e7)
+	b.find("av", "vm("+b.outer("d_a")+")", 1e6)
+	res, err = s.run(b)
 	if err != nil {
 		return nil, fmt.Errorf("csinv gain testbench: %w", err)
 	}
@@ -615,7 +637,7 @@ func evalCSInv(ctx context.Context, e *Entry, t *pdk.Tech, sz Sizing, bias Bias,
 // it. The cascode isolates the input devices from the drain routes
 // (higher Rout, smaller Miller), which is exactly what the metric
 // comparison against the plain pair shows.
-func evalDiffPairCascode(ctx context.Context, e *Entry, t *pdk.Tech, sz Sizing, bias Bias, cfg cellgen.Config,
+func evalDiffPairCascode(s solver, e *Entry, t *pdk.Tech, sz Sizing, bias Bias, cfg cellgen.Config,
 	ex *extract.Extracted, routes map[string]extract.Route) (*Eval, error) {
 	ev := &Eval{Values: make(map[string]float64)}
 	vcasc := bias.VCasc
@@ -630,24 +652,24 @@ func evalDiffPairCascode(ctx context.Context, e *Entry, t *pdk.Tech, sz Sizing, 
 	header := func(b *tb) {
 		b.mos("a", e, sz, 0, cfg, "mid_a", b.dev("g_a"), b.dev("s_a"), "0")
 		b.mos("b", e, sz, 0, cfg, "mid_b", b.dev("g_b"), b.dev("s_b"), "0")
-		b.mosPolarity("ca", "nmos", sz, 1, cfg, b.dev("d_a"), "cascg", "mid_a", "0")
-		b.mosPolarity("cb", "nmos", sz, 1, cfg, b.dev("d_b"), "cascg", "mid_b", "0")
-		b.f("vcasc cascg 0 DC %.6g", vcasc)
-		b.f("rtsa %s %s 1e-3", b.port("s_a"), b.dev("s"))
-		b.f("rtsb %s %s 1e-3", b.port("s_b"), b.dev("s"))
+		b.mosPolarity("ca", circuit.NMOS, sz, 1, cfg, b.dev("d_a"), "cascg", "mid_a", "0")
+		b.mosPolarity("cb", circuit.NMOS, sz, 1, cfg, b.dev("d_b"), "cascg", "mid_b", "0")
+		b.vsrc("vcasc", "cascg", "0", g6(vcasc))
+		b.resistor("rtsa", b.port("s_a"), b.dev("s"), 1e-3)
+		b.resistor("rtsb", b.port("s_b"), b.dev("s"), 1e-3)
 	}
 
 	// Testbench 1: Gm.
 	b := newTB(t, "cascode dp gm testbench", ex, routes)
 	header(b)
-	b.f("vga %s 0 DC %.6g AC 0.5", b.outer("g_a"), bias.VCM)
-	b.f("vgb %s 0 DC %.6g AC 0.5 180", b.outer("g_b"), bias.VCM)
-	b.f("vda %s 0 DC %.6g", b.outer("d_a"), bias.VD)
-	b.f("vdb %s 0 DC %.6g", b.outer("d_b"), bias.VD)
-	b.f("ita %s 0 DC %.6g", b.outer("s"), bias.ITail)
-	b.f(".ac dec 5 1e5 1e7")
-	b.f(".measure ac gmhalf find i(vda) at=%g", fGm)
-	res, err := run(ctx, t, b.String())
+	b.vsrc("vga", b.outer("g_a"), "0", g6(bias.VCM)).ac(0.5)
+	b.vsrc("vgb", b.outer("g_b"), "0", g6(bias.VCM)).ac(0.5).phase(180)
+	b.vsrc("vda", b.outer("d_a"), "0", g6(bias.VD))
+	b.vsrc("vdb", b.outer("d_b"), "0", g6(bias.VD))
+	b.isrc("ita", b.outer("s"), "0", g6(bias.ITail))
+	b.acSweep(5, 1e5, 1e7)
+	b.find("gmhalf", "i(vda)", fGm)
+	res, err := s.run(b)
 	if err != nil {
 		return nil, fmt.Errorf("cascode dp gm testbench: %w", err)
 	}
@@ -658,19 +680,19 @@ func evalDiffPairCascode(ctx context.Context, e *Entry, t *pdk.Tech, sz Sizing, 
 	// Testbench 2: Ctotal at the cascode drain.
 	b = newTB(t, "cascode dp ctotal testbench", ex, routes)
 	header(b)
-	b.f("vga %s 0 DC %.6g", b.outer("g_a"), bias.VCM)
-	b.f("vgb %s 0 DC %.6g", b.outer("g_b"), bias.VCM)
-	b.f("vdb %s 0 DC %.6g", b.outer("d_b"), bias.VD)
-	b.f("ita %s 0 DC %.6g", b.outer("s"), bias.ITail)
-	b.f("ix 0 %s AC 1", b.outer("d_a"))
+	b.vsrc("vga", b.outer("g_a"), "0", g6(bias.VCM))
+	b.vsrc("vgb", b.outer("g_b"), "0", g6(bias.VCM))
+	b.vsrc("vdb", b.outer("d_b"), "0", g6(bias.VD))
+	b.isrc("ita", b.outer("s"), "0", g6(bias.ITail))
+	b.isrc("ix", "0", b.outer("d_a"), 0).ac(1)
 	b.capBiasInductor("da", b.outer("d_a"), bias.VD)
 	if bias.CLoad > 0 {
-		b.f("cext %s 0 %.6g", b.outer("d_a"), bias.CLoad)
+		b.capacitor("cext", b.outer("d_a"), "0", g6(bias.CLoad))
 	}
-	b.f(".ac dec 5 1e6 1e8")
-	b.f(".measure ac vre find vr(%s) at=%g", b.outer("d_a"), fCap)
-	b.f(".measure ac vim find vi(%s) at=%g", b.outer("d_a"), fCap)
-	res, err = run(ctx, t, b.String())
+	b.acSweep(5, 1e6, 1e8)
+	b.find("vre", "vr("+b.outer("d_a")+")", fCap)
+	b.find("vim", "vi("+b.outer("d_a")+")", fCap)
+	res, err = s.run(b)
 	if err != nil {
 		return nil, fmt.Errorf("cascode dp ctotal testbench: %w", err)
 	}
@@ -688,13 +710,13 @@ func evalDiffPairCascode(ctx context.Context, e *Entry, t *pdk.Tech, sz Sizing, 
 	di := func(vdiff float64) (float64, error) {
 		b := newTB(t, "cascode dp offset testbench", ex, routes)
 		header(b)
-		b.f("vga %s 0 DC %.9g", b.outer("g_a"), bias.VCM+vdiff/2)
-		b.f("vgb %s 0 DC %.9g", b.outer("g_b"), bias.VCM-vdiff/2)
-		b.f("vda %s 0 DC %.6g", b.outer("d_a"), bias.VD)
-		b.f("vdb %s 0 DC %.6g", b.outer("d_b"), bias.VD)
-		b.f("ita %s 0 DC %.6g", b.outer("s"), bias.ITail)
-		b.f(".op")
-		res, err := run(ctx, t, b.String())
+		b.vsrc("vga", b.outer("g_a"), "0", g9(bias.VCM+vdiff/2))
+		b.vsrc("vgb", b.outer("g_b"), "0", g9(bias.VCM-vdiff/2))
+		b.vsrc("vda", b.outer("d_a"), "0", g6(bias.VD))
+		b.vsrc("vdb", b.outer("d_b"), "0", g6(bias.VD))
+		b.isrc("ita", b.outer("s"), "0", g6(bias.ITail))
+		b.op()
+		res, err := s.run(b)
 		if err != nil {
 			return 0, fmt.Errorf("cascode dp offset testbench: %w", err)
 		}

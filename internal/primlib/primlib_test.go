@@ -3,13 +3,11 @@ package primlib
 import (
 	"context"
 	"math"
-	"strings"
 	"testing"
 
 	"primopt/internal/cellgen"
 	"primopt/internal/extract"
 	"primopt/internal/pdk"
-	"primopt/internal/spice"
 )
 
 var tech = pdk.Default()
@@ -606,32 +604,6 @@ func TestPolyResistorEval(t *testing.T) {
 	}
 }
 
-func TestTestbenchDeckTextIsValidSpice(t *testing.T) {
-	// The tb builder's decks must parse standalone — guard against
-	// emitting syntax the parser rejects.
-	sz := dpSizing()
-	ex := extractCfg(t, DiffPair, sz, cellgen.Config{NFin: 12, NF: 20, M: 4, Dummies: 2, Pattern: cellgen.PatABBA})
-	b := newTB(tech, "syntax check", ex, nil)
-	b.mos("a", DiffPair, sz, 0, ex.Layout.Config, b.dev("d_a"), b.dev("g_a"), b.dev("s_a"), "0")
-	b.mos("b", DiffPair, sz, 1, ex.Layout.Config, b.dev("d_b"), b.dev("g_b"), b.dev("s_b"), "0")
-	b.f("rtsa %s %s 1e-3", b.port("s_a"), b.dev("s"))
-	b.f("rtsb %s %s 1e-3", b.port("s_b"), b.dev("s"))
-	b.f("vda %s 0 DC 0.4", b.outer("d_a"))
-	b.f("vdb %s 0 DC 0.4", b.outer("d_b"))
-	b.f("vga %s 0 DC 0.45", b.outer("g_a"))
-	b.f("vgb %s 0 DC 0.45", b.outer("g_b"))
-	b.f("ita %s 0 DC 1e-4", b.outer("s"))
-	b.f(".op")
-	if _, _, err := spice.RunSourceCtx(context.Background(), tech, b.String()); err != nil {
-		t.Fatalf("generated deck rejected: %v\n%s", err, b.String())
-	}
-	// Wire sections are emitted exactly once per terminal.
-	text := b.String()
-	if n := strings.Count(text, "Rw_s_a "); n != 1 {
-		t.Errorf("s_a wire emitted %d times", n)
-	}
-}
-
 func TestEvaluateRoutesDoNotMutateExtraction(t *testing.T) {
 	sz := dpSizing()
 	ex := extractCfg(t, DiffPair, sz, cellgen.Config{NFin: 12, NF: 20, M: 4, Dummies: 2, Pattern: cellgen.PatABBA})
@@ -685,7 +657,7 @@ func TestTestbenchBiasCoversTestbenchReads(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, x := range []*extract.Extracted{nil, ex} {
-				full, err := e.evaluate(ctx, tech, sz, bias, x, nil)
+				full, err := e.evaluate(runOn(ctx, tech), tech, sz, bias, x, nil)
 				if err != nil {
 					t.Fatalf("full bias (layout %t): %v", x != nil, err)
 				}

@@ -1,7 +1,6 @@
 package primlib
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -61,7 +60,7 @@ func resBodyC(t *pdk.Tech, lay *cellgen.Layout, sz Sizing) float64 {
 
 // evalRes measures the end-to-end resistance (poly body plus the
 // extracted lead resistance) and the total parasitic capacitance.
-func evalRes(ctx context.Context, e *Entry, t *pdk.Tech, sz Sizing, bias Bias, ex *extract.Extracted,
+func evalRes(s solver, e *Entry, t *pdk.Tech, sz Sizing, bias Bias, ex *extract.Extracted,
 	routes map[string]extract.Route) (*Eval, error) {
 	ev := &Eval{Values: make(map[string]float64)}
 	var lay *cellgen.Layout
@@ -73,11 +72,11 @@ func evalRes(ctx context.Context, e *Entry, t *pdk.Tech, sz Sizing, bias Bias, e
 
 	// Testbench 1: resistance — 1 mA forced through the terminals.
 	b := newTB(t, "polyres r testbench", ex, routes)
-	b.f("rmain %s %s %.6g", b.dev("d"), b.dev("s"), rNom)
-	b.f("rtb %s 0 1e-3", b.outer("s"))
-	b.f("ix 0 %s DC 1e-3", b.outer("d"))
-	b.f(".op")
-	res, err := run(ctx, t, b.String())
+	b.resistor("rmain", b.dev("d"), b.dev("s"), g6(rNom))
+	b.resistor("rtb", b.outer("s"), "0", 1e-3)
+	b.isrc("ix", "0", b.outer("d"), 1e-3)
+	b.op()
+	res, err := s.run(b)
 	if err != nil {
 		return nil, fmt.Errorf("polyres r testbench: %w", err)
 	}
@@ -96,16 +95,16 @@ func evalRes(ctx context.Context, e *Entry, t *pdk.Tech, sz Sizing, bias Bias, e
 	// Testbench 2: parasitic capacitance — both terminals tied and
 	// driven; the body and wire capacitance to ground answers.
 	b = newTB(t, "polyres c testbench", ex, routes)
-	b.f("rmain %s %s %.6g", b.dev("d"), b.dev("s"), rNom)
-	b.f("cbody %s 0 %.6g", b.dev("d"), cBody/2)
-	b.f("cbody2 %s 0 %.6g", b.dev("s"), cBody/2)
-	b.f("rtie %s %s 1e-3", b.outer("d"), b.outer("s"))
-	b.f("ix 0 %s AC 1", b.outer("d"))
-	b.f("rbig %s 0 1e9", b.outer("d"))
-	b.f(".ac dec 5 1e6 1e8")
-	b.f(".measure ac vre find vr(%s) at=%g", b.outer("d"), fCap)
-	b.f(".measure ac vim find vi(%s) at=%g", b.outer("d"), fCap)
-	res, err = run(ctx, t, b.String())
+	b.resistor("rmain", b.dev("d"), b.dev("s"), g6(rNom))
+	b.capacitor("cbody", b.dev("d"), "0", g6(cBody/2))
+	b.capacitor("cbody2", b.dev("s"), "0", g6(cBody/2))
+	b.resistor("rtie", b.outer("d"), b.outer("s"), 1e-3)
+	b.isrc("ix", "0", b.outer("d"), 0).ac(1)
+	b.resistor("rbig", b.outer("d"), "0", 1e9)
+	b.acSweep(5, 1e6, 1e8)
+	b.find("vre", "vr("+b.outer("d")+")", fCap)
+	b.find("vim", "vi("+b.outer("d")+")", fCap)
+	res, err = s.run(b)
 	if err != nil {
 		return nil, fmt.Errorf("polyres c testbench: %w", err)
 	}

@@ -2,20 +2,33 @@ package primlib
 
 import (
 	"fmt"
-	"strings"
+	"math"
+	"strconv"
 
 	"primopt/internal/cellgen"
+	"primopt/internal/circuit"
 	"primopt/internal/extract"
 	"primopt/internal/pdk"
+	"primopt/internal/spice"
 )
 
-// tb assembles one SPICE testbench deck for a primitive. Device
-// terminals route through the extracted within-primitive wire RC to
-// port nodes, and optionally through external global-route RC to
-// excitation nodes — exactly the two knobs the paper's two
+// tb builds one SPICE testbench deck for a primitive, in memory.
+// Device terminals route through the extracted within-primitive wire
+// RC to port nodes, and optionally through external global-route RC
+// to excitation nodes — exactly the two knobs the paper's two
 // optimization steps turn.
+//
+// The testbenches were once printed as SPICE text and parsed back, and
+// the pinned results depend on the values that round trip gave. So a
+// deck keeps them bit for bit: g6 and g9 give the %.6g and %.9g
+// roundings the text applied, and literal values are what the parser
+// made of them. Devices are added in the order the text listed them:
+// that is the stamping order, which sets the solver's rounding. A wire
+// section goes in ahead of the device whose net argument first names
+// it, because Go evaluates the arguments before the call.
 type tb struct {
-	sb      strings.Builder
+	deck    *spice.Deck
+	err     error // the first build error; the deck is not solved
 	tech    *pdk.Tech
 	ex      *extract.Extracted // nil = schematic reference
 	routes  map[string]extract.Route
@@ -23,13 +36,156 @@ type tb struct {
 }
 
 func newTB(t *pdk.Tech, title string, ex *extract.Extracted, routes map[string]extract.Route) *tb {
-	b := &tb{tech: t, ex: ex, routes: routes, emitted: make(map[string]bool)}
-	b.f("* %s", title)
-	return b
+	// "deck" is the netlist name ParseDeck gives; engine errors quote it.
+	return &tb{
+		deck: &spice.Deck{Title: title, Netlist: circuit.New("deck")},
+		tech: t, ex: ex, routes: routes, emitted: make(map[string]bool),
+	}
 }
 
-func (b *tb) f(format string, args ...interface{}) {
-	fmt.Fprintf(&b.sb, format+"\n", args...)
+// g6 returns what v printed with %.6g parses back to; g9 likewise for
+// %.9g.
+func g6(v float64) float64 { return roundDigits(v, 6) }
+func g9(v float64) float64 { return roundDigits(v, 9) }
+
+func roundDigits(v float64, digits int) float64 {
+	var buf [32]byte
+	r, err := strconv.ParseFloat(string(strconv.AppendFloat(buf[:0], v, 'g', digits, 64)), 64)
+	if err != nil {
+		// Every rounding of a float64 parses; fail the build if not.
+		return math.NaN()
+	}
+	return r
+}
+
+// set assigns a device parameter. A NaN or infinite value fails the
+// build, as its text ("NaN", "+Inf") failed to parse.
+func (b *tb) set(d *circuit.Device, key string, v float64) {
+	b.finite(v, d.Name, key)
+	d.SetParam(key, v)
+}
+
+func (b *tb) finite(v float64, name, key string) {
+	if b.err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		b.err = fmt.Errorf("primlib: %s: %s %s = %g", b.deck.Title, name, key, v)
+	}
+}
+
+// add puts d into the netlist. Names are built from cellgen wire keys,
+// so a failed Add is the build's error, not a panic.
+func (b *tb) add(d *circuit.Device) {
+	if b.err == nil {
+		b.err = b.deck.Netlist.Add(d)
+	}
+}
+
+// twoTerminal adds "name p n v" for a resistor, capacitor or inductor,
+// whose value parameter is key.
+func (b *tb) twoTerminal(typ circuit.DeviceType, key, name, p, n string, v float64) {
+	d := &circuit.Device{Name: name, Type: typ, Nets: []string{p, n}}
+	b.set(d, key, v)
+	b.add(d)
+}
+
+func (b *tb) resistor(name, p, n string, r float64) {
+	b.twoTerminal(circuit.Resistor, "r", name, p, n, r)
+}
+
+func (b *tb) capacitor(name, p, n string, c float64) {
+	b.twoTerminal(circuit.Capacitor, "c", name, p, n, c)
+}
+
+func (b *tb) inductor(name, p, n string, l float64) {
+	b.twoTerminal(circuit.Inductor, "l", name, p, n, l)
+}
+
+// source is a V or I device in the deck, for adding its AC drive.
+type source struct {
+	b *tb
+	d *circuit.Device
+}
+
+// vsrc adds the voltage source "name p n DC dc" and isrc the current
+// source. A source always has a dc parameter, 0 for an AC-only drive.
+func (b *tb) vsrc(name, p, n string, dc float64) source {
+	return b.source(circuit.VSource, name, p, n, dc)
+}
+
+func (b *tb) isrc(name, p, n string, dc float64) source {
+	return b.source(circuit.ISource, name, p, n, dc)
+}
+
+func (b *tb) source(typ circuit.DeviceType, name, p, n string, dc float64) source {
+	d := &circuit.Device{Name: name, Type: typ, Nets: []string{p, n}}
+	b.set(d, "dc", dc)
+	b.add(d)
+	return source{b, d}
+}
+
+// ac adds the drive "AC mag".
+func (s source) ac(mag float64) source {
+	s.b.set(s.d, "acmag", mag)
+	return s
+}
+
+// phase adds the phase, in degrees, that follows the AC magnitude.
+func (s source) phase(deg float64) {
+	s.b.set(s.d, "acphase", deg)
+}
+
+// pulse adds the voltage source "name p n PULSE(args)"; its dc
+// parameter is the first argument, the initial value.
+func (b *tb) pulse(name, p, n string, args ...float64) {
+	d := &circuit.Device{Name: name, Type: circuit.VSource, Nets: []string{p, n},
+		Wave: &circuit.SourceWave{Kind: "pulse", Args: args}}
+	for _, a := range args {
+		b.finite(a, name, "pulse")
+	}
+	b.set(d, "dc", args[0])
+	b.add(d)
+}
+
+// op adds ".op".
+func (b *tb) op() {
+	b.deck.Analyses = append(b.deck.Analyses, spice.Analysis{Kind: "op"})
+}
+
+// acSweep adds ".ac dec <points> <fstart> <fstop>".
+func (b *tb) acSweep(points int, fstart, fstop float64) {
+	b.deck.Analyses = append(b.deck.Analyses,
+		spice.Analysis{Kind: "ac", PointsPerDec: points, FStart: fstart, FStop: fstop})
+}
+
+// tran adds ".tran <step> <stop>".
+func (b *tb) tran(step, stop float64) {
+	b.finite(stop, ".tran", "tstop")
+	b.deck.Analyses = append(b.deck.Analyses, spice.Analysis{Kind: "tran", TStep: step, TStop: stop})
+}
+
+// find adds ".measure ac <name> find <expr> at=<f>".
+func (b *tb) find(name, expr string, f float64) {
+	b.deck.Measures = append(b.deck.Measures,
+		spice.Measure{Analysis: "ac", Name: name, Kind: "find", Expr: expr, At: f})
+}
+
+// trigTarg adds ".measure tran <name> trig <trig> val=<trigVal>
+// <trigDir>=1 targ <targ> val=<targVal> <targDir>=1".
+func (b *tb) trigTarg(name, trig string, trigVal float64, trigDir, targ string, targVal float64, targDir string) {
+	b.finite(trigVal, name, "trig val")
+	b.finite(targVal, name, "targ val")
+	b.deck.Measures = append(b.deck.Measures, spice.Measure{
+		Analysis: "tran", Name: name, Kind: "trigtarg",
+		TrigExpr: trig, TrigVal: trigVal, TrigEdge: spice.Edge{Dir: trigDir, N: 1},
+		TargExpr: targ, TargVal: targVal, TargEdge: spice.Edge{Dir: targDir, N: 1},
+	})
+}
+
+// avg adds ".measure tran <name> avg <expr> from=<from> to=<to>".
+func (b *tb) avg(name, expr string, from, to float64) {
+	b.finite(to, name, "to")
+	b.deck.Measures = append(b.deck.Measures, spice.Measure{
+		Analysis: "tran", Name: name, Kind: "avg", Expr: expr, From: from, To: to,
+	})
 }
 
 // dev returns the net name the device terminal for wire key w should
@@ -64,41 +220,44 @@ func (b *tb) outer(w string) string {
 	return "p_" + w
 }
 
-// emitWire writes the π-section for a wire key (and its external
-// route when present) once.
+// emitWire adds the π-section for a wire key (and its external route
+// when present) once.
 func (b *tb) emitWire(w string) {
 	if b.emitted[w] || b.ex == nil {
 		return
 	}
 	b.emitted[w] = true
+	x, p := "x_"+w, "p_"+w
 	rc, ok := b.ex.Term[w]
 	if !ok {
 		// No layout wire for this terminal: direct connection.
-		b.f("Rw_%s x_%s p_%s 1e-3", w, w, w)
+		b.resistor("Rw_"+w, x, p, 1e-3)
 		return
 	}
-	b.f("Rw_%s x_%s p_%s %.6g", w, w, w, rc.R)
+	b.resistor("Rw_"+w, x, p, g6(rc.R))
 	if rc.CNear > 0 {
-		b.f("Cwn_%s x_%s 0 %.6g", w, w, rc.CNear)
+		b.capacitor("Cwn_"+w, x, "0", g6(rc.CNear))
 	}
 	if rc.CFar > 0 {
-		b.f("Cwf_%s p_%s 0 %.6g", w, w, rc.CFar)
+		b.capacitor("Cwf_"+w, p, "0", g6(rc.CFar))
 	}
 	if rt, ok := b.routes[w]; ok {
 		r, c := extract.RouteRC(b.tech, rt)
-		b.f("Rr_%s p_%s e_%s %.6g", w, w, w, r)
-		b.f("Crn_%s p_%s 0 %.6g", w, w, c/2)
-		b.f("Crf_%s e_%s 0 %.6g", w, w, c/2)
+		e := "e_" + w
+		b.resistor("Rr_"+w, p, e, g6(r))
+		b.capacitor("Crn_"+w, p, "0", g6(c/2))
+		b.capacitor("Crf_"+w, e, "0", g6(c/2))
 	}
 }
 
-// mos emits a MOS line for logical device dev (0 = A, 1 = B) of the
-// layout, with LDE and junction parameters from extraction. The nets
-// are raw net names (caller picks dev()/outer()/fixed rails).
+// mos adds the MOS device "M<name>" for logical device dev (0 = A,
+// 1 = B) of the layout, with LDE and junction parameters from
+// extraction. The nets are raw net names (caller picks
+// dev()/outer()/fixed rails).
 func (b *tb) mos(name string, e *Entry, sz Sizing, dev int, cfg cellgen.Config, d, g, s, bulk string) {
-	model := "nmos"
-	if e.MOSType.String() == "PMOS" {
-		model = "pmos"
+	typ := circuit.NMOS
+	if e.MOSType == circuit.PMOS {
+		typ = circuit.PMOS
 	}
 	mult := cfg.M
 	if dev == 1 {
@@ -111,36 +270,42 @@ func (b *tb) mos(name string, e *Entry, sz Sizing, dev int, cfg cellgen.Config, 
 		}
 		mult = cfg.M * ratio
 	}
-	line := fmt.Sprintf("M%s %s %s %s %s %s nfin=%d nf=%d m=%d l=%de-9",
-		name, d, g, s, bulk, model, cfg.NFin, cfg.NF, mult, sz.L)
-	if b.ex != nil && dev < len(b.ex.Dev) {
-		p := b.ex.Dev[dev]
-		line += fmt.Sprintf(" dvth=%.6g dmu=%.6g ad=%.6g as=%.6g pd=%.6g ps=%.6g",
-			p.DVth, p.DMu, p.AD, p.AS, p.PD, p.PS)
-	}
-	b.f("%s", line)
+	b.addMOS(name, typ, cfg.NFin, cfg.NF, mult, sz.L, dev, d, g, s, bulk)
 }
 
-// mosPolarity emits a MOS line with an explicit model override —
-// used by the current-starved inverter, whose cell holds both
-// polarities.
-func (b *tb) mosPolarity(name, model string, sz Sizing, dev int, cfg cellgen.Config, d, g, s, bulk string) {
-	line := fmt.Sprintf("M%s %s %s %s %s %s nfin=%d nf=%d m=%d l=%de-9",
-		name, d, g, s, bulk, model, cfg.NFin, cfg.NF, cfg.M, sz.L)
-	if b.ex != nil && dev < len(b.ex.Dev) {
-		p := b.ex.Dev[dev]
-		line += fmt.Sprintf(" dvth=%.6g dmu=%.6g ad=%.6g as=%.6g pd=%.6g ps=%.6g",
-			p.DVth, p.DMu, p.AD, p.AS, p.PD, p.PS)
-	}
-	b.f("%s", line)
+// mosPolarity adds a MOS device of an explicit polarity — used by the
+// current-starved inverter, whose cell holds both polarities.
+func (b *tb) mosPolarity(name string, typ circuit.DeviceType, sz Sizing, dev int, cfg cellgen.Config, d, g, s, bulk string) {
+	b.addMOS(name, typ, cfg.NFin, cfg.NF, cfg.M, sz.L, dev, d, g, s, bulk)
 }
 
-func (b *tb) String() string { return b.sb.String() }
+func (b *tb) addMOS(name string, typ circuit.DeviceType, nfin, nf, mult int, l int64, dev int, d, g, s, bulk string) {
+	m := &circuit.Device{Name: "M" + name, Type: typ, Nets: []string{d, g, s, bulk},
+		Params: make(map[string]float64, 10)}
+	b.set(m, "nfin", float64(nfin))
+	b.set(m, "nf", float64(nf))
+	b.set(m, "m", float64(mult))
+	// The text gave the length in meters, "l=<l>e-9", and the parser
+	// scaled it back to nm. l/1e9 is the correctly rounded quotient,
+	// as parsing is, so 15 nm comes back as 14.999999999999998.
+	b.set(m, "l", float64(l)/1e9*1e9)
+	if b.ex != nil && dev < len(b.ex.Dev) {
+		p := b.ex.Dev[dev]
+		b.set(m, "dvth", g6(p.DVth))
+		b.set(m, "dmu", g6(p.DMu))
+		b.set(m, "ad", g6(p.AD))
+		b.set(m, "as", g6(p.AS))
+		b.set(m, "pd", g6(p.PD))
+		b.set(m, "ps", g6(p.PS))
+	}
+	b.add(m)
+}
 
-// capBiasInductor emits the DC-bias inductor trick for capacitance
+// capBiasInductor adds the DC-bias inductor trick for capacitance
 // measurement: node is held at dc through a 1 H inductor (a DC short
 // that is open at the measurement frequency).
 func (b *tb) capBiasInductor(name, node string, dc float64) {
-	b.f("Lb_%s %s bb_%s 1", name, node, name)
-	b.f("Vb_%s bb_%s 0 DC %.6g", name, name, dc)
+	bb := "bb_" + name
+	b.inductor("Lb_"+name, node, bb, 1)
+	b.vsrc("Vb_"+name, bb, "0", g6(dc))
 }

@@ -2,9 +2,10 @@
 // optimization step in the paper: modified nodal analysis (MNA) with a
 // damped-Newton DC operating point (with gmin and source stepping),
 // complex small-signal AC sweeps, and a trapezoidal transient engine
-// with sub-stepping on nonconvergence. A SPICE-subset deck parser and
-// .measure evaluation make the primitive testbenches real SPICE decks,
-// as in the paper (Section II-B).
+// with sub-stepping on nonconvergence. Run solves a Deck — netlist,
+// analyses and .measure statements — which is the form the primitive
+// testbenches take, as in the paper (Section II-B); they build theirs
+// in memory. ParseDeck reads a deck from SPICE-subset text.
 //
 // Matrices are stamped dense. Each engine computes once the
 // structural pattern of its real MNA matrices and gives it to the LU

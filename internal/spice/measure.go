@@ -3,7 +3,6 @@ package spice
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"strings"
 
@@ -73,7 +72,7 @@ func parseMeasure(fields []string) (Measure, error) {
 			return m, err
 		}
 		m.WhenVal = v
-		m.Edge = edgeSpec{dir: "cross", n: 1}
+		m.Edge = Edge{Dir: "cross", N: 1}
 		for _, f := range rest[1:] {
 			k, v, err := splitKV(f)
 			if err != nil {
@@ -81,7 +80,7 @@ func parseMeasure(fields []string) (Measure, error) {
 			}
 			switch k {
 			case "rise", "fall", "cross":
-				m.Edge = edgeSpec{dir: k, n: int(v)}
+				m.Edge = Edge{Dir: k, N: int(v)}
 			default:
 				return m, fmt.Errorf("spice: .measure %s: unknown key %q", m.Name, k)
 			}
@@ -116,27 +115,27 @@ func parseTrigTarg(m Measure, rest []string) (Measure, error) {
 	if targIdx < 0 {
 		return m, fmt.Errorf("spice: .measure %s: trig without targ", m.Name)
 	}
-	parseHalf := func(toks []string) (expr string, val float64, edge edgeSpec, err error) {
+	parseHalf := func(toks []string) (expr string, val float64, edge Edge, err error) {
 		if len(toks) < 2 {
-			return "", 0, edgeSpec{}, fmt.Errorf("spice: .measure %s: incomplete trig/targ", m.Name)
+			return "", 0, Edge{}, fmt.Errorf("spice: .measure %s: incomplete trig/targ", m.Name)
 		}
 		expr = strings.ToLower(toks[0])
-		edge = edgeSpec{dir: "cross", n: 1}
+		edge = Edge{Dir: "cross", N: 1}
 		for _, f := range toks[1:] {
 			k, v, e := splitKV(f)
 			if e != nil {
-				return "", 0, edgeSpec{}, e
+				return "", 0, Edge{}, e
 			}
 			switch k {
 			case "val":
 				val = v
 			case "rise", "fall", "cross":
-				edge = edgeSpec{dir: k, n: int(v)}
+				edge = Edge{Dir: k, N: int(v)}
 			case "td":
 				// Trigger search delay: fold into From.
 				m.From = v
 			default:
-				return "", 0, edgeSpec{}, fmt.Errorf("spice: .measure %s: unknown key %q", m.Name, k)
+				return "", 0, Edge{}, fmt.Errorf("spice: .measure %s: unknown key %q", m.Name, k)
 			}
 		}
 		return expr, val, edge, nil
@@ -257,9 +256,9 @@ func crossings(xs, ys []float64, val float64, dir string) []float64 {
 	return out
 }
 
-func nthCrossing(xs, ys []float64, val float64, e edgeSpec, from float64) (float64, error) {
-	all := crossings(xs, ys, val, e.dir)
-	n := e.n
+func nthCrossing(xs, ys []float64, val float64, e Edge, from float64) (float64, error) {
+	all := crossings(xs, ys, val, e.Dir)
+	n := e.N
 	if n < 1 {
 		n = 1
 	}
@@ -273,7 +272,7 @@ func nthCrossing(xs, ys []float64, val float64, e edgeSpec, from float64) (float
 			return x, nil
 		}
 	}
-	return 0, fmt.Errorf("spice: %s crossing #%d of %g not found", e.dir, n, val)
+	return 0, fmt.Errorf("spice: %s crossing #%d of %g not found", e.Dir, n, val)
 }
 
 // EvalMeasureTran evaluates a tran measure against a result.
@@ -418,10 +417,29 @@ type Results struct {
 	Measures map[string]float64
 }
 
-// RunDeck executes every analysis in the deck (the last of each kind
-// wins for result storage) and evaluates all measures. MaxInternalStep
-// for transients defaults to the print step.
-func RunDeck(e *Engine, deck *Deck) (*Results, error) {
+// Run solves a deck: it executes every analysis (the last of each kind
+// wins for result storage) and evaluates all measures. The solver
+// inner loops poll ctx for cancellation, the context's fault injector
+// (if any) arms the engine's fault sites, and the deck is counted on
+// the context's trace: spice.decks, and spice.duplicate_decks when the
+// trace has already solved a deck of the same content (see digest) —
+// the ground-truth check that the evaluation cache really eliminated
+// repeated simulations. The primitive testbenches build their decks
+// in memory and solve them here.
+func Run(ctx context.Context, t *pdk.Tech, deck *Deck) (*Results, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if tr := obs.From(ctx); tr.Enabled() {
+		tr.Counter("spice.decks").Inc()
+		if tr.Seen("spice.decks", deck.digest()) {
+			tr.Counter("spice.duplicate_decks").Inc()
+		}
+	}
+	e, err := New(ctx, t, deck.Netlist)
+	if err != nil {
+		return nil, err
+	}
 	res := &Results{Measures: make(map[string]float64)}
 	for _, a := range deck.Analyses {
 		switch a.Kind {
@@ -483,35 +501,15 @@ func RunDeck(e *Engine, deck *Deck) (*Results, error) {
 	return res, nil
 }
 
-// RunSourceCtx parses deck text and executes it in one call — the
-// workhorse for primitive testbenches. The solver inner loops poll
-// ctx for cancellation, the context's fault injector (if any) arms
-// the engine's fault sites, and the deck is counted on the context's
-// trace: spice.decks, and spice.duplicate_decks when the trace has
-// already solved a byte-identical deck — the ground-truth check that
-// the evaluation cache really eliminated repeated simulations.
+// RunSourceCtx parses deck text with ParseDeck and solves it with
+// Run, which counts it on the context's trace. spicetool runs the
+// decks it reads this way.
 func RunSourceCtx(ctx context.Context, t *pdk.Tech, src string) (*Results, *Deck, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	if tr := obs.From(ctx); tr.Enabled() {
-		tr.Counter("spice.decks").Inc()
-		h := fnv.New64a()
-		//lint:allow errflow hash.Hash.Write is documented to never return an error
-		h.Write([]byte(src))
-		if tr.Seen("spice.decks", h.Sum64()) {
-			tr.Counter("spice.duplicate_decks").Inc()
-		}
-	}
 	deck, err := ParseDeck(src)
 	if err != nil {
 		return nil, nil, err
 	}
-	e, err := New(ctx, t, deck.Netlist)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := RunDeck(e, deck)
+	res, err := Run(ctx, t, deck)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -9,11 +9,11 @@ import (
 	"primopt/internal/units"
 )
 
-// Deck is a parsed SPICE input file: a flattened netlist plus the
-// analyses, initial conditions, and measure statements it requests.
-// This is the form the primitive testbenches take (paper Section
-// II-B: "a SPICE file that contains excitation and measure statements
-// required to compute the metric").
+// Deck is a SPICE input: a flattened netlist plus the analyses,
+// initial conditions, and measure statements it requests. ParseDeck
+// reads one from text; the primitive testbenches (paper Section II-B:
+// "a SPICE file that contains excitation and measure statements
+// required to compute the metric") build theirs in memory.
 type Deck struct {
 	Title    string
 	Netlist  *circuit.Netlist
@@ -51,12 +51,12 @@ type Measure struct {
 	// trigtarg fields.
 	TrigExpr           string
 	TrigVal, TargVal   float64
-	TrigEdge, TargEdge edgeSpec
+	TrigEdge, TargEdge Edge
 	TargExpr           string
 
 	// when fields.
 	WhenVal float64
-	Edge    edgeSpec
+	Edge    Edge
 
 	// find fields.
 	At float64
@@ -65,9 +65,11 @@ type Measure struct {
 	From, To float64
 }
 
-type edgeSpec struct {
-	dir string // "rise", "fall", "cross"
-	n   int    // 1-based occurrence
+// Edge selects one crossing of a measure: the N-th (1-based) rising,
+// falling or either-way crossing.
+type Edge struct {
+	Dir string // "rise", "fall", "cross"
+	N   int
 }
 
 type subcktDef struct {
@@ -138,7 +140,7 @@ func ParseDeck(src string) (*Deck, error) {
 				continue
 			}
 		}
-		if err := parseLine(deck, params, subckts, fields); err != nil {
+		if err := parseLine(deck, params, subckts, nil, fields); err != nil {
 			return nil, err
 		}
 	}
@@ -180,9 +182,10 @@ func isElementOrDirective(head string) bool {
 	return false
 }
 
-// parseLine dispatches one logical line.
+// parseLine dispatches one logical line. expanding lists the .subckt
+// definitions whose bodies enclose the line, outermost first.
 func parseLine(deck *Deck, params map[string]string, subckts map[string]*subcktDef,
-	fields []string) error {
+	expanding []string, fields []string) error {
 	head := strings.ToLower(fields[0])
 	if strings.HasPrefix(head, ".") {
 		return parseDirective(deck, params, fields)
@@ -208,7 +211,7 @@ func parseLine(deck *Deck, params map[string]string, subckts map[string]*subcktD
 	case 'e', 'g':
 		return parseControlled(deck, fields)
 	case 'x':
-		return parseSubcktInst(deck, params, subckts, fields)
+		return parseSubcktInst(deck, params, subckts, expanding, fields)
 	}
 	return fmt.Errorf("spice: unrecognized element %q", fields[0])
 }
@@ -539,7 +542,7 @@ func parseControlled(deck *Deck, fields []string) error {
 }
 
 func parseSubcktInst(deck *Deck, params map[string]string, subckts map[string]*subcktDef,
-	fields []string) error {
+	expanding []string, fields []string) error {
 	// Xname net1 ... netN subcktname
 	if len(fields) < 3 {
 		return fmt.Errorf("spice: %q needs nets and a subckt name", fields[0])
@@ -548,6 +551,14 @@ func parseSubcktInst(deck *Deck, params map[string]string, subckts map[string]*s
 	def, ok := subckts[name]
 	if !ok {
 		return fmt.Errorf("spice: unknown subckt %q", name)
+	}
+	// A definition that instantiates itself, directly or through
+	// others, would expand without bound.
+	for i, open := range expanding {
+		if open == name {
+			cycle := append(append([]string(nil), expanding[i:]...), name)
+			return fmt.Errorf("spice: recursive .subckt %s", strings.Join(cycle, " -> "))
+		}
 	}
 	actuals := fields[1 : len(fields)-1]
 	if len(actuals) != len(def.ports) {
@@ -559,6 +570,7 @@ func parseSubcktInst(deck *Deck, params map[string]string, subckts map[string]*s
 	// the formal->actual port mapping. Nested X instances recurse
 	// through the same path while building the body.
 	body := &Deck{Netlist: circuit.New(name), ICs: make(map[string]float64)}
+	expanding = append(expanding[:len(expanding):len(expanding)], name)
 	for _, ln := range def.lines {
 		lf := strings.Fields(ln)
 		if len(lf) == 0 {
@@ -567,7 +579,7 @@ func parseSubcktInst(deck *Deck, params map[string]string, subckts map[string]*s
 		if strings.HasPrefix(lf[0], ".") {
 			return fmt.Errorf("spice: directive %s not allowed inside .subckt %s", lf[0], name)
 		}
-		if err := parseLine(body, params, subckts, lf); err != nil {
+		if err := parseLine(body, params, subckts, expanding, lf); err != nil {
 			return fmt.Errorf("in subckt %s: %w", name, err)
 		}
 	}

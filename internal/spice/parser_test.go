@@ -257,10 +257,24 @@ func TestParseErrors(t *testing.T) {
 		"bad ic":            "R1 a 0 1\n.ic b=0.5\n",
 		"directive in sub":  "X1 a s\n.subckt s p\nR1 p 0 1\n.op\n.ends\n.op\n",
 		"bad value":         "R1 a 0 abc\n.op\n",
+		"recursive subckt":  ".subckt loop a b\nR1 a b 1k\nX1 a b loop\n.ends\nV1 in 0 1\nX0 in 0 loop\n.op\n",
+		"mutual subckts":    ".subckt a p q\nXb p q b\n.ends\n.subckt b p q\nR1 p q 1k\nXa p q a\n.ends\nV1 in 0 1\nX0 in 0 a\n.op\n",
 	}
 	for name, src := range cases {
 		if _, err := ParseDeck("title\n" + src); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+func TestParseRecursiveSubcktNamesCycle(t *testing.T) {
+	for src, cycle := range map[string]string{
+		".subckt loop a b\nR1 a b 1k\nX1 a b loop\n.ends\nV1 in 0 1\nX0 in 0 loop\n.op\n":  "loop -> loop",
+		".subckt a p q\nXb p q b\n.ends\n.subckt b p q\nXa p q a\n.ends\nX0 in 0 a\n.op\n": "a -> b -> a",
+	} {
+		_, err := ParseDeck(src)
+		if err == nil || !strings.Contains(err.Error(), "recursive .subckt "+cycle) {
+			t.Errorf("error %v, want the cycle %s named", err, cycle)
 		}
 	}
 }
