@@ -13,6 +13,7 @@ package cellgen
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"primopt/internal/geom"
 	"primopt/internal/lde"
@@ -34,7 +35,7 @@ const (
 var patternNames = [...]string{"A", "ABAB", "ABBA", "AABB"}
 
 func (p PatternKind) String() string {
-	if int(p) < len(patternNames) {
+	if p >= 0 && int(p) < len(patternNames) {
 		return patternNames[p]
 	}
 	return fmt.Sprintf("Pattern(%d)", int(p))
@@ -72,9 +73,16 @@ type Config struct {
 	Pattern     PatternKind
 }
 
-// ID renders the configuration in the style of the paper's tables.
+// ID renders the configuration in the style of the paper's tables:
+// nfin=N;nf=N;m=N;PATTERN. Spans, placement tags and panic labels
+// call it, so it is built with strconv rather than fmt.
 func (c Config) ID() string {
-	return fmt.Sprintf("nfin=%d;nf=%d;m=%d;%s", c.NFin, c.NF, c.M, c.Pattern)
+	var buf [48]byte
+	b := strconv.AppendInt(append(buf[:0], "nfin="...), int64(c.NFin), 10)
+	b = strconv.AppendInt(append(b, ";nf="...), int64(c.NF), 10)
+	b = strconv.AppendInt(append(b, ";m="...), int64(c.M), 10)
+	b = append(append(b, ';'), c.Pattern.String()...)
+	return string(b)
 }
 
 // WireEst is the generator's estimate for the within-primitive routing

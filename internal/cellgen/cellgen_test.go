@@ -1,6 +1,7 @@
 package cellgen
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -372,6 +373,20 @@ func TestConfigID(t *testing.T) {
 	c := Config{NFin: 8, NF: 20, M: 6, Pattern: PatABBA}
 	if c.ID() != "nfin=8;nf=20;m=6;ABBA" {
 		t.Errorf("ID = %q", c.ID())
+	}
+	// ID is built with strconv; it must print what fmt printed, for
+	// every pattern (an unknown one included) and any integers.
+	for _, pat := range []PatternKind{PatA, PatABAB, PatABBA, PatAABB, PatternKind(7), PatternKind(-1)} {
+		for _, c := range []Config{
+			{NFin: 8, NF: 20, M: 6, Pattern: pat},
+			{NFin: 0, NF: 1, M: 123456789, Dummies: 3, Pattern: pat},
+			{NFin: -4, NF: math.MaxInt, M: math.MinInt, Pattern: pat},
+		} {
+			want := fmt.Sprintf("nfin=%d;nf=%d;m=%d;%s", c.NFin, c.NF, c.M, c.Pattern)
+			if got := c.ID(); got != want {
+				t.Errorf("ID = %q, want %q", got, want)
+			}
+		}
 	}
 }
 

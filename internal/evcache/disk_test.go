@@ -401,6 +401,56 @@ func TestCacheDiskIntegration(t *testing.T) {
 	}
 }
 
+// TestDiskHitStoredOnceAndShared: a disk hit's decoded entry belongs
+// to no one else, so the cache stores it without a copy and serves
+// that same entry to the computing caller and every later request.
+func TestDiskHitStoredOnceAndShared(t *testing.T) {
+	dir := t.TempDir()
+	d1, err := OpenDisk(dir, DiskOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPut(t, d1, "k", diskEntryFor(4))
+	d1.Close()
+
+	d2, err := OpenDisk(dir, DiskOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	log := TrackStores(t)
+	c := New()
+	c.AttachDisk(d2)
+	var got [3]*Entry
+	for i := range got {
+		got[i], err = c.DoCtx(context.Background(), "k", func() (*Entry, error) {
+			t.Fatal("a disk hit must not compute")
+			return nil, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	stored := c.Stored("k")
+	for i, e := range got {
+		if e != stored {
+			t.Errorf("request %d got %p, want the stored entry %p", i, e, stored)
+		}
+	}
+	if stored.Layout != stored.Ex.Layout {
+		t.Error("decoded entry lost the Layout/Ex alias")
+	}
+	if st := c.Stats(); st.DiskHits != 1 || st.Misses != 1 || st.Hits != 2 {
+		t.Errorf("stats = %+v, want one disk hit (a memory miss) and two memory hits", st)
+	}
+	if n := log.Len(c); n != 1 {
+		t.Errorf("%d stores recorded, want 1", n)
+	}
+	for _, d := range log.Changed() {
+		t.Error(d)
+	}
+}
+
 // TestRecordRequest pins the accounting every non-optimizer cache
 // consumer relies on: one optimize.evals per request, one
 // optimize.repeat_evals per re-request, nothing when untraced.

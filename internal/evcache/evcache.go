@@ -19,9 +19,18 @@
 //
 // Correctness rests on two properties:
 //
-//   - Deep isolation: entries are stored as deep copies and handed
-//     out as deep copies, so tuning's in-place wire mutations on a
-//     returned layout can never corrupt the cache (or vice versa).
+//   - Shared immutable entries: the cache stores its own deep copy of
+//     a computed entry (the computing caller keeps its live layout
+//     and may go on mutating it), or the decoded entry of a disk hit,
+//     which no one else holds. Every later request, and every waiter
+//     of the computation, receives that stored entry itself. No one
+//     may write to a stored entry or to anything it points to: its
+//     Layout (the Wires map and each WireEst included), Ex, Eval (the
+//     Values map included) and Values. A caller that needs a changed
+//     layout clones it first, as tuning does.
+//     TestStoredEntriesNeverChange digests every entry as it is stored
+//     and checks the digests after every circuit's flows, cold, warm
+//     and warm from disk.
 //   - Single flight: concurrent requests for the same uncomputed key
 //     block on one computation instead of racing duplicate SPICE
 //     runs; every waiter counts as a hit, so with a cache installed
@@ -89,8 +98,9 @@ type Entry struct {
 	Values []cost.Value
 }
 
-// clone deep-copies an entry. The Layout/Ex aliasing invariant is
-// preserved: the cloned Layout is the cloned Ex's layout.
+// clone deep-copies an entry, for the store path of a computed entry.
+// The Layout/Ex aliasing invariant is preserved: the cloned Layout is
+// the cloned Ex's layout.
 func (e *Entry) clone() *Entry {
 	out := &Entry{Cost: e.Cost, Eval: e.Eval.Clone()}
 	out.Values = append([]cost.Value(nil), e.Values...)
@@ -104,14 +114,15 @@ func (e *Entry) clone() *Entry {
 }
 
 // approxBytes estimates the retained size of an entry, for the
-// evcache.bytes counter and the in-memory/disk LRU bounds. It is an
-// accounting estimate (struct sizes plus per-element costs), not a
-// precise heap measurement. Alias-aware: a stored entry's Layout is
-// normally the same object as Ex.Layout (the clone invariant), so
-// that layout is charged exactly once; an entry whose extraction
-// carries a distinct layout is charged for both — the earlier
-// version never looked at Ex.Layout at all, undercounting whenever
-// the two diverged and leaving the size bounds dishonest.
+// evcache.bytes counter and Stats.Bytes. It bounds nothing: the memory
+// tier is unbounded, and the disk tier bounds itself by the bytes it
+// writes. It is an accounting estimate (struct sizes plus per-element
+// costs), not a precise heap measurement. Alias-aware: a stored
+// entry's Layout is normally the same object as Ex.Layout (the clone
+// invariant, which decoding a disk entry re-establishes), so that
+// layout is charged exactly once; an entry whose extraction carries a
+// distinct layout is charged for both — the earlier version never
+// looked at Ex.Layout at all, undercounting whenever the two diverged.
 func (e *Entry) approxBytes() int64 {
 	n := int64(128)
 	if e.Layout != nil {
@@ -369,11 +380,13 @@ func (c *Cache) RecordRequest(tr *obs.Trace, key string) {
 
 // DoCtx returns the entry for key, computing it at most once. On a
 // hit (including waiting out another goroutine's in-flight
-// computation) the caller receives a deep copy, free to mutate. On a
-// miss the computed entry is returned as-is and a deep copy is
-// stored, so the cache never aliases the caller's live layout.
-// Counters land on the context's trace: evcache.hits, evcache.misses,
-// evcache.bytes, and the disk tier's.
+// computation) the caller receives the stored entry itself, shared
+// with every other caller: it must not write to it or to anything it
+// points to. On a miss the computed entry is returned as-is and a
+// deep copy is stored, so the computing caller may go on mutating its
+// own layout; a disk hit's decoded entry is stored and returned
+// without a copy. Counters land on the context's trace: evcache.hits,
+// evcache.misses, evcache.bytes, and the disk tier's.
 //
 // A failed or canceled in-flight computation never poisons waiters:
 // each waiter wakes, re-checks, and (with a healthy context of its
@@ -395,7 +408,7 @@ func (c *Cache) DoCtx(ctx context.Context, key string, compute func() (*Entry, e
 			c.mu.Unlock()
 			c.hits.Add(1)
 			tr.Counter("evcache.hits").Inc()
-			return e.clone(), nil
+			return e, nil
 		}
 		if ch, ok := c.inflight[key]; ok {
 			c.mu.Unlock()
@@ -424,6 +437,11 @@ func (c *Cache) DoCtx(ctx context.Context, key string, compute func() (*Entry, e
 	}
 }
 
+// storeHook, when set (tests only), sees each entry a cache stores
+// before any request can read it. The immutability tests record a
+// content digest of every stored entry there.
+var storeHook func(c *Cache, key string, stored *Entry)
+
 // runCompute executes the single-flight computation for key, storing
 // the result on success and always releasing the in-flight slot —
 // including when compute panics — so waiters never block forever.
@@ -435,11 +453,24 @@ func (c *Cache) DoCtx(ctx context.Context, key string, compute func() (*Entry, e
 // write serves from memory only.
 func (c *Cache) runCompute(ctx context.Context, tr *obs.Trace, key string, ch chan struct{}, inj *fault.Injector, compute func() (*Entry, error)) (ent *Entry, err error) {
 	done := false
+	fromDisk := false
 	defer func() {
+		var stored *Entry
+		if done && err == nil {
+			// A computed entry may alias the caller's live layout, so
+			// the cache keeps its own copy; a decoded disk entry is
+			// held by no one else and is stored as it is.
+			stored = ent
+			if !fromDisk {
+				stored = ent.clone()
+			}
+			if storeHook != nil {
+				storeHook(c, key, stored)
+			}
+		}
 		c.mu.Lock()
 		delete(c.inflight, key)
-		if done && err == nil {
-			stored := ent.clone()
+		if stored != nil {
 			c.entries[key] = stored
 			c.bytes.Add(stored.approxBytes())
 		}
@@ -449,7 +480,7 @@ func (c *Cache) runCompute(ctx context.Context, tr *obs.Trace, key string, ch ch
 	if d := c.diskTier(); d != nil {
 		if de, ok := d.get(ctx, key); ok {
 			tr.Counter("evcache.disk_hits").Inc()
-			done = true
+			done, fromDisk = true, true
 			return de, nil
 		}
 		tr.Counter("evcache.disk_misses").Inc()

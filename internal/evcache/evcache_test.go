@@ -9,8 +9,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"primopt/internal/cellgen"
+	"primopt/internal/cost"
 	"primopt/internal/extract"
 	"primopt/internal/obs"
 	"primopt/internal/pdk"
@@ -161,33 +163,127 @@ func TestDoSingleflight(t *testing.T) {
 	}
 }
 
-func TestDoDeepIsolation(t *testing.T) {
+// TestDoSharesStoredEntry pins the store and serve contract. The
+// computing caller gets its own entry back and the cache stores a
+// copy, so the caller may go on mutating its layout; every hit, and
+// every waiter of an in-flight computation, gets the stored entry
+// itself; and nothing the callers do changes what was stored.
+func TestDoSharesStoredEntry(t *testing.T) {
+	log := TrackStores(t)
 	c := New()
-	if _, err := c.DoCtx(context.Background(), "k", func() (*Entry, error) { return testEntry(), nil }); err != nil {
+	ctx := context.Background()
+	mine := testEntry()
+	got, err := c.DoCtx(ctx, "k", func() (*Entry, error) { return mine, nil })
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.DoCtx(context.Background(), "k", func() (*Entry, error) {
-		t.Fatal("hit path must not compute")
+	stored := c.Stored("k")
+	if got != mine || stored == nil || stored == mine || stored.Layout == mine.Layout || stored.Eval == mine.Eval {
+		t.Fatalf("miss: caller got %p (own %p), cache stored %p; want own entry back and a separate copy stored", got, mine, stored)
+	}
+	// The computing caller's layout is its own to mutate.
+	mine.Layout.Wires["s"].NWires = 99
+	mine.Eval.Values["gain"] = -1
+	if n, v := stored.Layout.Wires["s"].NWires, stored.Eval.Values["gain"]; n != 1 || v != 10 {
+		t.Errorf("caller's mutation reached the stored entry: NWires %d, gain %v", n, v)
+	}
+	hit, err := c.DoCtx(ctx, "k", func() (*Entry, error) {
+		t.Error("hit path must not compute")
 		return nil, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Mutating the handed-out copy must not reach the cache.
-	got.Layout.Wires["s"].NWires = 99
-	got.Eval.Values["gain"] = -1
-	again, err := c.DoCtx(context.Background(), "k", func() (*Entry, error) { return nil, errors.New("no") })
-	if err != nil {
-		t.Fatal(err)
+	if hit != stored {
+		t.Errorf("hit returned %p, want the stored entry %p", hit, stored)
 	}
-	if n := again.Layout.Wires["s"].NWires; n != 1 {
-		t.Errorf("cached wire count corrupted to %d", n)
+
+	// Waiters of an in-flight computation get the stored entry too.
+	entered, release := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	var computed *Entry
+	go func() {
+		defer wg.Done()
+		computed, _ = c.DoCtx(ctx, "w", func() (*Entry, error) {
+			close(entered)
+			<-release
+			return testEntry(), nil
+		})
+	}()
+	<-entered
+	const waiters = 4
+	var waited [waiters]*Entry
+	for i := range waited {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			waited[i], _ = c.DoCtx(ctx, "w", func() (*Entry, error) {
+				t.Error("a waiter computed")
+				return nil, nil
+			})
+		}()
 	}
-	if v := again.Eval.Values["gain"]; v != 10 {
-		t.Errorf("cached eval corrupted to %v", v)
+	// Give the waiters time to park on the in-flight channel.
+	time.Sleep(20 * time.Millisecond)
+	close(release)
+	wg.Wait()
+	sw := c.Stored("w")
+	if sw == nil || computed == sw {
+		t.Fatalf("in-flight: computing caller got %p, stored %p; want a separate stored copy", computed, sw)
 	}
-	if again.Layout == got.Layout || again.Eval == got.Eval {
-		t.Error("cache handed out shared pointers")
+	for i, w := range waited {
+		if w != sw {
+			t.Errorf("waiter %d got %p, want the stored entry %p", i, w, sw)
+		}
+	}
+	if st := c.Stats(); st.Misses != 2 || st.Hits != 1+waiters {
+		t.Errorf("stats = %+v, want 2 misses and %d hits", st, 1+waiters)
+	}
+	if n := log.Len(c); n != 2 {
+		t.Errorf("%d stores recorded, want 2", n)
+	}
+	for _, d := range log.Changed() {
+		t.Error(d)
+	}
+}
+
+// TestStoreLogSeesWrites: the digest the immutability tests rely on
+// notices a write anywhere in an entry, however deep.
+func TestStoreLogSeesWrites(t *testing.T) {
+	writes := map[string]func(e *Entry){
+		"wire count":    func(e *Entry) { e.Layout.Wires["s"].NWires++ },
+		"new wire":      func(e *Entry) { e.Layout.Wires["g"] = &cellgen.WireEst{NWires: 1} },
+		"config":        func(e *Entry) { e.Layout.Config.M++ },
+		"extracted RC":  func(e *Entry) { e.Ex.Term["s"] = extract.TermRC{R: 2} },
+		"device":        func(e *Entry) { e.Ex.Dev[0].DVth = 1e-3 },
+		"eval value":    func(e *Entry) { e.Eval.Values["gain"] = math.Copysign(0, -1) },
+		"sims":          func(e *Entry) { e.Eval.Sims++ },
+		"cost":          func(e *Entry) { e.Cost = math.Nextafter(e.Cost, 5) },
+		"cost value":    func(e *Entry) { e.Values[0].Delta = 0.5 },
+		"value dropped": func(e *Entry) { e.Values = e.Values[:0] },
+	}
+	for name, write := range writes {
+		t.Run(name, func(t *testing.T) {
+			log := TrackStores(t)
+			c := New()
+			if _, err := c.DoCtx(context.Background(), "k", func() (*Entry, error) {
+				e := testEntry()
+				e.Ex = &extract.Extracted{Layout: e.Layout, Dev: make([]extract.DevParasitics, 1),
+					Term: map[string]extract.TermRC{"s": {R: 1}}}
+				e.Values = []cost.Value{{Delta: 0.25}}
+				return e, nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if d := log.Changed(); len(d) != 0 {
+				t.Fatalf("changed before any write: %v", d)
+			}
+			write(c.Stored("k"))
+			if d := log.Changed(); len(d) != 1 {
+				t.Errorf("after the write: %v, want one change", d)
+			}
+		})
 	}
 }
 

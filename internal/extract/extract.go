@@ -50,8 +50,9 @@ type Extracted struct {
 // Clone returns a deep copy of the extracted view, including a deep
 // copy of the underlying layout (Layout on the clone points at the
 // cloned layout, preserving the Layout/Extracted aliasing invariant
-// evaluateOption establishes). Used by the evaluation cache so cached
-// results never share mutable state with live tuning layouts.
+// evaluateOption establishes). The evaluation cache stores a computed
+// entry through it, so the stored entry never shares a layout that the
+// computing caller's tuning goes on mutating.
 func (ex *Extracted) Clone() *Extracted {
 	if ex == nil {
 		return nil

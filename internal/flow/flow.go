@@ -199,7 +199,10 @@ func (res *Result) degrade(tr *obs.Trace, what, why string) {
 	tr.Counter("flow.degraded").Inc()
 }
 
-// chosen is the per-instance layout decision feeding assembly.
+// chosen is the per-instance layout decision feeding assembly. In the
+// optimizing modes ex is an optimize.Option's extraction, which may be
+// the evaluation cache's shared stored entry: the flow only reads it.
+// Conventional choices own their fresh layout and extraction.
 type chosen struct {
 	inst    *circuits.Inst
 	entry   *primlib.Entry
@@ -924,7 +927,9 @@ func RunFixedWiresContext(ctx context.Context, t *pdk.Tech, bm *circuits.Benchma
 		prsp.End()
 		return nil, err
 	}
-	// Force the wire count everywhere and re-extract.
+	// Force the wire count everywhere and re-extract. Conventional
+	// choices are fresh FindLayouts layouts, never cache entries, so
+	// writing their wires in place is safe.
 	for _, name := range sortedKeys(choices) {
 		ch := choices[name]
 		for _, w := range ch.ex.Layout.Wires {

@@ -3,37 +3,52 @@ package optimize
 import (
 	"context"
 	"errors"
-	"strings"
 	"testing"
 
+	"primopt/internal/cellgen"
 	"primopt/internal/fault"
 	"primopt/internal/obs"
 )
 
 // TestGuardConvertsPanics: the worker-pool guard converts panics to
-// labeled errors and counts them, while passing errors through.
+// labeled errors and counts them, while passing errors through. The
+// three task labels render exactly as the eagerly formatted labels
+// they replace did.
 func TestGuardConvertsPanics(t *testing.T) {
 	tr := obs.New()
-	err := guard(tr, "unit test", func() error { panic("boom") })
-	if err == nil || !strings.Contains(err.Error(), "unit test") ||
-		!strings.Contains(err.Error(), "boom") {
-		t.Errorf("err = %v, want labeled recovered panic", err)
+	cfg := cellgen.Config{NFin: 8, NF: 20, M: 6, Dummies: 2, Pattern: cellgen.PatABBA}
+	for _, tc := range []struct {
+		task task
+		want string
+	}{
+		{task{kind: "selection config", cfg: cfg}, "optimize: selection config nfin=8;nf=20;m=6;ABBA: recovered panic: boom"},
+		{task{kind: "tuning", cfg: cfg}, "optimize: tuning nfin=8;nf=20;m=6;ABBA: recovered panic: boom"},
+		{task{kind: "joint sweep", combo: []int{3, 1}}, "optimize: joint sweep [3 1]: recovered panic: boom"},
+	} {
+		err := guard(tr, tc.task, func() error { panic("boom") })
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("err = %v, want %q", err, tc.want)
+		}
 	}
-	if n := tr.Counter("optimize.worker_panics").Value(); n != 1 {
-		t.Errorf("optimize.worker_panics = %d, want 1", n)
+	if n := tr.Counter("optimize.worker_panics").Value(); n != 3 {
+		t.Errorf("optimize.worker_panics = %d, want 3", n)
 	}
 
+	x := task{kind: "tuning", cfg: cfg}
 	sentinel := errors.New("plain failure")
-	if err := guard(tr, "x", func() error { return sentinel }); !errors.Is(err, sentinel) {
+	if err := guard(tr, x, func() error { return sentinel }); !errors.Is(err, sentinel) {
 		t.Errorf("guard altered a plain error: %v", err)
 	}
-	if err := guard(tr, "x", func() error { return nil }); err != nil {
+	if err := guard(tr, x, func() error { return nil }); err != nil {
 		t.Errorf("guard invented an error: %v", err)
 	}
 	// A panic with an error value stays unwrappable.
-	werr := guard(tr, "x", func() error { panic(sentinel) })
+	werr := guard(tr, x, func() error { panic(sentinel) })
 	if !errors.Is(werr, sentinel) {
 		t.Errorf("error-valued panic not unwrappable: %v", werr)
+	}
+	if want := "optimize: tuning nfin=8;nf=20;m=6;ABBA: recovered panic: plain failure"; werr.Error() != want {
+		t.Errorf("err = %q, want %q", werr, want)
 	}
 }
 

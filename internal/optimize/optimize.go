@@ -41,7 +41,10 @@ import (
 	"primopt/internal/primlib"
 )
 
-// Option is one evaluated layout configuration.
+// Option is one evaluated layout configuration. With a cache
+// installed, Layout, Ex, Eval and Values may be the cache's stored
+// entry, shared with every other caller and immutable: clone a layout
+// before changing it (tuning does).
 type Option struct {
 	Layout *cellgen.Layout
 	Ex     *extract.Extracted
@@ -101,6 +104,10 @@ type Result struct {
 
 	// Selected holds the tuned minimum-cost option per aspect-ratio
 	// bin — the choices handed to the placer.
+	//
+	// The layouts, extractions and evals of both lists, and Schematic,
+	// may be shared with the cache (see Option): clone before
+	// mutating.
 	Selected []Option
 
 	// TotalSims counts SPICE deck runs across all steps (Table V).
@@ -192,7 +199,7 @@ func OptimizeCtx(ctx context.Context, t *pdk.Tech, e *primlib.Entry, sz primlib.
 		wg.Add(1)
 		go func(i int, lay *cellgen.Layout) {
 			defer wg.Done()
-			errs[i] = guard(tr, "selection config "+lay.Config.ID(), func() error {
+			errs[i] = guard(tr, task{kind: "selection config", cfg: lay.Config}, func() error {
 				opt, err := env.eval(lay)
 				if err != nil {
 					return err
@@ -253,7 +260,7 @@ func OptimizeCtx(ctx context.Context, t *pdk.Tech, e *primlib.Entry, sz primlib.
 		twg.Add(1)
 		go func(i int) {
 			defer twg.Done()
-			tuneErrs[i] = guard(tr, "tuning "+selected[i].Layout.Config.ID(), func() error {
+			tuneErrs[i] = guard(tr, task{kind: "tuning", cfg: selected[i].Layout.Config}, func() error {
 				var err error
 				tuneSims[i], err = tuneOption(env, &selected[i], p)
 				return err
@@ -308,7 +315,8 @@ type evalEnv struct {
 // cache when one is installed. The compute path reads lay's current
 // wire state, which matches the key because each caller owns its
 // layout (selection layouts are per-goroutine, tuning works on
-// clones).
+// clones). On a cache miss the option holds lay itself, and the cache
+// keeps its own copy; on a hit it holds the shared stored entry.
 func (env *evalEnv) eval(lay *cellgen.Layout) (*Option, error) {
 	ctx := env.ctx
 	key := evcache.Key(env.pdkFP, env.e, env.sz, env.bias, lay, nil)
@@ -437,10 +445,11 @@ func assignBins(opts []Option, bins int) {
 
 // tuneOption runs the tuning step on one selected option. It works on
 // a deep copy of the option's layout: the selection-phase row in
-// Result.AllOptions shares the original pointer, and the paper's
-// Table III data must survive tuning unchanged. On success the option
-// is replaced by its tuned re-evaluation; on error it is left as
-// selected. Returns the number of simulations spent.
+// Result.AllOptions shares the original pointer, which may also be the
+// cache's stored entry, and the paper's Table III data must survive
+// tuning unchanged. On success the option is replaced by its tuned
+// re-evaluation; on error it is left as selected. Returns the number
+// of simulations spent.
 func tuneOption(env *evalEnv, opt *Option, p Params) (int, error) {
 	work := opt.Layout.Clone()
 	sims := 0
@@ -595,7 +604,7 @@ func sweepJoint(env *evalEnv, lay *cellgen.Layout, group []primlib.TuningTerm, m
 		wg.Add(1)
 		go func(ci int, combo []int) {
 			defer wg.Done()
-			errs[ci] = guard(env.tr, fmt.Sprintf("joint sweep %v", combo), func() error {
+			errs[ci] = guard(env.tr, task{kind: "joint sweep", combo: combo}, func() error {
 				work := lay.Clone()
 				for gi, tt := range group {
 					setWires(work, tt, combo[gi])
@@ -630,19 +639,36 @@ func sweepJoint(env *evalEnv, lay *cellgen.Layout, group []primlib.TuningTerm, m
 	return sims, nil
 }
 
+// task names one worker task in a recovered panic's message: a
+// selection or tuning task by its configuration, a joint-sweep task
+// by its wire counts. guard renders it only when the task panics, so
+// the evaluations themselves format nothing.
+type task struct {
+	kind  string // "selection config", "tuning" or "joint sweep"
+	cfg   cellgen.Config
+	combo []int
+}
+
+func (t task) String() string {
+	if t.combo != nil {
+		return fmt.Sprintf("%s %v", t.kind, t.combo)
+	}
+	return t.kind + " " + t.cfg.ID()
+}
+
 // guard runs one worker task and converts a panic into that task's
 // error, so a crash in a single evaluation fails its task (and is
 // counted) instead of killing the process. An injected fault panic
 // keeps its identity through the wrap, so fault.IsInjected still
 // recognizes it upstream.
-func guard(tr *obs.Trace, label string, fn func() error) (err error) {
+func guard(tr *obs.Trace, t task, fn func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			tr.Counter("optimize.worker_panics").Inc()
 			if e, ok := r.(error); ok {
-				err = fmt.Errorf("optimize: %s: recovered panic: %w", label, e)
+				err = fmt.Errorf("optimize: %s: recovered panic: %w", t, e)
 			} else {
-				err = fmt.Errorf("optimize: %s: recovered panic: %v", label, r)
+				err = fmt.Errorf("optimize: %s: recovered panic: %v", t, r)
 			}
 		}
 	}()

@@ -327,7 +327,7 @@ func runReplica(ctx context.Context, template *state, r int, p Params, tr *obs.T
 		}
 		accepted := 0
 		for it := 0; it < iters; it++ {
-			undo, changed := st.randomMove(rng, n)
+			mv, changed := st.randomMove(rng, n)
 			next := cur
 			if changed {
 				next = st.evaluateIncremental(p)
@@ -344,10 +344,10 @@ func runReplica(ctx context.Context, template *state, r int, p Params, tr *obs.T
 				accepted++
 				if cur.cost < best.cost {
 					best = cur
-					bestSnap = st.snapshot()
+					bestSnap.save(st)
 				}
 			} else {
-				undo()
+				st.undo(mv)
 				if changed {
 					st.undoEval()
 				}
@@ -401,39 +401,64 @@ func (st *state) snapshot() snapshot {
 	}
 }
 
+// save overwrites s with st's solution in place, so recording a new
+// best costs no allocation.
+func (s *snapshot) save(st *state) {
+	copy(s.gammaP, st.gammaP)
+	copy(s.gammaM, st.gammaM)
+	copy(s.varIx, st.varIx)
+}
+
 func (st *state) restore(s snapshot) {
 	copy(st.gammaP, s.gammaP)
 	copy(st.gammaM, s.gammaM)
 	copy(st.varIx, s.varIx)
 }
 
-// randomMove perturbs the state, returning an undo closure and
-// whether the move can change the layout at all (an i==j swap or a
-// same-index variant pick is a no-op the evaluator skips).
-func (st *state) randomMove(rng *rand.Rand, n int) (func(), bool) {
-	kind := rng.Intn(4)
+// moveKind is the kind of one annealing move.
+type moveKind uint8
+
+const (
+	moveSwapP    moveKind = iota // swap two blocks in Γ+
+	moveSwapM                    // swap two blocks in Γ-
+	moveRelocate                 // swap two blocks in both sequences
+	moveVariant                  // change a block's variant
+)
+
+// move records one applied perturbation: enough to undo it in place.
+// It is a plain value, so a move costs no allocation.
+type move struct {
+	kind      moveKind
+	i, j      int // swapped positions: in Γ+ (swapP, relocate) or Γ- (swapM)
+	k, l      int // relocate: the swapped positions in Γ-
+	b, q      int // variant: the block, and its symmetry partner or -1
+	old, oldQ int // variant: the previous variant indices of b and q
+}
+
+// randomMove perturbs the state, returning the move and whether it
+// can change the layout at all (an i==j swap or a same-index variant
+// pick is a no-op the evaluator skips).
+func (st *state) randomMove(rng *rand.Rand, n int) (move, bool) {
+	kind := moveKind(rng.Intn(4))
 	if n == 1 {
-		kind = 3
+		kind = moveVariant
 	}
 	switch kind {
-	case 0: // swap two blocks in Γ+
+	case moveSwapP:
 		i, j := rng.Intn(n), rng.Intn(n)
 		st.gammaP[i], st.gammaP[j] = st.gammaP[j], st.gammaP[i]
-		return func() { st.gammaP[i], st.gammaP[j] = st.gammaP[j], st.gammaP[i] }, i != j
-	case 1: // swap two blocks in Γ-
+		return move{kind: kind, i: i, j: j}, i != j
+	case moveSwapM:
 		i, j := rng.Intn(n), rng.Intn(n)
 		st.gammaM[i], st.gammaM[j] = st.gammaM[j], st.gammaM[i]
-		return func() { st.gammaM[i], st.gammaM[j] = st.gammaM[j], st.gammaM[i] }, i != j
-	case 2: // swap in both (relocation)
+		return move{kind: kind, i: i, j: j}, i != j
+	case moveRelocate:
 		i, j := rng.Intn(n), rng.Intn(n)
 		st.gammaP[i], st.gammaP[j] = st.gammaP[j], st.gammaP[i]
 		k, l := st.findM(st.gammaP[i]), st.findM(st.gammaP[j])
 		st.gammaM[k], st.gammaM[l] = st.gammaM[l], st.gammaM[k]
-		return func() {
-			st.gammaM[k], st.gammaM[l] = st.gammaM[l], st.gammaM[k]
-			st.gammaP[i], st.gammaP[j] = st.gammaP[j], st.gammaP[i]
-		}, i != j
-	default: // change a block's variant
+		return move{kind: kind, i: i, j: j, k: k, l: l}, i != j
+	default:
 		b := rng.Intn(n)
 		old := st.varIx[b]
 		if q := st.partner[b]; q >= 0 {
@@ -448,11 +473,30 @@ func (st *state) randomMove(rng *rand.Rand, n int) (func(), bool) {
 			oldQ := st.varIx[q]
 			ni := rng.Intn(nv)
 			st.varIx[b], st.varIx[q] = ni, ni
-			return func() { st.varIx[b], st.varIx[q] = old, oldQ }, ni != old || ni != oldQ
+			return move{kind: moveVariant, b: b, q: q, old: old, oldQ: oldQ}, ni != old || ni != oldQ
 		}
 		ni := rng.Intn(len(st.blocks[b].Variants))
 		st.varIx[b] = ni
-		return func() { st.varIx[b] = old }, ni != old
+		return move{kind: moveVariant, b: b, q: -1, old: old}, ni != old
+	}
+}
+
+// undo reverts m, which must be the last move applied to st.
+func (st *state) undo(m move) {
+	switch m.kind {
+	case moveSwapP:
+		st.gammaP[m.i], st.gammaP[m.j] = st.gammaP[m.j], st.gammaP[m.i]
+	case moveSwapM:
+		st.gammaM[m.i], st.gammaM[m.j] = st.gammaM[m.j], st.gammaM[m.i]
+	case moveRelocate:
+		st.gammaM[m.k], st.gammaM[m.l] = st.gammaM[m.l], st.gammaM[m.k]
+		st.gammaP[m.i], st.gammaP[m.j] = st.gammaP[m.j], st.gammaP[m.i]
+	case moveVariant:
+		if m.q >= 0 {
+			st.varIx[m.b], st.varIx[m.q] = m.old, m.oldQ
+		} else {
+			st.varIx[m.b] = m.old
+		}
 	}
 }
 

@@ -132,8 +132,10 @@ func routesWith(pi *PrimInstance, net string, n int) map[string]extract.Route {
 
 // costAt evaluates a primitive's cost with the given route override,
 // through the cache when one is installed. Cached entries carry only
-// the Eval (the layout and extraction are the caller's own), and
-// every request is booked via RecordRequest so the trace-wide
+// the Eval. pi.Ex may itself be a shared cache entry's extraction:
+// costAt only reads it, for the key and the testbenches, and the
+// override lives in a fresh routes map. Every request is booked via
+// RecordRequest so the trace-wide
 // evcache.hits == optimize.repeat_evals invariant survives portopt
 // joining the cache's consumers. pdkFP is t.Fingerprint(), computed
 // once by the calling step. The evaluation runs on ctx.

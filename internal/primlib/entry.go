@@ -99,8 +99,8 @@ type Eval struct {
 	Sims   int
 }
 
-// Clone returns a deep copy of the evaluation (fresh Values map), so
-// cached evaluations can be handed out without sharing mutable state.
+// Clone returns a deep copy of the evaluation (fresh Values map). The
+// evaluation cache stores a computed entry's evaluation through it.
 func (ev *Eval) Clone() *Eval {
 	if ev == nil {
 		return nil
