@@ -113,8 +113,7 @@ func main() {
 	table := flag.String("table", "", "paper artifact: fig2, 1..8, ablations, all")
 	stages := flag.Int("stages", 8, "RO-VCO stage count")
 	seed := flag.Int64("seed", 1, "placement seed")
-	cache := flag.Bool("cache", true, "memoize primitive evaluations across a run (identical results, fewer SPICE decks)")
-	cacheDir := flag.String("cache-dir", "", "persistent evaluation cache directory (disk tier; implies caching, shared safely across runs and PDKs)")
+	cacheDir := flag.String("cache-dir", "", "persistent evaluation cache directory (disk tier, shared safely across runs and PDKs)")
 	cacheMax := flag.Int64("cache-max-bytes", 0, "disk-tier size bound in bytes (0 = default 1 GiB)")
 	workers := flag.Int("workers", 0, "max concurrent SPICE evaluations per primitive (0 = default 8)")
 	placeReplicas := flag.Int("place-replicas", 1, "independently seeded annealing replicas in the placer (deterministic reduction; results depend only on seed and replica count)")
@@ -153,7 +152,7 @@ func main() {
 	case *table != "":
 		runErr = runTables(ctx, tech, *table, *stages)
 	case *circuitName != "":
-		runErr = runCircuit(ctx, tech, *circuitName, *mode, *stages, *seed, *cache, *cacheDir, *cacheMax, *workers, *placeReplicas, ff)
+		runErr = runCircuit(ctx, tech, *circuitName, *mode, *stages, *seed, *cacheDir, *cacheMax, *workers, *placeReplicas, ff)
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -180,7 +179,7 @@ func buildCircuit(tech *pdk.Tech, name string, stages int) (*circuits.Benchmark,
 	return circuits.Build(tech, name, stages)
 }
 
-func runCircuit(ctx context.Context, tech *pdk.Tech, name, modeName string, stages int, seed int64, cache bool, cacheDir string, cacheMax int64, workers, placeReplicas int, ff faultFlags) error {
+func runCircuit(ctx context.Context, tech *pdk.Tech, name, modeName string, stages int, seed int64, cacheDir string, cacheMax int64, workers, placeReplicas int, ff faultFlags) error {
 	bm, err := buildCircuit(tech, name, stages)
 	if err != nil {
 		return err
@@ -215,10 +214,9 @@ func runCircuit(ctx context.Context, tech *pdk.Tech, name, modeName string, stag
 		// A fresh cache per run keeps the per-mode timings honest (no
 		// mode warms another mode's entries); within the run, every
 		// primitive instance of the circuit shares it. A -cache-dir
-		// implies caching regardless of -cache and backs the run with
-		// the persistent disk tier (which IS shared across modes and
-		// runs — its keys are content-addressed).
-		if (cache || cacheDir != "") && (m == flow.Optimized || m == flow.Manual) {
+		// backs the run with the persistent disk tier (which IS shared
+		// across modes and runs — its keys are content-addressed).
+		if m == flow.Optimized || m == flow.Manual {
 			p.Optimize.Cache = evcache.New()
 			p.CacheDir = cacheDir
 			p.CacheMaxBytes = cacheMax
@@ -265,8 +263,9 @@ func runCircuit(ctx context.Context, tech *pdk.Tech, name, modeName string, stag
 }
 
 // cacheStatsLine renders the per-mode cache summary, or "" when the
-// cache was disabled or never exercised — an all-zero stats line for
-// a mode that never consulted the cache is noise, not information.
+// mode has no cache of its own or never exercised it — an all-zero
+// stats line for a mode that never consulted the cache is noise, not
+// information.
 func cacheStatsLine(m flow.Mode, c *evcache.Cache) string {
 	if c == nil {
 		return ""

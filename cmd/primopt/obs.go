@@ -330,9 +330,8 @@ func runCheckTrace(args []string) int {
 	// A fault-armed trace (fault.injected > 0) keeps the stage
 	// taxonomy, the structural rules, and the degraded-accounting
 	// rule, but legitimately violates the clean-run guarantees:
-	// injected failures cut optimization short (no tuning spans) and
-	// are never cached (hit accounting), and killed replicas emit no
-	// spans. Those rules are gated off below.
+	// injected failures cut optimization short (no tuning spans), and
+	// killed replicas emit no spans. Those rules are gated off below.
 	faulted := false
 	if m := d.Metric("fault.injected"); m != nil && m.Value > 0 {
 		faulted = true
@@ -364,36 +363,6 @@ func runCheckTrace(args []string) int {
 			}
 		}
 	}
-	// Cache accounting: when every optimizing run in the trace had the
-	// evaluation cache installed, each repeated evaluation request must
-	// have been served as a cache hit — that is the cache's whole
-	// contract, so the two counters must agree exactly.
-	cachedRuns, uncachedRuns := 0, 0
-	for _, root := range d.SpansNamed("flow.run") {
-		m := attrString(root.Attrs, "mode")
-		if m != "optimized" && m != "manual" {
-			continue
-		}
-		if v, ok := root.Attrs["cache"].(bool); ok && v {
-			cachedRuns++
-		} else {
-			uncachedRuns++
-		}
-	}
-	if cachedRuns > 0 && uncachedRuns == 0 && !faulted {
-		var hits, repeats float64
-		if m := d.Metric("evcache.hits"); m != nil {
-			hits = m.Value
-		}
-		if m := d.Metric("optimize.repeat_evals"); m != nil {
-			repeats = m.Value
-		}
-		if hits != repeats {
-			problems = append(problems, fmt.Sprintf(
-				"evcache.hits (%.0f) != optimize.repeat_evals (%.0f): cached run still repeated evaluations", hits, repeats))
-		}
-	}
-
 	// Replica accounting: every placement run must declare its replica
 	// count, the place.replicas counter must equal the sum of those
 	// declarations, and each replica span must report the best cost it

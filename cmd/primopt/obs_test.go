@@ -225,7 +225,7 @@ func conventionalTraceLines(metaLine string) []string {
 		lines = append(lines, metaLine)
 	}
 	return append(lines,
-		`{"type":"span","id":1,"name":"flow.run","start_us":0,"dur_us":1000,"attrs":{"circuit":"csamp","mode":"conventional","cache":false}}`,
+		`{"type":"span","id":1,"name":"flow.run","start_us":0,"dur_us":1000,"attrs":{"circuit":"csamp","mode":"conventional"}}`,
 		`{"type":"span","id":2,"parent":1,"name":"flow.schematic_op","start_us":0,"dur_us":100}`,
 		`{"type":"span","id":3,"parent":1,"name":"flow.primitives","start_us":100,"dur_us":200}`,
 		`{"type":"span","id":4,"parent":1,"name":"flow.place","start_us":300,"dur_us":300}`,

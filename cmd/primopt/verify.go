@@ -9,7 +9,6 @@ import (
 	"strings"
 	"syscall"
 
-	"primopt/internal/evcache"
 	"primopt/internal/flow"
 	"primopt/internal/pdk"
 )
@@ -101,7 +100,6 @@ func runVerifyCmd(args []string) int {
 		}
 		p.Place.Replicas = *placeReplicas
 		if m == flow.Optimized || m == flow.Manual {
-			p.Optimize.Cache = evcache.New()
 			p.CacheDir = *cacheDir
 		}
 		rep, err := flow.VerifyContext(ctx, tech, bm, m, p)

@@ -16,6 +16,21 @@ import (
 	"primopt/internal/spice"
 )
 
+// MaxStages bounds the RO-VCO's stage count: eight times the paper's
+// ring, so no request can make the ring's construction and simulation
+// grow without limit.
+const MaxStages = 64
+
+// CheckStages is the rule an RO-VCO stage count must meet: even, at
+// least 2 and at most MaxStages. ROVCO applies it, and the daemon
+// applies it before admitting a request.
+func CheckStages(stages int) error {
+	if stages < 2 || stages%2 != 0 || stages > MaxStages {
+		return fmt.Errorf("rovco: stages must be even, >= 2 and <= %d, got %d", MaxStages, stages)
+	}
+	return nil
+}
+
 // ROVCO builds the paper's third benchmark: an N-stage differential
 // ring-oscillator VCO whose stages are current-starved inverters (the
 // primitive optimized in Table VII) cross-coupled by weak latch
@@ -27,8 +42,8 @@ import (
 // oscillation frequency at a fixed control voltage (VCO curves are
 // produced by EvalVCOAtCtx across control points).
 func ROVCO(t *pdk.Tech, stages int) (*Benchmark, error) {
-	if stages < 2 || stages%2 != 0 {
-		return nil, fmt.Errorf("rovco: stages must be even and >= 2, got %d", stages)
+	if err := CheckStages(stages); err != nil {
+		return nil, err
 	}
 	const (
 		vdd     = 0.8

@@ -12,6 +12,14 @@ func TestROVCOValidation(t *testing.T) {
 	if _, err := ROVCO(tech, 0); err == nil {
 		t.Error("zero stages accepted")
 	}
+	if _, err := ROVCO(tech, MaxStages+2); err == nil {
+		t.Errorf("%d stages accepted, above the bound %d", MaxStages+2, MaxStages)
+	}
+	for _, n := range []int{2, MaxStages} {
+		if err := CheckStages(n); err != nil {
+			t.Errorf("%d stages rejected: %v", n, err)
+		}
+	}
 }
 
 func TestROVCOOscillates(t *testing.T) {

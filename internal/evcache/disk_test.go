@@ -450,24 +450,3 @@ func TestDiskHitStoredOnceAndShared(t *testing.T) {
 		t.Error(d)
 	}
 }
-
-// TestRecordRequest pins the accounting every non-optimizer cache
-// consumer relies on: one optimize.evals per request, one
-// optimize.repeat_evals per re-request, nothing when untraced.
-func TestRecordRequest(t *testing.T) {
-	c := New()
-	tr := obs.New()
-	c.RecordRequest(tr, "x")
-	c.RecordRequest(tr, "x")
-	c.RecordRequest(tr, "y")
-	if v := tr.Counter("optimize.evals").Value(); v != 3 {
-		t.Errorf("optimize.evals = %d, want 3", v)
-	}
-	if v := tr.Counter("optimize.repeat_evals").Value(); v != 1 {
-		t.Errorf("optimize.repeat_evals = %d, want 1", v)
-	}
-	// Nil-safe in every position.
-	c.RecordRequest(nil, "z")
-	var nilC *Cache
-	nilC.RecordRequest(tr, "z")
-}

@@ -1,7 +1,6 @@
 // Package evcache is the concurrency-safe memoization cache for
-// primitive layout evaluations — the result cache that PR 2's
-// optimize.repeat_evals counter was measuring the demand for. One
-// evaluation (extraction + the primitive's SPICE testbenches) is
+// primitive layout evaluations, the one path every evaluation takes.
+// One evaluation (extraction + the primitive's SPICE testbenches) is
 // keyed by the exact snapshot that determines its outcome: primitive
 // kind, sizing and bias fingerprints, the full layout configuration,
 // and the sorted per-terminal wire counts. Because the key carries
@@ -19,22 +18,25 @@
 //
 // Correctness rests on two properties:
 //
-//   - Shared immutable entries: the cache stores its own deep copy of
-//     a computed entry (the computing caller keeps its live layout
-//     and may go on mutating it), or the decoded entry of a disk hit,
-//     which no one else holds. Every later request, and every waiter
-//     of the computation, receives that stored entry itself. No one
+//   - Shared immutable entries: the cache stores the entry a
+//     computation returns, or the decoded entry of a disk hit, as it
+//     is, and every later request, and every waiter of the
+//     computation, receives that stored entry itself. So a compute
+//     function must return memory no caller holds (the optimizer
+//     extracts a private clone of the caller's layout), and no one
 //     may write to a stored entry or to anything it points to: its
 //     Layout (the Wires map and each WireEst included), Ex, Eval (the
 //     Values map included) and Values. A caller that needs a changed
 //     layout clones it first, as tuning does.
 //     TestStoredEntriesNeverChange digests every entry as it is stored
 //     and checks the digests after every circuit's flows, cold, warm
-//     and warm from disk.
+//     and warm from disk; TestEveryHitMatchesItsRecompute recomputes
+//     every hit from the requester's own inputs and compares.
 //   - Single flight: concurrent requests for the same uncomputed key
 //     block on one computation instead of racing duplicate SPICE
-//     runs; every waiter counts as a hit, so with a cache installed
-//     optimize.repeat_evals == evcache.hits by construction.
+//     runs. Repeated work is counted once, as evcache.hits: a request
+//     served from memory, including every waiter of an in-flight
+//     computation, is a hit; a computation or a disk read is a miss.
 //
 // Errors are never cached — a failed computation releases the key so
 // a later request recomputes (and the whole run aborts anyway).
@@ -60,6 +62,7 @@ package evcache
 
 import (
 	"context"
+	"errors"
 	"sort"
 	"strconv"
 	"sync"
@@ -98,31 +101,17 @@ type Entry struct {
 	Values []cost.Value
 }
 
-// clone deep-copies an entry, for the store path of a computed entry.
-// The Layout/Ex aliasing invariant is preserved: the cloned Layout is
-// the cloned Ex's layout.
-func (e *Entry) clone() *Entry {
-	out := &Entry{Cost: e.Cost, Eval: e.Eval.Clone()}
-	out.Values = append([]cost.Value(nil), e.Values...)
-	if e.Ex != nil {
-		out.Ex = e.Ex.Clone()
-		out.Layout = out.Ex.Layout
-	} else if e.Layout != nil {
-		out.Layout = e.Layout.Clone()
-	}
-	return out
-}
-
 // approxBytes estimates the retained size of an entry, for the
 // evcache.bytes counter and Stats.Bytes. It bounds nothing: the memory
 // tier is unbounded, and the disk tier bounds itself by the bytes it
 // writes. It is an accounting estimate (struct sizes plus per-element
 // costs), not a precise heap measurement. Alias-aware: a stored
-// entry's Layout is normally the same object as Ex.Layout (the clone
-// invariant, which decoding a disk entry re-establishes), so that
-// layout is charged exactly once; an entry whose extraction carries a
-// distinct layout is charged for both — the earlier version never
-// looked at Ex.Layout at all, undercounting whenever the two diverged.
+// entry's Layout is normally the same object as Ex.Layout (the
+// optimizer's compute builds it so, and decoding a disk entry
+// re-establishes it), so that layout is charged exactly once; an
+// entry whose extraction carries a distinct layout is charged for
+// both — the earlier version never looked at Ex.Layout at all,
+// undercounting whenever the two diverged.
 func (e *Entry) approxBytes() int64 {
 	n := int64(128)
 	if e.Layout != nil {
@@ -254,11 +243,10 @@ func appendG(b []byte, sep string, v float64) []byte {
 // memory tier: misses consult the disk before computing, and
 // successful computations are written through.
 type Cache struct {
-	mu        sync.Mutex
-	entries   map[string]*Entry
-	inflight  map[string]chan struct{}
-	requested map[string]bool
-	disk      *Disk
+	mu       sync.Mutex
+	entries  map[string]*Entry
+	inflight map[string]chan struct{}
+	disk     *Disk
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -268,9 +256,8 @@ type Cache struct {
 // New returns an empty cache.
 func New() *Cache {
 	return &Cache{
-		entries:   make(map[string]*Entry),
-		inflight:  make(map[string]chan struct{}),
-		requested: make(map[string]bool),
+		entries:  make(map[string]*Entry),
+		inflight: make(map[string]chan struct{}),
 	}
 }
 
@@ -292,11 +279,8 @@ type Stats struct {
 	DiskBytes     int64
 }
 
-// Stats snapshots the cache (zero value for nil).
+// Stats snapshots the cache.
 func (c *Cache) Stats() Stats {
-	if c == nil {
-		return Stats{}
-	}
 	c.mu.Lock()
 	n := len(c.entries)
 	d := c.disk
@@ -323,10 +307,9 @@ func (c *Cache) Stats() Stats {
 }
 
 // AttachDisk installs a disk tier behind the memory tier. Safe to
-// call once, before the cache is shared; a nil receiver or nil disk
-// is a no-op.
+// call once, before the cache is shared; a nil disk is a no-op.
 func (c *Cache) AttachDisk(d *Disk) {
-	if c == nil || d == nil {
+	if d == nil {
 		return
 	}
 	c.mu.Lock()
@@ -336,57 +319,21 @@ func (c *Cache) AttachDisk(d *Disk) {
 
 // diskTier returns the attached disk tier, if any.
 func (c *Cache) diskTier() *Disk {
-	if c == nil {
-		return nil
-	}
 	c.mu.Lock()
 	d := c.disk
 	c.mu.Unlock()
 	return d
 }
 
-// MarkRequested records that key has been asked for and reports
-// whether it had been asked for before. The optimizer's repeat-eval
-// tracker uses this so its dedup scope matches the cache's sharing
-// scope (process-wide with a shared cache, rather than per-Optimize).
-func (c *Cache) MarkRequested(key string) bool {
-	c.mu.Lock()
-	dup := c.requested[key]
-	c.requested[key] = true
-	c.mu.Unlock()
-	return dup
-}
-
-// RecordRequest books one cache request against the repeat-eval
-// accounting: optimize.evals counts every request and
-// optimize.repeat_evals counts re-requests of a key this cache has
-// seen before. Every consumer of the cache outside the optimizer's
-// own eval tracker (port optimization, flow reference metrics) must
-// call this before Do so the checktrace invariant
-// evcache.hits == optimize.repeat_evals holds for the whole trace,
-// not just the optimize stage. Nil-safe on both receiver and trace;
-// a disabled trace skips the bookkeeping entirely (matching the
-// optimizer, which only tracks when tracing).
-func (c *Cache) RecordRequest(tr *obs.Trace, key string) {
-	if c == nil || !tr.Enabled() {
-		return
-	}
-	dup := c.MarkRequested(key)
-	tr.Counter("optimize.evals").Inc()
-	if dup {
-		tr.Counter("optimize.repeat_evals").Inc()
-	}
-}
-
-// DoCtx returns the entry for key, computing it at most once. On a
-// hit (including waiting out another goroutine's in-flight
-// computation) the caller receives the stored entry itself, shared
-// with every other caller: it must not write to it or to anything it
-// points to. On a miss the computed entry is returned as-is and a
-// deep copy is stored, so the computing caller may go on mutating its
-// own layout; a disk hit's decoded entry is stored and returned
-// without a copy. Counters land on the context's trace: evcache.hits,
-// evcache.misses, evcache.bytes, and the disk tier's.
+// DoCtx returns the entry for key, computing it at most once. Every
+// caller receives the stored entry itself — the entry compute
+// returned, or a disk hit's decoded entry — shared with every other
+// caller: it must not write to it or to anything it points to, and
+// compute must return an entry no caller goes on writing to. A nil
+// entry with a nil error is an error naming the key; nothing is
+// stored. Counters land on the context's trace: evcache.hits (a
+// request served from memory, waiters of an in-flight computation
+// included), evcache.misses, evcache.bytes, and the disk tier's.
 //
 // A failed or canceled in-flight computation never poisons waiters:
 // each waiter wakes, re-checks, and (with a healthy context of its
@@ -408,6 +355,9 @@ func (c *Cache) DoCtx(ctx context.Context, key string, compute func() (*Entry, e
 			c.mu.Unlock()
 			c.hits.Add(1)
 			tr.Counter("evcache.hits").Inc()
+			if hitHook != nil {
+				hitHook(c, key, e, compute)
+			}
 			return e, nil
 		}
 		if ch, ok := c.inflight[key]; ok {
@@ -437,42 +387,36 @@ func (c *Cache) DoCtx(ctx context.Context, key string, compute func() (*Entry, e
 	}
 }
 
-// storeHook, when set (tests only), sees each entry a cache stores
-// before any request can read it. The immutability tests record a
-// content digest of every stored entry there.
-var storeHook func(c *Cache, key string, stored *Entry)
+// The test-only hooks, nil outside tests. storeHook sees each entry a
+// cache stores before any request can read it; the immutability tests
+// record a content digest of every stored entry there. hitHook sees
+// each hit: the served entry and the requester's own compute, which
+// the hit tests run to check the served entry against.
+var (
+	storeHook func(c *Cache, key string, stored *Entry)
+	hitHook   func(c *Cache, key string, served *Entry, compute func() (*Entry, error))
+)
 
 // runCompute executes the single-flight computation for key, storing
 // the result on success and always releasing the in-flight slot —
 // including when compute panics — so waiters never block forever.
 // With a disk tier attached, the disk is consulted before computing
 // (a disk hit skips the computation entirely but still counts as a
-// memory-tier miss, keeping evcache.hits == optimize.repeat_evals on
-// a warm run) and a fresh computation is written through. Disk
+// memory-tier miss) and a fresh computation is written through. Disk
 // failures in either direction degrade: a bad read computes, a bad
 // write serves from memory only.
 func (c *Cache) runCompute(ctx context.Context, tr *obs.Trace, key string, ch chan struct{}, inj *fault.Injector, compute func() (*Entry, error)) (ent *Entry, err error) {
-	done := false
-	fromDisk := false
 	defer func() {
-		var stored *Entry
-		if done && err == nil {
-			// A computed entry may alias the caller's live layout, so
-			// the cache keeps its own copy; a decoded disk entry is
-			// held by no one else and is stored as it is.
-			stored = ent
-			if !fromDisk {
-				stored = ent.clone()
-			}
-			if storeHook != nil {
-				storeHook(c, key, stored)
-			}
+		// A panicking compute leaves ent nil: nothing is stored.
+		store := err == nil && ent != nil
+		if store && storeHook != nil {
+			storeHook(c, key, ent)
 		}
 		c.mu.Lock()
 		delete(c.inflight, key)
-		if stored != nil {
-			c.entries[key] = stored
-			c.bytes.Add(stored.approxBytes())
+		if store {
+			c.entries[key] = ent
+			c.bytes.Add(ent.approxBytes())
 		}
 		c.mu.Unlock()
 		close(ch)
@@ -480,17 +424,17 @@ func (c *Cache) runCompute(ctx context.Context, tr *obs.Trace, key string, ch ch
 	if d := c.diskTier(); d != nil {
 		if de, ok := d.get(ctx, key); ok {
 			tr.Counter("evcache.disk_hits").Inc()
-			done, fromDisk = true, true
 			return de, nil
 		}
 		tr.Counter("evcache.disk_misses").Inc()
 	}
 	if err = inj.Hit(ctx, fault.SiteEvcacheCompute); err != nil {
-		done = true
 		return nil, err
 	}
 	ent, err = compute()
-	done = true
+	if err == nil && ent == nil {
+		err = errors.New("evcache: compute returned no entry for " + key)
+	}
 	if err == nil {
 		if d := c.diskTier(); d != nil {
 			evicted, werr := d.put(key, ent)

@@ -163,11 +163,10 @@ func TestDoSingleflight(t *testing.T) {
 	}
 }
 
-// TestDoSharesStoredEntry pins the store and serve contract. The
-// computing caller gets its own entry back and the cache stores a
-// copy, so the caller may go on mutating its layout; every hit, and
-// every waiter of an in-flight computation, gets the stored entry
-// itself; and nothing the callers do changes what was stored.
+// TestDoSharesStoredEntry pins the store and serve contract: the
+// cache stores the entry compute returned, and the computing caller,
+// every hit and every waiter of an in-flight computation share that
+// one pointer; nothing the callers do changes what was stored.
 func TestDoSharesStoredEntry(t *testing.T) {
 	log := TrackStores(t)
 	c := New()
@@ -177,15 +176,8 @@ func TestDoSharesStoredEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stored := c.Stored("k")
-	if got != mine || stored == nil || stored == mine || stored.Layout == mine.Layout || stored.Eval == mine.Eval {
-		t.Fatalf("miss: caller got %p (own %p), cache stored %p; want own entry back and a separate copy stored", got, mine, stored)
-	}
-	// The computing caller's layout is its own to mutate.
-	mine.Layout.Wires["s"].NWires = 99
-	mine.Eval.Values["gain"] = -1
-	if n, v := stored.Layout.Wires["s"].NWires, stored.Eval.Values["gain"]; n != 1 || v != 10 {
-		t.Errorf("caller's mutation reached the stored entry: NWires %d, gain %v", n, v)
+	if stored := c.Stored("k"); got != mine || stored != mine {
+		t.Fatalf("miss: caller got %p, cache stored %p; want both to be the computed entry %p", got, stored, mine)
 	}
 	hit, err := c.DoCtx(ctx, "k", func() (*Entry, error) {
 		t.Error("hit path must not compute")
@@ -194,11 +186,12 @@ func TestDoSharesStoredEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hit != stored {
-		t.Errorf("hit returned %p, want the stored entry %p", hit, stored)
+	if hit != mine {
+		t.Errorf("hit returned %p, want the stored entry %p", hit, mine)
 	}
 
-	// Waiters of an in-flight computation get the stored entry too.
+	// The computing caller and the waiters of an in-flight computation
+	// share the stored entry too.
 	entered, release := make(chan struct{}), make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -229,8 +222,8 @@ func TestDoSharesStoredEntry(t *testing.T) {
 	close(release)
 	wg.Wait()
 	sw := c.Stored("w")
-	if sw == nil || computed == sw {
-		t.Fatalf("in-flight: computing caller got %p, stored %p; want a separate stored copy", computed, sw)
+	if sw == nil || computed != sw {
+		t.Fatalf("in-flight: computing caller got %p, stored %p; want one shared entry", computed, sw)
 	}
 	for i, w := range waited {
 		if w != sw {
@@ -305,43 +298,9 @@ func TestDoErrorNotCached(t *testing.T) {
 	}
 }
 
-func TestMarkRequested(t *testing.T) {
-	c := New()
-	if c.MarkRequested("a") {
-		t.Error("first request reported as duplicate")
-	}
-	if !c.MarkRequested("a") {
-		t.Error("second request not reported as duplicate")
-	}
-	if c.MarkRequested("b") {
-		t.Error("unrelated key reported as duplicate")
-	}
-}
-
-func TestNilCacheStats(t *testing.T) {
-	var c *Cache
-	if st := c.Stats(); st != (Stats{}) {
-		t.Errorf("nil cache stats = %+v", st)
-	}
-}
-
-func TestEntryCloneSchematic(t *testing.T) {
-	// Schematic entries carry only an Eval; clone must not invent
-	// layout state, and must still deep-copy.
-	e := &Entry{Eval: &primlib.Eval{Values: map[string]float64{"gm": 1}, Sims: 2}}
-	cl := e.clone()
-	if cl.Layout != nil || cl.Ex != nil {
-		t.Error("schematic clone grew layout state")
-	}
-	cl.Eval.Values["gm"] = 7
-	if e.Eval.Values["gm"] != 1 {
-		t.Error("schematic clone shares the eval map")
-	}
-}
-
 // TestMissesCountDistinctSnapshots pins the accounting behind the
-// csamp bench anomaly (18 hits / 114 misses with the cache on): a
-// tuning-style sweep over wire counts produces one miss per distinct
+// csamp bench anomaly (18 hits / 114 misses): a tuning-style sweep
+// over wire counts produces one miss per distinct
 // snapshot and zero spurious misses — every repeat of an
 // already-computed snapshot is a hit. A low hit ratio therefore means
 // the optimizer genuinely visited that many distinct snapshots (the
@@ -478,7 +437,7 @@ func TestKeyRoutes(t *testing.T) {
 }
 
 // TestApproxBytesAliasing pins the accounting bugfix: an entry whose
-// Layout aliases Ex.Layout (the stored-entry invariant) charges that
+// Layout aliases Ex.Layout (as the optimizer's entries do) charges that
 // layout exactly once, and an entry whose extraction carries a
 // distinct layout charges both — the old code never counted
 // Ex.Layout at all, so the two cases wrongly measured identical.
@@ -497,13 +456,5 @@ func TestApproxBytesAliasing(t *testing.T) {
 	}
 	if o != a {
 		t.Errorf("nil Ex.Layout (%d bytes) must match aliased accounting (%d bytes)", o, a)
-	}
-	// The clone invariant keeps stored entries on the cheap path:
-	// clone() re-aliases, so a cloned entry costs what the original
-	// aliased entry costs.
-	ent := testEntry()
-	ent.Ex = &extract.Extracted{Layout: ent.Layout}
-	if cb := ent.clone().approxBytes(); cb != ent.approxBytes() {
-		t.Errorf("clone changed accounting: %d vs %d", cb, ent.approxBytes())
 	}
 }

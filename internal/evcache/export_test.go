@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -71,6 +72,56 @@ func (l *StoreLog) Changed() []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// HitCheck recomputes every hit the caches serve while it is
+// installed, from the requesting caller's own compute, and compares
+// the recomputed entry with the served one by digest.
+type HitCheck struct {
+	mu      sync.Mutex
+	checked map[*Cache]int64
+	diffs   []string
+}
+
+// CheckHits installs a HitCheck for the rest of the test. Tests that
+// call it must not run in parallel with other tests of the package.
+func CheckHits(t testing.TB) *HitCheck {
+	h := &HitCheck{checked: map[*Cache]int64{}}
+	hitHook = func(c *Cache, key string, served *Entry, compute func() (*Entry, error)) {
+		fresh, err := compute()
+		var diff string
+		switch {
+		case err != nil:
+			diff = key + ": recompute failed: " + err.Error()
+		case digest(fresh) != digest(served):
+			diff = key + ": the served entry differs from the requester's recompute"
+		}
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		h.checked[c]++
+		if diff != "" {
+			h.diffs = append(h.diffs, diff)
+		}
+	}
+	t.Cleanup(func() { hitHook = nil })
+	return h
+}
+
+// Checked returns how many of c's hits have been recomputed.
+func (h *HitCheck) Checked(c *Cache) int64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.checked[c]
+}
+
+// Diffs lists every hit whose recompute differed from the served
+// entry, sorted and without repeats.
+func (h *HitCheck) Diffs() []string {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	out := slices.Clone(h.diffs)
+	sort.Strings(out)
+	return slices.Compact(out)
 }
 
 // Stored returns the entry c holds for key, or nil.

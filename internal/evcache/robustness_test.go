@@ -3,6 +3,8 @@ package evcache
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -111,6 +113,62 @@ func TestDoCtxPanicReleasesSlot(t *testing.T) {
 	wg.Wait()
 	if st := c.Stats(); st.Entries != 1 {
 		t.Errorf("entries = %d, want 1 (no corruption)", st.Entries)
+	}
+}
+
+// TestDoCtxNilEntryIsAnError: a compute that returns no entry and no
+// error fails its own call with an error naming the key, stores
+// nothing, and releases the slot, so a waiter on the same key computes
+// for itself instead of blocking forever.
+func TestDoCtxNilEntryIsAnError(t *testing.T) {
+	c := New()
+	const key = "v2|snapshot-7"
+	entered, release := make(chan struct{}), make(chan struct{})
+	computed := make(chan error, 1)
+	go func() {
+		defer func() {
+			if r := recover(); r != nil {
+				computed <- fmt.Errorf("panic: %v", r)
+			}
+		}()
+		_, err := c.DoCtx(context.Background(), key, func() (*Entry, error) {
+			close(entered)
+			<-release
+			return nil, nil
+		})
+		computed <- err
+	}()
+	<-entered
+	waited := make(chan *Entry, 1)
+	go func() {
+		ent, err := c.DoCtx(context.Background(), key, func() (*Entry, error) { return testEntry(), nil })
+		if err != nil {
+			t.Errorf("waiter: %v", err)
+		}
+		waited <- ent
+	}()
+	// Give the waiter time to park on the in-flight channel.
+	time.Sleep(20 * time.Millisecond)
+	close(release)
+	timeout := time.After(2 * time.Second)
+	select {
+	case err := <-computed:
+		if err == nil || !strings.Contains(err.Error(), "no entry") || !strings.Contains(err.Error(), key) {
+			t.Errorf("computing call: err = %v, want an error naming the key", err)
+		}
+	case <-timeout:
+		t.Fatal("the computing call did not return")
+	}
+	select {
+	case ent := <-waited:
+		if ent == nil || ent != c.Stored(key) {
+			t.Errorf("waiter got %p, want its own computed entry, stored", ent)
+		}
+	case <-timeout:
+		t.Fatal("the waiter is still blocked on the released key")
+	}
+	if st := c.Stats(); st.Misses != 1 || st.Entries != 1 {
+		t.Errorf("stats = %+v, want the waiter's miss and entry only", st)
 	}
 }
 

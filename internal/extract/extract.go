@@ -47,29 +47,6 @@ type Extracted struct {
 	Term   map[string]TermRC
 }
 
-// Clone returns a deep copy of the extracted view, including a deep
-// copy of the underlying layout (Layout on the clone points at the
-// cloned layout, preserving the Layout/Extracted aliasing invariant
-// evaluateOption establishes). The evaluation cache stores a computed
-// entry through it, so the stored entry never shares a layout that the
-// computing caller's tuning goes on mutating.
-func (ex *Extracted) Clone() *Extracted {
-	if ex == nil {
-		return nil
-	}
-	out := &Extracted{
-		Layout: ex.Layout.Clone(),
-		Dev:    append([]DevParasitics(nil), ex.Dev...),
-	}
-	if ex.Term != nil {
-		out.Term = make(map[string]TermRC, len(ex.Term))
-		for k, v := range ex.Term {
-			out.Term[k] = v
-		}
-	}
-	return out
-}
-
 // spineInjectionFactor is the effective-resistance divisor for the
 // spine part of a mesh: current injected uniformly along the length
 // with a center tap gives the classic R/8 distributed result, and the

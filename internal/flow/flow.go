@@ -105,8 +105,7 @@ type Params struct {
 	// zero-cost disabled path.
 	Fault *fault.Injector
 	// CacheDir, when set, backs the evaluation cache with the
-	// persistent disk tier rooted there (opened per run; a cache is
-	// created if Optimize.Cache is nil). Keys are fully
+	// persistent disk tier rooted there (opened per run). Keys are fully
 	// content-addressed — schema version + PDK fingerprint + snapshot
 	// — so a directory is safe to share across runs, benchmarks, and
 	// PDK variants; a warm directory replays every evaluation without
@@ -145,17 +144,17 @@ func (p Params) stage(ctx context.Context) (context.Context, context.CancelFunc)
 	return context.WithCancel(ctx)
 }
 
-// attachDisk opens the CacheDir disk tier and attaches it behind the
-// evaluation cache, creating the cache when the caller supplied none.
+// useCache gives the run its evaluation cache: Optimize.Cache when the
+// caller shares one, else a fresh cache for this run. With a CacheDir
+// it opens the disk tier there and attaches it behind the cache.
 // Mutates the (value-receiver copy of) Params in place so the rest of
-// the run sees the cache; returns the closer for the disk tier. A
-// blank CacheDir is the zero-cost no-op.
-func (p *Params) attachDisk() (func(), error) {
-	if p.CacheDir == "" {
-		return func() {}, nil
-	}
+// the run sees the cache; returns the closer for the disk tier.
+func (p *Params) useCache() (func(), error) {
 	if p.Optimize.Cache == nil {
 		p.Optimize.Cache = evcache.New()
+	}
+	if p.CacheDir == "" {
+		return func() {}, nil
 	}
 	d, err := evcache.OpenDisk(p.CacheDir, evcache.DiskOptions{MaxBytes: p.CacheMaxBytes})
 	if err != nil {
@@ -220,7 +219,7 @@ type chosen struct {
 func RunContext(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, mode Mode, p Params) (*Result, error) {
 	start := time.Now() //lint:allow rngpurity wall time feeds Result.Runtime reporting metadata only, never layout or metric values
 	ctx = p.bind(ctx)
-	detach, err := p.attachDisk()
+	detach, err := p.useCache()
 	if err != nil {
 		return nil, err
 	}
@@ -230,7 +229,6 @@ func RunContext(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, mode M
 	root.SetAttr("circuit", bm.Name)
 	root.SetAttr("mode", mode.String())
 	root.SetAttr("seed", p.Seed)
-	root.SetAttr("cache", p.Optimize.Cache != nil)
 	defer func() {
 		res.Runtime = time.Since(start) //lint:allow rngpurity wall time feeds Result.Runtime reporting metadata only, never layout or metric values
 		root.SetAttr("sims", res.Sims)
@@ -485,7 +483,7 @@ func VerifyContext(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, mod
 		p.Verify.Mode = VerifyWarn
 	}
 	ctx = p.bind(ctx)
-	detach, err := p.attachDisk()
+	detach, err := p.useCache()
 	if err != nil {
 		return nil, err
 	}
@@ -678,36 +676,14 @@ func optimizedChoices(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, 
 }
 
 // primMetrics returns the cost metrics for a chosen primitive,
-// reusing the Algorithm 1 result when available. The schematic
-// reference eval routes through the cache under the same key the
-// optimizer uses, so a warm disk tier satisfies it without SPICE.
+// reusing the Algorithm 1 result when available, else the optimizer's
+// schematic-reference leaf, so a warm cache satisfies it without
+// SPICE.
 func primMetrics(ctx context.Context, t *pdk.Tech, ch *chosen, p Params) ([]cost.Metric, error) {
 	if ch.metrics != nil {
 		return ch.metrics, nil
 	}
-	var sch *primlib.Eval
-	if c := p.Optimize.Cache; c != nil {
-		key := evcache.Key(t.Fingerprint(), ch.entry, ch.inst.Sizing, ch.bias, nil, nil)
-		c.RecordRequest(p.Trace, key)
-		ent, err := c.DoCtx(ctx, key, func() (*evcache.Entry, error) {
-			ev, err := ch.entry.EvaluateCtx(ctx, t, ch.inst.Sizing, ch.bias, nil, nil)
-			if err != nil {
-				return nil, err
-			}
-			return &evcache.Entry{Eval: ev}, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		sch = ent.Eval
-	} else {
-		var err error
-		sch, err = ch.entry.EvaluateCtx(ctx, t, ch.inst.Sizing, ch.bias, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-	}
-	m, err := ch.entry.CostMetrics(t, ch.inst.Sizing, sch)
+	_, m, err := optimize.Reference(ctx, t, t.Fingerprint(), ch.entry, ch.inst.Sizing, ch.bias, p.Optimize.Cache)
 	if err != nil {
 		return nil, err
 	}

@@ -101,7 +101,7 @@ func TestTraceSpanTree(t *testing.T) {
 	for _, name := range []string{
 		"spice.op.runs", "spice.dc.newton_iters", "spice.ac.runs",
 		"primlib.sims", "cellgen.layouts_generated", "extract.runs",
-		"optimize.evals", "place.anneal.moves", "route.nets_routed",
+		"evcache.misses", "place.anneal.moves", "route.nets_routed",
 		"portopt.evals",
 	} {
 		m := d.Metric(name)

@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"primopt/internal/circuits"
-	"primopt/internal/evcache"
 	"primopt/internal/obs"
 )
 
@@ -24,24 +23,23 @@ const pinnedPath = "testdata/pinned_runs.json"
 // pinnedRun is what one (circuit, mode) run costs and produces.
 // Counters hold every non-zero counter of the run's own trace; a
 // counter at zero reads the same as one never created, so it is left
-// out. CountersNoCache is the same run without the evaluation cache
-// (optimized and manual only).
+// out.
 type pinnedRun struct {
-	Sims            int                `json:"sims"`
-	Metrics         map[string]float64 `json:"metrics"`
-	Layout          string             `json:"layout"`
-	Counters        map[string]int64   `json:"counters"`
-	CountersNoCache map[string]int64   `json:"counters_nocache,omitempty"`
+	Sims     int                `json:"sims"`
+	Metrics  map[string]float64 `json:"metrics"`
+	Layout   string             `json:"layout"`
+	Counters map[string]int64   `json:"counters"`
 }
 
 // TestPinnedRuns pins the work and the results of every benchmark
 // circuit in every mode at seed 1, run as `primopt -circuit X -mode M`
-// runs it (the RO-VCO at 8 stages, a fresh cache for the optimizing
-// modes, no disk tier, verification off). Each run pins Result.Sims,
-// the bits of Result.Metrics, a hash of the layout fingerprint and its
-// trace's counters. The optimizing modes also run without the cache:
-// that run must reproduce the cached run's sims, metrics and layout,
-// and its counters are pinned as well.
+// runs it (the RO-VCO at 8 stages, a fresh cache per run, no disk
+// tier, verification off). Each run pins Result.Sims, the bits of
+// Result.Metrics, a hash of the layout fingerprint and its trace's
+// counters. The metric bits were produced with and without the cache,
+// and found equal, before the cache became the only evaluation path;
+// TestEveryHitMatchesItsRecompute (internal/evcache) keeps checking
+// each hit against a recompute.
 //
 // The comparison is exact. A change that moves work or results on
 // purpose re-pins: the failure writes the regenerated file to a
@@ -58,23 +56,7 @@ func TestPinnedRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, mode := range []Mode{Schematic, Conventional, Optimized, Manual} {
-			key := name + "/" + mode.String()
-			optimizing := mode == Optimized || mode == Manual
-			run := pinRun(t, bm, mode, optimizing)
-			if optimizing {
-				// The cache's contract: the run without it, diffed
-				// against the cached run as the pinned side, differs
-				// in its counters only.
-				bare := pinRun(t, bm, mode, false)
-				results := func(r *pinnedRun) *pinnedRun {
-					return &pinnedRun{Sims: r.Sims, Metrics: r.Metrics, Layout: r.Layout}
-				}
-				for _, d := range diffRun(key+" without cache", results(run), results(bare)) {
-					t.Error(d)
-				}
-				run.CountersNoCache = bare.Counters
-			}
-			got[key] = run
+			got[name+"/"+mode.String()] = pinRun(t, bm, mode)
 		}
 	}
 
@@ -119,14 +101,11 @@ func TestPinnedRuns(t *testing.T) {
 		len(diffs), pinnedPath, strings.Join(diffs, "\n"), f.Name())
 }
 
-// pinRun runs bm in mode at seed 1, with a fresh evaluation cache when
-// cached, and records what TestPinnedRuns pins.
-func pinRun(t *testing.T, bm *circuits.Benchmark, mode Mode, cached bool) *pinnedRun {
+// pinRun runs bm in mode at seed 1, on the run's own fresh evaluation
+// cache, and records what TestPinnedRuns pins.
+func pinRun(t *testing.T, bm *circuits.Benchmark, mode Mode) *pinnedRun {
 	t.Helper()
 	p := Params{Seed: 1, Trace: obs.New()}
-	if cached {
-		p.Optimize.Cache = evcache.New()
-	}
 	r, err := RunContext(context.Background(), tech, bm, mode, p)
 	if err != nil {
 		t.Fatalf("%s %v: %v", bm.Name, mode, err)
@@ -162,19 +141,11 @@ func diffRun(key string, pinned, got *pinnedRun) []string {
 	if pinned.Layout != got.Layout {
 		add("layout", pinned.Layout, got.Layout)
 	}
-	for _, f := range []struct {
-		name        string
-		pinned, got map[string]int64
-	}{
-		{"counters", pinned.Counters, got.Counters},
-		{"counters_nocache", pinned.CountersNoCache, got.CountersNoCache},
-	} {
-		for _, c := range keysOf(f.pinned, f.got) {
-			p, pok := f.pinned[c]
-			g, gok := f.got[c]
-			if pok != gok || p != g {
-				add(f.name+"["+c+"]", orNone(p, pok), orNone(g, gok))
-			}
+	for _, c := range keysOf(pinned.Counters, got.Counters) {
+		p, pok := pinned.Counters[c]
+		g, gok := got.Counters[c]
+		if pok != gok || p != g {
+			add("counters["+c+"]", orNone(p, pok), orNone(g, gok))
 		}
 	}
 	return out

@@ -2,19 +2,20 @@ package optimize
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
 	"primopt/internal/cellgen"
 	"primopt/internal/evcache"
+	"primopt/internal/extract"
 	"primopt/internal/obs"
 	"primopt/internal/primlib"
 )
 
 // newTestEnv builds the evaluation environment the internal tuning
-// helpers need, the same way Optimize does.
-func newTestEnv(t *testing.T, e *primlib.Entry, sz primlib.Sizing, bias primlib.Bias,
-	cache *evcache.Cache, tr *obs.Trace) *evalEnv {
+// helpers need, the same way Optimize does, with a fresh cache.
+func newTestEnv(t *testing.T, e *primlib.Entry, sz primlib.Sizing, bias primlib.Bias, tr *obs.Trace) *evalEnv {
 	t.Helper()
 	sch, err := e.EvaluateCtx(context.Background(), tech, sz, bias, nil, nil)
 	if err != nil {
@@ -27,7 +28,7 @@ func newTestEnv(t *testing.T, e *primlib.Entry, sz primlib.Sizing, bias primlib.
 	return &evalEnv{
 		ctx: obs.With(context.Background(), tr),
 		t:   tech, pdkFP: tech.Fingerprint(), e: e, sz: sz, bias: bias, metrics: metrics,
-		et: newEvalTracker(tr, cache), cache: cache, tr: tr,
+		cache: evcache.New(), tr: tr,
 		sem: make(chan struct{}, 4),
 	}
 }
@@ -39,90 +40,114 @@ func newTestEnv(t *testing.T, e *primlib.Entry, sz primlib.Sizing, bias primlib.
 // per terminal, so any other value in AllOptions is tuning leakage.
 func TestAllOptionsWiresUntouchedByTuning(t *testing.T) {
 	e, sz, bias := dpSetup()
-	for _, cached := range []bool{false, true} {
-		p := Params{Bins: 3, MaxWires: 6, Cons: smallCons()}
-		if cached {
-			p.Cache = evcache.New()
-		}
-		res, err := OptimizeCtx(context.Background(), tech, e, sz, bias, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tuned := false
-		for _, s := range res.Selected {
-			for _, w := range s.Layout.Wires {
-				if w.NWires > 1 {
-					tuned = true
-				}
+	res, err := OptimizeCtx(context.Background(), tech, e, sz, bias, Params{Bins: 3, MaxWires: 6, Cons: smallCons()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuned := false
+	for _, s := range res.Selected {
+		for _, w := range s.Layout.Wires {
+			if w.NWires > 1 {
+				tuned = true
 			}
 		}
-		if !tuned {
-			t.Fatal("tuning never raised a wire count; the test has no teeth")
-		}
-		for _, o := range res.AllOptions {
-			for name, w := range o.Layout.Wires {
-				if w.NWires != 1 {
-					t.Errorf("cached=%t: AllOptions %s wire %s = %d, want untouched (1)",
-						cached, o.Layout.Config.ID(), name, w.NWires)
-				}
+	}
+	if !tuned {
+		t.Fatal("tuning never raised a wire count; the test has no teeth")
+	}
+	for _, o := range res.AllOptions {
+		for name, w := range o.Layout.Wires {
+			if w.NWires != 1 {
+				t.Errorf("AllOptions %s wire %s = %d, want untouched (1)",
+					o.Layout.Config.ID(), name, w.NWires)
 			}
 		}
 	}
 }
 
-// TestCachedResultsMatchUncached asserts the cache is purely a
-// memoization: identical selection, costs, and simulation accounting
-// with and without it.
+// TestCachedResultsMatchUncached checks a cached Algorithm 1 run
+// against evaluations made without the cache: the schematic reference,
+// every selection-phase option and every tuned option are evaluated
+// again directly (extract, simulate, cost) from the result's own
+// layouts, and must match what the run reported bit for bit. The
+// selection phase evaluates each option once, so its sims must add up
+// to those of the direct evaluations.
 func TestCachedResultsMatchUncached(t *testing.T) {
+	ctx := context.Background()
 	e, sz, bias := dpSetup()
-	base := Params{Bins: 3, MaxWires: 6, Cons: smallCons()}
-	plain, err := OptimizeCtx(context.Background(), tech, e, sz, bias, base)
+	p := Params{Bins: 3, MaxWires: 6, Cons: smallCons(), Cache: evcache.New()}
+	res, err := OptimizeCtx(ctx, tech, e, sz, bias, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	withCache := base
-	withCache.Cache = evcache.New()
-	cached, err := OptimizeCtx(context.Background(), tech, e, sz, bias, withCache)
+	if p.Cache.Stats().Hits == 0 {
+		t.Fatal("cache never hit; nothing served from it was checked")
+	}
+	sch, err := e.EvaluateCtx(ctx, tech, sz, bias, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plain.Selected) != len(cached.Selected) {
-		t.Fatalf("selected: %d vs %d", len(plain.Selected), len(cached.Selected))
+	sameEval(t, "schematic", res.Schematic, sch)
+	metrics, err := e.CostMetrics(tech, sz, sch)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range plain.Selected {
-		a, b := plain.Selected[i], cached.Selected[i]
-		if a.Layout.Config.ID() != b.Layout.Config.ID() || a.Cost != b.Cost || a.Bin != b.Bin {
-			t.Errorf("selected[%d]: %s cost=%v bin=%d vs %s cost=%v bin=%d",
-				i, a.Layout.Config.ID(), a.Cost, a.Bin, b.Layout.Config.ID(), b.Cost, b.Bin)
+	check := func(what string, o Option) int {
+		ex, err := extract.Primitive(ctx, tech, o.Layout.Clone())
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
 		}
-		for name, w := range a.Layout.Wires {
-			if bw := b.Layout.Wires[name]; bw == nil || bw.NWires != w.NWires {
-				t.Errorf("selected[%d] wire %s: tuned counts differ", i, name)
-			}
+		ev, err := e.EvaluateCtx(ctx, tech, sz, bias, ex, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
 		}
-	}
-	if len(plain.AllOptions) != len(cached.AllOptions) {
-		t.Fatalf("options: %d vs %d", len(plain.AllOptions), len(cached.AllOptions))
-	}
-	for i := range plain.AllOptions {
-		if plain.AllOptions[i].Cost != cached.AllOptions[i].Cost {
-			t.Errorf("option[%d] cost %v vs %v", i, plain.AllOptions[i].Cost, cached.AllOptions[i].Cost)
+		c, _, err := primlib.Cost(metrics, ev)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
 		}
+		sameEval(t, what, o.Eval, ev)
+		if math.Float64bits(o.Cost) != math.Float64bits(c) {
+			t.Errorf("%s: cost %v, uncached %v", what, o.Cost, c)
+		}
+		return ev.Sims
 	}
-	if plain.SelectionSims != cached.SelectionSims || plain.TuningSims != cached.TuningSims {
-		t.Errorf("sims: %d+%d vs %d+%d",
-			plain.SelectionSims, plain.TuningSims, cached.SelectionSims, cached.TuningSims)
+	sims := 0
+	for i, o := range res.AllOptions {
+		sims += check(fmt.Sprintf("option[%d] %s", i, o.Layout.Config.ID()), o)
 	}
-	for k, v := range plain.Schematic.Values {
-		if cached.Schematic.Values[k] != v {
-			t.Errorf("schematic %s: %v vs %v", k, v, cached.Schematic.Values[k])
+	if sims != res.SelectionSims {
+		t.Errorf("selection sims %d, uncached %d", res.SelectionSims, sims)
+	}
+	if len(res.Selected) == 0 {
+		t.Fatal("nothing selected")
+	}
+	for i, s := range res.Selected {
+		check(fmt.Sprintf("selected[%d] %s", i, s.Layout.Config.ID()), s)
+	}
+}
+
+// sameEval reports every value of got that is not bit-identical to
+// want's, and any value only one of them has.
+func sameEval(t *testing.T, what string, got, want *primlib.Eval) {
+	t.Helper()
+	if got.Sims != want.Sims {
+		t.Errorf("%s: sims %d, uncached %d", what, got.Sims, want.Sims)
+	}
+	if len(got.Values) != len(want.Values) {
+		t.Errorf("%s: %d values, uncached %d", what, len(got.Values), len(want.Values))
+	}
+	for k, v := range want.Values {
+		g, ok := got.Values[k]
+		if !ok || math.Float64bits(g) != math.Float64bits(v) {
+			t.Errorf("%s: %s = %v, uncached %v", what, k, g, v)
 		}
 	}
 }
 
 // TestCacheCountersAndNoDuplicateDecks is the accounting contract on
 // a traced run: every repeated evaluation request is a cache hit,
-// every unique one a miss, and no SPICE deck is ever built twice.
+// every computed one a miss that does the work once, and no SPICE
+// deck is ever built twice.
 func TestCacheCountersAndNoDuplicateDecks(t *testing.T) {
 	e, sz, bias := dpSetup()
 	tr := obs.New()
@@ -130,18 +155,10 @@ func TestCacheCountersAndNoDuplicateDecks(t *testing.T) {
 	if _, err := OptimizeCtx(obs.With(context.Background(), tr), tech, e, sz, bias, p); err != nil {
 		t.Fatal(err)
 	}
-	evals := tr.Counter("optimize.evals").Value()
-	repeats := tr.Counter("optimize.repeat_evals").Value()
 	hits := tr.Counter("evcache.hits").Value()
 	misses := tr.Counter("evcache.misses").Value()
-	if repeats == 0 {
+	if hits == 0 {
 		t.Fatal("no repeated evaluations; the cache has nothing to prove")
-	}
-	if hits != repeats {
-		t.Errorf("evcache.hits = %d, optimize.repeat_evals = %d; want equal", hits, repeats)
-	}
-	if misses != evals-repeats {
-		t.Errorf("evcache.misses = %d, want evals-repeats = %d", misses, evals-repeats)
 	}
 	// One miss is the schematic reference (no layout, no extraction);
 	// every other miss extracts exactly once.
@@ -149,7 +166,7 @@ func TestCacheCountersAndNoDuplicateDecks(t *testing.T) {
 		t.Errorf("extract.runs = %d, want one per layout miss (%d)", extracts, misses-1)
 	}
 	if dups := tr.Counter("spice.duplicate_decks").Value(); dups != 0 {
-		t.Errorf("spice.duplicate_decks = %d, want 0 with the cache on", dups)
+		t.Errorf("spice.duplicate_decks = %d, want 0", dups)
 	}
 	st := p.Cache.Stats()
 	if st.Hits != hits || st.Misses != misses {
@@ -221,7 +238,7 @@ func TestSweepJointErrorLeavesWiresUntouched(t *testing.T) {
 	e := primlib.CurrentMirror
 	sz := primlib.Sizing{TotalFins: 240, L: 14, NominalI: 50e-6}
 	bias := primlib.Bias{Vdd: 0.8, VD: 0.4, CLoad: 2e-15}
-	env := newTestEnv(t, e, sz, bias, nil, nil)
+	env := newTestEnv(t, e, sz, bias, nil)
 	lays, err := e.FindLayouts(context.Background(), tech, sz, &cellgen.Constraints{MinNFin: 8, MaxNFin: 12, MaxM: 4})
 	if err != nil || len(lays) == 0 {
 		t.Fatalf("layouts: %v (%d)", err, len(lays))
@@ -262,7 +279,7 @@ func TestSweepJointErrorLeavesWiresUntouched(t *testing.T) {
 func TestSweepJointTruncationCounter(t *testing.T) {
 	e, sz, bias := dpSetup()
 	tr := obs.New()
-	env := newTestEnv(t, e, sz, bias, nil, tr)
+	env := newTestEnv(t, e, sz, bias, tr)
 	lays, err := e.FindLayouts(context.Background(), tech, sz, smallCons())
 	if err != nil || len(lays) == 0 {
 		t.Fatalf("layouts: %v (%d)", err, len(lays))

@@ -16,11 +16,11 @@
 // The result is the small set of high-quality layout choices, with
 // different aspect ratios, handed to the placer (Fig. 1).
 //
-// All SPICE evaluations funnel through a single leaf (evalEnv.eval),
-// bounded by the Params.Workers semaphore and — when Params.Cache is
-// set — memoized in the shared evaluation cache, so repeated
-// configurations (the optimize.repeat_evals of a traced run) are
-// served as evcache hits instead of fresh extractions and deck runs.
+// All SPICE evaluations funnel through two leaves, evalEnv.eval for
+// layouts and Reference for the schematic reference, memoized in the
+// evaluation cache; layout evaluations are bounded by the
+// Params.Workers semaphore. Repeated configurations are served as
+// evcache hits instead of fresh extractions and deck runs.
 package optimize
 
 import (
@@ -41,10 +41,9 @@ import (
 	"primopt/internal/primlib"
 )
 
-// Option is one evaluated layout configuration. With a cache
-// installed, Layout, Ex, Eval and Values may be the cache's stored
-// entry, shared with every other caller and immutable: clone a layout
-// before changing it (tuning does).
+// Option is one evaluated layout configuration. Layout, Ex, Eval and
+// Values are the cache's stored entry, shared with every other caller
+// and immutable: clone a layout before changing it (tuning does).
 type Option struct {
 	Layout *cellgen.Layout
 	Ex     *extract.Extracted
@@ -65,10 +64,11 @@ type Params struct {
 	// leans on the independence of the per-option simulations.
 	Workers int
 	Cons    *cellgen.Constraints
-	// Cache, when set, memoizes evaluations across this call and any
-	// other Optimize call sharing the same cache (all primitive
-	// instances of one flow, typically). Results are identical with
-	// and without it; only the amount of repeated SPICE work changes.
+	// Cache is the sharing scope of the memoized evaluations: every
+	// Optimize call given the same cache (all primitive instances of
+	// one flow, typically) shares its entries. Nil gives the call a
+	// private cache. The scope changes only how much SPICE work
+	// repeats, never a result.
 	Cache *evcache.Cache
 }
 
@@ -84,6 +84,9 @@ func (p Params) withDefaults() Params {
 	}
 	if p.Workers <= 0 {
 		p.Workers = 8
+	}
+	if p.Cache == nil {
+		p.Cache = evcache.New()
 	}
 	return p
 }
@@ -106,8 +109,7 @@ type Result struct {
 	// bin — the choices handed to the placer.
 	//
 	// The layouts, extractions and evals of both lists, and Schematic,
-	// may be shared with the cache (see Option): clone before
-	// mutating.
+	// are shared with the cache (see Option): clone before mutating.
 	Selected []Option
 
 	// TotalSims counts SPICE deck runs across all steps (Table V).
@@ -141,48 +143,21 @@ func OptimizeCtx(ctx context.Context, t *pdk.Tech, e *primlib.Entry, sz primlib.
 	p = p.withDefaults()
 	res := &Result{Entry: e, Sizing: sz, Bias: bias}
 	tr := obs.From(ctx)
-	et := newEvalTracker(tr, p.Cache)
 
 	sel := obs.StartSpan(tr, obs.SpanFrom(ctx), "optimize.select")
-	// Line 3 precondition: schematic reference and cost metrics. The
-	// reference depends only on the kind, the sizing and the bias
-	// fields its testbenches read, so with a shared cache instances
-	// that differ elsewhere (the RO-VCO's stages) reuse it too.
+	// Line 3 precondition: schematic reference and cost metrics.
 	pdkFP := t.Fingerprint()
-	schKey := evcache.Key(pdkFP, e, sz, bias, nil, nil)
-	if p.Cache != nil {
-		et.record(schKey)
-	}
-	schCompute := func() (*evcache.Entry, error) {
-		ev, err := e.EvaluateCtx(ctx, t, sz, bias, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		return &evcache.Entry{Eval: ev}, nil
-	}
-	var schEnt *evcache.Entry
-	var err error
-	if p.Cache != nil {
-		schEnt, err = p.Cache.DoCtx(ctx, schKey, schCompute)
-	} else {
-		schEnt, err = schCompute()
-	}
-	if err != nil {
-		sel.End()
-		return nil, fmt.Errorf("optimize: schematic reference: %w", err)
-	}
-	res.Schematic = schEnt.Eval
-	metrics, err := e.CostMetrics(t, sz, res.Schematic)
+	sch, metrics, err := Reference(ctx, t, pdkFP, e, sz, bias, p.Cache)
 	if err != nil {
 		sel.End()
 		return nil, err
 	}
-	res.Metrics = metrics
+	res.Schematic, res.Metrics = sch, metrics
 
 	env := &evalEnv{
 		ctx: ctx, inj: fault.From(ctx),
 		t: t, pdkFP: pdkFP, e: e, sz: sz, bias: bias, metrics: metrics,
-		et: et, cache: p.Cache, tr: tr,
+		cache: p.Cache, tr: tr,
 		sem: make(chan struct{}, p.Workers),
 	}
 
@@ -290,6 +265,31 @@ func OptimizeCtx(ctx context.Context, t *pdk.Tech, e *primlib.Entry, sz primlib.
 	return res, nil
 }
 
+// Reference returns the schematic reference evaluation of a primitive
+// and the cost metrics normalized by it, through cache c. It is the
+// one schematic-reference leaf: Algorithm 1 starts from it, and the
+// flow calls it for a primitive it did not optimize. The reference
+// depends only on the kind, the sizing and the bias fields its
+// testbenches read, so instances that differ elsewhere (the RO-VCO's
+// stages) share one entry. pdkFP is t.Fingerprint().
+func Reference(ctx context.Context, t *pdk.Tech, pdkFP string, e *primlib.Entry, sz primlib.Sizing, bias primlib.Bias, c *evcache.Cache) (*primlib.Eval, []cost.Metric, error) {
+	ent, err := c.DoCtx(ctx, evcache.Key(pdkFP, e, sz, bias, nil, nil), func() (*evcache.Entry, error) {
+		ev, err := e.EvaluateCtx(ctx, t, sz, bias, nil, nil)
+		if err != nil {
+			return nil, err
+		}
+		return &evcache.Entry{Eval: ev}, nil
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("optimize: schematic reference: %w", err)
+	}
+	metrics, err := e.CostMetrics(t, sz, ent.Eval)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ent.Eval, metrics, nil
+}
+
 // evalEnv bundles the invariant inputs of one Optimize call so every
 // evaluation site goes through the same leaf. The semaphore bounds
 // concurrent extract+SPICE work; it is acquired only inside eval's
@@ -305,23 +305,22 @@ type evalEnv struct {
 	sz      primlib.Sizing
 	bias    primlib.Bias
 	metrics []cost.Metric
-	et      *evalTracker
 	cache   *evcache.Cache
 	tr      *obs.Trace
 	sem     chan struct{}
 }
 
-// eval extracts and simulates one layout configuration, through the
-// cache when one is installed. The compute path reads lay's current
-// wire state, which matches the key because each caller owns its
-// layout (selection layouts are per-goroutine, tuning works on
-// clones). On a cache miss the option holds lay itself, and the cache
-// keeps its own copy; on a hit it holds the shared stored entry.
+// eval extracts and simulates one layout configuration through the
+// cache. The key and the compute read lay's current wire state, which
+// match because each caller owns its layout (selection layouts are
+// per-goroutine, tuning works on clones) and does not write it while
+// eval runs. The compute extracts a private clone of lay, so the
+// entry the cache stores holds no memory the caller goes on writing
+// to; the option always holds the shared stored entry.
 func (env *evalEnv) eval(lay *cellgen.Layout) (*Option, error) {
 	ctx := env.ctx
 	key := evcache.Key(env.pdkFP, env.e, env.sz, env.bias, lay, nil)
-	env.et.record(key)
-	compute := func() (*evcache.Entry, error) {
+	ent, err := env.cache.DoCtx(ctx, key, func() (*evcache.Entry, error) {
 		select {
 		case env.sem <- struct{}{}:
 		case <-ctx.Done():
@@ -331,7 +330,7 @@ func (env *evalEnv) eval(lay *cellgen.Layout) (*Option, error) {
 		if err := env.inj.Hit(ctx, fault.SiteExtract); err != nil {
 			return nil, fmt.Errorf("extract %s: %w", lay.Config.ID(), err)
 		}
-		ex, err := extract.Primitive(ctx, env.t, lay)
+		ex, err := extract.Primitive(ctx, env.t, lay.Clone())
 		if err != nil {
 			return nil, err
 		}
@@ -343,58 +342,12 @@ func (env *evalEnv) eval(lay *cellgen.Layout) (*Option, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &evcache.Entry{Layout: lay, Ex: ex, Eval: ev, Cost: c, Values: vals}, nil
-	}
-	var ent *evcache.Entry
-	var err error
-	if env.cache != nil {
-		ent, err = env.cache.DoCtx(ctx, key, compute)
-	} else {
-		ent, err = compute()
-	}
+		return &evcache.Entry{Layout: ex.Layout, Ex: ex, Eval: ev, Cost: c, Values: vals}, nil
+	})
 	if err != nil {
 		return nil, err
 	}
 	return &Option{Layout: ent.Layout, Ex: ent.Ex, Eval: ent.Eval, Cost: ent.Cost, Values: ent.Values}, nil
-}
-
-// evalTracker counts evaluation requests and flags repeats — the same
-// snapshot requested more than once. Without a cache the repeats are
-// wasted SPICE work (PR 2's measurement); with one, the dedup scope
-// follows the cache's sharing scope so that, by construction,
-// optimize.repeat_evals == evcache.hits on a traced run. Disabled
-// traces cost one nil check.
-type evalTracker struct {
-	tr    *obs.Trace
-	cache *evcache.Cache
-	mu    sync.Mutex
-	seen  map[string]bool
-}
-
-func newEvalTracker(tr *obs.Trace, cache *evcache.Cache) *evalTracker {
-	if !tr.Enabled() {
-		return nil
-	}
-	return &evalTracker{tr: tr, cache: cache, seen: make(map[string]bool)}
-}
-
-func (et *evalTracker) record(key string) {
-	if et == nil {
-		return
-	}
-	var dup bool
-	if et.cache != nil {
-		dup = et.cache.MarkRequested(key)
-	} else {
-		et.mu.Lock()
-		dup = et.seen[key]
-		et.seen[key] = true
-		et.mu.Unlock()
-	}
-	et.tr.Counter("optimize.evals").Inc()
-	if dup {
-		et.tr.Counter("optimize.repeat_evals").Inc()
-	}
 }
 
 // assignBins splits options into equal-width bins of log aspect
@@ -445,9 +398,9 @@ func assignBins(opts []Option, bins int) {
 
 // tuneOption runs the tuning step on one selected option. It works on
 // a deep copy of the option's layout: the selection-phase row in
-// Result.AllOptions shares the original pointer, which may also be the
-// cache's stored entry, and the paper's Table III data must survive
-// tuning unchanged. On success the option is replaced by its tuned
+// Result.AllOptions shares the original pointer, which is the cache's
+// stored entry, and the paper's Table III data must survive tuning
+// unchanged. On success the option is replaced by its tuned
 // re-evaluation; on error it is left as selected. Returns the number
 // of simulations spent.
 func tuneOption(env *evalEnv, opt *Option, p Params) (int, error) {

@@ -66,11 +66,12 @@ type Constraint struct {
 type Params struct {
 	MaxWires int     // sweep range per port (default 8)
 	Tol      float64 // relative tolerance for the wmax cutoff (default 0.01)
-	// Cache, when set, memoizes the route-override evaluations. The
-	// sweep and the reconcile gap search revisit (layout, routes)
-	// snapshots — and with a disk tier a repeat run revisits all of
-	// them — so the cost evaluations route through the same
-	// content-addressed cache the optimizer uses.
+	// Cache memoizes the route-override evaluations. The sweep and the
+	// reconcile gap search revisit (layout, routes) snapshots — and
+	// with a disk tier a repeat run revisits all of them — so the cost
+	// evaluations route through the same content-addressed cache the
+	// optimizer uses. It is the sharing scope: nil gives each
+	// Optimize, GenerateConstraints or Reconcile call a private cache.
 	Cache *evcache.Cache
 }
 
@@ -80,6 +81,9 @@ func (p Params) withDefaults() Params {
 	}
 	if p.Tol <= 0 {
 		p.Tol = 0.01
+	}
+	if p.Cache == nil {
+		p.Cache = evcache.New()
 	}
 	return p
 }
@@ -131,49 +135,34 @@ func routesWith(pi *PrimInstance, net string, n int) map[string]extract.Route {
 }
 
 // costAt evaluates a primitive's cost with the given route override,
-// through the cache when one is installed. Cached entries carry only
-// the Eval. pi.Ex may itself be a shared cache entry's extraction:
-// costAt only reads it, for the key and the testbenches, and the
-// override lives in a fresh routes map. Every request is booked via
-// RecordRequest so the trace-wide
-// evcache.hits == optimize.repeat_evals invariant survives portopt
-// joining the cache's consumers. pdkFP is t.Fingerprint(), computed
-// once by the calling step. The evaluation runs on ctx.
+// through the cache. Cached entries carry only the Eval. pi.Ex may
+// itself be a shared cache entry's extraction: costAt only reads it,
+// for the key and the testbenches, and the override lives in a fresh
+// routes map. pdkFP is t.Fingerprint(), computed once by the calling
+// step. The evaluation runs on ctx.
 func costAt(ctx context.Context, t *pdk.Tech, pdkFP string, pi *PrimInstance, net string, n int, p Params) (float64, int, error) {
-	tr := obs.From(ctx)
-	tr.Counter("portopt.evals").Inc()
+	obs.From(ctx).Counter("portopt.evals").Inc()
 	routes := routesWith(pi, net, n)
-	var ev *primlib.Eval
-	if p.Cache != nil {
-		var lay *cellgen.Layout
-		if pi.Ex != nil {
-			lay = pi.Ex.Layout
-		}
-		key := evcache.Key(pdkFP, pi.Entry, pi.Sizing, pi.Bias, lay, routes)
-		p.Cache.RecordRequest(tr, key)
-		ent, err := p.Cache.DoCtx(ctx, key, func() (*evcache.Entry, error) {
-			e, err := pi.Entry.EvaluateCtx(ctx, t, pi.Sizing, pi.Bias, pi.Ex, routes)
-			if err != nil {
-				return nil, err
-			}
-			return &evcache.Entry{Eval: e}, nil
-		})
-		if err != nil {
-			return 0, 0, fmt.Errorf("portopt: %s on %s (n=%d): %w", pi.Name, net, n, err)
-		}
-		ev = ent.Eval
-	} else {
-		var err error
-		ev, err = pi.Entry.EvaluateCtx(ctx, t, pi.Sizing, pi.Bias, pi.Ex, routes)
-		if err != nil {
-			return 0, 0, fmt.Errorf("portopt: %s on %s (n=%d): %w", pi.Name, net, n, err)
-		}
+	var lay *cellgen.Layout
+	if pi.Ex != nil {
+		lay = pi.Ex.Layout
 	}
-	c, _, err := primlib.Cost(pi.Metrics, ev)
+	key := evcache.Key(pdkFP, pi.Entry, pi.Sizing, pi.Bias, lay, routes)
+	ent, err := p.Cache.DoCtx(ctx, key, func() (*evcache.Entry, error) {
+		e, err := pi.Entry.EvaluateCtx(ctx, t, pi.Sizing, pi.Bias, pi.Ex, routes)
+		if err != nil {
+			return nil, err
+		}
+		return &evcache.Entry{Eval: e}, nil
+	})
+	if err != nil {
+		return 0, 0, fmt.Errorf("portopt: %s on %s (n=%d): %w", pi.Name, net, n, err)
+	}
+	c, _, err := primlib.Cost(pi.Metrics, ent.Eval)
 	if err != nil {
 		return 0, 0, err
 	}
-	return c, ev.Sims, nil
+	return c, ent.Eval.Sims, nil
 }
 
 // GenerateConstraints runs step 1 for one primitive: an interval per

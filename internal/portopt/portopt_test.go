@@ -229,9 +229,9 @@ func TestReconcileUnknownPrimitive(t *testing.T) {
 	}
 }
 
-// TestOptimizeCached pins two properties of the cached path: the
-// result is bit-identical to the uncached path, and a second
-// optimization over the same instances computes nothing — every
+// TestOptimizeCached pins two properties of a shared cache: the
+// result is bit-identical to a call on its own private cache, and a
+// second optimization over the same instances computes nothing — every
 // sweep snapshot is a cache hit (the warm-run scenario the disk
 // tier extends across processes).
 func TestOptimizeCached(t *testing.T) {
@@ -254,15 +254,15 @@ func TestOptimizeCached(t *testing.T) {
 	}
 	for net, n := range base.Wires {
 		if cached.Wires[net] != n {
-			t.Errorf("net %s: cached %d, uncached %d", net, cached.Wires[net], n)
+			t.Errorf("net %s: shared cache %d, private cache %d", net, cached.Wires[net], n)
 		}
 	}
 	st := c.Stats()
 	if st.Misses == 0 {
 		t.Fatal("cached run never consulted the cache")
 	}
-	// Same instances again: everything is a repeat request, and the
-	// request accounting must balance hits exactly.
+	// Same instances again: everything is a repeat request, served as
+	// a hit.
 	again, err := Optimize(obs.WithSpan(ctx, tr.Start("test2")), tech, mk(), Params{MaxWires: 5, Cache: c})
 	if err != nil {
 		t.Fatal(err)
@@ -276,8 +276,8 @@ func TestOptimizeCached(t *testing.T) {
 	if st2.Misses != st.Misses {
 		t.Errorf("warm re-optimize computed %d new entries", st2.Misses-st.Misses)
 	}
-	if hits := tr.Counter("evcache.hits").Value(); hits == 0 || hits != tr.Counter("optimize.repeat_evals").Value() {
-		t.Errorf("evcache.hits %d != optimize.repeat_evals %d", hits, tr.Counter("optimize.repeat_evals").Value())
+	if hits := tr.Counter("evcache.hits").Value(); hits != st2.Hits || hits < st.Misses {
+		t.Errorf("evcache.hits = %d, want the cache's %d and at least one per first-run miss (%d)", hits, st2.Hits, st.Misses)
 	}
 }
 

@@ -99,22 +99,6 @@ type Eval struct {
 	Sims   int
 }
 
-// Clone returns a deep copy of the evaluation (fresh Values map). The
-// evaluation cache stores a computed entry's evaluation through it.
-func (ev *Eval) Clone() *Eval {
-	if ev == nil {
-		return nil
-	}
-	out := &Eval{Sims: ev.Sims}
-	if ev.Values != nil {
-		out.Values = make(map[string]float64, len(ev.Values))
-		for k, v := range ev.Values {
-			out.Values[k] = v
-		}
-	}
-	return out
-}
-
 // Spec builds the cellgen spec for an entry and sizing.
 func (e *Entry) Spec(sz Sizing) cellgen.Spec {
 	ratio := e.RatioB

@@ -41,7 +41,8 @@ type Request struct {
 	// Mode is the methodology: schematic, conventional, optimized
 	// (default), or manual.
 	Mode string `json:"mode,omitempty"`
-	// Stages is the RO-VCO stage count (default 8; ignored elsewhere).
+	// Stages is the RO-VCO stage count (default 8; even, at most
+	// circuits.MaxStages; ignored elsewhere).
 	Stages int `json:"stages,omitempty"`
 	// Seed seeds placement and every derived stream (default 1).
 	Seed int64 `json:"seed,omitempty"`
@@ -178,6 +179,11 @@ func (r *Request) normalize(cfg Config) error {
 	}
 	if r.TimeoutMs < 0 || r.Stages < 0 || r.Seed < 0 || r.RetryAttempts < 0 || r.PlaceReplicas < 0 || r.SpiceWorkers < 0 {
 		return errors.New("negative knob values are invalid")
+	}
+	if r.Circuit == "rovco" && r.Stages != 0 {
+		if err := circuits.CheckStages(r.Stages); err != nil {
+			return err
+		}
 	}
 	if r.Seed == 0 {
 		r.Seed = 1

@@ -9,9 +9,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"primopt/internal/circuits"
 	"primopt/internal/flow"
 	"primopt/internal/obs"
 	"primopt/internal/pdk"
@@ -428,6 +430,41 @@ func TestRequestKnobsReachFlowParams(t *testing.T) {
 	}
 	if got.Optimize.Cache != s.cache {
 		t.Error("request does not share the daemon cache")
+	}
+}
+
+// TestRovcoStagesValidatedAtAdmission: an RO-VCO stage count that
+// circuits.CheckStages rejects (odd, below 2 or above the bound) is a
+// 400 before admission and never reaches the flow; zero (the default)
+// and every valid count up to the bound still run.
+func TestRovcoStagesValidatedAtAdmission(t *testing.T) {
+	var ran []int
+	var mu sync.Mutex
+	s := newStubServer(t, Config{}, func(ctx context.Context, bm benchmarkRef, mode flow.Mode, p flow.Params) (*flow.Result, error) {
+		mu.Lock()
+		ran = append(ran, bm.stages)
+		mu.Unlock()
+		return &flow.Result{}, nil
+	})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	for _, n := range []int{1, 3, circuits.MaxStages + 1, circuits.MaxStages + 2} {
+		code, _, body := post(t, srv.URL, fmt.Sprintf(`{"circuit":"rovco","stages":%d}`, n))
+		if code != http.StatusBadRequest || errKind(t, body) != kindBadRequest {
+			t.Errorf("stages %d: got %d %s, want 400 %s", n, code, body, kindBadRequest)
+		}
+	}
+	valid := []int{0, 2, 8, circuits.MaxStages}
+	for _, n := range valid {
+		if code, _, body := post(t, srv.URL, fmt.Sprintf(`{"circuit":"rovco","stages":%d}`, n)); code != http.StatusOK {
+			t.Errorf("stages %d: got %d %s, want 200", n, code, body)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if fmt.Sprint(ran) != fmt.Sprint(valid) {
+		t.Errorf("the flow ran with stages %v, want only %v", ran, valid)
 	}
 }
 
