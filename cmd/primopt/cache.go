@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 
+	"primopt/internal/circuits"
 	"primopt/internal/evcache"
 	"primopt/internal/flow"
 	"primopt/internal/pdk"
@@ -51,16 +52,23 @@ func cacheUsage() {
 // solving a SPICE deck.
 func runCacheWarm(args []string) int {
 	fs := flag.NewFlagSet("cache warm", flag.ExitOnError)
-	dir := fs.String("cache-dir", "", "persistent cache directory (required)")
-	circuitName := fs.String("circuit", "", "benchmark circuit to warm with (required)")
-	stages := fs.Int("stages", 8, "RO-VCO stage count")
-	seed := fs.Int64("seed", 1, "placement seed")
-	maxBytes := fs.Int64("max-bytes", 0, "disk-tier size bound in bytes (0 = default 1 GiB)")
+	var req flow.Request // mode "": the optimized flow
+	var o runOpts
+	fs.StringVar(&o.cacheDir, "cache-dir", "", "persistent cache directory (required)")
+	fs.StringVar(&req.Circuit, "circuit", "", "benchmark circuit to warm with (required)")
+	fs.IntVar(&req.Stages, "stages", 8, "RO-VCO stage count")
+	fs.Int64Var(&req.Seed, "seed", 1, "placement seed")
+	fs.Int64Var(&o.cacheMax, "max-bytes", 0, "disk-tier size bound in bytes (0 = default 1 GiB)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *dir == "" || *circuitName == "" {
+	if o.cacheDir == "" || req.Circuit == "" {
 		fs.Usage()
+		return 2
+	}
+	mode, err := req.Check()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "primopt cache warm:", err)
 		return 2
 	}
 	tech := pdk.Default()
@@ -68,20 +76,22 @@ func runCacheWarm(args []string) int {
 		fmt.Fprintln(os.Stderr, "primopt cache warm:", err)
 		return 2
 	}
-	bm, err := buildCircuit(tech, *circuitName, *stages)
+	bm, err := circuits.Build(tech, req.Circuit, req.Stages)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "primopt cache warm:", err)
 		return 2
 	}
-	p := flow.Params{Seed: *seed, CacheDir: *dir, CacheMaxBytes: *maxBytes}
-	p.Optimize.Cache = evcache.New()
-	r, err := flow.RunContext(context.Background(), tech, bm, flow.Optimized, p)
+	var r *flow.Result
+	c, err := o.run(req, mode, func(p flow.Params) (err error) {
+		r, err = flow.RunContext(context.Background(), tech, bm, mode, p)
+		return err
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "primopt cache warm:", err)
 		return 2
 	}
-	fmt.Printf("warmed %s with %s in %s (%d SPICE runs)\n", *dir, bm.Name, r.Runtime.Round(1e6), r.Sims)
-	if line := cacheStatsLine(flow.Optimized, p.Optimize.Cache); line != "" {
+	fmt.Printf("warmed %s with %s in %s (%d SPICE runs)\n", o.cacheDir, bm.Name, r.Runtime.Round(1e6), r.Sims)
+	if line := cacheStatsLine(mode, c); line != "" {
 		fmt.Println(line)
 	}
 	return 0

@@ -37,41 +37,27 @@ import (
 	"primopt/internal/report"
 )
 
-var (
-	svgOut  string
-	consOut string
-)
-
-// faultFlags carries the robustness flag values shared by the run and
-// verify entry points: a deterministic fault-injection spec and a
-// per-stage deadline.
-type faultFlags struct {
-	spec    string
-	seed    int64
-	timeout time.Duration
+// runOpts is what the CLI adds to its requests: the -cache-dir tier
+// every run's cache opens, the robustness flags (a deterministic
+// fault-injection spec and a per-stage deadline), and the files the
+// optimized run writes (-svg, -constraints).
+type runOpts struct {
+	cacheDir  string
+	cacheMax  int64
+	faultSpec string
+	faultSeed int64
+	timeout   time.Duration
+	svg, cons string
 }
 
-func registerFaultFlags(fs *flag.FlagSet, f *faultFlags) {
-	fs.StringVar(&f.spec, "fault-spec", "",
+// registerFaultFlags registers the robustness flags the run and
+// verify entry points share.
+func registerFaultFlags(fs *flag.FlagSet, o *runOpts) {
+	fs.StringVar(&o.faultSpec, "fault-spec", "",
 		"deterministic fault injection: site:mode[@N[+]][~P],... "+
 			"(sites: "+strings.Join(fault.Sites(), ", ")+"; modes: error, panic, delay=DURATION)")
-	fs.Int64Var(&f.seed, "fault-seed", 1, "seed for probabilistic (~P) fault terms")
-	fs.DurationVar(&f.timeout, "timeout", 0, "per-stage deadline for flow stages (e.g. 30s; 0 = none)")
-}
-
-// apply installs the flags onto the flow params; a bad -fault-spec is
-// a usage error surfaced before any run starts.
-func (f *faultFlags) apply(p *flow.Params) error {
-	p.StageTimeout = f.timeout
-	if f.spec == "" {
-		return nil
-	}
-	inj, err := fault.New(f.seed, f.spec)
-	if err != nil {
-		return err
-	}
-	p.Fault = inj
-	return nil
+	fs.Int64Var(&o.faultSeed, "fault-seed", 1, "seed for probabilistic (~P) fault terms")
+	fs.DurationVar(&o.timeout, "timeout", 0, "per-stage deadline for flow stages (e.g. 30s; 0 = none)")
 }
 
 // printDegraded reports the elements a run completed without (the
@@ -108,25 +94,24 @@ func main() {
 			os.Exit(runServeCmd(os.Args[2:]))
 		}
 	}
-	circuitName := flag.String("circuit", "", "benchmark circuit: csamp, ota5t, strongarm, rovco, telescopic")
-	mode := flag.String("mode", "all", "schematic, conventional, optimized, manual, or all")
+	var req flow.Request
+	var o runOpts
+	flag.StringVar(&req.Circuit, "circuit", "", "benchmark circuit: csamp, ota5t, strongarm, rovco, telescopic")
+	flag.StringVar(&req.Mode, "mode", "all", strings.Join(flow.ModeNames(), ", ")+", or all")
 	table := flag.String("table", "", "paper artifact: fig2, 1..8, ablations, all")
-	stages := flag.Int("stages", 8, "RO-VCO stage count")
-	seed := flag.Int64("seed", 1, "placement seed")
-	cacheDir := flag.String("cache-dir", "", "persistent evaluation cache directory (disk tier, shared safely across runs and PDKs)")
-	cacheMax := flag.Int64("cache-max-bytes", 0, "disk-tier size bound in bytes (0 = default 1 GiB)")
-	workers := flag.Int("workers", 0, "max concurrent SPICE evaluations per primitive (0 = default 8)")
-	placeReplicas := flag.Int("place-replicas", 1, "independently seeded annealing replicas in the placer (deterministic reduction; results depend only on seed and replica count)")
-	svgPath := flag.String("svg", "", "write the optimized floorplan + routes as SVG to this file")
-	consPath := flag.String("constraints", "", "write the detailed-router constraints of the optimized run to this file")
+	flag.IntVar(&req.Stages, "stages", 8, "RO-VCO stage count")
+	flag.Int64Var(&req.Seed, "seed", 1, "placement seed")
+	flag.StringVar(&o.cacheDir, "cache-dir", "", "persistent evaluation cache directory (disk tier, shared safely across runs and PDKs)")
+	flag.Int64Var(&o.cacheMax, "cache-max-bytes", 0, "disk-tier size bound in bytes (0 = default 1 GiB)")
+	flag.IntVar(&req.SpiceWorkers, "workers", 0, "max concurrent SPICE evaluations per primitive (0 = default 8)")
+	flag.IntVar(&req.PlaceReplicas, "place-replicas", 1, "independently seeded annealing replicas in the placer (deterministic reduction; results depend only on seed and replica count)")
+	flag.StringVar(&o.svg, "svg", "", "write the optimized floorplan + routes as SVG to this file")
+	flag.StringVar(&o.cons, "constraints", "", "write the detailed-router constraints of the optimized run to this file")
 	mcRun := flag.Bool("mc", false, "run the Monte Carlo offset comparison across DP patterns")
 	var of obsFlags
 	registerObsFlags(flag.CommandLine, &of)
-	var ff faultFlags
-	registerFaultFlags(flag.CommandLine, &ff)
+	registerFaultFlags(flag.CommandLine, &o)
 	flag.Parse()
-	svgOut = *svgPath
-	consOut = *consPath
 
 	finishObs, err := setupObs(of)
 	if err != nil {
@@ -150,9 +135,9 @@ func main() {
 	case *mcRun:
 		runErr = runMC(ctx, tech)
 	case *table != "":
-		runErr = runTables(ctx, tech, *table, *stages)
-	case *circuitName != "":
-		runErr = runCircuit(ctx, tech, *circuitName, *mode, *stages, *seed, *cacheDir, *cacheMax, *workers, *placeReplicas, ff)
+		runErr = runTables(ctx, tech, *table, req.Stages)
+	case req.Circuit != "":
+		runErr = runCircuit(ctx, tech, req, o)
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -175,85 +160,119 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-func buildCircuit(tech *pdk.Tech, name string, stages int) (*circuits.Benchmark, error) {
-	return circuits.Build(tech, name, stages)
+// checkModes checks the request once per mode of its -mode flag —
+// "all" stands for each of all, any other name for itself — before any
+// run starts. It returns the checked request, whose Params are the
+// same in every mode, and the modes.
+func checkModes(req flow.Request, all []string) (flow.Request, []flow.Mode, error) {
+	names := []string{req.Mode}
+	if req.Mode == "all" {
+		names = all
+	}
+	modes := make([]flow.Mode, len(names))
+	for i, name := range names {
+		req.Mode = name
+		m, err := req.Check()
+		if err != nil {
+			return req, nil, err
+		}
+		modes[i] = m
+	}
+	return req, modes, nil
 }
 
-func runCircuit(ctx context.Context, tech *pdk.Tech, name, modeName string, stages int, seed int64, cacheDir string, cacheMax int64, workers, placeReplicas int, ff faultFlags) error {
-	bm, err := buildCircuit(tech, name, stages)
+// run calls f with the flow params of a checked request in mode m —
+// its knobs, the deadline and fault flags, and a fresh cache, on the
+// -cache-dir tier when m evaluates primitives — and closes the cache
+// after it, returning the cache for its stats. A fresh cache per run
+// keeps the per-mode timings honest (no mode warms another mode's
+// entries), while the disk tier, content-addressed, is shared across
+// modes and runs.
+func (o runOpts) run(req flow.Request, m flow.Mode, f func(flow.Params) error) (*evcache.Cache, error) {
+	p := req.Params()
+	p.StageTimeout = o.timeout
+	if o.faultSpec != "" {
+		inj, err := fault.New(o.faultSeed, o.faultSpec)
+		if err != nil {
+			return nil, err
+		}
+		p.Fault = inj
+	}
+	dir := o.cacheDir
+	if !m.Optimizing() {
+		dir = ""
+	}
+	c, err := evcache.Open(dir, o.cacheMax)
+	if err != nil {
+		return nil, fmt.Errorf("cache dir %s: %w", dir, err)
+	}
+	p.Optimize.Cache = c
+	err = f(p)
+	if cerr := c.Close(); err == nil {
+		err = cerr
+	}
+	return c, err
+}
+
+// runCircuit runs the request in its mode, or in every mode for
+// -mode all, and prints the comparison table.
+func runCircuit(ctx context.Context, tech *pdk.Tech, req flow.Request, o runOpts) error {
+	req, modes, err := checkModes(req, flow.ModeNames())
 	if err != nil {
 		return err
 	}
-	modes := map[string]flow.Mode{
-		"schematic":    flow.Schematic,
-		"conventional": flow.Conventional,
-		"optimized":    flow.Optimized,
-		"manual":       flow.Manual,
-	}
-	var order []flow.Mode
-	if modeName == "all" {
-		order = []flow.Mode{flow.Schematic, flow.Conventional, flow.Optimized, flow.Manual}
-	} else {
-		m, ok := modes[strings.ToLower(modeName)]
-		if !ok {
-			return fmt.Errorf("unknown mode %q", modeName)
-		}
-		order = []flow.Mode{m}
+	bm, err := circuits.Build(tech, req.Circuit, req.Stages)
+	if err != nil {
+		return err
 	}
 
-	tb := report.New(fmt.Sprintf("%s: %s", bm.Name, strings.Join(bm.MetricOrder, ", ")),
-		append([]string{"Metric (unit)"}, modeNames(order)...)...)
-	results := map[flow.Mode]*flow.Result{}
-	for _, m := range order {
-		p := flow.Params{Seed: seed}
-		if err := ff.apply(&p); err != nil {
+	header := []string{"Metric (unit)"}
+	for _, m := range modes {
+		header = append(header, m.String())
+	}
+	tb := report.New(fmt.Sprintf("%s: %s", bm.Name, strings.Join(bm.MetricOrder, ", ")), header...)
+	results := make([]*flow.Result, len(modes))
+	for i, m := range modes {
+		var r *flow.Result
+		c, err := o.run(req, m, func(p flow.Params) (err error) {
+			r, err = flow.RunContext(ctx, tech, bm, m, p)
 			return err
-		}
-		p.Optimize.Workers = workers
-		p.Place.Replicas = placeReplicas
-		// A fresh cache per run keeps the per-mode timings honest (no
-		// mode warms another mode's entries); within the run, every
-		// primitive instance of the circuit shares it. A -cache-dir
-		// backs the run with the persistent disk tier (which IS shared
-		// across modes and runs — its keys are content-addressed).
-		if m == flow.Optimized || m == flow.Manual {
-			p.Optimize.Cache = evcache.New()
-			p.CacheDir = cacheDir
-			p.CacheMaxBytes = cacheMax
-		}
-		r, err := flow.RunContext(ctx, tech, bm, m, p)
+		})
 		if err != nil {
 			return err
 		}
-		results[m] = r
+		results[i] = r
 		fmt.Printf("%-12s done in %s (%d SPICE runs)\n", m, r.Runtime.Round(1e6), r.Sims)
 		printDegraded(m, r.Degraded)
-		if line := cacheStatsLine(m, p.Optimize.Cache); line != "" {
+		if line := cacheStatsLine(m, c); line != "" {
 			fmt.Println(line)
 		}
-		if consOut != "" && m == flow.Optimized {
-			if err := os.WriteFile(consOut, []byte(r.RouterConstraints(bm)), 0o644); err != nil {
+		if m != flow.Optimized {
+			continue
+		}
+		if o.cons != "" {
+			if err := os.WriteFile(o.cons, []byte(r.RouterConstraints(bm)), 0o644); err != nil {
 				return err
 			}
-			fmt.Printf("wrote %s\n", consOut)
+			fmt.Printf("wrote %s\n", o.cons)
 		}
-		if svgOut != "" && m == flow.Optimized && r.Placement != nil {
+		if o.svg != "" && r.Placement != nil {
 			svg, err := layoutio.WriteSVG(r.Placement, r.Routing, layoutio.SVGOptions{
 				Title: fmt.Sprintf("%s (optimized flow)", bm.Name),
 			})
 			if err != nil {
 				return err
 			}
-			if err := os.WriteFile(svgOut, []byte(svg), 0o644); err != nil {
+			if err := os.WriteFile(o.svg, []byte(svg), 0o644); err != nil {
 				return err
 			}
-			fmt.Printf("wrote %s\n", svgOut)
+			fmt.Printf("wrote %s\n", o.svg)
 		}
 	}
 	for _, metric := range bm.MetricOrder {
 		row := []interface{}{fmt.Sprintf("%s (%s)", metric, bm.MetricUnit[metric])}
-		for _, m := range order {
-			row = append(row, fmt.Sprintf("%.5g", results[m].Metrics[metric]))
+		for _, r := range results {
+			row = append(row, fmt.Sprintf("%.5g", r.Metrics[metric]))
 		}
 		tb.Add(row...)
 	}
@@ -263,13 +282,10 @@ func runCircuit(ctx context.Context, tech *pdk.Tech, name, modeName string, stag
 }
 
 // cacheStatsLine renders the per-mode cache summary, or "" when the
-// mode has no cache of its own or never exercised it — an all-zero
-// stats line for a mode that never consulted the cache is noise, not
-// information.
+// mode never exercised its cache (schematic and conventional runs
+// evaluate no primitive) — an all-zero stats line for a mode that
+// never consulted the cache is noise, not information.
 func cacheStatsLine(m flow.Mode, c *evcache.Cache) string {
-	if c == nil {
-		return ""
-	}
 	st := c.Stats()
 	if st.Hits+st.Misses == 0 {
 		return ""
@@ -281,14 +297,6 @@ func cacheStatsLine(m flow.Mode, c *evcache.Cache) string {
 			st.DiskHits, st.DiskMisses, st.DiskEntries, st.DiskSegments, st.DiskBytes/1024)
 	}
 	return line
-}
-
-func modeNames(modes []flow.Mode) []string {
-	out := make([]string, len(modes))
-	for i, m := range modes {
-		out[i] = m.String()
-	}
-	return out
 }
 
 func runTables(ctx context.Context, tech *pdk.Tech, which string, stages int) error {

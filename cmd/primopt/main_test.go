@@ -2,11 +2,16 @@ package main
 
 import (
 	"context"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
 	"primopt/internal/evcache"
 	"primopt/internal/flow"
+	"primopt/internal/pdk"
+	"primopt/internal/place"
 )
 
 // The per-mode cache stats line prints only when a cache exists AND
@@ -14,14 +19,10 @@ import (
 // cache never saw a request stay silent instead of reporting a
 // misleading "0 hits / 0 misses".
 func TestCacheStatsLineSuppression(t *testing.T) {
-	if line := cacheStatsLine(flow.Conventional, nil); line != "" {
-		t.Errorf("nil cache produced a stats line: %q", line)
-	}
-
-	// A cache that was created but never exercised (e.g. the mode's
-	// flow took a path with no primitive evaluations) is also silent.
+	// A cache that was created but never exercised (a schematic or
+	// conventional run evaluates no primitive) is silent.
 	idle := evcache.New()
-	if line := cacheStatsLine(flow.Optimized, idle); line != "" {
+	if line := cacheStatsLine(flow.Conventional, idle); line != "" {
 		t.Errorf("idle cache produced a stats line: %q", line)
 	}
 
@@ -44,18 +45,63 @@ func TestCacheStatsLineSuppression(t *testing.T) {
 	}
 
 	// With a disk tier attached the line grows the disk section.
-	d, err := evcache.OpenDisk(t.TempDir(), evcache.DiskOptions{})
+	cd, err := evcache.Open(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close()
-	cd := evcache.New()
-	cd.AttachDisk(d)
+	defer cd.Close()
 	if _, err := cd.DoCtx(context.Background(), "k", compute); err != nil {
 		t.Fatal(err)
 	}
 	line = cacheStatsLine(flow.Optimized, cd)
 	if !strings.Contains(line, "disk:") {
 		t.Errorf("disk-tier cache line missing disk section: %q", line)
+	}
+}
+
+// The run, verify and cache warm commands check every request with
+// flow.Request.Check before any flow runs (the check's own cases are
+// flow's TestRequestCheck). An optimized run opens its -cache-dir
+// right before it starts, so a directory that was never created shows
+// that no run started.
+
+func TestRunCircuitReturnsCheckError(t *testing.T) {
+	for _, req := range []flow.Request{
+		{Circuit: "csamp", Mode: "optimized", PlaceReplicas: place.MaxReplicas + 1},
+		{Circuit: "csamp", Mode: "optimized", Seed: -1},
+		{Circuit: "csamp", Mode: "quantum"},
+		{Circuit: "nand2", Mode: "all"},
+	} {
+		dir := filepath.Join(t.TempDir(), "cache")
+		err := runCircuit(context.Background(), pdk.Default(), req, runOpts{cacheDir: dir})
+		if err == nil {
+			t.Errorf("%+v: runCircuit returned no error", req)
+		}
+		if _, serr := os.Stat(dir); serr == nil {
+			t.Errorf("%+v: a run started before the check failed", req)
+		}
+	}
+}
+
+func TestVerifyRejectsBadRequestBeforeRunning(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cache")
+	args := []string{"-circuit", "csamp", "-mode", "optimized", "-cache-dir", dir,
+		"-place-replicas", strconv.Itoa(place.MaxReplicas + 1)}
+	if code := runVerifyCmd(args); code != 2 {
+		t.Errorf("primopt verify %v exited %d, want 2", args, code)
+	}
+	if _, err := os.Stat(dir); err == nil {
+		t.Error("a verification run started before the check failed")
+	}
+}
+
+func TestCacheWarmRejectsBadRequestBeforeRunning(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cache")
+	args := []string{"-cache-dir", dir, "-circuit", "csamp", "-seed", "-1"}
+	if code := runCacheWarm(args); code != 2 {
+		t.Errorf("primopt cache warm %v exited %d, want 2", args, code)
+	}
+	if _, err := os.Stat(dir); err == nil {
+		t.Error("a warm run started before the check failed")
 	}
 }

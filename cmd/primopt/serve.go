@@ -11,7 +11,6 @@ import (
 	"syscall"
 	"time"
 
-	"primopt/internal/fault"
 	"primopt/internal/obs"
 	"primopt/internal/pdk"
 	"primopt/internal/serve"
@@ -43,10 +42,6 @@ func runServeCmd(args []string) int {
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if _, err := fault.New(*faultSeed, *faultSpec); *faultSpec != "" && err != nil {
-		fmt.Fprintln(os.Stderr, "primopt serve:", err)
 		return 2
 	}
 

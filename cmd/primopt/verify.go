@@ -9,8 +9,10 @@ import (
 	"strings"
 	"syscall"
 
+	"primopt/internal/circuits"
 	"primopt/internal/flow"
 	"primopt/internal/pdk"
+	"primopt/internal/verify"
 )
 
 // runVerifyCmd implements the `primopt verify` subcommand: run the
@@ -18,18 +20,21 @@ import (
 // result. Exit status: 0 clean, 1 violations found, 2 usage or flow
 // error.
 func runVerifyCmd(args []string) int {
+	// Every mode has a layout to verify but schematic.
+	layoutModes := flow.ModeNames()[flow.Conventional:]
 	fs := flag.NewFlagSet("verify", flag.ExitOnError)
-	circuitName := fs.String("circuit", "", "benchmark circuit: csamp, ota5t, strongarm, rovco, telescopic")
-	modeName := fs.String("mode", "optimized", "conventional, optimized, manual, or all")
+	var req flow.Request
+	var o runOpts
+	fs.StringVar(&req.Circuit, "circuit", "", "benchmark circuit: csamp, ota5t, strongarm, rovco, telescopic")
+	fs.StringVar(&req.Mode, "mode", "optimized", strings.Join(layoutModes, ", ")+", or all")
 	format := fs.String("format", "text", "output format: text or json")
-	stages := fs.Int("stages", 8, "RO-VCO stage count")
-	seed := fs.Int64("seed", 1, "placement seed")
-	placeReplicas := fs.Int("place-replicas", 1, "independently seeded annealing replicas in the placer")
-	cacheDir := fs.String("cache-dir", "", "persistent evaluation cache directory (disk tier)")
+	fs.IntVar(&req.Stages, "stages", 8, "RO-VCO stage count")
+	fs.Int64Var(&req.Seed, "seed", 1, "placement seed")
+	fs.IntVar(&req.PlaceReplicas, "place-replicas", 1, "independently seeded annealing replicas in the placer")
+	fs.StringVar(&o.cacheDir, "cache-dir", "", "persistent evaluation cache directory (disk tier)")
 	var of obsFlags
 	registerObsFlags(fs, &of)
-	var ff faultFlags
-	registerFaultFlags(fs, &ff)
+	registerFaultFlags(fs, &o)
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: primopt verify -circuit <name> [-mode m] [-format text|json]")
 		fs.PrintDefaults()
@@ -37,12 +42,17 @@ func runVerifyCmd(args []string) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *circuitName == "" {
+	if req.Circuit == "" {
 		fs.Usage()
 		return 2
 	}
 	if *format != "text" && *format != "json" {
 		fmt.Fprintf(os.Stderr, "primopt verify: unknown format %q\n", *format)
+		return 2
+	}
+	req, modes, err := checkModes(req, layoutModes)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "primopt verify:", err)
 		return 2
 	}
 	finishObs, err := setupObs(of)
@@ -63,27 +73,10 @@ func runVerifyCmd(args []string) int {
 		fmt.Fprintln(os.Stderr, "primopt verify:", err)
 		return 2
 	}
-	bm, err := buildCircuit(tech, *circuitName, *stages)
+	bm, err := circuits.Build(tech, req.Circuit, req.Stages)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "primopt verify:", err)
 		return 2
-	}
-
-	modes := map[string]flow.Mode{
-		"conventional": flow.Conventional,
-		"optimized":    flow.Optimized,
-		"manual":       flow.Manual,
-	}
-	var order []flow.Mode
-	if *modeName == "all" {
-		order = []flow.Mode{flow.Conventional, flow.Optimized, flow.Manual}
-	} else {
-		m, ok := modes[strings.ToLower(*modeName)]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "primopt verify: unknown mode %q\n", *modeName)
-			return 2
-		}
-		order = []flow.Mode{m}
 	}
 
 	// SIGINT/SIGTERM cancel the verification flow; the deferred
@@ -92,17 +85,12 @@ func runVerifyCmd(args []string) int {
 	defer stopSignals()
 
 	status := 0
-	for _, m := range order {
-		p := flow.Params{Seed: *seed}
-		if err := ff.apply(&p); err != nil {
-			fmt.Fprintln(os.Stderr, "primopt verify:", err)
-			return 2
-		}
-		p.Place.Replicas = *placeReplicas
-		if m == flow.Optimized || m == flow.Manual {
-			p.CacheDir = *cacheDir
-		}
-		rep, err := flow.VerifyContext(ctx, tech, bm, m, p)
+	for _, m := range modes {
+		var rep *verify.Report
+		_, err := o.run(req, m, func(p flow.Params) (err error) {
+			rep, err = flow.VerifyContext(ctx, tech, bm, m, p)
+			return err
+		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "primopt verify: %s/%v: %v\n", bm.Name, m, err)
 			return 2

@@ -113,7 +113,7 @@ func (b *Benchmark) Validate() error {
 }
 
 // Names lists the benchmark circuits Build understands, sorted — the
-// vocabulary the CLI flags and the serve API validate against.
+// vocabulary flow.Request.Check validates against.
 func Names() []string {
 	return []string{"csamp", "ota5t", "rovco", "strongarm", "telescopic"}
 }

@@ -22,8 +22,8 @@ import (
 const MaxStages = 64
 
 // CheckStages is the rule an RO-VCO stage count must meet: even, at
-// least 2 and at most MaxStages. ROVCO applies it, and the daemon
-// applies it before admitting a request.
+// least 2 and at most MaxStages. ROVCO applies it, and
+// flow.Request.Check applies it before a run starts.
 func CheckStages(stages int) error {
 	if stages < 2 || stages%2 != 0 || stages > MaxStages {
 		return fmt.Errorf("rovco: stages must be even, >= 2 and <= %d, got %d", MaxStages, stages)

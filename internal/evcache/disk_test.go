@@ -305,24 +305,27 @@ func TestDiskFaultDegradesToCompute(t *testing.T) {
 	for _, mode := range []string{"error", "panic"} {
 		t.Run(mode, func(t *testing.T) {
 			dir := t.TempDir()
-			d, err := OpenDisk(dir, DiskOptions{})
+			c, err := Open(dir, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer d.Close()
-			c := New()
-			c.AttachDisk(d)
 			tr := obs.New()
 
 			// Warm the disk through the cache.
 			if _, err := c.DoCtx(obs.With(context.Background(), tr), "k", func() (*Entry, error) { return diskEntryFor(1), nil }); err != nil {
 				t.Fatal(err)
 			}
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-			// Fresh memory tier, same disk: an armed read fault forces
-			// the compute path.
-			c2 := New()
-			c2.AttachDisk(d)
+			// Fresh memory tier, same directory: an armed read fault
+			// forces the compute path.
+			c2, err := Open(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c2.Close()
 			inj, err := fault.New(1, fmt.Sprintf("evcache.disk:%s@1+", mode))
 			if err != nil {
 				t.Fatal(err)
@@ -339,7 +342,7 @@ func TestDiskFaultDegradesToCompute(t *testing.T) {
 			if !computed || got.Cost != 9 {
 				t.Errorf("degraded path did not compute: computed=%v cost=%g", computed, got.Cost)
 			}
-			if st := d.Stats(); st.ReadErrs == 0 {
+			if st := c2.Stats(); st.DiskReadErrs == 0 {
 				t.Error("read error not counted")
 			}
 			if v := tr.Counter("evcache.disk_read_errors").Value(); v == 0 {
@@ -357,25 +360,23 @@ func TestCacheDiskIntegration(t *testing.T) {
 	dir := t.TempDir()
 	tr := obs.New()
 
-	d1, err := OpenDisk(dir, DiskOptions{})
+	c1, err := Open(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1 := New()
-	c1.AttachDisk(d1)
 	if _, err := c1.DoCtx(obs.With(context.Background(), tr), "k", func() (*Entry, error) { return diskEntryFor(4), nil }); err != nil {
 		t.Fatal(err)
 	}
-	d1.Close()
+	if err := c1.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	// "Second process": fresh cache, reopened disk.
-	d2, err := OpenDisk(dir, DiskOptions{})
+	c2, err := Open(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d2.Close()
-	c2 := New()
-	c2.AttachDisk(d2)
+	defer c2.Close()
 	tr2 := obs.New()
 	got, err := c2.DoCtx(obs.With(context.Background(), tr2), "k", func() (*Entry, error) {
 		t.Fatal("warm run must not compute")
@@ -413,14 +414,12 @@ func TestDiskHitStoredOnceAndShared(t *testing.T) {
 	mustPut(t, d1, "k", diskEntryFor(4))
 	d1.Close()
 
-	d2, err := OpenDisk(dir, DiskOptions{})
+	log := TrackStores(t)
+	c, err := Open(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d2.Close()
-	log := TrackStores(t)
-	c := New()
-	c.AttachDisk(d2)
+	defer c.Close()
 	var got [3]*Entry
 	for i := range got {
 		got[i], err = c.DoCtx(context.Background(), "k", func() (*Entry, error) {

@@ -239,14 +239,14 @@ func appendG(b []byte, sep string, v float64) []byte {
 
 // Cache is a concurrency-safe memoization table of evaluation
 // entries with single-flight computation. The zero value is not
-// usable; call New. An optional disk tier (AttachDisk) backs the
-// memory tier: misses consult the disk before computing, and
-// successful computations are written through.
+// usable; call New, or Open for a cache backed by the disk tier:
+// misses consult the disk before computing, and successful
+// computations are written through.
 type Cache struct {
 	mu       sync.Mutex
 	entries  map[string]*Entry
 	inflight map[string]chan struct{}
-	disk     *Disk
+	disk     *Disk // set by Open, never changed
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -260,6 +260,28 @@ func New() *Cache {
 		inflight: make(map[string]chan struct{}),
 	}
 }
+
+// Open returns an empty cache backed by the disk tier rooted at dir,
+// bounded to maxBytes (0 takes the 1 GiB default); an empty dir gives
+// a memory-only cache. Keys are content-addressed, so one directory is
+// safe to share across runs, benchmarks and PDK variants, and a warm
+// one replays every evaluation without solving a SPICE deck.
+func Open(dir string, maxBytes int64) (*Cache, error) {
+	c := New()
+	if dir == "" {
+		return c, nil
+	}
+	d, err := OpenDisk(dir, DiskOptions{MaxBytes: maxBytes})
+	if err != nil {
+		return nil, err
+	}
+	c.disk = d
+	return c, nil
+}
+
+// Close flushes and closes the disk tier, if any. Stats stays
+// readable; callers close once every run on the cache has returned.
+func (c *Cache) Close() error { return c.disk.Close() }
 
 // Stats is a point-in-time snapshot of the cache counters. The Disk*
 // fields are meaningful only when DiskTier is true.
@@ -283,7 +305,6 @@ type Stats struct {
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	n := len(c.entries)
-	d := c.disk
 	c.mu.Unlock()
 	st := Stats{
 		Hits:    c.hits.Load(),
@@ -291,7 +312,7 @@ func (c *Cache) Stats() Stats {
 		Entries: n,
 		Bytes:   c.bytes.Load(),
 	}
-	if d != nil {
+	if d := c.disk; d != nil {
 		ds := d.Stats()
 		st.DiskTier = true
 		st.DiskHits = ds.Hits
@@ -304,25 +325,6 @@ func (c *Cache) Stats() Stats {
 		st.DiskBytes = ds.Bytes
 	}
 	return st
-}
-
-// AttachDisk installs a disk tier behind the memory tier. Safe to
-// call once, before the cache is shared; a nil disk is a no-op.
-func (c *Cache) AttachDisk(d *Disk) {
-	if d == nil {
-		return
-	}
-	c.mu.Lock()
-	c.disk = d
-	c.mu.Unlock()
-}
-
-// diskTier returns the attached disk tier, if any.
-func (c *Cache) diskTier() *Disk {
-	c.mu.Lock()
-	d := c.disk
-	c.mu.Unlock()
-	return d
 }
 
 // DoCtx returns the entry for key, computing it at most once. Every
@@ -421,7 +423,7 @@ func (c *Cache) runCompute(ctx context.Context, tr *obs.Trace, key string, ch ch
 		c.mu.Unlock()
 		close(ch)
 	}()
-	if d := c.diskTier(); d != nil {
+	if d := c.disk; d != nil {
 		if de, ok := d.get(ctx, key); ok {
 			tr.Counter("evcache.disk_hits").Inc()
 			return de, nil
@@ -436,7 +438,7 @@ func (c *Cache) runCompute(ctx context.Context, tr *obs.Trace, key string, ch ch
 		err = errors.New("evcache: compute returned no entry for " + key)
 	}
 	if err == nil {
-		if d := c.diskTier(); d != nil {
+		if d := c.disk; d != nil {
 			evicted, werr := d.put(key, ent)
 			if werr != nil {
 				tr.Counter("evcache.disk_write_errors").Inc()

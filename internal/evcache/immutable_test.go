@@ -91,12 +91,10 @@ func TestStoredEntriesNeverChange(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	d1, err := evcache.OpenDisk(dir, evcache.DiskOptions{})
+	shared, err := evcache.Open(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared := evcache.New()
-	shared.AttachDisk(d1)
 	cold := runAll("cold", shared)
 	stored := log.Len(shared)
 	if stored == 0 {
@@ -106,17 +104,15 @@ func TestStoredEntriesNeverChange(t *testing.T) {
 	if n := log.Len(shared); n != stored {
 		t.Errorf("the warm pass stored %d more entries, want none", n-stored)
 	}
-	if err := d1.Close(); err != nil {
+	if err := shared.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	d2, err := evcache.OpenDisk(dir, evcache.DiskOptions{})
+	restarted, err := evcache.Open(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d2.Close()
-	restarted := evcache.New()
-	restarted.AttachDisk(d2)
+	defer restarted.Close()
 	same("disk-warm", cold, runAll("disk-warm", restarted))
 	if st := restarted.Stats(); st.DiskHits == 0 || st.DiskMisses != 0 {
 		t.Errorf("disk-warm pass: %d disk hits, %d disk misses; want hits only", st.DiskHits, st.DiskMisses)

@@ -64,6 +64,11 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
 
+// Optimizing reports whether the mode runs Algorithm 1 per primitive
+// (Optimized and Manual), the modes that evaluate primitives through
+// Params.Optimize.Cache; the others leave it idle.
+func (m Mode) Optimizing() bool { return m == Optimized || m == Manual }
+
 // VerifyMode selects what the flow does with the static verification
 // pass that runs after placement and routing.
 type VerifyMode int
@@ -104,16 +109,6 @@ type Params struct {
 	// sites (tests and the -fault-spec flag install one). Nil is the
 	// zero-cost disabled path.
 	Fault *fault.Injector
-	// CacheDir, when set, backs the evaluation cache with the
-	// persistent disk tier rooted there (opened per run). Keys are fully
-	// content-addressed — schema version + PDK fingerprint + snapshot
-	// — so a directory is safe to share across runs, benchmarks, and
-	// PDK variants; a warm directory replays every evaluation without
-	// solving a single SPICE deck.
-	CacheDir string
-	// CacheMaxBytes bounds the disk tier (default 1 GiB); exceeding
-	// it retires whole least-recently-used segments.
-	CacheMaxBytes int64
 	// Retry shapes the optimize retry ladder: Attempts bounds the
 	// total tries per primitive instance and Base/Cap the jittered
 	// exponential pause between them. The zero value keeps the
@@ -126,11 +121,16 @@ type Params struct {
 
 // bind puts the run's fault injector and trace on ctx. A nil Trace
 // becomes the trace ctx already carries, so afterwards p.Trace and
-// ctx agree on where the run reports.
+// ctx agree on where the run reports. A nil Optimize.Cache becomes a
+// fresh memory-only cache for this run; a caller shares a cache, or
+// backs it with the disk tier (evcache.Open), by setting it.
 func (p *Params) bind(ctx context.Context) context.Context {
 	ctx = fault.With(ctx, p.Fault)
 	if p.Trace == nil {
 		p.Trace = obs.From(ctx)
+	}
+	if p.Optimize.Cache == nil {
+		p.Optimize.Cache = evcache.New()
 	}
 	return obs.With(ctx, p.Trace)
 }
@@ -142,27 +142,6 @@ func (p Params) stage(ctx context.Context) (context.Context, context.CancelFunc)
 		return context.WithTimeout(ctx, p.StageTimeout)
 	}
 	return context.WithCancel(ctx)
-}
-
-// useCache gives the run its evaluation cache: Optimize.Cache when the
-// caller shares one, else a fresh cache for this run. With a CacheDir
-// it opens the disk tier there and attaches it behind the cache.
-// Mutates the (value-receiver copy of) Params in place so the rest of
-// the run sees the cache; returns the closer for the disk tier.
-func (p *Params) useCache() (func(), error) {
-	if p.Optimize.Cache == nil {
-		p.Optimize.Cache = evcache.New()
-	}
-	if p.CacheDir == "" {
-		return func() {}, nil
-	}
-	d, err := evcache.OpenDisk(p.CacheDir, evcache.DiskOptions{MaxBytes: p.CacheMaxBytes})
-	if err != nil {
-		return nil, fmt.Errorf("flow: cache dir %s: %w", p.CacheDir, err)
-	}
-	p.Optimize.Cache.AttachDisk(d)
-	//lint:allow errflow detach runs after the last append; segments are append-only and checksummed, so a close error cannot corrupt served data
-	return func() { _ = d.Close() }, nil
 }
 
 // Result is one flow run.
@@ -219,11 +198,6 @@ type chosen struct {
 func RunContext(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, mode Mode, p Params) (*Result, error) {
 	start := time.Now() //lint:allow rngpurity wall time feeds Result.Runtime reporting metadata only, never layout or metric values
 	ctx = p.bind(ctx)
-	detach, err := p.useCache()
-	if err != nil {
-		return nil, err
-	}
-	defer detach()
 	res := &Result{Mode: mode, Benchmark: bm.Name}
 	root := p.Trace.Start("flow.run")
 	root.SetAttr("circuit", bm.Name)
@@ -355,7 +329,7 @@ func runLayout(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, mode Mo
 	// Port optimization (Algorithm 2) for the optimizing modes;
 	// conventional keeps single routes.
 	netWires := map[string]int{}
-	if mode == Optimized || mode == Manual {
+	if mode.Optimizing() {
 		posp := root.Start("flow.portopt")
 		pp := p.Port
 		pp.Cache = p.Optimize.Cache
@@ -483,11 +457,6 @@ func VerifyContext(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, mod
 		p.Verify.Mode = VerifyWarn
 	}
 	ctx = p.bind(ctx)
-	detach, err := p.useCache()
-	if err != nil {
-		return nil, err
-	}
-	defer detach()
 	res := &Result{Mode: mode, Benchmark: bm.Name}
 	root := p.Trace.Start("flow.run")
 	root.SetAttr("circuit", bm.Name)

@@ -28,11 +28,17 @@ func TestWarmDiskRunSolvesZeroDecks(t *testing.T) {
 		tr := obs.New()
 		p := fastParams()
 		p.Trace = tr
-		p.Optimize.Cache = evcache.New()
-		p.CacheDir = dir
+		c, err := evcache.Open(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Optimize.Cache = c
 		res, err := RunContext(context.Background(), tech, bm, Optimized, p)
 		if err != nil {
 			t.Fatalf("%s run: %v", label, err)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatalf("%s close: %v", label, err)
 		}
 		return res, tr
 	}

@@ -68,15 +68,31 @@ type Params struct {
 	WireWeight  float64 // HPWL weight vs area (default 1.0)
 	SymWeight   float64 // symmetry-violation weight (default 4.0)
 	// Replicas is the number of independently seeded annealing chains
-	// (default 1). Each replica's seed is derived deterministically
-	// from Seed, the per-band move budget is split across replicas,
-	// and the best result (ties: lowest replica index) wins, so the
-	// output depends only on (Seed, Replicas) — never on scheduling.
+	// (default 1, at most MaxReplicas). Each replica's seed is derived
+	// deterministically from Seed, the per-band move budget is split
+	// across replicas, and the best result (ties: lowest replica index)
+	// wins, so the output depends only on (Seed, Replicas) — never on
+	// scheduling.
 	Replicas int
 	// Workers bounds how many replicas anneal concurrently (default
 	// GOMAXPROCS). The flow threads its SPICE worker knob through
 	// here so one flag governs all pools.
 	Workers int
+}
+
+// MaxReplicas bounds Params.Replicas: every replica gets its result
+// slot and goroutine up front, so a count from outside input must not
+// be able to exhaust memory.
+const MaxReplicas = 64
+
+// CheckReplicas is the rule a replica count must meet: at most
+// MaxReplicas. PlaceCtx applies it, and flow.Request.Check applies it
+// before a run starts.
+func CheckReplicas(n int) error {
+	if n > MaxReplicas {
+		return fmt.Errorf("place: replicas must be at most %d, got %d", MaxReplicas, n)
+	}
+	return nil
 }
 
 func (p Params) withDefaults() Params {
@@ -155,6 +171,9 @@ type Placement struct {
 func PlaceCtx(ctx context.Context, blocks []Block, nets []Net, sym []SymPair, p Params) (*Placement, error) {
 	if len(blocks) == 0 {
 		return nil, fmt.Errorf("place: no blocks")
+	}
+	if err := CheckReplicas(p.Replicas); err != nil {
+		return nil, err
 	}
 	p = p.withDefaults()
 	st := newState(blocks, nets, sym)

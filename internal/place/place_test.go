@@ -127,6 +127,9 @@ func TestPlaceValidation(t *testing.T) {
 	if _, err := PlaceCtx(context.Background(), blocks, nil, []SymPair{{A: "a", B: "ghost"}}, Params{}); err == nil {
 		t.Error("symmetry with unknown block accepted")
 	}
+	if _, err := PlaceCtx(context.Background(), blocks, nil, nil, Params{Replicas: MaxReplicas + 1}); err == nil {
+		t.Errorf("%d replicas accepted, above MaxReplicas", MaxReplicas+1)
+	}
 }
 
 func TestPlaceSingleBlock(t *testing.T) {

@@ -21,51 +21,19 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"primopt/internal/circuits"
-	"primopt/internal/fault"
 	"primopt/internal/flow"
 	"primopt/internal/obs"
 	"primopt/internal/obs/telemetry"
-	"primopt/internal/pdk"
 	"primopt/internal/verify"
 )
 
-// Request is the POST /v1/generate body. Zero-valued knobs take the
-// documented defaults; unknown circuits and modes are 400s.
-type Request struct {
-	// Circuit names the benchmark (see GET /v1/circuits). Required.
-	Circuit string `json:"circuit"`
-	// Mode is the methodology: schematic, conventional, optimized
-	// (default), or manual.
-	Mode string `json:"mode,omitempty"`
-	// Stages is the RO-VCO stage count (default 8; even, at most
-	// circuits.MaxStages; ignored elsewhere).
-	Stages int `json:"stages,omitempty"`
-	// Seed seeds placement and every derived stream (default 1).
-	Seed int64 `json:"seed,omitempty"`
-	// TimeoutMs bounds this request's flow run; 0 takes the daemon
-	// default, larger values clamp to the daemon maximum.
-	TimeoutMs int64 `json:"timeout_ms,omitempty"`
-	// Verify runs the in-flow DRC/LVS pass and attaches its report.
-	Verify bool `json:"verify,omitempty"`
-	// RetryAttempts widens the optimize retry ladder (0 = flow
-	// default of 2 total attempts).
-	RetryAttempts int `json:"retry_attempts,omitempty"`
-	// PlaceReplicas runs N independently seeded annealing replicas.
-	PlaceReplicas int `json:"place_replicas,omitempty"`
-	// SpiceWorkers bounds concurrent SPICE evaluations per primitive.
-	SpiceWorkers int `json:"spice_workers,omitempty"`
-	// Trace attaches the per-request span forest and metrics to the
-	// response. Traced bodies are timing-dependent by nature and
-	// therefore exempt from the byte-identical guarantee.
-	Trace bool `json:"trace,omitempty"`
-
-	timeout time.Duration
-	mode    flow.Mode
-}
+// Request is the POST /v1/generate body: a flow.Request, whose Check
+// is the admission rule set. Zero-valued knobs take the documented
+// defaults; a request Check rejects is a 400.
+type Request = flow.Request
 
 // Response is the POST /v1/generate success body.
 type Response struct {
@@ -138,66 +106,6 @@ func errorOutcome(kind, msg string) *outcome {
 	return &outcome{status: statusFor(kind), body: append(body, '\n')}
 }
 
-// benchmarkRef defers benchmark construction to the worker, keeping
-// the admission path cheap and the runFlow seam stub-friendly.
-type benchmarkRef struct {
-	name   string
-	stages int
-}
-
-func (b benchmarkRef) build(t *pdk.Tech) (*circuits.Benchmark, error) {
-	return circuits.Build(t, b.name, b.stages)
-}
-
-// normalize validates the request and resolves defaults. Returned
-// errors are client-facing 400 messages.
-func (r *Request) normalize(cfg Config) error {
-	if r.Circuit == "" {
-		return fmt.Errorf("missing circuit (want %s)", strings.Join(circuits.Names(), ", "))
-	}
-	known := false
-	for _, n := range circuits.Names() {
-		if n == r.Circuit {
-			known = true
-			break
-		}
-	}
-	if !known {
-		return fmt.Errorf("unknown circuit %q (want %s)", r.Circuit, strings.Join(circuits.Names(), ", "))
-	}
-	switch strings.ToLower(r.Mode) {
-	case "", "optimized":
-		r.mode = flow.Optimized
-	case "schematic":
-		r.mode = flow.Schematic
-	case "conventional":
-		r.mode = flow.Conventional
-	case "manual":
-		r.mode = flow.Manual
-	default:
-		return fmt.Errorf("unknown mode %q (want schematic, conventional, optimized, manual)", r.Mode)
-	}
-	if r.TimeoutMs < 0 || r.Stages < 0 || r.Seed < 0 || r.RetryAttempts < 0 || r.PlaceReplicas < 0 || r.SpiceWorkers < 0 {
-		return errors.New("negative knob values are invalid")
-	}
-	if r.Circuit == "rovco" && r.Stages != 0 {
-		if err := circuits.CheckStages(r.Stages); err != nil {
-			return err
-		}
-	}
-	if r.Seed == 0 {
-		r.Seed = 1
-	}
-	r.timeout = cfg.defaultTimeout()
-	if r.TimeoutMs > 0 {
-		r.timeout = time.Duration(r.TimeoutMs) * time.Millisecond
-	}
-	if lim := cfg.maxTimeout(); r.timeout > lim {
-		r.timeout = lim
-	}
-	return nil
-}
-
 // Handler mounts the request API and the telemetry surface on one
 // mux. /readyz reflects drain state; /healthz stays green for the
 // daemon's whole life (a draining daemon is alive, just not ready).
@@ -229,14 +137,15 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if err := req.normalize(s.cfg); err != nil {
+	mode, err := req.Check()
+	if err != nil {
 		writeOutcome(w, errorOutcome(kindBadRequest, err.Error()), 0)
 		return
 	}
 
 	id := s.reqSeq.Add(1)
 	w.Header().Set("X-Primopt-Request-Id", strconv.FormatInt(id, 10))
-	j := &job{req: &req, clientCtx: r.Context(), done: make(chan *outcome, 1)}
+	j := &job{req: req, mode: mode, timeout: s.cfg.requestTimeout(req.TimeoutMs), clientCtx: r.Context(), done: make(chan *outcome, 1)}
 	s.inflight.Add(1)
 	switch kind := s.admit(j); kind {
 	case "":
@@ -278,7 +187,7 @@ func (s *Server) handleCircuits(w http.ResponseWriter, r *http.Request) {
 	body, err := json.Marshal(struct {
 		Circuits []string `json:"circuits"`
 		Modes    []string `json:"modes"`
-	}{circuits.Names(), []string{"schematic", "conventional", "optimized", "manual"}})
+	}{circuits.Names(), flow.ModeNames()})
 	if err != nil {
 		writeOutcome(w, errorOutcome(kindInternal, err.Error()), 0)
 		return
@@ -300,23 +209,23 @@ func writeOutcome(w http.ResponseWriter, out *outcome, runtime time.Duration) {
 	}
 }
 
-// runRequest executes the flow for one admitted request and renders
-// the terminal outcome. Runs on a worker, inside its recover barrier.
+// runRequest builds the request's circuit, runs the flow on it and
+// renders the terminal outcome. Runs on a worker, inside its recover
+// barrier.
 func (s *Server) runRequest(ctx context.Context, j *job) *outcome {
 	req := j.req
 	reqTr := obs.New()
 	defer s.foldRequestMetrics(reqTr)
 
-	p := flow.Params{Seed: req.Seed, Trace: reqTr, Fault: s.inj}
-	p.Optimize.Cache = s.cache
-	p.Optimize.Workers = req.SpiceWorkers
-	p.Place.Replicas = req.PlaceReplicas
-	p.Retry = fault.Backoff{Attempts: req.RetryAttempts}
-	if req.Verify {
-		p.Verify.Mode = flow.VerifyWarn
+	bm, err := circuits.Build(s.tech, req.Circuit, req.Stages)
+	var res *flow.Result
+	if err == nil {
+		p := req.Params()
+		p.Optimize.Cache = s.cache
+		p.Trace = reqTr
+		p.Fault = s.inj
+		res, err = s.runFlow(ctx, s.tech, bm, j.mode, p)
 	}
-
-	res, err := s.runFlow(ctx, s.tech, benchmarkRef{name: req.Circuit, stages: req.Stages}, req.mode, p)
 	if err != nil {
 		switch {
 		case s.baseCtx.Err() != nil:
@@ -327,7 +236,7 @@ func (s *Server) runRequest(ctx context.Context, j *job) *outcome {
 			return errorOutcome(kindCanceled, "run canceled: client disconnected")
 		case errors.Is(err, context.DeadlineExceeded):
 			s.tr.Counter("serve.timeouts").Inc()
-			return errorOutcome(kindTimeout, fmt.Sprintf("deadline %s exceeded: %v", req.timeout, err))
+			return errorOutcome(kindTimeout, fmt.Sprintf("deadline %s exceeded: %v", j.timeout, err))
 		default:
 			s.tr.Counter("serve.errors").Inc()
 			return errorOutcome(kindInternal, err.Error())
@@ -335,17 +244,15 @@ func (s *Server) runRequest(ctx context.Context, j *job) *outcome {
 	}
 
 	resp := &Response{
-		Circuit:  req.Circuit,
-		Mode:     req.mode.String(),
-		Seed:     req.Seed,
-		Metrics:  res.Metrics,
-		Sims:     res.Sims,
-		Degraded: res.Degraded,
-		Verify:   res.Verify,
-	}
-	if bm, err := (benchmarkRef{name: req.Circuit, stages: req.Stages}).build(s.tech); err == nil {
-		resp.MetricOrder = bm.MetricOrder
-		resp.Units = bm.MetricUnit
+		Circuit:     req.Circuit,
+		Mode:        j.mode.String(),
+		Seed:        req.Seed,
+		Metrics:     res.Metrics,
+		MetricOrder: bm.MetricOrder,
+		Units:       bm.MetricUnit,
+		Sims:        res.Sims,
+		Degraded:    res.Degraded,
+		Verify:      res.Verify,
 	}
 	if req.Trace {
 		spans, metrics := reqTr.Snapshot()

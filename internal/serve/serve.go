@@ -15,8 +15,8 @@
 //   - Deadlines. Every request runs under its own deadline (clamped
 //     to Config.MaxTimeout) threaded into flow.RunContext, so a
 //     stuck solver costs one 504, not a wedged worker.
-//   - Coalescing. All requests share one evcache.Cache (and, with
-//     Config.CacheDir, its persistent disk tier), so identical
+//   - Coalescing. All requests share one evcache.Cache (backed, with
+//     Config.CacheDir, by its persistent disk tier), so identical
 //     concurrent evaluations collapse into a single SPICE run via the
 //     cache's single-flight path.
 //   - Graceful drain. Drain stops admissions (429/503 + /readyz
@@ -37,6 +37,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"primopt/internal/circuits"
 	"primopt/internal/evcache"
 	"primopt/internal/fault"
 	"primopt/internal/flow"
@@ -92,18 +93,20 @@ func (c Config) queueDepth() int {
 	return 2 * c.workers()
 }
 
-func (c Config) defaultTimeout() time.Duration {
-	if c.DefaultTimeout > 0 {
-		return c.DefaultTimeout
+// requestTimeout is a request's deadline: its timeout_ms, or
+// DefaultTimeout when it names none, clamped to MaxTimeout.
+func (c Config) requestTimeout(ms int64) time.Duration {
+	d, limit := c.DefaultTimeout, c.MaxTimeout
+	if d <= 0 {
+		d = 2 * time.Minute
 	}
-	return 2 * time.Minute
-}
-
-func (c Config) maxTimeout() time.Duration {
-	if c.MaxTimeout > 0 {
-		return c.MaxTimeout
+	if limit <= 0 {
+		limit = 10 * time.Minute
 	}
-	return 10 * time.Minute
+	if ms > 0 {
+		d = time.Duration(ms) * time.Millisecond
+	}
+	return min(d, limit)
 }
 
 // outcome is the terminal result of one admitted request: the exact
@@ -119,7 +122,9 @@ type outcome struct {
 // buffered (size 1) so a worker can always deliver the terminal
 // outcome and move on, even when the client has vanished.
 type job struct {
-	req       *Request
+	req       Request // checked
+	mode      flow.Mode
+	timeout   time.Duration
 	clientCtx context.Context
 	done      chan *outcome
 }
@@ -133,7 +138,6 @@ type Server struct {
 	inj  *fault.Injector
 
 	cache *evcache.Cache
-	disk  *evcache.Disk
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -153,17 +157,17 @@ type Server struct {
 
 	// runFlow is the flow entry point; tests substitute stubs to
 	// exercise admission, isolation, and drain without SPICE.
-	runFlow func(ctx context.Context, t *pdk.Tech, bm benchmarkRef, mode flow.Mode, p flow.Params) (*flow.Result, error)
+	runFlow func(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, mode flow.Mode, p flow.Params) (*flow.Result, error)
 }
 
-// New builds a Server: opens the disk tier, arms the fault injector,
-// and starts the worker pool.
+// New builds a Server: arms the fault injector, opens the shared
+// cache, and starts the worker pool.
 func New(tech *pdk.Tech, cfg Config) (*Server, error) {
 	s := &Server{
-		cfg:   cfg,
-		tech:  tech,
-		tr:    cfg.Trace,
-		cache: evcache.New(),
+		cfg:     cfg,
+		tech:    tech,
+		tr:      cfg.Trace,
+		runFlow: flow.RunContext,
 	}
 	if cfg.FaultSpec != "" {
 		inj, err := fault.New(cfg.FaultSeed, cfg.FaultSpec)
@@ -172,14 +176,11 @@ func New(tech *pdk.Tech, cfg Config) (*Server, error) {
 		}
 		s.inj = inj
 	}
-	if cfg.CacheDir != "" {
-		d, err := evcache.OpenDisk(cfg.CacheDir, evcache.DiskOptions{MaxBytes: cfg.CacheMaxBytes})
-		if err != nil {
-			return nil, fmt.Errorf("serve: cache dir %s: %w", cfg.CacheDir, err)
-		}
-		s.disk = d
-		s.cache.AttachDisk(d)
+	cache, err := evcache.Open(cfg.CacheDir, cfg.CacheMaxBytes)
+	if err != nil {
+		return nil, fmt.Errorf("serve: cache dir %s: %w", cfg.CacheDir, err)
 	}
+	s.cache = cache
 	seed := cfg.RetrySeed
 	if seed == 0 {
 		seed = 1
@@ -190,13 +191,6 @@ func New(tech *pdk.Tech, cfg Config) (*Server, error) {
 	s.retryHint = fault.Backoff{Base: time.Second, Cap: 30 * time.Second, Attempts: 1 << 30, Seed: seed, Tag: "serve.retry_after"}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.queue = make(chan *job, cfg.queueDepth())
-	s.runFlow = func(ctx context.Context, t *pdk.Tech, bm benchmarkRef, mode flow.Mode, p flow.Params) (*flow.Result, error) {
-		b, err := bm.build(t)
-		if err != nil {
-			return nil, err
-		}
-		return flow.RunContext(ctx, t, b, mode, p)
-	}
 	for i := 0; i < cfg.workers(); i++ {
 		s.workers.Add(1)
 		go s.worker()
@@ -265,7 +259,7 @@ func (s *Server) process(j *job) (out *outcome) {
 		out.runtime = time.Since(start)
 	}()
 
-	ctx, cancel := context.WithTimeout(s.baseCtx, j.req.timeout)
+	ctx, cancel := context.WithTimeout(s.baseCtx, j.timeout)
 	defer cancel()
 	// A vanished client cancels its own run (sheds the work) without
 	// touching anyone else's; drain cancellation arrives via baseCtx.
@@ -313,9 +307,7 @@ func (s *Server) Close() error {
 		s.admitMu.Unlock()
 		s.workers.Wait()
 		s.inflight.Wait()
-		if s.disk != nil {
-			s.closeErr = s.disk.Close()
-		}
+		s.closeErr = s.cache.Close()
 	})
 	return s.closeErr
 }

@@ -8,8 +8,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,12 +19,13 @@ import (
 	"primopt/internal/flow"
 	"primopt/internal/obs"
 	"primopt/internal/pdk"
+	"primopt/internal/place"
 )
 
 var tech = pdk.Default()
 
 // stubFlow is the runFlow seam type, minus the fixed tech argument.
-type stubFlow func(ctx context.Context, bm benchmarkRef, mode flow.Mode, p flow.Params) (*flow.Result, error)
+type stubFlow func(ctx context.Context, bm *circuits.Benchmark, mode flow.Mode, p flow.Params) (*flow.Result, error)
 
 // newStubServer builds a Server whose flow runs are the stub — the
 // admission, isolation, deadline, and drain machinery under test,
@@ -36,7 +39,7 @@ func newStubServer(t *testing.T, cfg Config, run stubFlow) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.runFlow = func(ctx context.Context, tt *pdk.Tech, bm benchmarkRef, mode flow.Mode, p flow.Params) (*flow.Result, error) {
+	s.runFlow = func(ctx context.Context, tt *pdk.Tech, bm *circuits.Benchmark, mode flow.Mode, p flow.Params) (*flow.Result, error) {
 		return run(ctx, bm, mode, p)
 	}
 	t.Cleanup(func() {
@@ -48,8 +51,8 @@ func newStubServer(t *testing.T, cfg Config, run stubFlow) *Server {
 }
 
 func okFlow(metrics map[string]float64) stubFlow {
-	return func(ctx context.Context, bm benchmarkRef, mode flow.Mode, p flow.Params) (*flow.Result, error) {
-		return &flow.Result{Benchmark: bm.name, Mode: mode, Metrics: metrics, Sims: 7}, nil
+	return func(ctx context.Context, bm *circuits.Benchmark, mode flow.Mode, p flow.Params) (*flow.Result, error) {
+		return &flow.Result{Benchmark: bm.Name, Mode: mode, Metrics: metrics, Sims: 7}, nil
 	}
 }
 
@@ -115,27 +118,30 @@ func TestGenerateHappyPath(t *testing.T) {
 	}
 }
 
+// TestGenerateRejectsBadRequests: a body that does not parse and a
+// request flow.Request.Check rejects are 400s before admission (the
+// check's own cases are flow's TestRequestCheck), and a GET is a 405.
 func TestGenerateRejectsBadRequests(t *testing.T) {
-	s := newStubServer(t, Config{}, okFlow(nil))
+	var runs atomic.Int64
+	s := newStubServer(t, Config{}, func(ctx context.Context, bm *circuits.Benchmark, mode flow.Mode, p flow.Params) (*flow.Result, error) {
+		runs.Add(1)
+		return &flow.Result{}, nil
+	})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	cases := []struct {
-		name, body string
-		wantCode   int
-		wantKind   string
-	}{
-		{"unknown circuit", `{"circuit":"nand2"}`, 400, kindBadRequest},
-		{"missing circuit", `{}`, 400, kindBadRequest},
-		{"unknown mode", `{"circuit":"csamp","mode":"quantum"}`, 400, kindBadRequest},
-		{"negative knob", `{"circuit":"csamp","seed":-4}`, 400, kindBadRequest},
-		{"malformed json", `{"circuit":`, 400, kindBadRequest},
-	}
-	for _, tc := range cases {
-		code, _, body := post(t, srv.URL, tc.body)
-		if code != tc.wantCode || errKind(t, body) != tc.wantKind {
-			t.Errorf("%s: got %d %s, want %d %s", tc.name, code, errKind(t, body), tc.wantCode, tc.wantKind)
+	for name, body := range map[string]string{
+		"malformed json":       `{"circuit":`,
+		"unknown circuit":      `{"circuit":"nand2"}`,
+		"replicas above bound": fmt.Sprintf(`{"circuit":"csamp","place_replicas":%d}`, place.MaxReplicas+1),
+	} {
+		code, _, body := post(t, srv.URL, body)
+		if code != http.StatusBadRequest || errKind(t, body) != kindBadRequest {
+			t.Errorf("%s: got %d %s, want 400 %s", name, code, body, kindBadRequest)
 		}
+	}
+	if n := runs.Load(); n != 0 {
+		t.Errorf("%d rejected requests reached the flow", n)
 	}
 
 	resp, err := http.Get(srv.URL + "/v1/generate")
@@ -145,6 +151,15 @@ func TestGenerateRejectsBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/generate = %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestNewRejectsMalformedFaultSpec: a fault spec that does not parse
+// fails New, which primopt serve reports as a usage error.
+func TestNewRejectsMalformedFaultSpec(t *testing.T) {
+	if s, err := New(tech, Config{FaultSpec: "spice.op:explode"}); err == nil {
+		s.Close()
+		t.Fatal("New accepted a malformed fault spec")
 	}
 }
 
@@ -168,7 +183,7 @@ func TestCircuitsEndpoint(t *testing.T) {
 // the very next request on the same pool succeeds.
 func TestPanicIsolation(t *testing.T) {
 	tr := obs.New()
-	s := newStubServer(t, Config{Workers: 1, Trace: tr}, func(ctx context.Context, bm benchmarkRef, mode flow.Mode, p flow.Params) (*flow.Result, error) {
+	s := newStubServer(t, Config{Workers: 1, Trace: tr}, func(ctx context.Context, bm *circuits.Benchmark, mode flow.Mode, p flow.Params) (*flow.Result, error) {
 		if p.Seed == 666 {
 			panic("deliberate test panic")
 		}
@@ -199,7 +214,7 @@ func TestPanicIsolation(t *testing.T) {
 // context, and its expiry is a 504 with kind timeout.
 func TestDeadlineThreading(t *testing.T) {
 	sawDeadline := make(chan time.Duration, 1)
-	s := newStubServer(t, Config{}, func(ctx context.Context, bm benchmarkRef, mode flow.Mode, p flow.Params) (*flow.Result, error) {
+	s := newStubServer(t, Config{}, func(ctx context.Context, bm *circuits.Benchmark, mode flow.Mode, p flow.Params) (*flow.Result, error) {
 		if dl, ok := ctx.Deadline(); ok {
 			sawDeadline <- time.Until(dl)
 		}
@@ -230,7 +245,7 @@ func TestAdmissionShedding(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{}, 8)
 	tr := obs.New()
-	s := newStubServer(t, Config{Workers: 1, QueueDepth: 1, Trace: tr}, func(ctx context.Context, bm benchmarkRef, mode flow.Mode, p flow.Params) (*flow.Result, error) {
+	s := newStubServer(t, Config{Workers: 1, QueueDepth: 1, Trace: tr}, func(ctx context.Context, bm *circuits.Benchmark, mode flow.Mode, p flow.Params) (*flow.Result, error) {
 		started <- struct{}{}
 		select {
 		case <-release:
@@ -284,7 +299,7 @@ func TestAdmissionShedding(t *testing.T) {
 func TestGracefulDrain(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{}, 1)
-	s := newStubServer(t, Config{Workers: 1}, func(ctx context.Context, bm benchmarkRef, mode flow.Mode, p flow.Params) (*flow.Result, error) {
+	s := newStubServer(t, Config{Workers: 1}, func(ctx context.Context, bm *circuits.Benchmark, mode flow.Mode, p flow.Params) (*flow.Result, error) {
 		started <- struct{}{}
 		select {
 		case <-release:
@@ -342,7 +357,7 @@ func TestGracefulDrain(t *testing.T) {
 // (503 canceled), and Drain reports the forced cancellation.
 func TestDrainDeadlineCancelsInFlight(t *testing.T) {
 	started := make(chan struct{}, 1)
-	s := newStubServer(t, Config{Workers: 1}, func(ctx context.Context, bm benchmarkRef, mode flow.Mode, p flow.Params) (*flow.Result, error) {
+	s := newStubServer(t, Config{Workers: 1}, func(ctx context.Context, bm *circuits.Benchmark, mode flow.Mode, p flow.Params) (*flow.Result, error) {
 		started <- struct{}{}
 		<-ctx.Done() // a run that never finishes on its own
 		return nil, ctx.Err()
@@ -378,7 +393,7 @@ func TestDrainDeadlineCancelsInFlight(t *testing.T) {
 // kind internal, and the daemon keeps serving.
 func TestFlowErrorIsStructured500(t *testing.T) {
 	fail := true
-	s := newStubServer(t, Config{Workers: 1}, func(ctx context.Context, bm benchmarkRef, mode flow.Mode, p flow.Params) (*flow.Result, error) {
+	s := newStubServer(t, Config{Workers: 1}, func(ctx context.Context, bm *circuits.Benchmark, mode flow.Mode, p flow.Params) (*flow.Result, error) {
 		if fail {
 			fail = false
 			return nil, fmt.Errorf("solver exploded")
@@ -400,36 +415,51 @@ func TestFlowErrorIsStructured500(t *testing.T) {
 	}
 }
 
-// TestRequestKnobsReachFlowParams: the spec knobs in the request body
-// land on the flow params the worker runs with.
-func TestRequestKnobsReachFlowParams(t *testing.T) {
-	var got flow.Params
-	var gotBM benchmarkRef
-	var gotMode flow.Mode
-	s := newStubServer(t, Config{}, func(ctx context.Context, bm benchmarkRef, mode flow.Mode, p flow.Params) (*flow.Result, error) {
-		got, gotBM, gotMode = p, bm, mode
+// TestEveryRequestSharesDaemonCache: each request runs on the circuit
+// it names with its own flow.Request.Params, plus what the daemon adds:
+// the one shared cache, the request's own trace and the daemon's fault
+// injector.
+func TestEveryRequestSharesDaemonCache(t *testing.T) {
+	var mu sync.Mutex
+	var got []flow.Params
+	s := newStubServer(t, Config{}, func(ctx context.Context, bm *circuits.Benchmark, mode flow.Mode, p flow.Params) (*flow.Result, error) {
+		if bm.Name != "rovco" || len(bm.Insts) != 4 || mode != flow.Conventional {
+			t.Errorf("flow ran on %s with %d stages in mode %v", bm.Name, len(bm.Insts), mode)
+		}
+		mu.Lock()
+		got = append(got, p)
+		mu.Unlock()
 		return &flow.Result{}, nil
 	})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	code, _, body := post(t, srv.URL,
-		`{"circuit":"rovco","mode":"conventional","stages":4,"seed":9,"retry_attempts":5,"place_replicas":3,"spice_workers":2,"verify":true}`)
-	if code != http.StatusOK {
-		t.Fatalf("request = %d %s", code, body)
+	body := `{"circuit":"rovco","mode":"conventional","stages":4,"seed":9,"retry_attempts":5,"place_replicas":3,"spice_workers":2,"verify":true}`
+	var req Request
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
 	}
-	if gotBM.name != "rovco" || gotBM.stages != 4 || gotMode != flow.Conventional {
-		t.Errorf("benchmark ref = %+v mode %v", gotBM, gotMode)
+	for i := 0; i < 2; i++ {
+		if code, _, out := post(t, srv.URL, body); code != http.StatusOK {
+			t.Fatalf("request %d = %d %s", i, code, out)
+		}
 	}
-	if got.Seed != 9 || got.Retry.Attempts != 5 || got.Place.Replicas != 3 || got.Optimize.Workers != 2 {
-		t.Errorf("params = seed %d retry %d replicas %d workers %d",
-			got.Seed, got.Retry.Attempts, got.Place.Replicas, got.Optimize.Workers)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(got) != 2 || got[0].Trace == got[1].Trace {
+		t.Fatalf("want 2 runs with their own traces, got %d", len(got))
 	}
-	if got.Verify.Mode != flow.VerifyWarn {
-		t.Errorf("verify mode = %v, want VerifyWarn", got.Verify.Mode)
-	}
-	if got.Optimize.Cache != s.cache {
-		t.Error("request does not share the daemon cache")
+	for i, p := range got {
+		if p.Optimize.Cache != s.cache {
+			t.Errorf("request %d does not share the daemon cache", i)
+		}
+		if p.Trace == nil || p.Fault != s.inj {
+			t.Errorf("request %d: trace %p, fault %p; want its own trace and the daemon injector", i, p.Trace, p.Fault)
+		}
+		p.Optimize.Cache, p.Trace, p.Fault = nil, nil, nil
+		if !reflect.DeepEqual(p, req.Params()) {
+			t.Errorf("request %d params = %+v, want Request.Params() %+v", i, p, req.Params())
+		}
 	}
 }
 
@@ -440,9 +470,9 @@ func TestRequestKnobsReachFlowParams(t *testing.T) {
 func TestRovcoStagesValidatedAtAdmission(t *testing.T) {
 	var ran []int
 	var mu sync.Mutex
-	s := newStubServer(t, Config{}, func(ctx context.Context, bm benchmarkRef, mode flow.Mode, p flow.Params) (*flow.Result, error) {
+	s := newStubServer(t, Config{}, func(ctx context.Context, bm *circuits.Benchmark, mode flow.Mode, p flow.Params) (*flow.Result, error) {
 		mu.Lock()
-		ran = append(ran, bm.stages)
+		ran = append(ran, len(bm.Insts))
 		mu.Unlock()
 		return &flow.Result{}, nil
 	})
@@ -463,8 +493,9 @@ func TestRovcoStagesValidatedAtAdmission(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if fmt.Sprint(ran) != fmt.Sprint(valid) {
-		t.Errorf("the flow ran with stages %v, want only %v", ran, valid)
+	built := []int{8, 2, 8, circuits.MaxStages} // 0 takes the default of 8
+	if fmt.Sprint(ran) != fmt.Sprint(built) {
+		t.Errorf("the flow ran with stages %v, want only %v", ran, built)
 	}
 }
 
