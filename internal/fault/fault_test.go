@@ -222,8 +222,8 @@ func TestContextCarriage(t *testing.T) {
 
 func TestErrorText(t *testing.T) {
 	e := &Error{Site: "spice.op", Hit: 3}
-	if !strings.Contains(e.Error(), "spice.op") || !strings.Contains(e.Error(), "3") {
-		t.Fatalf("error text %q missing site/hit", e.Error())
+	if !strings.Contains(e.Error(), "spice.op") || strings.Contains(e.Error(), "3") {
+		t.Fatalf("error text %q: want the site and no hit index", e.Error())
 	}
 	if IsInjected(errors.New("organic")) {
 		t.Fatal("organic error reported as injected")

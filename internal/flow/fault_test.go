@@ -3,6 +3,7 @@ package flow
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -139,25 +140,68 @@ func TestFlowPanicFaultDegrades(t *testing.T) {
 }
 
 // TestFlowRouteFaultDegradesNet: an injected per-net routing failure
-// records a net:<name> degradation and the run still completes.
+// records a net:<name> degradation and the run still completes, in
+// the conventional flow and in Fig. 2's fixed-wire corners alike.
 func TestFlowRouteFaultDegradesNet(t *testing.T) {
 	bm, err := circuits.CommonSource(tech)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := faultParams(t, fault.SiteRouteNet+":error@1")
-	res, err := RunContext(context.Background(), tech, bm, Conventional, p)
+	ctx := context.Background()
+	runs := map[string]func(Params) (*Result, error){
+		"RunContext": func(p Params) (*Result, error) {
+			return RunContext(ctx, tech, bm, Conventional, p)
+		},
+		"RunFixedWiresContext": func(p Params) (*Result, error) {
+			return RunFixedWiresContext(ctx, tech, bm, 8, p)
+		},
+	}
+	for name, run := range runs {
+		t.Run(name, func(t *testing.T) {
+			res, err := run(faultParams(t, fault.SiteRouteNet+":error@1"))
+			if err != nil {
+				t.Fatalf("run died on a per-net routing failure: %v", err)
+			}
+			found := false
+			for what := range res.Degraded {
+				if strings.HasPrefix(what, "net:") {
+					found = true
+				}
+			}
+			if !found {
+				t.Errorf("Degraded = %v, want a net:* entry", res.Degraded)
+			}
+		})
+	}
+}
+
+// TestFaultDegradationReasonsRepeat: a fault-armed run reports the
+// same degradation reasons every time, although its concurrently
+// optimized instances share the armed site's hit count and so take
+// different hits from run to run.
+func TestFaultDegradationReasonsRepeat(t *testing.T) {
+	bm, err := circuits.CommonSource(tech)
 	if err != nil {
-		t.Fatalf("run died on a per-net routing failure: %v", err)
+		t.Fatal(err)
 	}
-	found := false
-	for what := range res.Degraded {
-		if strings.HasPrefix(what, "net:") {
-			found = true
+	var first map[string]string
+	for i := 0; i < 5; i++ {
+		inj, err := fault.New(1, fault.SiteExtract+":error@1+")
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !found {
-		t.Errorf("Degraded = %v, want a net:* entry", res.Degraded)
+		res, err := RunContext(context.Background(), tech, bm, Optimized, Params{Seed: 1, Fault: inj})
+		if err != nil {
+			t.Fatalf("run %d died instead of degrading: %v", i, err)
+		}
+		if len(res.Degraded) == 0 {
+			t.Fatalf("run %d: no degradation recorded", i)
+		}
+		if i == 0 {
+			first = res.Degraded
+		} else if !reflect.DeepEqual(res.Degraded, first) {
+			t.Fatalf("run %d: Degraded = %v, run 0 had %v", i, res.Degraded, first)
+		}
 	}
 }
 

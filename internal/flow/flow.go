@@ -260,13 +260,9 @@ func evaluate(ctx context.Context, p Params, root *obs.Span, t *pdk.Tech, bm *ci
 // call this directly to check geometry without paying for post-layout
 // simulation.
 func runLayout(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, mode Mode, p Params, res *Result, root *obs.Span) (map[string]*chosen, error) {
-	sp := root.Start("flow.schematic_op")
-	octx, ocancel := p.stage(ctx)
-	op, err := bm.SchematicOPCtx(octx, t)
-	ocancel()
-	sp.End()
+	op, err := schematicOP(ctx, t, bm, p, root)
 	if err != nil {
-		return nil, fmt.Errorf("flow: %s schematic OP: %w", bm.Name, err)
+		return nil, err
 	}
 
 	prsp := root.Start("flow.primitives")
@@ -291,40 +287,15 @@ func runLayout(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, mode Mo
 
 	// Placement over the chosen variants (Optimized keeps all bins as
 	// variants so the placer can trade aspect ratios; Conventional
-	// and Manual have one variant each).
-	psp := root.Start("flow.place")
-	plctx, plcancel := p.stage(ctx)
-	pl, err := runPlacement(plctx, bm, choices, res, p, psp)
-	plcancel()
-	psp.End()
+	// and Manual have one variant each), then global routing between
+	// the placed primitives.
+	pl, err := runPlacement(ctx, bm, choices, res, p, root)
 	if err != nil {
 		return nil, err
 	}
-
-	// Global routing between placed primitives.
-	rsp := root.Start("flow.route")
-	rctx, rcancel := p.stage(ctx)
-	routing, err := runRouting(rctx, t, bm, pl, p, rsp)
-	rcancel()
-	if err == nil {
-		rsp.SetAttr("nets", len(routing.Nets))
-		rsp.SetAttr("overflow_edges", routing.OverflowEdges)
-	}
-	rsp.End()
-	if err != nil {
+	if err := runRouting(ctx, t, bm, pl, choices, res, p, root); err != nil {
 		return nil, err
 	}
-	res.Routing = routing
-	// Per-net casualties degrade the run instead of killing it; the
-	// verification pass (warn lists, fail rejects) holds the gate.
-	for _, n := range routing.Failed {
-		why := "net failed to route"
-		if nr := routing.Nets[n]; nr != nil && nr.Err != "" {
-			why = nr.Err
-		}
-		res.degrade(p.Trace, "net:"+n, why)
-	}
-	attachRoutes(bm, choices, routing)
 
 	// Port optimization (Algorithm 2) for the optimizing modes;
 	// conventional keeps single routes.
@@ -660,9 +631,28 @@ func primMetrics(ctx context.Context, t *pdk.Tech, ch *chosen, p Params) ([]cost
 	return m, nil
 }
 
-// runPlacement builds placement blocks from the choices. Variants for
-// the optimizing modes come from each primitive's selected options.
-func runPlacement(ctx context.Context, bm *circuits.Benchmark, choices map[string]*chosen, res *Result, p Params, sp *obs.Span) (*place.Placement, error) {
+// schematicOP solves the benchmark's schematic operating point as the
+// flow.schematic_op stage.
+func schematicOP(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, p Params, root *obs.Span) (*spice.OPResult, error) {
+	sp := root.Start("flow.schematic_op")
+	octx, cancel := p.stage(ctx)
+	op, err := bm.SchematicOPCtx(octx, t)
+	cancel()
+	sp.End()
+	if err != nil {
+		return nil, fmt.Errorf("flow: %s schematic OP: %w", bm.Name, err)
+	}
+	return op, nil
+}
+
+// runPlacement places the chosen primitives as the flow.place stage.
+// Variants for the optimizing modes come from each primitive's
+// selected options.
+func runPlacement(ctx context.Context, bm *circuits.Benchmark, choices map[string]*chosen, res *Result, p Params, root *obs.Span) (*place.Placement, error) {
+	sp := root.Start("flow.place")
+	defer sp.End()
+	ctx, cancel := p.stage(ctx)
+	defer cancel()
 	var blocks []place.Block
 	for _, name := range sortedKeys(choices) {
 		ch := choices[name]
@@ -752,8 +742,13 @@ func routeRegion(pl *place.Placement) geom.Rect {
 	return pl.BBox.Expand(pl.BBox.W()/10 + 200)
 }
 
-// runRouting routes the benchmark's signal nets over the placement.
-func runRouting(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, pl *place.Placement, p Params, sp *obs.Span) (*route.Result, error) {
+// runRouting routes the benchmark's signal nets over the placement as
+// the flow.route stage and attaches the routes to the choices. A net
+// that fails to route degrades the run instead of killing it; the
+// verification pass (warn lists, fail rejects) holds the gate.
+func runRouting(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, pl *place.Placement, choices map[string]*chosen, res *Result, p Params, root *obs.Span) error {
+	sp := root.Start("flow.route")
+	rctx, cancel := p.stage(ctx)
 	region := routeRegion(pl)
 	var reqs []route.NetReq
 	for _, netName := range bm.RoutedNets {
@@ -779,7 +774,26 @@ func runRouting(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, pl *pl
 			reqs = append(reqs, req)
 		}
 	}
-	return route.RouteCtx(obs.WithSpan(ctx, sp), t, region, reqs, p.Route)
+	routing, err := route.RouteCtx(obs.WithSpan(rctx, sp), t, region, reqs, p.Route)
+	cancel()
+	if err == nil {
+		sp.SetAttr("nets", len(routing.Nets))
+		sp.SetAttr("overflow_edges", routing.OverflowEdges)
+	}
+	sp.End()
+	if err != nil {
+		return err
+	}
+	res.Routing = routing
+	for _, n := range routing.Failed {
+		why := "net failed to route"
+		if nr := routing.Nets[n]; nr != nil && nr.Err != "" {
+			why = nr.Err
+		}
+		res.degrade(p.Trace, "net:"+n, why)
+	}
+	attachRoutes(bm, choices, routing)
+	return nil
 }
 
 // attachRoutes converts per-net routing geometry into per-instance
@@ -854,62 +868,27 @@ func RunFixedWiresContext(ctx context.Context, t *pdk.Tech, bm *circuits.Benchma
 	defer func() {
 		res.Runtime = time.Since(start) //lint:allow rngpurity wall time feeds Result.Runtime reporting metadata only, never layout or metric values
 		root.SetAttr("sims", res.Sims)
+		if len(res.Degraded) > 0 {
+			root.SetAttr("degraded", len(res.Degraded))
+		}
 		root.End()
 	}()
 
-	sp := root.Start("flow.schematic_op")
-	octx, ocancel := p.stage(ctx)
-	op, err := bm.SchematicOPCtx(octx, t)
-	ocancel()
-	sp.End()
+	op, err := schematicOP(ctx, t, bm, p, root)
 	if err != nil {
 		return nil, err
 	}
-	prsp := root.Start("flow.primitives")
-	prsp.SetAttr("n_insts", len(bm.Insts))
-	choices, err := conventionalChoices(ctx, t, bm, op, prsp)
-	if err != nil {
-		prsp.End()
-		return nil, err
-	}
-	// Force the wire count everywhere and re-extract. Conventional
-	// choices are fresh FindLayouts layouts, never cache entries, so
-	// writing their wires in place is safe.
-	for _, name := range sortedKeys(choices) {
-		ch := choices[name]
-		for _, w := range ch.ex.Layout.Wires {
-			w.NWires = n
-		}
-		ex, err := extract.Primitive(ctx, t, ch.ex.Layout)
-		if err != nil {
-			prsp.End()
-			return nil, err
-		}
-		ch.ex = ex
-	}
-	prsp.End()
-	psp := root.Start("flow.place")
-	plctx, plcancel := p.stage(ctx)
-	pl, err := runPlacement(plctx, bm, choices, res, p, psp)
-	plcancel()
-	psp.End()
+	choices, err := fixedWireChoices(ctx, t, bm, op, n, p, root)
 	if err != nil {
 		return nil, err
 	}
-	rsp := root.Start("flow.route")
-	rctx, rcancel := p.stage(ctx)
-	routing, err := runRouting(rctx, t, bm, pl, p, rsp)
-	rcancel()
-	if err == nil {
-		rsp.SetAttr("nets", len(routing.Nets))
-		rsp.SetAttr("overflow_edges", routing.OverflowEdges)
-	}
-	rsp.End()
+	pl, err := runPlacement(ctx, bm, choices, res, p, root)
 	if err != nil {
 		return nil, err
 	}
-	res.Routing = routing
-	attachRoutes(bm, choices, routing)
+	if err := runRouting(ctx, t, bm, pl, choices, res, p, root); err != nil {
+		return nil, err
+	}
 	res.NetWires = map[string]int{}
 	for _, ch := range choices {
 		for w, rt := range ch.routes {
@@ -931,4 +910,33 @@ func RunFixedWiresContext(ctx context.Context, t *pdk.Tech, bm *circuits.Benchma
 	}
 	res.Metrics = vals
 	return res, nil
+}
+
+// fixedWireChoices picks the conventional primitives as the
+// flow.primitives stage and forces every within-primitive wire to n
+// parallel wires, re-extracting each. Conventional choices are fresh
+// FindLayouts layouts, never cache entries, so writing their wires in
+// place is safe.
+func fixedWireChoices(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, op *spice.OPResult, n int, p Params, root *obs.Span) (map[string]*chosen, error) {
+	sp := root.Start("flow.primitives")
+	defer sp.End()
+	sp.SetAttr("n_insts", len(bm.Insts))
+	ctx, cancel := p.stage(ctx)
+	defer cancel()
+	choices, err := conventionalChoices(ctx, t, bm, op, sp)
+	if err != nil {
+		return nil, err
+	}
+	for _, name := range sortedKeys(choices) {
+		ch := choices[name]
+		for _, w := range ch.ex.Layout.Wires {
+			w.NWires = n
+		}
+		ex, err := extract.Primitive(ctx, t, ch.ex.Layout)
+		if err != nil {
+			return nil, err
+		}
+		ch.ex = ex
+	}
+	return choices, nil
 }

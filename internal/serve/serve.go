@@ -104,7 +104,12 @@ func (c Config) requestTimeout(ms int64) time.Duration {
 		limit = 10 * time.Minute
 	}
 	if ms > 0 {
-		d = time.Duration(ms) * time.Millisecond
+		// Clamp before converting: the Duration product overflows to
+		// a negative deadline above about 9.2e12 ms.
+		d = limit
+		if ms < limit.Milliseconds() {
+			d = time.Duration(ms) * time.Millisecond
+		}
 	}
 	return min(d, limit)
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -235,6 +236,49 @@ func TestDeadlineThreading(t *testing.T) {
 		}
 	default:
 		t.Error("flow context had no deadline")
+	}
+}
+
+// TestRequestTimeoutClampsHugeValues: a timeout_ms whose Duration
+// would overflow is clamped to MaxTimeout, not turned negative.
+func TestRequestTimeoutClampsHugeValues(t *testing.T) {
+	var cfg Config
+	for _, ms := range []int64{1e13, math.MaxInt64} {
+		if got := cfg.requestTimeout(ms); got != 10*time.Minute {
+			t.Errorf("requestTimeout(%d) = %v, want the 10m MaxTimeout", ms, got)
+		}
+	}
+	cfg.MaxTimeout = 90 * time.Second
+	if got := cfg.requestTimeout(1e13); got != 90*time.Second {
+		t.Errorf("requestTimeout(1e13) = %v, want MaxTimeout 1m30s", got)
+	}
+	if got := cfg.requestTimeout(1500); got != 1500*time.Millisecond {
+		t.Errorf("requestTimeout(1500) = %v, want 1.5s", got)
+	}
+}
+
+// TestHugeTimeoutRunsUnderMaxTimeout: a request asking for a timeout
+// far beyond MaxTimeout runs under the MaxTimeout deadline and
+// answers 200.
+func TestHugeTimeoutRunsUnderMaxTimeout(t *testing.T) {
+	sawDeadline := make(chan time.Duration, 1)
+	s := newStubServer(t, Config{MaxTimeout: time.Minute}, func(ctx context.Context, bm *circuits.Benchmark, mode flow.Mode, p flow.Params) (*flow.Result, error) {
+		dl, ok := ctx.Deadline()
+		if !ok {
+			return nil, fmt.Errorf("no deadline on the flow context")
+		}
+		sawDeadline <- time.Until(dl)
+		return &flow.Result{Benchmark: bm.Name, Mode: mode}, nil
+	})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	code, _, body := post(t, srv.URL, `{"circuit":"csamp","timeout_ms":10000000000000}`)
+	if code != http.StatusOK {
+		t.Fatalf("huge timeout_ms = %d %s, want 200", code, body)
+	}
+	if d := <-sawDeadline; d <= 50*time.Second || d > time.Minute {
+		t.Errorf("flow saw deadline %v away, want just under the 1m MaxTimeout", d)
 	}
 }
 

@@ -68,12 +68,17 @@ func (e *Engine) AC(fstart, fstop float64, pointsPerDecade int, op *OPResult) (*
 		t0 = time.Now() //lint:allow rngpurity trace-gated read feeding the spice.ac.solve_ns histogram only; tracing is passive (obs doc)
 	}
 
-	// Linearize devices once at the operating point.
-	lin := e.linearizeAt(op)
+	// Linearize the transistors once at the operating point. The
+	// source phasors do not depend on frequency either.
+	states := make([]device.MOSState, len(e.mos))
+	for mi, n := range e.mosNode {
+		states[mi] = e.mosCtx[mi].Eval(volt(op.X, n[0]), volt(op.X, n[1]), volt(op.X, n[2]), volt(op.X, n[3]))
+	}
+	rhs := make([]complex128, e.n)
+	addSources(e, rhs, func(s *source) complex128 { return s.ac })
 
 	res := &ACResult{Freqs: freqs, e: e}
 	M := numeric.NewCMatrix(e.n)
-	rhs := make([]complex128, e.n)
 	// Adjacent log-spaced points differ only in omega, so the complex
 	// workspace's pivot order usually carries from point to point.
 	ws := numeric.NewCWorkspace(e.n)
@@ -82,14 +87,7 @@ func (e *Engine) AC(fstart, fstop float64, pointsPerDecade int, op *OPResult) (*
 		if err := e.canceled(); err != nil {
 			return nil, err
 		}
-		omega := 2 * math.Pi * f
-		M.Zero()
-		for i := range rhs {
-			rhs[i] = 0
-		}
-		e.stampACLinear(M, rhs)
-		e.acCapStampAll(M, omega)
-		lin.stampAC(M, omega)
+		e.stampAC(M, 2*math.Pi*f, states)
 		reused, err := ws.FactorInto(M)
 		if err != nil {
 			tr.Counter("spice.ac.failures").Inc()
@@ -115,147 +113,43 @@ func (e *Engine) AC(fstart, fstop float64, pointsPerDecade int, op *OPResult) (*
 	return res, nil
 }
 
-// linearized holds the MOS small-signal parameters at the OP.
-type linearized struct {
-	e      *Engine
-	states []device.MOSState
-	nodes  [][4]int // d, g, s, b per MOS
-}
-
-// linearizeAt evaluates every MOS at the operating point.
-func (e *Engine) linearizeAt(op *OPResult) *linearized {
-	l := &linearized{e: e}
-	for mi := range e.mos {
-		nd, ng, ns, nb := e.mosNode[mi][0], e.mosNode[mi][1], e.mosNode[mi][2], e.mosNode[mi][3]
-		st := e.mosCtx[mi].Eval(volt(op.X, nd), volt(op.X, ng), volt(op.X, ns), volt(op.X, nb))
-		l.states = append(l.states, st)
-		l.nodes = append(l.nodes, [4]int{nd, ng, ns, nb})
+// stampAC builds the small-signal matrix at angular frequency omega:
+// the real time-invariant stamp, then the capacitor admittances, the
+// inductors' −jωL, and each transistor's conductances and
+// capacitances in state states[mi].
+func (e *Engine) stampAC(M *numeric.CMatrix, omega float64, states []device.MOSState) {
+	for k, v := range e.base.Data {
+		M.Data[k] = complex(v, 0)
 	}
-	return l
-}
-
-// stampAC stamps the linearized MOS conductances and capacitances at
-// angular frequency omega.
-func (l *linearized) stampAC(M *numeric.CMatrix, omega float64) {
 	add := func(i, j int, v complex128) {
 		if i >= 0 && j >= 0 {
 			M.Add(i, j, v)
 		}
 	}
-	// Two-node admittance stamp for a capacitance.
-	capStamp := func(a, b int, c float64) {
-		y := complex(0, omega*c)
-		add(a, a, y)
-		add(b, b, y)
-		add(a, b, -y)
-		add(b, a, -y)
+	admit := func(c twoTerm) {
+		y := complex(0, omega*c.v)
+		add(c.a, c.a, y)
+		add(c.b, c.b, y)
+		add(c.a, c.b, -y)
+		add(c.b, c.a, -y)
 	}
-	for k, st := range l.states {
-		nd, ng, ns, nb := l.nodes[k][0], l.nodes[k][1], l.nodes[k][2], l.nodes[k][3]
-		cols := [4]int{nd, ng, ns, nb}
+	for _, c := range e.caps {
+		admit(c)
+	}
+	for _, l := range e.inds {
+		M.Add(l.br, l.br, complex(0, -omega*l.l))
+	}
+	for mi := range states {
+		st := &states[mi]
+		n := e.mosNode[mi]
+		nd, ns := n[0], n[2]
 		gs := [4]float64{st.GdVd, st.GdVg, st.GdVs, st.GdVb}
 		for c := 0; c < 4; c++ {
-			add(nd, cols[c], complex(gs[c], 0))
-			add(ns, cols[c], complex(-gs[c], 0))
+			add(nd, n[c], complex(gs[c], 0))
+			add(ns, n[c], complex(-gs[c], 0))
 		}
-		capStamp(ng, ns, st.Cgs)
-		capStamp(ng, nd, st.Cgd)
-		capStamp(ng, nb, st.Cgb)
-		capStamp(nd, nb, st.Cdb)
-		capStamp(ns, nb, st.Csb)
-	}
-}
-
-// stampACLinear stamps R, C, L, sources, and controlled sources into
-// the complex system. Independent sources contribute their AC
-// magnitude and phase; DC values are irrelevant in small signal.
-func (e *Engine) stampACLinear(M *numeric.CMatrix, rhs []complex128) {
-	add := func(i, j int, v complex128) {
-		if i >= 0 && j >= 0 {
-			M.Add(i, j, v)
+		for _, c := range mosCaps(n, st) {
+			admit(c)
 		}
-	}
-	two := func(p, q int, y complex128) {
-		add(p, p, y)
-		add(q, q, y)
-		add(p, q, -y)
-		add(q, p, -y)
-	}
-	for _, d := range e.res {
-		p, q := e.node(d.Nets[0]), e.node(d.Nets[1])
-		two(p, q, complex(1/d.Param("r", 1), 0))
-	}
-	// Explicit C and L are frequency-dependent and stamped separately
-	// by acCapStampAll.
-	for di, d := range e.vsrc {
-		p, q := e.node(d.Nets[0]), e.node(d.Nets[1])
-		b := e.vsrcBr[di]
-		add(p, b, 1)
-		add(q, b, -1)
-		add(b, p, 1)
-		add(b, q, -1)
-		mag := d.Param("acmag", 0)
-		ph := d.Param("acphase", 0) * math.Pi / 180
-		rhs[b] += cmplx.Rect(mag, ph)
-	}
-	for _, d := range e.isrc {
-		p, q := e.node(d.Nets[0]), e.node(d.Nets[1])
-		mag := d.Param("acmag", 0)
-		ph := d.Param("acphase", 0) * math.Pi / 180
-		v := cmplx.Rect(mag, ph)
-		if p >= 0 {
-			rhs[p] -= v
-		}
-		if q >= 0 {
-			rhs[q] += v
-		}
-	}
-	for di, d := range e.vcvs {
-		p, q := e.node(d.Nets[0]), e.node(d.Nets[1])
-		cp, cn := e.node(d.Nets[2]), e.node(d.Nets[3])
-		b := e.vcvsBr[di]
-		g := complex(d.Param("gain", 1), 0)
-		add(p, b, 1)
-		add(q, b, -1)
-		add(b, p, 1)
-		add(b, q, -1)
-		add(b, cp, -g)
-		add(b, cn, g)
-	}
-	for _, d := range e.vccs {
-		p, q := e.node(d.Nets[0]), e.node(d.Nets[1])
-		cp, cn := e.node(d.Nets[2]), e.node(d.Nets[3])
-		g := complex(d.Param("gain", 0), 0)
-		add(p, cp, g)
-		add(p, cn, -g)
-		add(q, cp, -g)
-		add(q, cn, g)
-	}
-}
-
-// acCapStampAll stamps explicit C and L at omega. Called by AC() per
-// frequency point.
-func (e *Engine) acCapStampAll(M *numeric.CMatrix, omega float64) {
-	add := func(i, j int, v complex128) {
-		if i >= 0 && j >= 0 {
-			M.Add(i, j, v)
-		}
-	}
-	for _, d := range e.caps {
-		p, q := e.node(d.Nets[0]), e.node(d.Nets[1])
-		y := complex(0, omega*d.Param("c", 0))
-		add(p, p, y)
-		add(q, q, y)
-		add(p, q, -y)
-		add(q, p, -y)
-	}
-	for di, d := range e.inds {
-		p, q := e.node(d.Nets[0]), e.node(d.Nets[1])
-		b := e.indBr[di]
-		add(p, b, 1)
-		add(q, b, -1)
-		add(b, p, 1)
-		add(b, q, -1)
-		add(b, b, complex(0, -omega*d.Param("l", 0)))
 	}
 }

@@ -42,8 +42,7 @@ type solverScratch struct {
 	rhs    []float64
 	xNew   []float64
 	resid  []float64
-	Jlin   *numeric.Matrix // linear-device stamps, constant per solve
-	rhsLin []float64
+	rhsLin []float64 // source values, constant per solve
 	ws     *numeric.Workspace
 }
 
@@ -54,7 +53,6 @@ func (e *Engine) scratch() *solverScratch {
 			rhs:    make([]float64, e.n),
 			xNew:   make([]float64, e.n),
 			resid:  make([]float64, e.n),
-			Jlin:   numeric.NewMatrix(e.n),
 			rhsLin: make([]float64, e.n),
 			ws:     e.newWorkspace(),
 		}
@@ -209,21 +207,20 @@ func (e *Engine) newtonDC(x []float64, gmin, srcScale float64) error {
 	haveFactor := false // sc.ws holds a factorization of this solve's J
 	forceFactor := false
 	lastMaxDv := math.Inf(1)
-	// The linear-device stamps depend only on (srcScale), not on the
-	// iterate, so they are built once and memcpy'd into J each
-	// iteration instead of being re-stamped (the resistor and source
-	// loops walk parameter maps — noticeable at dcsweep volumes).
-	sc.Jlin.Zero()
+	// Only the transistors depend on the iterate: each iteration
+	// copies the engine's time-invariant stamp (capacitors are open in
+	// DC, and an inductor's branch row holds V+ - V- = 0) and the
+	// source values, scaled once per solve, and stamps the MOS on top.
 	for i := range sc.rhsLin {
 		sc.rhsLin[i] = 0
 	}
-	e.stampLinearDC(sc.Jlin, sc.rhsLin, srcScale)
+	addSources(e, sc.rhsLin, func(s *source) float64 { return srcScale * s.dc })
 	for iter := 0; iter < maxNewtonIters; iter++ {
 		if err := e.canceled(); err != nil {
 			return err
 		}
 		iters = int64(iter) + 1
-		copy(J.Data, sc.Jlin.Data)
+		copy(J.Data, e.base.Data)
 		copy(rhs, sc.rhsLin)
 		e.stampMOSDC(J, rhs, x, gmin)
 		if linear {
@@ -282,33 +279,7 @@ func (e *Engine) newtonDC(x []float64, gmin, srcScale float64) error {
 			copy(xNew, rhs)
 			sc.ws.SolveInPlace(xNew)
 		}
-		// Damp: clamp per-node voltage change.
-		conv := true
-		maxDv := 0.0
-		for i := 0; i < n; i++ {
-			dv := xNew[i] - x[i]
-			if i < e.numNodes {
-				if dv > dvLimit {
-					dv = dvLimit
-				} else if dv < -dvLimit {
-					dv = -dvLimit
-				}
-				a := math.Abs(dv)
-				if a > maxDv {
-					maxDv = a
-				}
-				if a > vAbsTol+vRelTol*math.Abs(x[i]) {
-					conv = false
-				}
-			} else {
-				// Branch currents converge with a looser check; they
-				// are linear given the voltages.
-				if math.Abs(dv) > 1e-9+1e-6*math.Abs(x[i]) {
-					conv = false
-				}
-			}
-			x[i] += dv
-		}
+		conv, maxDv := e.damp(x, xNew)
 		// Bugfix: accept iteration-0 convergence. A warm-started point
 		// (DC sweep continuation, gmin ladder stage) whose first
 		// linearized solve already moves nothing is converged by the
@@ -330,73 +301,34 @@ func (e *Engine) newtonDC(x []float64, gmin, srcScale float64) error {
 	return fmt.Errorf("no convergence in %d iterations", maxNewtonIters)
 }
 
-// stampLinearDC stamps resistors, sources, and controlled sources.
-// Capacitors are open in DC. Inductor branches enforce V+ - V- = 0.
-func (e *Engine) stampLinearDC(J *numeric.Matrix, rhs []float64, srcScale float64) {
-	add := func(i, j int, g float64) {
-		if i >= 0 && j >= 0 {
-			J.Add(i, j, g)
+// damp moves x toward the Newton solution sol, clamping each node
+// voltage's change to dvLimit, and reports whether every change was
+// within tolerance and the largest node voltage change it made.
+// Branch currents converge with a looser check; they are linear given
+// the voltages.
+func (e *Engine) damp(x, sol []float64) (conv bool, maxDv float64) {
+	conv = true
+	for i := 0; i < e.n; i++ {
+		dv := sol[i] - x[i]
+		if i < e.numNodes {
+			if dv > dvLimit {
+				dv = dvLimit
+			} else if dv < -dvLimit {
+				dv = -dvLimit
+			}
+			a := math.Abs(dv)
+			if a > maxDv {
+				maxDv = a
+			}
+			if a > vAbsTol+vRelTol*math.Abs(x[i]) {
+				conv = false
+			}
+		} else if math.Abs(dv) > 1e-9+1e-6*math.Abs(x[i]) {
+			conv = false
 		}
+		x[i] += dv
 	}
-	addRHS := func(i int, v float64) {
-		if i >= 0 {
-			rhs[i] += v
-		}
-	}
-	for _, d := range e.res {
-		g := 1 / d.Param("r", 1)
-		p, q := e.node(d.Nets[0]), e.node(d.Nets[1])
-		add(p, p, g)
-		add(q, q, g)
-		add(p, q, -g)
-		add(q, p, -g)
-	}
-	for di, d := range e.vsrc {
-		p, q := e.node(d.Nets[0]), e.node(d.Nets[1])
-		b := e.vsrcBr[di]
-		add(p, b, 1)
-		add(q, b, -1)
-		add(b, p, 1)
-		add(b, q, -1)
-		rhs[b] += srcScale * d.Param("dc", 0)
-	}
-	for _, d := range e.isrc {
-		p, q := e.node(d.Nets[0]), e.node(d.Nets[1])
-		v := srcScale * d.Param("dc", 0)
-		// Current flows from p through the source to q.
-		addRHS(p, -v)
-		addRHS(q, v)
-	}
-	for di, d := range e.inds {
-		p, q := e.node(d.Nets[0]), e.node(d.Nets[1])
-		b := e.indBr[di]
-		add(p, b, 1)
-		add(q, b, -1)
-		add(b, p, 1)
-		add(b, q, -1)
-		// V+ - V- = 0 in DC (rhs stays 0).
-	}
-	for di, d := range e.vcvs {
-		p, q := e.node(d.Nets[0]), e.node(d.Nets[1])
-		cp, cn := e.node(d.Nets[2]), e.node(d.Nets[3])
-		b := e.vcvsBr[di]
-		g := d.Param("gain", 1)
-		add(p, b, 1)
-		add(q, b, -1)
-		add(b, p, 1)
-		add(b, q, -1)
-		add(b, cp, -g)
-		add(b, cn, g)
-	}
-	for _, d := range e.vccs {
-		p, q := e.node(d.Nets[0]), e.node(d.Nets[1])
-		cp, cn := e.node(d.Nets[2]), e.node(d.Nets[3])
-		g := d.Param("gain", 0)
-		add(p, cp, g)
-		add(p, cn, -g)
-		add(q, cp, -g)
-		add(q, cn, g)
-	}
+	return conv, maxDv
 }
 
 // stampMOSDC stamps the Newton-linearized transistors at bias x.

@@ -3,7 +3,6 @@ package spice
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"primopt/internal/numeric"
 )
@@ -54,27 +53,14 @@ func (e *Engine) DCSweep(srcName string, start, stop, step float64) (*DCSweepRes
 	if (stop-start)*step < 0 {
 		return nil, fmt.Errorf("spice: DC sweep step direction disagrees with range [%g, %g]", start, stop)
 	}
-	var src *circuitDevice
-	name := strings.ToLower(srcName)
-	for _, d := range e.vsrc {
-		if strings.ToLower(d.Name) == name {
-			src = &circuitDevice{d: d}
-			break
-		}
-	}
-	if src == nil {
-		for _, d := range e.isrc {
-			if strings.ToLower(d.Name) == name {
-				src = &circuitDevice{d: d}
-				break
-			}
-		}
-	}
+	src := e.sourceNamed(srcName)
 	if src == nil {
 		return nil, fmt.Errorf("spice: DC sweep source %q not found (must be V or I)", srcName)
 	}
-	orig := src.d.Param("dc", 0)
-	defer src.d.SetParam("dc", orig)
+	// The sweep steps the engine's compiled value, never the caller's
+	// netlist, and restores it when done.
+	orig := src.dc
+	defer func() { src.dc = orig }()
 
 	nPts := int((stop-start)/step) + 1
 	if nPts < 1 {
@@ -88,7 +74,7 @@ func (e *Engine) DCSweep(srcName string, start, stop, step float64) (*DCSweepRes
 		if (step > 0 && v > stop) || (step < 0 && v < stop) {
 			v = stop
 		}
-		src.d.SetParam("dc", v)
+		src.dc = v
 		// Warm-start continuation; fall back to a full OP (with gmin
 		// and source stepping) on the first point or on failure.
 		if k == 0 {
@@ -108,14 +94,6 @@ func (e *Engine) DCSweep(srcName string, start, stop, step float64) (*DCSweepRes
 		res.X = append(res.X, append([]float64(nil), x...))
 	}
 	return res, nil
-}
-
-// circuitDevice is a tiny holder to unify V and I sweep targets.
-type circuitDevice struct {
-	d interface {
-		Param(string, float64) float64
-		SetParam(string, float64)
-	}
 }
 
 // TransferGain estimates the peak small-signal DC gain dV(out)/dV(in)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"primopt/internal/circuit"
+	"primopt/internal/numeric"
 )
 
 func TestDCSweepLinearDivider(t *testing.T) {
@@ -31,6 +32,39 @@ func TestDCSweepLinearDivider(t *testing.T) {
 	// The source's DC value is restored afterwards.
 	if nl.Device("vin").Param("dc", -1) != 0 {
 		t.Error("sweep did not restore the source value")
+	}
+}
+
+// TestDCSweepLeavesNetlistUntouched: the sweep steps the engine's
+// compiled source value, so the caller's netlist holds the original
+// value at every solve, not only once the sweep is over.
+func TestDCSweepLeavesNetlistUntouched(t *testing.T) {
+	nl := circuit.NewBuilder("vtc").
+		V("vdd", "vdd", "0", 0.8).
+		V("vin", "g", "0", 0.25).
+		MOS("mp", circuit.PMOS, "d", "g", "vdd", "vdd", 4, 2, 1, 14).
+		MOS("mn", circuit.NMOS, "d", "g", "0", "0", 4, 2, 1, 14).
+		Netlist()
+	e := mustEngine(t, nl)
+	vin := nl.Device("vin")
+	solves, moved := 0, 0
+	SetFactorHook(e, func(*numeric.Matrix) {
+		solves++
+		if v := vin.Param("dc", -1); v != 0.25 {
+			if moved++; moved == 1 {
+				t.Errorf("solve %d: the netlist's vin holds dc = %g during the sweep, want 0.25", solves, v)
+			}
+		}
+	})
+	sw, err := e.DCSweep("vin", 0, 0.8, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if solves < len(sw.Values) {
+		t.Fatalf("%d solves for %d sweep points", solves, len(sw.Values))
+	}
+	if moved > 0 {
+		t.Errorf("%d of %d solves saw a swept value in the netlist", moved, solves)
 	}
 }
 

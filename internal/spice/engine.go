@@ -19,6 +19,8 @@ package spice
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/cmplx"
 	"strings"
 
 	"primopt/internal/circuit"
@@ -30,7 +32,7 @@ import (
 )
 
 // Engine holds the MNA structure for one netlist: the node and branch
-// unknown assignment plus device lists split by kind.
+// unknown assignment and the circuit compiled for the analyses.
 type Engine struct {
 	Tech *pdk.Tech
 	NL   *circuit.Netlist
@@ -50,24 +52,20 @@ type Engine struct {
 	numNodes  int
 	n         int // total unknowns
 
+	// The linear elements, compiled by New in netlist order per kind:
+	// unknowns resolved and parameters read once, so no analysis
+	// touches a parameter map or a net name.
+	res  []twoTerm // v = 1/r
+	caps []twoTerm // v = C
+	inds []inductor
+	vsrc []source
+	isrc []source
+	vcvs []controlled
+	vccs []controlled
+
 	mos     []*circuit.Device
 	mosCtx  []*device.EvalContext
 	mosNode [][4]int // precomputed node indices (d, g, s, b)
-	res     []*circuit.Device
-	caps    []*circuit.Device
-	inds    []*circuit.Device
-	vsrc    []*circuit.Device
-	isrc    []*circuit.Device
-	vcvs    []*circuit.Device
-	vccs    []*circuit.Device
-
-	// Branch unknown index per vsrc/ind/vcvs, in slice order. The
-	// stamp loops run every Newton iteration; indexing here instead of
-	// branchOf[strings.ToLower(name)] keeps them map- and
-	// allocation-free.
-	vsrcBr []int
-	indBr  []int
-	vcvsBr []int
 
 	// mosState holds the device states from the most recent
 	// stampMOSDC pass. After a converged Newton loop these are the
@@ -76,8 +74,14 @@ type Engine struct {
 	// device re-evaluation per step.
 	mosState []device.MOSState
 
+	// base is the time-invariant part of every real MNA matrix the
+	// engine builds: the stamps of the resistors, the source, VCVS and
+	// inductor branch couplings, and the VCCS. pat is the structural
+	// pattern of those matrices. One walk (walkBase) builds both.
+	base *numeric.Matrix
+	pat  *numeric.Pattern
+
 	scr    *solverScratch     // lazily-built DC Newton scratch (see dc.go)
-	pat    *numeric.Pattern   // lazily-built MNA pattern (see pattern)
 	tranWS *numeric.Workspace // transient LU workspace (see tranWorkspace)
 
 	// factorHook, when set, sees every real matrix the engine hands to
@@ -85,10 +89,45 @@ type Engine struct {
 	factorHook func(*numeric.Matrix)
 }
 
-// New builds the MNA structure for nl under technology t, bound to
-// ctx: inner solver loops poll it for cancellation, and the engine
-// reports to the context's trace and honors its fault injector. The
-// engine is not concurrency-safe.
+// twoTerm is a compiled resistor or capacitor between unknowns a and
+// b (-1 is ground) with value v.
+type twoTerm struct {
+	a, b int
+	v    float64
+}
+
+// inductor is a compiled inductor: nodes p and q, branch unknown br
+// and inductance l.
+type inductor struct {
+	p, q, br int
+	l        float64
+}
+
+// source is a compiled independent source between nodes p and q: a
+// voltage source's branch unknown br (unused for a current source),
+// its DC value, its transient wave (nil for DC only) and its AC
+// phasor.
+type source struct {
+	name     string
+	p, q, br int
+	dc       float64
+	wave     *circuit.SourceWave
+	ac       complex128
+}
+
+// controlled is a compiled controlled source with output nodes p and
+// q, controlling nodes cp and cn and gain: a VCVS with branch unknown
+// br, or a VCCS (br unused).
+type controlled struct {
+	p, q, cp, cn, br int
+	gain             float64
+}
+
+// New compiles nl under technology t, bound to ctx: inner solver loops
+// poll it for cancellation, and the engine reports to the context's
+// trace and honors its fault injector. Element values are read from
+// nl here once; later changes to its parameters do not reach the
+// engine. The engine is not concurrency-safe.
 func New(ctx context.Context, t *pdk.Tech, nl *circuit.Netlist) (*Engine, error) {
 	e := &Engine{
 		Tech:     t,
@@ -109,42 +148,51 @@ func New(ctx context.Context, t *pdk.Tech, nl *circuit.Netlist) (*Engine, error)
 	e.numNodes = len(e.nodeNames)
 
 	nextBranch := e.numNodes
+	branch := func(d *circuit.Device) int {
+		e.branchOf[strings.ToLower(d.Name)] = nextBranch
+		nextBranch++
+		return nextBranch - 1
+	}
 	for _, d := range nl.Devices {
+		p, q := e.node(d.Nets[0]), e.node(d.Nets[1])
 		switch d.Type {
 		case circuit.NMOS, circuit.PMOS:
 			e.mos = append(e.mos, d)
+			e.mosCtx = append(e.mosCtx, device.NewContext(t, d))
+			e.mosNode = append(e.mosNode, [4]int{p, q, e.node(d.Nets[2]), e.node(d.Nets[3])})
 		case circuit.Resistor:
-			if d.Param("r", 0) <= 0 {
+			r := d.Param("r", 0)
+			if r <= 0 {
 				return nil, fmt.Errorf("spice: resistor %s has non-positive value", d.Name)
 			}
-			e.res = append(e.res, d)
+			e.res = append(e.res, twoTerm{p, q, 1 / r})
 		case circuit.Capacitor:
-			if d.Param("c", 0) < 0 {
+			c := d.Param("c", 0)
+			if c < 0 {
 				return nil, fmt.Errorf("spice: capacitor %s has negative value", d.Name)
 			}
-			e.caps = append(e.caps, d)
+			e.caps = append(e.caps, twoTerm{p, q, c})
 		case circuit.Inductor:
-			if d.Param("l", 0) <= 0 {
+			l := d.Param("l", 0)
+			if l <= 0 {
 				return nil, fmt.Errorf("spice: inductor %s has non-positive value", d.Name)
 			}
-			e.inds = append(e.inds, d)
-			e.branchOf[strings.ToLower(d.Name)] = nextBranch
-			e.indBr = append(e.indBr, nextBranch)
-			nextBranch++
-		case circuit.VSource:
-			e.vsrc = append(e.vsrc, d)
-			e.branchOf[strings.ToLower(d.Name)] = nextBranch
-			e.vsrcBr = append(e.vsrcBr, nextBranch)
-			nextBranch++
-		case circuit.ISource:
-			e.isrc = append(e.isrc, d)
+			e.inds = append(e.inds, inductor{p, q, branch(d), l})
+		case circuit.VSource, circuit.ISource:
+			s := source{name: d.Name, p: p, q: q, br: -1, dc: d.Param("dc", 0), wave: d.Wave,
+				ac: cmplx.Rect(d.Param("acmag", 0), d.Param("acphase", 0)*math.Pi/180)}
+			if d.Type == circuit.VSource {
+				s.br = branch(d)
+				e.vsrc = append(e.vsrc, s)
+			} else {
+				e.isrc = append(e.isrc, s)
+			}
 		case circuit.VCVS:
-			e.vcvs = append(e.vcvs, d)
-			e.branchOf[strings.ToLower(d.Name)] = nextBranch
-			e.vcvsBr = append(e.vcvsBr, nextBranch)
-			nextBranch++
+			cp, cn := e.node(d.Nets[2]), e.node(d.Nets[3])
+			e.vcvs = append(e.vcvs, controlled{p, q, cp, cn, branch(d), d.Param("gain", 1)})
 		case circuit.VCCS:
-			e.vccs = append(e.vccs, d)
+			cp, cn := e.node(d.Nets[2]), e.node(d.Nets[3])
+			e.vccs = append(e.vccs, controlled{p, q, cp, cn, -1, d.Param("gain", 0)})
 		default:
 			return nil, fmt.Errorf("spice: unsupported device type %v (%s)", d.Type, d.Name)
 		}
@@ -153,47 +201,24 @@ func New(ctx context.Context, t *pdk.Tech, nl *circuit.Netlist) (*Engine, error)
 	if e.n == 0 {
 		return nil, fmt.Errorf("spice: empty circuit %s", nl.Name)
 	}
-	// Precompute per-MOS evaluation contexts and node indices for the
-	// Newton inner loops.
-	for _, d := range e.mos {
-		e.mosCtx = append(e.mosCtx, device.NewContext(t, d))
-		e.mosNode = append(e.mosNode, [4]int{
-			e.node(d.Nets[0]), e.node(d.Nets[1]), e.node(d.Nets[2]), e.node(d.Nets[3]),
-		})
-	}
 	e.mosState = make([]device.MOSState, len(e.mos))
-	return e, nil
-}
 
-// pattern returns the structural pattern of the engine's real MNA
-// matrices, built on first use: a superset of every position a DC or
-// transient stamp writes. Two-terminal elements (resistors,
-// capacitors) couple their nodes; a MOS is the full block over its
-// four terminals, which holds its conductances, its gmin shunts and
-// its five capacitances; sources and inductors add their branch rows
-// and columns; the diagonal is always present.
-func (e *Engine) pattern() *numeric.Pattern {
-	if e.pat != nil {
-		return e.pat
-	}
+	// The time-invariant stamp and the pattern come from one walk. The
+	// pattern adds the positions the analyses stamp on top of base:
+	// capacitor couplings, each MOS's full block over its four
+	// terminals (its conductances, gmin shunts and five capacitances)
+	// and the diagonal, which a PatternBuilder always includes.
+	e.base = numeric.NewMatrix(e.n)
 	b := numeric.NewPatternBuilder(e.n)
-	couple := func(p, q int) {
-		b.Add(p, p)
-		b.Add(q, q)
-		b.Add(p, q)
-		b.Add(q, p)
-	}
-	branch := func(br, p, q int) {
-		b.Add(p, br)
-		b.Add(q, br)
-		b.Add(br, p)
-		b.Add(br, q)
-	}
-	for _, d := range e.res {
-		couple(e.node(d.Nets[0]), e.node(d.Nets[1]))
-	}
-	for _, d := range e.caps {
-		couple(e.node(d.Nets[0]), e.node(d.Nets[1]))
+	e.walkBase(func(i, j int, v float64) {
+		e.base.Add(i, j, v)
+		b.Add(i, j)
+	})
+	for _, c := range e.caps {
+		b.Add(c.a, c.a)
+		b.Add(c.b, c.b)
+		b.Add(c.a, c.b)
+		b.Add(c.b, c.a)
 	}
 	for _, nodes := range e.mosNode {
 		for _, i := range nodes {
@@ -202,34 +227,91 @@ func (e *Engine) pattern() *numeric.Pattern {
 			}
 		}
 	}
-	for di, d := range e.vsrc {
-		branch(e.vsrcBr[di], e.node(d.Nets[0]), e.node(d.Nets[1]))
-	}
-	for di, d := range e.vcvs {
-		br := e.vcvsBr[di]
-		branch(br, e.node(d.Nets[0]), e.node(d.Nets[1]))
-		b.Add(br, e.node(d.Nets[2]))
-		b.Add(br, e.node(d.Nets[3]))
-	}
-	for _, d := range e.vccs {
-		p, q := e.node(d.Nets[0]), e.node(d.Nets[1])
-		cp, cn := e.node(d.Nets[2]), e.node(d.Nets[3])
-		b.Add(p, cp)
-		b.Add(p, cn)
-		b.Add(q, cp)
-		b.Add(q, cn)
-	}
-	for di, d := range e.inds {
-		branch(e.indBr[di], e.node(d.Nets[0]), e.node(d.Nets[1]))
-	}
 	e.pat = b.Build()
-	return e.pat
+	return e, nil
+}
+
+// walkBase calls add for every term of the time-invariant real stamp,
+// skipping ground: resistors, then the voltage-source, VCVS and
+// inductor branch couplings, then VCCS. Only resistors and VCCS share
+// cells, and a cell's sum rounds by the order of its terms, so this
+// order is part of every result's bits.
+func (e *Engine) walkBase(add func(i, j int, v float64)) {
+	stamp := func(i, j int, v float64) {
+		if i >= 0 && j >= 0 {
+			add(i, j, v)
+		}
+	}
+	couple := func(br, p, q int) {
+		stamp(p, br, 1)
+		stamp(q, br, -1)
+		stamp(br, p, 1)
+		stamp(br, q, -1)
+	}
+	for _, r := range e.res {
+		stamp(r.a, r.a, r.v)
+		stamp(r.b, r.b, r.v)
+		stamp(r.a, r.b, -r.v)
+		stamp(r.b, r.a, -r.v)
+	}
+	for _, s := range e.vsrc {
+		couple(s.br, s.p, s.q)
+	}
+	for _, c := range e.vcvs {
+		couple(c.br, c.p, c.q)
+		stamp(c.br, c.cp, -c.gain)
+		stamp(c.br, c.cn, c.gain)
+	}
+	for _, l := range e.inds {
+		couple(l.br, l.p, l.q)
+	}
+	for _, c := range e.vccs {
+		stamp(c.p, c.cp, c.gain)
+		stamp(c.p, c.cn, -c.gain)
+		stamp(c.q, c.cp, -c.gain)
+		stamp(c.q, c.cn, c.gain)
+	}
+}
+
+// addSources adds each independent source's value, as value gives
+// it, to rhs: a voltage source's onto its branch row, a current
+// source's out of its + node and into its − node (it flows from p
+// through the source to q).
+func addSources[T float64 | complex128](e *Engine, rhs []T, value func(*source) T) {
+	for i := range e.vsrc {
+		s := &e.vsrc[i]
+		rhs[s.br] += value(s)
+	}
+	for i := range e.isrc {
+		s := &e.isrc[i]
+		v := value(s)
+		if s.p >= 0 {
+			rhs[s.p] -= v
+		}
+		if s.q >= 0 {
+			rhs[s.q] += v
+		}
+	}
+}
+
+// sourceNamed returns the independent source named name
+// (case-insensitive), voltage sources first, or nil.
+func (e *Engine) sourceNamed(name string) *source {
+	name = strings.ToLower(name)
+	for _, list := range [][]source{e.vsrc, e.isrc} {
+		for i := range list {
+			if strings.ToLower(list[i].name) == name {
+				return &list[i]
+			}
+		}
+	}
+	return nil
 }
 
 // newWorkspace returns an LU workspace for the engine's real MNA
 // matrices, carrying their pattern.
 func (e *Engine) newWorkspace() *numeric.Workspace {
-	return numeric.NewPatternWorkspace(e.pattern())
+	return numeric.NewPatternWorkspace(e.pat)
 }
 
 // tranWorkspace returns the engine's transient LU workspace with its

@@ -7,4 +7,4 @@ import "primopt/internal/numeric"
 func SetFactorHook(e *Engine, fn func(*numeric.Matrix)) { e.factorHook = fn }
 
 // EnginePattern returns e's structural MNA pattern.
-func EnginePattern(e *Engine) *numeric.Pattern { return e.pattern() }
+func EnginePattern(e *Engine) *numeric.Pattern { return e.pat }

@@ -70,9 +70,8 @@ type TranOpts struct {
 // capElem is a unified capacitance for transient integration: either
 // an explicit capacitor or one of the five MOS capacitances.
 type capElem struct {
-	a, b  int     // node indices (-1 = ground)
-	c     float64 // current value, F (MOS caps updated per step)
-	iPrev float64 // capacitor current at the previous accepted point
+	twoTerm         // nodes and current value, F (MOS caps updated per step)
+	iPrev   float64 // capacitor current at the previous accepted point
 }
 
 // capComp is the trapezoidal Norton companion of one capacitance for
@@ -90,28 +89,19 @@ type tranState struct {
 	indIPrev []float64 // inductor branch currents at previous point
 
 	// Scratch buffers reused across steps.
-	J        *numeric.Matrix
-	Jlin     *numeric.Matrix // linear + companion stamps, constant per step
-	JlinBase *numeric.Matrix // time-invariant stamps, constant per run
-	rhsLin   []float64
-
-	// Per-device parameters resolved from the maps once per run so the
-	// step loop stays lookup-free.
-	vsrcDC    []float64
-	isrcDC    []float64
-	isrcNodes [][2]int
-	indL      []float64
-	indNodes  [][2]int
-	rhs       []float64
-	sol       []float64
-	xNew      []float64
-	xPrev     []float64
-	xTry      []float64
-	resid     []float64
-	comps     []capComp
-	icomps    []indComp
-	iCap      []float64
-	iInd      []float64
+	J      *numeric.Matrix
+	Jlin   *numeric.Matrix // base + companion stamps, constant per step
+	rhsLin []float64
+	rhs    []float64
+	sol    []float64
+	xNew   []float64
+	xPrev  []float64
+	xTry   []float64
+	resid  []float64
+	comps  []capComp
+	icomps []indComp
+	iCap   []float64
+	iInd   []float64
 
 	// ws carries the LU factorization (and pivot order) across Newton
 	// iterations AND across steps: when the waveform moves slowly the
@@ -156,54 +146,34 @@ func (e *Engine) Tran(tstep, tstop float64, opts TranOpts) (*TranResult, error) 
 	}
 
 	st := &tranState{e: e,
-		J:        numeric.NewMatrix(e.n),
-		Jlin:     numeric.NewMatrix(e.n),
-		JlinBase: numeric.NewMatrix(e.n),
-		rhsLin:   make([]float64, e.n),
-		rhs:      make([]float64, e.n),
-		sol:      make([]float64, e.n),
-		xNew:     make([]float64, e.n),
-		xPrev:    make([]float64, e.n),
-		xTry:     make([]float64, e.n),
-		resid:    make([]float64, e.n),
-		ws:       e.tranWorkspace(),
+		J:      numeric.NewMatrix(e.n),
+		Jlin:   numeric.NewMatrix(e.n),
+		rhsLin: make([]float64, e.n),
+		rhs:    make([]float64, e.n),
+		sol:    make([]float64, e.n),
+		xNew:   make([]float64, e.n),
+		xPrev:  make([]float64, e.n),
+		xTry:   make([]float64, e.n),
+		resid:  make([]float64, e.n),
+		ws:     e.tranWorkspace(),
 	}
 	st.predPrev = make([]float64, e.n)
 	// Explicit capacitors.
-	for _, d := range e.caps {
-		st.capElems = append(st.capElems, capElem{
-			a: e.node(d.Nets[0]), b: e.node(d.Nets[1]), c: d.Param("c", 0),
-		})
+	for _, c := range e.caps {
+		st.capElems = append(st.capElems, capElem{twoTerm: c})
 	}
 	// MOS capacitances: five each, values refreshed per step.
 	for range e.mos {
 		var ix [5]int
 		for k := 0; k < 5; k++ {
 			ix[k] = len(st.capElems)
-			st.capElems = append(st.capElems, capElem{a: -1, b: -1})
+			st.capElems = append(st.capElems, capElem{twoTerm: twoTerm{a: -1, b: -1}})
 		}
 		st.mosCapIx = append(st.mosCapIx, ix)
 	}
 	st.indIPrev = make([]float64, len(e.inds))
-	for i := range e.inds {
-		st.indIPrev[i] = x[e.indBr[i]]
-	}
-	// Everything whose stamp does not depend on time or step size —
-	// resistors, source and controlled-source rows, and the inductor
-	// node/branch couplings — goes into JlinBase once; each step copies
-	// it and adds only the h-dependent companions. The per-step source
-	// values use parameters cached here instead of the device maps.
-	e.stampTranBase(st.JlinBase)
-	for _, d := range e.vsrc {
-		st.vsrcDC = append(st.vsrcDC, d.Param("dc", 0))
-	}
-	for _, d := range e.isrc {
-		st.isrcDC = append(st.isrcDC, d.Param("dc", 0))
-		st.isrcNodes = append(st.isrcNodes, [2]int{e.node(d.Nets[0]), e.node(d.Nets[1])})
-	}
-	for _, d := range e.inds {
-		st.indL = append(st.indL, d.Param("l", 0))
-		st.indNodes = append(st.indNodes, [2]int{e.node(d.Nets[0]), e.node(d.Nets[1])})
+	for i, l := range e.inds {
+		st.indIPrev[i] = x[l.br]
 	}
 	st.comps = make([]capComp, len(st.capElems))
 	st.icomps = make([]indComp, len(e.inds))
@@ -308,19 +278,19 @@ func (st *tranState) refreshMOSCapsFromStamp() {
 
 // setMOSCaps writes the five capacitances of MOS mi into capElems.
 func (st *tranState) setMOSCaps(mi int, s *device.MOSState) {
-	e := st.e
-	nd, ng, ns, nb := e.mosNode[mi][0], e.mosNode[mi][1], e.mosNode[mi][2], e.mosNode[mi][3]
 	ix := st.mosCapIx[mi]
-	pairs := [5]struct {
-		a, b int
-		c    float64
-	}{
+	for k, c := range mosCaps(st.e.mosNode[mi], s) {
+		st.capElems[ix[k]].twoTerm = c
+	}
+}
+
+// mosCaps lists the five capacitances of a transistor with terminal
+// unknowns n = (d, g, s, b) in state s: gs, gd, gb, db and sb.
+func mosCaps(n [4]int, s *device.MOSState) [5]twoTerm {
+	nd, ng, ns, nb := n[0], n[1], n[2], n[3]
+	return [5]twoTerm{
 		{ng, ns, s.Cgs}, {ng, nd, s.Cgd}, {ng, nb, s.Cgb},
 		{nd, nb, s.Cdb}, {ns, nb, s.Csb},
-	}
-	for k, p := range pairs {
-		ce := &st.capElems[ix[k]]
-		ce.a, ce.b, ce.c = p.a, p.b, p.c
 	}
 }
 
@@ -370,7 +340,7 @@ func (st *tranState) step(x []float64, t, h float64) ([]float64, []float64, erro
 	// flowing a->b through the element.
 	comps := st.comps
 	for i, ce := range st.capElems {
-		geq := 2 * ce.c / h
+		geq := 2 * ce.v / h
 		vPrev := volt(xPrev, ce.a) - volt(xPrev, ce.b)
 		comps[i] = capComp{geq: geq, ieq: geq*vPrev + ce.iPrev}
 	}
@@ -378,9 +348,9 @@ func (st *tranState) step(x []float64, t, h float64) ([]float64, []float64, erro
 	//   v = L di/dt -> i(t+h) = i(t) + (h/2L)(v(t)+v(t+h))
 	// Branch row: v(t+h) - (2L/h)·i(t+h) = -v(t) - (2L/h)·i(t).
 	icomps := st.icomps
-	for i := range e.inds {
-		req := 2 * st.indL[i] / h
-		vPrev := volt(xPrev, st.indNodes[i][0]) - volt(xPrev, st.indNodes[i][1])
+	for i, l := range e.inds {
+		req := 2 * l.l / h
+		vPrev := volt(xPrev, l.p) - volt(xPrev, l.q)
 		icomps[i] = indComp{req: req, veq: -vPrev - req*st.indIPrev[i]}
 	}
 
@@ -406,29 +376,17 @@ func (st *tranState) step(x []float64, t, h float64) ([]float64, []float64, erro
 	carryFactor := st.haveFactor && h == st.lastH && st.lastIters <= 2 && !linear
 	forceFactor := false
 	lastMaxDv := math.Inf(1)
-	// Everything except the MOS stamps — linear devices, the
-	// time-evaluated sources at tNew, and the trapezoidal companions —
-	// is constant across this step's Newton iterations. Stamp it once
+	// Everything except the MOS stamps — the engine's time-invariant
+	// stamp, the sources at tNew, and the trapezoidal companions — is
+	// constant across this step's Newton iterations. Stamp it once
 	// into Jlin/rhsLin and memcpy per iteration; only the transistors
-	// are re-linearized at the moving iterate. The time-invariant part
-	// comes straight from JlinBase.
+	// are re-linearized at the moving iterate.
 	Jlin, rhsLin := st.Jlin, st.rhsLin
-	copy(Jlin.Data, st.JlinBase.Data)
+	copy(Jlin.Data, e.base.Data)
 	for i := range rhsLin {
 		rhsLin[i] = 0
 	}
-	for di, d := range e.vsrc {
-		rhsLin[e.vsrcBr[di]] += device.SourceValue(st.vsrcDC[di], d.Wave, tNew)
-	}
-	for di, d := range e.isrc {
-		v := device.SourceValue(st.isrcDC[di], d.Wave, tNew)
-		if p := st.isrcNodes[di][0]; p >= 0 {
-			rhsLin[p] -= v
-		}
-		if q := st.isrcNodes[di][1]; q >= 0 {
-			rhsLin[q] += v
-		}
-	}
+	addSources(e, rhsLin, func(s *source) float64 { return device.SourceValue(s.dc, s.wave, tNew) })
 	// Capacitor companions.
 	for i := range st.capElems {
 		ce := &st.capElems[i]
@@ -449,12 +407,11 @@ func (st *tranState) step(x []float64, t, h float64) ([]float64, []float64, erro
 			Jlin.Add(ce.b, ce.a, -g)
 		}
 	}
-	// Inductor companions. The node/branch couplings live in JlinBase;
+	// Inductor companions. The node/branch couplings live in base;
 	// only the h-dependent branch resistance and rhs term stamp here.
-	for i := range e.inds {
-		b := e.indBr[i]
-		Jlin.Add(b, b, -icomps[i].req)
-		rhsLin[b] += icomps[i].veq
+	for i, l := range e.inds {
+		Jlin.Add(l.br, l.br, -icomps[i].req)
+		rhsLin[l.br] += icomps[i].veq
 	}
 	for iter := 0; iter < maxNewtonIters; iter++ {
 		iters = int64(iter) + 1
@@ -492,7 +449,7 @@ func (st *tranState) step(x []float64, t, h float64) ([]float64, []float64, erro
 			// the linear part walks only the pattern's entries.
 			bypassed++
 			resid := st.resid
-			e.pattern().Residual(Jlin, xNew, rhsLin, resid)
+			e.pat.Residual(Jlin, xNew, rhsLin, resid)
 			e.addMOSResidual(resid, xNew, 1e-12)
 			st.ws.SolveInPlace(resid)
 			for i := 0; i < n; i++ {
@@ -515,28 +472,7 @@ func (st *tranState) step(x []float64, t, h float64) ([]float64, []float64, erro
 			copy(sol, rhs)
 			st.ws.SolveInPlace(sol)
 		}
-		conv := true
-		maxDv := 0.0
-		for i := 0; i < n; i++ {
-			dv := sol[i] - xNew[i]
-			if i < e.numNodes {
-				if dv > dvLimit {
-					dv = dvLimit
-				} else if dv < -dvLimit {
-					dv = -dvLimit
-				}
-				a := math.Abs(dv)
-				if a > maxDv {
-					maxDv = a
-				}
-				if a > vAbsTol+vRelTol*math.Abs(xNew[i]) {
-					conv = false
-				}
-			} else if math.Abs(dv) > 1e-9+1e-6*math.Abs(xNew[i]) {
-				conv = false
-			}
-			xNew[i] += dv
-		}
+		conv, maxDv := e.damp(xNew, sol)
 		// Iteration-0 convergence is accepted: the criterion (the
 		// fresh linearized system moves nothing) is the same one every
 		// later iteration uses, and warm-started steps routinely meet
@@ -569,66 +505,8 @@ func (st *tranState) acceptStep(x, xNew, xPrev []float64, h float64, iters int) 
 		vPrev := volt(xPrev, ce.a) - volt(xPrev, ce.b)
 		st.iCap[i] = st.comps[i].geq*(vNew-vPrev) - ce.iPrev
 	}
-	for i := range st.e.inds {
-		st.iInd[i] = xNew[st.e.indBr[i]]
+	for i, l := range st.e.inds {
+		st.iInd[i] = xNew[l.br]
 	}
 	return st.iCap, st.iInd, nil
-}
-
-// stampTranBase stamps the transient system's time-invariant J
-// entries: resistors, the source and controlled-source rows, and the
-// inductor node/branch couplings. Called once per run; each step
-// copies the result and layers the h-dependent companions and
-// time-evaluated source values on top.
-func (e *Engine) stampTranBase(J *numeric.Matrix) {
-	add := func(i, j int, g float64) {
-		if i >= 0 && j >= 0 {
-			J.Add(i, j, g)
-		}
-	}
-	for _, d := range e.res {
-		g := 1 / d.Param("r", 1)
-		p, q := e.node(d.Nets[0]), e.node(d.Nets[1])
-		add(p, p, g)
-		add(q, q, g)
-		add(p, q, -g)
-		add(q, p, -g)
-	}
-	for di, d := range e.vsrc {
-		p, q := e.node(d.Nets[0]), e.node(d.Nets[1])
-		b := e.vsrcBr[di]
-		add(p, b, 1)
-		add(q, b, -1)
-		add(b, p, 1)
-		add(b, q, -1)
-	}
-	for di, d := range e.vcvs {
-		p, q := e.node(d.Nets[0]), e.node(d.Nets[1])
-		cp, cn := e.node(d.Nets[2]), e.node(d.Nets[3])
-		b := e.vcvsBr[di]
-		g := d.Param("gain", 1)
-		add(p, b, 1)
-		add(q, b, -1)
-		add(b, p, 1)
-		add(b, q, -1)
-		add(b, cp, -g)
-		add(b, cn, g)
-	}
-	for _, d := range e.vccs {
-		p, q := e.node(d.Nets[0]), e.node(d.Nets[1])
-		cp, cn := e.node(d.Nets[2]), e.node(d.Nets[3])
-		g := d.Param("gain", 0)
-		add(p, cp, g)
-		add(p, cn, -g)
-		add(q, cp, -g)
-		add(q, cn, g)
-	}
-	for i, d := range e.inds {
-		p, q := e.node(d.Nets[0]), e.node(d.Nets[1])
-		b := e.indBr[i]
-		add(p, b, 1)
-		add(b, p, 1)
-		add(q, b, -1)
-		add(b, q, -1)
-	}
 }
