@@ -130,15 +130,6 @@ func (b *Builder) I(name, p, n string, dc float64) *Builder {
 	return b
 }
 
-// IAC adds a current source with DC value and AC magnitude.
-func (b *Builder) IAC(name, p, n string, dc, acmag float64) *Builder {
-	dev := &Device{Name: name, Type: ISource, Nets: []string{p, n}}
-	dev.SetParam("dc", dc)
-	dev.SetParam("acmag", acmag)
-	b.nl.MustAdd(dev)
-	return b
-}
-
 // E adds a voltage-controlled voltage source.
 func (b *Builder) E(name, p, n, cp, cn string, gain float64) *Builder {
 	dev := &Device{Name: name, Type: VCVS, Nets: []string{p, n, cp, cn}}

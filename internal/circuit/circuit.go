@@ -222,22 +222,6 @@ func (nl *Netlist) Nets() []string {
 	return out
 }
 
-// DevicesOnNet returns the devices with at least one terminal on net n
-// (normalized), in netlist order.
-func (nl *Netlist) DevicesOnNet(n string) []*Device {
-	n = NormalizeNet(n)
-	var out []*Device
-	for _, d := range nl.Devices {
-		for _, dn := range d.Nets {
-			if dn == n {
-				out = append(out, d)
-				break
-			}
-		}
-	}
-	return out
-}
-
 // Clone returns a deep copy of the netlist including annotations.
 // The copy is built by direct construction rather than Add, so Clone
 // never fails (or panics): it reproduces the source's device set and
@@ -273,17 +257,6 @@ func (nl *Netlist) Annotate(p *Primitive) error {
 		p.Pins[k] = NormalizeNet(v)
 	}
 	nl.Primitives = append(nl.Primitives, p)
-	return nil
-}
-
-// PrimitiveByName returns the annotation with the given instance name,
-// or nil.
-func (nl *Netlist) PrimitiveByName(name string) *Primitive {
-	for _, p := range nl.Primitives {
-		if p.Name == name {
-			return p
-		}
-	}
 	return nil
 }
 

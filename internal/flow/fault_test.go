@@ -82,8 +82,8 @@ func TestFlowRetryClearsOneShotFault(t *testing.T) {
 	}
 }
 
-// TestFlowRetryLadderConfigurable: Params.Retry shapes the ladder.
-// Attempts=1 disables retries entirely — a one-shot fault now costs a
+// TestFlowRetryLadderConfigurable: Params.RetryAttempts shapes the
+// ladder. RetryAttempts=1 disables retries entirely — a one-shot fault now costs a
 // degradation instead of being retried away — while a widened ladder
 // still absorbs it and books exactly one retry (the loop stops as
 // soon as an attempt succeeds, however many attempts remain).
@@ -95,30 +95,30 @@ func TestFlowRetryLadderConfigurable(t *testing.T) {
 
 	p := faultParams(t, fault.SiteExtract+":error@1")
 	tr := p.Trace
-	p.Retry = fault.Backoff{Attempts: 1}
+	p.RetryAttempts = 1
 	res, err := RunContext(context.Background(), tech, bm, Optimized, p)
 	if err != nil {
 		t.Fatalf("no-retry run died instead of degrading: %v", err)
 	}
 	if len(res.Degraded) != 1 {
-		t.Errorf("Attempts=1: Degraded = %v, want exactly the one faulted instance", res.Degraded)
+		t.Errorf("RetryAttempts=1: Degraded = %v, want exactly the one faulted instance", res.Degraded)
 	}
 	if n := tr.Counter("flow.retries").Value(); n != 0 {
-		t.Errorf("Attempts=1: flow.retries = %d, want 0", n)
+		t.Errorf("RetryAttempts=1: flow.retries = %d, want 0", n)
 	}
 
 	p = faultParams(t, fault.SiteExtract+":error@1")
 	tr = p.Trace
-	p.Retry = fault.Backoff{Attempts: 4, Base: time.Microsecond}
+	p.RetryAttempts = 4
 	res, err = RunContext(context.Background(), tech, bm, Optimized, p)
 	if err != nil {
 		t.Fatalf("widened-ladder run died: %v", err)
 	}
 	if len(res.Degraded) != 0 {
-		t.Errorf("Attempts=4: Degraded = %v, want none", res.Degraded)
+		t.Errorf("RetryAttempts=4: Degraded = %v, want none", res.Degraded)
 	}
 	if n := tr.Counter("flow.retries").Value(); n != 1 {
-		t.Errorf("Attempts=4: flow.retries = %d, want 1 (stop on first success)", n)
+		t.Errorf("RetryAttempts=4: flow.retries = %d, want 1 (stop on first success)", n)
 	}
 }
 

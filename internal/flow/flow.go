@@ -81,20 +81,40 @@ const (
 	VerifyFail
 )
 
+func (m VerifyMode) String() string {
+	switch m {
+	case VerifyOff:
+		return "off"
+	case VerifyWarn:
+		return "warn"
+	case VerifyFail:
+		return "fail"
+	}
+	return fmt.Sprintf("VerifyMode(%d)", int(m))
+}
+
 // VerifyParams configures the in-flow verification pass.
 type VerifyParams struct {
 	Mode    VerifyMode
 	Options verify.Options
 }
 
-// Params tunes the flow.
+// Params tunes the flow. The placer, router and port optimizer take
+// no other settings: the flow builds their inputs from these.
 type Params struct {
 	Seed     int64
 	Optimize optimize.Params
-	Port     portopt.Params
-	Place    place.Params
-	Route    route.Params
-	Verify   VerifyParams
+	// PlaceReplicas is the number of independently seeded annealing
+	// chains (0 = one, at most place.MaxReplicas). They run on a pool
+	// bounded by Optimize.Workers, so one knob governs every pool.
+	PlaceReplicas int
+	// RetryAttempts bounds the optimize attempts per primitive
+	// instance (0 = two, i.e. one retry). Attempts are separated by a
+	// jittered exponential pause (fault.Backoff's defaults: 1–2 ms
+	// before the first retry, doubling up to 1 s), a pure function of
+	// (Seed, instance).
+	RetryAttempts int
+	Verify        VerifyParams
 	// Trace, when set, is the run's trace: the run carries it on its
 	// context, and every layer reports its spans and metrics there.
 	// When nil the run reports to the trace its context already
@@ -109,14 +129,6 @@ type Params struct {
 	// sites (tests and the -fault-spec flag install one). Nil is the
 	// zero-cost disabled path.
 	Fault *fault.Injector
-	// Retry shapes the optimize retry ladder: Attempts bounds the
-	// total tries per primitive instance and Base/Cap the jittered
-	// exponential pause between them. The zero value keeps the
-	// original behavior of one retry (now preceded by a ~2ms jittered
-	// pause instead of an immediate re-attempt). Seed and Tag are
-	// overridden per run/instance so delays are a pure function of
-	// (Params.Seed, instance).
-	Retry fault.Backoff
 }
 
 // bind puts the run's fault injector and trace on ctx. A nil Trace
@@ -142,6 +154,32 @@ func (p Params) stage(ctx context.Context) (context.Context, context.CancelFunc)
 		return context.WithTimeout(ctx, p.StageTimeout)
 	}
 	return context.WithCancel(ctx)
+}
+
+// startRun opens the run's flow.run span on p.Trace and records what
+// the run was asked for: the circuit, the mode (the methodology, or
+// what the entry point names) and every knob of p, as given (0 takes
+// the default). The returned function ends the span, recording the
+// SPICE runs and degradations on res, and sets res.Runtime.
+func (p Params) startRun(bm *circuits.Benchmark, mode string, res *Result) (*obs.Span, func()) {
+	start := time.Now() //lint:allow rngpurity wall time feeds Result.Runtime reporting metadata only, never layout or metric values
+	root := p.Trace.Start("flow.run")
+	root.SetAttr("circuit", bm.Name)
+	root.SetAttr("mode", mode)
+	root.SetAttr("seed", p.Seed)
+	root.SetAttr("place_replicas", p.PlaceReplicas)
+	root.SetAttr("spice_workers", p.Optimize.Workers)
+	root.SetAttr("retry_attempts", p.RetryAttempts)
+	root.SetAttr("verify", p.Verify.Mode.String())
+	root.SetAttr("stage_timeout", p.StageTimeout.String())
+	return root, func() {
+		res.Runtime = time.Since(start) //lint:allow rngpurity wall time feeds Result.Runtime reporting metadata only, never layout or metric values
+		root.SetAttr("sims", res.Sims)
+		if len(res.Degraded) > 0 {
+			root.SetAttr("degraded", len(res.Degraded))
+		}
+		root.End()
+	}
 }
 
 // Result is one flow run.
@@ -196,21 +234,10 @@ type chosen struct {
 // Params.StageTimeout deadline, and Params.Fault (or an injector
 // already on ctx) arms the deterministic fault sites.
 func RunContext(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, mode Mode, p Params) (*Result, error) {
-	start := time.Now() //lint:allow rngpurity wall time feeds Result.Runtime reporting metadata only, never layout or metric values
 	ctx = p.bind(ctx)
 	res := &Result{Mode: mode, Benchmark: bm.Name}
-	root := p.Trace.Start("flow.run")
-	root.SetAttr("circuit", bm.Name)
-	root.SetAttr("mode", mode.String())
-	root.SetAttr("seed", p.Seed)
-	defer func() {
-		res.Runtime = time.Since(start) //lint:allow rngpurity wall time feeds Result.Runtime reporting metadata only, never layout or metric values
-		root.SetAttr("sims", res.Sims)
-		if len(res.Degraded) > 0 {
-			root.SetAttr("degraded", len(res.Degraded))
-		}
-		root.End()
-	}()
+	root, end := p.startRun(bm, mode.String(), res)
+	defer end()
 
 	if mode == Schematic {
 		vals, err := evaluate(ctx, p, root, t, bm, bm.Schematic)
@@ -302,9 +329,8 @@ func runLayout(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, mode Mo
 	netWires := map[string]int{}
 	if mode.Optimizing() {
 		posp := root.Start("flow.portopt")
-		pp := p.Port
-		pp.Cache = p.Optimize.Cache
-		if mode == Manual && pp.MaxWires == 0 {
+		pp := portopt.Params{Cache: p.Optimize.Cache}
+		if mode == Manual {
 			pp.MaxWires = 10
 		}
 		prims := make([]*portopt.PrimInstance, 0, len(choices))
@@ -403,8 +429,6 @@ func runVerification(t *pdk.Tech, bm *circuits.Benchmark, choices map[string]*ch
 		Routing:   res.Routing,
 		Layouts:   layouts,
 		Region:    routeRegion(res.Placement),
-		CellSize:  p.Route.CellSize,
-		MinLayer:  p.Route.MinLayer,
 	}, p.Verify.Options))
 	rep.Merge(verify.CheckRouteStatus(res.Routing))
 	res.Verify = rep
@@ -429,11 +453,9 @@ func VerifyContext(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, mod
 	}
 	ctx = p.bind(ctx)
 	res := &Result{Mode: mode, Benchmark: bm.Name}
-	root := p.Trace.Start("flow.run")
-	root.SetAttr("circuit", bm.Name)
-	root.SetAttr("mode", mode.String())
+	root, end := p.startRun(bm, mode.String(), res)
+	defer end()
 	root.SetAttr("verify_only", true)
-	defer root.End()
 	if _, err := runLayout(ctx, t, bm, mode, p, res, root); err != nil {
 		return res.Verify, err
 	}
@@ -558,12 +580,9 @@ func optimizedChoices(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, 
 			// Rung 1: retry under the jittered backoff schedule — an
 			// injected or transient fault at a specific hit count
 			// clears on a later pass, and the deterministic pause
-			// (seeded per instance, replacing the old immediate single
-			// retry) gives a transiently overloaded resource room to
-			// recover instead of hammering it.
-			bo := p.Retry
-			bo.Seed = p.Seed
-			bo.Tag = "flow.retry." + in.Name
+			// (seeded per instance) gives a transiently overloaded
+			// resource room to recover instead of hammering it.
+			bo := fault.Backoff{Attempts: p.RetryAttempts, Seed: p.Seed, Tag: "flow.retry." + in.Name}
 			r, err := attempt()
 			for tries := 1; err != nil && ctx.Err() == nil; tries++ {
 				delay, ok := bo.Next(tries)
@@ -703,14 +722,9 @@ func runPlacement(ctx context.Context, bm *circuits.Benchmark, choices map[strin
 			sym = append(sym, place.SymPair{A: sw, B: name})
 		}
 	}
-	// Thread the flow's placement knobs through: the run seed, the
-	// stage span, and — so one flag governs every pool — the SPICE
-	// worker bound for the replica pool unless overridden.
-	pp := p.Place
-	pp.Seed = p.Seed
-	if pp.Workers == 0 {
-		pp.Workers = p.Optimize.Workers
-	}
+	// The SPICE worker bound also bounds the replica pool, so one flag
+	// governs every pool.
+	pp := place.Params{Seed: p.Seed, Replicas: p.PlaceReplicas, Workers: p.Optimize.Workers}
 	pl, err := place.PlaceCtx(obs.WithSpan(ctx, sp), blocks, nets, sym, pp)
 	if err != nil {
 		return nil, fmt.Errorf("flow: placement: %w", err)
@@ -774,7 +788,7 @@ func runRouting(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, pl *pl
 			reqs = append(reqs, req)
 		}
 	}
-	routing, err := route.RouteCtx(obs.WithSpan(rctx, sp), t, region, reqs, p.Route)
+	routing, err := route.RouteCtx(obs.WithSpan(rctx, sp), t, region, reqs)
 	cancel()
 	if err == nil {
 		sp.SetAttr("nets", len(routing.Nets))
@@ -855,24 +869,14 @@ func sortedKeys(m map[string]*chosen) []string {
 // the paper's Fig. 2 trade-off. The context binds the run as in
 // RunContext.
 func RunFixedWiresContext(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, n int, p Params) (*Result, error) {
-	start := time.Now() //lint:allow rngpurity wall time feeds Result.Runtime reporting metadata only, never layout or metric values
 	ctx = p.bind(ctx)
 	res := &Result{Mode: Conventional, Benchmark: bm.Name}
 	if n < 1 {
 		n = 1
 	}
-	root := p.Trace.Start("flow.run")
-	root.SetAttr("circuit", bm.Name)
-	root.SetAttr("mode", "fixed_wires")
+	root, end := p.startRun(bm, "fixed_wires", res)
+	defer end()
 	root.SetAttr("n_wires", n)
-	defer func() {
-		res.Runtime = time.Since(start) //lint:allow rngpurity wall time feeds Result.Runtime reporting metadata only, never layout or metric values
-		root.SetAttr("sims", res.Sims)
-		if len(res.Degraded) > 0 {
-			root.SetAttr("degraded", len(res.Degraded))
-		}
-		root.End()
-	}()
 
 	op, err := schematicOP(ctx, t, bm, p, root)
 	if err != nil {

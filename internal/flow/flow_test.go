@@ -18,7 +18,7 @@ func fastParams() Params {
 	return Params{
 		Seed: 1,
 		Optimize: optimize.Params{
-			Bins: 2, MaxWires: 8, MaxJointWires: 3,
+			Bins: 2, MaxWires: 8,
 			Cons: &cellgen.Constraints{MinNFin: 4, MaxNFin: 16, MaxM: 4},
 		},
 	}

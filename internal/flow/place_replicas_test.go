@@ -22,7 +22,7 @@ func TestPlacementReplicaWorkerInvariance(t *testing.T) {
 	}
 	run := func(workers int) string {
 		p := fastParams()
-		p.Place.Replicas = 3
+		p.PlaceReplicas = 3
 		p.Optimize.Workers = workers
 		r, err := RunContext(context.Background(), tech, bm, Optimized, p)
 		if err != nil {
@@ -51,7 +51,7 @@ func TestPlacementReplicaSpans(t *testing.T) {
 	tr := obs.New()
 	p := fastParams()
 	p.Trace = tr
-	p.Place.Replicas = 3
+	p.PlaceReplicas = 3
 	if _, err := RunContext(context.Background(), tech, bm, Optimized, p); err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"primopt/internal/circuits"
-	"primopt/internal/fault"
 	"primopt/internal/place"
 )
 
@@ -94,10 +93,8 @@ func (r *Request) Check() (Mode, error) {
 // The caller adds what the request does not carry: the cache, the
 // trace, the fault injector and any stage deadline.
 func (r Request) Params() Params {
-	p := Params{Seed: r.Seed}
+	p := Params{Seed: r.Seed, PlaceReplicas: r.PlaceReplicas, RetryAttempts: r.RetryAttempts}
 	p.Optimize.Workers = r.SpiceWorkers
-	p.Place.Replicas = r.PlaceReplicas
-	p.Retry = fault.Backoff{Attempts: r.RetryAttempts}
 	if r.Verify {
 		p.Verify.Mode = VerifyWarn
 	}

@@ -81,8 +81,8 @@ func TestRequestParams(t *testing.T) {
 		RetryAttempts: 5, PlaceReplicas: 3, SpiceWorkers: 2, Verify: true, Trace: true}
 	var want Params
 	want.Seed = 9
-	want.Retry.Attempts = 5
-	want.Place.Replicas = 3
+	want.RetryAttempts = 5
+	want.PlaceReplicas = 3
 	want.Optimize.Workers = 2
 	want.Verify.Mode = VerifyWarn
 	if got := r.Params(); !reflect.DeepEqual(got, want) {

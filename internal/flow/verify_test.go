@@ -144,8 +144,6 @@ func TestVerifyDetectsNetlistMismatch(t *testing.T) {
 		Routing:   res.Routing,
 		Layouts:   layouts,
 		Region:    routeRegion(res.Placement),
-		CellSize:  p.Route.CellSize,
-		MinLayer:  p.Route.MinLayer,
 	}, p.Verify.Options)
 	if rep.Count(verify.RuleNet) == 0 {
 		t.Errorf("displaced block produced no net_mismatch violations: %s", rep.Summary())
@@ -172,8 +170,6 @@ func TestVerifyDetectsDeviceMismatch(t *testing.T) {
 		Routing:   res.Routing,
 		Layouts:   layouts,
 		Region:    routeRegion(res.Placement),
-		CellSize:  p.Route.CellSize,
-		MinLayer:  p.Route.MinLayer,
 	}, p.Verify.Options)
 	if rep.Count(verify.RuleDevice) == 0 {
 		t.Errorf("corrupted fin count produced no device_mismatch violations: %s", rep.Summary())

@@ -107,18 +107,6 @@ func (r Rect) Intersects(q Rect) bool {
 		r.X0 < q.X1 && q.X0 < r.X1 && r.Y0 < q.Y1 && q.Y0 < r.Y1
 }
 
-// Intersect returns the overlap of r and q (possibly empty).
-func (r Rect) Intersect(q Rect) Rect {
-	out := Rect{
-		max64(r.X0, q.X0), max64(r.Y0, q.Y0),
-		min64(r.X1, q.X1), min64(r.Y1, q.Y1),
-	}
-	if out.Empty() {
-		return Rect{}
-	}
-	return out
-}
-
 // Contains reports whether p lies inside r (inclusive lower-left,
 // exclusive upper-right).
 func (r Rect) Contains(p Point) bool {
@@ -172,9 +160,6 @@ func (o Orientation) String() string {
 	}
 	return fmt.Sprintf("Orientation(%d)", uint8(o))
 }
-
-// Swaps reports whether the orientation exchanges width and height.
-func (o Orientation) Swaps() bool { return o == E || o == W || o == FE || o == FW }
 
 // Apply transforms a point within a cell of the given size (w, h) from
 // the cell's own frame to the placed frame for orientation o.
@@ -237,13 +222,4 @@ func SnapDown(v, pitch int64) int64 {
 		return v
 	}
 	return v - r - pitch
-}
-
-// SnapUp snaps v up to a multiple of pitch (pitch must be > 0).
-func SnapUp(v, pitch int64) int64 {
-	d := SnapDown(v, pitch)
-	if d == v {
-		return v
-	}
-	return d + pitch
 }

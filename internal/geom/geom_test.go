@@ -61,18 +61,12 @@ func TestRectUnionIntersect(t *testing.T) {
 	if u := a.Union(b); u != (Rect{0, 0, 3, 3}) {
 		t.Errorf("Union = %v", u)
 	}
-	if i := a.Intersect(b); i != (Rect{1, 1, 2, 2}) {
-		t.Errorf("Intersect = %v", i)
-	}
 	if !a.Intersects(b) {
 		t.Error("overlapping rects reported disjoint")
 	}
 	c := Rect{5, 5, 6, 6}
 	if a.Intersects(c) {
 		t.Error("disjoint rects reported overlapping")
-	}
-	if i := a.Intersect(c); !i.Empty() {
-		t.Errorf("disjoint Intersect = %v, want empty", i)
 	}
 	// Union with empty is identity.
 	if u := a.Union(Rect{}); u != a {
@@ -123,16 +117,6 @@ func TestOrientationApply(t *testing.T) {
 }
 
 func TestOrientationSwapsAndString(t *testing.T) {
-	for _, o := range []Orientation{E, W, FE, FW} {
-		if !o.Swaps() {
-			t.Errorf("%v should swap", o)
-		}
-	}
-	for _, o := range []Orientation{N, S, FN, FS} {
-		if o.Swaps() {
-			t.Errorf("%v should not swap", o)
-		}
-	}
 	if N.String() != "N" || FW.String() != "FW" {
 		t.Error("orientation names wrong")
 	}
@@ -182,34 +166,30 @@ func TestBBoxHPWL(t *testing.T) {
 
 func TestSnap(t *testing.T) {
 	cases := []struct {
-		v, pitch, down, up int64
+		v, pitch, down int64
 	}{
-		{7, 4, 4, 8},
-		{8, 4, 8, 8},
-		{0, 4, 0, 0},
-		{-1, 4, -4, 0},
-		{-4, 4, -4, -4},
-		{-5, 4, -8, -4},
+		{7, 4, 4},
+		{8, 4, 8},
+		{0, 4, 0},
+		{-1, 4, -4},
+		{-4, 4, -4},
+		{-5, 4, -8},
 	}
 	for _, c := range cases {
 		if got := SnapDown(c.v, c.pitch); got != c.down {
 			t.Errorf("SnapDown(%d,%d) = %d, want %d", c.v, c.pitch, got, c.down)
 		}
-		if got := SnapUp(c.v, c.pitch); got != c.up {
-			t.Errorf("SnapUp(%d,%d) = %d, want %d", c.v, c.pitch, got, c.up)
-		}
 	}
 }
 
-// Property: SnapDown(v) <= v <= SnapUp(v), both multiples of pitch,
-// within one pitch of v.
+// Property: SnapDown(v) <= v, a multiple of pitch within one pitch
+// of v.
 func TestSnapProperty(t *testing.T) {
 	f := func(v int32, praw uint8) bool {
 		pitch := int64(praw%64) + 1
 		x := int64(v)
-		d, u := SnapDown(x, pitch), SnapUp(x, pitch)
-		return d <= x && x <= u && d%pitch == 0 && u%pitch == 0 &&
-			x-d < pitch && u-x < pitch
+		d := SnapDown(x, pitch)
+		return d <= x && d%pitch == 0 && x-d < pitch
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -217,9 +197,9 @@ func TestSnapProperty(t *testing.T) {
 }
 
 // Zero-area rectangles (degenerate lines and points) must behave as
-// empty everywhere: they are produced transiently by Intersect and by
-// Expand with negative margins, and the DRC sweep must never see them
-// as real geometry.
+// empty everywhere: they are produced transiently by Expand with
+// negative margins, and the DRC sweep must never see them as real
+// geometry.
 func TestZeroAreaRects(t *testing.T) {
 	cases := []Rect{
 		{3, 3, 3, 3}, // point
@@ -237,9 +217,6 @@ func TestZeroAreaRects(t *testing.T) {
 		}
 		if z.Intersects(full) || full.Intersects(z) {
 			t.Errorf("%v intersects a full rect", z)
-		}
-		if got := full.Intersect(z); !got.Empty() {
-			t.Errorf("full.Intersect(%v) = %v, want empty", z, got)
 		}
 		if got := full.Union(z); got != full {
 			t.Errorf("full.Union(%v) = %v, want %v", z, got, full)
@@ -273,9 +250,6 @@ func TestTouchingRects(t *testing.T) {
 		if a.Intersects(c.b) || c.b.Intersects(a) {
 			t.Errorf("%s: touching rects %v %v reported overlapping", c.name, a, c.b)
 		}
-		if got := a.Intersect(c.b); !got.Empty() {
-			t.Errorf("%s: Intersect = %v, want empty", c.name, got)
-		}
 		want := Rect{0, 0, max64(a.X1, c.b.X1), max64(a.Y1, c.b.Y1)}
 		if got := a.Union(c.b); got != want {
 			t.Errorf("%s: Union = %v, want %v", c.name, got, want)
@@ -285,9 +259,6 @@ func TestTouchingRects(t *testing.T) {
 	o := Rect{3, 3, 8, 8}
 	if !a.Intersects(o) {
 		t.Error("1nm-overlap rects reported disjoint")
-	}
-	if got := a.Intersect(o); got != (Rect{3, 3, 4, 4}) {
-		t.Errorf("1nm Intersect = %v", got)
 	}
 }
 
@@ -312,18 +283,12 @@ func TestPitchBoundaryUnionIntersect(t *testing.T) {
 	if s1.Intersects(s2) {
 		t.Error("abutting pitch-aligned segments reported overlapping")
 	}
-	// Overlapping by exactly one pitch: intersection edges stay aligned.
-	s3 := Rect{2 * pitch, 90, 6 * pitch, 110}
-	i := s1.Intersect(s3)
-	if i != (Rect{2 * pitch, 90, 3 * pitch, 110}) {
-		t.Errorf("pitch overlap Intersect = %v", i)
+	// Overlapping by exactly one pitch.
+	if s3 := (Rect{2 * pitch, 90, 6 * pitch, 110}); !s1.Intersects(s3) {
+		t.Error("pitch-overlapping segments reported disjoint")
 	}
-	if SnapUp(i.X0, pitch) != i.X0 || SnapDown(i.X1, pitch) != i.X1 {
-		t.Errorf("intersection edges %d..%d off pitch", i.X0, i.X1)
-	}
-	// SnapUp/SnapDown bracket an interior point onto the two boundaries.
-	mid := int64(2*pitch + 17)
-	if SnapDown(mid, pitch) != 2*pitch || SnapUp(mid, pitch) != 3*pitch {
-		t.Errorf("snap bracket of %d = %d..%d", mid, SnapDown(mid, pitch), SnapUp(mid, pitch))
+	// SnapDown takes an interior point onto the lower boundary.
+	if mid := int64(2*pitch + 17); SnapDown(mid, pitch) != 2*pitch {
+		t.Errorf("SnapDown(%d) = %d, want %d", mid, SnapDown(mid, pitch), 2*pitch)
 	}
 }

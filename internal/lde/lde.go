@@ -94,13 +94,6 @@ func Eval(t *pdk.Tech, c Context) Shift {
 	}
 }
 
-// Mismatch returns the Vth mismatch (V) between two matched devices in
-// contexts a and b — the systematic offset source for differential
-// pairs laid out with asymmetric patterns (e.g. AABB).
-func Mismatch(t *pdk.Tech, a, b Context) float64 {
-	return Eval(t, a).DVth - Eval(t, b).DVth
-}
-
 // RandomOffsetSigma returns the 1-sigma random Vth mismatch (V) of a
 // matched pair where each side has the given total number of
 // fin-fingers (nfin × nf × m). Pelgrom scaling: σ ∝ 1/sqrt(area), and

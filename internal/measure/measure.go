@@ -216,28 +216,6 @@ func SupplyCurrent(op *spice.OPResult, srcName string) (float64, error) {
 	return -i, nil
 }
 
-// SettledValue returns the mean of the last fraction (e.g. 0.1) of a
-// waveform — a simple settled-state estimate.
-func SettledValue(res *spice.TranResult, net string, tailFrac float64) float64 {
-	v := res.Volt(net)
-	n := len(v)
-	if n == 0 {
-		return 0
-	}
-	k := int(float64(n) * (1 - tailFrac))
-	if k < 0 {
-		k = 0
-	}
-	if k >= n {
-		k = n - 1
-	}
-	sum := 0.0
-	for _, x := range v[k:] {
-		sum += x
-	}
-	return sum / float64(n-k)
-}
-
 // PeakToPeak returns max-min of a net's waveform after tStart.
 func PeakToPeak(res *spice.TranResult, net string, tStart float64) float64 {
 	v := res.Volt(net)

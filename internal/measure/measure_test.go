@@ -252,10 +252,6 @@ func TestSupplyCurrentSign(t *testing.T) {
 
 func TestSettledValueAndPeakToPeak(t *testing.T) {
 	res := rcStep(t)
-	// Settled output approaches 1 V.
-	if v := SettledValue(res, "out", 0.1); v < 0.98 {
-		t.Errorf("settled = %g", v)
-	}
 	// Peak-to-peak of input is the full swing.
 	if pp := PeakToPeak(res, "in", 0); math.Abs(pp-1) > 0.01 {
 		t.Errorf("pp = %g", pp)

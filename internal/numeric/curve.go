@@ -45,48 +45,6 @@ func IsMonotoneDecreasing(ys []float64, tol float64) bool {
 	return true
 }
 
-// MaxCurvatureIndex returns the index of maximum discrete curvature of
-// the sequence ys sampled at unit spacing, using the standard
-// second-difference curvature estimate
-//
-//	kappa_i = |y[i-1] - 2 y[i] + y[i+1]| / (1 + ((y[i+1]-y[i-1])/2)^2)^(3/2)
-//
-// computed on values normalized to [0, 1] so the result is scale-free.
-// Endpoints cannot carry curvature; for fewer than 3 points the last
-// index is returned.
-func MaxCurvatureIndex(ys []float64) int {
-	n := len(ys)
-	if n < 3 {
-		return n - 1
-	}
-	lo, hi := ys[0], ys[0]
-	for _, v := range ys {
-		lo = math.Min(lo, v)
-		hi = math.Max(hi, v)
-	}
-	span := hi - lo
-	if span == 0 {
-		return 0
-	}
-	norm := make([]float64, n)
-	for i, v := range ys {
-		norm[i] = (v - lo) / span
-	}
-	// Unit x spacing normalized over the same span keeps curvature
-	// comparable across sweep lengths.
-	dx := 1.0 / float64(n-1)
-	best, bi := -1.0, 1
-	for i := 1; i < n-1; i++ {
-		d2 := norm[i-1] - 2*norm[i] + norm[i+1]
-		d1 := (norm[i+1] - norm[i-1]) / 2
-		k := math.Abs(d2/(dx*dx)) / math.Pow(1+(d1/dx)*(d1/dx), 1.5)
-		if k > best {
-			best, bi = k, i
-		}
-	}
-	return bi
-}
-
 // KneeIndex returns the stopping index for a cost sweep per the
 // paper's rule: the global minimum if the curve has an interior
 // minimum, otherwise (monotonically decreasing curve) the knee —
@@ -124,23 +82,6 @@ func WithinOfMinIndex(ys []float64, rel float64) int {
 	return len(ys) - 1
 }
 
-// Linspace returns n points from a to b inclusive.
-func Linspace(a, b float64, n int) []float64 {
-	if n <= 0 {
-		return nil
-	}
-	if n == 1 {
-		return []float64{a}
-	}
-	out := make([]float64, n)
-	step := (b - a) / float64(n-1)
-	for i := range out {
-		out[i] = a + float64(i)*step
-	}
-	out[n-1] = b
-	return out
-}
-
 // Logspace returns n log-spaced points from a to b inclusive; a and b
 // must be positive.
 func Logspace(a, b float64, n int) []float64 {
@@ -158,33 +99,6 @@ func Logspace(a, b float64, n int) []float64 {
 	}
 	out[n-1] = b
 	return out
-}
-
-// InterpLinear evaluates the piecewise-linear interpolant through
-// (xs, ys) at x, clamping outside the range. xs must be ascending.
-func InterpLinear(xs, ys []float64, x float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	if x <= xs[0] {
-		return ys[0]
-	}
-	if x >= xs[n-1] {
-		return ys[n-1]
-	}
-	// Binary search for the bracketing interval.
-	lo, hi := 0, n-1
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if xs[mid] <= x {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	t := (x - xs[lo]) / (xs[hi] - xs[lo])
-	return ys[lo] + t*(ys[hi]-ys[lo])
 }
 
 // CrossingLinear returns the x where the piecewise-linear curve

@@ -40,34 +40,6 @@ func TestIsMonotoneDecreasing(t *testing.T) {
 	}
 }
 
-func TestMaxCurvatureKnee(t *testing.T) {
-	// 1/x-style curve sampled at x=1..8 has its sharpest bend near the
-	// start; the knee must be an interior early index.
-	ys := make([]float64, 8)
-	for i := range ys {
-		ys[i] = 1 / float64(i+1)
-	}
-	k := MaxCurvatureIndex(ys)
-	if k < 1 || k > 3 {
-		t.Errorf("knee of 1/x at index %d, want 1..3", k)
-	}
-	// Straight line: curvature identical (zero) everywhere; any
-	// interior index acceptable, must not panic.
-	line := []float64{4, 3, 2, 1}
-	k = MaxCurvatureIndex(line)
-	if k < 1 || k > 2 {
-		t.Errorf("line knee = %d, want interior", k)
-	}
-	// Constant sequence: span 0 path.
-	if k := MaxCurvatureIndex([]float64{2, 2, 2, 2}); k != 0 {
-		t.Errorf("constant knee = %d, want 0", k)
-	}
-	// Short sequences.
-	if k := MaxCurvatureIndex([]float64{1, 2}); k != 1 {
-		t.Errorf("2-point knee = %d", k)
-	}
-}
-
 func TestKneeIndex(t *testing.T) {
 	// Interior minimum: pick it.
 	if k := KneeIndex([]float64{5, 3, 2, 2.5, 4}); k != 2 {
@@ -89,22 +61,6 @@ func TestKneeIndex(t *testing.T) {
 	}
 }
 
-func TestLinspace(t *testing.T) {
-	xs := Linspace(0, 1, 5)
-	want := []float64{0, 0.25, 0.5, 0.75, 1}
-	for i := range want {
-		if math.Abs(xs[i]-want[i]) > 1e-15 {
-			t.Errorf("Linspace[%d] = %g, want %g", i, xs[i], want[i])
-		}
-	}
-	if got := Linspace(3, 7, 1); len(got) != 1 || got[0] != 3 {
-		t.Errorf("Linspace n=1 = %v", got)
-	}
-	if Linspace(0, 1, 0) != nil {
-		t.Error("Linspace n=0 should be nil")
-	}
-}
-
 func TestLogspace(t *testing.T) {
 	xs := Logspace(1, 1000, 4)
 	want := []float64{1, 10, 100, 1000}
@@ -112,22 +68,6 @@ func TestLogspace(t *testing.T) {
 		if math.Abs(xs[i]-want[i])/want[i] > 1e-12 {
 			t.Errorf("Logspace[%d] = %g, want %g", i, xs[i], want[i])
 		}
-	}
-}
-
-func TestInterpLinear(t *testing.T) {
-	xs := []float64{0, 1, 3}
-	ys := []float64{0, 10, 30}
-	cases := []struct{ x, want float64 }{
-		{-1, 0}, {0, 0}, {0.5, 5}, {1, 10}, {2, 20}, {3, 30}, {9, 30},
-	}
-	for _, c := range cases {
-		if got := InterpLinear(xs, ys, c.x); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("InterpLinear(%g) = %g, want %g", c.x, got, c.want)
-		}
-	}
-	if InterpLinear(nil, nil, 1) != 0 {
-		t.Error("empty interp should be 0")
 	}
 }
 

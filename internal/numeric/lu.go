@@ -1,7 +1,8 @@
 // Package numeric provides the linear-algebra kernel used by the MNA
 // circuit simulator (real and complex LU factorization with partial
 // pivoting) together with curve utilities used by the primitive-tuning
-// stopping rules (discrete curvature, monotonicity).
+// stopping rules (minimum, knee, monotonicity) and the measurements
+// (level crossings, log-spaced sweeps).
 //
 // Matrices are stored dense and every fresh, pivot-searching
 // factorization is dense. A real Workspace given the structural
@@ -50,53 +51,13 @@ func (m *Matrix) Zero() {
 	}
 }
 
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.N)
-	copy(c.Data, m.Data)
-	return c
-}
-
-// String renders the matrix for debugging.
-func (m *Matrix) String() string {
-	s := ""
-	for i := 0; i < m.N; i++ {
-		for j := 0; j < m.N; j++ {
-			s += fmt.Sprintf("%12.4e ", m.At(i, j))
-		}
-		s += "\n"
-	}
-	return s
-}
-
-// LU holds an in-place LU factorization with partial pivoting of a
-// real matrix: PA = LU. The permutation is stored as the sequence of
-// row swaps performed during elimination (LAPACK ipiv convention), so
-// applying it to a right-hand side is an in-place, allocation-free
-// pass of element swaps.
-type LU struct {
-	n     int
-	lu    []float64
-	swaps []int // swaps[k] = row exchanged with row k at step k
-	sign  int
-}
-
-// Factor computes the LU factorization of m. m is not modified.
-func Factor(m *Matrix) (*LU, error) {
-	n := m.N
-	f := &LU{n: n, lu: make([]float64, n*n), swaps: make([]int, n), sign: 1}
-	if _, err := factorReal(m, f.lu, f.swaps, &f.sign); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
 // factorReal runs the elimination into lu (overwritten with a copy of
-// m.Data), recording the row-swap sequence. sign, when non-nil,
-// receives the permutation parity. It returns the scale-relative
-// singularity threshold so a workspace can carry it into later
-// pivot-reuse passes.
-func factorReal(m *Matrix, lu []float64, swaps []int, sign *int) (float64, error) {
+// m.Data), recording the row-swap sequence (LAPACK ipiv convention:
+// swaps[k] is the row exchanged with row k at step k, so applying it
+// to a right-hand side is an in-place pass of element swaps). It
+// returns the scale-relative singularity threshold so a workspace can
+// carry it into later pivot-reuse passes.
+func factorReal(m *Matrix, lu []float64, swaps []int) (float64, error) {
 	n := m.N
 	// Fused copy + scale scan for the singularity threshold.
 	maxAbs := 0.0
@@ -110,7 +71,6 @@ func factorReal(m *Matrix, lu []float64, swaps []int, sign *int) (float64, error
 	if tiny == 0 {
 		return 0, ErrSingular
 	}
-	sgn := 1
 	a := lu
 	// Partial pivoting: the candidate for column k is the largest
 	// |a[i][k]|, i >= k. Column 0 needs an explicit scan; each
@@ -133,12 +93,8 @@ func factorReal(m *Matrix, lu []float64, swaps []int, sign *int) (float64, error
 			for j := 0; j < n; j++ {
 				a[p*n+j], a[k*n+j] = a[k*n+j], a[p*n+j]
 			}
-			sgn = -sgn
 		}
 		p, best = eliminateBelow(a, n, k)
-	}
-	if sign != nil {
-		*sign = sgn
 	}
 	return tiny, nil
 }
@@ -246,36 +202,6 @@ func substituteReal(n int, lu []float64, swaps []int, x []float64) {
 	}
 }
 
-// Solve solves Ax = b using the factorization, writing the result into
-// x (which may alias b). len(b) and len(x) must equal N. The
-// substitution runs in place on x — no scratch is allocated.
-func (f *LU) Solve(b, x []float64) {
-	if &x[0] != &b[0] {
-		copy(x, b)
-	}
-	substituteReal(f.n, f.lu, f.swaps, x)
-}
-
-// SolveLinear is a convenience that factors m and solves mx = b.
-func SolveLinear(m *Matrix, b []float64) ([]float64, error) {
-	f, err := Factor(m)
-	if err != nil {
-		return nil, err
-	}
-	x := make([]float64, m.N)
-	f.Solve(b, x)
-	return x, nil
-}
-
-// Det returns the determinant from the factorization.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.n; i++ {
-		d *= f.lu[i*f.n+i]
-	}
-	return d
-}
-
 // pivotReuseTol is the growth bound for recycling a previous pivot
 // order: at every elimination step the recycled pivot must be at
 // least this fraction of the current column maximum (the pivot fresh
@@ -352,7 +278,7 @@ func (w *Workspace) FactorInto(m *Matrix) (reused bool, err error) {
 		}
 	}
 	w.valid, w.compact = false, false
-	tiny, err := factorReal(m, w.lu, w.swaps, nil)
+	tiny, err := factorReal(m, w.lu, w.swaps)
 	if err != nil {
 		return false, err
 	}
@@ -448,24 +374,6 @@ func (m *CMatrix) Zero() {
 	}
 }
 
-// CLU is the complex analogue of LU.
-type CLU struct {
-	n     int
-	lu    []complex128
-	swaps []int
-}
-
-// FactorC computes the complex LU factorization of m with partial
-// pivoting on magnitude. m is not modified.
-func FactorC(m *CMatrix) (*CLU, error) {
-	n := m.N
-	f := &CLU{n: n, lu: make([]complex128, n*n), swaps: make([]int, n)}
-	if _, err := factorComplex(m, f.lu, f.swaps); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
 // factorComplex mirrors factorReal for complex matrices.
 func factorComplex(m *CMatrix, lu []complex128, swaps []int) (float64, error) {
 	n := m.N
@@ -554,15 +462,6 @@ func substituteComplex(n int, lu []complex128, swaps []int, x []complex128) {
 	}
 }
 
-// Solve solves Ax = b for complex systems; x may alias b. No scratch
-// is allocated — the substitution runs in place on x.
-func (f *CLU) Solve(b, x []complex128) {
-	if &x[0] != &b[0] {
-		copy(x, b)
-	}
-	substituteComplex(f.n, f.lu, f.swaps, x)
-}
-
 // CWorkspace is the complex analogue of Workspace, used by AC
 // analysis to factor one system per frequency point without per-point
 // allocation. Adjacent frequency points have nearly identical
@@ -639,35 +538,4 @@ func (w *CWorkspace) tryReusePivots(m *CMatrix) bool {
 // solution on exit. Allocation-free.
 func (w *CWorkspace) SolveInPlace(x []complex128) {
 	substituteComplex(w.n, w.lu, w.swaps, x)
-}
-
-// SolveLinearC factors m and solves mx = b in one call.
-func SolveLinearC(m *CMatrix, b []complex128) ([]complex128, error) {
-	f, err := FactorC(m)
-	if err != nil {
-		return nil, err
-	}
-	x := make([]complex128, m.N)
-	f.Solve(b, x)
-	return x, nil
-}
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	s := 0.0
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
-// NormInf returns the max-abs norm of v.
-func NormInf(v []float64) float64 {
-	m := 0.0
-	for _, x := range v {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
 }

@@ -8,6 +8,28 @@ import (
 	"testing/quick"
 )
 
+// solve factors m fresh in a workspace and solves m x = b.
+func solve(m *Matrix, b []float64) ([]float64, error) {
+	w := NewWorkspace(m.N)
+	if _, err := w.FactorInto(m); err != nil {
+		return nil, err
+	}
+	x := make([]float64, m.N)
+	w.Solve(b, x)
+	return x, nil
+}
+
+// solveC is solve for complex systems.
+func solveC(m *CMatrix, b []complex128) ([]complex128, error) {
+	w := NewCWorkspace(m.N)
+	if _, err := w.FactorInto(m); err != nil {
+		return nil, err
+	}
+	x := append([]complex128(nil), b...)
+	w.SolveInPlace(x)
+	return x, nil
+}
+
 func TestSolveIdentity(t *testing.T) {
 	n := 4
 	m := NewMatrix(n)
@@ -15,7 +37,7 @@ func TestSolveIdentity(t *testing.T) {
 		m.Set(i, i, 1)
 	}
 	b := []float64{1, 2, 3, 4}
-	x, err := SolveLinear(m, b)
+	x, err := solve(m, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +55,7 @@ func TestSolveKnown2x2(t *testing.T) {
 	m.Set(0, 1, 1)
 	m.Set(1, 0, 1)
 	m.Set(1, 1, 3)
-	x, err := SolveLinear(m, []float64{5, 10})
+	x, err := solve(m, []float64{5, 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +71,7 @@ func TestSolveRequiresPivoting(t *testing.T) {
 	m.Set(0, 1, 1)
 	m.Set(1, 0, 1)
 	m.Set(1, 1, 0)
-	x, err := SolveLinear(m, []float64{2, 3})
+	x, err := solve(m, []float64{2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,27 +86,14 @@ func TestSingularDetected(t *testing.T) {
 	m.Set(0, 1, 2)
 	m.Set(1, 0, 2)
 	m.Set(1, 1, 4)
-	if _, err := Factor(m); err == nil {
+	if _, err := NewWorkspace(2).FactorInto(m); err == nil {
 		t.Fatal("want singularity error for rank-1 matrix")
 	}
-	z := NewMatrix(3)
-	if _, err := Factor(z); err == nil {
+	if _, err := NewWorkspace(3).FactorInto(NewMatrix(3)); err == nil {
 		t.Fatal("want singularity error for zero matrix")
 	}
-}
-
-func TestDet(t *testing.T) {
-	m := NewMatrix(2)
-	m.Set(0, 0, 3)
-	m.Set(0, 1, 1)
-	m.Set(1, 0, 4)
-	m.Set(1, 1, 2)
-	f, err := Factor(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := f.Det(); math.Abs(d-2) > 1e-12 {
-		t.Errorf("det = %g, want 2", d)
+	if _, err := NewCWorkspace(3).FactorInto(NewCMatrix(3)); err == nil {
+		t.Fatal("want singularity error for zero complex matrix")
 	}
 }
 
@@ -106,7 +115,7 @@ func TestSolveResidualProperty(t *testing.T) {
 		for i := range b {
 			b[i] = r.NormFloat64()
 		}
-		x, err := SolveLinear(m, b)
+		x, err := solve(m, b)
 		if err != nil {
 			return false
 		}
@@ -130,7 +139,7 @@ func TestComplexSolveKnown(t *testing.T) {
 	// (1+1i) x = 2i -> x = 1+1i
 	m := NewCMatrix(1)
 	m.Set(0, 0, complex(1, 1))
-	x, err := SolveLinearC(m, []complex128{complex(0, 2)})
+	x, err := solveC(m, []complex128{complex(0, 2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +163,7 @@ func TestComplexSolveResidualProperty(t *testing.T) {
 		for i := range b {
 			b[i] = complex(r.NormFloat64(), r.NormFloat64())
 		}
-		x, err := SolveLinearC(m, b)
+		x, err := solveC(m, b)
 		if err != nil {
 			return false
 		}
@@ -177,26 +186,13 @@ func TestSolveAliasing(t *testing.T) {
 	m := NewMatrix(2)
 	m.Set(0, 0, 2)
 	m.Set(1, 1, 4)
-	f, err := Factor(m)
-	if err != nil {
+	w := NewWorkspace(2)
+	if _, err := w.FactorInto(m); err != nil {
 		t.Fatal(err)
 	}
 	b := []float64{2, 8}
-	f.Solve(b, b) // x aliases b
+	w.Solve(b, b) // x aliases b
 	if math.Abs(b[0]-1) > 1e-14 || math.Abs(b[1]-2) > 1e-14 {
 		t.Errorf("aliased solve = %v, want [1 2]", b)
-	}
-}
-
-func TestNorms(t *testing.T) {
-	v := []float64{3, -4}
-	if Norm2(v) != 5 {
-		t.Errorf("Norm2 = %g", Norm2(v))
-	}
-	if NormInf(v) != 4 {
-		t.Errorf("NormInf = %g", NormInf(v))
-	}
-	if Norm2(nil) != 0 || NormInf(nil) != 0 {
-		t.Error("norms of empty slice should be 0")
 	}
 }

@@ -230,21 +230,14 @@ func TestCWorkspaceReuseAndResidual(t *testing.T) {
 }
 
 // TestSolveZeroAllocs pins the allocation-free contract of the solve
-// path: LU.Solve, CLU.Solve, and the full Workspace
-// FactorInto+SolveInPlace cycle (the per-Newton-iteration work) must
-// not allocate.
+// path: Workspace.Solve, and the full FactorInto+SolveInPlace cycle
+// (the per-Newton-iteration work) of both workspaces, fresh pivoting
+// included, must not allocate.
 func TestSolveZeroAllocs(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	n := 12
 	m, b := randSystem(r, n)
-	f, err := Factor(m)
-	if err != nil {
-		t.Fatal(err)
-	}
 	x := make([]float64, n)
-	if a := testing.AllocsPerRun(100, func() { f.Solve(b, x) }); a != 0 {
-		t.Errorf("LU.Solve allocs/run = %g, want 0", a)
-	}
 
 	cm := NewCMatrix(n)
 	for i := 0; i < n; i++ {
@@ -257,18 +250,22 @@ func TestSolveZeroAllocs(t *testing.T) {
 	for i := range cb {
 		cb[i] = complex(r.NormFloat64(), 0)
 	}
-	cf, err := FactorC(cm)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cx := make([]complex128, n)
-	if a := testing.AllocsPerRun(100, func() { cf.Solve(cb, cx) }); a != 0 {
-		t.Errorf("CLU.Solve allocs/run = %g, want 0", a)
-	}
 
 	w := NewWorkspace(n)
 	if _, err := w.FactorInto(m); err != nil {
 		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(100, func() { w.Solve(b, x) }); a != 0 {
+		t.Errorf("Workspace.Solve allocs/run = %g, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		w.Invalidate()
+		if _, err := w.FactorInto(m); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Errorf("Workspace fresh factor allocs/run = %g, want 0", a)
 	}
 	if a := testing.AllocsPerRun(100, func() {
 		if _, err := w.FactorInto(m); err != nil {
@@ -285,6 +282,14 @@ func TestSolveZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a := testing.AllocsPerRun(100, func() {
+		cw.Invalidate()
+		if _, err := cw.FactorInto(cm); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Errorf("CWorkspace fresh factor allocs/run = %g, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() {
 		if _, err := cw.FactorInto(cm); err != nil {
 			t.Fatal(err)
 		}
@@ -297,15 +302,18 @@ func TestSolveZeroAllocs(t *testing.T) {
 
 func benchSizes() []int { return []int{8, 32, 128} }
 
+// BenchmarkFactor times a fresh, pivot-searching factorization.
 func BenchmarkFactor(b *testing.B) {
 	for _, n := range benchSizes() {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			r := rand.New(rand.NewSource(int64(n)))
 			m, _ := randSystem(r, n)
+			w := NewWorkspace(n)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Factor(m); err != nil {
+				w.Invalidate()
+				if _, err := w.FactorInto(m); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -338,15 +346,15 @@ func BenchmarkSolve(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			r := rand.New(rand.NewSource(int64(n)))
 			m, rhs := randSystem(r, n)
-			f, err := Factor(m)
-			if err != nil {
+			w := NewWorkspace(n)
+			if _, err := w.FactorInto(m); err != nil {
 				b.Fatal(err)
 			}
 			x := make([]float64, n)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				f.Solve(rhs, x)
+				w.Solve(rhs, x)
 			}
 		})
 	}

@@ -53,13 +53,14 @@ type Option struct {
 	Bin    int
 }
 
+// maxJointWires bounds each axis of a correlated group's joint
+// wire-count enumeration.
+const maxJointWires = 5
+
 // Params configures the optimization.
 type Params struct {
 	Bins     int // aspect-ratio bins / options handed to the placer (default 3)
 	MaxWires int // tuning sweep limit per terminal (default 8)
-	// MaxJointWires bounds each axis of a correlated-group joint
-	// enumeration (default 5).
-	MaxJointWires int
 	// Workers bounds concurrent simulations (default 8). The paper
 	// leans on the independence of the per-option simulations.
 	Workers int
@@ -78,9 +79,6 @@ func (p Params) withDefaults() Params {
 	}
 	if p.MaxWires <= 0 {
 		p.MaxWires = 8
-	}
-	if p.MaxJointWires <= 0 {
-		p.MaxJointWires = 5
 	}
 	if p.Workers <= 0 {
 		p.Workers = 8
@@ -418,7 +416,7 @@ func tuneOption(env *evalEnv, opt *Option, p Params) (int, error) {
 			setWires(work, group[0], n)
 		} else {
 			// Lines 11–12: correlated — enumerate combinations.
-			s, err := sweepJoint(env, work, group, p.MaxJointWires)
+			s, err := sweepJoint(env, work, group, maxJointWires)
 			sims += s
 			if err != nil {
 				return sims, err

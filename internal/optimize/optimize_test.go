@@ -125,7 +125,7 @@ func TestCorrelatedJointTuning(t *testing.T) {
 	sz := primlib.Sizing{TotalFins: 240, L: 14, NominalI: 50e-6}
 	bias := primlib.Bias{Vdd: 0.8, VD: 0.4, CLoad: 2e-15}
 	res, err := OptimizeCtx(context.Background(), tech, e, sz, bias, Params{
-		Bins: 2, MaxWires: 4, MaxJointWires: 3,
+		Bins: 2, MaxWires: 4,
 		Cons: &cellgen.Constraints{MinNFin: 8, MaxNFin: 12, MaxM: 4},
 	})
 	if err != nil {
@@ -135,9 +135,9 @@ func TestCorrelatedJointTuning(t *testing.T) {
 		t.Fatal("nothing selected")
 	}
 	// Joint tuning burns more sims than a single independent sweep
-	// would (3x3 grid at minimum).
-	if res.TuningSims < 9 {
-		t.Errorf("joint tuning sims = %d, expected >= 9", res.TuningSims)
+	// would (a 5x5 grid of wire counts at minimum).
+	if res.TuningSims < 25 {
+		t.Errorf("joint tuning sims = %d, expected >= 25", res.TuningSims)
 	}
 }
 

@@ -181,18 +181,18 @@ func (st *state) netWLOf(i int, rects []geom.Rect) float64 {
 // costOf folds the cached terms into the annealing cost. Area (nm²)
 // dominates numerically; wire and symmetry terms are scaled to
 // comparable magnitude via sqrt(area).
-func (st *state) costOf(p Params) evalResult {
+func (st *state) costOf() evalResult {
 	wl := 0.0
 	for _, v := range st.netWL {
 		wl += v
 	}
 	scale := math.Sqrt(st.area) + 1
-	return evalResult{cost: st.area + p.WireWeight*wl*scale/100 + p.SymWeight*st.symErr*scale/10}
+	return evalResult{cost: st.area + wireWeight*wl*scale/100 + symWeight*st.symErr*scale/10}
 }
 
 // evaluateFull recomputes every cached term from scratch — the
 // ground truth the incremental path must match bit-for-bit.
-func (st *state) evaluateFull(p Params) evalResult {
+func (st *state) evaluateFull() evalResult {
 	st.ensureBuffers()
 	st.computeCoords(st.rects)
 	var bbox geom.Rect
@@ -204,14 +204,14 @@ func (st *state) evaluateFull(p Params) evalResult {
 		st.netWL[i] = st.netWLOf(i, st.rects)
 	}
 	st.symErr = st.symViolation(st.rects)
-	return st.costOf(p)
+	return st.costOf()
 }
 
 // evaluateIncremental re-derives coordinates in one pass, then
 // delta-updates the wirelength and symmetry terms for the blocks
 // whose rectangles actually moved. The pre-move caches are parked in
 // the *Prev buffers so a rejected move is undone by undoEval.
-func (st *state) evaluateIncremental(p Params) evalResult {
+func (st *state) evaluateIncremental() evalResult {
 	st.rects, st.rectsPrev = st.rectsPrev, st.rects
 	st.netWL, st.netWLPrev = st.netWLPrev, st.netWL
 	st.areaPrev, st.symErrPrev = st.area, st.symErr
@@ -244,7 +244,7 @@ func (st *state) evaluateIncremental(p Params) evalResult {
 	if symDirty {
 		st.symErr = st.symViolation(st.rects)
 	}
-	return st.costOf(p)
+	return st.costOf()
 }
 
 // undoEval reverts the caches to their pre-move contents after a

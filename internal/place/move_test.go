@@ -96,7 +96,7 @@ func TestPlaceAllocsIndependentOfMoves(t *testing.T) {
 	blocks, nets, sym := moveFixture()
 	allocs := func(iters int) float64 {
 		return testing.AllocsPerRun(5, func() {
-			if _, err := PlaceCtx(context.Background(), blocks, nets, sym, Params{Seed: 3, Iterations: iters}); err != nil {
+			if _, err := PlaceCtx(context.Background(), blocks, nets, sym, Params{Seed: 3, moves: iters}); err != nil {
 				t.Fatal(err)
 			}
 		})

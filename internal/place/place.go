@@ -59,14 +59,23 @@ type SymPair struct {
 	A, B string
 }
 
+// The annealing schedule and cost weights.
+const (
+	// bandMoves is the move budget per temperature band, across
+	// replicas.
+	bandMoves = 200
+	// coolingRate scales the temperature from one band to the next.
+	// The first band starts at half the initial cost.
+	coolingRate = 0.93
+	// wireWeight and symWeight weigh HPWL and the symmetry violation
+	// against area (see costOf).
+	wireWeight = 1.0
+	symWeight  = 4.0
+)
+
 // Params tunes the annealer.
 type Params struct {
-	Seed        int64
-	Iterations  int     // total moves per temperature band, across replicas (default 200)
-	CoolingRate float64 // default 0.93
-	StartTemp   float64 // default auto
-	WireWeight  float64 // HPWL weight vs area (default 1.0)
-	SymWeight   float64 // symmetry-violation weight (default 4.0)
+	Seed int64
 	// Replicas is the number of independently seeded annealing chains
 	// (default 1, at most MaxReplicas). Each replica's seed is derived
 	// deterministically from Seed, the per-band move budget is split
@@ -78,6 +87,9 @@ type Params struct {
 	// GOMAXPROCS). The flow threads its SPICE worker knob through
 	// here so one flag governs all pools.
 	Workers int
+	// moves overrides bandMoves (0 keeps it), so tests can compare
+	// move budgets.
+	moves int
 }
 
 // MaxReplicas bounds Params.Replicas: every replica gets its result
@@ -96,17 +108,8 @@ func CheckReplicas(n int) error {
 }
 
 func (p Params) withDefaults() Params {
-	if p.Iterations <= 0 {
-		p.Iterations = 200
-	}
-	if p.CoolingRate <= 0 || p.CoolingRate >= 1 {
-		p.CoolingRate = 0.93
-	}
-	if p.WireWeight <= 0 {
-		p.WireWeight = 1.0
-	}
-	if p.SymWeight <= 0 {
-		p.SymWeight = 4.0
+	if p.moves <= 0 {
+		p.moves = bandMoves
 	}
 	if p.Replicas <= 0 {
 		p.Replicas = 1
@@ -126,14 +129,14 @@ func (p Params) withDefaults() Params {
 // to equilibrate each band.
 func (p Params) replicaIterations() int {
 	if p.Replicas == 1 {
-		return p.Iterations
+		return p.moves
 	}
-	it := p.Iterations * 4 / (5 * p.Replicas)
+	it := p.moves * 4 / (5 * p.Replicas)
 	if it < 32 {
 		it = 32
 	}
-	if it > p.Iterations {
-		it = p.Iterations
+	if it > p.moves {
+		it = p.moves
 	}
 	return it
 }
@@ -312,16 +315,13 @@ func runReplica(ctx context.Context, template *state, r int, p Params, tr *obs.T
 	rsp.SetAttr("replica", r)
 	rsp.SetAttr("seed", seed)
 
-	cur := st.evaluateFull(p)
+	cur := st.evaluateFull()
 	best := cur
 	bestSnap := st.snapshot()
 
-	temp := p.StartTemp
+	temp := cur.cost * 0.5
 	if temp <= 0 {
-		temp = cur.cost * 0.5
-		if temp <= 0 {
-			temp = 1
-		}
+		temp = 1
 	}
 	rsp.SetAttr("start_temp", temp)
 	// Schedule traces, recorded per temperature band only when
@@ -336,7 +336,7 @@ func runReplica(ctx context.Context, template *state, r int, p Params, tr *obs.T
 	// fluctuating current cost, which let an accepted uphill move
 	// lengthen the schedule and a lucky downhill excursion truncate
 	// it.
-	for ; temp > best.cost*1e-4+1e-9; temp *= p.CoolingRate {
+	for ; temp > best.cost*1e-4+1e-9; temp *= coolingRate {
 		// Cancellation polls once per band — bounded staleness without
 		// a per-move branch on the hot path.
 		if err := ctx.Err(); err != nil {
@@ -349,9 +349,9 @@ func runReplica(ctx context.Context, template *state, r int, p Params, tr *obs.T
 			mv, changed := st.randomMove(rng, n)
 			next := cur
 			if changed {
-				next = st.evaluateIncremental(p)
+				next = st.evaluateIncremental()
 				if debugCheckIncremental {
-					if full := st.evaluateFull(p); full.cost != next.cost {
+					if full := st.evaluateFull(); full.cost != next.cost {
 						//lint:allow errflow debug-only consistency assertion behind the debugCheckIncremental build constant; compiled out in production
 						panic(fmt.Sprintf("place: incremental cost %v != full cost %v", next.cost, full.cost))
 					}

@@ -66,7 +66,7 @@ func TestPlaceWirelengthPullsConnectedBlocksTogether(t *testing.T) {
 func TestPlaceSymmetryPairs(t *testing.T) {
 	blocks := squareBlocks("dpa", "dpb", "load", "tail")
 	sym := []SymPair{{A: "dpa", B: "dpb"}}
-	pl, err := PlaceCtx(context.Background(), blocks, nil, sym, Params{Seed: 4, SymWeight: 50})
+	pl, err := PlaceCtx(context.Background(), blocks, nil, sym, Params{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestPlaceNoOverlapProperty(t *testing.T) {
 				Variants: []Variant{{W: w, H: h}},
 			}
 		}
-		pl, err := PlaceCtx(context.Background(), blocks, nil, nil, Params{Seed: seed, Iterations: 30})
+		pl, err := PlaceCtx(context.Background(), blocks, nil, nil, Params{Seed: seed})
 		if err != nil {
 			return false
 		}

@@ -64,8 +64,7 @@ type Constraint struct {
 
 // Params bounds the sweeps.
 type Params struct {
-	MaxWires int     // sweep range per port (default 8)
-	Tol      float64 // relative tolerance for the wmax cutoff (default 0.01)
+	MaxWires int // sweep range per port (default 8)
 	// Cache memoizes the route-override evaluations. The sweep and the
 	// reconcile gap search revisit (layout, routes) snapshots — and
 	// with a disk tier a repeat run revisits all of them — so the cost
@@ -78,9 +77,6 @@ type Params struct {
 func (p Params) withDefaults() Params {
 	if p.MaxWires <= 0 {
 		p.MaxWires = 8
-	}
-	if p.Tol <= 0 {
-		p.Tol = 0.01
 	}
 	if p.Cache == nil {
 		p.Cache = evcache.New()
@@ -197,7 +193,7 @@ func GenerateConstraints(ctx context.Context, t *pdk.Tech, pi *PrimInstance, p P
 			sims += s
 			curve = append(curve, c)
 		}
-		con := intervalFromCurve(curve, p.Tol)
+		con := intervalFromCurve(curve)
 		con.Prim = pi.Name
 		con.Net = net
 		out = append(out, con)
@@ -207,7 +203,7 @@ func GenerateConstraints(ctx context.Context, t *pdk.Tech, pi *PrimInstance, p P
 
 // intervalFromCurve derives [wmin, wmax] from a cost-vs-wires curve
 // (1-based wire counts).
-func intervalFromCurve(curve []float64, tol float64) Constraint {
+func intervalFromCurve(curve []float64) Constraint {
 	con := Constraint{Curve: curve, WMin: 1, WMax: Unbounded}
 	if len(curve) == 0 {
 		return con
@@ -216,6 +212,9 @@ func intervalFromCurve(curve []float64, tol float64) Constraint {
 	// wmin: the smallest count already within a small tolerance of
 	// the best achievable cost (the knee of the descent).
 	const wminTol = 0.02
+	// wmax: the largest count past the minimum still within wmaxTol
+	// of it.
+	const wmaxTol = 0.01
 	if numeric.IsMonotoneDecreasing(curve, 1e-9) {
 		// Cost keeps improving: knee lower bound, no upper bound.
 		con.WMin = numeric.WithinOfMinIndex(curve, wminTol) + 1
@@ -225,7 +224,7 @@ func intervalFromCurve(curve []float64, tol float64) Constraint {
 	con.WMin = numeric.WithinOfMinIndex(curve[:minIdx+1], wminTol) + 1
 	wmax := minIdx
 	for i := minIdx + 1; i < len(curve); i++ {
-		if curve[i] <= minV*(1+tol) {
+		if curve[i] <= minV*(1+wmaxTol) {
 			wmax = i
 		} else {
 			break

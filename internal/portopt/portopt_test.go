@@ -109,7 +109,7 @@ func TestGenerateConstraintsDP(t *testing.T) {
 func TestIntervalFromCurve(t *testing.T) {
 	// Table IV's DP column: U-shaped cost with a flat bottom.
 	dp := []float64{5.17, 4.40, 4.23, 4.21, 4.25, 4.33, 4.42}
-	c := intervalFromCurve(dp, 0.01)
+	c := intervalFromCurve(dp)
 	if c.WMax == Unbounded {
 		t.Fatal("U-shaped curve should be bounded")
 	}
@@ -125,7 +125,7 @@ func TestIntervalFromCurve(t *testing.T) {
 	// diminishing-returns tolerance of the floor — the paper's CM
 	// column gives wmin=4 on this curve; accept the neighborhood).
 	mono := []float64{4.54, 3.36, 3.00, 2.85, 2.77, 2.74, 2.70}
-	c = intervalFromCurve(mono, 0.01)
+	c = intervalFromCurve(mono)
 	if c.WMax != Unbounded {
 		t.Errorf("monotone curve should be unbounded, wmax = %d", c.WMax)
 	}
@@ -133,10 +133,10 @@ func TestIntervalFromCurve(t *testing.T) {
 		t.Errorf("monotone wmin = %d", c.WMin)
 	}
 	// Degenerate cases.
-	if c := intervalFromCurve(nil, 0.01); c.WMin != 1 || c.WMax != Unbounded {
+	if c := intervalFromCurve(nil); c.WMin != 1 || c.WMax != Unbounded {
 		t.Errorf("empty curve constraint = %+v", c)
 	}
-	if c := intervalFromCurve([]float64{3, 5}, 0.01); c.WMin != 1 || c.WMax != 1 {
+	if c := intervalFromCurve([]float64{3, 5}); c.WMin != 1 || c.WMax != 1 {
 		t.Errorf("rising 2-point curve = [%d, %d], want [1, 1]", c.WMin, c.WMax)
 	}
 }

@@ -51,11 +51,11 @@ type NetStatus int
 const (
 	// NetRouted is a cleanly routed net.
 	NetRouted NetStatus = iota
-	// NetOverflow marks a routed net that still uses at least one
-	// over-capacity gcell edge after the rip-up budget is spent.
+	// NetOverflow marks a routed net that uses at least one
+	// over-capacity gcell edge.
 	NetOverflow
 	// NetFailed marks a net left without geometry (search failure or an
-	// injected fault that the rip-up retries did not clear).
+	// injected fault).
 	NetFailed
 )
 
@@ -104,50 +104,23 @@ func (nr *NetRoute) DominantLayer() pdk.Layer {
 	return best
 }
 
-// Params configures the router.
-type Params struct {
-	// CellSize is the gcell edge in nm (default 200).
-	CellSize int64
-	// MinLayer is the lowest layer global routes may use (default 2,
-	// i.e. M3 — M1/M2 belong to the cells).
-	MinLayer pdk.Layer
-	// MaxLayer caps the stack (default: top layer).
-	MaxLayer pdk.Layer
-	// ViaCost penalizes layer changes in gcell-length units (default 4).
-	ViaCost float64
-	// CongestionCost scales the per-use edge penalty (default 2).
-	CongestionCost float64
-	// EdgeCapacity is the per-gcell-edge wire count above which an edge
-	// counts as overflowed (default 2, the historical threshold).
-	EdgeCapacity int
-	// MaxRipup bounds the rip-up-and-reroute rounds applied to
-	// overflowed or failed nets, with the congestion penalty doubling
-	// each round. Default 0 — disabled — so results stay byte-identical
-	// to the ladder-free router unless a caller opts in.
-	MaxRipup int
-}
-
-func (p Params) withDefaults(t *pdk.Tech) Params {
-	if p.CellSize <= 0 {
-		p.CellSize = 200
-	}
-	if p.MinLayer <= 0 {
-		p.MinLayer = 2
-	}
-	if p.MaxLayer <= 0 || int(p.MaxLayer) >= t.NumLayers() {
-		p.MaxLayer = pdk.Layer(t.NumLayers() - 1)
-	}
-	if p.ViaCost <= 0 {
-		p.ViaCost = 4
-	}
-	if p.CongestionCost <= 0 {
-		p.CongestionCost = 2
-	}
-	if p.EdgeCapacity <= 0 {
-		p.EdgeCapacity = 2
-	}
-	return p
-}
+// The router has one configuration. CellSize and MinLayer are
+// exported because verification rebuilds the same gcell grid from the
+// routes; the other values only price the search.
+const (
+	// CellSize is the gcell edge in nm.
+	CellSize int64 = 200
+	// MinLayer is the lowest layer global routes may use (M3: M1 and
+	// M2 belong to the cells). Every pin lands on it.
+	MinLayer pdk.Layer = 2
+	// viaCost penalizes a layer change, in gcell-length units.
+	viaCost = 4
+	// congestionCost scales the per-use edge penalty.
+	congestionCost = 2
+	// edgeCapacity is the per-gcell-edge wire count above which an
+	// edge counts as overflowed.
+	edgeCapacity = 2
+)
 
 // Result is the full routing outcome.
 type Result struct {
@@ -159,8 +132,6 @@ type Result struct {
 	// / NetFailed (sorted by name), for reporting and verification.
 	Overflowed []string
 	Failed     []string
-	// RipupRounds counts the rip-up-and-reroute rounds executed.
-	RipupRounds int
 }
 
 // node is a 3D grid location.
@@ -170,44 +141,38 @@ type node struct {
 }
 
 type router struct {
-	tech   *pdk.Tech
-	p      Params
-	nx, ny int
-	use    map[[5]int]int // edge occupancy: (x, y, l, dx, dy)
-	// netEdges tracks each net's committed edges so rip-up can return
-	// exactly its occupancy to the congestion map.
+	tech     *pdk.Tech
+	maxLayer pdk.Layer // the top layer of the stack
+	nx, ny   int
+	use      map[[5]int]int // edge occupancy: (x, y, l, dx, dy)
+	// netEdges tracks each net's committed edges so a failed net's
+	// partial branches can be returned to the congestion map and
+	// overflow can be traced back to the nets riding it.
 	netEdges map[string]map[[5]int]int
-	// congest is the live congestion multiplier — Params.CongestionCost
-	// initially, doubled each rip-up round.
-	congest float64
-	tr      *obs.Trace
-	ctx     context.Context
-	inj     *fault.Injector
+	tr       *obs.Trace
+	ctx      context.Context
+	inj      *fault.Injector
 }
 
 // RouteCtx routes all nets within the region (placement bounding box
 // plus margin). The A* search polls ctx at bounded intervals, and
 // ctx's fault injector arms the route.net site. A net that fails to
-// route no longer aborts the run — it is recorded with Status
-// NetFailed (and, when Params.MaxRipup > 0, retried under the rip-up
-// ladder first) so callers decide whether a partial routing is
-// tolerable. Only cancellation and structural errors return a non-nil
-// error. The route.net spans nest under the span ctx carries
-// (obs.SpanFrom).
-func RouteCtx(ctx context.Context, t *pdk.Tech, region geom.Rect, nets []NetReq, p Params) (*Result, error) {
-	p = p.withDefaults(t)
+// route does not abort the run: it is recorded with Status NetFailed
+// so callers decide whether a partial routing is tolerable. Only
+// cancellation and structural errors return a non-nil error. The
+// route.net spans nest under the span ctx carries (obs.SpanFrom).
+func RouteCtx(ctx context.Context, t *pdk.Tech, region geom.Rect, nets []NetReq) (*Result, error) {
 	if region.Empty() {
 		return nil, fmt.Errorf("route: empty region")
 	}
 	tr := obs.From(ctx)
 	r := &router{
 		tech:     t,
-		p:        p,
-		nx:       int(region.W()/p.CellSize) + 3,
-		ny:       int(region.H()/p.CellSize) + 3,
+		maxLayer: pdk.Layer(t.NumLayers() - 1),
+		nx:       int(region.W()/CellSize) + 3,
+		ny:       int(region.H()/CellSize) + 3,
 		use:      make(map[[5]int]int),
 		netEdges: make(map[string]map[[5]int]int),
-		congest:  p.CongestionCost,
 		tr:       tr,
 		ctx:      ctx,
 		inj:      fault.From(ctx),
@@ -229,33 +194,8 @@ func RouteCtx(ctx context.Context, t *pdk.Tech, region geom.Rect, nets []NetReq,
 			res.Nets[net.Name] = &NetRoute{Name: net.Name, LengthByLayer: map[pdk.Layer]int64{}}
 			continue
 		}
-		if err := r.routeOne(region, net, p, res); err != nil {
+		if err := r.routeOne(region, net, res); err != nil {
 			return nil, err
-		}
-	}
-
-	// Graceful-degradation ladder: rip up the problem nets (failed, or
-	// riding an over-capacity edge) and reroute them under a doubled
-	// congestion penalty, up to MaxRipup rounds. The rounds run after
-	// the main pass so every reroute sees the full congestion picture;
-	// with the default MaxRipup of 0 this is dead code and the result
-	// is byte-identical to the ladder-free router.
-	for round := 1; round <= p.MaxRipup; round++ {
-		redo := r.problemNets(order, res)
-		if len(redo) == 0 {
-			break
-		}
-		res.RipupRounds = round
-		tr.Counter("route.ripup_rounds").Inc()
-		r.congest = p.CongestionCost * float64(int64(1)<<uint(round))
-		for _, net := range redo {
-			r.ripup(net.Name)
-			delete(res.Nets, net.Name)
-		}
-		for _, net := range redo {
-			if err := r.routeOne(region, net, p, res); err != nil {
-				return nil, err
-			}
 		}
 	}
 
@@ -284,7 +224,7 @@ func RouteCtx(ctx context.Context, t *pdk.Tech, region geom.Rect, nets []NetReq,
 
 // routeOne routes a single net under a route.net span, converting a
 // routing failure into a NetFailed entry (cancellation still aborts).
-func (r *router) routeOne(region geom.Rect, net NetReq, p Params, res *Result) error {
+func (r *router) routeOne(region geom.Rect, net NetReq, res *Result) error {
 	tr := r.tr
 	sp := obs.StartSpan(tr, obs.SpanFrom(r.ctx), "route.net")
 	sp.SetAttr("net", net.Name)
@@ -327,29 +267,11 @@ func (r *router) routeNetOnce(region geom.Rect, net NetReq) (*NetRoute, error) {
 	return r.routeNet(region, net)
 }
 
-// problemNets returns, in the deterministic routing order, the nets
-// that need another rip-up round: failed ones and those riding an
-// over-capacity edge.
-func (r *router) problemNets(order []NetReq, res *Result) []NetReq {
-	overflow := r.overflowEdges()
-	var out []NetReq
-	for _, net := range order {
-		nr, ok := res.Nets[net.Name]
-		if !ok {
-			continue
-		}
-		if nr.Status == NetFailed || r.touchesOverflow(net.Name, overflow) {
-			out = append(out, net)
-		}
-	}
-	return out
-}
-
 // overflowEdges returns the set of gcell edges over capacity.
 func (r *router) overflowEdges() map[[5]int]bool {
 	out := make(map[[5]int]bool)
 	for k, n := range r.use {
-		if n > r.p.EdgeCapacity {
+		if n > edgeCapacity {
 			out[k] = true
 		}
 	}
@@ -378,8 +300,8 @@ func (r *router) ripup(name string) {
 
 // gcell maps placement coordinates to grid coordinates.
 func (r *router) gcell(region geom.Rect, pt geom.Point) (int, int) {
-	x := int((pt.X - region.X0) / r.p.CellSize)
-	y := int((pt.Y - region.Y0) / r.p.CellSize)
+	x := int((pt.X - region.X0) / CellSize)
+	y := int((pt.Y - region.Y0) / CellSize)
 	if x < 0 {
 		x = 0
 	}
@@ -403,7 +325,7 @@ func (r *router) routeNet(region geom.Rect, net NetReq) (*NetRoute, error) {
 	nr := &NetRoute{Name: net.Name, LengthByLayer: map[pdk.Layer]int64{}}
 	// Tree starts at pin 0 (entered at MinLayer).
 	x0, y0 := r.gcell(region, net.Pins[0].At)
-	tree := map[node]bool{{x0, y0, r.p.MinLayer}: true}
+	tree := map[node]bool{{x0, y0, MinLayer}: true}
 
 	// Connect remaining pins in nearest-first order.
 	remaining := append([]Pin(nil), net.Pins[1:]...)
@@ -484,7 +406,7 @@ func (q *pq) Pop() interface{} {
 // must be reached at MinLayer — pins are cell port columns on the
 // lowest routing layer, so every branch ends with a well-defined
 // pin-layer landing. Wrong-direction edges cost extra; vias cost
-// ViaCost; congested edges cost more.
+// viaCost; congested edges cost more.
 func (r *router) astar(tree map[node]bool, region geom.Rect, pin Pin) ([]node, error) {
 	tx, ty := r.gcell(region, pin.At)
 	open := &pq{}
@@ -520,7 +442,7 @@ func (r *router) astar(tree map[node]bool, region geom.Rect, pin Pin) ([]node, e
 		if g, ok := gScore[cur.n]; ok && cur.g > g {
 			continue
 		}
-		if cur.n.x == tx && cur.n.y == ty && cur.n.l == r.p.MinLayer {
+		if cur.n.x == tx && cur.n.y == ty && cur.n.l == MinLayer {
 			goal = cur.n
 			found = true
 			break
@@ -577,10 +499,10 @@ func (r *router) neighbors(n node) []neighbor {
 			out = append(out, neighbor{node{n.x, n.y + 1, n.l}})
 		}
 	}
-	if n.l > r.p.MinLayer {
+	if n.l > MinLayer {
 		out = append(out, neighbor{node{n.x, n.y, n.l - 1}})
 	}
-	if n.l < r.p.MaxLayer {
+	if n.l < r.maxLayer {
 		out = append(out, neighbor{node{n.x, n.y, n.l + 1}})
 	}
 	return out
@@ -589,11 +511,11 @@ func (r *router) neighbors(n node) []neighbor {
 // edgeCost prices one move.
 func (r *router) edgeCost(a, b node) float64 {
 	if a.l != b.l {
-		return r.p.ViaCost
+		return viaCost
 	}
 	c := 1.0
 	key := edgeKey(a, b)
-	c += r.congest * float64(r.use[key])
+	c += congestionCost * float64(r.use[key])
 	return c
 }
 
@@ -607,7 +529,7 @@ func edgeKey(a, b node) [5]int {
 
 // commit records a path into the net route and congestion map.
 func (r *router) commit(nr *NetRoute, path []node, region geom.Rect) {
-	cs := r.p.CellSize
+	cs := CellSize
 	toPt := func(n node) geom.Point {
 		return geom.Point{X: region.X0 + int64(n.x)*cs + cs/2, Y: region.Y0 + int64(n.y)*cs + cs/2}
 	}

@@ -21,7 +21,7 @@ func TestRouteTwoPinNet(t *testing.T) {
 			{Block: "b", At: geom.Point{X: 8500, Y: 500}},
 		},
 	}}
-	res, err := RouteCtx(context.Background(), tech, region(), nets, Params{})
+	res, err := RouteCtx(context.Background(), tech, region(), nets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestRouteUsesPreferredDirections(t *testing.T) {
 			{At: geom.Point{X: 9500, Y: 5000}},
 		},
 	}}
-	res, err := RouteCtx(context.Background(), tech, region(), nets, Params{})
+	res, err := RouteCtx(context.Background(), tech, region(), nets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestRouteLShapeCountsVias(t *testing.T) {
 			{At: geom.Point{X: 8000, Y: 8000}},
 		},
 	}}
-	res, err := RouteCtx(context.Background(), tech, region(), nets, Params{})
+	res, err := RouteCtx(context.Background(), tech, region(), nets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestRouteMultiPinSteiner(t *testing.T) {
 			{At: geom.Point{X: 5000, Y: 9500}},
 		},
 	}}
-	res, err := RouteCtx(context.Background(), tech, region(), nets, Params{})
+	res, err := RouteCtx(context.Background(), tech, region(), nets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestRouteCongestionSpreadsNets(t *testing.T) {
 			},
 		})
 	}
-	res, err := RouteCtx(context.Background(), tech, region(), nets, Params{})
+	res, err := RouteCtx(context.Background(), tech, region(), nets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestRouteCongestionSpreadsNets(t *testing.T) {
 
 func TestRouteSinglePinNet(t *testing.T) {
 	nets := []NetReq{{Name: "solo", Pins: []Pin{{At: geom.Point{X: 100, Y: 100}}}}}
-	res, err := RouteCtx(context.Background(), tech, region(), nets, Params{})
+	res, err := RouteCtx(context.Background(), tech, region(), nets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestRouteSinglePinNet(t *testing.T) {
 }
 
 func TestRouteEmptyRegion(t *testing.T) {
-	if _, err := RouteCtx(context.Background(), tech, geom.Rect{}, nil, Params{}); err == nil {
+	if _, err := RouteCtx(context.Background(), tech, geom.Rect{}, nil); err == nil {
 		t.Error("empty region accepted")
 	}
 }
@@ -168,11 +168,11 @@ func TestRouteDeterministic(t *testing.T) {
 		{Name: "x", Pins: []Pin{{At: geom.Point{X: 500, Y: 500}}, {At: geom.Point{X: 9000, Y: 9000}}}},
 		{Name: "y", Pins: []Pin{{At: geom.Point{X: 9000, Y: 500}}, {At: geom.Point{X: 500, Y: 9000}}}},
 	}
-	r1, err := RouteCtx(context.Background(), tech, region(), nets, Params{})
+	r1, err := RouteCtx(context.Background(), tech, region(), nets)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := RouteCtx(context.Background(), tech, region(), nets, Params{})
+	r2, err := RouteCtx(context.Background(), tech, region(), nets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestRoutePinsOutsideRegionClamped(t *testing.T) {
 			{At: geom.Point{X: 99999, Y: 99999}},
 		},
 	}}
-	if _, err := RouteCtx(context.Background(), tech, region(), nets, Params{}); err != nil {
+	if _, err := RouteCtx(context.Background(), tech, region(), nets); err != nil {
 		t.Fatalf("clamped routing failed: %v", err)
 	}
 }
@@ -209,7 +209,7 @@ func TestRouteLowerBoundProperty(t *testing.T) {
 			return true // same/adjacent gcell: trivial
 		}
 		nets := []NetReq{{Name: "n", Pins: []Pin{{At: a}, {At: b}}}}
-		res, err := RouteCtx(context.Background(), tech, region(), nets, Params{})
+		res, err := RouteCtx(context.Background(), tech, region(), nets)
 		if err != nil {
 			return false
 		}
@@ -253,12 +253,12 @@ func TestRouteDeterministicCongested(t *testing.T) {
 		})
 		return nets
 	}
-	ref, err := RouteCtx(context.Background(), tech, region(), mk(), Params{})
+	ref, err := RouteCtx(context.Background(), tech, region(), mk())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for run := 0; run < 5; run++ {
-		res, err := RouteCtx(context.Background(), tech, region(), mk(), Params{})
+		res, err := RouteCtx(context.Background(), tech, region(), mk())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,7 +303,7 @@ func TestRouteSameGcellPins(t *testing.T) {
 			{Block: "b", At: geom.Point{X: 180, Y: 150}},
 		},
 	}}
-	res, err := RouteCtx(context.Background(), tech, region(), nets, Params{})
+	res, err := RouteCtx(context.Background(), tech, region(), nets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,8 +323,7 @@ func TestRouteSameGcellPins(t *testing.T) {
 // layer-hop path: every hop must be recorded as a ViaPoint with the
 // correct Lower layer and contribute no wire length.
 func TestRouteCommitViaOnlyPath(t *testing.T) {
-	p := Params{}.withDefaults(tech)
-	r := &router{tech: tech, p: p, nx: 50, ny: 50, use: map[[5]int]int{}}
+	r := &router{tech: tech, maxLayer: pdk.Layer(tech.NumLayers() - 1), nx: 50, ny: 50, use: map[[5]int]int{}}
 	nr := &NetRoute{Name: "v", LengthByLayer: map[pdk.Layer]int64{}}
 	// Path is goal-to-tree order, as astar reconstructs it: descend
 	// from layer 4 to the pin landing at MinLayer (2).

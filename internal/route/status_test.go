@@ -30,7 +30,7 @@ func TestRouteNetFailureIsPerNet(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := fault.With(context.Background(), inj)
-	res, err := RouteCtx(ctx, tech, region(), twoNets(), Params{})
+	res, err := RouteCtx(ctx, tech, region(), twoNets())
 	if err != nil {
 		t.Fatalf("run aborted on a per-net failure: %v", err)
 	}
@@ -47,30 +47,6 @@ func TestRouteNetFailureIsPerNet(t *testing.T) {
 	}
 }
 
-// TestRouteRipupRecoversFailedNet: with MaxRipup armed, the net that
-// failed in the main pass is rerouted in round 1 (the one-shot fault
-// is spent) and the result reports no failures.
-func TestRouteRipupRecoversFailedNet(t *testing.T) {
-	inj, err := fault.New(1, fault.SiteRouteNet+":error@1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := fault.With(context.Background(), inj)
-	res, err := RouteCtx(ctx, tech, region(), twoNets(), Params{MaxRipup: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Failed) != 0 {
-		t.Errorf("Failed = %v, want none after rip-up", res.Failed)
-	}
-	if res.RipupRounds != 1 {
-		t.Errorf("RipupRounds = %d, want 1", res.RipupRounds)
-	}
-	if a := res.Nets["a"]; a == nil || a.Status != NetRouted || a.TotalLength() == 0 {
-		t.Errorf("net a = %+v, want rerouted", a)
-	}
-}
-
 // TestRouteOverflowStatus: more same-endpoint nets than the source
 // gcell has escape capacity must leave overflow, and every reported
 // net must actually exist with NetOverflow status.
@@ -84,12 +60,12 @@ func TestRouteOverflowStatus(t *testing.T) {
 			{At: geom.Point{X: 8500, Y: 8500}},
 		}})
 	}
-	res, err := RouteCtx(context.Background(), tech, region(), nets, Params{EdgeCapacity: 1})
+	res, err := RouteCtx(context.Background(), tech, region(), nets)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Overflowed) == 0 || res.OverflowEdges == 0 {
-		t.Fatalf("no overflow with 20 nets on capacity-1 edges: %+v", res)
+		t.Fatalf("no overflow with 20 nets on capacity-2 edges: %+v", res)
 	}
 	for _, n := range res.Overflowed {
 		nr := res.Nets[n]
@@ -99,16 +75,15 @@ func TestRouteOverflowStatus(t *testing.T) {
 	}
 }
 
-// TestRouteDefaultNoRipup: the ladder must stay off by default so
-// default results remain identical to the ladder-free router.
+// TestRouteDefaultNoRipup: two nets far apart route cleanly in one
+// pass, with no failed or overflowed net.
 func TestRouteDefaultNoRipup(t *testing.T) {
-	res, err := RouteCtx(context.Background(), tech, region(), twoNets(), Params{})
+	res, err := RouteCtx(context.Background(), tech, region(), twoNets())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.RipupRounds != 0 || len(res.Failed) != 0 || len(res.Overflowed) != 0 {
-		t.Errorf("clean default run: rounds=%d failed=%v overflowed=%v",
-			res.RipupRounds, res.Failed, res.Overflowed)
+	if len(res.Failed) != 0 || len(res.Overflowed) != 0 {
+		t.Errorf("clean run: failed=%v overflowed=%v", res.Failed, res.Overflowed)
 	}
 	for _, nr := range res.Nets {
 		if nr.Status != NetRouted {

@@ -62,6 +62,28 @@ func TestPerRequestAccounting(t *testing.T) {
 	}
 }
 
+// TestTraceRecordsRequestKnobs: a traced request's flow.run span
+// records the knobs the run was given, so a dump says what ran.
+func TestTraceRecordsRequestKnobs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-flow test")
+	}
+	got, _ := serveAll(t, 1, map[string]string{
+		"csamp": `{"circuit":"csamp","seed":1,"place_replicas":3,"spice_workers":2,"retry_attempts":4,"verify":true,"trace":true}`,
+	})
+	run := got["csamp"].run
+	want := map[string]any{
+		"circuit": "csamp", "mode": "optimized", "seed": 1.0,
+		"place_replicas": 3.0, "spice_workers": 2.0, "retry_attempts": 4.0,
+		"verify": "warn", "stage_timeout": "0s",
+	}
+	for k, v := range want {
+		if run[k] != v {
+			t.Errorf("flow.run %s = %v, want %v", k, run[k], v)
+		}
+	}
+}
+
 // serveAll posts every request at once to a fresh real daemon with the
 // given worker count, and returns each request's accounting and the
 // daemon trace.

@@ -70,8 +70,6 @@ type Config struct {
 	// probabilistic terms. Empty leaves injection off.
 	FaultSpec string
 	FaultSeed int64
-	// RetrySeed seeds the jittered Retry-After hint stream (default 1).
-	RetrySeed int64
 	// Trace is the daemon-lifetime observability sink: serve.*
 	// admission counters land here, every finished request's own
 	// trace folds its counters in, and the telemetry surface reads
@@ -186,14 +184,10 @@ func New(tech *pdk.Tech, cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serve: cache dir %s: %w", cfg.CacheDir, err)
 	}
 	s.cache = cache
-	seed := cfg.RetrySeed
-	if seed == 0 {
-		seed = 1
-	}
 	// The hint ladder starts near a short request's runtime and grows
 	// toward Cap as sheds pile up — a saturated daemon pushes clients
 	// further out instead of inviting a synchronized stampede.
-	s.retryHint = fault.Backoff{Base: time.Second, Cap: 30 * time.Second, Attempts: 1 << 30, Seed: seed, Tag: "serve.retry_after"}
+	s.retryHint = fault.Backoff{Base: time.Second, Cap: 30 * time.Second, Attempts: 1 << 30, Seed: 1, Tag: "serve.retry_after"}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.queue = make(chan *job, cfg.queueDepth())
 	for i := 0; i < cfg.workers(); i++ {

@@ -162,8 +162,3 @@ func Format(v float64, sig int) string {
 	}
 	return s + "a"
 }
-
-// FormatUnit is Format with a unit string appended ("1.96m" + "A/V").
-func FormatUnit(v float64, sig int, unit string) string {
-	return Format(v, sig) + unit
-}

@@ -101,12 +101,6 @@ func TestFormatBasic(t *testing.T) {
 	}
 }
 
-func TestFormatUnit(t *testing.T) {
-	if got := FormatUnit(1.96e-3, 3, "A/V"); got != "1.96mA/V" {
-		t.Errorf("FormatUnit = %q", got)
-	}
-}
-
 // Property: Parse(Format(v)) round-trips within formatting precision
 // for values in the ranges EDA uses (1e-18 .. 1e12).
 func TestFormatParseRoundTrip(t *testing.T) {

@@ -11,8 +11,8 @@ import (
 const (
 	// RuleRouteFailed marks a net the router left without geometry.
 	RuleRouteFailed Rule = "route_failed"
-	// RuleRouteOverflow marks a routed net still riding at least one
-	// over-capacity gcell edge after any rip-up rounds.
+	// RuleRouteOverflow marks a routed net riding at least one
+	// over-capacity gcell edge.
 	RuleRouteOverflow Rule = "route_overflow"
 )
 

@@ -35,10 +35,6 @@ type TopInput struct {
 	Layouts map[string]*cellgen.Layout
 	// Region is the routing region the router ran over.
 	Region geom.Rect
-	// CellSize and MinLayer mirror the route.Params actually used
-	// (zero values select the router defaults).
-	CellSize int64
-	MinLayer pdk.Layer
 }
 
 // run is one straight wire piece awaiting track assignment: a line on
@@ -166,14 +162,7 @@ func cutRect(cx, cy, cut int64) geom.Rect {
 func CheckTop(t *pdk.Tech, in TopInput, opts Options) *Report {
 	rep := &Report{Target: in.Bench.Name + "/top"}
 	rules := opts.rules(t)
-	cs := in.CellSize
-	if cs <= 0 {
-		cs = 200
-	}
-	minL := in.MinLayer
-	if minL <= 0 {
-		minL = 2
-	}
+	cs, minL := route.CellSize, route.MinLayer
 
 	var shapes []Shape
 	type pinRec struct {
@@ -521,15 +510,20 @@ func CheckTop(t *pdk.Tech, in TopInput, opts Options) *Report {
 		}
 	}
 
-	rep.Violations = append(rep.Violations, checkSymmetry(in, opts)...)
+	rep.Violations = append(rep.Violations, checkSymmetry(in)...)
 	return rep
 }
 
+// symTol is the residual of the annealer's symmetry penalty that a
+// pair of widths wa and wb may keep, in nm (mirror-distance mismatch
+// plus y offset): half the pair's mean width, (wa+wb)/4, plus 400.
+func symTol(wa, wb int64) int64 { return (wa+wb)/4 + 400 }
+
 // checkSymmetry verifies symmetry pairs ended up mirrored about the
-// common vertical axis at matched heights, within tolerance — the
+// common vertical axis at matched heights, within symTol — the
 // placer treats symmetry as a penalty, so a residual is allowed, but
 // a pair parked asymmetrically is an LVS-grade constraint failure.
-func checkSymmetry(in TopInput, opts Options) []Violation {
+func checkSymmetry(in TopInput) []Violation {
 	type pair struct{ a, b string }
 	var pairsList []pair
 	for _, inst := range in.Bench.Insts {
@@ -561,11 +555,7 @@ func checkSymmetry(in TopInput, opts Options) []Violation {
 		da := axis - float64(ra.Center().X)
 		db := float64(rb.Center().X) - axis
 		err := int64(math.Abs(da-db)) + abs64(ra.Y0-rb.Y0)
-		tol := opts.SymTol
-		if tol <= 0 {
-			tol = (ra.W()+rb.W())/4 + 400
-		}
-		if err > tol {
+		if tol := symTol(ra.W(), rb.W()); err > tol {
 			out = append(out, Violation{Rule: RuleSymmetry, Nets: []string{p.a, p.b},
 				Msg: fmt.Sprintf("pair %s/%s residual %dnm exceeds tolerance %dnm", p.a, p.b, err, tol)})
 		}

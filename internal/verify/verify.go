@@ -263,10 +263,6 @@ func DefaultRules(t *pdk.Tech) *Rules {
 type Options struct {
 	// Rules overrides the derived rule deck (nil = DefaultRules).
 	Rules *Rules
-	// SymTol is the tolerated residual of the annealer's symmetry
-	// penalty per pair, nm (mirror-distance mismatch plus y offset).
-	// Zero means the default of 1/4 of the pair's mean width.
-	SymTol int64
 }
 
 func (o Options) rules(t *pdk.Tech) *Rules {
