@@ -216,12 +216,17 @@ var (
 	}
 )
 
+// evalPointWork names the attributes in which each eval.point records
+// the work of its transient windows.
+var evalPointWork = []string{"tran_steps", "newton_iters", "factorizations"}
+
 // checkEvalPoints checks the attribution of RO-VCO evaluation: the
 // flow.eval stage of a rovco flow.run sweeps its tuning curve, one
 // eval.point child per control voltage, each inside the stage's
-// window (give or take the self-time rule's wire-format tolerance).
-// A fault-armed run may cancel the points after a failing one before
-// they start, so there only the window rule applies.
+// window (give or take the self-time rule's wire-format tolerance)
+// and recording its work (evalPointWork). A fault-armed run may
+// cancel the points after a failing one before they start, so there
+// only the window rule applies.
 func checkEvalPoints(t *analyze.Tree, faulted bool) []string {
 	const tolUS = 100
 	want := circuits.VCOCurveVoltages()
@@ -246,6 +251,12 @@ func checkEvalPoints(t *analyze.Tree, faulted bool) []string {
 				if p.StartUS < ev.StartUS-tolUS || p.EndUS() > ev.EndUS()+tolUS {
 					problems = append(problems, fmt.Sprintf(
 						"eval.point (id %d) runs outside its flow.eval (id %d) window", p.ID, ev.ID))
+				}
+				for _, k := range evalPointWork {
+					if _, ok := p.Attrs[k].(float64); !ok && !faulted {
+						problems = append(problems, fmt.Sprintf(
+							"eval.point (id %d) does not record %s", p.ID, k))
+					}
 				}
 				v, _ := p.Attrs["vctrl"].(float64)
 				if i := slices.Index(want, v); i >= 0 {

@@ -288,7 +288,8 @@ func TestCheckTraceRejectsNegativeSelfTime(t *testing.T) {
 }
 
 // An RO-VCO run's flow.eval must hold one eval.point child per control
-// voltage of the curve, each inside the stage's window.
+// voltage of the curve, each inside the stage's window and recording
+// its work.
 func TestCheckTraceEvalPoints(t *testing.T) {
 	dir := t.TempDir()
 	trace := func(points ...string) []string {
@@ -297,7 +298,7 @@ func TestCheckTraceEvalPoints(t *testing.T) {
 		return append(lines, points...)
 	}
 	point := func(id int, vctrl float64, start int) string {
-		return fmt.Sprintf(`{"type":"span","id":%d,"parent":7,"name":"eval.point","start_us":%d,"dur_us":40,"attrs":{"vctrl":%v,"ok":true}}`, id, start, vctrl)
+		return fmt.Sprintf(`{"type":"span","id":%d,"parent":7,"name":"eval.point","start_us":%d,"dur_us":40,"attrs":{"vctrl":%v,"ok":true,"tran_steps":3000,"newton_iters":7400,"factorizations":880}}`, id, start, vctrl)
 	}
 	var all []string
 	for i, v := range circuits.VCOCurveVoltages() {
@@ -312,6 +313,7 @@ func TestCheckTraceEvalPoints(t *testing.T) {
 		"duplicate": append(all[:len(all):len(all)], point(20, 0.35, 950)),
 		"outside":   append(all[1:len(all):len(all)], point(20, 0.35, 1500)),
 		"stray":     append(all[:len(all):len(all)], point(20, 0.7, 950)),
+		"no work":   append(all[1:len(all):len(all)], strings.Replace(point(20, 0.35, 950), `"tran_steps":3000,`, "", 1)),
 	} {
 		bad := writeTraceFile(t, dir, "points_"+name+".jsonl", trace(points...)...)
 		var rc int

@@ -147,18 +147,28 @@ func ringNets(stages int) []string {
 // or post-layout) VCO netlist at one control voltage; ok=false when
 // the ring does not oscillate there. On a traced context it records
 // an eval.point span, under the span the context carries, with the
-// control voltage, the outcome, and each transient window it ran
-// (windows_s) with that window's time step (steps_s).
+// control voltage, the outcome, each transient window it ran
+// (windows_s) with that window's time step (steps_s), and the work of
+// those windows, summed: tran_steps, newton_iters and factorizations
+// (spice.TranWork of the point's own engine).
 func EvalVCOAtCtx(ctx context.Context, t *pdk.Tech, nl *circuit.Netlist, vctrl float64) (hz float64, ok bool, err error) {
 	sp := obs.StartSpan(obs.From(ctx), obs.SpanFrom(ctx), "eval.point")
 	var windows, steps []float64
+	var e *spice.Engine
 	defer func() {
 		if sp != nil {
+			var work spice.TranWork
+			if e != nil {
+				work = e.TranWork()
+			}
 			sp.SetAttr("vctrl", vctrl)
 			sp.SetAttr("ok", ok)
 			sp.SetAttr("hz", hz)
 			sp.SetAttr("windows_s", windows)
 			sp.SetAttr("steps_s", steps)
+			sp.SetAttr("tran_steps", work.Steps)
+			sp.SetAttr("newton_iters", work.NewtonIters)
+			sp.SetAttr("factorizations", work.Factorizations)
 		}
 		sp.End()
 	}()
@@ -173,7 +183,7 @@ func EvalVCOAtCtx(ctx context.Context, t *pdk.Tech, nl *circuit.Netlist, vctrl f
 	if d := sim.Device("vcp"); d != nil {
 		d.SetParam("dc", vdd-vctrl)
 	}
-	e, err := spice.New(ctx, t, sim)
+	e, err = spice.New(ctx, t, sim)
 	if err != nil {
 		return 0, false, err
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"primopt/internal/fault"
+	"primopt/internal/obs"
 )
 
 var curveVctrls = []float64{0.35, 0.40, 0.45, 0.50, 0.60, 0.80}
@@ -65,6 +66,50 @@ func TestVCOCurvePoolMatchesSerial(t *testing.T) {
 				t.Errorf("GOMAXPROCS %d: %s = %.17g, serial %.17g", procs, k, got[k], w)
 			}
 		}
+	}
+}
+
+// TestEvalPointsRecordTheirWork runs a curve on its own trace. Each
+// eval.point takes its work from its own engine, so although the
+// points run concurrently and share the trace's counters, their
+// tran_steps and newton_iters must sum to spice.tran.steps and
+// spice.tran.newton_iters.
+func TestEvalPointsRecordTheirWork(t *testing.T) {
+	bm, err := ROVCO(tech, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.New()
+	ctx := obs.With(context.Background(), tr)
+	withProcs(4, func() { _, err = EvalVCOCurveCtx(ctx, tech, bm.Schematic, curveVctrls) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans, _ := tr.Snapshot()
+	var points, steps, iters int64
+	for _, s := range spans {
+		if s.Name != "eval.point" {
+			continue
+		}
+		points++
+		st, ok1 := s.Attrs["tran_steps"].(int64)
+		it, ok2 := s.Attrs["newton_iters"].(int64)
+		fa, ok3 := s.Attrs["factorizations"].(int64)
+		if !ok1 || !ok2 || !ok3 || st <= 0 || it < st || fa <= 0 || fa > it {
+			t.Errorf("eval.point at %v: tran_steps %v, newton_iters %v, factorizations %v",
+				s.Attrs["vctrl"], s.Attrs["tran_steps"], s.Attrs["newton_iters"], s.Attrs["factorizations"])
+		}
+		steps += st
+		iters += it
+	}
+	if points != int64(len(curveVctrls)) {
+		t.Fatalf("%d eval.point spans, want %d", points, len(curveVctrls))
+	}
+	if want := tr.Counter("spice.tran.steps").Value(); steps != want {
+		t.Errorf("points' tran_steps sum to %d, trace counts %d", steps, want)
+	}
+	if want := tr.Counter("spice.tran.newton_iters").Value(); iters != want {
+		t.Errorf("points' newton_iters sum to %d, trace counts %d", iters, want)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package numeric provides the linear-algebra kernel used by the MNA
-// circuit simulator (real and complex LU factorization with partial
+// circuit simulator (real and complex LU factorization with row
 // pivoting) together with curve utilities used by the primitive-tuning
 // stopping rules (minimum, knee, monotonicity) and the measurements
 // (level crossings, log-spaced sweeps).
@@ -7,10 +7,14 @@
 // Matrices are stored dense and every fresh, pivot-searching
 // factorization is dense. A real Workspace given the structural
 // Pattern of its matrices refactors and solves large, sparse ones in
-// compact form along the fill of the current pivot order; the result
-// is bit-identical to the dense loops (see pattern.go). Primitive
-// testbench matrices (tens of unknowns) stay on the dense loops and
-// pay for no analysis.
+// compact form along the fill of the current pivot order, bit for bit
+// as a dense elimination under the same row swaps (see pattern.go).
+// NewPatternWorkspace factors in the matrix's own order with partial
+// pivoting. NewOrderedWorkspace factors QᵀAQ for a minimum-degree
+// order Q of A + Aᵀ and keeps diagonal pivots down to the replay's
+// growth bound, which fills a circuit matrix far less. Primitive
+// testbench matrices (tens of unknowns) stay on the dense loops with
+// partial pivoting and pay for no analysis.
 package numeric
 
 import (
@@ -51,18 +55,19 @@ func (m *Matrix) Zero() {
 	}
 }
 
-// factorReal runs the elimination into lu (overwritten with a copy of
-// m.Data), recording the row-swap sequence (LAPACK ipiv convention:
-// swaps[k] is the row exchanged with row k at step k, so applying it
-// to a right-hand side is an in-place pass of element swaps). It
-// returns the scale-relative singularity threshold so a workspace can
-// carry it into later pivot-reuse passes.
-func factorReal(m *Matrix, lu []float64, swaps []int) (float64, error) {
-	n := m.N
-	// Fused copy + scale scan for the singularity threshold.
+// factorReal eliminates the n×n matrix in lu in place, recording the
+// row-swap sequence (LAPACK ipiv convention: swaps[k] is the row
+// exchanged with row k at step k, so applying it to a right-hand side
+// is an in-place pass of element swaps). At step k it keeps the
+// diagonal as pivot while |a[k][k]| >= tol × the column's maximum
+// over rows i >= k (and above the singularity threshold), and
+// otherwise swaps in the first row holding that maximum: tol = 1 is
+// partial pivoting, decision for decision. It returns the
+// scale-relative singularity threshold so a workspace can carry it
+// into later pivot-reuse passes.
+func factorReal(lu []float64, n int, swaps []int, tol float64) (float64, error) {
 	maxAbs := 0.0
-	for i, v := range m.Data {
-		lu[i] = v
+	for _, v := range lu {
 		if a := math.Abs(v); a > maxAbs {
 			maxAbs = a
 		}
@@ -72,8 +77,7 @@ func factorReal(m *Matrix, lu []float64, swaps []int) (float64, error) {
 		return 0, ErrSingular
 	}
 	a := lu
-	// Partial pivoting: the candidate for column k is the largest
-	// |a[i][k]|, i >= k. Column 0 needs an explicit scan; each
+	// The column maximum: column 0 needs an explicit scan; each
 	// elimination step tracks the next column's max as a side effect,
 	// replacing the cache-hostile strided scan every later step would
 	// otherwise pay.
@@ -87,6 +91,11 @@ func factorReal(m *Matrix, lu []float64, swaps []int) (float64, error) {
 	for k := 0; k < n; k++ {
 		if best <= tiny {
 			return 0, fmt.Errorf("%w: pivot %d (%.3e)", ErrSingular, k, best)
+		}
+		// p is the first row of the maximum, so at tol = 1 the
+		// diagonal already wins exactly when it is the maximum.
+		if d := math.Abs(a[k*n+k]); p != k && d >= tol*best && d > tiny {
+			p = k
 		}
 		swaps[k] = p
 		if p != k {
@@ -207,6 +216,8 @@ func substituteReal(n int, lu []float64, swaps []int, x []float64) {
 // least this fraction of the current column maximum (the pivot fresh
 // partial pivoting would pick). Below the bound element growth can
 // destroy accuracy, so the workspace falls back to fresh pivoting.
+// An ordered workspace's fresh factorizations keep the diagonal down
+// to the same bound, so a fresh pivot order passes its own check.
 const pivotReuseTol = 0.1
 
 // Workspace is a reusable LU factorization buffer for solving a
@@ -217,38 +228,88 @@ const pivotReuseTol = 0.1
 // growth bound each step) before falling back to fresh partial
 // pivoting. Not concurrency-safe; use one Workspace per engine.
 //
-// A workspace built by NewPatternWorkspace also derives, after each
-// fresh factorization of a large enough matrix, the fill of the new
-// pivot order; while that fill is compact, refactorizations that
-// replay the order and all solves touch only the entries it holds.
+// A workspace built by NewPatternWorkspace or NewOrderedWorkspace
+// also derives, after each fresh factorization of a large enough
+// matrix, the fill of the new pivot order; while that fill is
+// compact, refactorizations that replay the order and all solves
+// touch only the entries it holds.
 type Workspace struct {
 	n     int
-	lu    []float64
+	lu    []float64 // factors of the matrix in the workspace's order
 	swaps []int
 	valid bool    // a prior factorization's swap order can be retried
 	tiny  float64 // scale threshold from the last fresh factorization
+	tol   float64 // fresh pivoting's diagonal threshold (see factorReal)
 
-	pat     *Pattern  // structural pattern; nil keeps every pass dense
+	// order is the symmetric order the workspace factors in: row and
+	// column k of the factored matrix are row and column order[k] of
+	// the input. nil is the input's own order. y is the solve's
+	// scratch in that order.
+	order []int32
+	y     []float64
+
+	pat     *Pattern  // structural pattern in the workspace's order; nil keeps every pass dense
 	cp      compactLU // compact factors for the current pivot order
 	compact bool      // the current factorization lives in cp
 }
 
 // NewWorkspace returns a workspace for n×n systems.
 func NewWorkspace(n int) *Workspace {
-	return &Workspace{n: n, lu: make([]float64, n*n), swaps: make([]int, n)}
+	return &Workspace{n: n, lu: make([]float64, n*n), swaps: make([]int, n), tol: 1}
 }
 
 // NewPatternWorkspace returns a workspace for the p.N()×p.N() systems
-// whose nonzeros all lie in p. The workspace chooses between the
-// dense and the compact path from the matrix size and the fill each
-// pivot order produces; matrices below the compact path's minimum
-// size never pay for the analysis.
+// whose nonzeros all lie in p, factored with partial pivoting in
+// their own order. The workspace chooses between the dense and the
+// compact path from the matrix size and the fill each pivot order
+// produces; matrices below the compact path's minimum size never pay
+// for the analysis.
 func NewPatternWorkspace(p *Pattern) *Workspace {
 	w := NewWorkspace(p.n)
 	if p.n >= compactMinN {
-		w.pat = p
+		w.usePattern(p, false)
 	}
 	return w
+}
+
+// NewOrderedWorkspace is NewPatternWorkspace in a fill-reducing order:
+// it computes once, from p alone, a minimum-degree order Q of
+// A + Aᵀ and factors QᵀAQ, each fresh factorization keeping the
+// diagonal as pivot while it is at least pivotReuseTol of its
+// column's maximum. Solves still take and return the unordered
+// vectors. Matrices below the compact path's minimum size get a
+// plain workspace, partial pivoting in their own order.
+func NewOrderedWorkspace(p *Pattern) *Workspace {
+	w := NewWorkspace(p.n)
+	if p.n >= compactMinN {
+		w.usePattern(p, true)
+	}
+	return w
+}
+
+// usePattern gives w the structural pattern p of its matrices and,
+// when ordered, the fill-reducing order and threshold of
+// NewOrderedWorkspace.
+func (w *Workspace) usePattern(p *Pattern, ordered bool) {
+	if !ordered {
+		w.pat = p
+		return
+	}
+	w.order = minDegreeOrder(p)
+	w.pat = p.permute(w.order)
+	w.y = make([]float64, p.n)
+	w.tol = pivotReuseTol
+}
+
+// Fill reports the compact factorization the workspace holds: the
+// entries of its L and U, and the multiply-subtracts a refactorization
+// that replays its pivot order does along them. Both are 0 while the
+// factorization is dense.
+func (w *Workspace) Fill() (entries, mulSubs int) {
+	if !w.compact {
+		return 0, 0
+	}
+	return len(w.cp.col), w.cp.mulSubs
 }
 
 // Invalidate drops the remembered pivot order (and marks the current
@@ -265,7 +326,8 @@ func (w *Workspace) FactorInto(m *Matrix) (reused bool, err error) {
 		w.lu = make([]float64, w.n*w.n)
 		w.swaps = make([]int, w.n)
 		w.valid = false
-		w.pat = nil // the pattern described the old size
+		// The pattern and order described the old size.
+		w.pat, w.order, w.tol = nil, nil, 1
 	}
 	if w.valid {
 		if w.compact {
@@ -278,16 +340,33 @@ func (w *Workspace) FactorInto(m *Matrix) (reused bool, err error) {
 		}
 	}
 	w.valid, w.compact = false, false
-	tiny, err := factorReal(m, w.lu, w.swaps)
+	w.load(m)
+	tiny, err := factorReal(w.lu, w.n, w.swaps, w.tol)
 	if err != nil {
 		return false, err
 	}
 	w.tiny = tiny
 	w.valid = true
 	if w.pat != nil {
-		w.compact = w.cp.prepare(w.pat, w.swaps, w.lu)
+		w.compact = w.cp.prepare(w.pat, w.swaps, w.order, w.lu)
 	}
 	return false, nil
+}
+
+// load copies m into the factor scratch in the workspace's order.
+func (w *Workspace) load(m *Matrix) {
+	if w.order == nil {
+		copy(w.lu, m.Data)
+		return
+	}
+	n := w.n
+	for r, i := range w.order {
+		src := m.Data[int(i)*n : int(i)*n+n]
+		dst := w.lu[r*n : r*n+n]
+		for c, j := range w.order {
+			dst[c] = src[j]
+		}
+	}
 }
 
 // tryReusePivots redoes the elimination with the remembered swap
@@ -296,7 +375,7 @@ func (w *Workspace) FactorInto(m *Matrix) (reused bool, err error) {
 // from the (unmodified) input, which recopies it.
 func (w *Workspace) tryReusePivots(m *Matrix) bool {
 	n := w.n
-	copy(w.lu, m.Data)
+	w.load(m)
 	// The singularity guard reuses the scale threshold from the fresh
 	// factorization whose pivot order is being recycled: matrices in a
 	// reuse sequence are near-identical, so their scales are too, and
@@ -331,11 +410,23 @@ func (w *Workspace) tryReusePivots(m *Matrix) bool {
 // SolveInPlace solves Ax = b where x holds b on entry and the
 // solution on exit, using the most recent FactorInto. Allocation-free.
 func (w *Workspace) SolveInPlace(x []float64) {
-	if w.compact {
-		w.cp.solve(w.swaps, x)
-		return
+	y := x
+	if w.order != nil {
+		y = w.y
+		for r, i := range w.order {
+			y[r] = x[i]
+		}
 	}
-	substituteReal(w.n, w.lu, w.swaps, x)
+	if w.compact {
+		w.cp.solve(w.swaps, y)
+	} else {
+		substituteReal(w.n, w.lu, w.swaps, y)
+	}
+	if w.order != nil {
+		for r, i := range w.order {
+			x[i] = y[r]
+		}
+	}
 }
 
 // Solve solves Ax = b into x (which may alias b) using the most

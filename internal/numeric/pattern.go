@@ -90,6 +90,78 @@ func (p *Pattern) Residual(m *Matrix, x, rhs, r []float64) {
 	}
 }
 
+// minDegreeOrder returns a fill-reducing symmetric order of p's
+// matrices: greedy minimum degree on the graph of A + Aᵀ. Each step
+// eliminates the node with the fewest uneliminated neighbours, the
+// lowest index among equals, and joins its neighbours into a clique,
+// as its elimination would fill them. order[k] is the node eliminated
+// k-th. The order depends on the pattern alone.
+func minDegreeOrder(p *Pattern) []int32 {
+	n := p.n
+	words := (n + 63) / 64
+	adj := make([]uint64, n*words) // row i: i's uneliminated neighbours
+	row := func(i int) []uint64 { return adj[i*words : (i+1)*words] }
+	for i := 0; i < n; i++ {
+		for _, j := range p.col[p.rowPtr[i]:p.rowPtr[i+1]] {
+			if int(j) != i {
+				row(i)[j/64] |= 1 << (j % 64)
+				row(int(j))[i/64] |= 1 << (i % 64)
+			}
+		}
+	}
+	deg := make([]int, n)
+	for i := range deg {
+		for _, w := range row(i) {
+			deg[i] += bits.OnesCount64(w)
+		}
+	}
+	done := make([]bool, n)
+	order := make([]int32, 0, n)
+	for len(order) < n {
+		v := -1
+		for i := 0; i < n; i++ {
+			if !done[i] && (v < 0 || deg[i] < deg[v]) {
+				v = i
+			}
+		}
+		done[v] = true
+		order = append(order, int32(v))
+		rv := row(v)
+		for wi, w := range rv {
+			for ; w != 0; w &= w - 1 {
+				u := wi*64 + bits.TrailingZeros64(w)
+				ru := row(u)
+				for k := range ru {
+					ru[k] |= rv[k]
+				}
+				ru[u/64] &^= 1 << (u % 64)
+				ru[v/64] &^= 1 << (v % 64)
+				deg[u] = 0
+				for _, x := range ru {
+					deg[u] += bits.OnesCount64(x)
+				}
+			}
+		}
+	}
+	return order
+}
+
+// permute returns the pattern of QᵀAQ for the symmetric order q:
+// (r, c) is in it when (q[r], q[c]) is in p.
+func (p *Pattern) permute(q []int32) *Pattern {
+	inv := make([]int32, p.n)
+	for r, i := range q {
+		inv[i] = int32(r)
+	}
+	b := NewPatternBuilder(p.n)
+	for i := 0; i < p.n; i++ {
+		for _, j := range p.col[p.rowPtr[i]:p.rowPtr[i+1]] {
+			b.Add(int(inv[i]), int(inv[j]))
+		}
+	}
+	return b.Build()
+}
+
 // Compact-path selection. The workspace factors in compact form only
 // matrices of at least compactMinN unknowns, and only while the fill
 // of the current pivot order stays within compactMaxFill of n². The
@@ -104,20 +176,29 @@ const (
 )
 
 // compactLU holds the LU factors of PA for one pivot order in
-// compressed rows: the fill pattern of the order (the structural
-// pattern plus every position elimination can make nonzero) and the
-// factor values on it, L strictly left of each row's diagonal entry
-// and U from it rightwards. Every slice is kept across pivot-order
-// changes and regrown only when a larger fill needs it.
+// compressed rows, A being the matrix in the workspace's order: the
+// fill pattern of the pivot order (the structural pattern plus every
+// position elimination can make nonzero) and the factor values on it,
+// L strictly left of each row's diagonal entry and U from it
+// rightwards. Every slice is kept across pivot-order changes and
+// regrown only when a larger fill needs it.
 type compactLU struct {
 	analyzed bool    // swaps holds the last pivot order analyzed
 	ok       bool    // that order's fill is compact; the fields below describe it
 	swaps    []int   // the pivot order analyzed
-	perm     []int32 // original row of permuted row r
+	perm     []int32 // row of A that is row r of PA
 	rowPtr   []int32 // fill pattern, as in Pattern
 	col      []int32
 	diag     []int32 // index of (r, r) in col
 	val      []float64
+	mulSubs  int // multiply-subtracts of one refactorization along the fill
+
+	// Where refactor reads each entry of the input matrix, whose rows
+	// and columns are A's under the workspace's order: src[r] is the
+	// input row of PA's row r and scol[p] the input column of entry p.
+	// Without an order they alias perm and col.
+	src  []int32
+	scol []int32
 
 	// Refactorization scratch.
 	inv    []float64 // 1/pivot per row
@@ -130,9 +211,9 @@ type compactLU struct {
 // factorization lu with pivot order swaps, analyzing the order unless
 // it is the one analyzed last. It reports whether the order's fill is
 // compact; if so the factors are gathered from lu.
-func (c *compactLU) prepare(p *Pattern, swaps []int, lu []float64) bool {
+func (c *compactLU) prepare(p *Pattern, swaps []int, order []int32, lu []float64) bool {
 	if !c.analyzed || !slices.Equal(c.swaps, swaps) {
-		c.analyze(p, swaps, int(compactMaxFill*float64(p.n*p.n)))
+		c.analyze(p, swaps, order, int(compactMaxFill*float64(p.n*p.n)))
 	}
 	if c.ok {
 		c.gather(lu, p.n)
@@ -140,11 +221,13 @@ func (c *compactLU) prepare(p *Pattern, swaps []int, lu []float64) bool {
 	return c.ok
 }
 
-// analyze derives the fill pattern of pattern p under the pivot order
-// swaps: row r of PA holds its structural entries plus, for each
-// column k < r it holds, U's row k beyond the diagonal. The order is
-// left marked not compact when the fill exceeds maxNNZ.
-func (c *compactLU) analyze(p *Pattern, swaps []int, maxNNZ int) {
+// analyze derives the fill pattern of pattern p (A's, in the
+// workspace's order) under the pivot order swaps: row r of PA holds
+// its structural entries plus, for each column k < r it holds, U's
+// row k beyond the diagonal. order maps A's rows and columns to the
+// input matrix's (nil: they are the same). The pivot order is left
+// marked not compact when the fill exceeds maxNNZ.
+func (c *compactLU) analyze(p *Pattern, swaps []int, order []int32, maxNNZ int) {
 	n := p.n
 	c.analyzed, c.ok = true, false
 	c.swaps = append(c.swaps[:0], swaps...)
@@ -199,6 +282,24 @@ func (c *compactLU) analyze(p *Pattern, swaps []int, maxNNZ int) {
 			return
 		}
 	}
+	c.mulSubs = 0
+	for r := 0; r < n; r++ {
+		for _, k := range c.col[c.rowPtr[r]:c.diag[r]] {
+			c.mulSubs += int(c.rowPtr[k+1] - c.diag[k] - 1)
+		}
+	}
+	if order == nil {
+		c.src, c.scol = c.perm, c.col
+	} else {
+		c.src = resize32(c.src, n)
+		for r, i := range c.perm {
+			c.src[r] = order[i]
+		}
+		c.scol = resize32(c.scol, len(c.col))
+		for p, j := range c.col {
+			c.scol[p] = order[j]
+		}
+	}
 	c.val = resize64(c.val, len(c.col))
 	c.inv = resize64(c.inv, n)
 	c.colMax = resize64(c.colMax, n)
@@ -218,8 +319,8 @@ func (c *compactLU) gather(lu []float64, n int) {
 }
 
 // refactor recomputes the factors of m under the analyzed pivot order.
-// Row by row, it gathers the pattern entries of PA's row r into the
-// work row and applies, for each column k of the row's L part in
+// Row by row, it gathers the pattern entries of PA's row r from m
+// into the work row and applies, for each column k of the row's L part in
 // ascending order, the update with U's row k. Each stored entry thus
 // receives the same multiply-subtracts in the same order as in the
 // dense right-looking loop, and every term the dense loop adds beyond
@@ -236,9 +337,11 @@ func (c *compactLU) refactor(m *Matrix, tiny float64) bool {
 	}
 	for r := 0; r < n; r++ {
 		lo, d, hi := c.rowPtr[r], c.diag[r], c.rowPtr[r+1]
-		src := a[int(c.perm[r])*n : int(c.perm[r])*n+n]
-		for _, j := range col[lo:hi] {
-			work[j] = src[j]
+		src := a[int(c.src[r])*n : int(c.src[r])*n+n]
+		rc := col[lo:hi]
+		sc := c.scol[lo:hi][:len(rc)]
+		for t, j := range rc {
+			work[j] = src[sc[t]]
 		}
 		for _, k := range col[lo:d] {
 			v := work[k]

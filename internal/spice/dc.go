@@ -54,7 +54,7 @@ func (e *Engine) scratch() *solverScratch {
 			xNew:   make([]float64, e.n),
 			resid:  make([]float64, e.n),
 			rhsLin: make([]float64, e.n),
-			ws:     e.newWorkspace(),
+			ws:     numeric.NewPatternWorkspace(e.pat),
 		}
 	}
 	return e.scr

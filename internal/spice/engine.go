@@ -11,8 +11,12 @@
 // structural pattern of its real MNA matrices and gives it to the LU
 // workspaces of its operating-point and transient solves, which
 // refactor and solve large sparse systems (the post-layout RO-VCO)
-// along that pattern, bit-identically to the dense loops; primitive
-// testbench matrices stay on the dense loops. AC analysis is dense
+// along that pattern. The operating point factors in the matrix's own
+// order with partial pivoting, bit-identically to the dense loops;
+// the transient factors in a fill-reducing minimum-degree order with
+// diagonal-preferring threshold pivoting (numeric.NewOrderedWorkspace).
+// Matrices under 64 unknowns, every primitive testbench among them,
+// stay on the dense loops with partial pivoting. AC analysis is dense
 // throughout.
 package spice
 
@@ -83,6 +87,7 @@ type Engine struct {
 
 	scr    *solverScratch     // lazily-built DC Newton scratch (see dc.go)
 	tranWS *numeric.Workspace // transient LU workspace (see tranWorkspace)
+	work   TranWork           // what the engine's transient runs did
 
 	// factorHook, when set, sees every real matrix the engine hands to
 	// an LU workspace. Tests use it to check pattern coverage.
@@ -308,23 +313,31 @@ func (e *Engine) sourceNamed(name string) *source {
 	return nil
 }
 
-// newWorkspace returns an LU workspace for the engine's real MNA
-// matrices, carrying their pattern.
-func (e *Engine) newWorkspace() *numeric.Workspace {
-	return numeric.NewPatternWorkspace(e.pat)
-}
-
 // tranWorkspace returns the engine's transient LU workspace with its
 // pivot order forgotten, so that a run's first factorization pivots
-// afresh exactly as on a new workspace, while the buffers and the
-// compact analysis carry over between the runs of one engine.
+// afresh exactly as on a new workspace, while the buffers, the
+// fill-reducing order and the compact analysis carry over between the
+// runs of one engine.
 func (e *Engine) tranWorkspace() *numeric.Workspace {
 	if e.tranWS == nil {
-		e.tranWS = e.newWorkspace()
+		e.tranWS = numeric.NewOrderedWorkspace(e.pat)
 	}
 	e.tranWS.Invalidate()
 	return e.tranWS
 }
+
+// TranWork counts the work of an engine's transient runs: integration
+// steps (halved ones included, as spice.tran.steps counts them), their
+// Newton iterations (spice.tran.newton_iters) and the LU
+// factorizations of their Jacobians, fresh or replaying a pivot order.
+type TranWork struct {
+	Steps, NewtonIters, Factorizations int64
+}
+
+// TranWork returns the work of every transient run of e so far. Unlike
+// the trace's counters it is e's own, so concurrent engines reporting
+// to one trace do not mix.
+func (e *Engine) TranWork() TranWork { return e.work }
 
 // factor factors m into ws.
 func (e *Engine) factor(ws *numeric.Workspace, m *numeric.Matrix) (bool, error) {

@@ -356,8 +356,10 @@ func (st *tranState) step(x []float64, t, h float64) ([]float64, []float64, erro
 
 	tr := e.tr
 	tr.Counter("spice.tran.steps").Inc()
+	e.work.Steps++
 	var iters, reusedPiv, bypassed int64
 	defer func() {
+		e.work.NewtonIters += iters
 		tr.Counter("spice.tran.newton_iters").Add(iters)
 		if reusedPiv > 0 {
 			tr.Counter("spice.factor.reused").Add(reusedPiv)
@@ -424,6 +426,7 @@ func (st *tranState) step(x []float64, t, h float64) ([]float64, []float64, erro
 			if err != nil {
 				return nil, nil, fmt.Errorf("tran newton: %w", err)
 			}
+			e.work.Factorizations++
 			if reused {
 				reusedPiv++
 			}
@@ -463,6 +466,7 @@ func (st *tranState) step(x []float64, t, h float64) ([]float64, []float64, erro
 			if err != nil {
 				return nil, nil, fmt.Errorf("tran newton: %w", err)
 			}
+			e.work.Factorizations++
 			if reused {
 				reusedPiv++
 			}
