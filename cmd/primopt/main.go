@@ -282,12 +282,13 @@ func runCircuit(ctx context.Context, tech *pdk.Tech, req flow.Request, o runOpts
 }
 
 // cacheStatsLine renders the per-mode cache summary, or "" when the
-// mode never exercised its cache (schematic and conventional runs
-// evaluate no primitive) — an all-zero stats line for a mode that
-// never consulted the cache is noise, not information.
+// mode evaluates no primitive or never exercised its cache. Schematic
+// and conventional runs look up only their circuit evaluation, in a
+// fresh memory-only cache, so their line would always read 0 hits / 1
+// miss: noise, not information.
 func cacheStatsLine(m flow.Mode, c *evcache.Cache) string {
 	st := c.Stats()
-	if st.Hits+st.Misses == 0 {
+	if !m.Optimizing() || st.Hits+st.Misses == 0 {
 		return ""
 	}
 	line := fmt.Sprintf("%-12s cache: %d hits / %d misses, %d entries (~%d KiB)",

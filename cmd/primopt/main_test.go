@@ -19,14 +19,14 @@ import (
 // cache never saw a request stay silent instead of reporting a
 // misleading "0 hits / 0 misses".
 func TestCacheStatsLineSuppression(t *testing.T) {
-	// A cache that was created but never exercised (a schematic or
-	// conventional run evaluates no primitive) is silent.
+	// A cache that was created but never exercised is silent.
 	idle := evcache.New()
 	if line := cacheStatsLine(flow.Conventional, idle); line != "" {
 		t.Errorf("idle cache produced a stats line: %q", line)
 	}
 
-	// One miss then one hit: the line appears with both counts.
+	// One miss then one hit: the line appears with both counts, in a
+	// mode that evaluates primitives only.
 	c := evcache.New()
 	compute := func() (*evcache.Entry, error) {
 		return &evcache.Entry{Cost: 1}, nil
@@ -35,6 +35,9 @@ func TestCacheStatsLineSuppression(t *testing.T) {
 		if _, err := c.DoCtx(context.Background(), "k", compute); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if line := cacheStatsLine(flow.Conventional, c); line != "" {
+		t.Errorf("conventional run's circuit evaluation produced a stats line: %q", line)
 	}
 	line := cacheStatsLine(flow.Optimized, c)
 	if !strings.Contains(line, "1 hits / 1 misses") {

@@ -221,10 +221,12 @@ var (
 var evalPointWork = []string{"tran_steps", "newton_iters", "factorizations"}
 
 // checkEvalPoints checks the attribution of RO-VCO evaluation: the
-// flow.eval stage of a rovco flow.run sweeps its tuning curve, one
-// eval.point child per control voltage, each inside the stage's
-// window (give or take the self-time rule's wire-format tolerance)
-// and recording its work (evalPointWork). A fault-armed run may
+// flow.eval stage of a rovco flow.run that simulated (cached: false,
+// or no cached attribute, as older traces have) sweeps its tuning
+// curve, one eval.point child per control voltage, each inside the
+// stage's window (give or take the self-time rule's wire-format
+// tolerance) and recording its work (evalPointWork); one served from
+// the evaluation cache (cached: true) has none. A fault-armed run may
 // cancel the points after a failing one before they start, so there
 // only the window rule applies.
 func checkEvalPoints(t *analyze.Tree, faulted bool) []string {
@@ -241,6 +243,19 @@ func checkEvalPoints(t *analyze.Tree, faulted bool) []string {
 		}
 		for _, ev := range n.Children {
 			if ev.Name != "flow.eval" {
+				continue
+			}
+			if ev.Attrs["cached"] == true {
+				k := 0
+				for _, p := range ev.Children {
+					if p.Name == "eval.point" {
+						k++
+					}
+				}
+				if k > 0 {
+					problems = append(problems, fmt.Sprintf(
+						"flow.eval (id %d) is cached but has %d eval.point children, want 0", ev.ID, k))
+				}
 				continue
 			}
 			count := make([]int, len(want))
@@ -287,7 +302,7 @@ func checkEvalPoints(t *analyze.Tree, faulted bool) []string {
 func runCheckTrace(args []string) int {
 	fs := flag.NewFlagSet("checktrace", flag.ExitOnError)
 	requireWarm := fs.Bool("require-warm", false,
-		"assert the trace is a fully warm disk-cache replay: spice.decks == 0 and evcache.disk_hits > 0")
+		"assert the trace is a fully warm disk-cache replay: spice.decks == 0, evcache.disk_hits > 0 and cached: true on every flow.eval")
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: primopt checktrace [-require-warm] <trace.jsonl>")
 		fs.PrintDefaults()
@@ -471,9 +486,11 @@ func runCheckTrace(args []string) int {
 	// Warm-replay gate (-require-warm): the persistent cache's success
 	// metric is that a second run of a benchmark against a warm
 	// -cache-dir solves ZERO SPICE decks — every primitive evaluation
-	// is served from the disk tier. A trace that solved any deck, or
-	// that never recorded a disk hit, is not the warm replay it claims
-	// to be.
+	// is served from the disk tier — and simulates no post-layout
+	// netlist: every flow.eval records cached: true, so the run
+	// simulated nothing but its schematic OP. A trace that solved any
+	// deck, evaluated any netlist, or never recorded a disk hit, is
+	// not the warm replay it claims to be.
 	if *requireWarm {
 		if decks := metricVal("spice.decks"); decks != 0 {
 			problems = append(problems, fmt.Sprintf(
@@ -481,6 +498,12 @@ func runCheckTrace(args []string) int {
 		}
 		if hits := metricVal("evcache.disk_hits"); hits <= 0 {
 			problems = append(problems, "-require-warm: evcache.disk_hits = 0: the run never read the disk tier")
+		}
+		for _, ev := range d.SpansNamed("flow.eval") {
+			if ev.Attrs["cached"] != true {
+				problems = append(problems, fmt.Sprintf(
+					"-require-warm: flow.eval (id %d) has cached = %v, want true (warm run must not simulate its netlist)", ev.ID, ev.Attrs["cached"]))
+			}
 		}
 	}
 

@@ -287,9 +287,20 @@ func TestCheckTraceRejectsNegativeSelfTime(t *testing.T) {
 	}
 }
 
-// An RO-VCO run's flow.eval must hold one eval.point child per control
-// voltage of the curve, each inside the stage's window and recording
-// its work.
+// cachedEval marks the fixture's flow.eval span with cached.
+func cachedEval(lines []string, cached bool) []string {
+	for i, l := range lines {
+		if strings.Contains(l, `"name":"flow.eval"`) {
+			lines[i] = strings.Replace(l, `"dur_us":100}`, fmt.Sprintf(`"dur_us":100,"attrs":{"cached":%v}}`, cached), 1)
+		}
+	}
+	return lines
+}
+
+// An RO-VCO run's flow.eval that simulated must hold one eval.point
+// child per control voltage of the curve, each inside the stage's
+// window and recording its work; one served from the cache holds
+// none.
 func TestCheckTraceEvalPoints(t *testing.T) {
 	dir := t.TempDir()
 	trace := func(points ...string) []string {
@@ -307,6 +318,20 @@ func TestCheckTraceEvalPoints(t *testing.T) {
 	ok := writeTraceFile(t, dir, "points_ok.jsonl", trace(all...)...)
 	if rc := runCheckTrace([]string{ok}); rc != 0 {
 		t.Errorf("complete eval.point set rejected (exit %d)", rc)
+	}
+	simulated := writeTraceFile(t, dir, "points_simulated.jsonl", cachedEval(trace(all...), false)...)
+	if rc := runCheckTrace([]string{simulated}); rc != 0 {
+		t.Errorf("complete eval.point set under cached: false rejected (exit %d)", rc)
+	}
+	cached := writeTraceFile(t, dir, "points_cached.jsonl", cachedEval(trace(), true)...)
+	if rc := runCheckTrace([]string{cached}); rc != 0 {
+		t.Errorf("cached evaluation without eval.point children rejected (exit %d)", rc)
+	}
+	cachedPoints := writeTraceFile(t, dir, "points_cached_simulated.jsonl", cachedEval(trace(all...), true)...)
+	var rc int
+	out := captureStderr(t, func() { rc = runCheckTrace([]string{cachedPoints}) })
+	if rc == 0 || !strings.Contains(out, "is cached but has 6 eval.point children") {
+		t.Errorf("cached evaluation with eval.point children: exit %d, stderr %q", rc, out)
 	}
 	for name, points := range map[string][]string{
 		"missing":   all[1:],
@@ -362,12 +387,13 @@ func TestCheckTraceSolverCounterBounds(t *testing.T) {
 }
 
 // -require-warm asserts the persistent cache's success metric: a
-// second run against a warm -cache-dir solves zero SPICE decks and
-// serves every evaluation from the disk tier.
+// second run against a warm -cache-dir solves zero SPICE decks, serves
+// every evaluation from the disk tier and simulates no netlist (every
+// flow.eval records cached: true).
 func TestCheckTraceRequireWarm(t *testing.T) {
 	dir := t.TempDir()
 
-	warm := writeTraceFile(t, dir, "warm.jsonl", append(conventionalTraceLines(validMetaLine),
+	warm := writeTraceFile(t, dir, "warm.jsonl", append(cachedEval(conventionalTraceLines(validMetaLine), true),
 		`{"type":"metric","kind":"counter","name":"evcache.disk_hits","value":7}`)...)
 	if rc := runCheckTrace([]string{"-require-warm", warm}); rc != 0 {
 		t.Errorf("warm trace rejected (exit %d)", rc)
@@ -393,10 +419,28 @@ func TestCheckTraceRequireWarm(t *testing.T) {
 
 	// Zero decks but no disk hits means the disk tier never engaged —
 	// e.g. the cache dir flag was dropped from the CI job.
-	nodisk := writeTraceFile(t, dir, "nodisk.jsonl", conventionalTraceLines(validMetaLine)...)
+	nodisk := writeTraceFile(t, dir, "nodisk.jsonl", cachedEval(conventionalTraceLines(validMetaLine), true)...)
 	out = captureStderr(t, func() { rc = runCheckTrace([]string{"-require-warm", nodisk}) })
 	if rc == 0 || !strings.Contains(out, "evcache.disk_hits") {
 		t.Errorf("diskless trace accepted as warm: exit %d, stderr %q", rc, out)
+	}
+
+	// A run that served its primitives from disk but simulated its
+	// netlist (cached: false, or no cached attribute at all) is not a
+	// warm replay either.
+	for name, lines := range map[string][]string{
+		"simulated": cachedEval(conventionalTraceLines(validMetaLine), false),
+		"unmarked":  conventionalTraceLines(validMetaLine),
+	} {
+		evaluated := writeTraceFile(t, dir, name+".jsonl", append(lines,
+			`{"type":"metric","kind":"counter","name":"evcache.disk_hits","value":7}`)...)
+		out = captureStderr(t, func() { rc = runCheckTrace([]string{"-require-warm", evaluated}) })
+		if rc == 0 || !strings.Contains(out, "flow.eval (id 7) has cached") {
+			t.Errorf("%s evaluation accepted as warm: exit %d, stderr %q", name, rc, out)
+		}
+		if rc := runCheckTrace([]string{evaluated}); rc != 0 {
+			t.Errorf("%s evaluation rejected without flag (exit %d)", name, rc)
+		}
 	}
 }
 

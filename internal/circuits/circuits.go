@@ -66,6 +66,12 @@ type Benchmark struct {
 	// Eval measures the circuit-level metrics on a (schematic or
 	// post-layout) netlist variant. The context bounds every SPICE run
 	// underneath (pass context.Background() when no deadline applies).
+	// An evaluation reads only the tech and the netlist's devices: the
+	// flow caches its metrics under evcache.NetlistKey (PDK
+	// fingerprint, benchmark name, device digest), so an Eval that read
+	// anything else could be served another input's metrics, and a
+	// change to what an Eval measures needs an evcache.SchemaVersion
+	// bump.
 	Eval func(ctx context.Context, t *pdk.Tech, nl *circuit.Netlist) (map[string]float64, error)
 	// MetricOrder fixes the reporting order of Eval's keys.
 	MetricOrder []string

@@ -16,6 +16,12 @@
 // flight computes each once — the reuse across the hierarchy that
 // ALIGN motivates.
 //
+// The cache's second kind of entry is a benchmark's circuit-level
+// evaluation of an assembled netlist (the flow's flow.eval stage),
+// keyed by NetlistKey on the netlist's content and stored as
+// Entry.Eval, so a request that repeats an earlier one simulates
+// nothing.
+//
 // Correctness rests on two properties:
 //
 //   - Shared immutable entries: the cache stores the entry a
@@ -62,6 +68,7 @@ package evcache
 
 import (
 	"context"
+	"encoding/hex"
 	"errors"
 	"sort"
 	"strconv"
@@ -69,11 +76,13 @@ import (
 	"sync/atomic"
 
 	"primopt/internal/cellgen"
+	"primopt/internal/circuit"
 	"primopt/internal/cost"
 	"primopt/internal/extract"
 	"primopt/internal/fault"
 	"primopt/internal/obs"
 	"primopt/internal/primlib"
+	"primopt/internal/spice"
 )
 
 // SchemaVersion is the cache schema generation, carried by every key
@@ -89,10 +98,19 @@ import (
 // bias already had zeros in the dropped fields, and then both key the
 // same evaluation; full-bias csinv keys are simply never requested
 // again and age out of the disk tier.
+//
+// Keys name the inputs of a computation, not its code, so any change
+// that moves a cached result bumps it too: a primitive testbench, a
+// benchmark evaluation (circuits.Benchmark.Eval), or the simulator.
+// Cache directories hold post-layout metrics (NetlistKey) as well as
+// primitive evaluations. The NetlistKey entries came in at v2: their
+// keys are new, so no older entry can answer them.
 const SchemaVersion = 2
 
 // Entry is one cached evaluation. Layout evaluations fill every
-// field; schematic reference evaluations (no layout) carry only Eval.
+// field; schematic reference evaluations (no layout) and circuit
+// evaluations (NetlistKey, the metrics in Eval.Values) carry only
+// Eval.
 type Entry struct {
 	Layout *cellgen.Layout
 	Ex     *extract.Extracted
@@ -222,6 +240,25 @@ func Key(pdkFP string, e *primlib.Entry, sz primlib.Sizing, bias primlib.Bias, l
 			b = appendInt(b, "/", int64(r.Vias))
 		}
 	}
+	return string(b)
+}
+
+// NetlistKey renders the key of benchmark bench's evaluation of the
+// netlist nl (circuits.Benchmark.Eval), the cache's second kind of
+// entry. An evaluation reads only the tech and the netlist, so the key
+// is the schema version, the PDK fingerprint pdkFP, the benchmark name
+// (which picks the testbench) and spice.NetlistDigest of nl's devices,
+// in hex. Like Key's text it is part of the disk format.
+func NetlistKey(pdkFP, bench string, nl *circuit.Netlist) string {
+	sum := spice.NetlistDigest(nl)
+	var buf [160]byte
+	b := appendInt(buf[:0], "v", SchemaVersion)
+	b = append(b, "|pdk="...)
+	b = append(b, pdkFP...)
+	b = append(b, "|eval="...)
+	b = append(b, bench...)
+	b = append(b, "|nl="...)
+	b = hex.AppendEncode(b, sum[:])
 	return string(b)
 }
 

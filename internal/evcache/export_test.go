@@ -80,13 +80,14 @@ func (l *StoreLog) Changed() []string {
 type HitCheck struct {
 	mu      sync.Mutex
 	checked map[*Cache]int64
+	keys    map[*Cache][]string
 	diffs   []string
 }
 
 // CheckHits installs a HitCheck for the rest of the test. Tests that
 // call it must not run in parallel with other tests of the package.
 func CheckHits(t testing.TB) *HitCheck {
-	h := &HitCheck{checked: map[*Cache]int64{}}
+	h := &HitCheck{checked: map[*Cache]int64{}, keys: map[*Cache][]string{}}
 	hitHook = func(c *Cache, key string, served *Entry, compute func() (*Entry, error)) {
 		fresh, err := compute()
 		var diff string
@@ -99,6 +100,7 @@ func CheckHits(t testing.TB) *HitCheck {
 		h.mu.Lock()
 		defer h.mu.Unlock()
 		h.checked[c]++
+		h.keys[c] = append(h.keys[c], key)
 		if diff != "" {
 			h.diffs = append(h.diffs, diff)
 		}
@@ -112,6 +114,16 @@ func (h *HitCheck) Checked(c *Cache) int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.checked[c]
+}
+
+// Keys lists the keys of c's recomputed hits, sorted and without
+// repeats.
+func (h *HitCheck) Keys(c *Cache) []string {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	out := slices.Clone(h.keys[c])
+	sort.Strings(out)
+	return slices.Compact(out)
 }
 
 // Diffs lists every hit whose recompute differed from the served

@@ -2,6 +2,8 @@ package evcache_test
 
 import (
 	"context"
+	"slices"
+	"strings"
 	"testing"
 
 	"primopt/internal/circuits"
@@ -13,12 +15,14 @@ import (
 // TestEveryHitMatchesItsRecompute is the reference for the cache's
 // correctness: a hit must be exactly what the requester would have
 // computed. Every circuit's optimized and manual flows run on one
-// shared cache, so hits come from other instances of the same run
-// and from earlier runs; every hit, whether read from memory or
-// waited out, is recomputed from the requesting caller's own inputs
-// and compared with the served entry by digest. A key that leaves
-// out anything the evaluation reads (a wire count, a route) serves
-// another snapshot's entry, and the recompute tells them apart.
+// shared cache, then its optimized flow once more, so hits come from
+// other instances of the same run and from earlier runs, and the
+// repeat hits the post-layout evaluation of each circuit; every hit,
+// whether read from memory or waited out, is recomputed from the
+// requesting caller's own inputs and compared with the served entry
+// by digest. A key that leaves out anything the evaluation reads (a
+// wire count, a route, a netlist parameter) serves another snapshot's
+// entry, and the recompute tells them apart.
 func TestEveryHitMatchesItsRecompute(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every circuit's optimizing flows and recomputes every hit")
@@ -33,7 +37,7 @@ func TestEveryHitMatchesItsRecompute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, mode := range []flow.Mode{flow.Optimized, flow.Manual} {
+		for _, mode := range []flow.Mode{flow.Optimized, flow.Manual, flow.Optimized} {
 			p := flow.Params{Seed: 1}
 			p.Optimize.Cache = shared
 			if _, err := flow.RunContext(context.Background(), tech, bm, mode, p); err != nil {
@@ -47,6 +51,13 @@ func TestEveryHitMatchesItsRecompute(t *testing.T) {
 	}
 	if n := check.Checked(shared); n != hits {
 		t.Errorf("recomputed %d hits of %d", n, hits)
+	}
+	keys := check.Keys(shared)
+	for _, name := range circuits.Names() {
+		marker := "|eval=" + name + "|"
+		if !slices.ContainsFunc(keys, func(k string) bool { return strings.Contains(k, marker) }) {
+			t.Errorf("%s: no evaluation entry was hit", name)
+		}
 	}
 	for _, d := range check.Diffs() {
 		t.Error(d)

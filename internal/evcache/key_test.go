@@ -9,7 +9,9 @@ import (
 	"testing"
 
 	"primopt/internal/cellgen"
+	"primopt/internal/circuit"
 	"primopt/internal/extract"
+	"primopt/internal/pdk"
 	"primopt/internal/primlib"
 )
 
@@ -162,5 +164,88 @@ func TestKeyAllocs(t *testing.T) {
 	})
 	if allocs > 4 {
 		t.Errorf("a routed layout key allocates %v times, want at most 4", allocs)
+	}
+}
+
+// evalNetlist is a small literal netlist in which every field the
+// netlist key reads is set: a source with a waveform, a resistor and
+// a transistor. The transistor's parameters go in reversed when
+// reversed is set, so two builds differ only in map insertion order.
+func evalNetlist(reversed bool) *circuit.Netlist {
+	nl := circuit.New("probe")
+	v := &circuit.Device{Name: "vin", Type: circuit.VSource, Nets: []string{"in", "0"},
+		Wave: &circuit.SourceWave{Kind: "pwl", Args: []float64{0.1}, Times: []float64{0, 1e-9}, Vals: []float64{0, 0.8}}}
+	v.SetParam("dc", 0.4)
+	nl.MustAdd(v)
+	r := &circuit.Device{Name: "r1", Type: circuit.Resistor, Nets: []string{"in", "g"}}
+	r.SetParam("r", 1e3)
+	nl.MustAdd(r)
+	m := &circuit.Device{Name: "m1", Type: circuit.NMOS, Nets: []string{"out", "g", "0", "0"}}
+	params := [][2]any{{"nfin", 4.0}, {"nf", 2.0}, {"l", 14.0}}
+	if reversed {
+		params = [][2]any{params[2], params[1], params[0]}
+	}
+	for _, kv := range params {
+		m.SetParam(kv[0].(string), kv[1].(float64))
+	}
+	nl.MustAdd(m)
+	return nl
+}
+
+// TestNetlistKeyGolden pins the evaluation key's bytes, which index
+// the disk tier like Key's: a change that moves a byte needs a
+// SchemaVersion bump. Like TestKeyGolden's strings, this one embeds
+// pdk.Default()'s fingerprint.
+func TestNetlistKeyGolden(t *testing.T) {
+	const want = "v2|pdk=dc9248e7b74b4e25|eval=csamp|nl=9c53e5c05f5280c898c675081969886e0711545219a56e024cf5dc4fe03b1bda"
+	if got := NetlistKey(testFP, "csamp", evalNetlist(false)); got != want {
+		t.Errorf("netlist key:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestNetlistKeySeesEveryField changes each field the evaluation
+// reads, one at a time, and checks that the key moves with it: a
+// field the key skipped would serve one netlist's metrics for
+// another. Netlists built separately with equal content share a key.
+func TestNetlistKeySeesEveryField(t *testing.T) {
+	ref := NetlistKey(testFP, "csamp", evalNetlist(false))
+	if got := NetlistKey(testFP, "csamp", evalNetlist(true)); got != ref {
+		t.Fatalf("equal netlists built separately have keys %s and %s", ref, got)
+	}
+	for what, change := range map[string]func(nl *circuit.Netlist){
+		"parameter by one ulp": func(nl *circuit.Netlist) {
+			r := nl.Device("r1")
+			r.SetParam("r", math.Nextafter(r.Param("r", 0), math.Inf(1)))
+		},
+		"parameter name": func(nl *circuit.Netlist) {
+			m := nl.Device("m1")
+			delete(m.Params, "nf")
+			m.SetParam("m", 2)
+		},
+		"net":         func(nl *circuit.Netlist) { nl.Device("r1").Nets[1] = "g2" },
+		"device name": func(nl *circuit.Netlist) { nl.Device("r1").Name = "r2" },
+		"device type": func(nl *circuit.Netlist) { nl.Device("r1").Type = circuit.Capacitor },
+		"device order": func(nl *circuit.Netlist) {
+			nl.Devices[1], nl.Devices[2] = nl.Devices[2], nl.Devices[1]
+		},
+		"wave kind":  func(nl *circuit.Netlist) { nl.Device("vin").Wave.Kind = "pulse" },
+		"wave args":  func(nl *circuit.Netlist) { nl.Device("vin").Wave.Args[0] = 0.2 },
+		"wave times": func(nl *circuit.Netlist) { nl.Device("vin").Wave.Times[1] = 2e-9 },
+		"wave vals":  func(nl *circuit.Netlist) { nl.Device("vin").Wave.Vals[1] = 0.7 },
+		"no wave":    func(nl *circuit.Netlist) { nl.Device("vin").Wave = nil },
+	} {
+		nl := evalNetlist(false)
+		change(nl)
+		if NetlistKey(testFP, "csamp", nl) == ref {
+			t.Errorf("%s: key unchanged", what)
+		}
+	}
+	if NetlistKey(testFP, "ota5t", evalNetlist(false)) == ref {
+		t.Error("benchmark name: key unchanged")
+	}
+	other := pdk.Default()
+	other.GateL++
+	if NetlistKey(other.Fingerprint(), "csamp", evalNetlist(false)) == ref {
+		t.Error("PDK fingerprint: key unchanged")
 	}
 }

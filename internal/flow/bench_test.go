@@ -41,3 +41,27 @@ func BenchmarkEvalVCOPoint(b *testing.B) {
 
 // pointHz keeps the benchmarked call's result live.
 var pointHz float64
+
+// BenchmarkNetlistKey times the post-layout evaluation's cache key as
+// evaluate computes it once per run, PDK fingerprint included, on the
+// largest netlist a warm daemon request evaluates: the StrongARM's
+// optimized netlist of seed 1. The flow that produces it runs once,
+// outside the timer.
+func BenchmarkNetlistKey(b *testing.B) {
+	bm, err := circuits.StrongARM(tech)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := RunContext(context.Background(), tech, bm, Optimized, Params{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		netlistKey = evcache.NetlistKey(tech.Fingerprint(), bm.Name, res.Netlist)
+	}
+}
+
+// netlistKey keeps the benchmarked key live.
+var netlistKey string

@@ -3,12 +3,15 @@ package flow
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"primopt/internal/circuits"
+	"primopt/internal/evcache"
 	"primopt/internal/fault"
 	"primopt/internal/obs"
 	"primopt/internal/verify"
@@ -201,6 +204,67 @@ func TestFaultDegradationReasonsRepeat(t *testing.T) {
 			first = res.Degraded
 		} else if !reflect.DeepEqual(res.Degraded, first) {
 			t.Fatalf("run %d: Degraded = %v, run 0 had %v", i, res.Degraded, first)
+		}
+	}
+}
+
+// TestFlowEvalComputeFaultFailsRun: the post-layout evaluation is a
+// cache-miss computation, the run's last, so evcache.compute armed at
+// a clean run's miss count fails exactly it. No ladder owns the
+// evaluation: the run returns an error naming it and the injected
+// fault, and stores nothing for it. A clean rerun on the same cache
+// then computes the evaluation, and only it, to the clean run's bits.
+func TestFlowEvalComputeFaultFailsRun(t *testing.T) {
+	bm, err := circuits.CommonSource(tech)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	run := func(c *evcache.Cache, spec string) (*Result, *obs.Trace, error) {
+		p := Params{Seed: 1, Trace: obs.New()}
+		p.Optimize.Cache = c
+		if spec != "" {
+			inj, err := fault.New(1, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Fault = inj
+		}
+		res, err := RunContext(ctx, tech, bm, Optimized, p)
+		return res, p.Trace, err
+	}
+
+	clean, cleanTr, err := run(evcache.New(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := cleanTr.Counter("evcache.misses").Value()
+
+	c := evcache.New()
+	_, _, err = run(c, fmt.Sprintf("%s:error@%d", fault.SiteEvcacheCompute, n))
+	if err == nil {
+		t.Fatal("the run survived a failed post-layout evaluation")
+	}
+	if !strings.Contains(err.Error(), "post-layout eval") || !fault.IsInjected(err) {
+		t.Errorf("err = %v, want the post-layout evaluation's injected fault", err)
+	}
+	if st := c.Stats(); st.Misses != n-1 || st.Entries != int(n-1) {
+		t.Errorf("faulted run stored %d entries for %d misses, want the %d primitive evaluations alone", st.Entries, st.Misses, n-1)
+	}
+
+	rerun, rerunTr, err := run(c, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := rerunTr.Counter("evcache.misses").Value(); m != 1 {
+		t.Errorf("clean rerun computed %d entries, want the evaluation alone", m)
+	}
+	if len(rerun.Metrics) != len(clean.Metrics) {
+		t.Fatalf("rerun metrics %v, clean run %v", rerun.Metrics, clean.Metrics)
+	}
+	for k, v := range clean.Metrics {
+		if g := rerun.Metrics[k]; math.Float64bits(g) != math.Float64bits(v) {
+			t.Errorf("metric %s: rerun %v, clean run %v", k, g, v)
 		}
 	}
 }

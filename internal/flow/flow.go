@@ -21,6 +21,7 @@ package flow
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"time"
@@ -66,7 +67,8 @@ func (m Mode) String() string {
 
 // Optimizing reports whether the mode runs Algorithm 1 per primitive
 // (Optimized and Manual), the modes that evaluate primitives through
-// Params.Optimize.Cache; the others leave it idle.
+// Params.Optimize.Cache; the others use it only for their circuit
+// evaluation (evaluate).
 func (m Mode) Optimizing() bool { return m == Optimized || m == Manual }
 
 // VerifyMode selects what the flow does with the static verification
@@ -270,14 +272,33 @@ func RunContext(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, mode M
 }
 
 // evaluate runs the benchmark's evaluation of nl as the flow.eval
-// stage. The stage span rides on the context, so the evaluation's own
-// spans (the RO-VCO's eval.point per control voltage) nest under it.
+// stage, through the run's evaluation cache under
+// evcache.NetlistKey: a netlist that the cache (disk tier included)
+// has evaluated before is not simulated again. The span records
+// cached, true when this run simulated nothing, and rides on the
+// context, so the evaluation's own spans (the RO-VCO's eval.point per
+// control voltage) nest under it. The metrics are a copy of the
+// shared stored entry's.
 func evaluate(ctx context.Context, p Params, root *obs.Span, t *pdk.Tech, bm *circuits.Benchmark, nl *circuit.Netlist) (map[string]float64, error) {
 	sp := root.Start("flow.eval")
 	defer sp.End()
 	ectx, cancel := p.stage(ctx)
 	defer cancel()
-	return bm.Eval(obs.WithSpan(ectx, sp), t, nl)
+	ectx = obs.WithSpan(ectx, sp)
+	simulated := false
+	ent, err := p.Optimize.Cache.DoCtx(ectx, evcache.NetlistKey(t.Fingerprint(), bm.Name, nl), func() (*evcache.Entry, error) {
+		simulated = true
+		vals, err := bm.Eval(ectx, t, nl)
+		if err != nil {
+			return nil, err
+		}
+		return &evcache.Entry{Eval: &primlib.Eval{Values: vals}}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	sp.SetAttr("cached", !simulated)
+	return maps.Clone(ent.Eval.Values), nil
 }
 
 // runLayout executes the layout portion of one methodology —

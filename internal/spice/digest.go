@@ -1,49 +1,27 @@
 package spice
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"math"
 	"slices"
+
+	"primopt/internal/circuit"
 )
 
 // digest is the deck's duplicate identity: an FNV-64a hash of its
-// content in a fixed order. That is the title; per device its type,
-// name, nets, parameters by sorted key and waveform; then the
-// analyses, the measures and the initial conditions by sorted net.
-// Strings and lists are length-prefixed and floats enter as their
-// bits, so two decks share a digest, up to hash collisions, exactly
-// when every one of those fields is equal. The title counts because
-// two testbenches of different metrics can otherwise hold the same
-// circuit and statements.
+// content in a fixed order. That is the title; the devices as
+// hashDevices walks them; then the analyses, the measures and the
+// initial conditions by sorted net. Strings and lists are
+// length-prefixed and floats enter as their bits, so two decks share a
+// digest, up to hash collisions, exactly when every one of those
+// fields is equal. The title counts because two testbenches of
+// different metrics can otherwise hold the same circuit and
+// statements.
 func (d *Deck) digest() uint64 {
 	h := fnv64a(14695981039346656037)
 	h.str(d.Title)
-	var keyBuf [16]string // a device has at most ten parameters
-	keys := keyBuf[:0]
-	h.int(len(d.Netlist.Devices))
-	for _, dev := range d.Netlist.Devices {
-		h.int(int(dev.Type))
-		h.str(dev.Name)
-		h.int(len(dev.Nets))
-		for _, n := range dev.Nets {
-			h.str(n)
-		}
-		keys = sortedKeys(keys[:0], dev.Params)
-		h.int(len(keys))
-		for _, k := range keys {
-			h.str(k)
-			h.f64(dev.Params[k])
-		}
-		if w := dev.Wave; w == nil {
-			h.int(0)
-		} else {
-			h.int(1)
-			h.str(w.Kind)
-			h.f64s(w.Args)
-			h.f64s(w.Times)
-			h.f64s(w.Vals)
-		}
-	}
+	hashDevices(&h, d.Netlist.Devices)
 	h.int(len(d.Analyses))
 	for _, a := range d.Analyses {
 		h.str(a.Kind)
@@ -80,13 +58,73 @@ func (d *Deck) digest() uint64 {
 		h.f64(m.From)
 		h.f64(m.To)
 	}
-	keys = sortedKeys(keys[:0], d.ICs)
+	var keyBuf [16]string
+	keys := sortedKeys(keyBuf[:0], d.ICs)
 	h.int(len(keys))
 	for _, k := range keys {
 		h.str(k)
 		h.f64(d.ICs[k])
 	}
 	return uint64(h)
+}
+
+// NetlistDigest is the SHA-256 of nl's devices as hashDevices walks
+// them, the content identity under which the evaluation cache keys a
+// benchmark's evaluation of nl (evcache.NetlistKey). It walks the same
+// fields as the deck digest, but a collision here would serve another
+// netlist's metrics rather than miscount a duplicate, hence SHA-256.
+func NetlistDigest(nl *circuit.Netlist) [sha256.Size]byte {
+	b := make(byteHasher, 0, 128*len(nl.Devices))
+	hashDevices(&b, nl.Devices)
+	return sha256.Sum256(b)
+}
+
+// hasher receives a content walk: counts and lengths as uvarints,
+// strings length-prefixed, floats as their little-endian bits. The
+// deck digest's running FNV-64a and NetlistDigest's byte buffer
+// implement it, so both see the same byte stream for the same devices.
+type hasher interface {
+	int(v int)
+	str(s string)
+	f64(v float64)
+}
+
+// hashDevices walks devs in order: per device its type, name, nets,
+// parameters by sorted key and waveform.
+func hashDevices(h hasher, devs []*circuit.Device) {
+	var keyBuf [16]string // a device has at most ten parameters
+	keys := keyBuf[:0]
+	h.int(len(devs))
+	for _, dev := range devs {
+		h.int(int(dev.Type))
+		h.str(dev.Name)
+		h.int(len(dev.Nets))
+		for _, n := range dev.Nets {
+			h.str(n)
+		}
+		keys = sortedKeys(keys[:0], dev.Params)
+		h.int(len(keys))
+		for _, k := range keys {
+			h.str(k)
+			h.f64(dev.Params[k])
+		}
+		if w := dev.Wave; w == nil {
+			h.int(0)
+		} else {
+			h.int(1)
+			h.str(w.Kind)
+			hashFloats(h, w.Args)
+			hashFloats(h, w.Times)
+			hashFloats(h, w.Vals)
+		}
+	}
+}
+
+func hashFloats(h hasher, v []float64) {
+	h.int(len(v))
+	for _, x := range v {
+		h.f64(x)
+	}
 }
 
 func sortedKeys(dst []string, m map[string]float64) []string {
@@ -122,16 +160,17 @@ func (h *fnv64a) int(v int) {
 func (h *fnv64a) f64(v float64) { h.u64(math.Float64bits(v)) }
 func (h *fnv64a) edge(e Edge)   { h.str(e.Dir); h.int(e.N) }
 
-func (h *fnv64a) f64s(v []float64) {
-	h.int(len(v))
-	for _, x := range v {
-		h.f64(x)
-	}
-}
-
 func (h *fnv64a) str(s string) {
 	h.int(len(s))
 	for i := 0; i < len(s); i++ {
 		h.byte(s[i])
 	}
 }
+
+// byteHasher appends the walk's byte stream, for a hash that takes
+// its input whole.
+type byteHasher []byte
+
+func (b *byteHasher) int(v int)     { *b = binary.AppendUvarint(*b, uint64(v)) }
+func (b *byteHasher) str(s string)  { b.int(len(s)); *b = append(*b, s...) }
+func (b *byteHasher) f64(v float64) { *b = binary.LittleEndian.AppendUint64(*b, math.Float64bits(v)) }
