@@ -37,7 +37,9 @@ func main() {
 		CLoad: 5e-15,  // external load per drain
 	}
 
-	res, err := optimize.OptimizeCtx(context.Background(), tech, entry, sizing, bias, optimize.Params{Bins: 3})
+	// Evaluations are cached under keys that carry the PDK's
+	// fingerprint, computed once per Tech.
+	res, err := optimize.OptimizeCtx(context.Background(), tech, tech.Fingerprint(), entry, sizing, bias, optimize.Params{Bins: 3})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -164,10 +164,10 @@ func layoutBytes(l *cellgen.Layout) int64 {
 // changes or key-format generations — in-process both are constant,
 // which is why their omission was latent until entries persisted.
 // pdkFP is the Fingerprint of the Tech the caller evaluates with,
-// computed once per call (OptimizeCtx, GenerateConstraints,
-// Reconcile, primMetrics) rather than once per key; it is never
-// stored on the Tech, which the ablation harness copies by value and
-// tests edit, so a stored fingerprint could go stale.
+// computed once per flow run and passed down rather than computed
+// per key; it is never stored on the Tech, which the ablation harness
+// copies by value and tests edit, so a stored fingerprint could go
+// stale.
 // The bias part is e.TestbenchBias(bias), the fields the entry's
 // testbenches read (dropped fields print as 0); EvaluateCtx applies
 // the same projection, so equal keys evaluate equal inputs. A nil
@@ -183,10 +183,42 @@ func layoutBytes(l *cellgen.Layout) int64 {
 // format: integers print as fmt's %d does and floats as its %g does
 // (strconv's shortest 'g' form), pinned by TestKeyGolden, and a
 // change to any byte needs a SchemaVersion bump.
+//
+// A caller that builds many keys for one primitive renders the
+// primitive's part once with NewKeyPrefix and its keys with
+// KeyPrefix.Key, which give the same bytes.
 func Key(pdkFP string, e *primlib.Entry, sz primlib.Sizing, bias primlib.Bias, lay *cellgen.Layout, routes map[string]extract.Route) string {
-	bias = e.TestbenchBias(bias)
 	var buf [512]byte
-	b := appendInt(buf[:0], "v", SchemaVersion)
+	b := appendPrefix(buf[:0], pdkFP, e, sz, bias)
+	return string(appendLayout(b, lay, routes))
+}
+
+// KeyPrefix is the per-primitive part of Key, rendered once: the
+// schema version, the PDK fingerprint, the kind, the sizing and the
+// projected bias.
+type KeyPrefix struct {
+	text string
+}
+
+// NewKeyPrefix renders the part of Key that its first four arguments
+// decide.
+func NewKeyPrefix(pdkFP string, e *primlib.Entry, sz primlib.Sizing, bias primlib.Bias) KeyPrefix {
+	var buf [256]byte
+	return KeyPrefix{text: string(appendPrefix(buf[:0], pdkFP, e, sz, bias))}
+}
+
+// Key renders Key(pdkFP, e, sz, bias, lay, routes) for the primitive
+// p was rendered for, appending only the layout and route part.
+func (p KeyPrefix) Key(lay *cellgen.Layout, routes map[string]extract.Route) string {
+	var buf [512]byte
+	b := append(buf[:0], p.text...)
+	return string(appendLayout(b, lay, routes))
+}
+
+// appendPrefix appends Key's per-primitive part.
+func appendPrefix(b []byte, pdkFP string, e *primlib.Entry, sz primlib.Sizing, bias primlib.Bias) []byte {
+	bias = e.TestbenchBias(bias)
+	b = appendInt(b, "v", SchemaVersion)
 	b = append(b, "|pdk="...)
 	b = append(b, pdkFP...)
 	b = append(b, '|')
@@ -201,7 +233,11 @@ func Key(pdkFP string, e *primlib.Entry, sz primlib.Sizing, bias primlib.Bias, l
 	b = appendG(b, ";it=", bias.ITail)
 	b = appendG(b, ";cl=", bias.CLoad)
 	b = appendG(b, ";vctl=", bias.VCtrl)
-	b = appendG(b, ";vcas=", bias.VCasc)
+	return appendG(b, ";vcas=", bias.VCasc)
+}
+
+// appendLayout appends Key's layout and route part.
+func appendLayout(b []byte, lay *cellgen.Layout, routes map[string]extract.Route) []byte {
 	if lay == nil {
 		b = append(b, "|schematic"...)
 	} else {
@@ -240,7 +276,7 @@ func Key(pdkFP string, e *primlib.Entry, sz primlib.Sizing, bias primlib.Bias, l
 			b = appendInt(b, "/", int64(r.Vias))
 		}
 	}
-	return string(b)
+	return b
 }
 
 // NetlistKey renders the key of benchmark bench's evaluation of the

@@ -31,39 +31,45 @@ func routedInverter() (*cellgen.Layout, map[string]extract.Route) {
 	return lay, routes
 }
 
-// TestKeyGolden pins the key bytes. Keys index the disk tier, so a
-// directory written by an earlier build stays warm only while these
-// strings hold: a change that moves a byte must bump SchemaVersion
-// and edit this test. The strings embed pdk.Default()'s fingerprint,
-// so a change to the default PDK moves them too; that is a new PDK,
-// not a new format, and needs no bump.
+// TestKeyGolden pins the key bytes, from Key and from a KeyPrefix.
+// Keys index the disk tier, so a directory written by an earlier build
+// stays warm only while these strings hold: a change that moves a byte
+// must bump SchemaVersion and edit this test. The strings embed
+// pdk.Default()'s fingerprint, so a change to the default PDK moves
+// them too; that is a new PDK, not a new format, and needs no bump.
 func TestKeyGolden(t *testing.T) {
 	inv, routes := routedInverter()
 	for _, tc := range []struct {
-		name, got, want string
+		name   string
+		e      *primlib.Entry
+		sz     primlib.Sizing
+		bias   primlib.Bias
+		lay    *cellgen.Layout
+		routes map[string]extract.Route
+		want   string
 	}{
 		{
-			"schematic",
-			Key(testFP, primlib.CurrentMirror,
-				primlib.Sizing{TotalFins: 64, L: 14, RatioB: 2, NominalI: 20e-6},
-				primlib.Bias{Vdd: 0.8, VD: 0.4, ITail: 20e-6, CLoad: 5e-15}, nil, nil),
+			"schematic", primlib.CurrentMirror,
+			primlib.Sizing{TotalFins: 64, L: 14, RatioB: 2, NominalI: 20e-6},
+			primlib.Bias{Vdd: 0.8, VD: 0.4, ITail: 20e-6, CLoad: 5e-15}, nil, nil,
 			"v2|pdk=dc9248e7b74b4e25|cmirror|fins=64;L=14;rB=2;I=2e-05|vdd=0.8;vcm=0;vd=0.4;it=2e-05;cl=5e-15;vctl=0;vcas=0|schematic",
 		},
 		{
-			"layout, two wires",
-			Key(testFP, primlib.DiffPair, primlib.Sizing{TotalFins: 960, L: 14},
-				primlib.Bias{Vdd: 0.8, VCM: 0.45, VD: 0.4, ITail: 100e-6, CLoad: 5e-15}, testLayout(), nil),
+			"layout, two wires", primlib.DiffPair, primlib.Sizing{TotalFins: 960, L: 14},
+			primlib.Bias{Vdd: 0.8, VCM: 0.45, VD: 0.4, ITail: 100e-6, CLoad: 5e-15}, testLayout(), nil,
 			"v2|pdk=dc9248e7b74b4e25|diffpair|fins=960;L=14;rB=0;I=0|vdd=0.8;vcm=0.45;vd=0.4;it=0.0001;cl=5e-15;vctl=0;vcas=0|cfg=12/20/4/2/ABBA|d_a=2|s=1",
 		},
 		{
-			"layout with routes",
-			Key(testFP, primlib.CSInverter, primlib.Sizing{TotalFins: 16, L: 14},
-				primlib.Bias{Vdd: 0.8, VCM: 0.35967466467973946, VD: 0.4, CLoad: 6e-15, VCtrl: 0.6}, inv, routes),
+			"layout with routes", primlib.CSInverter, primlib.Sizing{TotalFins: 16, L: 14},
+			primlib.Bias{Vdd: 0.8, VCM: 0.35967466467973946, VD: 0.4, CLoad: 6e-15, VCtrl: 0.6}, inv, routes,
 			"v2|pdk=dc9248e7b74b4e25|csinv|fins=16;L=14;rB=0;I=0|vdd=0.8;vcm=0;vd=0;it=0;cl=6e-15;vctl=0.6;vcas=0|cfg=4/2/2/1/A|in=1|out=3|vctl=1|r:in=1/300/2/1/3|r:out=2/500/4/1/2",
 		},
 	} {
-		if tc.got != tc.want {
-			t.Errorf("%s key:\n got %s\nwant %s", tc.name, tc.got, tc.want)
+		if got := Key(testFP, tc.e, tc.sz, tc.bias, tc.lay, tc.routes); got != tc.want {
+			t.Errorf("%s key:\n got %s\nwant %s", tc.name, got, tc.want)
+		}
+		if got := NewKeyPrefix(testFP, tc.e, tc.sz, tc.bias).Key(tc.lay, tc.routes); got != tc.want {
+			t.Errorf("%s key from its prefix:\n got %s\nwant %s", tc.name, got, tc.want)
 		}
 	}
 }
@@ -140,10 +146,14 @@ func TestKeyMatchesFmt(t *testing.T) {
 					l.Config.Pattern = cellgen.PatternKind(i % 5)
 					l.Config.Dummies = int(n)
 				}
+				pre := NewKeyPrefix(testFP, e, sz, bias)
 				for _, r := range routeSets {
 					got := Key(testFP, e, sz, bias, l, r)
 					if want := fmtKey(testFP, e, sz, bias, l, r); got != want {
 						t.Fatalf("%s, value %d, layout %d: key differs from the fmt rendering:\n got %s\nwant %s", kind, i, li, got, want)
+					}
+					if fromPre := pre.Key(l, r); fromPre != got {
+						t.Fatalf("%s, value %d, layout %d: key from its prefix differs:\n got %s\nwant %s", kind, i, li, fromPre, got)
 					}
 				}
 			}
@@ -153,17 +163,22 @@ func TestKeyMatchesFmt(t *testing.T) {
 
 // TestKeyAllocs guards the key's cost. A warm request builds hundreds
 // of keys, so neither fingerprinting the PDK per key (67 allocations)
-// nor fmt rendering (about 16) may come back. A routed layout key
-// needs the sorted wire names, the sorted ports and the string.
+// nor fmt rendering (about 16) may come back, and a key built from
+// its primitive's prefix allocates no prefix of its own. A routed
+// layout key needs the sorted wire names, the sorted ports and the
+// string.
 func TestKeyAllocs(t *testing.T) {
 	lay, routes := routedInverter()
 	sz := primlib.Sizing{TotalFins: 16, L: 14}
 	bias := primlib.Bias{Vdd: 0.8, CLoad: 6e-15, VCtrl: 0.6}
-	allocs := testing.AllocsPerRun(100, func() {
-		_ = Key(testFP, primlib.CSInverter, sz, bias, lay, routes)
-	})
-	if allocs > 4 {
-		t.Errorf("a routed layout key allocates %v times, want at most 4", allocs)
+	pre := NewKeyPrefix(testFP, primlib.CSInverter, sz, bias)
+	for name, key := range map[string]func() string{
+		"Key":           func() string { return Key(testFP, primlib.CSInverter, sz, bias, lay, routes) },
+		"KeyPrefix.Key": func() string { return pre.Key(lay, routes) },
+	} {
+		if allocs := testing.AllocsPerRun(100, func() { _ = key() }); allocs > 3 {
+			t.Errorf("%s: a routed layout key allocates %v times, want at most 3", name, allocs)
+		}
 	}
 }
 

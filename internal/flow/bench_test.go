@@ -7,6 +7,7 @@ import (
 
 	"primopt/internal/circuits"
 	"primopt/internal/evcache"
+	"primopt/internal/place"
 )
 
 // BenchmarkEvalVCOPoint times one post-layout RO-VCO evaluation point
@@ -41,6 +42,35 @@ func BenchmarkEvalVCOPoint(b *testing.B) {
 
 // pointHz keeps the benchmarked call's result live.
 var pointHz float64
+
+// BenchmarkPlace times the annealer on the inputs the flow places: one
+// place.PlaceCtx per op on each circuit's optimized blocks, nets and
+// symmetry pairs of seed 1 (the RO-VCO at 8 stages), with the flow's
+// default replica count and worker bound. The layout that builds the
+// inputs runs once per circuit, outside the timer.
+func BenchmarkPlace(b *testing.B) {
+	for _, name := range circuits.Names() {
+		bm, err := circuits.Build(tech, name, 8)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, choices := layoutOnly(b, bm, evcache.New(), 1, 0)
+		blocks, nets, sym := placeInputs(bm, choices, res)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				pl, err := place.PlaceCtx(context.Background(), blocks, nets, sym, place.Params{Seed: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				placed = pl
+			}
+		})
+	}
+}
+
+// placed keeps the benchmarked placement live.
+var placed *place.Placement
 
 // BenchmarkNetlistKey times the post-layout evaluation's cache key as
 // evaluate computes it once per run, PDK fingerprint included, on the

@@ -240,9 +240,12 @@ func RunContext(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, mode M
 	res := &Result{Mode: mode, Benchmark: bm.Name}
 	root, end := p.startRun(bm, mode.String(), res)
 	defer end()
+	// Every cache key of the run carries the PDK's fingerprint, which
+	// cannot change during the run: render it once.
+	pdkFP := t.Fingerprint()
 
 	if mode == Schematic {
-		vals, err := evaluate(ctx, p, root, t, bm, bm.Schematic)
+		vals, err := evaluate(ctx, p, root, t, pdkFP, bm, bm.Schematic)
 		if err != nil {
 			return nil, fmt.Errorf("flow: %s schematic eval: %w", bm.Name, err)
 		}
@@ -250,7 +253,7 @@ func RunContext(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, mode M
 		return res, nil
 	}
 
-	choices, err := runLayout(ctx, t, bm, mode, p, res, root)
+	choices, err := runLayout(ctx, t, pdkFP, bm, mode, p, res, root)
 	if err != nil {
 		return nil, err
 	}
@@ -263,7 +266,7 @@ func RunContext(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, mode M
 		return nil, err
 	}
 	res.Netlist = nl
-	vals, err := evaluate(ctx, p, root, t, bm, nl)
+	vals, err := evaluate(ctx, p, root, t, pdkFP, bm, nl)
 	if err != nil {
 		return nil, fmt.Errorf("flow: %s post-layout eval (%v): %w", bm.Name, mode, err)
 	}
@@ -278,15 +281,15 @@ func RunContext(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, mode M
 // cached, true when this run simulated nothing, and rides on the
 // context, so the evaluation's own spans (the RO-VCO's eval.point per
 // control voltage) nest under it. The metrics are a copy of the
-// shared stored entry's.
-func evaluate(ctx context.Context, p Params, root *obs.Span, t *pdk.Tech, bm *circuits.Benchmark, nl *circuit.Netlist) (map[string]float64, error) {
+// shared stored entry's. pdkFP is t.Fingerprint(), once per run.
+func evaluate(ctx context.Context, p Params, root *obs.Span, t *pdk.Tech, pdkFP string, bm *circuits.Benchmark, nl *circuit.Netlist) (map[string]float64, error) {
 	sp := root.Start("flow.eval")
 	defer sp.End()
 	ectx, cancel := p.stage(ctx)
 	defer cancel()
 	ectx = obs.WithSpan(ectx, sp)
 	simulated := false
-	ent, err := p.Optimize.Cache.DoCtx(ectx, evcache.NetlistKey(t.Fingerprint(), bm.Name, nl), func() (*evcache.Entry, error) {
+	ent, err := p.Optimize.Cache.DoCtx(ectx, evcache.NetlistKey(pdkFP, bm.Name, nl), func() (*evcache.Entry, error) {
 		simulated = true
 		vals, err := bm.Eval(ectx, t, nl)
 		if err != nil {
@@ -306,8 +309,8 @@ func evaluate(ctx context.Context, p Params, root *obs.Span, t *pdk.Tech, bm *ci
 // and static verification — filling res as it goes and returning the
 // per-instance choices that feed assembly. Golden verification tests
 // call this directly to check geometry without paying for post-layout
-// simulation.
-func runLayout(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, mode Mode, p Params, res *Result, root *obs.Span) (map[string]*chosen, error) {
+// simulation. pdkFP is t.Fingerprint(), once per run.
+func runLayout(ctx context.Context, t *pdk.Tech, pdkFP string, bm *circuits.Benchmark, mode Mode, p Params, res *Result, root *obs.Span) (map[string]*chosen, error) {
 	op, err := schematicOP(ctx, t, bm, p, root)
 	if err != nil {
 		return nil, err
@@ -321,7 +324,7 @@ func runLayout(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, mode Mo
 	case Conventional:
 		choices, err = conventionalChoices(pctx, t, bm, op, prsp)
 	case Optimized, Manual:
-		choices, err = optimizedChoices(pctx, t, bm, op, mode, p, res, prsp)
+		choices, err = optimizedChoices(pctx, t, pdkFP, bm, op, mode, p, res, prsp)
 	default:
 		pcancel()
 		prsp.End()
@@ -360,7 +363,7 @@ func runLayout(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, mode Mo
 			if len(ch.routes) == 0 {
 				continue
 			}
-			metrics, err := primMetrics(ctx, t, ch, p)
+			metrics, err := primMetrics(ctx, t, pdkFP, ch, p)
 			if err != nil {
 				posp.End()
 				return nil, err
@@ -375,7 +378,7 @@ func runLayout(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, mode Mo
 				SymGroups: ch.entry.SymPorts,
 			})
 		}
-		pres, err := portopt.Optimize(obs.WithSpan(ctx, posp), t, prims, pp)
+		pres, err := portopt.Optimize(obs.WithSpan(ctx, posp), t, pdkFP, prims, pp)
 		if err != nil {
 			posp.End()
 			return nil, fmt.Errorf("flow: %s port optimization: %w", bm.Name, err)
@@ -477,7 +480,7 @@ func VerifyContext(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, mod
 	root, end := p.startRun(bm, mode.String(), res)
 	defer end()
 	root.SetAttr("verify_only", true)
-	if _, err := runLayout(ctx, t, bm, mode, p, res, root); err != nil {
+	if _, err := runLayout(ctx, t, t.Fingerprint(), bm, mode, p, res, root); err != nil {
 		return res.Verify, err
 	}
 	return res.Verify, nil
@@ -553,7 +556,7 @@ func mostCompact(lays []*cellgen.Layout) (*cellgen.Layout, error) {
 // and is marked Degraded on the result — the flow survives with a
 // valid, if less optimal, layout. Cancellation is never retried or
 // degraded away, and a worker panic becomes that instance's error.
-func optimizedChoices(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, op *spice.OPResult,
+func optimizedChoices(ctx context.Context, t *pdk.Tech, pdkFP string, bm *circuits.Benchmark, op *spice.OPResult,
 	mode Mode, p Params, res *Result, sp *obs.Span) (map[string]*chosen, error) {
 	res.PrimResults = map[string]*optimize.Result{}
 	out := map[string]*chosen{}
@@ -596,7 +599,7 @@ func optimizedChoices(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, 
 						err = fmt.Errorf("recovered panic: %v", rec)
 					}
 				}()
-				return optimize.OptimizeCtx(obs.WithSpan(ctx, ps), t, entry, in.Sizing, in.Bias(op), op1)
+				return optimize.OptimizeCtx(obs.WithSpan(ctx, ps), t, pdkFP, entry, in.Sizing, in.Bias(op), op1)
 			}
 			// Rung 1: retry under the jittered backoff schedule — an
 			// injected or transient fault at a specific hit count
@@ -658,12 +661,12 @@ func optimizedChoices(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, 
 // primMetrics returns the cost metrics for a chosen primitive,
 // reusing the Algorithm 1 result when available, else the optimizer's
 // schematic-reference leaf, so a warm cache satisfies it without
-// SPICE.
-func primMetrics(ctx context.Context, t *pdk.Tech, ch *chosen, p Params) ([]cost.Metric, error) {
+// SPICE. pdkFP is t.Fingerprint(), once per run.
+func primMetrics(ctx context.Context, t *pdk.Tech, pdkFP string, ch *chosen, p Params) ([]cost.Metric, error) {
 	if ch.metrics != nil {
 		return ch.metrics, nil
 	}
-	_, m, err := optimize.Reference(ctx, t, t.Fingerprint(), ch.entry, ch.inst.Sizing, ch.bias, p.Optimize.Cache)
+	_, m, err := optimize.Reference(ctx, t, pdkFP, ch.entry, ch.inst.Sizing, ch.bias, p.Optimize.Cache)
 	if err != nil {
 		return nil, err
 	}
@@ -686,13 +689,43 @@ func schematicOP(ctx context.Context, t *pdk.Tech, bm *circuits.Benchmark, p Par
 }
 
 // runPlacement places the chosen primitives as the flow.place stage.
-// Variants for the optimizing modes come from each primitive's
-// selected options.
 func runPlacement(ctx context.Context, bm *circuits.Benchmark, choices map[string]*chosen, res *Result, p Params, root *obs.Span) (*place.Placement, error) {
 	sp := root.Start("flow.place")
 	defer sp.End()
 	ctx, cancel := p.stage(ctx)
 	defer cancel()
+	blocks, nets, sym := placeInputs(bm, choices, res)
+	// The SPICE worker bound also bounds the replica pool, so one flag
+	// governs every pool.
+	pp := place.Params{Seed: p.Seed, Replicas: p.PlaceReplicas, Workers: p.Optimize.Workers}
+	pl, err := place.PlaceCtx(obs.WithSpan(ctx, sp), blocks, nets, sym, pp)
+	if err != nil {
+		return nil, fmt.Errorf("flow: placement: %w", err)
+	}
+	// Re-extract any primitive whose placed variant differs from the
+	// chosen one (the placer may pick another aspect-ratio bin).
+	// Manual mode exposed a single variant, already the best.
+	if res.Mode != Manual {
+		for _, name := range sortedKeys(choices) {
+			ch := choices[name]
+			r, ok := res.PrimResults[name]
+			if !ok {
+				continue
+			}
+			vi := pl.Variant[name]
+			if vi >= 0 && vi < len(r.Selected) {
+				ch.ex = r.Selected[vi].Ex
+			}
+		}
+	}
+	res.Placement = pl
+	return pl, nil
+}
+
+// placeInputs builds the placer's blocks, nets and symmetry pairs from
+// the chosen primitives. Variants for the optimizing modes come from
+// each primitive's selected options.
+func placeInputs(bm *circuits.Benchmark, choices map[string]*chosen, res *Result) ([]place.Block, []place.Net, []place.SymPair) {
 	var blocks []place.Block
 	for _, name := range sortedKeys(choices) {
 		ch := choices[name]
@@ -743,31 +776,7 @@ func runPlacement(ctx context.Context, bm *circuits.Benchmark, choices map[strin
 			sym = append(sym, place.SymPair{A: sw, B: name})
 		}
 	}
-	// The SPICE worker bound also bounds the replica pool, so one flag
-	// governs every pool.
-	pp := place.Params{Seed: p.Seed, Replicas: p.PlaceReplicas, Workers: p.Optimize.Workers}
-	pl, err := place.PlaceCtx(obs.WithSpan(ctx, sp), blocks, nets, sym, pp)
-	if err != nil {
-		return nil, fmt.Errorf("flow: placement: %w", err)
-	}
-	// Re-extract any primitive whose placed variant differs from the
-	// chosen one (the placer may pick another aspect-ratio bin).
-	// Manual mode exposed a single variant, already the best.
-	if res.Mode != Manual {
-		for _, name := range sortedKeys(choices) {
-			ch := choices[name]
-			r, ok := res.PrimResults[name]
-			if !ok {
-				continue
-			}
-			vi := pl.Variant[name]
-			if vi >= 0 && vi < len(r.Selected) {
-				ch.ex = r.Selected[vi].Ex
-			}
-		}
-	}
-	res.Placement = pl
-	return pl, nil
+	return blocks, nets, sym
 }
 
 // routeRegion is the routing window around a placement — shared by
@@ -929,7 +938,7 @@ func RunFixedWiresContext(ctx context.Context, t *pdk.Tech, bm *circuits.Benchma
 		return nil, err
 	}
 	res.Netlist = nl
-	vals, err := evaluate(ctx, p, root, t, bm, nl)
+	vals, err := evaluate(ctx, p, root, t, t.Fingerprint(), bm, nl)
 	if err != nil {
 		return nil, fmt.Errorf("flow: %s fixed-wires eval: %w", bm.Name, err)
 	}

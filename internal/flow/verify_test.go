@@ -22,7 +22,7 @@ func runGolden(t *testing.T, bm *circuits.Benchmark, mode Mode) {
 	p := fastParams()
 	p.Verify = VerifyParams{Mode: VerifyWarn}
 	res := &Result{Mode: mode, Benchmark: bm.Name}
-	if _, err := runLayout(context.Background(), tech, bm, mode, p, res, nil); err != nil {
+	if _, err := runLayout(context.Background(), tech, tech.Fingerprint(), bm, mode, p, res, nil); err != nil {
 		t.Fatalf("%s/%v: runLayout: %v", bm.Name, mode, err)
 	}
 	rep := res.Verify
@@ -102,7 +102,7 @@ func TestVerifyFailMode(t *testing.T) {
 	rules.MinWidth[0] = 10000 // nothing passes
 	p.Verify = VerifyParams{Mode: VerifyFail, Options: verify.Options{Rules: rules}}
 	res := &Result{Mode: Conventional, Benchmark: bm.Name}
-	if _, err := runLayout(context.Background(), tech, bm, Conventional, p, res, nil); err == nil {
+	if _, err := runLayout(context.Background(), tech, tech.Fingerprint(), bm, Conventional, p, res, nil); err == nil {
 		t.Fatal("VerifyFail with an impossible rule deck did not abort the run")
 	}
 }
@@ -113,7 +113,7 @@ func TestVerifyFailMode(t *testing.T) {
 func layoutInputs(t *testing.T, bm *circuits.Benchmark, p Params) (map[string]*cellgen.Layout, *Result) {
 	t.Helper()
 	res := &Result{Mode: Conventional, Benchmark: bm.Name}
-	choices, err := runLayout(context.Background(), tech, bm, Conventional, p, res, nil)
+	choices, err := runLayout(context.Background(), tech, tech.Fingerprint(), bm, Conventional, p, res, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func newTestEnv(t *testing.T, e *primlib.Entry, sz primlib.Sizing, bias primlib.
 	}
 	return &evalEnv{
 		ctx: obs.With(context.Background(), tr),
-		t:   tech, pdkFP: tech.Fingerprint(), e: e, sz: sz, bias: bias, metrics: metrics,
+		t:   tech, pre: evcache.NewKeyPrefix(techFP, e, sz, bias), e: e, sz: sz, bias: bias, metrics: metrics,
 		cache: evcache.New(), tr: tr,
 		sem: make(chan struct{}, 4),
 	}
@@ -40,7 +40,7 @@ func newTestEnv(t *testing.T, e *primlib.Entry, sz primlib.Sizing, bias primlib.
 // per terminal, so any other value in AllOptions is tuning leakage.
 func TestAllOptionsWiresUntouchedByTuning(t *testing.T) {
 	e, sz, bias := dpSetup()
-	res, err := OptimizeCtx(context.Background(), tech, e, sz, bias, Params{Bins: 3, MaxWires: 6, Cons: smallCons()})
+	res, err := OptimizeCtx(context.Background(), tech, techFP, e, sz, bias, Params{Bins: 3, MaxWires: 6, Cons: smallCons()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestCachedResultsMatchUncached(t *testing.T) {
 	ctx := context.Background()
 	e, sz, bias := dpSetup()
 	p := Params{Bins: 3, MaxWires: 6, Cons: smallCons(), Cache: evcache.New()}
-	res, err := OptimizeCtx(ctx, tech, e, sz, bias, p)
+	res, err := OptimizeCtx(ctx, tech, techFP, e, sz, bias, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestCacheCountersAndNoDuplicateDecks(t *testing.T) {
 	e, sz, bias := dpSetup()
 	tr := obs.New()
 	p := Params{Bins: 3, MaxWires: 6, Cons: smallCons(), Cache: evcache.New()}
-	if _, err := OptimizeCtx(obs.With(context.Background(), tr), tech, e, sz, bias, p); err != nil {
+	if _, err := OptimizeCtx(obs.With(context.Background(), tr), tech, techFP, e, sz, bias, p); err != nil {
 		t.Fatal(err)
 	}
 	hits := tr.Counter("evcache.hits").Value()
@@ -200,12 +200,12 @@ func TestCacheSharedAcrossOptimizeCalls(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := Params{Bins: 3, MaxWires: 6, Cons: smallCons(), Cache: evcache.New()}
-			first, err := OptimizeCtx(context.Background(), tech, tc.e, tc.sz, tc.first, p)
+			first, err := OptimizeCtx(context.Background(), tech, techFP, tc.e, tc.sz, tc.first, p)
 			if err != nil {
 				t.Fatal(err)
 			}
 			missesAfterFirst := p.Cache.Stats().Misses
-			second, err := OptimizeCtx(context.Background(), tech, tc.e, tc.sz, tc.second, p)
+			second, err := OptimizeCtx(context.Background(), tech, techFP, tc.e, tc.sz, tc.second, p)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -62,7 +62,7 @@ func TestOptimizeExtractFaultFailsCleanly(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := fault.With(context.Background(), inj)
-	_, err = OptimizeCtx(ctx, tech, e, sz, bias, Params{Bins: 2, MaxWires: 4, Cons: smallCons()})
+	_, err = OptimizeCtx(ctx, tech, techFP, e, sz, bias, Params{Bins: 2, MaxWires: 4, Cons: smallCons()})
 	if err == nil {
 		t.Fatal("Optimize succeeded with extraction failing everywhere")
 	}
@@ -77,7 +77,7 @@ func TestOptimizeCancellation(t *testing.T) {
 	e, sz, bias := dpSetup()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := OptimizeCtx(ctx, tech, e, sz, bias, Params{Bins: 2, MaxWires: 4, Cons: smallCons()})
+	_, err := OptimizeCtx(ctx, tech, techFP, e, sz, bias, Params{Bins: 2, MaxWires: 4, Cons: smallCons()})
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}

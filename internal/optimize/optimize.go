@@ -136,16 +136,18 @@ func (r *Result) Best() *Option {
 // polls ctx for cancellation and reports to its trace, and the
 // context's fault injector arms the extract/spice/evcache fault
 // sites. The optimize.select and optimize.tune spans nest under the
-// span ctx carries (obs.SpanFrom).
-func OptimizeCtx(ctx context.Context, t *pdk.Tech, e *primlib.Entry, sz primlib.Sizing, bias primlib.Bias, p Params) (*Result, error) {
+// span ctx carries (obs.SpanFrom). pdkFP is t.Fingerprint(), which a
+// caller running many optimizations on one Tech computes once.
+func OptimizeCtx(ctx context.Context, t *pdk.Tech, pdkFP string, e *primlib.Entry, sz primlib.Sizing, bias primlib.Bias, p Params) (*Result, error) {
 	p = p.withDefaults()
 	res := &Result{Entry: e, Sizing: sz, Bias: bias}
 	tr := obs.From(ctx)
 
 	sel := obs.StartSpan(tr, obs.SpanFrom(ctx), "optimize.select")
-	// Line 3 precondition: schematic reference and cost metrics.
-	pdkFP := t.Fingerprint()
-	sch, metrics, err := Reference(ctx, t, pdkFP, e, sz, bias, p.Cache)
+	// Line 3 precondition: schematic reference and cost metrics. Every
+	// key of this call shares the primitive's prefix.
+	pre := evcache.NewKeyPrefix(pdkFP, e, sz, bias)
+	sch, metrics, err := reference(ctx, t, pre.Key(nil, nil), e, sz, bias, p.Cache)
 	if err != nil {
 		sel.End()
 		return nil, err
@@ -154,7 +156,7 @@ func OptimizeCtx(ctx context.Context, t *pdk.Tech, e *primlib.Entry, sz primlib.
 
 	env := &evalEnv{
 		ctx: ctx, inj: fault.From(ctx),
-		t: t, pdkFP: pdkFP, e: e, sz: sz, bias: bias, metrics: metrics,
+		t: t, pre: pre, e: e, sz: sz, bias: bias, metrics: metrics,
 		cache: p.Cache, tr: tr,
 		sem: make(chan struct{}, p.Workers),
 	}
@@ -271,7 +273,13 @@ func OptimizeCtx(ctx context.Context, t *pdk.Tech, e *primlib.Entry, sz primlib.
 // testbenches read, so instances that differ elsewhere (the RO-VCO's
 // stages) share one entry. pdkFP is t.Fingerprint().
 func Reference(ctx context.Context, t *pdk.Tech, pdkFP string, e *primlib.Entry, sz primlib.Sizing, bias primlib.Bias, c *evcache.Cache) (*primlib.Eval, []cost.Metric, error) {
-	ent, err := c.DoCtx(ctx, evcache.Key(pdkFP, e, sz, bias, nil, nil), func() (*evcache.Entry, error) {
+	return reference(ctx, t, evcache.Key(pdkFP, e, sz, bias, nil, nil), e, sz, bias, c)
+}
+
+// reference is Reference under its cache key, the schematic key of
+// (e, sz, bias).
+func reference(ctx context.Context, t *pdk.Tech, key string, e *primlib.Entry, sz primlib.Sizing, bias primlib.Bias, c *evcache.Cache) (*primlib.Eval, []cost.Metric, error) {
+	ent, err := c.DoCtx(ctx, key, func() (*evcache.Entry, error) {
 		ev, err := e.EvaluateCtx(ctx, t, sz, bias, nil, nil)
 		if err != nil {
 			return nil, err
@@ -298,7 +306,7 @@ type evalEnv struct {
 	ctx     context.Context
 	inj     *fault.Injector
 	t       *pdk.Tech
-	pdkFP   string // t.Fingerprint(), once per Optimize call
+	pre     evcache.KeyPrefix // the primitive's key prefix, once per Optimize call
 	e       *primlib.Entry
 	sz      primlib.Sizing
 	bias    primlib.Bias
@@ -317,7 +325,7 @@ type evalEnv struct {
 // to; the option always holds the shared stored entry.
 func (env *evalEnv) eval(lay *cellgen.Layout) (*Option, error) {
 	ctx := env.ctx
-	key := evcache.Key(env.pdkFP, env.e, env.sz, env.bias, lay, nil)
+	key := env.pre.Key(lay, nil)
 	ent, err := env.cache.DoCtx(ctx, key, func() (*evcache.Entry, error) {
 		select {
 		case env.sem <- struct{}{}:

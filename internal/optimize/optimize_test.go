@@ -12,6 +12,9 @@ import (
 
 var tech = pdk.Default()
 
+// techFP is tech's fingerprint, computed once as the flow does.
+var techFP = tech.Fingerprint()
+
 func dpSetup() (*primlib.Entry, primlib.Sizing, primlib.Bias) {
 	return primlib.DiffPair,
 		primlib.Sizing{TotalFins: 960, L: 14},
@@ -25,7 +28,7 @@ func smallCons() *cellgen.Constraints {
 
 func TestOptimizeDiffPair(t *testing.T) {
 	e, sz, bias := dpSetup()
-	res, err := OptimizeCtx(context.Background(), tech, e, sz, bias, Params{Bins: 3, MaxWires: 6, Cons: smallCons()})
+	res, err := OptimizeCtx(context.Background(), tech, techFP, e, sz, bias, Params{Bins: 3, MaxWires: 6, Cons: smallCons()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +69,7 @@ func TestOptimizePrefersCommonCentroidOrInterdigitated(t *testing.T) {
 	// The AABB pattern must never win a bin where a symmetric pattern
 	// is available: its offset cost term dominates.
 	e, sz, bias := dpSetup()
-	res, err := OptimizeCtx(context.Background(), tech, e, sz, bias, Params{Bins: 3, MaxWires: 4, Cons: smallCons()})
+	res, err := OptimizeCtx(context.Background(), tech, techFP, e, sz, bias, Params{Bins: 3, MaxWires: 4, Cons: smallCons()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +94,7 @@ func TestTuningIncreasesWireCount(t *testing.T) {
 	// Source-mesh tuning should settle above a single wire for this
 	// large pair (the R side dominates at n=1).
 	e, sz, bias := dpSetup()
-	res, err := OptimizeCtx(context.Background(), tech, e, sz, bias, Params{Bins: 1, MaxWires: 6, Cons: smallCons()})
+	res, err := OptimizeCtx(context.Background(), tech, techFP, e, sz, bias, Params{Bins: 1, MaxWires: 6, Cons: smallCons()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +109,7 @@ func TestTuningIncreasesWireCount(t *testing.T) {
 
 func TestBestIsMinimumCost(t *testing.T) {
 	e, sz, bias := dpSetup()
-	res, err := OptimizeCtx(context.Background(), tech, e, sz, bias, Params{Bins: 3, MaxWires: 4, Cons: smallCons()})
+	res, err := OptimizeCtx(context.Background(), tech, techFP, e, sz, bias, Params{Bins: 3, MaxWires: 4, Cons: smallCons()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +127,7 @@ func TestCorrelatedJointTuning(t *testing.T) {
 	e := primlib.CurrentMirror
 	sz := primlib.Sizing{TotalFins: 240, L: 14, NominalI: 50e-6}
 	bias := primlib.Bias{Vdd: 0.8, VD: 0.4, CLoad: 2e-15}
-	res, err := OptimizeCtx(context.Background(), tech, e, sz, bias, Params{
+	res, err := OptimizeCtx(context.Background(), tech, techFP, e, sz, bias, Params{
 		Bins: 2, MaxWires: 4,
 		Cons: &cellgen.Constraints{MinNFin: 8, MaxNFin: 12, MaxM: 4},
 	})
@@ -194,7 +197,7 @@ func TestSchematicCostNearZeroAfterOptimize(t *testing.T) {
 	// The whole point: the best tuned option's cost is small —
 	// metrics within a few percent of schematic.
 	e, sz, bias := dpSetup()
-	res, err := OptimizeCtx(context.Background(), tech, e, sz, bias, Params{Bins: 3, MaxWires: 8, Cons: smallCons()})
+	res, err := OptimizeCtx(context.Background(), tech, techFP, e, sz, bias, Params{Bins: 3, MaxWires: 8, Cons: smallCons()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,12 +218,12 @@ func TestSchematicCostNearZeroAfterOptimize(t *testing.T) {
 func TestOptimizeErrorPropagation(t *testing.T) {
 	// An unfactorable fin count fails cleanly.
 	e, _, bias := dpSetup()
-	if _, err := OptimizeCtx(context.Background(), tech, e, primlib.Sizing{TotalFins: 37, L: 14}, bias, Params{}); err == nil {
+	if _, err := OptimizeCtx(context.Background(), tech, techFP, e, primlib.Sizing{TotalFins: 37, L: 14}, bias, Params{}); err == nil {
 		t.Error("unfactorable sizing accepted")
 	}
 	// A broken bias (no tail current for a mirror) fails in the
 	// schematic reference with a useful error.
-	if _, err := OptimizeCtx(context.Background(), tech, primlib.CurrentMirror,
+	if _, err := OptimizeCtx(context.Background(), tech, techFP, primlib.CurrentMirror,
 		primlib.Sizing{TotalFins: 240, L: 14}, primlib.Bias{Vdd: 0.8, VD: 0.4}, Params{}); err == nil {
 		t.Error("mirror without reference current accepted")
 	}

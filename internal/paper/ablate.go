@@ -20,7 +20,7 @@ import (
 // hands the placer dimensionally diverse options at a small cost
 // premium on the non-best bins.
 func AblationBinning(ctx context.Context, t *pdk.Tech) (*report.Table, error) {
-	res, err := optimize.OptimizeCtx(ctx, t, primlib.DiffPair, dpSizing(), dpBias(), optimize.Params{
+	res, err := optimize.OptimizeCtx(ctx, t, t.Fingerprint(), primlib.DiffPair, dpSizing(), dpBias(), optimize.Params{
 		Bins: 3,
 		Cons: tableIIIConstraints(),
 	})
@@ -234,7 +234,7 @@ func AblationReconcile(ctx context.Context, t *pdk.Tech) (*report.Table, error) 
 		{Prim: "dp", Net: "shared", WMin: 5, WMax: 6},
 		{Prim: "cm", Net: "shared", WMin: 1, WMax: 2},
 	}
-	wires, _, err := portopt.Reconcile(ctx, t, []*portopt.PrimInstance{dp, cm}, cons, portopt.Params{MaxWires: 6})
+	wires, _, err := portopt.Reconcile(ctx, t, t.Fingerprint(), []*portopt.PrimInstance{dp, cm}, cons, portopt.Params{MaxWires: 6})
 	if err != nil {
 		return nil, err
 	}

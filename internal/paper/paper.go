@@ -138,8 +138,9 @@ func Table1(ctx context.Context, t *pdk.Tech) (*report.Table, error) {
 		return ev.Values, nil
 	}
 	// Optimized: Algorithm 1's best option.
+	pdkFP := t.Fingerprint()
 	evalOpt := func(e *primlib.Entry, sz primlib.Sizing, bias primlib.Bias) (map[string]float64, error) {
-		r, err := optimize.OptimizeCtx(ctx, t, e, sz, bias, optimize.Params{Bins: 3})
+		r, err := optimize.OptimizeCtx(ctx, t, pdkFP, e, sz, bias, optimize.Params{Bins: 3})
 		if err != nil {
 			return nil, err
 		}
@@ -219,7 +220,7 @@ func Table2(ctx context.Context) (*report.Table, error) {
 // every (nfin, nf, m) x pattern configuration, binned by aspect
 // ratio, with the per-bin winners marked.
 func Table3(ctx context.Context, t *pdk.Tech) (*report.Table, error) {
-	res, err := optimize.OptimizeCtx(ctx, t, primlib.DiffPair, dpSizing(), dpBias(), optimize.Params{
+	res, err := optimize.OptimizeCtx(ctx, t, t.Fingerprint(), primlib.DiffPair, dpSizing(), dpBias(), optimize.Params{
 		Bins: 3,
 		Cons: tableIIIConstraints(),
 	})
@@ -332,11 +333,12 @@ func Table4(ctx context.Context, t *pdk.Tech) (*report.Table, error) {
 		return nil, err
 	}
 
-	dpCons, _, err := portopt.GenerateConstraints(ctx, t, dp, portopt.Params{MaxWires: maxW})
+	pdkFP := t.Fingerprint()
+	dpCons, _, err := portopt.GenerateConstraints(ctx, t, pdkFP, dp, portopt.Params{MaxWires: maxW})
 	if err != nil {
 		return nil, err
 	}
-	cmCons, _, err := portopt.GenerateConstraints(ctx, t, cm, portopt.Params{MaxWires: maxW})
+	cmCons, _, err := portopt.GenerateConstraints(ctx, t, pdkFP, cm, portopt.Params{MaxWires: maxW})
 	if err != nil {
 		return nil, err
 	}
@@ -409,9 +411,10 @@ func Table5(ctx context.Context, t *pdk.Tech) (*report.Table, error) {
 		"", rows[0].name, rows[1].name, rows[2].name)
 	var sel, tun, prt [3]int
 	var wall [3]time.Duration
+	pdkFP := t.Fingerprint()
 	for i, r := range rows {
 		start := time.Now()
-		res, err := optimize.OptimizeCtx(ctx, t, r.entry, r.sz, r.bias, optimize.Params{Bins: 3})
+		res, err := optimize.OptimizeCtx(ctx, t, pdkFP, r.entry, r.sz, r.bias, optimize.Params{Bins: 3})
 		if err != nil {
 			return nil, fmt.Errorf("table5 %s: %w", r.name, err)
 		}
@@ -421,7 +424,7 @@ func Table5(ctx context.Context, t *pdk.Tech) (*report.Table, error) {
 			Ex: res.Best().Ex, Metrics: res.Metrics,
 			Routes: r.portWires, NetOf: r.nets,
 		}
-		_, sims, err := portopt.GenerateConstraints(ctx, t, pi, portopt.Params{MaxWires: 8})
+		_, sims, err := portopt.GenerateConstraints(ctx, t, pdkFP, pi, portopt.Params{MaxWires: 8})
 		if err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package place
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -28,7 +29,9 @@ func moveFixture() ([]Block, []Net, []SymPair) {
 // TestMoveUndoRestoresState applies each move kind and undoes it:
 // Γ+, Γ- and both sequences must come back exactly, and so must every
 // variant index, a symmetry pair's included. Moves of other kinds
-// drawn on the way are undone and checked too.
+// drawn on the way are undone and checked too. After every move, every
+// undo, the restore and the clone, posP and posM must invert Γ+ and Γ-
+// and the block sizes must follow the variants.
 func TestMoveUndoRestoresState(t *testing.T) {
 	blocks, nets, sym := moveFixture()
 	st := newState(blocks, nets, sym)
@@ -36,11 +39,16 @@ func TestMoveUndoRestoresState(t *testing.T) {
 		st.index[b.Name] = i
 	}
 	st.buildTopology()
+	checkInStep(t, st, "buildTopology")
 	// A scrambled start: relocation's Γ- positions differ from its Γ+
 	// ones, and the pair's variants differ, so undo must restore each.
-	copy(st.gammaP, []int{3, 0, 4, 1, 2})
-	copy(st.gammaM, []int{1, 4, 2, 0, 3})
-	copy(st.varIx, []int{1, 2, 0, 0, 1})
+	st.restore(snapshot{
+		gammaP: []int{3, 0, 4, 1, 2},
+		gammaM: []int{1, 4, 2, 0, 3},
+		varIx:  []int{1, 2, 0, 0, 1},
+	})
+	checkInStep(t, st, "restore")
+	checkInStep(t, st.clone(), "clone")
 	before := st.snapshot()
 	same := func() bool {
 		return slices.Equal(st.gammaP, before.gammaP) &&
@@ -63,6 +71,7 @@ func TestMoveUndoRestoresState(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			for tries := 0; tries < 1000; tries++ {
 				m, changed := st.randomMove(rng, len(blocks))
+				checkInStep(t, st, fmt.Sprintf("move %+v", m))
 				hit := changed && tc.is(m)
 				if hit {
 					if same() {
@@ -73,6 +82,7 @@ func TestMoveUndoRestoresState(t *testing.T) {
 					}
 				}
 				st.undo(m)
+				checkInStep(t, st, fmt.Sprintf("undo of %+v", m))
 				if !same() {
 					t.Fatalf("undo of %+v left Γ+ %v Γ- %v variants %v, want %v %v %v",
 						m, st.gammaP, st.gammaM, st.varIx, before.gammaP, before.gammaM, before.varIx)
@@ -83,6 +93,29 @@ func TestMoveUndoRestoresState(t *testing.T) {
 			}
 			t.Fatal("no such move drawn in 1000 tries")
 		})
+	}
+}
+
+// checkInStep fails t unless posP and posM are the inverses of Γ+ and
+// Γ-, and w and h are the sizes of each block's current variant.
+func checkInStep(t *testing.T, st *state, after string) {
+	t.Helper()
+	for _, seq := range []struct {
+		name     string
+		gam, pos []int
+	}{{"Γ+", st.gammaP, st.posP}, {"Γ-", st.gammaM, st.posM}} {
+		for i, b := range seq.gam {
+			if seq.pos[b] != i {
+				t.Fatalf("after %s: %s %v at position %d holds block %d, but its position table says %d (%v)",
+					after, seq.name, seq.gam, i, b, seq.pos[b], seq.pos)
+			}
+		}
+	}
+	for b, v := range st.varIx {
+		if want := st.blocks[b].Variants[v]; st.w[b] != want.W || st.h[b] != want.H {
+			t.Fatalf("after %s: block %d on variant %d is sized %dx%d, want %dx%d",
+				after, b, v, st.w[b], st.h[b], want.W, want.H)
+		}
 	}
 }
 

@@ -432,6 +432,7 @@ func (st *state) restore(s snapshot) {
 	copy(st.gammaP, s.gammaP)
 	copy(st.gammaM, s.gammaM)
 	copy(st.varIx, s.varIx)
+	st.sync()
 }
 
 // moveKind is the kind of one annealing move.
@@ -465,88 +466,77 @@ func (st *state) randomMove(rng *rand.Rand, n int) (move, bool) {
 	switch kind {
 	case moveSwapP:
 		i, j := rng.Intn(n), rng.Intn(n)
-		st.gammaP[i], st.gammaP[j] = st.gammaP[j], st.gammaP[i]
+		swap(st.gammaP, st.posP, i, j)
 		return move{kind: kind, i: i, j: j}, i != j
 	case moveSwapM:
 		i, j := rng.Intn(n), rng.Intn(n)
-		st.gammaM[i], st.gammaM[j] = st.gammaM[j], st.gammaM[i]
+		swap(st.gammaM, st.posM, i, j)
 		return move{kind: kind, i: i, j: j}, i != j
 	case moveRelocate:
 		i, j := rng.Intn(n), rng.Intn(n)
-		st.gammaP[i], st.gammaP[j] = st.gammaP[j], st.gammaP[i]
-		k, l := st.findM(st.gammaP[i]), st.findM(st.gammaP[j])
-		st.gammaM[k], st.gammaM[l] = st.gammaM[l], st.gammaM[k]
+		swap(st.gammaP, st.posP, i, j)
+		k, l := st.posM[st.gammaP[i]], st.posM[st.gammaP[j]]
+		swap(st.gammaM, st.posM, k, l)
 		return move{kind: kind, i: i, j: j, k: k, l: l}, i != j
 	default:
 		b := rng.Intn(n)
 		old := st.varIx[b]
+		// Symmetry-pair members must anneal variants in lockstep:
+		// matched primitives with different aspect-ratio layouts are
+		// not matched at all. Draw from the indices both halves
+		// support (st.draws) and move (and undo) the pair together.
+		ni := rng.Intn(st.draws[b])
 		if q := st.partner[b]; q >= 0 {
-			// Symmetry-pair members must anneal variants in lockstep:
-			// matched primitives with different aspect-ratio layouts
-			// are not matched at all. Draw from the indices both
-			// halves support and move (and undo) the pair together.
-			nv := len(st.blocks[b].Variants)
-			if nq := len(st.blocks[q].Variants); nq < nv {
-				nv = nq
-			}
 			oldQ := st.varIx[q]
-			ni := rng.Intn(nv)
-			st.varIx[b], st.varIx[q] = ni, ni
+			st.setVariant(b, ni)
+			st.setVariant(q, ni)
 			return move{kind: moveVariant, b: b, q: q, old: old, oldQ: oldQ}, ni != old || ni != oldQ
 		}
-		ni := rng.Intn(len(st.blocks[b].Variants))
-		st.varIx[b] = ni
+		st.setVariant(b, ni)
 		return move{kind: moveVariant, b: b, q: -1, old: old}, ni != old
 	}
+}
+
+// swap exchanges positions i and j of the sequence seq and keeps pos,
+// its inverse, in step.
+func swap(seq, pos []int, i, j int) {
+	a, b := seq[i], seq[j]
+	seq[i], seq[j] = b, a
+	pos[b], pos[a] = i, j
 }
 
 // undo reverts m, which must be the last move applied to st.
 func (st *state) undo(m move) {
 	switch m.kind {
 	case moveSwapP:
-		st.gammaP[m.i], st.gammaP[m.j] = st.gammaP[m.j], st.gammaP[m.i]
+		swap(st.gammaP, st.posP, m.i, m.j)
 	case moveSwapM:
-		st.gammaM[m.i], st.gammaM[m.j] = st.gammaM[m.j], st.gammaM[m.i]
+		swap(st.gammaM, st.posM, m.i, m.j)
 	case moveRelocate:
-		st.gammaM[m.k], st.gammaM[m.l] = st.gammaM[m.l], st.gammaM[m.k]
-		st.gammaP[m.i], st.gammaP[m.j] = st.gammaP[m.j], st.gammaP[m.i]
+		swap(st.gammaM, st.posM, m.k, m.l)
+		swap(st.gammaP, st.posP, m.i, m.j)
 	case moveVariant:
 		if m.q >= 0 {
-			st.varIx[m.b], st.varIx[m.q] = m.old, m.oldQ
-		} else {
-			st.varIx[m.b] = m.old
+			st.setVariant(m.q, m.oldQ)
 		}
+		st.setVariant(m.b, m.old)
 	}
-}
-
-func (st *state) findM(block int) int {
-	for i, b := range st.gammaM {
-		if b == block {
-			return i
-		}
-	}
-	return -1
 }
 
 // placement renders the current state as the output structure.
 func (st *state) placement() *Placement {
-	rects := make([]geom.Rect, len(st.blocks))
-	st.computeCoords(rects)
+	g := &st.gens[st.cur]
+	st.computeCoords(g)
 	out := &Placement{Pos: map[string]geom.Rect{}, Variant: map[string]int{}}
-	var bbox geom.Rect
 	for i, b := range st.blocks {
-		out.Pos[b.Name] = rects[i]
+		r := g.rect(i)
+		out.Pos[b.Name] = r
 		out.Variant[b.Name] = st.varIx[i]
-		bbox = bbox.Union(rects[i])
+		out.BBox = out.BBox.Union(r)
 	}
-	out.BBox = bbox
-	for _, net := range st.nets {
-		pts := make([]geom.Point, 0, len(net.Blocks))
-		for _, bn := range net.Blocks {
-			pts = append(pts, rects[st.index[bn]].Center())
-		}
-		out.HPWL += geom.HPWL(pts)
+	for i := range st.nets {
+		out.HPWL += st.netHPWL(i, g)
 	}
-	out.SymErr = st.symViolation(rects)
+	out.SymErr = st.symViolation(g)
 	return out
 }

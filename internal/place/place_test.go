@@ -319,7 +319,11 @@ func TestPlaceSymViolationUnequalHeights(t *testing.T) {
 		{X0: 500, Y0: 0, X1: 1500, Y1: 400},
 		{X0: 2500, Y0: 300, X1: 3500, Y1: 1100},
 	}
-	got := st.symViolation(rects)
+	g := &st.gens[st.cur]
+	for i, r := range rects {
+		g.x0[i], g.y0[i], g.x1[i], g.y1[i] = r.X0, r.Y0, r.X1, r.Y1
+	}
+	got := st.symViolation(g)
 	// Axis = mean pair midpoint = 2000; mirror distances match (1000
 	// each), so the violation is purely the 300 nm Y0 offset.
 	if math.Abs(got-300) > 1e-9 {

@@ -134,16 +134,16 @@ func routesWith(pi *PrimInstance, net string, n int) map[string]extract.Route {
 // through the cache. Cached entries carry only the Eval. pi.Ex may
 // itself be a shared cache entry's extraction: costAt only reads it,
 // for the key and the testbenches, and the override lives in a fresh
-// routes map. pdkFP is t.Fingerprint(), computed once by the calling
+// routes map. pre is pi's key prefix, rendered once by the calling
 // step. The evaluation runs on ctx.
-func costAt(ctx context.Context, t *pdk.Tech, pdkFP string, pi *PrimInstance, net string, n int, p Params) (float64, int, error) {
+func costAt(ctx context.Context, t *pdk.Tech, pre evcache.KeyPrefix, pi *PrimInstance, net string, n int, p Params) (float64, int, error) {
 	obs.From(ctx).Counter("portopt.evals").Inc()
 	routes := routesWith(pi, net, n)
 	var lay *cellgen.Layout
 	if pi.Ex != nil {
 		lay = pi.Ex.Layout
 	}
-	key := evcache.Key(pdkFP, pi.Entry, pi.Sizing, pi.Bias, lay, routes)
+	key := pre.Key(lay, routes)
 	ent, err := p.Cache.DoCtx(ctx, key, func() (*evcache.Entry, error) {
 		e, err := pi.Entry.EvaluateCtx(ctx, t, pi.Sizing, pi.Bias, pi.Ex, routes)
 		if err != nil {
@@ -162,8 +162,8 @@ func costAt(ctx context.Context, t *pdk.Tech, pdkFP string, pi *PrimInstance, ne
 }
 
 // GenerateConstraints runs step 1 for one primitive: an interval per
-// routed net.
-func GenerateConstraints(ctx context.Context, t *pdk.Tech, pi *PrimInstance, p Params) ([]Constraint, int, error) {
+// routed net. pdkFP is t.Fingerprint().
+func GenerateConstraints(ctx context.Context, t *pdk.Tech, pdkFP string, pi *PrimInstance, p Params) ([]Constraint, int, error) {
 	p = p.withDefaults()
 	// Collect the nets this primitive constrains, deterministically.
 	netSet := map[string]bool{}
@@ -180,13 +180,13 @@ func GenerateConstraints(ctx context.Context, t *pdk.Tech, pi *PrimInstance, p P
 	}
 	sort.Strings(nets)
 
-	pdkFP := t.Fingerprint()
+	pre := evcache.NewKeyPrefix(pdkFP, pi.Entry, pi.Sizing, pi.Bias)
 	sims := 0
 	var out []Constraint
 	for _, net := range nets {
 		curve := make([]float64, 0, p.MaxWires)
 		for n := 1; n <= p.MaxWires; n++ {
-			c, s, err := costAt(ctx, t, pdkFP, pi, net, n, p)
+			c, s, err := costAt(ctx, t, pre, pi, net, n, p)
 			if err != nil {
 				return nil, sims, err
 			}
@@ -236,8 +236,8 @@ func intervalFromCurve(curve []float64) Constraint {
 
 // Reconcile runs step 2 over all primitives: group constraints by
 // net, intersect where possible, and re-simulate the gap interval
-// where not.
-func Reconcile(ctx context.Context, t *pdk.Tech, prims []*PrimInstance, cons []Constraint, p Params) (map[string]int, int, error) {
+// where not. pdkFP is t.Fingerprint().
+func Reconcile(ctx context.Context, t *pdk.Tech, pdkFP string, prims []*PrimInstance, cons []Constraint, p Params) (map[string]int, int, error) {
 	p = p.withDefaults()
 	byNet := map[string][]Constraint{}
 	for _, c := range cons {
@@ -253,7 +253,6 @@ func Reconcile(ctx context.Context, t *pdk.Tech, prims []*PrimInstance, cons []C
 	}
 	sort.Strings(nets)
 
-	pdkFP := t.Fingerprint()
 	out := make(map[string]int, len(nets))
 	sims := 0
 	for _, net := range nets {
@@ -278,16 +277,20 @@ func Reconcile(ctx context.Context, t *pdk.Tech, prims []*PrimInstance, cons []C
 		// the count minimizing the total cost of the primitives on
 		// this net.
 		obs.From(ctx).Counter("portopt.gap_nets").Inc()
+		pres := make([]evcache.KeyPrefix, len(group))
+		for k, c := range group {
+			pi, ok := primByName[c.Prim]
+			if !ok {
+				return nil, sims, fmt.Errorf("portopt: unknown primitive %q in constraint", c.Prim)
+			}
+			pres[k] = evcache.NewKeyPrefix(pdkFP, pi.Entry, pi.Sizing, pi.Bias)
+		}
 		lo, hi := minWMax, maxWMin
 		bestN, bestCost := lo, math.Inf(1)
 		for n := lo; n <= hi; n++ {
 			total := 0.0
-			for _, c := range group {
-				pi, ok := primByName[c.Prim]
-				if !ok {
-					return nil, sims, fmt.Errorf("portopt: unknown primitive %q in constraint", c.Prim)
-				}
-				cv, s, err := costAt(ctx, t, pdkFP, pi, net, n, p)
+			for k, c := range group {
+				cv, s, err := costAt(ctx, t, pres[k], primByName[c.Prim], net, n, p)
 				if err != nil {
 					return nil, sims, err
 				}
@@ -308,15 +311,15 @@ func Reconcile(ctx context.Context, t *pdk.Tech, prims []*PrimInstance, cons []C
 // evaluation runs on ctx: it honors the deadline, cancellation and
 // fault injector, and reports to the trace the context carries. The
 // portopt.constraints and portopt.reconcile spans nest under the span
-// ctx carries (obs.SpanFrom).
-func Optimize(ctx context.Context, t *pdk.Tech, prims []*PrimInstance, p Params) (*Result, error) {
+// ctx carries (obs.SpanFrom). pdkFP is t.Fingerprint().
+func Optimize(ctx context.Context, t *pdk.Tech, pdkFP string, prims []*PrimInstance, p Params) (*Result, error) {
 	p = p.withDefaults()
 	tr := obs.From(ctx)
 	res := &Result{Wires: map[string]int{}}
 	for _, pi := range prims {
 		sp := obs.StartSpan(tr, obs.SpanFrom(ctx), "portopt.constraints")
 		sp.SetAttr("prim", pi.Name)
-		cons, sims, err := GenerateConstraints(ctx, t, pi, p)
+		cons, sims, err := GenerateConstraints(ctx, t, pdkFP, pi, p)
 		res.Sims += sims
 		if err != nil {
 			sp.End()
@@ -328,7 +331,7 @@ func Optimize(ctx context.Context, t *pdk.Tech, prims []*PrimInstance, p Params)
 		res.Constraints = append(res.Constraints, cons...)
 	}
 	sp := obs.StartSpan(tr, obs.SpanFrom(ctx), "portopt.reconcile")
-	wires, sims, err := Reconcile(ctx, t, prims, res.Constraints, p)
+	wires, sims, err := Reconcile(ctx, t, pdkFP, prims, res.Constraints, p)
 	res.Sims += sims
 	if err != nil {
 		sp.End()

@@ -16,6 +16,9 @@ import (
 
 var tech = pdk.Default()
 
+// techFP is tech's fingerprint, computed once as the flow does.
+var techFP = tech.Fingerprint()
+
 func dpInstance(t *testing.T, name string) *PrimInstance {
 	t.Helper()
 	e := primlib.DiffPair
@@ -83,7 +86,7 @@ func cmInstance(t *testing.T, name, outNet string) *PrimInstance {
 
 func TestGenerateConstraintsDP(t *testing.T) {
 	pi := dpInstance(t, "dp0")
-	cons, sims, err := GenerateConstraints(context.Background(), tech, pi, Params{MaxWires: 7})
+	cons, sims, err := GenerateConstraints(context.Background(), tech, techFP, pi, Params{MaxWires: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +151,7 @@ func TestReconcileOverlap(t *testing.T) {
 		{Prim: "a", Net: "n2", WMin: 2, WMax: 5},
 		{Prim: "b", Net: "n2", WMin: 3, WMax: 6},
 	}
-	wires, sims, err := Reconcile(context.Background(), tech, nil, cons, Params{})
+	wires, sims, err := Reconcile(context.Background(), tech, techFP, nil, cons, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +178,7 @@ func TestReconcileDisjointResimulates(t *testing.T) {
 		{Prim: "dp0", Net: "shared", WMin: 5, WMax: 6},
 		{Prim: "cm0", Net: "shared", WMin: 1, WMax: 2},
 	}
-	wires, sims, err := Reconcile(context.Background(), tech, []*PrimInstance{dp, cm}, cons, Params{MaxWires: 6})
+	wires, sims, err := Reconcile(context.Background(), tech, techFP, []*PrimInstance{dp, cm}, cons, Params{MaxWires: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +196,7 @@ func TestOptimizeEndToEnd(t *testing.T) {
 	// The CM output drives the same net as the DP's d_a (the paper's
 	// net 3 situation, here named net4).
 	cm := cmInstance(t, "cm0", "net4")
-	res, err := Optimize(context.Background(), tech, []*PrimInstance{dp, cm}, Params{MaxWires: 6})
+	res, err := Optimize(context.Background(), tech, techFP, []*PrimInstance{dp, cm}, Params{MaxWires: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +217,7 @@ func TestOptimizeEndToEnd(t *testing.T) {
 func TestGenerateConstraintsMissingNet(t *testing.T) {
 	pi := dpInstance(t, "dp0")
 	delete(pi.NetOf, "d_a")
-	if _, _, err := GenerateConstraints(context.Background(), tech, pi, Params{MaxWires: 3}); err == nil {
+	if _, _, err := GenerateConstraints(context.Background(), tech, techFP, pi, Params{MaxWires: 3}); err == nil {
 		t.Error("route without net accepted")
 	}
 }
@@ -224,7 +227,7 @@ func TestReconcileUnknownPrimitive(t *testing.T) {
 		{Prim: "ghost", Net: "n", WMin: 5, WMax: 6},
 		{Prim: "ghost2", Net: "n", WMin: 1, WMax: 2},
 	}
-	if _, _, err := Reconcile(context.Background(), tech, nil, cons, Params{}); err == nil {
+	if _, _, err := Reconcile(context.Background(), tech, techFP, nil, cons, Params{}); err == nil {
 		t.Error("unknown primitive in disjoint reconciliation accepted")
 	}
 }
@@ -238,14 +241,14 @@ func TestOptimizeCached(t *testing.T) {
 	mk := func() []*PrimInstance {
 		return []*PrimInstance{dpInstance(t, "dp0"), cmInstance(t, "cm0", "net4")}
 	}
-	base, err := Optimize(context.Background(), tech, mk(), Params{MaxWires: 5})
+	base, err := Optimize(context.Background(), tech, techFP, mk(), Params{MaxWires: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := evcache.New()
 	tr := obs.New()
 	ctx := obs.With(context.Background(), tr)
-	cached, err := Optimize(obs.WithSpan(ctx, tr.Start("test")), tech, mk(), Params{MaxWires: 5, Cache: c})
+	cached, err := Optimize(obs.WithSpan(ctx, tr.Start("test")), tech, techFP, mk(), Params{MaxWires: 5, Cache: c})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +266,7 @@ func TestOptimizeCached(t *testing.T) {
 	}
 	// Same instances again: everything is a repeat request, served as
 	// a hit.
-	again, err := Optimize(obs.WithSpan(ctx, tr.Start("test2")), tech, mk(), Params{MaxWires: 5, Cache: c})
+	again, err := Optimize(obs.WithSpan(ctx, tr.Start("test2")), tech, techFP, mk(), Params{MaxWires: 5, Cache: c})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,13 +295,13 @@ func TestOptimizeRunsOnContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Optimize(fault.With(context.Background(), inj), tech, prims, Params{MaxWires: 3, Cache: evcache.New()})
+	_, err = Optimize(fault.With(context.Background(), inj), tech, techFP, prims, Params{MaxWires: 3, Cache: evcache.New()})
 	if !fault.IsInjected(err) {
 		t.Errorf("armed spice.op: err = %v, want an injected fault", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = Optimize(ctx, tech, prims, Params{MaxWires: 3, Cache: evcache.New()})
+	_, err = Optimize(ctx, tech, techFP, prims, Params{MaxWires: 3, Cache: evcache.New()})
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("canceled context: err = %v, want context.Canceled", err)
 	}
