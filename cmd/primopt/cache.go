@@ -107,7 +107,7 @@ func runCacheStats(args []string) int {
 		fs.Usage()
 		return 2
 	}
-	d, err := evcache.OpenDisk(*dir, evcache.DiskOptions{})
+	d, err := evcache.OpenDisk(*dir, 0)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "primopt cache stats:", err)
 		return 2
@@ -130,7 +130,7 @@ func runCacheGC(args []string) int {
 		fs.Usage()
 		return 2
 	}
-	d, err := evcache.OpenDisk(*dir, evcache.DiskOptions{})
+	d, err := evcache.OpenDisk(*dir, 0)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "primopt cache gc:", err)
 		return 2

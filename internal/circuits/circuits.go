@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"primopt/internal/circuit"
+	"primopt/internal/measure"
 	"primopt/internal/pdk"
 	"primopt/internal/primlib"
 	"primopt/internal/spice"
@@ -146,6 +147,55 @@ func Build(t *pdk.Tech, name string, stages int) (*Benchmark, error) {
 	default:
 		return nil, fmt.Errorf("unknown circuit %q (want %s)", name, strings.Join(Names(), ", "))
 	}
+}
+
+// evalAC measures an amplifier's small-signal response: it applies
+// drive to a clone of nl, solves the operating point and checks it
+// with check when one is given, sweeps AC from fstart to 1 THz at 10
+// points per decade, and returns the response at out and the current
+// drawn from vdd.
+func evalAC(ctx context.Context, t *pdk.Tech, nl *circuit.Netlist, drive func(sim *circuit.Netlist) error,
+	fstart float64, check func(*spice.OPResult) error) (measure.ACMetrics, float64, error) {
+	var m measure.ACMetrics
+	sim := nl.Clone()
+	if err := drive(sim); err != nil {
+		return m, 0, err
+	}
+	e, err := spice.New(ctx, t, sim)
+	if err != nil {
+		return m, 0, err
+	}
+	op, err := e.OP()
+	if err != nil {
+		return m, 0, err
+	}
+	if check != nil {
+		if err := check(op); err != nil {
+			return m, 0, err
+		}
+	}
+	ac, err := e.AC(fstart, 1e12, 10, op)
+	if err != nil {
+		return m, 0, err
+	}
+	if m, err = measure.ACOf(ac, "out"); err != nil {
+		return m, 0, err
+	}
+	idd, err := measure.SupplyCurrent(op, "vdd")
+	return m, idd, err
+}
+
+// differentialDrive drives the inputs vip and vin with 0.5 V each, in
+// antiphase.
+func differentialDrive(sim *circuit.Netlist) error {
+	vp, vn := sim.Device("vip"), sim.Device("vin")
+	if vp == nil || vn == nil {
+		return fmt.Errorf("inputs missing")
+	}
+	vp.SetParam("acmag", 0.5)
+	vn.SetParam("acmag", 0.5)
+	vn.SetParam("acphase", 180)
+	return nil
 }
 
 // opOf simulates the schematic operating point.

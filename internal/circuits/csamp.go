@@ -6,10 +6,8 @@ import (
 	"math"
 
 	"primopt/internal/circuit"
-	"primopt/internal/measure"
 	"primopt/internal/pdk"
 	"primopt/internal/primlib"
-	"primopt/internal/spice"
 )
 
 // CommonSource builds the Fig. 2 motivating circuit: an NMOS
@@ -96,31 +94,17 @@ func CommonSource(t *pdk.Tech) (*Benchmark, error) {
 		MetricUnit:  map[string]string{"gain_db": "dB", "ugf": "Hz", "power": "W"},
 	}
 	bm.Eval = func(ctx context.Context, t *pdk.Tech, nl *circuit.Netlist) (map[string]float64, error) {
-		sim := nl.Clone()
-		vinDev := sim.Device("vin")
-		if vinDev == nil {
-			return nil, fmt.Errorf("csamp eval: vin missing")
+		drive := func(sim *circuit.Netlist) error {
+			vin := sim.Device("vin")
+			if vin == nil {
+				return fmt.Errorf("vin missing")
+			}
+			vin.SetParam("acmag", 1)
+			return nil
 		}
-		vinDev.SetParam("acmag", 1)
-		e, err := spice.New(ctx, t, sim)
+		m, idd, err := evalAC(ctx, t, nl, drive, 1e6, nil)
 		if err != nil {
-			return nil, err
-		}
-		op, err := e.OP()
-		if err != nil {
-			return nil, err
-		}
-		ac, err := e.AC(1e6, 1e12, 10, op)
-		if err != nil {
-			return nil, err
-		}
-		m, err := measure.ACOf(ac, "out")
-		if err != nil {
-			return nil, err
-		}
-		idd, err := measure.SupplyCurrent(op, "vdd")
-		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("csamp eval: %w", err)
 		}
 		return map[string]float64{
 			"gain_db": m.GainDB,

@@ -5,10 +5,8 @@ import (
 	"fmt"
 
 	"primopt/internal/circuit"
-	"primopt/internal/measure"
 	"primopt/internal/pdk"
 	"primopt/internal/primlib"
-	"primopt/internal/spice"
 )
 
 // OTA5T builds the high-frequency five-transistor OTA of Fig. 6: an
@@ -89,34 +87,9 @@ func OTA5T(t *pdk.Tech) (*Benchmark, error) {
 		},
 	}
 	bm.Eval = func(ctx context.Context, t *pdk.Tech, nl *circuit.Netlist) (map[string]float64, error) {
-		sim := nl.Clone()
-		vp := sim.Device("vip")
-		vn := sim.Device("vin")
-		if vp == nil || vn == nil {
-			return nil, fmt.Errorf("ota eval: inputs missing")
-		}
-		vp.SetParam("acmag", 0.5)
-		vn.SetParam("acmag", 0.5)
-		vn.SetParam("acphase", 180)
-		e, err := spice.New(ctx, t, sim)
+		m, idd, err := evalAC(ctx, t, nl, differentialDrive, 1e5, nil)
 		if err != nil {
-			return nil, err
-		}
-		op, err := e.OP()
-		if err != nil {
-			return nil, err
-		}
-		ac, err := e.AC(1e5, 1e12, 10, op)
-		if err != nil {
-			return nil, err
-		}
-		m, err := measure.ACOf(ac, "out")
-		if err != nil {
-			return nil, err
-		}
-		idd, err := measure.SupplyCurrent(op, "vdd")
-		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("ota eval: %w", err)
 		}
 		return map[string]float64{
 			"current": idd,

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"primopt/internal/circuit"
-	"primopt/internal/measure"
 	"primopt/internal/pdk"
 	"primopt/internal/primlib"
 	"primopt/internal/spice"
@@ -103,38 +102,16 @@ func Telescopic(t *pdk.Tech) (*Benchmark, error) {
 		},
 	}
 	bm.Eval = func(ctx context.Context, t *pdk.Tech, nl *circuit.Netlist) (map[string]float64, error) {
-		sim := nl.Clone()
-		vp := sim.Device("vip")
-		vn := sim.Device("vin")
-		if vp == nil || vn == nil {
-			return nil, fmt.Errorf("telescopic eval: inputs missing")
-		}
-		vp.SetParam("acmag", 0.5)
-		vn.SetParam("acmag", 0.5)
-		vn.SetParam("acphase", 180)
-		e, err := spice.New(ctx, t, sim)
-		if err != nil {
-			return nil, err
-		}
-		op, err := e.OP()
-		if err != nil {
-			return nil, err
-		}
 		// A usable OP keeps the output off the rails.
-		if v := op.Volt("out"); v < 0.15 || v > 0.7 {
-			return nil, fmt.Errorf("telescopic eval: output railed at %.3g V", v)
+		railed := func(op *spice.OPResult) error {
+			if v := op.Volt("out"); v < 0.15 || v > 0.7 {
+				return fmt.Errorf("output railed at %.3g V", v)
+			}
+			return nil
 		}
-		ac, err := e.AC(1e4, 1e12, 10, op)
+		m, idd, err := evalAC(ctx, t, nl, differentialDrive, 1e4, railed)
 		if err != nil {
-			return nil, err
-		}
-		m, err := measure.ACOf(ac, "out")
-		if err != nil {
-			return nil, err
-		}
-		idd, err := measure.SupplyCurrent(op, "vdd")
-		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("telescopic eval: %w", err)
 		}
 		return map[string]float64{
 			"current": idd,

@@ -59,26 +59,6 @@ const (
 	maxPayload = 1 << 30
 )
 
-// DiskOptions bound the disk tier. Zero values take defaults.
-type DiskOptions struct {
-	// MaxBytes caps the total size of all segment files; exceeding it
-	// retires whole least-recently-used segments. Default 1 GiB.
-	MaxBytes int64
-	// SegmentBytes is the size at which the active segment rotates.
-	// Default 4 MiB.
-	SegmentBytes int64
-}
-
-func (o DiskOptions) withDefaults() DiskOptions {
-	if o.MaxBytes <= 0 {
-		o.MaxBytes = 1 << 30
-	}
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 4 << 20
-	}
-	return o
-}
-
 // segment is the in-memory state of one segment file. size is the
 // validated prefix length (header plus intact records) — for a torn
 // segment this is strictly less than the file size, and adoption as
@@ -106,8 +86,12 @@ type recordLoc struct {
 // use and nil-safe; reads open the segment file per call, so a
 // closed Disk still answers Stats and GC.
 type Disk struct {
-	dir  string
-	opts DiskOptions
+	dir string
+	// maxBytes caps the total size of all segment files; exceeding it
+	// retires whole least-recently-used segments.
+	maxBytes int64
+	// segmentBytes is the size at which the active segment rotates.
+	segmentBytes int64
 
 	mu       sync.Mutex
 	index    map[string]recordLoc
@@ -142,17 +126,22 @@ func segName(seq int) string { return fmt.Sprintf("seg-%08d.evc", seq) }
 // truncated lazily, when the segment is next adopted for appends.
 // Segments with a foreign header (other schema version, other magic)
 // are tracked for size accounting only — never indexed, first in
-// line for eviction.
-func OpenDisk(dir string, opts DiskOptions) (*Disk, error) {
+// line for eviction. The segment files together stay within maxBytes
+// (0 takes 1 GiB); the active segment rotates at 4 MiB.
+func OpenDisk(dir string, maxBytes int64) (*Disk, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("evcache: open disk tier: %w", err)
 	}
+	if maxBytes <= 0 {
+		maxBytes = 1 << 30
+	}
 	d := &Disk{
-		dir:      dir,
-		opts:     opts.withDefaults(),
-		index:    make(map[string]recordLoc),
-		segments: make(map[int]*segment),
-		nextSeq:  1,
+		dir:          dir,
+		maxBytes:     maxBytes,
+		segmentBytes: 4 << 20,
+		index:        make(map[string]recordLoc),
+		segments:     make(map[int]*segment),
+		nextSeq:      1,
 	}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -420,7 +409,7 @@ func (d *Disk) put(key string, e *Entry) (evicted int, err error) {
 	d.clock++
 	d.active.lastUse = d.clock
 	d.index[key] = recordLoc{seg: d.active.seq, keyOff: off + recHdrLen, keyLen: len(key), payloadLen: len(payload), sum: sum}
-	n := d.evictLocked(d.opts.MaxBytes)
+	n := d.evictLocked(d.maxBytes)
 	if n > 0 {
 		d.evictions.Add(int64(n))
 	}
@@ -432,7 +421,7 @@ func (d *Disk) put(key string, e *Entry) (evicted int, err error) {
 // compatible existing segment (truncating its torn tail — the lazy
 // tail repair), else creating a fresh segment.
 func (d *Disk) ensureActive(recLen int64) error {
-	if d.active != nil && d.active.size > headerLen && d.active.size+recLen > d.opts.SegmentBytes {
+	if d.active != nil && d.active.size > headerLen && d.active.size+recLen > d.segmentBytes {
 		//lint:allow errflow rotating away from a fully-written segment; every record it holds is already checksummed on disk
 		_ = d.activeF.Close()
 		d.active = nil
@@ -446,7 +435,7 @@ func (d *Disk) ensureActive(recLen int64) error {
 		if !s.compatible || s.size < headerLen {
 			continue
 		}
-		if s.size > headerLen && s.size+recLen > d.opts.SegmentBytes {
+		if s.size > headerLen && s.size+recLen > d.segmentBytes {
 			continue
 		}
 		if adopt == nil || s.seq > adopt.seq {

@@ -33,7 +33,7 @@ func mustPut(t *testing.T, d *Disk, key string, e *Entry) {
 
 func TestDiskRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDisk(dir, DiskOptions{})
+	d, err := OpenDisk(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestDiskRoundTrip(t *testing.T) {
 	}
 
 	// New process: index rebuilt by scanning.
-	d2, err := OpenDisk(dir, DiskOptions{})
+	d2, err := OpenDisk(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestDiskRoundTrip(t *testing.T) {
 
 func TestDiskSchematicEntryRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDisk(dir, DiskOptions{})
+	d, err := OpenDisk(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestDiskSchematicEntryRoundTrip(t *testing.T) {
 // serves everything again.
 func TestDiskTornTail(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDisk(dir, DiskOptions{})
+	d, err := OpenDisk(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestDiskTornTail(t *testing.T) {
 			if err := os.WriteFile(seg, blob[:cut], 0o644); err != nil {
 				t.Fatal(err)
 			}
-			d, err := OpenDisk(dir, DiskOptions{})
+			d, err := OpenDisk(dir, 0)
 			if err != nil {
 				t.Fatalf("reopen after truncation: %v", err)
 			}
@@ -149,7 +149,7 @@ func TestDiskTornTail(t *testing.T) {
 			}
 			d.Close()
 			// ...and a further reopen serves all three records.
-			d2, err := OpenDisk(dir, DiskOptions{})
+			d2, err := OpenDisk(dir, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,7 +172,7 @@ func TestDiskTornTail(t *testing.T) {
 // segment at that boundary) while earlier records survive.
 func TestDiskCorruptRecordDegrades(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDisk(dir, DiskOptions{})
+	d, err := OpenDisk(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestDiskCorruptRecordDegrades(t *testing.T) {
 	if err := os.WriteFile(seg, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	d2, err := OpenDisk(dir, DiskOptions{})
+	d2, err := OpenDisk(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestDiskCorruptRecordDegrades(t *testing.T) {
 // version are never indexed and go first at eviction.
 func TestDiskSchemaMismatch(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDisk(dir, DiskOptions{})
+	d, err := OpenDisk(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestDiskSchemaMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2, err := OpenDisk(dir, DiskOptions{})
+	d2, err := OpenDisk(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,11 +265,12 @@ func TestDiskEviction(t *testing.T) {
 	dir := t.TempDir()
 	// Segments rotate almost immediately (every record overflows the
 	// bound), so each record lands in its own segment.
-	d, err := OpenDisk(dir, DiskOptions{SegmentBytes: 1, MaxBytes: 1 << 40})
+	d, err := OpenDisk(dir, 1<<40)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
+	d.segmentBytes = 1
 	for i := 1; i <= 4; i++ {
 		mustPut(t, d, fmt.Sprintf("k%d", i), diskEntryFor(float64(i)))
 	}
@@ -407,7 +408,7 @@ func TestCacheDiskIntegration(t *testing.T) {
 // that same entry to the computing caller and every later request.
 func TestDiskHitStoredOnceAndShared(t *testing.T) {
 	dir := t.TempDir()
-	d1, err := OpenDisk(dir, DiskOptions{})
+	d1, err := OpenDisk(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

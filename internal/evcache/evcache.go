@@ -70,7 +70,7 @@ import (
 	"context"
 	"encoding/hex"
 	"errors"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -248,11 +248,14 @@ func appendLayout(b []byte, lay *cellgen.Layout, routes map[string]extract.Route
 		b = appendInt(b, "/", int64(c.Dummies))
 		b = append(b, '/')
 		b = append(b, c.Pattern.String()...)
-		names := make([]string, 0, len(lay.Wires))
+		// A primitive has a few wires and ports (at most 7), so their
+		// names sort in stack arrays; more would spill to the heap.
+		var buf [16]string
+		names := buf[:0]
 		for w := range lay.Wires {
 			names = append(names, w)
 		}
-		sort.Strings(names)
+		slices.Sort(names)
 		for _, w := range names {
 			b = append(b, '|')
 			b = append(b, w...)
@@ -260,11 +263,12 @@ func appendLayout(b []byte, lay *cellgen.Layout, routes map[string]extract.Route
 		}
 	}
 	if len(routes) > 0 {
-		ports := make([]string, 0, len(routes))
+		var buf [16]string
+		ports := buf[:0]
 		for w := range routes {
 			ports = append(ports, w)
 		}
-		sort.Strings(ports)
+		slices.Sort(ports)
 		for _, w := range ports {
 			r := routes[w]
 			b = append(b, "|r:"...)
@@ -344,7 +348,7 @@ func Open(dir string, maxBytes int64) (*Cache, error) {
 	if dir == "" {
 		return c, nil
 	}
-	d, err := OpenDisk(dir, DiskOptions{MaxBytes: maxBytes})
+	d, err := OpenDisk(dir, maxBytes)
 	if err != nil {
 		return nil, err
 	}

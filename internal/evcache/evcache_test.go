@@ -79,7 +79,7 @@ func TestKeySnapshot(t *testing.T) {
 	// different metrics and weights, so only the kind keeps them apart.
 	for _, twin := range []*primlib.Entry{primlib.SwitchedDiffPair, primlib.CrossCoupledPair} {
 		if twin.Family != dp.Family {
-			t.Fatalf("%s is not in family %q", twin.Kind, dp.Family)
+			t.Fatalf("%s is not in family %q", twin.Kind, dp.Family.Name)
 		}
 		if twin.TestbenchBias(bias) != dp.TestbenchBias(bias) {
 			t.Fatalf("%s projects the bias differently from %s", twin.Kind, dp.Kind)

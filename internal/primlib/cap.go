@@ -7,8 +7,6 @@ import (
 	"primopt/internal/cellgen"
 	"primopt/internal/circuit"
 	"primopt/internal/cost"
-	"primopt/internal/extract"
-	"primopt/internal/pdk"
 )
 
 // The capacitor primitive (the paper's passives class, Table II:
@@ -21,7 +19,7 @@ import (
 var Capacitor = register(&Entry{
 	Kind:        "momcap",
 	Description: "metal-oxide-metal finger capacitor",
-	Family:      "cap",
+	Family:      capFamily,
 	MOSType:     circuit.NMOS, // unused; passives have no devices
 	Structure:   cellgen.Single,
 	Metrics: []MetricSpec{
@@ -34,6 +32,11 @@ var Capacitor = register(&Entry{
 	},
 	Ports: []PortSpec{{Name: "top", Wire: "d"}, {Name: "bottom", Wire: "s"}},
 })
+
+var capFamily = &Family{Name: "cap", eval: (*evaluation).momcap, bias: noBias}
+
+// noBias is the passives' projection: their testbenches read no bias.
+func noBias(Bias) Bias { return Bias{} }
 
 // MOM capacitance density, F per nm^2 of cap area (≈ 0.35 fF/µm²,
 // a typical lateral-fringe stack value).
@@ -59,82 +62,61 @@ func capDesignC(lay *cellgen.Layout, sz Sizing) float64 {
 	return momDensity * float64(sz.TotalFins) * capUnitArea
 }
 
-// evalCap measures the effective capacitance between the terminals
+// momcap measures the effective capacitance between the terminals
 // through the extracted lead RC, and the usable frequency (the RC
-// corner of the total lead resistance against the cap).
-func evalCap(s solver, e *Entry, t *pdk.Tech, sz Sizing, bias Bias, ex *extract.Extracted,
-	routes map[string]extract.Route) (*Eval, error) {
-	ev := &Eval{Values: make(map[string]float64)}
-	var lay *cellgen.Layout
-	if ex != nil {
-		lay = ex.Layout
+// corner of the total lead resistance against the cap). Its schematic
+// reference is the design C with the nominal lead budget.
+func (v *evaluation) momcap() error {
+	if v.ex == nil {
+		c := capDesignC(nil, v.sz)
+		v.Values["C"] = c
+		v.Values["ESR"] = capNominalR
+		v.Values["frequency"] = 1 / (2 * math.Pi * capNominalR * c)
+		return nil
 	}
-	cNom := capDesignC(lay, sz)
+	cNom := capDesignC(v.ex.Layout, v.sz)
 	if cNom <= 0 {
-		return nil, fmt.Errorf("momcap: non-positive design capacitance")
+		return fmt.Errorf("momcap: non-positive design capacitance")
 	}
 
 	// Testbench 1: effective C — AC current into the top terminal
 	// with the bottom grounded, read from Im(Y) at a frequency low
 	// enough that the lead R is invisible.
-	b := newTB(t, "momcap c testbench", ex, routes)
+	b := v.deck("momcap c testbench")
 	b.capacitor("cmain", b.dev("d"), b.dev("s"), g6(cNom))
 	b.resistor("rtb", b.outer("s"), "0", 1e-3)
 	b.isrc("ix", "0", b.outer("d"), 0).ac(1)
 	b.resistor("rbig", b.outer("d"), "0", 1e9) // DC path
-	b.acSweep(5, 1e6, 1e8)
-	b.find("vre", "vr("+b.outer("d")+")", fCap)
-	b.find("vim", "vi("+b.outer("d")+")", fCap)
-	res, err := s.run(b)
+	b.measureC(b.outer("d"))
+	res, err := v.solve(b)
 	if err != nil {
-		return nil, fmt.Errorf("momcap c testbench: %w", err)
+		return err
 	}
-	ev.Sims++
-	c, err := capFromVrVi(res.Measures["vre"], res.Measures["vim"])
+	c, err := b.capOf(res)
 	if err != nil {
-		return nil, fmt.Errorf("momcap c testbench: %w", err)
+		return err
 	}
-	ev.Values["C"] = c
+	v.Values["C"] = c
 
 	// Testbench 2: lead resistance — DC current through the cap's
 	// terminal network (the cap itself is open at DC, so drive
 	// through a replica resistive path: measure the series lead R by
 	// shorting the cap plates with a 1 mΩ link).
-	b = newTB(t, "momcap r testbench", ex, routes)
+	b = v.deck("momcap r testbench")
 	b.resistor("rshort", b.dev("d"), b.dev("s"), 1e-3)
 	b.resistor("rtb", b.outer("s"), "0", 1e-3)
 	b.isrc("ix", "0", b.outer("d"), 1e-3)
 	b.op()
-	res, err = s.run(b)
+	res, err = v.solve(b)
 	if err != nil {
-		return nil, fmt.Errorf("momcap r testbench: %w", err)
+		return err
 	}
-	ev.Sims++
 	// V = I * Rtotal with I = 1 mA.
-	var rtot float64
-	if res.OP != nil {
-		rtot = res.OP.Volt("e_d") / 1e-3
-		if rtot == 0 {
-			rtot = res.OP.Volt("p_d") / 1e-3
-		}
-	}
+	rtot := res.OP.Volt(b.outer("d")) / 1e-3
 	if rtot <= 0 {
 		rtot = 1e-3
 	}
-	ev.Values["ESR"] = rtot
-	ev.Values["frequency"] = 1 / (2 * math.Pi * rtot * cNom)
-	return ev, nil
-}
-
-// capSchematicEval returns the schematic reference for the capacitor:
-// the design C with the nominal lead budget.
-func capSchematicEval(sz Sizing) *Eval {
-	c := capDesignC(nil, sz)
-	return &Eval{
-		Values: map[string]float64{
-			"C":         c,
-			"ESR":       capNominalR,
-			"frequency": 1 / (2 * math.Pi * capNominalR * c),
-		},
-	}
+	v.Values["ESR"] = rtot
+	v.Values["frequency"] = 1 / (2 * math.Pi * rtot * cNom)
+	return nil
 }

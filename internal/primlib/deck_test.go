@@ -227,7 +227,7 @@ func TestTestbenchBuildAllocs(t *testing.T) {
 		return nil, errStopAfterBuild
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := evalDiffPair(stop, DiffPair, tech, sz, dpBias(), ex.Layout.Config, ex, routes); !errors.Is(err, errStopAfterBuild) {
+		if _, err := DiffPair.evaluate(stop, tech, sz, dpBias(), ex, routes); !errors.Is(err, errStopAfterBuild) {
 			t.Fatal(err)
 		}
 	})

@@ -43,7 +43,7 @@ func deckCases(t *testing.T, tech *pdk.Tech) []deckCase {
 		e := registry[kind]
 		sz := Sizing{TotalFins: 240, L: 14}
 		cons := &cellgen.Constraints{MinNFin: 4, MaxNFin: 16, MaxM: 4}
-		switch e.Family {
+		switch e.Family.Name {
 		case "cmirror":
 			sz.RatioB = 2
 		case "csinv":
@@ -54,7 +54,7 @@ func deckCases(t *testing.T, tech *pdk.Tech) []deckCase {
 		case "res":
 			sz.TotalFins = 50
 		}
-		if e.Family != "cap" && e.Family != "res" {
+		if e.Family.Name != "cap" && e.Family.Name != "res" {
 			sch := sz
 			sch.L = 15
 			out = append(out, deckCase{name: kind + " schematic", entry: e, sz: sch, bias: deckCaseBias})

@@ -55,7 +55,7 @@ type PortSpec struct {
 type Entry struct {
 	Kind        string
 	Description string
-	Family      string // evaluator family: "diffpair", "cmirror", "csource", "csamp", "csinv", "cap"
+	Family      *Family // required: register rejects an entry without one
 	MOSType     circuit.DeviceType
 	Structure   cellgen.Structure
 	RatioB      int // mirror ratio (Pair only)
@@ -66,6 +66,17 @@ type Entry struct {
 	// keeps geometrically symmetric (the paper's matching-net
 	// constraint); port optimization sweeps them together.
 	SymPorts [][]string
+}
+
+// A Family is an evaluator family: the testbenches its entries share
+// and the bias fields those testbenches read.
+type Family struct {
+	Name string
+	// eval runs the testbenches, filling v's Eval.
+	eval func(v *evaluation) error
+	// bias keeps the fields the testbenches read and zeroes the rest
+	// (Entry.TestbenchBias).
+	bias func(Bias) Bias
 }
 
 // Sizing fixes the device sizes of a primitive instance.
@@ -101,29 +112,41 @@ type Eval struct {
 
 // Spec builds the cellgen spec for an entry and sizing.
 func (e *Entry) Spec(sz Sizing) cellgen.Spec {
-	ratio := e.RatioB
-	if sz.RatioB > 0 {
-		ratio = sz.RatioB
-	}
-	if ratio < 1 {
-		ratio = 1
-	}
 	return cellgen.Spec{
 		Name:      e.Kind,
 		Structure: e.Structure,
 		TotalFins: sz.TotalFins,
-		RatioB:    ratio,
+		RatioB:    e.ratio(sz),
 		L:         sz.L,
 	}
+}
+
+// ratio is device B's multiple of device A: the sizing's, else the
+// entry's, and at least 1.
+func (e *Entry) ratio(sz Sizing) int {
+	r := e.RatioB
+	if sz.RatioB > 0 {
+		r = sz.RatioB
+	}
+	return max(r, 1)
+}
+
+// rail is the node the entry's device sources and bulks tie to: vdd
+// for PMOS devices, which hang from the supply, and ground for NMOS.
+func (e *Entry) rail() string {
+	if e.MOSType == circuit.PMOS {
+		return "vdd"
+	}
+	return "0"
 }
 
 // registry holds the built-in library, keyed by kind.
 var registry = map[string]*Entry{}
 
 func register(e *Entry) *Entry {
-	if _, dup := registry[e.Kind]; dup {
-		//lint:allow errflow init-time registration of the built-in library; a duplicate kind is a programmer error caught at startup
-		panic("primlib: duplicate entry " + e.Kind)
+	if _, dup := registry[e.Kind]; dup || e.Family == nil {
+		//lint:allow errflow init-time registration of the built-in library; a duplicate kind or a missing family is a programmer error caught at startup
+		panic("primlib: duplicate or family-less entry " + e.Kind)
 	}
 	registry[e.Kind] = e
 	return e
@@ -160,7 +183,7 @@ var (
 	DiffPair = register(&Entry{
 		Kind:        "diffpair",
 		Description: "NMOS differential pair",
-		Family:      "diffpair",
+		Family:      diffPairFamily,
 		MOSType:     circuit.NMOS,
 		Structure:   cellgen.Pair,
 		RatioB:      1,
@@ -183,7 +206,7 @@ var (
 	DiffPairCascode = register(&Entry{
 		Kind:        "diffpair_cascode",
 		Description: "cascoded NMOS differential pair",
-		Family:      "diffpair_cascode",
+		Family:      cascodePairFamily,
 		MOSType:     circuit.NMOS,
 		Structure:   cellgen.Pair,
 		RatioB:      1,
@@ -202,7 +225,7 @@ var (
 	SwitchedDiffPair = register(&Entry{
 		Kind:        "diffpair_switched",
 		Description: "switched differential pair (data converters)",
-		Family:      "diffpair",
+		Family:      diffPairFamily,
 		MOSType:     circuit.NMOS,
 		Structure:   cellgen.Pair,
 		RatioB:      1,
@@ -221,7 +244,7 @@ var (
 	CurrentMirror = register(&Entry{
 		Kind:        "cmirror",
 		Description: "passive NMOS current mirror",
-		Family:      "cmirror",
+		Family:      mirrorFamily,
 		MOSType:     circuit.NMOS,
 		Structure:   cellgen.Pair,
 		RatioB:      1,
@@ -242,7 +265,7 @@ var (
 	CurrentMirrorP = register(&Entry{
 		Kind:        "cmirror_p",
 		Description: "active (PMOS) current-mirror load",
-		Family:      "cmirror",
+		Family:      mirrorFamily,
 		MOSType:     circuit.PMOS,
 		Structure:   cellgen.Pair,
 		RatioB:      1,
@@ -263,7 +286,7 @@ var (
 	CascodeMirror = register(&Entry{
 		Kind:        "cmirror_cascode",
 		Description: "cascoded current mirror",
-		Family:      "cmirror",
+		Family:      mirrorFamily,
 		MOSType:     circuit.NMOS,
 		Structure:   cellgen.Pair,
 		RatioB:      1,
@@ -281,7 +304,7 @@ var (
 	CurrentSource = register(&Entry{
 		Kind:        "csource",
 		Description: "NMOS current source (load)",
-		Family:      "csource",
+		Family:      sourceFamily,
 		MOSType:     circuit.NMOS,
 		Structure:   cellgen.Single,
 		Metrics: []MetricSpec{
@@ -298,7 +321,7 @@ var (
 	CurrentSourceP = register(&Entry{
 		Kind:        "csource_p",
 		Description: "PMOS current source (load)",
-		Family:      "csource",
+		Family:      sourceFamily,
 		MOSType:     circuit.PMOS,
 		Structure:   cellgen.Single,
 		Metrics: []MetricSpec{
@@ -315,7 +338,7 @@ var (
 	DiodeLoad = register(&Entry{
 		Kind:        "diode_load",
 		Description: "diode-connected load",
-		Family:      "csource",
+		Family:      sourceFamily,
 		MOSType:     circuit.NMOS,
 		Structure:   cellgen.Single,
 		Metrics: []MetricSpec{
@@ -332,7 +355,7 @@ var (
 	CSAmp = register(&Entry{
 		Kind:        "csamp",
 		Description: "common-source amplifier stage",
-		Family:      "csamp",
+		Family:      ampFamily,
 		MOSType:     circuit.NMOS,
 		Structure:   cellgen.Single,
 		Metrics: []MetricSpec{
@@ -349,7 +372,7 @@ var (
 	CGAmp = register(&Entry{
 		Kind:        "cgamp",
 		Description: "common-gate amplifier stage",
-		Family:      "csamp",
+		Family:      ampFamily,
 		MOSType:     circuit.NMOS,
 		Structure:   cellgen.Single,
 		Metrics: []MetricSpec{
@@ -366,7 +389,7 @@ var (
 	CDAmp = register(&Entry{
 		Kind:        "cdamp",
 		Description: "common-drain (source follower) stage",
-		Family:      "csamp",
+		Family:      ampFamily,
 		MOSType:     circuit.NMOS,
 		Structure:   cellgen.Single,
 		Metrics: []MetricSpec{
@@ -383,7 +406,7 @@ var (
 	CSInverter = register(&Entry{
 		Kind:        "csinv",
 		Description: "current-starved inverter (VCO stage)",
-		Family:      "csinv",
+		Family:      inverterFamily,
 		MOSType:     circuit.NMOS,
 		Structure:   cellgen.Pair, // inverter device + starving device share a row per polarity
 		RatioB:      1,
@@ -403,7 +426,7 @@ var (
 	CrossCoupledPair = register(&Entry{
 		Kind:        "xcpair",
 		Description: "cross-coupled pair (latch/oscillator)",
-		Family:      "diffpair",
+		Family:      diffPairFamily,
 		MOSType:     circuit.NMOS,
 		Structure:   cellgen.Pair,
 		RatioB:      1,
@@ -422,7 +445,7 @@ var (
 	CrossCoupledPairP = register(&Entry{
 		Kind:        "xcpair_p",
 		Description: "PMOS cross-coupled pair (latch load)",
-		Family:      "diffpair",
+		Family:      diffPairFamily,
 		MOSType:     circuit.PMOS,
 		Structure:   cellgen.Pair,
 		RatioB:      1,
@@ -441,7 +464,7 @@ var (
 	SwitchP = register(&Entry{
 		Kind:        "switch_p",
 		Description: "PMOS analog switch (precharge)",
-		Family:      "csource",
+		Family:      sourceFamily,
 		MOSType:     circuit.PMOS,
 		Structure:   cellgen.Single,
 		Metrics: []MetricSpec{
@@ -458,7 +481,7 @@ var (
 	Switch = register(&Entry{
 		Kind:        "switch",
 		Description: "analog switch",
-		Family:      "csource",
+		Family:      sourceFamily,
 		MOSType:     circuit.NMOS,
 		Structure:   cellgen.Single,
 		Metrics: []MetricSpec{

@@ -24,20 +24,22 @@ const (
 	fCap = 1e7
 )
 
-// capFromVrVi converts the complex node voltage under a 1 A AC
-// current drive into the node capacitance: Y = 1/V, C = Im(Y)/ω =
-// -Im(V)/(|V|²·ω). Using the imaginary part cancels the device
-// output-conductance contribution that a magnitude-only reading would
-// fold in. The measurement frequency is chosen so ωC dominates gds
-// while ωRC of the wire network stays small.
-func capFromVrVi(vr, vi float64) (float64, error) {
+// capOf converts the complex node voltage that a capacitance probe
+// (tb.capProbe, tb.measureC) reads under its 1 A AC current drive into
+// the node capacitance: Y = 1/V, C = Im(Y)/ω = -Im(V)/(|V|²·ω). Using
+// the imaginary part cancels the device output-conductance
+// contribution that a magnitude-only reading would fold in. The
+// measurement frequency is chosen so ωC dominates gds while ωRC of the
+// wire network stays small.
+func (b *tb) capOf(res *spice.Results) (float64, error) {
+	vr, vi := res.Measures["vre"], res.Measures["vim"]
 	den := (vr*vr + vi*vi) * 2 * math.Pi * fCap
 	if den == 0 {
-		return 0, fmt.Errorf("primlib: zero response in capacitance testbench")
+		return 0, fmt.Errorf("%s: zero response in capacitance testbench", b.deck.Title)
 	}
 	c := -vi / den
 	if c <= 0 {
-		return 0, fmt.Errorf("primlib: non-capacitive response (C = %g)", c)
+		return 0, fmt.Errorf("%s: non-capacitive response (C = %g)", b.deck.Title, c)
 	}
 	return c, nil
 }
@@ -91,38 +93,48 @@ func (s solver) run(b *tb) (*spice.Results, error) {
 	return s(b.deck)
 }
 
+// An evaluation is one run of an entry's family testbenches on a
+// sizing, a bias and a layout view: the layout configuration cfg with
+// its extraction ex and port routes, or the schematic reference when
+// ex is nil. Its decks go to s and fill Eval.
+type evaluation struct {
+	*Eval
+	s      solver
+	e      *Entry
+	t      *pdk.Tech
+	sz     Sizing
+	bias   Bias
+	cfg    cellgen.Config
+	ex     *extract.Extracted
+	routes map[string]extract.Route
+}
+
 func (e *Entry) evaluate(s solver, t *pdk.Tech, sz Sizing, bias Bias,
 	ex *extract.Extracted, routes map[string]extract.Route) (*Eval, error) {
-	cfg := canonicalConfig(sz)
+	v := &evaluation{Eval: &Eval{Values: make(map[string]float64)},
+		s: s, e: e, t: t, sz: sz, bias: bias, cfg: canonicalConfig(sz), ex: ex, routes: routes}
 	if ex != nil {
-		cfg = ex.Layout.Config
+		v.cfg = ex.Layout.Config
 	}
-	switch e.Family {
-	case "diffpair":
-		return evalDiffPair(s, e, t, sz, bias, cfg, ex, routes)
-	case "diffpair_cascode":
-		return evalDiffPairCascode(s, e, t, sz, bias, cfg, ex, routes)
-	case "cmirror":
-		return evalCMirror(s, e, t, sz, bias, cfg, ex, routes)
-	case "csource":
-		return evalCSource(s, e, t, sz, bias, cfg, ex, routes)
-	case "csamp":
-		return evalCSAmp(s, e, t, sz, bias, cfg, ex, routes)
-	case "csinv":
-		return evalCSInv(s, e, t, sz, bias, cfg, ex, routes)
-	case "cap":
-		if ex == nil {
-			return capSchematicEval(sz), nil
-		}
-		return evalCap(s, e, t, sz, bias, ex, routes)
-	case "res":
-		if ex == nil {
-			return resSchematicEval(t, sz), nil
-		}
-		return evalRes(s, e, t, sz, bias, ex, routes)
-	default:
-		return nil, fmt.Errorf("primlib: no evaluator for family %q", e.Family)
+	if err := e.Family.eval(v); err != nil {
+		return nil, err
 	}
+	return v.Eval, nil
+}
+
+// deck starts a testbench deck of the evaluation.
+func (v *evaluation) deck(title string) *tb { return newTB(v.t, title, v.ex, v.routes) }
+
+// solve solves b's deck and counts it in Sims. Every testbench deck is
+// solved here, and an error that stopped its build or its solve comes
+// back under its title.
+func (v *evaluation) solve(b *tb) (*spice.Results, error) {
+	res, err := v.s.run(b)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", b.deck.Title, err)
+	}
+	v.Sims++
+	return res, nil
 }
 
 // TestbenchBias projects bias onto the fields the entry's family
@@ -131,30 +143,9 @@ func (e *Entry) evaluate(s solver, t *pdk.Tech, sz Sizing, bias Bias,
 // gate and drain voltages in VCM and VD, which the csinv testbenches
 // never read and which differ across the symmetric ring only in the
 // last bits. Keying and evaluating the projection lets such instances
-// share one evaluation. The table is per family; a few entries keep a
-// field they do not read (Vdd on NMOS pairs), and a family missing
-// here keeps its full bias.
-func (e *Entry) TestbenchBias(b Bias) Bias {
-	switch e.Family {
-	case "diffpair":
-		return Bias{Vdd: b.Vdd, VCM: b.VCM, VD: b.VD, ITail: b.ITail, CLoad: b.CLoad}
-	case "diffpair_cascode":
-		return Bias{VCM: b.VCM, VD: b.VD, ITail: b.ITail, CLoad: b.CLoad, VCasc: b.VCasc}
-	case "cmirror":
-		// ITail is the reference current when Sizing.NominalI is 0.
-		return Bias{Vdd: b.Vdd, VD: b.VD, ITail: b.ITail, CLoad: b.CLoad}
-	case "csource":
-		return Bias{Vdd: b.Vdd, VCM: b.VCM, VD: b.VD}
-	case "csamp":
-		return Bias{VCM: b.VCM, VD: b.VD, CLoad: b.CLoad}
-	case "csinv":
-		return Bias{Vdd: b.Vdd, VCtrl: b.VCtrl, CLoad: b.CLoad}
-	case "cap", "res":
-		return Bias{}
-	default:
-		return b
-	}
-}
+// share one evaluation. The projection is per family, so a few
+// entries keep a field they do not read (Vdd on NMOS pairs).
+func (e *Entry) TestbenchBias(b Bias) Bias { return e.Family.bias(b) }
 
 // CostMetrics builds the cost metrics for this entry from a schematic
 // reference evaluation. The offset spec is 10% of the random offset
@@ -192,30 +183,65 @@ func Cost(metrics []cost.Metric, ev *Eval) (float64, []cost.Value, error) {
 	return cost.Total(vals), vals, nil
 }
 
-// --- differential pair family ---
+// --- differential pair families ---
 
-func evalDiffPair(s solver, e *Entry, t *pdk.Tech, sz Sizing, bias Bias, cfg cellgen.Config,
-	ex *extract.Extracted, routes map[string]extract.Route) (*Eval, error) {
-	ev := &Eval{Values: make(map[string]float64)}
-	// PMOS pairs (cross-coupled latch loads) mirror to the supply
-	// rail: bulk and tail at vdd, tail current drawn from the rail.
-	isP := e.MOSType.String() == "PMOS"
-	rail := "0"
-	if isP {
-		rail = "vdd"
+// The plain and the cascoded pair measure Gm, Gm/Ctotal and offset
+// through the same four testbenches (pair); they differ in the
+// devices every deck opens with and in the titles' prefix.
+var (
+	diffPairFamily = &Family{Name: "diffpair",
+		eval: func(v *evaluation) error { return v.pair("dp", v.diffPair) },
+		bias: func(b Bias) Bias { return Bias{Vdd: b.Vdd, VCM: b.VCM, VD: b.VD, ITail: b.ITail, CLoad: b.CLoad} }}
+	cascodePairFamily = &Family{Name: "diffpair_cascode",
+		eval: func(v *evaluation) error { return v.pair("cascode dp", v.cascodePair) },
+		bias: func(b Bias) Bias { return Bias{VCM: b.VCM, VD: b.VD, ITail: b.ITail, CLoad: b.CLoad, VCasc: b.VCasc} }}
+)
+
+// diffPair adds the plain pair's devices. PMOS pairs (cross-coupled
+// latch loads) hang from the supply: bulks and tail at vdd.
+func (v *evaluation) diffPair(b *tb) {
+	rail := b.supply(v.e, v.bias.Vdd)
+	b.mos("a", v.e, v.sz, 0, v.cfg, b.dev("d_a"), b.dev("g_a"), b.dev("s_a"), rail)
+	b.mos("b", v.e, v.sz, 1, v.cfg, b.dev("d_b"), b.dev("g_b"), b.dev("s_b"), rail)
+	// Per-side source straps join at the common spine tap.
+	b.resistor("rtsa", b.port("s_a"), b.dev("s"), 1e-3)
+	b.resistor("rtsb", b.port("s_b"), b.dev("s"), 1e-3)
+}
+
+// cascodePair adds the stacked topology: the cell's device A is the
+// input pair Ma/Mb, device B the common-gate cascodes Mca/Mcb above
+// it. The input-pair drains are the internal mid nodes; the cascode
+// drains own the external d_a/d_b ports. The cascode isolates the
+// input devices from the drain routes (higher Rout, smaller Miller),
+// which is exactly what the metric comparison against the plain pair
+// shows.
+func (v *evaluation) cascodePair(b *tb) {
+	vcasc := v.bias.VCasc
+	if vcasc <= 0 {
+		vcasc = v.bias.VCM + 0.15
 	}
-	header := func(b *tb) {
-		if isP {
-			b.vsrc("vdd", "vdd", "0", g6(bias.Vdd))
-		}
-		b.mos("a", e, sz, 0, cfg, b.dev("d_a"), b.dev("g_a"), b.dev("s_a"), rail)
-		b.mos("b", e, sz, 1, cfg, b.dev("d_b"), b.dev("g_b"), b.dev("s_b"), rail)
-		// Per-side source straps join at the common spine tap.
-		b.resistor("rtsa", b.port("s_a"), b.dev("s"), 1e-3)
-		b.resistor("rtsb", b.port("s_b"), b.dev("s"), 1e-3)
+	b.mos("a", v.e, v.sz, 0, v.cfg, "mid_a", b.dev("g_a"), b.dev("s_a"), "0")
+	b.mos("b", v.e, v.sz, 0, v.cfg, "mid_b", b.dev("g_b"), b.dev("s_b"), "0")
+	b.mosPolarity("ca", circuit.NMOS, v.sz, 1, v.cfg, b.dev("d_a"), "cascg", "mid_a", "0")
+	b.mosPolarity("cb", circuit.NMOS, v.sz, 1, v.cfg, b.dev("d_b"), "cascg", "mid_b", "0")
+	b.vsrc("vcasc", "cascg", "0", g6(vcasc))
+	b.resistor("rtsa", b.port("s_a"), b.dev("s"), 1e-3)
+	b.resistor("rtsb", b.port("s_b"), b.dev("s"), 1e-3)
+}
+
+// pair runs the differential pair testbenches: Gm, Ctotal at the d_a
+// drain, and the input offset from two DC points. Each deck opens with
+// the family's devices under a title that starts with prefix, and
+// draws the tail current at the s port from the entry's rail.
+func (v *evaluation) pair(prefix string, devices func(*tb)) error {
+	bias := v.bias
+	open := func(name string) *tb {
+		b := v.deck(prefix + " " + name + " testbench")
+		devices(b)
+		return b
 	}
 	tail := func(b *tb) {
-		if isP {
+		if v.e.rail() == "vdd" {
 			b.isrc("ita", "vdd", b.outer("s"), g6(bias.ITail))
 		} else {
 			b.isrc("ita", b.outer("s"), "0", g6(bias.ITail))
@@ -224,8 +250,7 @@ func evalDiffPair(s solver, e *Entry, t *pdk.Tech, sz Sizing, bias Bias, cfg cel
 
 	// Testbench 1: Gm (Fig. 4) — differential AC drive, drains held,
 	// AC drain current read through the drain voltage source.
-	b := newTB(t, "dp gm testbench", ex, routes)
-	header(b)
+	b := open("gm")
 	b.vsrc("vga", b.outer("g_a"), "0", g6(bias.VCM)).ac(0.5)
 	b.vsrc("vgb", b.outer("g_b"), "0", g6(bias.VCM)).ac(0.5).phase(180)
 	b.vsrc("vda", b.outer("d_a"), "0", g6(bias.VD))
@@ -233,117 +258,93 @@ func evalDiffPair(s solver, e *Entry, t *pdk.Tech, sz Sizing, bias Bias, cfg cel
 	tail(b)
 	b.acSweep(5, 1e5, 1e7)
 	b.find("gmhalf", "i(vda)", fGm)
-	res, err := s.run(b)
+	res, err := v.solve(b)
 	if err != nil {
-		return nil, fmt.Errorf("dp gm testbench: %w", err)
+		return err
 	}
-	ev.Sims++
 	gm := 2 * res.Measures["gmhalf"]
-	ev.Values["Gm"] = gm
+	v.Values["Gm"] = gm
 
-	// Testbench 2: Ctotal at the drain — AC current drive, DC bias
-	// through an inductor, C = 1/(ω·|V|) in the capacitive region.
-	b = newTB(t, "dp ctotal testbench", ex, routes)
-	header(b)
+	// Testbench 2: Ctotal at the d_a drain.
+	b = open("ctotal")
 	b.vsrc("vga", b.outer("g_a"), "0", g6(bias.VCM))
 	b.vsrc("vgb", b.outer("g_b"), "0", g6(bias.VCM))
 	b.vsrc("vdb", b.outer("d_b"), "0", g6(bias.VD))
 	tail(b)
-	b.isrc("ix", "0", b.outer("d_a"), 0).ac(1)
-	b.capBiasInductor("da", b.outer("d_a"), bias.VD)
-	if bias.CLoad > 0 {
-		b.capacitor("cext", b.outer("d_a"), "0", g6(bias.CLoad))
-	}
-	b.acSweep(5, 1e6, 1e8)
-	b.find("vre", "vr("+b.outer("d_a")+")", fCap)
-	b.find("vim", "vi("+b.outer("d_a")+")", fCap)
-	res, err = s.run(b)
+	b.capProbe("da", b.outer("d_a"), bias.VD, bias.CLoad)
+	res, err = v.solve(b)
 	if err != nil {
-		return nil, fmt.Errorf("dp ctotal testbench: %w", err)
+		return err
 	}
-	ev.Sims++
-	ct, err := capFromVrVi(res.Measures["vre"], res.Measures["vim"])
+	ct, err := b.capOf(res)
 	if err != nil {
-		return nil, fmt.Errorf("dp ctotal testbench: %w", err)
+		return err
 	}
-	ev.Values["Ctotal"] = ct
-	if ct > 0 {
-		ev.Values["Gm/Ctotal"] = gm / ct
-	}
+	v.Values["Ctotal"] = ct
+	v.Values["Gm/Ctotal"] = gm / ct
 
 	// Testbenches 3, 4: input offset — the differential input that
 	// zeroes the differential drain current, from two DC points.
 	di := func(vdiff float64) (float64, error) {
-		b := newTB(t, "dp offset testbench", ex, routes)
-		header(b)
+		b := open("offset")
 		b.vsrc("vga", b.outer("g_a"), "0", g9(bias.VCM+vdiff/2))
 		b.vsrc("vgb", b.outer("g_b"), "0", g9(bias.VCM-vdiff/2))
 		b.vsrc("vda", b.outer("d_a"), "0", g6(bias.VD))
 		b.vsrc("vdb", b.outer("d_b"), "0", g6(bias.VD))
 		tail(b)
 		b.op()
-		res, err := s.run(b)
+		res, err := v.solve(b)
 		if err != nil {
-			return 0, fmt.Errorf("dp offset testbench: %w", err)
+			return 0, err
 		}
-		ev.Sims++
 		ia, err1 := res.OP.Current("vda")
 		ib, err2 := res.OP.Current("vdb")
 		if err1 != nil || err2 != nil {
-			return 0, fmt.Errorf("dp offset testbench: currents missing")
+			return 0, fmt.Errorf("%s: currents missing", b.deck.Title)
 		}
 		return ia - ib, nil
 	}
 	const dv = 1e-3
 	d1, err := di(+dv)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	d2, err := di(-dv)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if d1 == d2 {
-		ev.Values["offset"] = 0
+		v.Values["offset"] = 0
 	} else {
 		// Linear zero crossing between the two points.
-		ev.Values["offset"] = dv - d1*(2*dv)/(d1-d2)
+		v.Values["offset"] = dv - d1*(2*dv)/(d1-d2)
 	}
-	return ev, nil
+	return nil
 }
 
 // --- current mirror family ---
 
-func evalCMirror(s solver, e *Entry, t *pdk.Tech, sz Sizing, bias Bias, cfg cellgen.Config,
-	ex *extract.Extracted, routes map[string]extract.Route) (*Eval, error) {
-	ev := &Eval{Values: make(map[string]float64)}
-	isP := e.MOSType.String() == "PMOS"
-	rail := "0"
-	if isP {
-		rail = "vdd"
-	}
-	iref := sz.NominalI
+// A mirror reads ITail as its reference current when Sizing.NominalI
+// is 0.
+var mirrorFamily = &Family{Name: "cmirror", eval: (*evaluation).cmirror,
+	bias: func(b Bias) Bias { return Bias{Vdd: b.Vdd, VD: b.VD, ITail: b.ITail, CLoad: b.CLoad} }}
+
+func (v *evaluation) cmirror() error {
+	iref := v.sz.NominalI
 	if iref <= 0 {
-		iref = bias.ITail
+		iref = v.bias.ITail
 	}
 	if iref <= 0 {
-		return nil, fmt.Errorf("cmirror: no reference current in sizing/bias")
-	}
-	ratio := float64(e.RatioB)
-	if sz.RatioB > 0 {
-		ratio = float64(sz.RatioB)
-	}
-	if ratio < 1 {
-		ratio = 1
+		return fmt.Errorf("cmirror: no reference current in sizing/bias")
 	}
 
-	header := func(title string) *tb {
-		b := newTB(t, title, ex, routes)
-		if isP {
-			b.vsrc("vdd", "vdd", "0", g6(bias.Vdd))
-		}
-		b.mos("a", e, sz, 0, cfg, b.dev("d_a"), b.dev("g_a"), b.dev("s_a"), rail)
-		b.mos("b", e, sz, 1, cfg, b.dev("d_b"), b.dev("g_b"), b.dev("s_b"), rail)
+	// Every deck holds the mirror with its reference current pushed
+	// into an NMOS diode, or pulled out of a PMOS one.
+	open := func(title string) *tb {
+		b := v.deck(title)
+		rail := b.supply(v.e, v.bias.Vdd)
+		b.mos("a", v.e, v.sz, 0, v.cfg, b.dev("d_a"), b.dev("g_a"), b.dev("s_a"), rail)
+		b.mos("b", v.e, v.sz, 1, v.cfg, b.dev("d_b"), b.dev("g_b"), b.dev("s_b"), rail)
 		// Per-side source straps join the spine, which ties to the
 		// rail; both gates tie to the input port through their wires.
 		b.resistor("rtsa", b.port("s_a"), b.dev("s"), 1e-3)
@@ -351,191 +352,149 @@ func evalCMirror(s solver, e *Entry, t *pdk.Tech, sz Sizing, bias Bias, cfg cell
 		b.resistor("rtss", b.outer("s"), rail, 1e-3)
 		b.resistor("rtga", b.outer("g_a"), b.outer("d_a"), 1e-3)
 		b.resistor("rtgb", b.outer("g_b"), b.outer("d_a"), 1e-3)
+		if rail == "vdd" {
+			b.isrc("iref", b.outer("d_a"), "0", g6(iref))
+		} else {
+			b.isrc("iref", "0", b.outer("d_a"), g6(iref))
+		}
 		return b
 	}
 
 	// Testbench 1: current ratio at DC.
-	b := header("cm ratio testbench")
-	if isP {
-		b.isrc("iref", b.outer("d_a"), "0", g6(iref)) // pulls current out of the diode
-		b.vsrc("vout", b.outer("d_b"), "0", g6(bias.VD))
-	} else {
-		b.isrc("iref", "0", b.outer("d_a"), g6(iref)) // pushes current into the diode
-		b.vsrc("vout", b.outer("d_b"), "0", g6(bias.VD))
-	}
+	b := open("cm ratio testbench")
+	b.vsrc("vout", b.outer("d_b"), "0", g6(v.bias.VD))
 	b.op()
-	res, err := s.run(b)
+	res, err := v.solve(b)
 	if err != nil {
-		return nil, fmt.Errorf("cm ratio testbench: %w", err)
+		return err
 	}
-	ev.Sims++
 	iout, err := res.OP.Current("vout")
 	if err != nil {
-		return nil, err
+		return err
 	}
-	ev.Values["ratio"] = math.Abs(iout) / (iref * ratio)
-	ev.Values["iout"] = math.Abs(iout)
+	v.Values["ratio"] = math.Abs(iout) / (iref * float64(v.e.ratio(v.sz)))
+	v.Values["iout"] = math.Abs(iout)
 
 	// Testbench 2: output capacitance.
-	b = header("cm cout testbench")
-	if isP {
-		b.isrc("iref", b.outer("d_a"), "0", g6(iref))
-	} else {
-		b.isrc("iref", "0", b.outer("d_a"), g6(iref))
-	}
-	b.isrc("ix", "0", b.outer("d_b"), 0).ac(1)
-	b.capBiasInductor("out", b.outer("d_b"), bias.VD)
-	if bias.CLoad > 0 {
-		b.capacitor("cext", b.outer("d_b"), "0", g6(bias.CLoad))
-	}
-	b.acSweep(5, 1e6, 1e8)
-	b.find("vre", "vr("+b.outer("d_b")+")", fCap)
-	b.find("vim", "vi("+b.outer("d_b")+")", fCap)
-	res, err = s.run(b)
+	b = open("cm cout testbench")
+	b.capProbe("out", b.outer("d_b"), v.bias.VD, v.bias.CLoad)
+	res, err = v.solve(b)
 	if err != nil {
-		return nil, fmt.Errorf("cm cout testbench: %w", err)
+		return err
 	}
-	ev.Sims++
-	co, err := capFromVrVi(res.Measures["vre"], res.Measures["vim"])
+	co, err := b.capOf(res)
 	if err != nil {
-		return nil, fmt.Errorf("cm cout testbench: %w", err)
+		return err
 	}
-	ev.Values["Cout"] = co
-	return ev, nil
+	v.Values["Cout"] = co
+	return nil
 }
 
-// --- current source / load family ---
+// --- single-device families: current source / load and the
+// common-source amplifier ---
 
-func evalCSource(s solver, e *Entry, t *pdk.Tech, sz Sizing, bias Bias, cfg cellgen.Config,
-	ex *extract.Extracted, routes map[string]extract.Route) (*Eval, error) {
-	ev := &Eval{Values: make(map[string]float64)}
-	isP := e.MOSType.String() == "PMOS"
-	rail := "0"
-	if isP {
-		rail = "vdd"
-	}
-	mk := func(title string, vd float64) *tb {
-		b := newTB(t, title, ex, routes)
-		if isP {
-			b.vsrc("vdd", "vdd", "0", g6(bias.Vdd))
-		}
-		b.mos("a", e, sz, 0, cfg, b.dev("d"), b.dev("g"), b.dev("s"), rail)
-		b.resistor("rtss", b.outer("s"), rail, 1e-3)
-		b.vsrc("vg", b.outer("g"), "0", g6(bias.VCM))
-		b.vsrc("vd", b.outer("d"), "0", g9(vd))
-		b.op()
-		return b
-	}
-	ivAt := func(vd float64) (float64, error) {
-		res, err := s.run(mk("cs current testbench", vd))
-		if err != nil {
-			return 0, fmt.Errorf("cs current testbench: %w", err)
-		}
-		ev.Sims++
-		i, err := res.OP.Current("vd")
-		if err != nil {
-			return 0, err
-		}
-		return i, nil
-	}
-	i0, err := ivAt(bias.VD)
+var (
+	sourceFamily = &Family{Name: "csource", eval: (*evaluation).csource,
+		bias: func(b Bias) Bias { return Bias{Vdd: b.Vdd, VCM: b.VCM, VD: b.VD} }}
+	ampFamily = &Family{Name: "csamp", eval: (*evaluation).csamp,
+		bias: func(b Bias) Bias { return Bias{VCM: b.VCM, VD: b.VD, CLoad: b.CLoad} }}
+)
+
+// single starts a deck of a single-device entry: the device, its
+// source strapped to the rail, and the gate source vg at VCM.
+func (v *evaluation) single(title string) (*tb, source) {
+	b := v.deck(title)
+	rail := b.supply(v.e, v.bias.Vdd)
+	b.mos("a", v.e, v.sz, 0, v.cfg, b.dev("d"), b.dev("g"), b.dev("s"), rail)
+	b.resistor("rtss", b.outer("s"), rail, 1e-3)
+	return b, b.vsrc("vg", b.outer("g"), "0", g6(v.bias.VCM))
+}
+
+// drainCurrent solves the DC deck title of a single-device entry with
+// its drain held at vd, and returns the drain current.
+func (v *evaluation) drainCurrent(title string, vd float64) (float64, error) {
+	b, _ := v.single(title)
+	b.vsrc("vd", b.outer("d"), "0", g9(vd))
+	b.op()
+	res, err := v.solve(b)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	ev.Values["current"] = math.Abs(i0)
+	return res.OP.Current("vd")
+}
+
+// ro is a single-device entry's output resistance from the drain
+// currents of two DC decks title, dv either side of VD.
+func (v *evaluation) ro(title string) (float64, error) {
 	const dv = 0.025
-	i1, err := ivAt(bias.VD + dv)
+	i1, err := v.drainCurrent(title, v.bias.VD+dv)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	i2, err := ivAt(bias.VD - dv)
+	i2, err := v.drainCurrent(title, v.bias.VD-dv)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	di := math.Abs(i1 - i2)
 	if di <= 0 {
-		return nil, fmt.Errorf("cs ro testbench: zero output conductance signal")
+		return 0, fmt.Errorf("%s: no output conductance signal", title)
 	}
-	ev.Values["ro"] = 2 * dv / di
-	return ev, nil
+	return 2 * dv / di, nil
 }
 
-// --- common-source amplifier family ---
+func (v *evaluation) csource() error {
+	const title = "cs current testbench"
+	i0, err := v.drainCurrent(title, v.bias.VD)
+	if err != nil {
+		return err
+	}
+	v.Values["current"] = math.Abs(i0)
+	ro, err := v.ro(title)
+	if err != nil {
+		return err
+	}
+	v.Values["ro"] = ro
+	return nil
+}
 
-func evalCSAmp(s solver, e *Entry, t *pdk.Tech, sz Sizing, bias Bias, cfg cellgen.Config,
-	ex *extract.Extracted, routes map[string]extract.Route) (*Eval, error) {
-	ev := &Eval{Values: make(map[string]float64)}
-
+func (v *evaluation) csamp() error {
 	// Testbench 1: Gm — AC at the gate, drain held, current measured.
-	b := newTB(t, "cs gm testbench", ex, routes)
-	b.mos("a", e, sz, 0, cfg, b.dev("d"), b.dev("g"), b.dev("s"), "0")
-	b.resistor("rtss", b.outer("s"), "0", 1e-3)
-	b.vsrc("vg", b.outer("g"), "0", g6(bias.VCM)).ac(1)
-	b.vsrc("vd", b.outer("d"), "0", g6(bias.VD))
+	b, vg := v.single("cs gm testbench")
+	vg.ac(1)
+	b.vsrc("vd", b.outer("d"), "0", g6(v.bias.VD))
 	b.acSweep(5, 1e5, 1e7)
 	b.find("gmv", "i(vd)", fGm)
-	res, err := s.run(b)
+	res, err := v.solve(b)
 	if err != nil {
-		return nil, fmt.Errorf("cs gm testbench: %w", err)
+		return err
 	}
-	ev.Sims++
-	ev.Values["Gm"] = res.Measures["gmv"]
+	v.Values["Gm"] = res.Measures["gmv"]
 
-	// Testbenches 2, 3: output resistance from two DC points.
-	ivAt := func(vd float64) (float64, error) {
-		b := newTB(t, "cs ro testbench", ex, routes)
-		b.mos("a", e, sz, 0, cfg, b.dev("d"), b.dev("g"), b.dev("s"), "0")
-		b.resistor("rtss", b.outer("s"), "0", 1e-3)
-		b.vsrc("vg", b.outer("g"), "0", g6(bias.VCM))
-		b.vsrc("vd", b.outer("d"), "0", g9(vd))
-		b.op()
-		res, err := s.run(b)
-		if err != nil {
-			return 0, fmt.Errorf("cs ro testbench: %w", err)
-		}
-		ev.Sims++
-		return res.OP.Current("vd")
-	}
-	const dv = 0.025
-	i1, err := ivAt(bias.VD + dv)
+	// Testbenches 2, 3: output resistance.
+	ro, err := v.ro("cs ro testbench")
 	if err != nil {
-		return nil, err
+		return err
 	}
-	i2, err := ivAt(bias.VD - dv)
-	if err != nil {
-		return nil, err
-	}
-	di := math.Abs(i1 - i2)
-	if di <= 0 {
-		return nil, fmt.Errorf("cs ro testbench: no output conductance signal")
-	}
-	ev.Values["ro"] = 2 * dv / di
+	v.Values["ro"] = ro
 
-	// Cout for downstream consumers (not in the cost by default).
-	b = newTB(t, "cs cout testbench", ex, routes)
-	b.mos("a", e, sz, 0, cfg, b.dev("d"), b.dev("g"), b.dev("s"), "0")
-	b.resistor("rtss", b.outer("s"), "0", 1e-3)
-	b.vsrc("vg", b.outer("g"), "0", g6(bias.VCM))
-	b.isrc("ix", "0", b.outer("d"), 0).ac(1)
-	b.capBiasInductor("d", b.outer("d"), bias.VD)
-	if bias.CLoad > 0 {
-		b.capacitor("cext", b.outer("d"), "0", g6(bias.CLoad))
-	}
-	b.acSweep(5, 1e6, 1e8)
-	b.find("vre", "vr("+b.outer("d")+")", fCap)
-	b.find("vim", "vi("+b.outer("d")+")", fCap)
-	res, err = s.run(b)
+	// Cout for downstream consumers (not in the cost by default), left
+	// out when the reading is not capacitive.
+	b, _ = v.single("cs cout testbench")
+	b.capProbe("d", b.outer("d"), v.bias.VD, v.bias.CLoad)
+	res, err = v.solve(b)
 	if err != nil {
-		return nil, fmt.Errorf("cs cout testbench: %w", err)
+		return err
 	}
-	ev.Sims++
-	if co, err := capFromVrVi(res.Measures["vre"], res.Measures["vim"]); err == nil {
-		ev.Values["Cout"] = co
+	if co, err := b.capOf(res); err == nil {
+		v.Values["Cout"] = co
 	}
-	return ev, nil
+	return nil
 }
 
 // --- current-starved inverter family ---
+
+var inverterFamily = &Family{Name: "csinv", eval: (*evaluation).csinv,
+	bias: func(b Bias) Bias { return Bias{Vdd: b.Vdd, VCtrl: b.VCtrl, CLoad: b.CLoad} }}
 
 // The delay testbench's PULSE delay (where its current average also
 // starts), edge time and transient step, as its deck text spelled
@@ -547,11 +506,9 @@ var (
 	csinvStep  = units.MustParse("5p")
 )
 
-func evalCSInv(s solver, e *Entry, t *pdk.Tech, sz Sizing, bias Bias, cfg cellgen.Config,
-	ex *extract.Extracted, routes map[string]extract.Route) (*Eval, error) {
-	ev := &Eval{Values: make(map[string]float64)}
-	vdd := bias.Vdd
-	vctrl := bias.VCtrl
+func (v *evaluation) csinv() error {
+	vdd := v.bias.Vdd
+	vctrl := v.bias.VCtrl
 	if vctrl <= 0 {
 		vctrl = vdd / 2
 	}
@@ -559,15 +516,15 @@ func evalCSInv(s solver, e *Entry, t *pdk.Tech, sz Sizing, bias Bias, cfg cellge
 	// The cell holds the inverter device (A) and the starving device
 	// (B) for each polarity; both polarities share the layout
 	// configuration and wire geometry (stacked rows).
-	header := func(title string, ex *extract.Extracted) *tb {
-		b := newTB(t, title, ex, routes)
+	open := func(title string) *tb {
+		b := v.deck(title)
 		b.vsrc("vdd", "vdd", "0", g6(vdd))
 		// NMOS half: out — Min — midn — (mid wire R) — Msn — (source
 		// wire R) — ground; PMOS half mirrored to vdd.
 		var rmid, rsrc float64
-		if ex != nil {
-			rmid = ex.Term["d_b"].R
-			rsrc = ex.Term["s_a"].R + ex.Term["s"].R
+		if v.ex != nil {
+			rmid = v.ex.Term["d_b"].R
+			rsrc = v.ex.Term["s_a"].R + v.ex.Term["s"].R
 		}
 		if rmid <= 0 {
 			rmid = 1e-3
@@ -575,17 +532,13 @@ func evalCSInv(s solver, e *Entry, t *pdk.Tech, sz Sizing, bias Bias, cfg cellge
 		if rsrc <= 0 {
 			rsrc = 1e-3
 		}
-		b.mosPolarity("in", circuit.NMOS, Sizing{TotalFins: sz.TotalFins, L: sz.L}, 0, cfg,
-			b.dev("d_a"), b.dev("g_a"), "midn", "0")
+		b.mosPolarity("in", circuit.NMOS, v.sz, 0, v.cfg, b.dev("d_a"), b.dev("g_a"), "midn", "0")
 		b.resistor("rmidn", "midn", "midn2", g6(rmid))
-		b.mosPolarity("sn", circuit.NMOS, Sizing{TotalFins: sz.TotalFins, L: sz.L}, 1, cfg,
-			"midn2", b.dev("g_b"), "srn", "0")
+		b.mosPolarity("sn", circuit.NMOS, v.sz, 1, v.cfg, "midn2", b.dev("g_b"), "srn", "0")
 		b.resistor("rsrcn", "srn", "0", g6(rsrc))
-		b.mosPolarity("ip", circuit.PMOS, Sizing{TotalFins: sz.TotalFins, L: sz.L}, 0, cfg,
-			b.dev("d_a"), b.dev("g_a"), "midp", "vdd")
+		b.mosPolarity("ip", circuit.PMOS, v.sz, 0, v.cfg, b.dev("d_a"), b.dev("g_a"), "midp", "vdd")
 		b.resistor("rmidp", "midp", "midp2", g6(rmid))
-		b.mosPolarity("sp", circuit.PMOS, Sizing{TotalFins: sz.TotalFins, L: sz.L}, 1, cfg,
-			"midp2", "ctrlp", "srp", "vdd")
+		b.mosPolarity("sp", circuit.PMOS, v.sz, 1, v.cfg, "midp2", "ctrlp", "srp", "vdd")
 		b.resistor("rsrcp", "srp", "vdd", g6(rsrc))
 		b.vsrc("vctln", b.outer("g_b"), "0", g6(vctrl))
 		b.vsrc("vctlp", "ctrlp", "0", g6(vdd-vctrl))
@@ -594,153 +547,35 @@ func evalCSInv(s solver, e *Entry, t *pdk.Tech, sz Sizing, bias Bias, cfg cellge
 
 	// Testbench 1: transient — stage delay and supply current.
 	per := 4e-9
-	b := header("csinv delay testbench", ex)
+	b := open("csinv delay testbench")
 	b.pulse("vin", b.outer("g_a"), "0", 0, g6(vdd), csinvDelay, csinvEdge, csinvEdge, g6(per/2), g6(per))
-	if bias.CLoad > 0 {
-		b.capacitor("cload", b.outer("d_a"), "0", g6(bias.CLoad))
+	if v.bias.CLoad > 0 {
+		b.capacitor("cload", b.outer("d_a"), "0", g6(v.bias.CLoad))
 	}
 	b.tran(csinvStep, g6(per*1.5))
 	mid := vdd / 2
 	b.trigTarg("tdf", "v("+b.outer("g_a")+")", g6(mid), "rise", "v("+b.outer("d_a")+")", g6(mid), "fall")
 	b.trigTarg("tdr", "v("+b.outer("g_a")+")", g6(mid), "fall", "v("+b.outer("d_a")+")", g6(mid), "rise")
 	b.avg("iavg", "i(vdd)", csinvDelay, g6(0.2e-9+per))
-	res, err := s.run(b)
+	res, err := v.solve(b)
 	if err != nil {
-		return nil, fmt.Errorf("csinv delay testbench: %w", err)
+		return err
 	}
-	ev.Sims++
-	ev.Values["delay"] = (res.Measures["tdf"] + res.Measures["tdr"]) / 2
-	ev.Values["current"] = math.Abs(res.Measures["iavg"])
+	v.Values["delay"] = (res.Measures["tdf"] + res.Measures["tdr"]) / 2
+	v.Values["current"] = math.Abs(res.Measures["iavg"])
 
 	// Testbench 2: small-signal gain near midscale.
-	b = header("csinv gain testbench", ex)
+	b = open("csinv gain testbench")
 	b.vsrc("vin", b.outer("g_a"), "0", g6(vdd/2)).ac(1)
-	if bias.CLoad > 0 {
-		b.capacitor("cload", b.outer("d_a"), "0", g6(bias.CLoad))
+	if v.bias.CLoad > 0 {
+		b.capacitor("cload", b.outer("d_a"), "0", g6(v.bias.CLoad))
 	}
 	b.acSweep(5, 1e5, 1e7)
 	b.find("av", "vm("+b.outer("d_a")+")", 1e6)
-	res, err = s.run(b)
+	res, err = v.solve(b)
 	if err != nil {
-		return nil, fmt.Errorf("csinv gain testbench: %w", err)
+		return err
 	}
-	ev.Sims++
-	ev.Values["gain"] = res.Measures["av"]
-	return ev, nil
-}
-
-// --- cascoded differential pair family ---
-
-// evalDiffPairCascode measures the same Gm / Gm/Ctotal / offset
-// metrics as the plain pair, on the stacked topology: the cell's
-// device A is the input pair, device B the common-gate cascodes above
-// it. The cascode isolates the input devices from the drain routes
-// (higher Rout, smaller Miller), which is exactly what the metric
-// comparison against the plain pair shows.
-func evalDiffPairCascode(s solver, e *Entry, t *pdk.Tech, sz Sizing, bias Bias, cfg cellgen.Config,
-	ex *extract.Extracted, routes map[string]extract.Route) (*Eval, error) {
-	ev := &Eval{Values: make(map[string]float64)}
-	vcasc := bias.VCasc
-	if vcasc <= 0 {
-		vcasc = bias.VCM + 0.15
-	}
-
-	// Shared topology: Ma/Mb input pair into Mca/Mcb cascodes. The
-	// input-pair drains ride the internal d_b wire (the mid nodes);
-	// the cascode drains own the external d_a ports. Source mesh as
-	// in the plain pair.
-	header := func(b *tb) {
-		b.mos("a", e, sz, 0, cfg, "mid_a", b.dev("g_a"), b.dev("s_a"), "0")
-		b.mos("b", e, sz, 0, cfg, "mid_b", b.dev("g_b"), b.dev("s_b"), "0")
-		b.mosPolarity("ca", circuit.NMOS, sz, 1, cfg, b.dev("d_a"), "cascg", "mid_a", "0")
-		b.mosPolarity("cb", circuit.NMOS, sz, 1, cfg, b.dev("d_b"), "cascg", "mid_b", "0")
-		b.vsrc("vcasc", "cascg", "0", g6(vcasc))
-		b.resistor("rtsa", b.port("s_a"), b.dev("s"), 1e-3)
-		b.resistor("rtsb", b.port("s_b"), b.dev("s"), 1e-3)
-	}
-
-	// Testbench 1: Gm.
-	b := newTB(t, "cascode dp gm testbench", ex, routes)
-	header(b)
-	b.vsrc("vga", b.outer("g_a"), "0", g6(bias.VCM)).ac(0.5)
-	b.vsrc("vgb", b.outer("g_b"), "0", g6(bias.VCM)).ac(0.5).phase(180)
-	b.vsrc("vda", b.outer("d_a"), "0", g6(bias.VD))
-	b.vsrc("vdb", b.outer("d_b"), "0", g6(bias.VD))
-	b.isrc("ita", b.outer("s"), "0", g6(bias.ITail))
-	b.acSweep(5, 1e5, 1e7)
-	b.find("gmhalf", "i(vda)", fGm)
-	res, err := s.run(b)
-	if err != nil {
-		return nil, fmt.Errorf("cascode dp gm testbench: %w", err)
-	}
-	ev.Sims++
-	gm := 2 * res.Measures["gmhalf"]
-	ev.Values["Gm"] = gm
-
-	// Testbench 2: Ctotal at the cascode drain.
-	b = newTB(t, "cascode dp ctotal testbench", ex, routes)
-	header(b)
-	b.vsrc("vga", b.outer("g_a"), "0", g6(bias.VCM))
-	b.vsrc("vgb", b.outer("g_b"), "0", g6(bias.VCM))
-	b.vsrc("vdb", b.outer("d_b"), "0", g6(bias.VD))
-	b.isrc("ita", b.outer("s"), "0", g6(bias.ITail))
-	b.isrc("ix", "0", b.outer("d_a"), 0).ac(1)
-	b.capBiasInductor("da", b.outer("d_a"), bias.VD)
-	if bias.CLoad > 0 {
-		b.capacitor("cext", b.outer("d_a"), "0", g6(bias.CLoad))
-	}
-	b.acSweep(5, 1e6, 1e8)
-	b.find("vre", "vr("+b.outer("d_a")+")", fCap)
-	b.find("vim", "vi("+b.outer("d_a")+")", fCap)
-	res, err = s.run(b)
-	if err != nil {
-		return nil, fmt.Errorf("cascode dp ctotal testbench: %w", err)
-	}
-	ev.Sims++
-	ct, err := capFromVrVi(res.Measures["vre"], res.Measures["vim"])
-	if err != nil {
-		return nil, fmt.Errorf("cascode dp ctotal testbench: %w", err)
-	}
-	ev.Values["Ctotal"] = ct
-	if ct > 0 {
-		ev.Values["Gm/Ctotal"] = gm / ct
-	}
-
-	// Testbenches 3, 4: offset.
-	di := func(vdiff float64) (float64, error) {
-		b := newTB(t, "cascode dp offset testbench", ex, routes)
-		header(b)
-		b.vsrc("vga", b.outer("g_a"), "0", g9(bias.VCM+vdiff/2))
-		b.vsrc("vgb", b.outer("g_b"), "0", g9(bias.VCM-vdiff/2))
-		b.vsrc("vda", b.outer("d_a"), "0", g6(bias.VD))
-		b.vsrc("vdb", b.outer("d_b"), "0", g6(bias.VD))
-		b.isrc("ita", b.outer("s"), "0", g6(bias.ITail))
-		b.op()
-		res, err := s.run(b)
-		if err != nil {
-			return 0, fmt.Errorf("cascode dp offset testbench: %w", err)
-		}
-		ev.Sims++
-		ia, err1 := res.OP.Current("vda")
-		ib, err2 := res.OP.Current("vdb")
-		if err1 != nil || err2 != nil {
-			return 0, fmt.Errorf("cascode dp offset testbench: currents missing")
-		}
-		return ia - ib, nil
-	}
-	const dv = 1e-3
-	d1, err := di(+dv)
-	if err != nil {
-		return nil, err
-	}
-	d2, err := di(-dv)
-	if err != nil {
-		return nil, err
-	}
-	if d1 == d2 {
-		ev.Values["offset"] = 0
-	} else {
-		ev.Values["offset"] = dv - d1*(2*dv)/(d1-d2)
-	}
-	return ev, nil
+	v.Values["gain"] = res.Measures["av"]
+	return nil
 }

@@ -414,13 +414,6 @@ func TestSpecConstruction(t *testing.T) {
 	}
 }
 
-func TestEvaluateUnknownFamily(t *testing.T) {
-	bad := &Entry{Kind: "zzz", Family: "zzz"}
-	if _, err := bad.EvaluateCtx(context.Background(), tech, Sizing{TotalFins: 8, L: 14}, Bias{}, nil, nil); err == nil {
-		t.Error("unknown family accepted")
-	}
-}
-
 func TestCapacitorEval(t *testing.T) {
 	// A realistic few-fF MOM cap needs thousands of unit cells.
 	sz := Sizing{TotalFins: 2560, L: 14}
@@ -639,7 +632,7 @@ func TestTestbenchBiasCoversTestbenchReads(t *testing.T) {
 		t.Run(kind, func(t *testing.T) {
 			sz := Sizing{TotalFins: 240, L: 14}
 			cons := &cellgen.Constraints{MinNFin: 4, MaxNFin: 16, MaxM: 4}
-			switch e.Family {
+			switch e.Family.Name {
 			case "csinv":
 				sz.TotalFins = 16
 			case "cap":

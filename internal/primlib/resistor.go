@@ -1,13 +1,9 @@
 package primlib
 
 import (
-	"fmt"
-	"math"
-
 	"primopt/internal/cellgen"
 	"primopt/internal/circuit"
 	"primopt/internal/cost"
-	"primopt/internal/extract"
 	"primopt/internal/pdk"
 )
 
@@ -20,7 +16,7 @@ import (
 var PolyResistor = register(&Entry{
 	Kind:        "polyres",
 	Description: "precision poly resistor",
-	Family:      "res",
+	Family:      resFamily,
 	MOSType:     circuit.NMOS, // unused; passives have no devices
 	Structure:   cellgen.Single,
 	Metrics: []MetricSpec{
@@ -33,6 +29,8 @@ var PolyResistor = register(&Entry{
 	},
 	Ports: []PortSpec{{Name: "top", Wire: "d"}, {Name: "bottom", Wire: "s"}},
 })
+
+var resFamily = &Family{Name: "res", eval: (*evaluation).polyres, bias: noBias}
 
 // resDesignR returns the design resistance for the sizing.
 func resDesignR(t *pdk.Tech, sz Sizing) float64 {
@@ -58,70 +56,49 @@ func resBodyC(t *pdk.Tech, lay *cellgen.Layout, sz Sizing) float64 {
 	return t.PolyCapDens * float64(sz.TotalFins) * capUnitArea
 }
 
-// evalRes measures the end-to-end resistance (poly body plus the
-// extracted lead resistance) and the total parasitic capacitance.
-func evalRes(s solver, e *Entry, t *pdk.Tech, sz Sizing, bias Bias, ex *extract.Extracted,
-	routes map[string]extract.Route) (*Eval, error) {
-	ev := &Eval{Values: make(map[string]float64)}
-	var lay *cellgen.Layout
-	if ex != nil {
-		lay = ex.Layout
+// polyres measures the end-to-end resistance (poly body plus the
+// extracted lead resistance) and the total parasitic capacitance. Its
+// schematic reference is the design R with the body's nominal
+// footprint capacitance and the lead budget.
+func (v *evaluation) polyres() error {
+	rNom := resDesignR(v.t, v.sz)
+	if v.ex == nil {
+		v.Values["R"] = rNom
+		v.Values["Cpar"] = resBodyC(v.t, nil, v.sz) + resNominalLeadC
+		return nil
 	}
-	rNom := resDesignR(t, sz)
-	cBody := resBodyC(t, lay, sz)
+	cBody := resBodyC(v.t, v.ex.Layout, v.sz)
 
 	// Testbench 1: resistance — 1 mA forced through the terminals.
-	b := newTB(t, "polyres r testbench", ex, routes)
+	b := v.deck("polyres r testbench")
 	b.resistor("rmain", b.dev("d"), b.dev("s"), g6(rNom))
 	b.resistor("rtb", b.outer("s"), "0", 1e-3)
 	b.isrc("ix", "0", b.outer("d"), 1e-3)
 	b.op()
-	res, err := s.run(b)
+	res, err := v.solve(b)
 	if err != nil {
-		return nil, fmt.Errorf("polyres r testbench: %w", err)
+		return err
 	}
-	ev.Sims++
-	var v float64
-	if ex != nil {
-		v = res.OP.Volt("e_d")
-		if v == 0 {
-			v = res.OP.Volt("p_d")
-		}
-	} else {
-		v = res.OP.Volt("p_d")
-	}
-	ev.Values["R"] = v / 1e-3
+	v.Values["R"] = res.OP.Volt(b.outer("d")) / 1e-3
 
 	// Testbench 2: parasitic capacitance — both terminals tied and
 	// driven; the body and wire capacitance to ground answers.
-	b = newTB(t, "polyres c testbench", ex, routes)
+	b = v.deck("polyres c testbench")
 	b.resistor("rmain", b.dev("d"), b.dev("s"), g6(rNom))
 	b.capacitor("cbody", b.dev("d"), "0", g6(cBody/2))
 	b.capacitor("cbody2", b.dev("s"), "0", g6(cBody/2))
 	b.resistor("rtie", b.outer("d"), b.outer("s"), 1e-3)
 	b.isrc("ix", "0", b.outer("d"), 0).ac(1)
 	b.resistor("rbig", b.outer("d"), "0", 1e9)
-	b.acSweep(5, 1e6, 1e8)
-	b.find("vre", "vr("+b.outer("d")+")", fCap)
-	b.find("vim", "vi("+b.outer("d")+")", fCap)
-	res, err = s.run(b)
+	b.measureC(b.outer("d"))
+	res, err = v.solve(b)
 	if err != nil {
-		return nil, fmt.Errorf("polyres c testbench: %w", err)
+		return err
 	}
-	ev.Sims++
-	c, err := capFromVrVi(res.Measures["vre"], res.Measures["vim"])
+	c, err := b.capOf(res)
 	if err != nil {
-		return nil, fmt.Errorf("polyres c testbench: %w", err)
+		return err
 	}
-	ev.Values["Cpar"] = c
-	_ = math.Pi
-	return ev, nil
-}
-
-// resSchematicEval is the schematic reference for the resistor.
-func resSchematicEval(t *pdk.Tech, sz Sizing) *Eval {
-	return &Eval{Values: map[string]float64{
-		"R":    resDesignR(t, sz),
-		"Cpar": resBodyC(t, nil, sz) + resNominalLeadC,
-	}}
+	v.Values["Cpar"] = c
+	return nil
 }

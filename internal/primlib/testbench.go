@@ -255,22 +255,11 @@ func (b *tb) emitWire(w string) {
 // extraction. The nets are raw net names (caller picks
 // dev()/outer()/fixed rails).
 func (b *tb) mos(name string, e *Entry, sz Sizing, dev int, cfg cellgen.Config, d, g, s, bulk string) {
-	typ := circuit.NMOS
-	if e.MOSType == circuit.PMOS {
-		typ = circuit.PMOS
-	}
 	mult := cfg.M
 	if dev == 1 {
-		ratio := e.RatioB
-		if sz.RatioB > 0 {
-			ratio = sz.RatioB
-		}
-		if ratio < 1 {
-			ratio = 1
-		}
-		mult = cfg.M * ratio
+		mult = cfg.M * e.ratio(sz)
 	}
-	b.addMOS(name, typ, cfg.NFin, cfg.NF, mult, sz.L, dev, d, g, s, bulk)
+	b.addMOS(name, e.MOSType, cfg.NFin, cfg.NF, mult, sz.L, dev, d, g, s, bulk)
 }
 
 // mosPolarity adds a MOS device of an explicit polarity — used by the
@@ -301,11 +290,35 @@ func (b *tb) addMOS(name string, typ circuit.DeviceType, nfin, nf, mult int, l i
 	b.add(m)
 }
 
-// capBiasInductor adds the DC-bias inductor trick for capacitance
-// measurement: node is held at dc through a 1 H inductor (a DC short
-// that is open at the measurement frequency).
-func (b *tb) capBiasInductor(name, node string, dc float64) {
+// supply adds the vdd source that a PMOS entry's devices hang from and
+// returns the entry's rail.
+func (b *tb) supply(e *Entry, vdd float64) string {
+	rail := e.rail()
+	if rail == "vdd" {
+		b.vsrc("vdd", "vdd", "0", g6(vdd))
+	}
+	return rail
+}
+
+// capProbe adds a MOS node's capacitance probe: a 1 A AC current drive
+// into node, which a 1 H inductor (a DC short that is open at the
+// measurement frequency) holds at dc, the external load cload when
+// positive, and the measurement that capOf reads.
+func (b *tb) capProbe(name, node string, dc, cload float64) {
+	b.isrc("ix", "0", node, 0).ac(1)
 	bb := "bb_" + name
 	b.inductor("Lb_"+name, node, bb, 1)
 	b.vsrc("Vb_"+name, bb, "0", g6(dc))
+	if cload > 0 {
+		b.capacitor("cext", node, "0", g6(cload))
+	}
+	b.measureC(node)
+}
+
+// measureC adds the AC sweep and the measures of node's complex
+// voltage at fCap that capOf reads.
+func (b *tb) measureC(node string) {
+	b.acSweep(5, 1e6, 1e8)
+	b.find("vre", "vr("+node+")", fCap)
+	b.find("vim", "vi("+node+")", fCap)
 }
