@@ -51,6 +51,18 @@ func (l *StoreLog) Len(c *Cache) int {
 	return len(l.stores[c])
 }
 
+// Digests returns, by key, the content digest of every entry c has
+// stored since the log was installed, taken as it was stored.
+func (l *StoreLog) Digests(c *Cache) map[string]uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := make(map[string]uint64, len(l.stores[c]))
+	for key, s := range l.stores[c] {
+		out[key] = s.sum
+	}
+	return out
+}
+
 // Changed lists every recorded entry whose content no longer matches
 // its digest, or that its cache no longer holds under its key.
 func (l *StoreLog) Changed() []string {
