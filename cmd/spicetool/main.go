@@ -1,5 +1,5 @@
 // Command spicetool parses and runs a SPICE deck (the subset
-// spice.ParseDeck reads: elements, .subckt, .param, .op/.dc/.ac/.tran
+// spice.ParseDeck reads: elements, .subckt, .param, .op/.dc/.ac dec|lin/.tran
 // and .measure) on the built-in simulator and prints the operating
 // point and measure results.
 //

@@ -8,6 +8,8 @@ package circuit
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -243,6 +245,20 @@ func (nl *Netlist) Clone() *Netlist {
 		c.Primitives = append(c.Primitives, cp)
 	}
 	return c
+}
+
+// Extend returns a netlist that starts with nl's devices and
+// annotations, the same pointers rather than copies, as they stand:
+// what is added to either netlist later is its own. The shared
+// devices must not be changed through either (SetParam, RenameNet),
+// since both hold them.
+func (nl *Netlist) Extend() *Netlist {
+	return &Netlist{
+		Name:       nl.Name,
+		Devices:    slices.Clone(nl.Devices),
+		Primitives: slices.Clone(nl.Primitives),
+		byName:     maps.Clone(nl.byName),
+	}
 }
 
 // Annotate records a primitive grouping. The member devices must

@@ -111,6 +111,30 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestExtendSharesDevices checks that an extended netlist holds its
+// base's devices, the same pointers, and that later additions to
+// either stay out of the other, duplicates of shared names included.
+func TestExtendSharesDevices(t *testing.T) {
+	base := sampleNetlist(t)
+	ext := base.Extend()
+	for i, d := range base.Devices {
+		if ext.Devices[i] != d {
+			t.Errorf("device %d: %s is a copy, want %s shared", i, ext.Devices[i].Name, d.Name)
+		}
+	}
+	if err := ext.Add(&Device{Name: "R1", Type: Resistor, Nets: []string{"a", "0"}}); err == nil {
+		t.Error("a duplicate of a shared name was added")
+	}
+	if err := ext.Add(&Device{Name: "r2", Type: Resistor, Nets: []string{"A", "0"}}); err != nil {
+		t.Fatal(err)
+	}
+	base.MustAdd(&Device{Name: "r3", Type: Resistor, Nets: []string{"b", "0"}})
+	if ext.Device("r2") == nil || base.Device("r2") != nil || ext.Device("r3") != nil ||
+		len(ext.Devices) != 6 || len(base.Devices) != 6 {
+		t.Errorf("additions leaked: base %d devices, extension %d", len(base.Devices), len(ext.Devices))
+	}
+}
+
 func TestAnnotateValidation(t *testing.T) {
 	nl := sampleNetlist(t)
 	err := nl.Annotate(&Primitive{Name: "bad", Kind: "dp", Devices: []string{"ghost"}})

@@ -52,17 +52,17 @@ func TestKeyGolden(t *testing.T) {
 			"schematic", primlib.CurrentMirror,
 			primlib.Sizing{TotalFins: 64, L: 14, RatioB: 2, NominalI: 20e-6},
 			primlib.Bias{Vdd: 0.8, VD: 0.4, ITail: 20e-6, CLoad: 5e-15}, nil, nil,
-			"v2|pdk=dc9248e7b74b4e25|cmirror|fins=64;L=14;rB=2;I=2e-05|vdd=0.8;vcm=0;vd=0.4;it=2e-05;cl=5e-15;vctl=0;vcas=0|schematic",
+			"v3|pdk=dc9248e7b74b4e25|cmirror|fins=64;L=14;rB=2;I=2e-05|vdd=0.8;vcm=0;vd=0.4;it=2e-05;cl=5e-15;vctl=0;vcas=0|schematic",
 		},
 		{
 			"layout, two wires", primlib.DiffPair, primlib.Sizing{TotalFins: 960, L: 14},
 			primlib.Bias{Vdd: 0.8, VCM: 0.45, VD: 0.4, ITail: 100e-6, CLoad: 5e-15}, testLayout(), nil,
-			"v2|pdk=dc9248e7b74b4e25|diffpair|fins=960;L=14;rB=0;I=0|vdd=0.8;vcm=0.45;vd=0.4;it=0.0001;cl=5e-15;vctl=0;vcas=0|cfg=12/20/4/2/ABBA|d_a=2|s=1",
+			"v3|pdk=dc9248e7b74b4e25|diffpair|fins=960;L=14;rB=0;I=0|vdd=0.8;vcm=0.45;vd=0.4;it=0.0001;cl=5e-15;vctl=0;vcas=0|cfg=12/20/4/2/ABBA|d_a=2|s=1",
 		},
 		{
 			"layout with routes", primlib.CSInverter, primlib.Sizing{TotalFins: 16, L: 14},
 			primlib.Bias{Vdd: 0.8, VCM: 0.35967466467973946, VD: 0.4, CLoad: 6e-15, VCtrl: 0.6}, inv, routes,
-			"v2|pdk=dc9248e7b74b4e25|csinv|fins=16;L=14;rB=0;I=0|vdd=0.8;vcm=0;vd=0;it=0;cl=6e-15;vctl=0.6;vcas=0|cfg=4/2/2/1/A|in=1|out=3|vctl=1|r:in=1/300/2/1/3|r:out=2/500/4/1/2",
+			"v3|pdk=dc9248e7b74b4e25|csinv|fins=16;L=14;rB=0;I=0|vdd=0.8;vcm=0;vd=0;it=0;cl=6e-15;vctl=0.6;vcas=0|cfg=4/2/2/1/A|in=1|out=3|vctl=1|r:in=1/300/2/1/3|r:out=2/500/4/1/2",
 		},
 	} {
 		if got := Key(testFP, tc.e, tc.sz, tc.bias, tc.lay, tc.routes); got != tc.want {
@@ -212,7 +212,7 @@ func evalNetlist(reversed bool) *circuit.Netlist {
 // SchemaVersion bump. Like TestKeyGolden's strings, this one embeds
 // pdk.Default()'s fingerprint.
 func TestNetlistKeyGolden(t *testing.T) {
-	const want = "v2|pdk=dc9248e7b74b4e25|eval=csamp|nl=9c53e5c05f5280c898c675081969886e0711545219a56e024cf5dc4fe03b1bda"
+	const want = "v3|pdk=dc9248e7b74b4e25|eval=csamp|nl=9c53e5c05f5280c898c675081969886e0711545219a56e024cf5dc4fe03b1bda"
 	if got := NetlistKey(testFP, "csamp", evalNetlist(false)); got != want {
 		t.Errorf("netlist key:\n got %s\nwant %s", got, want)
 	}

@@ -82,8 +82,9 @@ func WithinOfMinIndex(ys []float64, rel float64) int {
 	return len(ys) - 1
 }
 
-// Logspace returns n log-spaced points from a to b inclusive; a and b
-// must be positive.
+// Logspace returns n log-spaced points from a to b inclusive, the ends
+// exactly a and b (10^log10(a) misses most a by an ulp); a and b must
+// be positive.
 func Logspace(a, b float64, n int) []float64 {
 	if n <= 0 {
 		return nil
@@ -97,7 +98,7 @@ func Logspace(a, b float64, n int) []float64 {
 	for i := range out {
 		out[i] = math.Pow(10, la+float64(i)*step)
 	}
-	out[n-1] = b
+	out[0], out[n-1] = a, b
 	return out
 }
 

@@ -69,6 +69,10 @@ func TestLogspace(t *testing.T) {
 			t.Errorf("Logspace[%d] = %g, want %g", i, xs[i], want[i])
 		}
 	}
+	// The ends are exact, where 10^log10(a) misses 2e5 by an ulp.
+	if xs := Logspace(2e5, 3e9, 7); xs[0] != 2e5 || xs[6] != 3e9 {
+		t.Errorf("Logspace(2e5, 3e9) runs %v to %v", xs[0], xs[6])
+	}
 }
 
 func TestCrossingLinear(t *testing.T) {

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"primopt/internal/cellgen"
+	"primopt/internal/circuit"
 	"primopt/internal/extract"
 	"primopt/internal/spice"
 )
@@ -159,6 +160,51 @@ func deckDiff(path string, a, b reflect.Value) string {
 	return ""
 }
 
+// TestEvaluationBuildsItsCircuitOnce checks that an evaluation adds its
+// family's circuit to a netlist once: in every deck case, each deck
+// the evaluation solves opens with the circuit's devices, the same
+// pointers, and the devices after them are that deck's own. The
+// passives have no circuit, so none of their devices is shared.
+func TestEvaluationBuildsItsCircuitOnce(t *testing.T) {
+	ctx := context.Background()
+	for _, c := range deckCases(t, tech) {
+		var solved []*spice.Deck
+		record := func(d *spice.Deck) (*spice.Results, error) {
+			solved = append(solved, d)
+			return spice.Run(ctx, tech, d)
+		}
+		v := c.entry.newEvaluation(record, tech, c.sz, c.entry.TestbenchBias(c.bias), c.ex, c.routes)
+		if err := c.entry.Family.eval(v); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		var shared []*circuit.Device
+		if v.circuit != nil {
+			shared = v.circuit.deck.Netlist.Devices
+		}
+		if (len(shared) == 0) != (c.entry.Family.circuit == nil) {
+			t.Errorf("%s: a circuit of %d devices", c.name, len(shared))
+		}
+		owner := map[*circuit.Device]int{}
+		for i, d := range solved {
+			devs := d.Netlist.Devices
+			if len(devs) <= len(shared) {
+				t.Fatalf("%s deck %d: %d devices, the circuit has %d", c.name, i, len(devs), len(shared))
+			}
+			for k, dev := range shared {
+				if devs[k] != dev {
+					t.Errorf("%s deck %d: device %d (%s) is not the circuit's", c.name, i, k, devs[k].Name)
+				}
+			}
+			for _, dev := range devs[len(shared):] {
+				if j, ok := owner[dev]; ok {
+					t.Errorf("%s deck %d: %s is deck %d's too", c.name, i, dev.Name, j)
+				}
+				owner[dev] = i
+			}
+		}
+	}
+}
+
 // TestTestbenchWireEmittedOnce checks the once-per-terminal rule on a
 // built deck: a wire reached through dev and port alike gets one
 // π-section.
@@ -187,7 +233,8 @@ func TestTestbenchWireEmittedOnce(t *testing.T) {
 
 // TestTestbenchBuildErrors checks that a deck that could not have been
 // printed as parseable text fails its build, and is not solved: a
-// non-finite value, and a device name used twice.
+// non-finite value, and a device name used twice. A failed build of
+// the circuit an evaluation's decks share reads as its first deck's.
 func TestTestbenchBuildErrors(t *testing.T) {
 	solve := func(*spice.Deck) (*spice.Results, error) {
 		t.Fatal("a deck that failed to build was solved")
@@ -207,36 +254,52 @@ func TestTestbenchBuildErrors(t *testing.T) {
 			t.Errorf("%s: built", name)
 		}
 	}
+
+	// A circuit that fails to build stops the evaluation at its first
+	// deck, under whose title it was built.
+	_, err := CSInverter.evaluate(solve, tech, Sizing{TotalFins: 16, L: 14}, Bias{Vdd: math.NaN()}, nil, nil)
+	if err == nil || !strings.HasPrefix(err.Error(), "csinv delay testbench: primlib: csinv delay testbench: vdd dc") {
+		t.Errorf("a circuit with a NaN supply: %v", err)
+	}
 }
 
 var errStopAfterBuild = errors.New("stop after build")
 
 // TestTestbenchBuildAllocs bounds the allocations of building, not
-// solving, the diffpair Gm deck of a layout with one route: the
-// evaluator runs up to handing the deck to a solver that stops it.
-// Rendering the same deck as text with fmt and parsing it back took
-// 561 allocations; building it takes 244, and the bound keeps fmt and
-// text out of the path.
+// solving, a whole diffpair evaluation of a layout with one route, up
+// to its third deck: a stub solver answers the Gm and Ctotal decks
+// with canned measures and stops the evaluation at the offset deck.
+// Each deck once re-emitted every device, wire and route of the
+// layout, which took 752 allocations to reach that deck. Building the
+// evaluation's circuit once and starting each deck from it takes 360,
+// and the bound keeps the rebuild out.
 func TestTestbenchBuildAllocs(t *testing.T) {
 	sz := dpSizing()
 	ex := extractCfg(t, DiffPair, sz, cellgen.Config{NFin: 12, NF: 20, M: 4, Dummies: 2, Pattern: cellgen.PatABBA})
 	routes := map[string]extract.Route{"d_a": {Layer: 2, Length: 2000, NWires: 2, Vias: 2}}
+	canned := map[string]*spice.Results{
+		"dp gm testbench":     {Measures: map[string]float64{"gmhalf": 1e-3}},
+		"dp ctotal testbench": {Measures: map[string]float64{"vre": 1, "vim": -1}},
+	}
 	var built *spice.Deck
-	stop := func(d *spice.Deck) (*spice.Results, error) {
+	stub := func(d *spice.Deck) (*spice.Results, error) {
+		if res, ok := canned[d.Title]; ok {
+			return res, nil
+		}
 		built = d
 		return nil, errStopAfterBuild
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := DiffPair.evaluate(stop, tech, sz, dpBias(), ex, routes); !errors.Is(err, errStopAfterBuild) {
+		if _, err := DiffPair.evaluate(stub, tech, sz, dpBias(), ex, routes); !errors.Is(err, errStopAfterBuild) {
 			t.Fatal(err)
 		}
 	})
-	if built == nil || built.Title != "dp gm testbench" || built.Netlist.Device("Rr_d_a") == nil {
+	if built == nil || built.Title != "dp offset testbench" || built.Netlist.Device("Rr_d_a") == nil {
 		t.Fatalf("stopped at the wrong deck: %+v", built)
 	}
-	const bound = 256
+	const bound = 450
 	t.Logf("%.0f allocations", allocs)
 	if allocs > bound {
-		t.Errorf("building the deck took %.0f allocations, bound %d", allocs, bound)
+		t.Errorf("building the evaluation up to its offset deck took %.0f allocations, bound %d", allocs, bound)
 	}
 }

@@ -35,7 +35,7 @@ var deckCaseBias = Bias{
 // deck text does not round-trip; the layouts use the PDK's 14 nm. In
 // the layout view each port wire gets a route with its own wire count,
 // so the decks hold excitations both past a route and at a bare port.
-func deckCases(t *testing.T, tech *pdk.Tech) []deckCase {
+func deckCases(t testing.TB, tech *pdk.Tech) []deckCase {
 	t.Helper()
 	ctx := context.Background()
 	var out []deckCase

@@ -72,6 +72,11 @@ type Entry struct {
 // and the bias fields those testbenches read.
 type Family struct {
 	Name string
+	// circuit adds the devices, wires and routes that every testbench
+	// deck of an evaluation opens with; evaluation.deck builds it once
+	// per evaluation. It is nil for the passives, whose decks differ in
+	// their first element.
+	circuit func(v *evaluation, b *tb)
 	// eval runs the testbenches, filling v's Eval.
 	eval func(v *evaluation) error
 	// bias keeps the fields the testbenches read and zeroes the rest

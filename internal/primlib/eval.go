@@ -99,31 +99,53 @@ func (s solver) run(b *tb) (*spice.Results, error) {
 // ex is nil. Its decks go to s and fill Eval.
 type evaluation struct {
 	*Eval
-	s      solver
-	e      *Entry
-	t      *pdk.Tech
-	sz     Sizing
-	bias   Bias
-	cfg    cellgen.Config
-	ex     *extract.Extracted
-	routes map[string]extract.Route
+	s       solver
+	e       *Entry
+	t       *pdk.Tech
+	sz      Sizing
+	bias    Bias
+	cfg     cellgen.Config
+	ex      *extract.Extracted
+	routes  map[string]extract.Route
+	circuit *tb // the family's circuit, once the first deck has opened
 }
 
 func (e *Entry) evaluate(s solver, t *pdk.Tech, sz Sizing, bias Bias,
 	ex *extract.Extracted, routes map[string]extract.Route) (*Eval, error) {
-	v := &evaluation{Eval: &Eval{Values: make(map[string]float64)},
-		s: s, e: e, t: t, sz: sz, bias: bias, cfg: canonicalConfig(sz), ex: ex, routes: routes}
-	if ex != nil {
-		v.cfg = ex.Layout.Config
-	}
+	v := e.newEvaluation(s, t, sz, bias, ex, routes)
 	if err := e.Family.eval(v); err != nil {
 		return nil, err
 	}
 	return v.Eval, nil
 }
 
-// deck starts a testbench deck of the evaluation.
-func (v *evaluation) deck(title string) *tb { return newTB(v.t, title, v.ex, v.routes) }
+func (e *Entry) newEvaluation(s solver, t *pdk.Tech, sz Sizing, bias Bias,
+	ex *extract.Extracted, routes map[string]extract.Route) *evaluation {
+	v := &evaluation{Eval: &Eval{Values: make(map[string]float64)},
+		s: s, e: e, t: t, sz: sz, bias: bias, cfg: canonicalConfig(sz), ex: ex, routes: routes}
+	if ex != nil {
+		v.cfg = ex.Layout.Config
+	}
+	return v
+}
+
+// deck starts a testbench deck of the evaluation. A family with a
+// circuit builds it once, when its first deck opens and under that
+// deck's title, so that a build error reads as that deck's. Every deck
+// then starts from that circuit and adds only its own sources,
+// analyses and measures. The passives, whose decks differ in their
+// first element, build each deck whole.
+func (v *evaluation) deck(title string) *tb {
+	build := v.e.Family.circuit
+	if build == nil {
+		return newTB(v.t, title, v.ex, v.routes)
+	}
+	if v.circuit == nil {
+		v.circuit = newTB(v.t, title, v.ex, v.routes)
+		build(v, v.circuit)
+	}
+	return v.circuit.extend(title)
+}
 
 // solve solves b's deck and counts it in Sims. Every testbench deck is
 // solved here, and an error that stopped its build or its solve comes
@@ -186,18 +208,18 @@ func Cost(metrics []cost.Metric, ev *Eval) (float64, []cost.Value, error) {
 // --- differential pair families ---
 
 // The plain and the cascoded pair measure Gm, Gm/Ctotal and offset
-// through the same four testbenches (pair); they differ in the
-// devices every deck opens with and in the titles' prefix.
+// through the same four testbenches (pair); they differ in their
+// circuit and in the titles' prefix.
 var (
-	diffPairFamily = &Family{Name: "diffpair",
-		eval: func(v *evaluation) error { return v.pair("dp", v.diffPair) },
+	diffPairFamily = &Family{Name: "diffpair", circuit: (*evaluation).diffPair,
+		eval: func(v *evaluation) error { return v.pair("dp") },
 		bias: func(b Bias) Bias { return Bias{Vdd: b.Vdd, VCM: b.VCM, VD: b.VD, ITail: b.ITail, CLoad: b.CLoad} }}
-	cascodePairFamily = &Family{Name: "diffpair_cascode",
-		eval: func(v *evaluation) error { return v.pair("cascode dp", v.cascodePair) },
+	cascodePairFamily = &Family{Name: "diffpair_cascode", circuit: (*evaluation).cascodePair,
+		eval: func(v *evaluation) error { return v.pair("cascode dp") },
 		bias: func(b Bias) Bias { return Bias{VCM: b.VCM, VD: b.VD, ITail: b.ITail, CLoad: b.CLoad, VCasc: b.VCasc} }}
 )
 
-// diffPair adds the plain pair's devices. PMOS pairs (cross-coupled
+// diffPair adds the plain pair's circuit. PMOS pairs (cross-coupled
 // latch loads) hang from the supply: bulks and tail at vdd.
 func (v *evaluation) diffPair(b *tb) {
 	rail := b.supply(v.e, v.bias.Vdd)
@@ -208,7 +230,7 @@ func (v *evaluation) diffPair(b *tb) {
 	b.resistor("rtsb", b.port("s_b"), b.dev("s"), 1e-3)
 }
 
-// cascodePair adds the stacked topology: the cell's device A is the
+// cascodePair adds the stacked circuit: the cell's device A is the
 // input pair Ma/Mb, device B the common-gate cascodes Mca/Mcb above
 // it. The input-pair drains are the internal mid nodes; the cascode
 // drains own the external d_a/d_b ports. The cascode isolates the
@@ -230,16 +252,12 @@ func (v *evaluation) cascodePair(b *tb) {
 }
 
 // pair runs the differential pair testbenches: Gm, Ctotal at the d_a
-// drain, and the input offset from two DC points. Each deck opens with
-// the family's devices under a title that starts with prefix, and
-// draws the tail current at the s port from the entry's rail.
-func (v *evaluation) pair(prefix string, devices func(*tb)) error {
+// drain, and the input offset from two DC points. Each deck's title
+// starts with prefix, and each draws the tail current at the s port
+// from the entry's rail.
+func (v *evaluation) pair(prefix string) error {
 	bias := v.bias
-	open := func(name string) *tb {
-		b := v.deck(prefix + " " + name + " testbench")
-		devices(b)
-		return b
-	}
+	open := func(name string) *tb { return v.deck(prefix + " " + name + " testbench") }
 	tail := func(b *tb) {
 		if v.e.rail() == "vdd" {
 			b.isrc("ita", "vdd", b.outer("s"), g6(bias.ITail))
@@ -256,7 +274,7 @@ func (v *evaluation) pair(prefix string, devices func(*tb)) error {
 	b.vsrc("vda", b.outer("d_a"), "0", g6(bias.VD))
 	b.vsrc("vdb", b.outer("d_b"), "0", g6(bias.VD))
 	tail(b)
-	b.acSweep(5, 1e5, 1e7)
+	b.acSpot(fGm)
 	b.find("gmhalf", "i(vda)", fGm)
 	res, err := v.solve(b)
 	if err != nil {
@@ -324,44 +342,47 @@ func (v *evaluation) pair(prefix string, devices func(*tb)) error {
 
 // --- current mirror family ---
 
-// A mirror reads ITail as its reference current when Sizing.NominalI
-// is 0.
-var mirrorFamily = &Family{Name: "cmirror", eval: (*evaluation).cmirror,
+var mirrorFamily = &Family{Name: "cmirror", circuit: (*evaluation).mirror, eval: (*evaluation).cmirror,
 	bias: func(b Bias) Bias { return Bias{Vdd: b.Vdd, VD: b.VD, ITail: b.ITail, CLoad: b.CLoad} }}
 
-func (v *evaluation) cmirror() error {
-	iref := v.sz.NominalI
-	if iref <= 0 {
-		iref = v.bias.ITail
+// iref is a mirror's reference current: Sizing.NominalI, or ITail
+// when that is 0.
+func (v *evaluation) iref() float64 {
+	if v.sz.NominalI > 0 {
+		return v.sz.NominalI
 	}
+	return v.bias.ITail
+}
+
+// mirror adds the circuit every mirror deck holds: the mirror with its
+// reference current pushed into an NMOS diode, or pulled out of a PMOS
+// one.
+func (v *evaluation) mirror(b *tb) {
+	rail := b.supply(v.e, v.bias.Vdd)
+	b.mos("a", v.e, v.sz, 0, v.cfg, b.dev("d_a"), b.dev("g_a"), b.dev("s_a"), rail)
+	b.mos("b", v.e, v.sz, 1, v.cfg, b.dev("d_b"), b.dev("g_b"), b.dev("s_b"), rail)
+	// Per-side source straps join the spine, which ties to the rail;
+	// both gates tie to the input port through their wires.
+	b.resistor("rtsa", b.port("s_a"), b.dev("s"), 1e-3)
+	b.resistor("rtsb", b.port("s_b"), b.dev("s"), 1e-3)
+	b.resistor("rtss", b.outer("s"), rail, 1e-3)
+	b.resistor("rtga", b.outer("g_a"), b.outer("d_a"), 1e-3)
+	b.resistor("rtgb", b.outer("g_b"), b.outer("d_a"), 1e-3)
+	if rail == "vdd" {
+		b.isrc("iref", b.outer("d_a"), "0", g6(v.iref()))
+	} else {
+		b.isrc("iref", "0", b.outer("d_a"), g6(v.iref()))
+	}
+}
+
+func (v *evaluation) cmirror() error {
+	iref := v.iref()
 	if iref <= 0 {
 		return fmt.Errorf("cmirror: no reference current in sizing/bias")
 	}
 
-	// Every deck holds the mirror with its reference current pushed
-	// into an NMOS diode, or pulled out of a PMOS one.
-	open := func(title string) *tb {
-		b := v.deck(title)
-		rail := b.supply(v.e, v.bias.Vdd)
-		b.mos("a", v.e, v.sz, 0, v.cfg, b.dev("d_a"), b.dev("g_a"), b.dev("s_a"), rail)
-		b.mos("b", v.e, v.sz, 1, v.cfg, b.dev("d_b"), b.dev("g_b"), b.dev("s_b"), rail)
-		// Per-side source straps join the spine, which ties to the
-		// rail; both gates tie to the input port through their wires.
-		b.resistor("rtsa", b.port("s_a"), b.dev("s"), 1e-3)
-		b.resistor("rtsb", b.port("s_b"), b.dev("s"), 1e-3)
-		b.resistor("rtss", b.outer("s"), rail, 1e-3)
-		b.resistor("rtga", b.outer("g_a"), b.outer("d_a"), 1e-3)
-		b.resistor("rtgb", b.outer("g_b"), b.outer("d_a"), 1e-3)
-		if rail == "vdd" {
-			b.isrc("iref", b.outer("d_a"), "0", g6(iref))
-		} else {
-			b.isrc("iref", "0", b.outer("d_a"), g6(iref))
-		}
-		return b
-	}
-
 	// Testbench 1: current ratio at DC.
-	b := open("cm ratio testbench")
+	b := v.deck("cm ratio testbench")
 	b.vsrc("vout", b.outer("d_b"), "0", g6(v.bias.VD))
 	b.op()
 	res, err := v.solve(b)
@@ -376,7 +397,7 @@ func (v *evaluation) cmirror() error {
 	v.Values["iout"] = math.Abs(iout)
 
 	// Testbench 2: output capacitance.
-	b = open("cm cout testbench")
+	b = v.deck("cm cout testbench")
 	b.capProbe("out", b.outer("d_b"), v.bias.VD, v.bias.CLoad)
 	res, err = v.solve(b)
 	if err != nil {
@@ -394,19 +415,24 @@ func (v *evaluation) cmirror() error {
 // common-source amplifier ---
 
 var (
-	sourceFamily = &Family{Name: "csource", eval: (*evaluation).csource,
+	sourceFamily = &Family{Name: "csource", circuit: (*evaluation).device, eval: (*evaluation).csource,
 		bias: func(b Bias) Bias { return Bias{Vdd: b.Vdd, VCM: b.VCM, VD: b.VD} }}
-	ampFamily = &Family{Name: "csamp", eval: (*evaluation).csamp,
+	ampFamily = &Family{Name: "csamp", circuit: (*evaluation).device, eval: (*evaluation).csamp,
 		bias: func(b Bias) Bias { return Bias{VCM: b.VCM, VD: b.VD, CLoad: b.CLoad} }}
 )
 
-// single starts a deck of a single-device entry: the device, its
-// source strapped to the rail, and the gate source vg at VCM.
-func (v *evaluation) single(title string) (*tb, source) {
-	b := v.deck(title)
+// device adds the circuit of a single-device entry: the device, with
+// its source strapped to the rail.
+func (v *evaluation) device(b *tb) {
 	rail := b.supply(v.e, v.bias.Vdd)
 	b.mos("a", v.e, v.sz, 0, v.cfg, b.dev("d"), b.dev("g"), b.dev("s"), rail)
 	b.resistor("rtss", b.outer("s"), rail, 1e-3)
+}
+
+// single starts a deck of a single-device entry: its circuit, then the
+// gate source vg at VCM, the deck's own so that the deck may drive it.
+func (v *evaluation) single(title string) (*tb, source) {
+	b := v.deck(title)
 	return b, b.vsrc("vg", b.outer("g"), "0", g6(v.bias.VCM))
 }
 
@@ -462,7 +488,7 @@ func (v *evaluation) csamp() error {
 	b, vg := v.single("cs gm testbench")
 	vg.ac(1)
 	b.vsrc("vd", b.outer("d"), "0", g6(v.bias.VD))
-	b.acSweep(5, 1e5, 1e7)
+	b.acSpot(fGm)
 	b.find("gmv", "i(vd)", fGm)
 	res, err := v.solve(b)
 	if err != nil {
@@ -493,7 +519,7 @@ func (v *evaluation) csamp() error {
 
 // --- current-starved inverter family ---
 
-var inverterFamily = &Family{Name: "csinv", eval: (*evaluation).csinv,
+var inverterFamily = &Family{Name: "csinv", circuit: (*evaluation).inverter, eval: (*evaluation).csinv,
 	bias: func(b Bias) Bias { return Bias{Vdd: b.Vdd, VCtrl: b.VCtrl, CLoad: b.CLoad} }}
 
 // The delay testbench's PULSE delay (where its current average also
@@ -506,48 +532,49 @@ var (
 	csinvStep  = units.MustParse("5p")
 )
 
-func (v *evaluation) csinv() error {
+// inverter adds the circuit every csinv deck holds. The cell holds the
+// inverter device (A) and the starving device (B) for each polarity;
+// both polarities share the layout configuration and wire geometry
+// (stacked rows). The control sources starve the NMOS half at VCtrl
+// and the PMOS half at Vdd-VCtrl, VCtrl defaulting to Vdd/2.
+func (v *evaluation) inverter(b *tb) {
 	vdd := v.bias.Vdd
 	vctrl := v.bias.VCtrl
 	if vctrl <= 0 {
 		vctrl = vdd / 2
 	}
-
-	// The cell holds the inverter device (A) and the starving device
-	// (B) for each polarity; both polarities share the layout
-	// configuration and wire geometry (stacked rows).
-	open := func(title string) *tb {
-		b := v.deck(title)
-		b.vsrc("vdd", "vdd", "0", g6(vdd))
-		// NMOS half: out — Min — midn — (mid wire R) — Msn — (source
-		// wire R) — ground; PMOS half mirrored to vdd.
-		var rmid, rsrc float64
-		if v.ex != nil {
-			rmid = v.ex.Term["d_b"].R
-			rsrc = v.ex.Term["s_a"].R + v.ex.Term["s"].R
-		}
-		if rmid <= 0 {
-			rmid = 1e-3
-		}
-		if rsrc <= 0 {
-			rsrc = 1e-3
-		}
-		b.mosPolarity("in", circuit.NMOS, v.sz, 0, v.cfg, b.dev("d_a"), b.dev("g_a"), "midn", "0")
-		b.resistor("rmidn", "midn", "midn2", g6(rmid))
-		b.mosPolarity("sn", circuit.NMOS, v.sz, 1, v.cfg, "midn2", b.dev("g_b"), "srn", "0")
-		b.resistor("rsrcn", "srn", "0", g6(rsrc))
-		b.mosPolarity("ip", circuit.PMOS, v.sz, 0, v.cfg, b.dev("d_a"), b.dev("g_a"), "midp", "vdd")
-		b.resistor("rmidp", "midp", "midp2", g6(rmid))
-		b.mosPolarity("sp", circuit.PMOS, v.sz, 1, v.cfg, "midp2", "ctrlp", "srp", "vdd")
-		b.resistor("rsrcp", "srp", "vdd", g6(rsrc))
-		b.vsrc("vctln", b.outer("g_b"), "0", g6(vctrl))
-		b.vsrc("vctlp", "ctrlp", "0", g6(vdd-vctrl))
-		return b
+	b.vsrc("vdd", "vdd", "0", g6(vdd))
+	// NMOS half: out — Min — midn — (mid wire R) — Msn — (source wire
+	// R) — ground; PMOS half mirrored to vdd.
+	var rmid, rsrc float64
+	if v.ex != nil {
+		rmid = v.ex.Term["d_b"].R
+		rsrc = v.ex.Term["s_a"].R + v.ex.Term["s"].R
 	}
+	if rmid <= 0 {
+		rmid = 1e-3
+	}
+	if rsrc <= 0 {
+		rsrc = 1e-3
+	}
+	b.mosPolarity("in", circuit.NMOS, v.sz, 0, v.cfg, b.dev("d_a"), b.dev("g_a"), "midn", "0")
+	b.resistor("rmidn", "midn", "midn2", g6(rmid))
+	b.mosPolarity("sn", circuit.NMOS, v.sz, 1, v.cfg, "midn2", b.dev("g_b"), "srn", "0")
+	b.resistor("rsrcn", "srn", "0", g6(rsrc))
+	b.mosPolarity("ip", circuit.PMOS, v.sz, 0, v.cfg, b.dev("d_a"), b.dev("g_a"), "midp", "vdd")
+	b.resistor("rmidp", "midp", "midp2", g6(rmid))
+	b.mosPolarity("sp", circuit.PMOS, v.sz, 1, v.cfg, "midp2", "ctrlp", "srp", "vdd")
+	b.resistor("rsrcp", "srp", "vdd", g6(rsrc))
+	b.vsrc("vctln", b.outer("g_b"), "0", g6(vctrl))
+	b.vsrc("vctlp", "ctrlp", "0", g6(vdd-vctrl))
+}
+
+func (v *evaluation) csinv() error {
+	vdd := v.bias.Vdd
 
 	// Testbench 1: transient — stage delay and supply current.
 	per := 4e-9
-	b := open("csinv delay testbench")
+	b := v.deck("csinv delay testbench")
 	b.pulse("vin", b.outer("g_a"), "0", 0, g6(vdd), csinvDelay, csinvEdge, csinvEdge, g6(per/2), g6(per))
 	if v.bias.CLoad > 0 {
 		b.capacitor("cload", b.outer("d_a"), "0", g6(v.bias.CLoad))
@@ -565,13 +592,14 @@ func (v *evaluation) csinv() error {
 	v.Values["current"] = math.Abs(res.Measures["iavg"])
 
 	// Testbench 2: small-signal gain near midscale.
-	b = open("csinv gain testbench")
+	b = v.deck("csinv gain testbench")
 	b.vsrc("vin", b.outer("g_a"), "0", g6(vdd/2)).ac(1)
 	if v.bias.CLoad > 0 {
 		b.capacitor("cload", b.outer("d_a"), "0", g6(v.bias.CLoad))
 	}
-	b.acSweep(5, 1e5, 1e7)
-	b.find("av", "vm("+b.outer("d_a")+")", 1e6)
+	const fGain = 1e6
+	b.acSpot(fGain)
+	b.find("av", "vm("+b.outer("d_a")+")", fGain)
 	res, err = v.solve(b)
 	if err != nil {
 		return err

@@ -2,6 +2,7 @@ package primlib
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"strconv"
 
@@ -40,6 +41,22 @@ func newTB(t *pdk.Tech, title string, ex *extract.Extracted, routes map[string]e
 	return &tb{
 		deck: &spice.Deck{Title: title, Netlist: circuit.New("deck")},
 		tech: t, ex: ex, routes: routes, emitted: make(map[string]bool),
+	}
+}
+
+// extend starts the deck title from b's circuit as it stands: the
+// deck holds b's devices and wire sections, the same values, and adds
+// its own elements after them, which b never sees. A deck sets only
+// the devices it adds, so every deck of an evaluation starts from the
+// same circuit.
+func (b *tb) extend(title string) *tb {
+	return &tb{
+		deck:    &spice.Deck{Title: title, Netlist: b.deck.Netlist.Extend()},
+		err:     b.err,
+		tech:    b.tech,
+		ex:      b.ex,
+		routes:  b.routes,
+		emitted: maps.Clone(b.emitted),
 	}
 }
 
@@ -150,10 +167,11 @@ func (b *tb) op() {
 	b.deck.Analyses = append(b.deck.Analyses, spice.Analysis{Kind: "op"})
 }
 
-// acSweep adds ".ac dec <points> <fstart> <fstop>".
-func (b *tb) acSweep(points int, fstart, fstop float64) {
+// acSpot adds ".ac lin 1 <f> <f>": the small-signal solve at the one
+// frequency f that the deck's finds read.
+func (b *tb) acSpot(f float64) {
 	b.deck.Analyses = append(b.deck.Analyses,
-		spice.Analysis{Kind: "ac", PointsPerDec: points, FStart: fstart, FStop: fstop})
+		spice.Analysis{Kind: "ac", Points: 1, Lin: true, FStart: f, FStop: f})
 }
 
 // tran adds ".tran <step> <stop>".
@@ -315,10 +333,10 @@ func (b *tb) capProbe(name, node string, dc, cload float64) {
 	b.measureC(node)
 }
 
-// measureC adds the AC sweep and the measures of node's complex
+// measureC adds the AC solve and the measures of node's complex
 // voltage at fCap that capOf reads.
 func (b *tb) measureC(node string) {
-	b.acSweep(5, 1e6, 1e8)
+	b.acSpot(fCap)
 	b.find("vre", "vr("+node+")", fCap)
 	b.find("vim", "vi("+node+")", fCap)
 }

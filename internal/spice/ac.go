@@ -47,10 +47,11 @@ func (r *ACResult) Current(name string, k int) (complex128, error) {
 }
 
 // AC performs a small-signal sweep linearized about op, with
-// pointsPerDecade log-spaced points from fstart to fstop inclusive.
+// pointsPerDecade log-spaced points from fstart to fstop inclusive
+// (SPICE's .ac dec).
 func (e *Engine) AC(fstart, fstop float64, pointsPerDecade int, op *OPResult) (*ACResult, error) {
-	if fstart <= 0 || fstop < fstart {
-		return nil, fmt.Errorf("spice: bad AC range [%g, %g]", fstart, fstop)
+	if err := checkACRange(fstart, fstop); err != nil {
+		return nil, err
 	}
 	if pointsPerDecade < 1 {
 		pointsPerDecade = 10
@@ -60,8 +61,40 @@ func (e *Engine) AC(fstart, fstop float64, pointsPerDecade int, op *OPResult) (*
 	if npts < 2 {
 		npts = 2
 	}
-	freqs := numeric.Logspace(fstart, fstop, npts)
+	return e.acAt(numeric.Logspace(fstart, fstop, npts), op)
+}
 
+// ACLin performs a small-signal sweep linearized about op at points
+// linearly spaced frequencies from fstart to fstop inclusive (SPICE's
+// .ac lin). One point solves fstart alone, so .ac lin 1 f f is the
+// spot frequency f.
+func (e *Engine) ACLin(fstart, fstop float64, points int, op *OPResult) (*ACResult, error) {
+	if err := checkACRange(fstart, fstop); err != nil {
+		return nil, err
+	}
+	if points < 1 {
+		return nil, fmt.Errorf("spice: AC point count %d, want at least 1", points)
+	}
+	freqs := make([]float64, points)
+	for k := range freqs {
+		freqs[k] = fstart + float64(k)*(fstop-fstart)/float64(max(points-1, 1))
+	}
+	if points > 1 {
+		freqs[points-1] = fstop
+	}
+	return e.acAt(freqs, op)
+}
+
+func checkACRange(fstart, fstop float64) error {
+	if fstart <= 0 || fstop < fstart {
+		return fmt.Errorf("spice: bad AC range [%g, %g]", fstart, fstop)
+	}
+	return nil
+}
+
+// acAt solves the small-signal system linearized about op at each of
+// freqs, in order: the one solve loop of both sweep forms.
+func (e *Engine) acAt(freqs []float64, op *OPResult) (*ACResult, error) {
 	tr := e.tr
 	var t0 time.Time
 	if tr.Enabled() {
@@ -79,8 +112,8 @@ func (e *Engine) AC(fstart, fstop float64, pointsPerDecade int, op *OPResult) (*
 
 	res := &ACResult{Freqs: freqs, e: e}
 	M := numeric.NewCMatrix(e.n)
-	// Adjacent log-spaced points differ only in omega, so the complex
-	// workspace's pivot order usually carries from point to point.
+	// Adjacent points differ only in omega, so the complex workspace's
+	// pivot order usually carries from point to point.
 	ws := numeric.NewCWorkspace(e.n)
 	var reusedPiv int64
 	for _, f := range freqs {

@@ -1,8 +1,10 @@
 package spice
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
+	"slices"
 	"testing"
 
 	"primopt/internal/circuit"
@@ -187,6 +189,83 @@ func TestACRangeValidation(t *testing.T) {
 	// pointsPerDecade < 1 defaults sanely.
 	if _, err := e.AC(1e3, 1e6, 0, op); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestACLinGrid checks .ac lin's grid: points linearly spaced from
+// fstart to fstop inclusive, one point solving fstart alone, the same
+// range check as .ac dec, and no default for a missing point count.
+func TestACLinGrid(t *testing.T) {
+	r, c := 1e3, 1e-9
+	nl := circuit.NewBuilder("rc").VAC("vin", "in", "0", 0, 1).R("r1", "in", "out", r).C("c1", "out", "0", c).Netlist()
+	e := mustEngine(t, nl)
+	op, err := e.OP()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ac, err := e.ACLin(1e3, 5e3, 5, op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []float64{1e3, 2e3, 3e3, 4e3, 5e3}; !slices.Equal(ac.Freqs, want) {
+		t.Errorf("lin 5 1e3 5e3 solved %v, want %v", ac.Freqs, want)
+	}
+	spot, err := e.ACLin(1e6, 1e6, 1, op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(spot.Freqs, []float64{1e6}) || len(spot.X) != 1 {
+		t.Fatalf("lin 1 1e6 1e6 solved %v", spot.Freqs)
+	}
+	want := 1 / complex(1, 2*math.Pi*1e6*r*c)
+	if got := spot.Volt("out", 0); cmplx.Abs(got-want) > 1e-12 {
+		t.Errorf("V(out) at 1 MHz = %v, want %v", got, want)
+	}
+	for _, bad := range []struct {
+		fstart, fstop float64
+		points        int
+	}{{-1, 10, 2}, {1e6, 1e3, 2}, {1e3, 1e6, 0}, {1e3, 1e6, -3}} {
+		if _, err := e.ACLin(bad.fstart, bad.fstop, bad.points, op); err == nil {
+			t.Errorf("lin %d %g %g accepted", bad.points, bad.fstart, bad.fstop)
+		}
+	}
+}
+
+// TestACFindReadsInsideItsSweep checks that a find reads only where its
+// sweep solved: on a spot sweep at 1 MHz, at=2e6 is an error rather
+// than the one sample, and at either end of a dec sweep a find reads
+// that end sample bit for bit, at a start frequency that 10^log10
+// does not reproduce too.
+func TestACFindReadsInsideItsSweep(t *testing.T) {
+	ctx := context.Background()
+	const rc = "* rc\nV1 in 0 DC 0 AC 1\nR1 in out 1k\nC1 out 0 1n\n"
+	if _, _, err := RunSourceCtx(ctx, tech, rc+".ac lin 1 1e6 1e6\n.measure ac x find vm(out) at=2e6\n"); err == nil {
+		t.Error("a find at 2 MHz read a 1 MHz spot sweep")
+	}
+	res, _, err := RunSourceCtx(ctx, tech, rc+".ac lin 1 1e6 1e6\n.measure ac x find vm(out) at=1e6\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res.Measures["x"], cmplx.Abs(res.AC.Volt("out", 0)); got != want {
+		t.Errorf("find at the spot frequency read %g, want %g", got, want)
+	}
+
+	const dec = ".ac dec 5 2e3 1e6\n"
+	for _, at := range []string{"1.9e3", "2e6"} {
+		if _, _, err := RunSourceCtx(ctx, tech, rc+dec+".measure ac x find vr(out) at="+at+"\n"); err == nil {
+			t.Errorf("a find at %s read the 2e3-1e6 sweep", at)
+		}
+	}
+	res, _, err = RunSourceCtx(ctx, tech, rc+dec+".measure ac lo find vr(out) at=2e3\n.measure ac hi find vr(out) at=1e6\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := len(res.AC.Freqs) - 1
+	if got, want := res.Measures["lo"], real(res.AC.Volt("out", 0)); math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("find at fstart read %v, want the first sample %v", got, want)
+	}
+	if got, want := res.Measures["hi"], real(res.AC.Volt("out", last)); math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("find at fstop read %v, want the last sample %v", got, want)
 	}
 }
 

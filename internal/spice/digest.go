@@ -27,14 +27,11 @@ func (d *Deck) digest() uint64 {
 		h.str(a.Kind)
 		h.f64(a.FStart)
 		h.f64(a.FStop)
-		h.int(a.PointsPerDec)
+		h.int(a.Points)
+		h.bool(a.Lin)
 		h.f64(a.TStep)
 		h.f64(a.TStop)
-		if a.UIC {
-			h.int(1)
-		} else {
-			h.int(0)
-		}
+		h.bool(a.UIC)
 		h.str(a.Src)
 		h.f64(a.Start)
 		h.f64(a.Stop)
@@ -159,6 +156,14 @@ func (h *fnv64a) int(v int) {
 
 func (h *fnv64a) f64(v float64) { h.u64(math.Float64bits(v)) }
 func (h *fnv64a) edge(e Edge)   { h.str(e.Dir); h.int(e.N) }
+
+func (h *fnv64a) bool(v bool) {
+	if v {
+		h.int(1)
+	} else {
+		h.int(0)
+	}
+}
 
 func (h *fnv64a) str(s string) {
 	h.int(len(s))

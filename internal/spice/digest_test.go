@@ -27,7 +27,7 @@ func builtDivider() *Deck {
 	return &Deck{
 		Title:    "divider",
 		Netlist:  nl,
-		Analyses: []Analysis{{Kind: "op"}, {Kind: "ac", FStart: 1e6, FStop: 1e9, PointsPerDec: 5}},
+		Analyses: []Analysis{{Kind: "op"}, {Kind: "ac", FStart: 1e6, FStop: 1e9, Points: 5}},
 		Measures: []Measure{{Analysis: "ac", Name: "g", Kind: "find", Expr: "vm(out)", At: 1e7}},
 	}
 }
@@ -74,7 +74,8 @@ func TestRunCountsDuplicateDecks(t *testing.T) {
 			r.SetParam("r", math.Nextafter(r.Param("r", 0), math.Inf(1)))
 		},
 		"title":    func(d *Deck) { d.Title = "divider 2" },
-		"analysis": func(d *Deck) { d.Analyses[1].PointsPerDec = 10 },
+		"analysis": func(d *Deck) { d.Analyses[1].Points = 10 },
+		"ac grid":  func(d *Deck) { d.Analyses[1].Lin = true },
 	} {
 		t.Run(name, func(t *testing.T) {
 			ctx, want := traced()

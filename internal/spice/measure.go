@@ -321,7 +321,11 @@ func EvalMeasureAC(m Measure, res *ACResult) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		return interpLog(res.Freqs, ys, m.At), nil
+		v, ok := interpLog(res.Freqs, ys, m.At)
+		if !ok {
+			return 0, fmt.Errorf("spice: measure %s: find at=%g is outside the sweep", m.Name, m.At)
+		}
+		return v, nil
 	case "when":
 		ys, err := acSeries(res, m.Expr)
 		if err != nil {
@@ -386,26 +390,27 @@ func reduce(kind string, xs, ys []float64, from, to float64) (float64, error) {
 	return 0, fmt.Errorf("spice: unknown reduction %q", kind)
 }
 
-// interpLog interpolates ys over log-spaced xs at x, clamping at the
-// ends.
-func interpLog(xs, ys []float64, x float64) float64 {
+// interpLog interpolates ys over log xs at x. It reports false when x
+// lies outside [xs[0], xs[n-1]]: a sweep says nothing there, and
+// reading its end sample instead would let a one-point sweep answer
+// every frequency.
+func interpLog(xs, ys []float64, x float64) (float64, bool) {
 	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	if x <= xs[0] {
-		return ys[0]
-	}
-	if x >= xs[n-1] {
-		return ys[n-1]
+	switch {
+	case n == 0 || x < xs[0] || x > xs[n-1]:
+		return 0, false
+	case x == xs[0]:
+		return ys[0], true
+	case x == xs[n-1]:
+		return ys[n-1], true
 	}
 	for i := 1; i < n; i++ {
 		if xs[i] >= x {
 			f := math.Log(x/xs[i-1]) / math.Log(xs[i]/xs[i-1])
-			return ys[i-1] + f*(ys[i]-ys[i-1])
+			return ys[i-1] + f*(ys[i]-ys[i-1]), true
 		}
 	}
-	return ys[n-1]
+	return ys[n-1], true
 }
 
 // Results bundles the outputs of running a deck.
@@ -457,7 +462,11 @@ func Run(ctx context.Context, t *pdk.Tech, deck *Deck) (*Results, error) {
 				}
 				res.OP = op
 			}
-			ac, err := e.AC(a.FStart, a.FStop, a.PointsPerDec, res.OP)
+			sweep := e.AC
+			if a.Lin {
+				sweep = e.ACLin
+			}
+			ac, err := sweep(a.FStart, a.FStop, a.Points, res.OP)
 			if err != nil {
 				return nil, err
 			}

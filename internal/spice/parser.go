@@ -26,9 +26,12 @@ type Deck struct {
 type Analysis struct {
 	Kind string // "op", "ac", "tran"
 
-	// AC fields.
+	// AC fields: Points log-spaced points per decade from FStart to
+	// FStop (.ac dec), or Points linearly spaced points in all when Lin
+	// is set (.ac lin).
 	FStart, FStop float64
-	PointsPerDec  int
+	Points        int
+	Lin           bool
 
 	// Tran fields.
 	TStep, TStop float64
@@ -233,13 +236,20 @@ func parseDirective(deck *Deck, params map[string]string, fields []string) error
 		deck.Analyses = append(deck.Analyses, Analysis{Kind: "op"})
 		return nil
 	case ".ac":
-		// .ac dec N fstart fstop
-		if len(fields) != 5 || strings.ToLower(fields[1]) != "dec" {
-			return fmt.Errorf("spice: .ac wants 'dec N fstart fstop', got %v", fields)
+		// .ac dec|lin N fstart fstop
+		grid := ""
+		if len(fields) == 5 {
+			grid = strings.ToLower(fields[1])
+		}
+		if grid != "dec" && grid != "lin" {
+			return fmt.Errorf("spice: .ac wants 'dec|lin N fstart fstop', got %v", fields)
 		}
 		n, err := strconv.Atoi(fields[2])
 		if err != nil {
 			return fmt.Errorf("spice: .ac points: %v", err)
+		}
+		if n < 1 {
+			return fmt.Errorf("spice: .ac %s points %d, want at least 1", grid, n)
 		}
 		fs, err := units.Parse(fields[3])
 		if err != nil {
@@ -249,7 +259,7 @@ func parseDirective(deck *Deck, params map[string]string, fields []string) error
 		if err != nil {
 			return err
 		}
-		deck.Analyses = append(deck.Analyses, Analysis{Kind: "ac", FStart: fs, FStop: fe, PointsPerDec: n})
+		deck.Analyses = append(deck.Analyses, Analysis{Kind: "ac", FStart: fs, FStop: fe, Points: n, Lin: grid == "lin"})
 		return nil
 	case ".dc":
 		// .dc <src> <start> <stop> <step>

@@ -236,8 +236,16 @@ C1 b 0 1p
 		t.Fatal(err)
 	}
 	a := deck.Analyses[0]
-	if a.Kind != "ac" || a.PointsPerDec != 20 || a.FStart != 1e6 || a.FStop != 1e10 {
+	if a.Kind != "ac" || a.Points != 20 || a.FStart != 1e6 || a.FStop != 1e10 || a.Lin {
 		t.Errorf("ac = %+v", a)
+	}
+
+	deck, err = ParseDeck("V1 a 0 DC 0 AC 1\nR1 a 0 1k\n.ac LIN 1 1meg 1meg\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := deck.Analyses[0]; a.Kind != "ac" || a.Points != 1 || a.FStart != 1e6 || a.FStop != 1e6 || !a.Lin {
+		t.Errorf("ac lin = %+v", a)
 	}
 }
 
@@ -251,7 +259,11 @@ func TestParseErrors(t *testing.T) {
 		"port mismatch":     "X1 a sub1\n.subckt sub1 p q\nR1 p q 1k\n.ends\n.op\n",
 		"unterminated sub":  ".subckt s p\nR1 p 0 1k\n.op\n",
 		"ends without sub":  ".ends\n.op\n",
-		"bad ac":            "R1 a 0 1\n.ac lin 10 1 100\n",
+		"bad ac":            "R1 a 0 1\n.ac oct 10 1 100\n",
+		"ac dec no points":  "R1 a 0 1\n.ac dec 0 1 100\n",
+		"ac dec -3 points":  "R1 a 0 1\n.ac dec -3 1 100\n",
+		"ac lin no points":  "R1 a 0 1\n.ac lin 0 1 100\n",
+		"ac lin -3 points":  "R1 a 0 1\n.ac lin -3 1 100\n",
 		"bad tran":          "R1 a 0 1\n.tran 1n\n",
 		"bad param":         ".param foo\nR1 a 0 1\n",
 		"bad ic":            "R1 a 0 1\n.ic b=0.5\n",
