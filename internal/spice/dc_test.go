@@ -162,20 +162,23 @@ func TestNMOSInverterTransfer(t *testing.T) {
 	}
 }
 
+// cmosInverter is a CMOS inverter on a 0.8 V supply, its input source
+// at vin.
+func cmosInverter(vin float64) *circuit.Netlist {
+	return circuit.NewBuilder("cmosinv").
+		V("vdd", "vdd", "0", 0.8).
+		V("vin", "g", "0", vin).
+		MOS("mp", circuit.PMOS, "d", "g", "vdd", "vdd", 4, 2, 1, 14).
+		MOS("mn", circuit.NMOS, "d", "g", "0", "0", 4, 2, 1, 14).
+		Netlist()
+}
+
 func TestCMOSInverterOP(t *testing.T) {
-	build := func(vin float64) *circuit.Netlist {
-		return circuit.NewBuilder("cmosinv").
-			V("vdd", "vdd", "0", 0.8).
-			V("vin", "g", "0", vin).
-			MOS("mp", circuit.PMOS, "d", "g", "vdd", "vdd", 4, 2, 1, 14).
-			MOS("mn", circuit.NMOS, "d", "g", "0", "0", 4, 2, 1, 14).
-			Netlist()
-	}
-	_, op := mustOP(t, build(0))
+	_, op := mustOP(t, cmosInverter(0))
 	if v := op.Volt("d"); v < 0.75 {
 		t.Errorf("CMOS inverter out(0) = %g, want ~vdd", v)
 	}
-	_, op = mustOP(t, build(0.8))
+	_, op = mustOP(t, cmosInverter(0.8))
 	if v := op.Volt("d"); v > 0.05 {
 		t.Errorf("CMOS inverter out(vdd) = %g, want ~0", v)
 	}
@@ -270,6 +273,28 @@ func TestNodeAndBranchIndex(t *testing.T) {
 	}
 }
 
+// A source that is not finite gives no operating point. The Newton
+// loop's convergence and residual tests compare against a tolerance,
+// and a comparison with NaN is false, so each is written to fail on a
+// value that is not a number instead of passing it as converged.
+func TestOPRejectsNonFiniteSources(t *testing.T) {
+	builds := []struct {
+		name  string
+		build func(v float64) *circuit.Netlist
+	}{
+		{"divider", dividerNetlist},
+		{"inverter", cmosInverter},
+	}
+	for _, b := range builds {
+		for _, v := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+			op, err := mustEngine(t, b.build(v)).OP()
+			if err == nil {
+				t.Errorf("%s with a %g V source: OP = %v, want an error", b.name, v, op.X)
+			}
+		}
+	}
+}
+
 // Regression test for the off-by-one in the Newton convergence check:
 // `conv && iter > 0` rejected a solve that converged on its very first
 // iteration, forcing every linear DC solve to pay a second stamp,
@@ -299,20 +324,14 @@ func TestNewtonConvergesOnFirstIteration(t *testing.T) {
 }
 
 // The steady-state Newton solve path must not allocate: all scratch
-// (Jacobian, rhs, iterate, workspace) is owned by the engine and
-// reused across calls. Guarded with a MOS circuit so the nonlinear
-// stamp and the device evaluation are on the measured path, and from a
-// converged iterate so each run is exactly one (iteration-0
-// convergent) Newton iteration — the shape of every transient step
-// after the first.
+// (Jacobian, rhs, iterate, workspace) is owned by the engine's Newton
+// system and reused across calls. Guarded with a MOS circuit so the
+// nonlinear stamp and the device evaluation are on the measured path,
+// and from a converged iterate so each run is exactly one (iteration-0
+// convergent) iteration of the Newton loop the transient step shares —
+// the shape of every transient step after the first.
 func TestNewtonDCSteadyStateZeroAlloc(t *testing.T) {
-	nl := circuit.NewBuilder("cmosinv").
-		V("vdd", "vdd", "0", 0.8).
-		V("vin", "g", "0", 0.4).
-		MOS("mp", circuit.PMOS, "d", "g", "vdd", "vdd", 4, 2, 1, 14).
-		MOS("mn", circuit.NMOS, "d", "g", "0", "0", 4, 2, 1, 14).
-		Netlist()
-	e, op := mustOP(t, nl)
+	e, op := mustOP(t, cmosInverter(0.4))
 	x := make([]float64, len(op.X))
 	copy(x, op.X)
 	// Warm up once so lazily built scratch is charged outside the
@@ -327,4 +346,82 @@ func TestNewtonDCSteadyStateZeroAlloc(t *testing.T) {
 	}); a != 0 {
 		t.Errorf("newtonDC allocates %v per steady-state solve, want 0", a)
 	}
+}
+
+// TestBypassResidualFormsAgree checks the identity the two residual
+// forms of a bypassed Newton iteration rest on: with J and rhs stamped
+// at the iterate, the Norton terms cancel from J·x − rhs, leaving the
+// linear part A·x − b plus each transistor's channel current and gmin
+// shunt currents (addMOSResidual). At biases away from the solution,
+// and at the smallest and largest gmin the operating point stamps, the
+// forms must agree to within 1e-12 of each row's largest term.
+func TestBypassResidualFormsAgree(t *testing.T) {
+	// OP leaves the operating point's system holding the sources at
+	// full scale.
+	e, op := mustOP(t, cmosInverter(0.4))
+	s := e.dc
+	d, _ := e.NodeIndex("d")
+	g, _ := e.NodeIndex("g")
+	vdd, _ := e.NodeIndex("vdd")
+	var biases [][]float64
+	for _, set := range []map[int]float64{{d: 0.1}, {d: 0.7, g: 0.25}, {d: 0.35, g: 0.55, vdd: 0.75}} {
+		x := append([]float64(nil), op.X...)
+		for i, v := range set {
+			x[i] = v
+		}
+		biases = append(biases, x)
+	}
+	for _, gmin := range []float64{1e-12, 1e-2} {
+		s.gmin = gmin
+		for _, x := range biases {
+			s.stampResidual = true
+			s.residual(e, x)
+			stamped := append([]float64(nil), s.resid...)
+			s.stampResidual = false
+			s.residual(e, x)
+			scale := residualTermScale(e, s, x)
+			for i := range stamped {
+				if diff := math.Abs(stamped[i] - s.resid[i]); !(diff <= 1e-12*scale[i]) {
+					t.Errorf("gmin %g, x = %v: row %d stamped %g, device currents %g (largest term %g)",
+						gmin, x, i, stamped[i], s.resid[i], scale[i])
+				}
+			}
+		}
+	}
+}
+
+// residualTermScale returns, for each row of s's residual at x, the
+// largest magnitude among the terms either form sums: the sources, the
+// linear stamps times x, and each transistor's conductances times its
+// terminal voltages, its channel current and its gmin shunt currents.
+func residualTermScale(e *Engine, s *newtonSystem, x []float64) []float64 {
+	n := e.NumUnknowns()
+	scale := make([]float64, n)
+	bump := func(i int, v float64) {
+		if i >= 0 && math.Abs(v) > scale[i] {
+			scale[i] = math.Abs(v)
+		}
+	}
+	for i := 0; i < n; i++ {
+		bump(i, s.b[i])
+		for j := 0; j < n; j++ {
+			bump(i, s.A.At(i, j)*x[j])
+		}
+	}
+	for mi, nodes := range e.mosNode {
+		var v [4]float64
+		for c, k := range nodes {
+			v[c] = volt(x, k)
+		}
+		st := e.mosCtx[mi].Eval(v[0], v[1], v[2], v[3])
+		gs := [4]float64{st.GdVd, st.GdVg, st.GdVs, st.GdVb}
+		for c, k := range nodes {
+			bump(nodes[0], gs[c]*v[c])
+			bump(nodes[2], gs[c]*v[c])
+			bump(k, math.Max(s.gmin, 1e-12)*v[c])
+		}
+		bump(nodes[0], st.Ids)
+		bump(nodes[2], st.Ids)
+	}
+	return scale
 }

@@ -62,7 +62,10 @@ func (e *Engine) DCSweep(srcName string, start, stop, step float64) (*DCSweepRes
 	orig := src.dc
 	defer func() { src.dc = orig }()
 
-	nPts := int((stop-start)/step) + 1
+	// A stop within a tiny fraction of a step of the grid is its last
+	// point, though the quotient rounds just below it (0.7/0.1 is
+	// 6.999…); the clamp below then lands that point on stop exactly.
+	nPts := int((stop-start)/step+1e-9) + 1
 	if nPts < 1 {
 		nPts = 1
 	}

@@ -145,6 +145,26 @@ func TestDCSweepDescending(t *testing.T) {
 	}
 }
 
+// TestDCSweepKeepsItsStop: 0.7/0.1 rounds to 6.999…, one short of
+// the grid's last index, which must not cost the sweep its stop point.
+func TestDCSweepKeepsItsStop(t *testing.T) {
+	nl := circuit.NewBuilder("div").
+		V("vin", "in", "0", 0).
+		R("r1", "in", "out", 1e3).
+		R("r2", "out", "0", 1e3).
+		Netlist()
+	for _, c := range []struct{ start, stop, step float64 }{{0, 0.7, 0.1}, {0.7, 0, -0.1}} {
+		sw, err := mustEngine(t, nl).DCSweep("vin", c.start, c.stop, c.step)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, last := len(sw.Values), sw.Values[len(sw.Values)-1]; n != 8 || last != c.stop {
+			t.Errorf("sweep %g to %g by %g: %d points ending at %g, want 8 ending at %g",
+				c.start, c.stop, c.step, n, last, c.stop)
+		}
+	}
+}
+
 func TestDCSweepValidation(t *testing.T) {
 	nl := circuit.NewBuilder("v").V("v1", "a", "0", 0).R("r", "a", "0", 1).Netlist()
 	e := mustEngine(t, nl)

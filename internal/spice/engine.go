@@ -2,10 +2,15 @@
 // optimization step in the paper: modified nodal analysis (MNA) with a
 // damped-Newton DC operating point (with gmin and source stepping),
 // complex small-signal AC sweeps, and a trapezoidal transient engine
-// with sub-stepping on nonconvergence. Run solves a Deck — netlist,
-// analyses and .measure statements — which is the form the primitive
-// testbenches take, as in the paper (Section II-B); they build theirs
-// in memory. ParseDeck reads a deck from SPICE-subset text.
+// with sub-stepping on nonconvergence. The operating point and every
+// transient step run one Newton iteration (newton.go) over the part of
+// the MNA equations that does not depend on the iterate: the
+// time-invariant stamp and the sources, scaled for DC, at t+h and with
+// the trapezoidal companions for a step. Each iteration stamps the
+// transistors on top. Run solves a Deck — netlist, analyses and
+// .measure statements — which is the form the primitive testbenches
+// take, as in the paper (Section II-B); they build theirs in memory.
+// ParseDeck reads a deck from SPICE-subset text.
 //
 // Matrices are stamped dense. Each engine computes once the
 // structural pattern of its real MNA matrices and gives it to the LU
@@ -85,7 +90,7 @@ type Engine struct {
 	base *numeric.Matrix
 	pat  *numeric.Pattern
 
-	scr    *solverScratch     // lazily-built DC Newton scratch (see dc.go)
+	dc     *newtonSystem      // the operating point's Newton system, built on first use
 	tranWS *numeric.Workspace // transient LU workspace (see tranWorkspace)
 	work   TranWork           // what the engine's transient runs did
 
@@ -339,12 +344,20 @@ type TranWork struct {
 // to one trace do not mix.
 func (e *Engine) TranWork() TranWork { return e.work }
 
-// factor factors m into ws.
-func (e *Engine) factor(ws *numeric.Workspace, m *numeric.Matrix) (bool, error) {
+// factor factors m into ws, counting into w the factorization and
+// whether it replayed a pivot order.
+func (e *Engine) factor(ws *numeric.Workspace, m *numeric.Matrix, w *newtonWork) error {
 	if e.factorHook != nil {
 		e.factorHook(m)
 	}
-	return ws.FactorInto(m)
+	reused, err := ws.FactorInto(m)
+	if err == nil {
+		w.factors++
+		if reused {
+			w.reused++
+		}
+	}
+	return err
 }
 
 // canceled returns the binding context's error once it is done, nil

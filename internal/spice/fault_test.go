@@ -33,9 +33,10 @@ func faultEngine(t *testing.T, ctx context.Context, nl *circuit.Netlist, spec st
 	return e
 }
 
-func dividerNetlist() *circuit.Netlist {
+// dividerNetlist halves its input source, at vin, onto node out.
+func dividerNetlist(vin float64) *circuit.Netlist {
 	return circuit.NewBuilder("div").
-		V("vin", "in", "0", 0).
+		V("vin", "in", "0", vin).
 		R("r1", "in", "out", 1e3).
 		R("r2", "out", "0", 1e3).
 		Netlist()
@@ -47,7 +48,7 @@ func dividerNetlist() *circuit.Netlist {
 // values, and exactly one spice.dc.nonconverged on the counter.
 func TestDCSweepWarmStartFallback(t *testing.T) {
 	ctx, tr := traceCtx()
-	e := faultEngine(t, ctx, dividerNetlist(), fault.SiteSpiceDC+":error@2")
+	e := faultEngine(t, ctx, dividerNetlist(0), fault.SiteSpiceDC+":error@2")
 	sw, err := e.DCSweep("vin", 0, 1, 0.1)
 	if err != nil {
 		t.Fatalf("sweep did not survive the warm-start failure: %v", err)
@@ -71,7 +72,7 @@ func TestDCSweepWarmStartFallback(t *testing.T) {
 // fallback.
 func TestOPGminFallback(t *testing.T) {
 	ctx, tr := traceCtx()
-	e := faultEngine(t, ctx, dividerNetlist(), fault.SiteSpiceDC+":error@1")
+	e := faultEngine(t, ctx, dividerNetlist(0), fault.SiteSpiceDC+":error@1")
 	op, err := e.OP()
 	if err != nil {
 		t.Fatalf("OP did not survive the injected nonconvergence: %v", err)

@@ -2,7 +2,6 @@ package spice
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"primopt/internal/device"
@@ -62,9 +61,6 @@ type TranOpts struct {
 	// UIC skips the initial operating point entirely and starts from
 	// zero plus IC, like SPICE's UIC.
 	UIC bool
-	// MaxInternalStep caps the internal integration step; defaults to
-	// the print step.
-	MaxInternalStep float64
 }
 
 // capElem is a unified capacitance for transient integration: either
@@ -88,29 +84,24 @@ type tranState struct {
 	mosCapIx [][5]int  // per MOS: indices into capElems for gs, gd, gb, db, sb
 	indIPrev []float64 // inductor branch currents at previous point
 
+	// sys is the steps' Newton system: its A and b are Jlin and
+	// rhsLin, the linear part of the current step. Its workspace
+	// carries the LU factorization (and pivot order) across Newton
+	// iterations AND across steps: when the waveform moves slowly the
+	// next step's first iteration can solve against the previous
+	// step's factorization (modified Newton) without refactoring.
+	sys       *newtonSystem
+	lastH     float64 // step size the current factorization was built at; 0 before the first
+	lastIters int     // Newton iterations the previous accepted step took
+
 	// Scratch buffers reused across steps.
-	J      *numeric.Matrix
-	Jlin   *numeric.Matrix // base + companion stamps, constant per step
-	rhsLin []float64
-	rhs    []float64
-	sol    []float64
 	xNew   []float64
 	xPrev  []float64
 	xTry   []float64
-	resid  []float64
 	comps  []capComp
 	icomps []indComp
 	iCap   []float64
 	iInd   []float64
-
-	// ws carries the LU factorization (and pivot order) across Newton
-	// iterations AND across steps: when the waveform moves slowly the
-	// next step's first iteration can solve against the previous
-	// step's factorization (modified Newton) without refactoring.
-	ws         *numeric.Workspace
-	haveFactor bool
-	lastH      float64 // step size the current factorization was built at
-	lastIters  int     // Newton iterations the previous accepted step took
 
 	// Predictor state: the accepted solution one step back and the
 	// step size that produced the current one, for the linear
@@ -146,17 +137,12 @@ func (e *Engine) Tran(tstep, tstop float64, opts TranOpts) (*TranResult, error) 
 	}
 
 	st := &tranState{e: e,
-		J:      numeric.NewMatrix(e.n),
-		Jlin:   numeric.NewMatrix(e.n),
-		rhsLin: make([]float64, e.n),
-		rhs:    make([]float64, e.n),
-		sol:    make([]float64, e.n),
-		xNew:   make([]float64, e.n),
-		xPrev:  make([]float64, e.n),
-		xTry:   make([]float64, e.n),
-		resid:  make([]float64, e.n),
-		ws:     e.tranWorkspace(),
+		sys:   newNewtonSystem(numeric.NewMatrix(e.n), e.tranWorkspace()),
+		xNew:  make([]float64, e.n),
+		xPrev: make([]float64, e.n),
+		xTry:  make([]float64, e.n),
 	}
+	st.sys.gmin = 1e-12
 	st.predPrev = make([]float64, e.n)
 	// Explicit capacitors.
 	for _, c := range e.caps {
@@ -185,10 +171,6 @@ func (e *Engine) Tran(tstep, tstop float64, opts TranOpts) (*TranResult, error) 
 	res.Times = append(res.Times, 0)
 	res.X = append(res.X, append([]float64(nil), x...))
 
-	h := tstep
-	if opts.MaxInternalStep > 0 && opts.MaxInternalStep < h {
-		h = opts.MaxInternalStep
-	}
 	tr := e.tr
 	var t0 time.Time
 	if tr.Enabled() {
@@ -200,7 +182,7 @@ func (e *Engine) Tran(tstep, tstop float64, opts TranOpts) (*TranResult, error) 
 		if tNext > tstop {
 			tNext = tstop
 		}
-		if err := st.advanceTo(x, t, tNext, h, 0); err != nil {
+		if err := st.advanceTo(x, t, tNext, tstep, 0); err != nil {
 			tr.Counter("spice.tran.failures").Inc()
 			return nil, fmt.Errorf("spice: tran stalled at t=%.4g: %w", t, err)
 		}
@@ -299,18 +281,12 @@ func mosCaps(n [4]int, s *device.MOSState) [5]twoTerm {
 // solution in x. It returns the new capacitor and inductor currents.
 func (st *tranState) step(x []float64, t, h float64) ([]float64, []float64, error) {
 	e := st.e
-	if err := e.canceled(); err != nil {
-		return nil, nil, err
-	}
 	// An armed spice.tran.step site fails this step like a Newton
 	// nonconvergence would, driving the recursive halving path; armed
 	// @N+ it exhausts the halving depth and stalls the analysis.
 	if err := e.inj.Hit(e.ctx, fault.SiteSpiceTranStep); err != nil {
 		return nil, nil, fmt.Errorf("tran step no convergence (h=%.3g): %w", h, err)
 	}
-	n := e.n
-	J := st.J
-	rhs := st.rhs
 	xNew := st.xNew
 	xPrev := st.xPrev
 	copy(xNew, x)
@@ -357,37 +333,14 @@ func (st *tranState) step(x []float64, t, h float64) ([]float64, []float64, erro
 	tr := e.tr
 	tr.Counter("spice.tran.steps").Inc()
 	e.work.Steps++
-	var iters, reusedPiv, bypassed int64
-	defer func() {
-		e.work.NewtonIters += iters
-		tr.Counter("spice.tran.newton_iters").Add(iters)
-		if reusedPiv > 0 {
-			tr.Counter("spice.factor.reused").Add(reusedPiv)
-		}
-		if bypassed > 0 {
-			tr.Counter("spice.newton.bypassed").Add(bypassed)
-		}
-	}()
-	linear := len(e.mos) == 0
-	// Cross-step continuation: when the previous step converged fast
-	// (the waveform is in a smooth region) and the step size hasn't
-	// changed, its factorization is still an excellent preconditioner,
-	// so iteration 0 can run as modified Newton without refactoring.
-	// The convergence test below is against the freshly-stamped
-	// residual, so acceptance is as sound as after a fresh factor.
-	carryFactor := st.haveFactor && h == st.lastH && st.lastIters <= 2 && !linear
-	forceFactor := false
-	lastMaxDv := math.Inf(1)
 	// Everything except the MOS stamps — the engine's time-invariant
 	// stamp, the sources at tNew, and the trapezoidal companions — is
 	// constant across this step's Newton iterations. Stamp it once
-	// into Jlin/rhsLin and memcpy per iteration; only the transistors
-	// are re-linearized at the moving iterate.
-	Jlin, rhsLin := st.Jlin, st.rhsLin
+	// into Jlin/rhsLin; only the transistors are re-linearized at the
+	// moving iterate.
+	Jlin, rhsLin := st.sys.A, st.sys.b
 	copy(Jlin.Data, e.base.Data)
-	for i := range rhsLin {
-		rhsLin[i] = 0
-	}
+	clear(rhsLin)
 	addSources(e, rhsLin, func(s *source) float64 { return device.SourceValue(s.dc, s.wave, tNew) })
 	// Capacitor companions.
 	for i := range st.capElems {
@@ -415,83 +368,26 @@ func (st *tranState) step(x []float64, t, h float64) ([]float64, []float64, erro
 		Jlin.Add(l.br, l.br, -icomps[i].req)
 		rhsLin[l.br] += icomps[i].veq
 	}
-	for iter := 0; iter < maxNewtonIters; iter++ {
-		iters = int64(iter) + 1
-		sol := st.sol
-		if linear {
-			// No transistors: Jlin/rhsLin already ARE the full system,
-			// so factor and solve them directly — one factor+solve is
-			// exact once the residual confirms it.
-			reused, err := e.factor(st.ws, Jlin)
-			if err != nil {
-				return nil, nil, fmt.Errorf("tran newton: %w", err)
-			}
-			e.work.Factorizations++
-			if reused {
-				reusedPiv++
-			}
-			st.haveFactor = true
-			st.lastH = h
-			copy(sol, rhsLin)
-			st.ws.SolveInPlace(sol)
-			if residualOK(Jlin, sol, rhsLin) {
-				copy(xNew, sol)
-				return st.acceptStep(x, xNew, xPrev, h, int(iters))
-			}
-		}
-		bypassThis := !linear && !forceFactor &&
-			((iter == 0 && carryFactor) || (iter > 0 && lastMaxDv < bypassDvTol))
-		if bypassThis {
-			// Modified Newton against the true residual at bias xNew;
-			// only the O(n³) refactor is skipped. Because the Jacobian
-			// and rhs would both be stamped at the same bias, the Norton
-			// linearization terms cancel from F = J·x − rhs: what
-			// remains is the linear part plus each device's current and
-			// gmin shunts. The full Jacobian is never materialized here,
-			// saving the n² copy and stamp per bypassed iteration, and
-			// the linear part walks only the pattern's entries.
-			bypassed++
-			resid := st.resid
-			e.pat.Residual(Jlin, xNew, rhsLin, resid)
-			e.addMOSResidual(resid, xNew, 1e-12)
-			st.ws.SolveInPlace(resid)
-			for i := 0; i < n; i++ {
-				sol[i] = xNew[i] - resid[i]
-			}
-		} else if !linear {
-			copy(J.Data, Jlin.Data)
-			copy(rhs, rhsLin)
-			e.stampMOSDC(J, rhs, xNew, 1e-12)
-			reused, err := e.factor(st.ws, J)
-			if err != nil {
-				return nil, nil, fmt.Errorf("tran newton: %w", err)
-			}
-			e.work.Factorizations++
-			if reused {
-				reusedPiv++
-			}
-			st.haveFactor = true
-			st.lastH = h
-			forceFactor = false
-			copy(sol, rhs)
-			st.ws.SolveInPlace(sol)
-		}
-		conv, maxDv := e.damp(xNew, sol)
-		// Iteration-0 convergence is accepted: the criterion (the
-		// fresh linearized system moves nothing) is the same one every
-		// later iteration uses, and warm-started steps routinely meet
-		// it immediately.
-		if conv {
-			return st.acceptStep(x, xNew, xPrev, h, int(iters))
-		}
-		// Contraction guard (see newtonDC): a bypassed iteration must
-		// at least halve the update or the next one factors fresh.
-		if bypassThis && maxDv > 0.5*lastMaxDv {
-			forceFactor = true
-		}
-		lastMaxDv = maxDv
+	// Cross-step continuation: when the previous step converged fast
+	// (the waveform is in a smooth region) and the step size hasn't
+	// changed, its factorization is still an excellent preconditioner,
+	// so iteration 0 can run as modified Newton without refactoring.
+	carryFactor := h == st.lastH && st.lastIters <= 2
+	w, err := e.newton(st.sys, xNew, carryFactor)
+	e.work.NewtonIters += w.iters
+	e.work.Factorizations += w.factors
+	tr.Counter("spice.tran.newton_iters").Add(w.iters)
+	w.record(tr)
+	if w.factors > 0 {
+		st.lastH = h
 	}
-	return nil, nil, fmt.Errorf("tran step no convergence (h=%.3g)", h)
+	switch {
+	case err == errNoConvergence:
+		return nil, nil, fmt.Errorf("tran step no convergence (h=%.3g)", h)
+	case err != nil:
+		return nil, nil, fmt.Errorf("tran newton: %w", err)
+	}
+	return st.acceptStep(x, xNew, xPrev, h, int(w.iters))
 }
 
 // acceptStep finalizes a converged step: commits xNew into x and

@@ -186,25 +186,3 @@ func TestTranWaveformAccessors(t *testing.T) {
 		t.Error("ghost net waveform wrong")
 	}
 }
-
-func TestMaxInternalStepHonored(t *testing.T) {
-	// With a coarse print step but fine internal step, the RC curve
-	// stays accurate.
-	r, c := 1e3, 1e-12
-	tau := r * c
-	nl := circuit.NewBuilder("fine").
-		VPulse("vin", "in", "0", 0, 1, 0, 1e-15, 1e-15, 1, 0).
-		R("r1", "in", "out", r).
-		C("c1", "out", "0", c).
-		Netlist()
-	e := mustEngine(t, nl)
-	res, err := e.Tran(tau, 4*tau, TranOpts{UIC: true, MaxInternalStep: tau / 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := len(res.Times) - 1
-	want := 1 - math.Exp(-res.Times[k]/tau)
-	if got := res.VoltAt("out", k); math.Abs(got-want) > 0.01 {
-		t.Errorf("fine-step end = %g, want %g", got, want)
-	}
-}

@@ -62,7 +62,11 @@ func Parse(s string) (float64, error) {
 	}
 	for _, suf := range suffixes {
 		if strings.HasPrefix(tail, suf.text) {
-			return num * suf.mult, nil
+			v := num * suf.mult
+			if math.IsInf(v, 0) {
+				return 0, fmt.Errorf("units: %q is out of range", s)
+			}
+			return v, nil
 		}
 	}
 	// Unknown letters directly after a number are treated as a unit

@@ -60,7 +60,7 @@ func TestParseBasic(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	for _, in := range []string{"", "   ", "abc", "u", "-", "+", ".", "-.u"} {
+	for _, in := range []string{"", "   ", "abc", "u", "-", "+", ".", "-.u", "1e308meg", "-1e308meg"} {
 		if _, err := Parse(in); err == nil {
 			t.Errorf("Parse(%q): want error, got none", in)
 		}
