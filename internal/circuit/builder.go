@@ -29,11 +29,8 @@ func (b *Builder) MOS(name string, t DeviceType, d, g, s, bulk string, nfin, nf,
 		//lint:allow errflow builder invariant (see Netlist.MustAdd doc): literal misuse panics at construction time, never at runtime
 		panic("circuit: MOS builder with non-MOS type")
 	}
-	dev := &Device{Name: name, Type: t, Nets: []string{d, g, s, bulk}}
-	dev.SetParam("nfin", float64(nfin))
-	dev.SetParam("nf", float64(nf))
-	dev.SetParam("m", float64(m))
-	dev.SetParam("l", float64(l))
+	dev := &Device{Name: name, Type: t, Nets: []string{d, g, s, bulk},
+		MOS: MOS{NFin: float64(nfin), NF: float64(nf), M: float64(m), L: float64(l)}}
 	b.nl.MustAdd(dev)
 	return b
 }
@@ -43,8 +40,7 @@ func (b *Builder) R(name, p, n string, r float64) *Builder {
 	if name == "" {
 		name = b.autoName("r")
 	}
-	dev := &Device{Name: name, Type: Resistor, Nets: []string{p, n}}
-	dev.SetParam("r", r)
+	dev := &Device{Name: name, Type: Resistor, Nets: []string{p, n}, Value: r}
 	b.nl.MustAdd(dev)
 	return b
 }
@@ -54,8 +50,7 @@ func (b *Builder) C(name, p, n string, c float64) *Builder {
 	if name == "" {
 		name = b.autoName("c")
 	}
-	dev := &Device{Name: name, Type: Capacitor, Nets: []string{p, n}}
-	dev.SetParam("c", c)
+	dev := &Device{Name: name, Type: Capacitor, Nets: []string{p, n}, Value: c}
 	b.nl.MustAdd(dev)
 	return b
 }
@@ -65,44 +60,36 @@ func (b *Builder) L(name, p, n string, l float64) *Builder {
 	if name == "" {
 		name = b.autoName("l")
 	}
-	dev := &Device{Name: name, Type: Inductor, Nets: []string{p, n}}
-	dev.SetParam("l", l)
+	dev := &Device{Name: name, Type: Inductor, Nets: []string{p, n}, Value: l}
 	b.nl.MustAdd(dev)
 	return b
 }
 
 // V adds a DC voltage source with optional AC magnitude.
 func (b *Builder) V(name, p, n string, dc float64) *Builder {
-	dev := &Device{Name: name, Type: VSource, Nets: []string{p, n}}
-	dev.SetParam("dc", dc)
-	b.nl.MustAdd(dev)
+	b.nl.MustAdd(&Device{Name: name, Type: VSource, Nets: []string{p, n}, DC: dc})
 	return b
 }
 
 // VAC adds a voltage source with DC value and AC magnitude (phase 0).
 func (b *Builder) VAC(name, p, n string, dc, acmag float64) *Builder {
-	dev := &Device{Name: name, Type: VSource, Nets: []string{p, n}}
-	dev.SetParam("dc", dc)
-	dev.SetParam("acmag", acmag)
-	b.nl.MustAdd(dev)
+	b.nl.MustAdd(&Device{Name: name, Type: VSource, Nets: []string{p, n}, DC: dc, ACMag: acmag})
 	return b
 }
 
 // VPulse adds a pulse voltage source (v1, v2, delay, rise, fall,
 // width, period — seconds).
 func (b *Builder) VPulse(name, p, n string, v1, v2, td, tr, tf, pw, per float64) *Builder {
-	dev := &Device{Name: name, Type: VSource, Nets: []string{p, n}}
-	dev.SetParam("dc", v1)
-	dev.Wave = &SourceWave{Kind: "pulse", Args: []float64{v1, v2, td, tr, tf, pw, per}}
+	dev := &Device{Name: name, Type: VSource, Nets: []string{p, n}, DC: v1,
+		Wave: &SourceWave{Kind: "pulse", Args: []float64{v1, v2, td, tr, tf, pw, per}}}
 	b.nl.MustAdd(dev)
 	return b
 }
 
 // VSin adds a sinusoidal voltage source (offset, amplitude, freq).
 func (b *Builder) VSin(name, p, n string, vo, va, freq float64) *Builder {
-	dev := &Device{Name: name, Type: VSource, Nets: []string{p, n}}
-	dev.SetParam("dc", vo)
-	dev.Wave = &SourceWave{Kind: "sin", Args: []float64{vo, va, freq}}
+	dev := &Device{Name: name, Type: VSource, Nets: []string{p, n}, DC: vo,
+		Wave: &SourceWave{Kind: "sin", Args: []float64{vo, va, freq}}}
 	b.nl.MustAdd(dev)
 	return b
 }
@@ -113,37 +100,30 @@ func (b *Builder) VPWL(name, p, n string, times, vals []float64) *Builder {
 		//lint:allow errflow builder invariant (see Netlist.MustAdd doc): literal misuse panics at construction time, never at runtime
 		panic("circuit: VPWL needs matching non-empty times/vals")
 	}
-	dev := &Device{Name: name, Type: VSource, Nets: []string{p, n}}
-	dev.SetParam("dc", vals[0])
-	dev.Wave = &SourceWave{Kind: "pwl",
-		Times: append([]float64(nil), times...),
-		Vals:  append([]float64(nil), vals...)}
+	dev := &Device{Name: name, Type: VSource, Nets: []string{p, n}, DC: vals[0],
+		Wave: &SourceWave{Kind: "pwl",
+			Times: append([]float64(nil), times...),
+			Vals:  append([]float64(nil), vals...)}}
 	b.nl.MustAdd(dev)
 	return b
 }
 
 // I adds a DC current source flowing from p through the source to n.
 func (b *Builder) I(name, p, n string, dc float64) *Builder {
-	dev := &Device{Name: name, Type: ISource, Nets: []string{p, n}}
-	dev.SetParam("dc", dc)
-	b.nl.MustAdd(dev)
+	b.nl.MustAdd(&Device{Name: name, Type: ISource, Nets: []string{p, n}, DC: dc})
 	return b
 }
 
 // E adds a voltage-controlled voltage source.
 func (b *Builder) E(name, p, n, cp, cn string, gain float64) *Builder {
-	dev := &Device{Name: name, Type: VCVS, Nets: []string{p, n, cp, cn}}
-	dev.SetParam("gain", gain)
-	b.nl.MustAdd(dev)
+	b.nl.MustAdd(&Device{Name: name, Type: VCVS, Nets: []string{p, n, cp, cn}, Value: gain})
 	return b
 }
 
 // G adds a voltage-controlled current source (transconductance gain,
 // A/V, current flows p→n inside the source for positive control).
 func (b *Builder) G(name, p, n, cp, cn string, gain float64) *Builder {
-	dev := &Device{Name: name, Type: VCCS, Nets: []string{p, n, cp, cn}}
-	dev.SetParam("gain", gain)
-	b.nl.MustAdd(dev)
+	b.nl.MustAdd(&Device{Name: name, Type: VCCS, Nets: []string{p, n, cp, cn}, Value: gain})
 	return b
 }
 

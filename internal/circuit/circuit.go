@@ -7,11 +7,11 @@
 package circuit
 
 import (
+	"cmp"
 	"fmt"
-	"maps"
 	"slices"
-	"sort"
 	"strings"
+	"unicode/utf8"
 )
 
 // DeviceType enumerates the supported element kinds.
@@ -64,45 +64,42 @@ type SourceWave struct {
 	Vals  []float64 // pwl values
 }
 
-// Device is one circuit element. Params carry numeric parameters:
-// MOS: "nfin", "nf", "m", "l" (nm), plus LDE results "dvth" (V) and
-// "dmu" (fractional mobility change) attached by extraction;
-// R: "r"; C: "c"; L: "l"; V/I: "dc", "acmag", "acphase";
-// E/G: "gain".
+// Device is one circuit element. Its values are typed by kind, and
+// each kind reads only its own:
+//   - NMOS, PMOS: MOS, the geometry and the values extraction adds;
+//   - R, C, L: Value, in Ω, F and H; E and G: Value, the gain (V/V,
+//     A/V);
+//   - V, I: DC, the AC magnitude ACMag and phase ACPhase (degrees),
+//     and the optional transient Wave.
 type Device struct {
-	Name   string
-	Type   DeviceType
-	Nets   []string // terminal nets, order per DeviceType
-	Params map[string]float64
-	Wave   *SourceWave // optional, for V/I sources
+	Name  string
+	Type  DeviceType
+	Nets  []string // terminal nets, order per DeviceType
+	MOS   MOS
+	Value float64
+
+	DC, ACMag, ACPhase float64
+	Wave               *SourceWave
 }
 
-// Param returns the named parameter or def when absent.
-func (d *Device) Param(name string, def float64) float64 {
-	if v, ok := d.Params[name]; ok {
-		return v
-	}
-	return def
-}
-
-// SetParam assigns a parameter, allocating the map on first use.
-func (d *Device) SetParam(name string, v float64) {
-	if d.Params == nil {
-		d.Params = make(map[string]float64)
-	}
-	d.Params[name] = v
+// MOS holds a transistor's values. NFin, NF and M are the fins per
+// finger, the fingers and the parallel copies, and L the drawn gate
+// length in nm (the technology's when not positive). Extraction sets
+// the layout-dependent values as one group, marked by Extracted: the
+// threshold shift DVth (V), the mobility factor DMu, and the drain and
+// source diffusion areas AD and AS (nm²) and perimeters PD and PS
+// (nm). Without them a device has no shift and the idealized shared
+// diffusion.
+type MOS struct {
+	NFin, NF, M, L            float64
+	Extracted                 bool
+	DVth, DMu, AD, AS, PD, PS float64
 }
 
 // Clone returns a deep copy of the device.
 func (d *Device) Clone() *Device {
-	c := &Device{Name: d.Name, Type: d.Type}
+	c := *d
 	c.Nets = append([]string(nil), d.Nets...)
-	if d.Params != nil {
-		c.Params = make(map[string]float64, len(d.Params))
-		for k, v := range d.Params {
-			c.Params[k] = v
-		}
-	}
 	if d.Wave != nil {
 		w := *d.Wave
 		w.Args = append([]float64(nil), d.Wave.Args...)
@@ -110,7 +107,50 @@ func (d *Device) Clone() *Device {
 		w.Vals = append([]float64(nil), d.Wave.Vals...)
 		c.Wave = &w
 	}
-	return c
+	return &c
+}
+
+// KeyValue is one of a device's values under its name in a SPICE
+// deck.
+type KeyValue struct {
+	Key string
+	Val float64
+}
+
+// AppendValues appends d's values to dst under their deck names, in
+// sorted name order: a MOS's geometry ("l", "m", "nf", "nfin") and,
+// when extracted, the extraction's ("ad", "as", "dmu", "dvth", "pd",
+// "ps"); the one value of R ("r"), C ("c"), L ("l"), E and G
+// ("gain"); a source's "dc", and its "acmag" and "acphase" where not
+// zero.
+func (d *Device) AppendValues(dst []KeyValue) []KeyValue {
+	switch d.Type {
+	case NMOS, PMOS:
+		m := &d.MOS
+		if !m.Extracted {
+			return append(dst, KeyValue{"l", m.L}, KeyValue{"m", m.M}, KeyValue{"nf", m.NF}, KeyValue{"nfin", m.NFin})
+		}
+		return append(dst, KeyValue{"ad", m.AD}, KeyValue{"as", m.AS}, KeyValue{"dmu", m.DMu},
+			KeyValue{"dvth", m.DVth}, KeyValue{"l", m.L}, KeyValue{"m", m.M}, KeyValue{"nf", m.NF},
+			KeyValue{"nfin", m.NFin}, KeyValue{"pd", m.PD}, KeyValue{"ps", m.PS})
+	case Resistor:
+		return append(dst, KeyValue{"r", d.Value})
+	case Capacitor:
+		return append(dst, KeyValue{"c", d.Value})
+	case Inductor:
+		return append(dst, KeyValue{"l", d.Value})
+	case VCVS, VCCS:
+		return append(dst, KeyValue{"gain", d.Value})
+	case VSource, ISource:
+		if d.ACMag != 0 {
+			dst = append(dst, KeyValue{"acmag", d.ACMag})
+		}
+		if d.ACPhase != 0 {
+			dst = append(dst, KeyValue{"acphase", d.ACPhase})
+		}
+		return append(dst, KeyValue{"dc", d.DC})
+	}
+	return dst
 }
 
 // Primitive annotates a group of devices as one layout primitive (a
@@ -126,14 +166,34 @@ type Primitive struct {
 }
 
 // Netlist is a flat circuit: a bag of devices plus primitive
-// annotations. Net "0" (alias "gnd", "vss!") is ground.
+// annotations. Net "0" (alias "gnd", "vss!") is ground. A netlist
+// indexes its devices by name, and keeps the sorted set of their nets,
+// as they are added; so a device's nets change through RenameNet, not
+// by writing Nets in place.
 type Netlist struct {
 	Name       string
 	Devices    []*Device
 	Primitives []*Primitive
 
-	byName map[string]*Device
+	idx *layer // nil until the first Add
 }
+
+// layer is one level of a netlist's index: the devices added while it
+// was the top level, sorted by lower-cased name, and the nets they
+// brought that no level below holds, sorted. Extend freezes the top
+// level, and a frozen level never changes again: the netlist and its
+// extension both hold it, and each adds to a level of its own above
+// it. Sorted slices, not maps, keep an extension's own level cheap.
+type layer struct {
+	below  *layer
+	devs   []*Device
+	nets   []string
+	frozen bool
+}
+
+// extendRoom is the room an extension leaves after its base's devices
+// for its own, enough for any primitive testbench deck.
+const extendRoom = 16
 
 // GroundNames are the aliases normalized to net "0".
 var GroundNames = map[string]bool{"0": true, "gnd": true, "vss!": true}
@@ -149,7 +209,7 @@ func NormalizeNet(n string) string {
 
 // New returns an empty netlist with the given name.
 func New(name string) *Netlist {
-	return &Netlist{Name: name, byName: make(map[string]*Device)}
+	return &Netlist{Name: name}
 }
 
 // Add appends a device, normalizing its net names. It returns an
@@ -159,19 +219,83 @@ func (nl *Netlist) Add(d *Device) error {
 		return fmt.Errorf("circuit: device %s (%v) has %d terminals, want %d",
 			d.Name, d.Type, len(d.Nets), d.Type.NumTerminals())
 	}
-	key := strings.ToLower(d.Name)
-	if nl.byName == nil {
-		nl.byName = make(map[string]*Device)
-	}
-	if _, dup := nl.byName[key]; dup {
+	if nl.Device(d.Name) != nil {
 		return fmt.Errorf("circuit: duplicate device %s", d.Name)
 	}
 	for i, n := range d.Nets {
 		d.Nets[i] = NormalizeNet(n)
 	}
 	nl.Devices = append(nl.Devices, d)
-	nl.byName[key] = d
+	nl.top().index(d)
 	return nil
+}
+
+// top returns the level that takes additions, opening a new one when
+// there is none or the top is frozen.
+func (nl *Netlist) top() *layer {
+	if nl.idx == nil || nl.idx.frozen {
+		nl.idx = &layer{below: nl.idx, devs: make([]*Device, 0, 8), nets: make([]string, 0, 8)}
+	}
+	return nl.idx
+}
+
+// index records d, already in the netlist, in level l.
+func (l *layer) index(d *Device) {
+	i, _ := l.find(d.Name)
+	l.devs = slices.Insert(l.devs, i, d)
+	for _, n := range d.Nets {
+		l.addNet(n)
+	}
+}
+
+// find returns the position of the device named name
+// (case-insensitive) in l's devices, or where it would go.
+func (l *layer) find(name string) (int, bool) {
+	return slices.BinarySearchFunc(l.devs, name, func(d *Device, name string) int {
+		return compareFold(d.Name, name)
+	})
+}
+
+// compareFold orders names as strings.ToLower of each orders them,
+// without building either for an ASCII name.
+func compareFold(a, b string) int {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		ca, cb := a[i], b[i]
+		if ca >= utf8.RuneSelf || cb >= utf8.RuneSelf {
+			return strings.Compare(strings.ToLower(a[i:]), strings.ToLower(b[i:]))
+		}
+		if 'A' <= ca && ca <= 'Z' {
+			ca += 'a' - 'A'
+		}
+		if 'A' <= cb && cb <= 'Z' {
+			cb += 'a' - 'A'
+		}
+		if ca != cb {
+			return cmp.Compare(ca, cb)
+		}
+	}
+	return cmp.Compare(len(a), len(b))
+}
+
+// addNet adds n to l's nets unless a level holds it.
+func (l *layer) addNet(n string) {
+	for b := l.below; b != nil; b = b.below {
+		if _, ok := slices.BinarySearch(b.nets, n); ok {
+			return
+		}
+	}
+	if i, ok := slices.BinarySearch(l.nets, n); !ok {
+		l.nets = slices.Insert(l.nets, i, n)
+	}
+}
+
+// reindex rebuilds the index from Devices as one level of nl's own,
+// after an edit that is not an addition.
+func (nl *Netlist) reindex() {
+	nl.idx = nil
+	for _, d := range nl.Devices {
+		nl.top().index(d)
+	}
 }
 
 // MustAdd is Add that panics on error; for programmatic circuit
@@ -187,41 +311,55 @@ func (nl *Netlist) MustAdd(d *Device) {
 
 // Device returns the named device (case-insensitive) or nil.
 func (nl *Netlist) Device(name string) *Device {
-	return nl.byName[strings.ToLower(name)]
+	for l := nl.idx; l != nil; l = l.below {
+		if i, ok := l.find(name); ok {
+			return l.devs[i]
+		}
+	}
+	return nil
 }
 
 // Remove deletes the named device; it reports whether it was present.
 func (nl *Netlist) Remove(name string) bool {
-	key := strings.ToLower(name)
-	d, ok := nl.byName[key]
-	if !ok {
+	d := nl.Device(name)
+	if d == nil {
 		return false
 	}
-	delete(nl.byName, key)
-	for i, dd := range nl.Devices {
-		if dd == d {
-			nl.Devices = append(nl.Devices[:i], nl.Devices[i+1:]...)
-			break
-		}
-	}
+	i := slices.Index(nl.Devices, d)
+	nl.Devices = slices.Delete(nl.Devices, i, i+1)
+	nl.reindex()
 	return true
 }
 
 // Nets returns the sorted set of net names in use, always including
-// ground if any device touches it.
+// ground if any device touches it. The slice is the caller's.
 func (nl *Netlist) Nets() []string {
-	set := make(map[string]bool)
-	for _, d := range nl.Devices {
-		for _, n := range d.Nets {
-			set[n] = true
+	n := 0
+	for l := nl.idx; l != nil; l = l.below {
+		n += len(l.nets)
+	}
+	out := make([]string, 0, n)
+	for l := nl.idx; l != nil; l = l.below {
+		out = mergeSorted(out, l.nets)
+	}
+	return out
+}
+
+// mergeSorted merges the sorted b, which shares no element with the
+// sorted a, into a, in place when a has the room.
+func mergeSorted(a, b []string) []string {
+	i, j := len(a)-1, len(b)-1
+	a = append(a, b...)
+	for k := len(a) - 1; j >= 0; k-- {
+		if i >= 0 && a[i] > b[j] {
+			a[k] = a[i]
+			i--
+		} else {
+			a[k] = b[j]
+			j--
 		}
 	}
-	out := make([]string, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return a
 }
 
 // Clone returns a deep copy of the netlist including annotations.
@@ -230,11 +368,11 @@ func (nl *Netlist) Nets() []string {
 // name index exactly as they stand.
 func (nl *Netlist) Clone() *Netlist {
 	c := New(nl.Name)
-	for _, d := range nl.Devices {
-		dd := d.Clone()
-		c.Devices = append(c.Devices, dd)
-		c.byName[strings.ToLower(dd.Name)] = dd
+	c.Devices = make([]*Device, len(nl.Devices))
+	for i, d := range nl.Devices {
+		c.Devices[i] = d.Clone()
 	}
+	c.reindex()
 	for _, p := range nl.Primitives {
 		cp := &Primitive{Name: p.Name, Kind: p.Kind}
 		cp.Devices = append([]string(nil), p.Devices...)
@@ -249,15 +387,19 @@ func (nl *Netlist) Clone() *Netlist {
 
 // Extend returns a netlist that starts with nl's devices and
 // annotations, the same pointers rather than copies, as they stand:
-// what is added to either netlist later is its own. The shared
-// devices must not be changed through either (SetParam, RenameNet),
-// since both hold them.
+// what is added to either netlist later is its own. The extension
+// shares nl's name index and net set, which Extend freezes, and indexes
+// only its own additions. The shared devices must not be changed
+// through either (a field write, RenameNet), since both hold them.
 func (nl *Netlist) Extend() *Netlist {
+	if nl.idx != nil {
+		nl.idx.frozen = true
+	}
 	return &Netlist{
 		Name:       nl.Name,
-		Devices:    slices.Clone(nl.Devices),
+		Devices:    append(make([]*Device, 0, len(nl.Devices)+extendRoom), nl.Devices...),
 		Primitives: slices.Clone(nl.Primitives),
-		byName:     maps.Clone(nl.byName),
+		idx:        nl.idx,
 	}
 }
 
@@ -294,6 +436,7 @@ func (nl *Netlist) RenameNet(old, new string) {
 			}
 		}
 	}
+	nl.reindex()
 }
 
 // Merge copies every device and primitive of other into nl with the

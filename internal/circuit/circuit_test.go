@@ -1,6 +1,7 @@
 package circuit
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -97,11 +98,11 @@ func TestCloneIndependence(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := nl.Clone()
-	c.Device("m1").SetParam("nfin", 99)
+	c.Device("m1").MOS.NFin = 99
 	c.Device("m1").Nets[0] = "changed"
 	c.Primitives[0].Pins["out"] = "changed"
-	if nl.Device("m1").Param("nfin", 0) == 99 {
-		t.Error("clone shares params")
+	if nl.Device("m1").MOS.NFin == 99 {
+		t.Error("clone shares values")
 	}
 	if nl.Device("m1").Nets[0] == "changed" {
 		t.Error("clone shares nets")
@@ -113,7 +114,8 @@ func TestCloneIndependence(t *testing.T) {
 
 // TestExtendSharesDevices checks that an extended netlist holds its
 // base's devices, the same pointers, and that later additions to
-// either stay out of the other, duplicates of shared names included.
+// either stay out of the other, in names and in nets, duplicates of
+// shared names included.
 func TestExtendSharesDevices(t *testing.T) {
 	base := sampleNetlist(t)
 	ext := base.Extend()
@@ -132,6 +134,29 @@ func TestExtendSharesDevices(t *testing.T) {
 	if ext.Device("r2") == nil || base.Device("r2") != nil || ext.Device("r3") != nil ||
 		len(ext.Devices) != 6 || len(base.Devices) != 6 {
 		t.Errorf("additions leaked: base %d devices, extension %d", len(base.Devices), len(ext.Devices))
+	}
+	// A name the base took after the extension is still free there,
+	// and one the extension took is still free in the base.
+	if err := ext.Add(&Device{Name: "R3", Type: Resistor, Nets: []string{"c", "0"}}); err != nil {
+		t.Errorf("the base's later name taken in the extension: %v", err)
+	}
+	if err := base.Add(&Device{Name: "R2", Type: Resistor, Nets: []string{"d", "0"}}); err != nil {
+		t.Errorf("the extension's name taken in the base: %v", err)
+	}
+	if got, want := strings.Join(base.Nets(), " "), "0 b bias d in out vdd"; got != want {
+		t.Errorf("base nets %q, want %q", got, want)
+	}
+	if got, want := strings.Join(ext.Nets(), " "), "0 a bias c in out vdd"; got != want {
+		t.Errorf("extension nets %q, want %q", got, want)
+	}
+	// An extension of an extension sees both levels below it.
+	ext2 := ext.Extend()
+	ext2.MustAdd(&Device{Name: "r9", Type: Resistor, Nets: []string{"aa", "0"}})
+	if ext2.Device("R1") == nil || ext2.Device("r2") == nil || ext2.Device("r9") == nil || ext.Device("r9") != nil {
+		t.Error("a second extension does not see its levels")
+	}
+	if got, want := strings.Join(ext2.Nets(), " "), "0 a aa bias c in out vdd"; got != want {
+		t.Errorf("second extension nets %q, want %q", got, want)
 	}
 }
 
@@ -222,14 +247,39 @@ func TestMerge(t *testing.T) {
 	}
 }
 
-func TestParamHelpers(t *testing.T) {
-	d := &Device{Name: "r", Type: Resistor, Nets: []string{"a", "b"}}
-	if d.Param("r", 42) != 42 {
-		t.Error("default not returned")
+// TestDeviceValues checks which values a device of each kind lists,
+// under which names and in which order: the extraction's group only
+// when extracted, and a source's AC magnitude and phase only when not
+// zero.
+func TestDeviceValues(t *testing.T) {
+	list := func(d *Device) string {
+		var out []string
+		for _, kv := range d.AppendValues(nil) {
+			out = append(out, fmt.Sprintf("%s=%g", kv.Key, kv.Val))
+		}
+		return strings.Join(out, " ")
 	}
-	d.SetParam("r", 7)
-	if d.Param("r", 42) != 7 {
-		t.Error("set value not returned")
+	mos := MOS{NFin: 4, NF: 2, M: 3, L: 14, DVth: 0.01, DMu: 0.9, AD: 1, AS: 2, PD: 3, PS: 4}
+	for _, c := range []struct {
+		d    Device
+		want string
+	}{
+		{Device{Type: NMOS, MOS: mos}, "l=14 m=3 nf=2 nfin=4"},
+		{Device{Type: PMOS, MOS: func() MOS { m := mos; m.Extracted = true; return m }()},
+			"ad=1 as=2 dmu=0.9 dvth=0.01 l=14 m=3 nf=2 nfin=4 pd=3 ps=4"},
+		{Device{Type: Resistor, Value: 5}, "r=5"},
+		{Device{Type: Capacitor, Value: 5}, "c=5"},
+		{Device{Type: Inductor, Value: 5}, "l=5"},
+		{Device{Type: VCVS, Value: 5}, "gain=5"},
+		{Device{Type: VCCS, Value: 5}, "gain=5"},
+		{Device{Type: VSource, DC: 0.5}, "dc=0.5"},
+		{Device{Type: VSource, DC: 0.5, ACMag: 1}, "acmag=1 dc=0.5"},
+		{Device{Type: ISource, ACMag: 1, ACPhase: 90}, "acmag=1 acphase=90 dc=0"},
+		{Device{Type: ISource, ACPhase: 90}, "acphase=90 dc=0"},
+	} {
+		if got := list(&c.d); got != c.want {
+			t.Errorf("%v: %q, want %q", c.d.Type, got, c.want)
+		}
 	}
 }
 
@@ -267,7 +317,7 @@ func TestBuilderWaveforms(t *testing.T) {
 		t.Error("sin wave wrong")
 	}
 	w := nl.Device("vw").Wave
-	if w.Kind != "pwl" || len(w.Times) != 2 || nl.Device("vw").Param("dc", -1) != 0 {
+	if w.Kind != "pwl" || len(w.Times) != 2 || nl.Device("vw").DC != 0 {
 		t.Error("pwl wave wrong")
 	}
 }

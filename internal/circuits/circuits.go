@@ -192,9 +192,8 @@ func differentialDrive(sim *circuit.Netlist) error {
 	if vp == nil || vn == nil {
 		return fmt.Errorf("inputs missing")
 	}
-	vp.SetParam("acmag", 0.5)
-	vn.SetParam("acmag", 0.5)
-	vn.SetParam("acphase", 180)
+	vp.ACMag = 0.5
+	vn.ACMag, vn.ACPhase = 0.5, 180
 	return nil
 }
 

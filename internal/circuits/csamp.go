@@ -99,7 +99,7 @@ func CommonSource(t *pdk.Tech) (*Benchmark, error) {
 			if vin == nil {
 				return fmt.Errorf("vin missing")
 			}
-			vin.SetParam("acmag", 1)
+			vin.ACMag = 1
 			return nil
 		}
 		m, idd, err := evalAC(ctx, t, nl, drive, 1e6, nil)

@@ -195,7 +195,7 @@ func TestStrongARMNoDecisionDetected(t *testing.T) {
 	// must report the missing decision rather than a bogus delay.
 	dead := bm.Schematic.Clone()
 	dead.Device("vclk").Wave = nil
-	dead.Device("vclk").SetParam("dc", 0)
+	dead.Device("vclk").DC = 0
 	if _, err := bm.Eval(context.Background(), tech, dead); err == nil {
 		t.Error("clock-less comparator produced a delay")
 	}

@@ -175,13 +175,13 @@ func EvalVCOAtCtx(ctx context.Context, t *pdk.Tech, nl *circuit.Netlist, vctrl f
 	sim := nl.Clone()
 	vdd := 0.8
 	if d := sim.Device("vdd"); d != nil {
-		vdd = d.Param("dc", 0.8)
+		vdd = d.DC
 	}
 	if d := sim.Device("vcn"); d != nil {
-		d.SetParam("dc", vctrl)
+		d.DC = vctrl
 	}
 	if d := sim.Device("vcp"); d != nil {
-		d.SetParam("dc", vdd-vctrl)
+		d.DC = vdd - vctrl
 	}
 	e, err = spice.New(ctx, t, sim)
 	if err != nil {

@@ -59,10 +59,8 @@ type mosGeom struct {
 }
 
 func geometry(t *pdk.Tech, d *circuit.Device) mosGeom {
-	nfin := d.Param("nfin", 1)
-	nf := d.Param("nf", 1)
-	m := d.Param("m", 1)
-	l := d.Param("l", float64(t.GateL))
+	mp := &d.MOS
+	nfin, nf, m, l := mp.NFin, mp.NF, mp.M, mp.L
 	if l <= 0 {
 		l = float64(t.GateL)
 	}
@@ -80,8 +78,11 @@ func geometry(t *pdk.Tech, d *circuit.Device) mosGeom {
 	}
 	// LDE hooks attached by extraction: additive Vth shift and
 	// multiplicative mobility factor.
-	vth := vth0 + d.Param("dvth", 0)
-	mu := u0 * d.Param("dmu", 1)
+	vth, mu := vth0, u0
+	if mp.Extracted {
+		vth += mp.DVth
+		mu *= mp.DMu
+	}
 
 	// Overlap capacitance scales with the physical gate edge length
 	// (fin pitch × fins), not the electrical width (which counts the
@@ -99,15 +100,15 @@ func geometry(t *pdk.Tech, d *circuit.Device) mosGeom {
 	}
 
 	// Junction capacitance: extraction provides exact diffusion areas
-	// ("ad"/"as" nm^2, "pd"/"ps" nm); the fallback is the idealized
+	// (AD/AS nm^2, PD/PS nm); the fallback is the idealized
 	// fully-shared estimate (interior diffusion extension, half
 	// allocation per device) that schematic-level simulation assumes.
 	defArea := widthPhys * float64(t.DiffExt) / 2
 	defPerim := widthPhys + float64(t.DiffExt)
-	ad := d.Param("ad", defArea)
-	as := d.Param("as", defArea)
-	pd := d.Param("pd", defPerim)
-	ps := d.Param("ps", defPerim)
+	ad, as, pd, ps := defArea, defArea, defPerim, defPerim
+	if mp.Extracted {
+		ad, as, pd, ps = mp.AD, mp.AS, mp.PD, mp.PS
+	}
 	g.cjd = t.CjArea*ad + t.CjPerim*pd
 	g.cjs = t.CjArea*as + t.CjPerim*ps
 	return g
@@ -172,8 +173,8 @@ type EvalContext struct {
 }
 
 // NewContext precomputes the evaluation context for a MOS device.
-func NewContext(t *pdk.Tech, d *circuit.Device) *EvalContext {
-	return &EvalContext{g: geometry(t, d), isP: d.Type == circuit.PMOS}
+func NewContext(t *pdk.Tech, d *circuit.Device) EvalContext {
+	return EvalContext{g: geometry(t, d), isP: d.Type == circuit.PMOS}
 }
 
 // Eval evaluates the device at the given terminal voltages.
@@ -203,7 +204,8 @@ func (c *EvalContext) EvalInto(st *MOSState, vd, vg, vs, vb float64) {
 // terminal voltages (drain, gate, source, bulk). Callers with hot
 // loops should construct an EvalContext once instead.
 func EvalMOS(t *pdk.Tech, d *circuit.Device, vd, vg, vs, vb float64) MOSState {
-	return NewContext(t, d).Eval(vd, vg, vs, vb)
+	c := NewContext(t, d)
+	return c.Eval(vd, vg, vs, vb)
 }
 
 // evalNMOSCore computes the NMOS characteristics with source/drain
@@ -268,7 +270,7 @@ func evalNMOSCore(st *MOSState, g *mosGeom, vd, vg, vs, vb float64) {
 
 // TotalFins returns nfin*nf*m for a MOS device (min 1).
 func TotalFins(d *circuit.Device) int {
-	n := int(d.Param("nfin", 1) * d.Param("nf", 1) * d.Param("m", 1))
+	n := int(d.MOS.NFin * d.MOS.NF * d.MOS.M)
 	if n < 1 {
 		return 1
 	}
@@ -279,13 +281,12 @@ func TotalFins(d *circuit.Device) int {
 // time tm, honoring PULSE, SIN, and PWL waveforms and falling back to
 // the DC value.
 func SourceValueAt(d *circuit.Device, tm float64) float64 {
-	return SourceValue(d.Param("dc", 0), d.Wave, tm)
+	return SourceValue(d.DC, d.Wave, tm)
 }
 
-// SourceValue is the cached-parameter form of SourceValueAt: callers
-// that evaluate a source every integration step resolve the DC value
-// from the parameter map once and pass it here, keeping the per-step
-// path free of map lookups.
+// SourceValue is the compiled form of SourceValueAt: the engine keeps
+// each source's DC value and wave and evaluates them here every
+// integration step.
 func SourceValue(dc float64, w *circuit.SourceWave, tm float64) float64 {
 	if w == nil {
 		return dc

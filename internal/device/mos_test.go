@@ -12,12 +12,8 @@ import (
 var tech = pdk.Default()
 
 func nmos(nfin, nf, m int) *circuit.Device {
-	d := &circuit.Device{Name: "m1", Type: circuit.NMOS, Nets: []string{"d", "g", "s", "b"}}
-	d.SetParam("nfin", float64(nfin))
-	d.SetParam("nf", float64(nf))
-	d.SetParam("m", float64(m))
-	d.SetParam("l", float64(tech.GateL))
-	return d
+	return &circuit.Device{Name: "m1", Type: circuit.NMOS, Nets: []string{"d", "g", "s", "b"},
+		MOS: circuit.MOS{NFin: float64(nfin), NF: float64(nf), M: float64(m), L: float64(tech.GateL)}}
 }
 
 func pmos(nfin, nf, m int) *circuit.Device {
@@ -175,13 +171,15 @@ func TestWidthScaling(t *testing.T) {
 func TestLDEHooksShiftCurrent(t *testing.T) {
 	d := nmos(8, 4, 1)
 	base := EvalMOS(tech, d, 0.5, 0.5, 0, 0).Ids
-	d.SetParam("dvth", 0.02) // higher Vth -> less current
+	// The junction values extraction sets with the shifts do not move
+	// the drain current.
+	d.MOS.Extracted = true
+	d.MOS.DVth, d.MOS.DMu = 0.02, 1 // higher Vth -> less current
 	hi := EvalMOS(tech, d, 0.5, 0.5, 0, 0).Ids
 	if hi >= base {
 		t.Errorf("dvth=+20mV should cut current: %g vs %g", hi, base)
 	}
-	d.SetParam("dvth", 0)
-	d.SetParam("dmu", 0.9) // degraded mobility
+	d.MOS.DVth, d.MOS.DMu = 0, 0.9 // degraded mobility
 	lo := EvalMOS(tech, d, 0.5, 0.5, 0, 0).Ids
 	if lo >= base {
 		t.Errorf("dmu=0.9 should cut current: %g vs %g", lo, base)
@@ -220,9 +218,11 @@ func TestCapacitancesPositiveAndPartition(t *testing.T) {
 
 func TestJunctionCapFromExtraction(t *testing.T) {
 	d := nmos(8, 4, 1)
+	d.MOS.Extracted = true
+	d.MOS.DMu = 1
+	d.MOS.AD, d.MOS.AS, d.MOS.PD, d.MOS.PS = 1e4, 1e4, 1e3, 1e3
 	base := EvalMOS(tech, d, 0.4, 0.6, 0, 0)
-	d.SetParam("ad", 1e6) // huge drain diffusion
-	d.SetParam("pd", 1e4)
+	d.MOS.AD, d.MOS.PD = 1e6, 1e4 // huge drain diffusion
 	big := EvalMOS(tech, d, 0.4, 0.6, 0, 0)
 	if big.Cdb <= base.Cdb {
 		t.Error("explicit diffusion area should raise Cdb")

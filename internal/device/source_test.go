@@ -8,10 +8,7 @@ import (
 )
 
 func vsrc(wave *circuit.SourceWave, dc float64) *circuit.Device {
-	d := &circuit.Device{Name: "v1", Type: circuit.VSource, Nets: []string{"p", "0"}}
-	d.SetParam("dc", dc)
-	d.Wave = wave
-	return d
+	return &circuit.Device{Name: "v1", Type: circuit.VSource, Nets: []string{"p", "0"}, DC: dc, Wave: wave}
 }
 
 func TestSourceDCOnly(t *testing.T) {

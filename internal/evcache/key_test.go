@@ -184,26 +184,14 @@ func TestKeyAllocs(t *testing.T) {
 
 // evalNetlist is a small literal netlist in which every field the
 // netlist key reads is set: a source with a waveform, a resistor and
-// a transistor. The transistor's parameters go in reversed when
-// reversed is set, so two builds differ only in map insertion order.
-func evalNetlist(reversed bool) *circuit.Netlist {
+// a transistor.
+func evalNetlist() *circuit.Netlist {
 	nl := circuit.New("probe")
-	v := &circuit.Device{Name: "vin", Type: circuit.VSource, Nets: []string{"in", "0"},
-		Wave: &circuit.SourceWave{Kind: "pwl", Args: []float64{0.1}, Times: []float64{0, 1e-9}, Vals: []float64{0, 0.8}}}
-	v.SetParam("dc", 0.4)
-	nl.MustAdd(v)
-	r := &circuit.Device{Name: "r1", Type: circuit.Resistor, Nets: []string{"in", "g"}}
-	r.SetParam("r", 1e3)
-	nl.MustAdd(r)
-	m := &circuit.Device{Name: "m1", Type: circuit.NMOS, Nets: []string{"out", "g", "0", "0"}}
-	params := [][2]any{{"nfin", 4.0}, {"nf", 2.0}, {"l", 14.0}}
-	if reversed {
-		params = [][2]any{params[2], params[1], params[0]}
-	}
-	for _, kv := range params {
-		m.SetParam(kv[0].(string), kv[1].(float64))
-	}
-	nl.MustAdd(m)
+	nl.MustAdd(&circuit.Device{Name: "vin", Type: circuit.VSource, Nets: []string{"in", "0"}, DC: 0.4,
+		Wave: &circuit.SourceWave{Kind: "pwl", Args: []float64{0.1}, Times: []float64{0, 1e-9}, Vals: []float64{0, 0.8}}})
+	nl.MustAdd(&circuit.Device{Name: "r1", Type: circuit.Resistor, Nets: []string{"in", "g"}, Value: 1e3})
+	nl.MustAdd(&circuit.Device{Name: "m1", Type: circuit.NMOS, Nets: []string{"out", "g", "0", "0"},
+		MOS: circuit.MOS{NFin: 4, NF: 2, M: 1, L: 14}})
 	return nl
 }
 
@@ -212,8 +200,8 @@ func evalNetlist(reversed bool) *circuit.Netlist {
 // SchemaVersion bump. Like TestKeyGolden's strings, this one embeds
 // pdk.Default()'s fingerprint.
 func TestNetlistKeyGolden(t *testing.T) {
-	const want = "v3|pdk=dc9248e7b74b4e25|eval=csamp|nl=9c53e5c05f5280c898c675081969886e0711545219a56e024cf5dc4fe03b1bda"
-	if got := NetlistKey(testFP, "csamp", evalNetlist(false)); got != want {
+	const want = "v3|pdk=dc9248e7b74b4e25|eval=csamp|nl=d572c9a2c2f91250b02a6fa191ff2d1fdac1590d9f52ee02bb440eaa34a673d5"
+	if got := NetlistKey(testFP, "csamp", evalNetlist()); got != want {
 		t.Errorf("netlist key:\n got %s\nwant %s", got, want)
 	}
 }
@@ -223,23 +211,20 @@ func TestNetlistKeyGolden(t *testing.T) {
 // field the key skipped would serve one netlist's metrics for
 // another. Netlists built separately with equal content share a key.
 func TestNetlistKeySeesEveryField(t *testing.T) {
-	ref := NetlistKey(testFP, "csamp", evalNetlist(false))
-	if got := NetlistKey(testFP, "csamp", evalNetlist(true)); got != ref {
+	ref := NetlistKey(testFP, "csamp", evalNetlist())
+	if got := NetlistKey(testFP, "csamp", evalNetlist()); got != ref {
 		t.Fatalf("equal netlists built separately have keys %s and %s", ref, got)
 	}
 	for what, change := range map[string]func(nl *circuit.Netlist){
-		"parameter by one ulp": func(nl *circuit.Netlist) {
+		"value by one ulp": func(nl *circuit.Netlist) {
 			r := nl.Device("r1")
-			r.SetParam("r", math.Nextafter(r.Param("r", 0), math.Inf(1)))
+			r.Value = math.Nextafter(r.Value, math.Inf(1))
 		},
-		"parameter name": func(nl *circuit.Netlist) {
-			m := nl.Device("m1")
-			delete(m.Params, "nf")
-			m.SetParam("m", 2)
-		},
-		"net":         func(nl *circuit.Netlist) { nl.Device("r1").Nets[1] = "g2" },
-		"device name": func(nl *circuit.Netlist) { nl.Device("r1").Name = "r2" },
-		"device type": func(nl *circuit.Netlist) { nl.Device("r1").Type = circuit.Capacitor },
+		"extraction values": func(nl *circuit.Netlist) { nl.Device("m1").MOS.Extracted = true },
+		"AC drive":          func(nl *circuit.Netlist) { nl.Device("vin").ACMag = 1 },
+		"net":               func(nl *circuit.Netlist) { nl.Device("r1").Nets[1] = "g2" },
+		"device name":       func(nl *circuit.Netlist) { nl.Device("r1").Name = "r2" },
+		"device type":       func(nl *circuit.Netlist) { nl.Device("r1").Type = circuit.Capacitor },
 		"device order": func(nl *circuit.Netlist) {
 			nl.Devices[1], nl.Devices[2] = nl.Devices[2], nl.Devices[1]
 		},
@@ -249,18 +234,18 @@ func TestNetlistKeySeesEveryField(t *testing.T) {
 		"wave vals":  func(nl *circuit.Netlist) { nl.Device("vin").Wave.Vals[1] = 0.7 },
 		"no wave":    func(nl *circuit.Netlist) { nl.Device("vin").Wave = nil },
 	} {
-		nl := evalNetlist(false)
+		nl := evalNetlist()
 		change(nl)
 		if NetlistKey(testFP, "csamp", nl) == ref {
 			t.Errorf("%s: key unchanged", what)
 		}
 	}
-	if NetlistKey(testFP, "ota5t", evalNetlist(false)) == ref {
+	if NetlistKey(testFP, "ota5t", evalNetlist()) == ref {
 		t.Error("benchmark name: key unchanged")
 	}
 	other := pdk.Default()
 	other.GateL++
-	if NetlistKey(other.Fingerprint(), "csamp", evalNetlist(false)) == ref {
+	if NetlistKey(other.Fingerprint(), "csamp", evalNetlist()) == ref {
 		t.Error("PDK fingerprint: key unchanged")
 	}
 }

@@ -47,12 +47,10 @@ func spliceInstance(t *pdk.Tech, nl *circuit.Netlist, name string, ch *chosen) e
 			if d == nil {
 				return fmt.Errorf("device %s missing", dn)
 			}
-			d.SetParam("dvth", p.DVth)
-			d.SetParam("dmu", p.DMu)
-			d.SetParam("ad", p.AD)
-			d.SetParam("as", p.AS)
-			d.SetParam("pd", p.PD)
-			d.SetParam("ps", p.PS)
+			m := &d.MOS
+			m.Extracted = true
+			m.DVth, m.DMu = p.DVth, p.DMu
+			m.AD, m.AS, m.PD, m.PS = p.AD, p.AS, p.PD, p.PS
 		}
 		return nil
 	}
@@ -209,18 +207,14 @@ func (ad *adder) R(name, a, b string, r float64) {
 	if ad.err != nil {
 		return
 	}
-	d := &circuit.Device{Name: name, Type: circuit.Resistor, Nets: []string{a, b}}
-	d.SetParam("r", r)
-	ad.err = ad.nl.Add(d)
+	ad.err = ad.nl.Add(&circuit.Device{Name: name, Type: circuit.Resistor, Nets: []string{a, b}, Value: r})
 }
 
 func (ad *adder) C(name, node string, c float64) {
 	if ad.err != nil || c <= 0 || node == "" {
 		return
 	}
-	d := &circuit.Device{Name: name, Type: circuit.Capacitor, Nets: []string{node, "0"}}
-	d.SetParam("c", c)
-	ad.err = ad.nl.Add(d)
+	ad.err = ad.nl.Add(&circuit.Device{Name: name, Type: circuit.Capacitor, Nets: []string{node, "0"}, Value: c})
 }
 
 // splicePair handles diffpair/cmirror/xcpair structures: independent

@@ -156,10 +156,10 @@ func TestAssembleStructure(t *testing.T) {
 		if d == nil {
 			t.Fatalf("%s missing from assembled netlist", dn)
 		}
-		if d.Param("dvth", -99) == -99 {
-			t.Errorf("%s has no dvth applied", dn)
+		if !d.MOS.Extracted {
+			t.Errorf("%s has no extraction values applied", dn)
 		}
-		if d.Param("ad", 0) <= 0 {
+		if d.MOS.AD <= 0 {
 			t.Errorf("%s has no junction area applied", dn)
 		}
 	}

@@ -103,9 +103,8 @@ func TestRunFixedWiresMonotoneR(t *testing.T) {
 	if d1 == nil || d8 == nil {
 		t.Fatal("drain splice resistors missing")
 	}
-	if d8.Param("r", 0) >= d1.Param("r", 0) {
-		t.Errorf("8-wire drain R %.3g not below 1-wire %.3g",
-			d8.Param("r", 0), d1.Param("r", 0))
+	if d8.Value >= d1.Value {
+		t.Errorf("8-wire drain R %.3g not below 1-wire %.3g", d8.Value, d1.Value)
 	}
 	if r1.NetWires["out"] != 1 || r8.NetWires["out"] != 8 {
 		t.Errorf("net wires = %v / %v", r1.NetWires, r8.NetWires)

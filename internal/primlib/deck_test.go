@@ -89,6 +89,10 @@ func TestTestbenchDecksMatchTheirText(t *testing.T) {
 			if diff := deckDiff("deck", reflect.ValueOf(want), reflect.ValueOf(solved[i])); diff != "" {
 				t.Errorf("%s deck %d (%s): %s", c.name, i, want.Title, diff)
 			}
+			// The net set, whose order numbers the solver's nodes.
+			if diff := deckDiff("nets", reflect.ValueOf(want.Netlist.Nets()), reflect.ValueOf(solved[i].Netlist.Nets())); diff != "" {
+				t.Errorf("%s deck %d (%s): %s", c.name, i, want.Title, diff)
+			}
 			compared++
 		}
 	}
@@ -97,7 +101,9 @@ func TestTestbenchDecksMatchTheirText(t *testing.T) {
 
 // deckDiff returns the path and values of the first difference between
 // two deck values, or "". Floats compare by their bits; nil and empty
-// slices and maps are equal.
+// slices and maps are equal. Unexported fields, a netlist's index of
+// its devices and nets, are skipped: a built deck's index shares its
+// circuit's, and what the index answers is compared on its own.
 func deckDiff(path string, a, b reflect.Value) string {
 	switch a.Kind() {
 	case reflect.Pointer:
@@ -110,6 +116,9 @@ func deckDiff(path string, a, b reflect.Value) string {
 		return deckDiff(path, a.Elem(), b.Elem())
 	case reflect.Struct:
 		for i := 0; i < a.NumField(); i++ {
+			if !a.Type().Field(i).IsExported() {
+				continue
+			}
 			if d := deckDiff(path+"."+a.Type().Field(i).Name, a.Field(i), b.Field(i)); d != "" {
 				return d
 			}
@@ -271,8 +280,9 @@ var errStopAfterBuild = errors.New("stop after build")
 // with canned measures and stops the evaluation at the offset deck.
 // Each deck once re-emitted every device, wire and route of the
 // layout, which took 752 allocations to reach that deck. Building the
-// evaluation's circuit once and starting each deck from it takes 360,
-// and the bound keeps the rebuild out.
+// evaluation's circuit once and starting each deck from it took 360,
+// and typed device values and a name and net index that each deck
+// shares with the circuit take 240. The bound keeps both out.
 func TestTestbenchBuildAllocs(t *testing.T) {
 	sz := dpSizing()
 	ex := extractCfg(t, DiffPair, sz, cellgen.Config{NFin: 12, NF: 20, M: 4, Dummies: 2, Pattern: cellgen.PatABBA})
@@ -297,9 +307,45 @@ func TestTestbenchBuildAllocs(t *testing.T) {
 	if built == nil || built.Title != "dp offset testbench" || built.Netlist.Device("Rr_d_a") == nil {
 		t.Fatalf("stopped at the wrong deck: %+v", built)
 	}
-	const bound = 450
+	const bound = 264
 	t.Logf("%.0f allocations", allocs)
 	if allocs > bound {
 		t.Errorf("building the evaluation up to its offset deck took %.0f allocations, bound %d", allocs, bound)
+	}
+}
+
+// TestEngineBuildAllocs bounds the allocations of compiling one routed
+// diffpair deck, its offset testbench, into a solver (spice.New): the
+// engine numbers nodes from the netlist's shared sorted net set and
+// sizes its element lists once, with no map of names: 16 allocations.
+// It took 50 when each engine built a name-to-node map and a branch
+// map from a net set the netlist collected and sorted afresh.
+func TestEngineBuildAllocs(t *testing.T) {
+	sz := dpSizing()
+	ex := extractCfg(t, DiffPair, sz, cellgen.Config{NFin: 12, NF: 20, M: 4, Dummies: 2, Pattern: cellgen.PatABBA})
+	routes := map[string]extract.Route{"d_a": {Layer: 2, Length: 2000, NWires: 2, Vias: 2}}
+	var deck *spice.Deck
+	capture := func(d *spice.Deck) (*spice.Results, error) {
+		if d.Title == "dp offset testbench" {
+			deck = d
+		}
+		return spice.Run(context.Background(), tech, d)
+	}
+	if _, err := DiffPair.evaluate(capture, tech, sz, dpBias(), ex, routes); err != nil {
+		t.Fatal(err)
+	}
+	if deck == nil || deck.Netlist.Device("Rr_d_a") == nil {
+		t.Fatal("no routed offset deck")
+	}
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := spice.New(ctx, tech, deck.Netlist); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const bound = 18
+	t.Logf("%.0f allocations", allocs)
+	if allocs > bound {
+		t.Errorf("compiling the offset deck took %.0f allocations, bound %d", allocs, bound)
 	}
 }

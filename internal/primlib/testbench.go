@@ -2,7 +2,6 @@ package primlib
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"strconv"
 
@@ -28,19 +27,18 @@ import (
 // section goes in ahead of the device whose net argument first names
 // it, because Go evaluates the arguments before the call.
 type tb struct {
-	deck    *spice.Deck
-	err     error // the first build error; the deck is not solved
-	tech    *pdk.Tech
-	ex      *extract.Extracted // nil = schematic reference
-	routes  map[string]extract.Route
-	emitted map[string]bool
+	deck   *spice.Deck
+	err    error // the first build error; the deck is not solved
+	tech   *pdk.Tech
+	ex     *extract.Extracted // nil = schematic reference
+	routes map[string]extract.Route
 }
 
 func newTB(t *pdk.Tech, title string, ex *extract.Extracted, routes map[string]extract.Route) *tb {
 	// "deck" is the netlist name ParseDeck gives; engine errors quote it.
 	return &tb{
 		deck: &spice.Deck{Title: title, Netlist: circuit.New("deck")},
-		tech: t, ex: ex, routes: routes, emitted: make(map[string]bool),
+		tech: t, ex: ex, routes: routes,
 	}
 }
 
@@ -51,12 +49,11 @@ func newTB(t *pdk.Tech, title string, ex *extract.Extracted, routes map[string]e
 // same circuit.
 func (b *tb) extend(title string) *tb {
 	return &tb{
-		deck:    &spice.Deck{Title: title, Netlist: b.deck.Netlist.Extend()},
-		err:     b.err,
-		tech:    b.tech,
-		ex:      b.ex,
-		routes:  b.routes,
-		emitted: maps.Clone(b.emitted),
+		deck:   &spice.Deck{Title: title, Netlist: b.deck.Netlist.Extend()},
+		err:    b.err,
+		tech:   b.tech,
+		ex:     b.ex,
+		routes: b.routes,
 	}
 }
 
@@ -75,45 +72,43 @@ func roundDigits(v float64, digits int) float64 {
 	return r
 }
 
-// set assigns a device parameter. A NaN or infinite value fails the
-// build, as its text ("NaN", "+Inf") failed to parse.
-func (b *tb) set(d *circuit.Device, key string, v float64) {
-	b.finite(v, d.Name, key)
-	d.SetParam(key, v)
-}
-
+// finite fails the build when v, the value key of the device or
+// statement name, is NaN or infinite, as its text ("NaN", "+Inf")
+// failed to parse.
 func (b *tb) finite(v float64, name, key string) {
 	if b.err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
 		b.err = fmt.Errorf("primlib: %s: %s %s = %g", b.deck.Title, name, key, v)
 	}
 }
 
-// add puts d into the netlist. Names are built from cellgen wire keys,
-// so a failed Add is the build's error, not a panic.
+// add puts d into the netlist, its values checked by finite. Names
+// are built from cellgen wire keys, so a failed Add is the build's
+// error, not a panic.
 func (b *tb) add(d *circuit.Device) {
+	var buf [10]circuit.KeyValue
+	for _, kv := range d.AppendValues(buf[:0]) {
+		b.finite(kv.Val, d.Name, kv.Key)
+	}
 	if b.err == nil {
 		b.err = b.deck.Netlist.Add(d)
 	}
 }
 
-// twoTerminal adds "name p n v" for a resistor, capacitor or inductor,
-// whose value parameter is key.
-func (b *tb) twoTerminal(typ circuit.DeviceType, key, name, p, n string, v float64) {
-	d := &circuit.Device{Name: name, Type: typ, Nets: []string{p, n}}
-	b.set(d, key, v)
-	b.add(d)
+// twoTerminal adds "name p n v" for a resistor, capacitor or inductor.
+func (b *tb) twoTerminal(typ circuit.DeviceType, name, p, n string, v float64) {
+	b.add(&circuit.Device{Name: name, Type: typ, Nets: []string{p, n}, Value: v})
 }
 
 func (b *tb) resistor(name, p, n string, r float64) {
-	b.twoTerminal(circuit.Resistor, "r", name, p, n, r)
+	b.twoTerminal(circuit.Resistor, name, p, n, r)
 }
 
 func (b *tb) capacitor(name, p, n string, c float64) {
-	b.twoTerminal(circuit.Capacitor, "c", name, p, n, c)
+	b.twoTerminal(circuit.Capacitor, name, p, n, c)
 }
 
 func (b *tb) inductor(name, p, n string, l float64) {
-	b.twoTerminal(circuit.Inductor, "l", name, p, n, l)
+	b.twoTerminal(circuit.Inductor, name, p, n, l)
 }
 
 // source is a V or I device in the deck, for adding its AC drive.
@@ -133,33 +128,32 @@ func (b *tb) isrc(name, p, n string, dc float64) source {
 }
 
 func (b *tb) source(typ circuit.DeviceType, name, p, n string, dc float64) source {
-	d := &circuit.Device{Name: name, Type: typ, Nets: []string{p, n}}
-	b.set(d, "dc", dc)
+	d := &circuit.Device{Name: name, Type: typ, Nets: []string{p, n}, DC: dc}
 	b.add(d)
 	return source{b, d}
 }
 
 // ac adds the drive "AC mag".
 func (s source) ac(mag float64) source {
-	s.b.set(s.d, "acmag", mag)
+	s.b.finite(mag, s.d.Name, "acmag")
+	s.d.ACMag = mag
 	return s
 }
 
 // phase adds the phase, in degrees, that follows the AC magnitude.
 func (s source) phase(deg float64) {
-	s.b.set(s.d, "acphase", deg)
+	s.b.finite(deg, s.d.Name, "acphase")
+	s.d.ACPhase = deg
 }
 
 // pulse adds the voltage source "name p n PULSE(args)"; its dc
 // parameter is the first argument, the initial value.
 func (b *tb) pulse(name, p, n string, args ...float64) {
-	d := &circuit.Device{Name: name, Type: circuit.VSource, Nets: []string{p, n},
-		Wave: &circuit.SourceWave{Kind: "pulse", Args: args}}
 	for _, a := range args {
 		b.finite(a, name, "pulse")
 	}
-	b.set(d, "dc", args[0])
-	b.add(d)
+	b.add(&circuit.Device{Name: name, Type: circuit.VSource, Nets: []string{p, n}, DC: args[0],
+		Wave: &circuit.SourceWave{Kind: "pulse", Args: args}})
 }
 
 // op adds ".op".
@@ -239,12 +233,11 @@ func (b *tb) outer(w string) string {
 }
 
 // emitWire adds the π-section for a wire key (and its external route
-// when present) once.
+// when present) once: its first device, Rw_<w>, marks it emitted.
 func (b *tb) emitWire(w string) {
-	if b.emitted[w] || b.ex == nil {
+	if b.ex == nil || b.deck.Netlist.Device("Rw_"+w) != nil {
 		return
 	}
-	b.emitted[w] = true
 	x, p := "x_"+w, "p_"+w
 	rc, ok := b.ex.Term[w]
 	if !ok {
@@ -287,25 +280,17 @@ func (b *tb) mosPolarity(name string, typ circuit.DeviceType, sz Sizing, dev int
 }
 
 func (b *tb) addMOS(name string, typ circuit.DeviceType, nfin, nf, mult int, l int64, dev int, d, g, s, bulk string) {
-	m := &circuit.Device{Name: "M" + name, Type: typ, Nets: []string{d, g, s, bulk},
-		Params: make(map[string]float64, 10)}
-	b.set(m, "nfin", float64(nfin))
-	b.set(m, "nf", float64(nf))
-	b.set(m, "m", float64(mult))
 	// The text gave the length in meters, "l=<l>e-9", and the parser
 	// scaled it back to nm. l/1e9 is the correctly rounded quotient,
 	// as parsing is, so 15 nm comes back as 14.999999999999998.
-	b.set(m, "l", float64(l)/1e9*1e9)
+	mos := circuit.MOS{NFin: float64(nfin), NF: float64(nf), M: float64(mult), L: float64(l) / 1e9 * 1e9}
 	if b.ex != nil && dev < len(b.ex.Dev) {
 		p := b.ex.Dev[dev]
-		b.set(m, "dvth", g6(p.DVth))
-		b.set(m, "dmu", g6(p.DMu))
-		b.set(m, "ad", g6(p.AD))
-		b.set(m, "as", g6(p.AS))
-		b.set(m, "pd", g6(p.PD))
-		b.set(m, "ps", g6(p.PS))
+		mos.Extracted = true
+		mos.DVth, mos.DMu = g6(p.DVth), g6(p.DMu)
+		mos.AD, mos.AS, mos.PD, mos.PS = g6(p.AD), g6(p.AS), g6(p.PD), g6(p.PS)
 	}
-	b.add(m)
+	b.add(&circuit.Device{Name: "M" + name, Type: typ, Nets: []string{d, g, s, bulk}, MOS: mos})
 }
 
 // supply adds the vdd source that a PMOS entry's devices hang from and

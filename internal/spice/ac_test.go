@@ -150,11 +150,11 @@ func TestACISourceAndPhase(t *testing.T) {
 	// AC current source with 90-degree phase into a resistor.
 	nl := circuit.New("ip")
 	d := &circuit.Device{Name: "i1", Type: circuit.ISource, Nets: []string{"0", "out"}}
-	d.SetParam("acmag", 1e-3)
-	d.SetParam("acphase", 90)
+	d.ACMag = 1e-3
+	d.ACPhase = 90
 	nl.MustAdd(d)
 	r := &circuit.Device{Name: "r1", Type: circuit.Resistor, Nets: []string{"out", "0"}}
-	r.SetParam("r", 1e3)
+	r.Value = 1e3
 	nl.MustAdd(r)
 	e := mustEngine(t, nl)
 	op, _ := e.OP()

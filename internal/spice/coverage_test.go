@@ -77,11 +77,11 @@ Rg gout 0 1k
 func TestTranCurrentSourcePulse(t *testing.T) {
 	nl := circuit.New("ipulse")
 	d := &circuit.Device{Name: "i1", Type: circuit.ISource, Nets: []string{"0", "out"}}
-	d.SetParam("dc", 0)
+	d.DC = 0
 	d.Wave = &circuit.SourceWave{Kind: "pulse", Args: []float64{0, 1e-3, 100e-12, 10e-12, 10e-12, 1e-9, 0}}
 	nl.MustAdd(d)
 	r := &circuit.Device{Name: "r1", Type: circuit.Resistor, Nets: []string{"out", "0"}}
-	r.SetParam("r", 1e3)
+	r.Value = 1e3
 	nl.MustAdd(r)
 	e := mustEngine(t, nl)
 	res, err := e.Tran(10e-12, 500e-12, TranOpts{})

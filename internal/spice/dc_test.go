@@ -2,7 +2,9 @@ package spice
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"primopt/internal/circuit"
@@ -220,7 +222,7 @@ func TestFiveTransistorOTAOP(t *testing.T) {
 func TestEngineRejectsBadDevices(t *testing.T) {
 	nl := circuit.New("bad")
 	d := &circuit.Device{Name: "r1", Type: circuit.Resistor, Nets: []string{"a", "0"}}
-	d.SetParam("r", -5)
+	d.Value = -5
 	nl.MustAdd(d)
 	if _, err := New(context.Background(), tech, nl); err == nil {
 		t.Error("negative resistor accepted")
@@ -276,7 +278,9 @@ func TestNodeAndBranchIndex(t *testing.T) {
 // A source that is not finite gives no operating point. The Newton
 // loop's convergence and residual tests compare against a tolerance,
 // and a comparison with NaN is false, so each is written to fail on a
-// value that is not a number instead of passing it as converged.
+// value that is not a number instead of passing it as converged. New
+// rejects such a value in a netlist (TestNewRejectsNonFiniteValues),
+// so the value goes into the compiled source, as a sweep steps it.
 func TestOPRejectsNonFiniteSources(t *testing.T) {
 	builds := []struct {
 		name  string
@@ -287,9 +291,71 @@ func TestOPRejectsNonFiniteSources(t *testing.T) {
 	}
 	for _, b := range builds {
 		for _, v := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
-			op, err := mustEngine(t, b.build(v)).OP()
+			e := mustEngine(t, b.build(0))
+			e.sourceNamed("vin").dc = v
+			op, err := e.OP()
 			if err == nil {
 				t.Errorf("%s with a %g V source: OP = %v, want an error", b.name, v, op.X)
+			}
+		}
+	}
+}
+
+// TestNewRejectsNonFiniteValues sets each value of each element kind,
+// one at a time, to NaN, +Inf and -Inf, and requires New to fail with
+// an error that names the device and the value, before any analysis.
+func TestNewRejectsNonFiniteValues(t *testing.T) {
+	build := func() *circuit.Netlist {
+		nl := circuit.NewBuilder("all").
+			VPulse("vp", "in", "0", 0, 0.8, 1e-9, 1e-11, 1e-11, 1e-9, 2e-9).
+			VAC("va", "a", "0", 0.4, 1).
+			I("i1", "0", "a", 1e-6).
+			R("r1", "in", "a", 1e3).
+			C("c1", "a", "0", 1e-15).
+			L("l1", "a", "b", 1e-9).
+			R("r2", "b", "0", 1e3).
+			E("e1", "e", "0", "a", "0", 2).
+			G("g1", "e", "0", "a", "0", 1e-3).
+			MOS("m1", circuit.NMOS, "e", "a", "0", "0", 4, 2, 1, 14).
+			MOS("m2", circuit.NMOS, "e", "b", "0", "0", 4, 2, 1, 14).
+			Netlist()
+		m := &nl.Device("m2").MOS
+		m.Extracted = true
+		m.DVth, m.DMu, m.AD, m.AS, m.PD, m.PS = 0.01, 0.98, 1e4, 1e4, 1e3, 1e3
+		return nl
+	}
+	if _, err := New(context.Background(), tech, build()); err != nil {
+		t.Fatal(err)
+	}
+	sites := []struct {
+		dev string
+		at  func(d *circuit.Device) *float64
+	}{
+		{"r1", func(d *circuit.Device) *float64 { return &d.Value }},
+		{"c1", func(d *circuit.Device) *float64 { return &d.Value }},
+		{"l1", func(d *circuit.Device) *float64 { return &d.Value }},
+		{"e1", func(d *circuit.Device) *float64 { return &d.Value }},
+		{"g1", func(d *circuit.Device) *float64 { return &d.Value }},
+		{"i1", func(d *circuit.Device) *float64 { return &d.DC }},
+		{"va", func(d *circuit.Device) *float64 { return &d.ACMag }},
+		{"va", func(d *circuit.Device) *float64 { return &d.ACPhase }},
+		{"vp", func(d *circuit.Device) *float64 { return &d.Wave.Args[1] }},
+		{"m1", func(d *circuit.Device) *float64 { return &d.MOS.NFin }},
+		{"m1", func(d *circuit.Device) *float64 { return &d.MOS.L }},
+		{"m2", func(d *circuit.Device) *float64 { return &d.MOS.DVth }},
+		{"m2", func(d *circuit.Device) *float64 { return &d.MOS.PS }},
+	}
+	for i, site := range sites {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			nl := build()
+			*site.at(nl.Device(site.dev)) = v
+			_, err := New(context.Background(), tech, nl)
+			if err == nil {
+				t.Errorf("site %d, %s = %g: New accepted it", i, site.dev, v)
+				continue
+			}
+			if msg := err.Error(); !strings.Contains(msg, " "+site.dev+":") || !strings.Contains(msg, fmt.Sprint(v)+" is not finite") {
+				t.Errorf("site %d, %s = %g: error %q does not name the device and the value", i, site.dev, v, msg)
 			}
 		}
 	}

@@ -30,7 +30,7 @@ func TestDCSweepLinearDivider(t *testing.T) {
 		}
 	}
 	// The source's DC value is restored afterwards.
-	if nl.Device("vin").Param("dc", -1) != 0 {
+	if nl.Device("vin").DC != 0 {
 		t.Error("sweep did not restore the source value")
 	}
 }
@@ -50,7 +50,7 @@ func TestDCSweepLeavesNetlistUntouched(t *testing.T) {
 	solves, moved := 0, 0
 	SetFactorHook(e, func(*numeric.Matrix) {
 		solves++
-		if v := vin.Param("dc", -1); v != 0.25 {
+		if v := vin.DC; v != 0.25 {
 			if moved++; moved == 1 {
 				t.Errorf("solve %d: the netlist's vin holds dc = %g during the sweep, want 0.25", solves, v)
 			}

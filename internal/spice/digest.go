@@ -87,10 +87,9 @@ type hasher interface {
 }
 
 // hashDevices walks devs in order: per device its type, name, nets,
-// parameters by sorted key and waveform.
+// values by sorted key (circuit.Device.AppendValues) and waveform.
 func hashDevices(h hasher, devs []*circuit.Device) {
-	var keyBuf [16]string // a device has at most ten parameters
-	keys := keyBuf[:0]
+	var buf [10]circuit.KeyValue // a device has at most ten values
 	h.int(len(devs))
 	for _, dev := range devs {
 		h.int(int(dev.Type))
@@ -99,11 +98,11 @@ func hashDevices(h hasher, devs []*circuit.Device) {
 		for _, n := range dev.Nets {
 			h.str(n)
 		}
-		keys = sortedKeys(keys[:0], dev.Params)
-		h.int(len(keys))
-		for _, k := range keys {
-			h.str(k)
-			h.f64(dev.Params[k])
+		vals := dev.AppendValues(buf[:0])
+		h.int(len(vals))
+		for _, kv := range vals {
+			h.str(kv.Key)
+			h.f64(kv.Val)
 		}
 		if w := dev.Wave; w == nil {
 			h.int(0)

@@ -2,6 +2,7 @@ package spice
 
 import (
 	"context"
+	"encoding/hex"
 	"math"
 	"reflect"
 	"testing"
@@ -15,14 +16,14 @@ import (
 func builtDivider() *Deck {
 	nl := circuit.New("deck")
 	v := &circuit.Device{Name: "V1", Type: circuit.VSource, Nets: []string{"in", "0"}}
-	v.SetParam("dc", 1)
-	v.SetParam("acmag", 1)
+	v.DC = 1
+	v.ACMag = 1
 	nl.MustAdd(v)
 	r := &circuit.Device{Name: "R1", Type: circuit.Resistor, Nets: []string{"in", "out"}}
-	r.SetParam("r", 1e3)
+	r.Value = 1e3
 	nl.MustAdd(r)
 	c := &circuit.Device{Name: "C1", Type: circuit.Capacitor, Nets: []string{"out", "0"}}
-	c.SetParam("c", 1e-12)
+	c.Value = 1e-12
 	nl.MustAdd(c)
 	return &Deck{
 		Title:    "divider",
@@ -71,7 +72,7 @@ func TestRunCountsDuplicateDecks(t *testing.T) {
 	for name, change := range map[string]func(*Deck){
 		"one ulp": func(d *Deck) {
 			r := d.Netlist.Device("r1")
-			r.SetParam("r", math.Nextafter(r.Param("r", 0), math.Inf(1)))
+			r.Value = math.Nextafter(r.Value, math.Inf(1))
 		},
 		"title":    func(d *Deck) { d.Title = "divider 2" },
 		"analysis": func(d *Deck) { d.Analyses[1].Points = 10 },
@@ -158,11 +159,10 @@ func TestDigestSeesEveryField(t *testing.T) {
 	})
 	differs("param key", func(d *Deck) {
 		v := d.Netlist.Device("v1")
-		delete(v.Params, "acmag")
-		v.SetParam("acphase", 1)
+		v.ACMag, v.ACPhase = 0, 1
 	})
-	differs("param value", func(d *Deck) { d.Netlist.Device("c1").SetParam("c", 2e-12) })
-	differs("negative zero", func(d *Deck) { d.Netlist.Device("v1").SetParam("dc", math.Copysign(0, -1)) })
+	differs("param value", func(d *Deck) { d.Netlist.Device("c1").Value = 2e-12 })
+	differs("negative zero", func(d *Deck) { d.Netlist.Device("v1").DC = math.Copysign(0, -1) })
 	differs("wave kind", func(d *Deck) { d.Netlist.Device("v1").Wave.Kind = "pwl" })
 	differs("wave args", func(d *Deck) { d.Netlist.Device("v1").Wave.Args[1] = 2 })
 	differs("wave times", func(d *Deck) { d.Netlist.Device("v1").Wave.Times = []float64{0} })
@@ -191,5 +191,40 @@ func perturb(t *testing.T, v reflect.Value) {
 		v.Field(1).SetInt(v.Field(1).Int() + 1)
 	default:
 		t.Fatalf("no perturbation for %v", v.Type())
+	}
+}
+
+// TestNetlistDigestGolden pins the bytes hashDevices walks, through
+// NetlistDigest, for a netlist that holds every kind of value: a MOS
+// without and with the extraction's values, R, C, L, E and G, sources
+// without AC, with an AC magnitude and with magnitude and phase, and
+// each wave kind. The digest keys the evaluation cache's entries
+// (evcache.NetlistKey), on disk too, so a change that moves it needs
+// an evcache.SchemaVersion bump. The value was computed when device
+// values were still a map of parameters by name.
+func TestNetlistDigestGolden(t *testing.T) {
+	const want = "e9c3a89f059a38572583dad3874642d4304c3d576b6fb0c06d95be8417623bca"
+	nl := circuit.NewBuilder("kinds").
+		MOS("mn", circuit.NMOS, "d", "g", "0", "0", 8, 4, 2, 14).
+		MOS("Mp", circuit.PMOS, "d", "g", "vdd", "vdd", 4, 2, 1, 16).
+		R("r1", "d", "o", 1.5e3).
+		C("C1", "o", "0", 2e-15).
+		L("l1", "o", "x", 1e-9).
+		E("e1", "y", "0", "x", "0", -3).
+		G("g1", "y", "0", "x", "0", 2e-3).
+		V("vdd", "vdd", "0", 0.8).
+		VAC("vg", "g", "0", 0.45, 0.5).
+		I("ib", "0", "x", 1e-5).
+		VPulse("vclk", "c", "0", 0, 0.8, 1e-10, 1e-11, 2e-11, 5e-10, 1e-9).
+		VSin("vs", "s", "0", 0.4, 0.1, 1e9).
+		VPWL("vw", "w", "0", []float64{0, 1e-9, 2e-9}, []float64{0, 0.8, 0.3}).
+		Netlist()
+	m := &nl.Device("mp").MOS
+	m.Extracted = true
+	m.DVth, m.DMu, m.AD, m.AS, m.PD, m.PS = 0.0123, 0.987, 1.2e4, 1.3e4, 910, 920
+	ib := nl.Device("ib")
+	ib.ACMag, ib.ACPhase = 1, 180
+	if d := NetlistDigest(nl); hex.EncodeToString(d[:]) != want {
+		t.Errorf("NetlistDigest = %x, want %s", d, want)
 	}
 }

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"slices"
 	"strings"
 
 	"primopt/internal/circuit"
@@ -55,15 +56,13 @@ type Engine struct {
 	inj *fault.Injector
 	tr  *obs.Trace
 
-	nodeOf    map[string]int // net -> unknown index; ground absent
-	nodeNames []string       // index -> net
-	branchOf  map[string]int // device name -> branch unknown index
+	nodeNames []string // unknown index -> net, the sorted nets without ground
 	numNodes  int
 	n         int // total unknowns
 
 	// The linear elements, compiled by New in netlist order per kind:
-	// unknowns resolved and parameters read once, so no analysis
-	// touches a parameter map or a net name.
+	// unknowns resolved and values read once, so no analysis touches a
+	// device or a net name.
 	res  []twoTerm // v = 1/r
 	caps []twoTerm // v = C
 	inds []inductor
@@ -73,7 +72,7 @@ type Engine struct {
 	vccs []controlled
 
 	mos     []*circuit.Device
-	mosCtx  []*device.EvalContext
+	mosCtx  []device.EvalContext
 	mosNode [][4]int // precomputed node indices (d, g, s, b)
 
 	// mosState holds the device states from the most recent
@@ -109,6 +108,7 @@ type twoTerm struct {
 // inductor is a compiled inductor: nodes p and q, branch unknown br
 // and inductance l.
 type inductor struct {
+	name     string
 	p, q, br int
 	l        float64
 }
@@ -129,6 +129,7 @@ type source struct {
 // q, controlling nodes cp and cn and gain: a VCVS with branch unknown
 // br, or a VCCS (br unused).
 type controlled struct {
+	name             string
 	p, q, cp, cn, br int
 	gain             float64
 }
@@ -136,73 +137,97 @@ type controlled struct {
 // New compiles nl under technology t, bound to ctx: inner solver loops
 // poll it for cancellation, and the engine reports to the context's
 // trace and honors its fault injector. Element values are read from
-// nl here once; later changes to its parameters do not reach the
-// engine. The engine is not concurrency-safe.
+// nl here once; later changes to its devices do not reach the engine.
+// A value that is not finite is an error. The engine is not
+// concurrency-safe.
+//
+// The unknowns are the nodes, numbered in sorted net order (the order
+// is the pivot order, which sets every result's rounding), then the
+// branch currents of the voltage sources, VCVS and inductors in
+// netlist order.
 func New(ctx context.Context, t *pdk.Tech, nl *circuit.Netlist) (*Engine, error) {
 	e := &Engine{
-		Tech:     t,
-		NL:       nl,
-		ctx:      ctx,
-		inj:      fault.From(ctx),
-		tr:       obs.From(ctx),
-		nodeOf:   make(map[string]int),
-		branchOf: make(map[string]int),
+		Tech: t,
+		NL:   nl,
+		ctx:  ctx,
+		inj:  fault.From(ctx),
+		tr:   obs.From(ctx),
 	}
-	for _, net := range nl.Nets() {
-		if net == "0" {
-			continue
-		}
-		e.nodeOf[net] = len(e.nodeNames)
-		e.nodeNames = append(e.nodeNames, net)
+	e.nodeNames = nl.Nets()
+	if i, ok := slices.BinarySearch(e.nodeNames, "0"); ok {
+		e.nodeNames = slices.Delete(e.nodeNames, i, i+1)
 	}
 	e.numNodes = len(e.nodeNames)
 
+	var counts [circuit.VCCS + 1]int
+	for _, d := range nl.Devices {
+		if d.Type >= 0 && int(d.Type) < len(counts) {
+			counts[d.Type]++
+		}
+	}
+	nmos := counts[circuit.NMOS] + counts[circuit.PMOS]
+	e.mos = make([]*circuit.Device, 0, nmos)
+	e.mosCtx = make([]device.EvalContext, 0, nmos)
+	e.mosNode = make([][4]int, 0, nmos)
+	e.res = make([]twoTerm, 0, counts[circuit.Resistor])
+	e.caps = make([]twoTerm, 0, counts[circuit.Capacitor])
+	e.inds = make([]inductor, 0, counts[circuit.Inductor])
+	e.vsrc = make([]source, 0, counts[circuit.VSource])
+	e.isrc = make([]source, 0, counts[circuit.ISource])
+	e.vcvs = make([]controlled, 0, counts[circuit.VCVS])
+	e.vccs = make([]controlled, 0, counts[circuit.VCCS])
+
 	nextBranch := e.numNodes
-	branch := func(d *circuit.Device) int {
-		e.branchOf[strings.ToLower(d.Name)] = nextBranch
+	branch := func() int {
 		nextBranch++
 		return nextBranch - 1
 	}
 	for _, d := range nl.Devices {
-		p, q := e.node(d.Nets[0]), e.node(d.Nets[1])
+		if err := checkFinite(d); err != nil {
+			return nil, err
+		}
+		var nodes [4]int
+		for i, net := range d.Nets {
+			n, ok := e.node(net)
+			if !ok {
+				return nil, fmt.Errorf("spice: net %q of %s is not in netlist %s's net set", net, d.Name, nl.Name)
+			}
+			nodes[i] = n
+		}
+		p, q, cp, cn := nodes[0], nodes[1], nodes[2], nodes[3]
 		switch d.Type {
 		case circuit.NMOS, circuit.PMOS:
 			e.mos = append(e.mos, d)
 			e.mosCtx = append(e.mosCtx, device.NewContext(t, d))
-			e.mosNode = append(e.mosNode, [4]int{p, q, e.node(d.Nets[2]), e.node(d.Nets[3])})
+			e.mosNode = append(e.mosNode, nodes)
 		case circuit.Resistor:
-			r := d.Param("r", 0)
-			if r <= 0 {
+			if d.Value <= 0 {
 				return nil, fmt.Errorf("spice: resistor %s has non-positive value", d.Name)
 			}
-			e.res = append(e.res, twoTerm{p, q, 1 / r})
+			e.res = append(e.res, twoTerm{p, q, 1 / d.Value})
 		case circuit.Capacitor:
-			c := d.Param("c", 0)
-			if c < 0 {
+			if d.Value < 0 {
 				return nil, fmt.Errorf("spice: capacitor %s has negative value", d.Name)
 			}
-			e.caps = append(e.caps, twoTerm{p, q, c})
+			e.caps = append(e.caps, twoTerm{p, q, d.Value})
 		case circuit.Inductor:
-			l := d.Param("l", 0)
-			if l <= 0 {
+			if d.Value <= 0 {
 				return nil, fmt.Errorf("spice: inductor %s has non-positive value", d.Name)
 			}
-			e.inds = append(e.inds, inductor{p, q, branch(d), l})
+			e.inds = append(e.inds, inductor{d.Name, p, q, branch(), d.Value})
 		case circuit.VSource, circuit.ISource:
-			s := source{name: d.Name, p: p, q: q, br: -1, dc: d.Param("dc", 0), wave: d.Wave,
-				ac: cmplx.Rect(d.Param("acmag", 0), d.Param("acphase", 0)*math.Pi/180)}
+			s := source{name: d.Name, p: p, q: q, br: -1, dc: d.DC, wave: d.Wave,
+				ac: cmplx.Rect(d.ACMag, d.ACPhase*math.Pi/180)}
 			if d.Type == circuit.VSource {
-				s.br = branch(d)
+				s.br = branch()
 				e.vsrc = append(e.vsrc, s)
 			} else {
 				e.isrc = append(e.isrc, s)
 			}
 		case circuit.VCVS:
-			cp, cn := e.node(d.Nets[2]), e.node(d.Nets[3])
-			e.vcvs = append(e.vcvs, controlled{p, q, cp, cn, branch(d), d.Param("gain", 1)})
+			e.vcvs = append(e.vcvs, controlled{d.Name, p, q, cp, cn, branch(), d.Value})
 		case circuit.VCCS:
-			cp, cn := e.node(d.Nets[2]), e.node(d.Nets[3])
-			e.vccs = append(e.vccs, controlled{p, q, cp, cn, -1, d.Param("gain", 0)})
+			e.vccs = append(e.vccs, controlled{d.Name, p, q, cp, cn, -1, d.Value})
 		default:
 			return nil, fmt.Errorf("spice: unsupported device type %v (%s)", d.Type, d.Name)
 		}
@@ -239,6 +264,27 @@ func New(ctx context.Context, t *pdk.Tech, nl *circuit.Netlist) (*Engine, error)
 	}
 	e.pat = b.Build()
 	return e, nil
+}
+
+// checkFinite returns an error naming d and the first of its values,
+// its wave's included, that is NaN or infinite.
+func checkFinite(d *circuit.Device) error {
+	var buf [10]circuit.KeyValue
+	for _, kv := range d.AppendValues(buf[:0]) {
+		if math.IsNaN(kv.Val) || math.IsInf(kv.Val, 0) {
+			return fmt.Errorf("spice: %v %s: %s = %g is not finite", d.Type, d.Name, kv.Key, kv.Val)
+		}
+	}
+	if w := d.Wave; w != nil {
+		for _, list := range [][]float64{w.Args, w.Times, w.Vals} {
+			for _, v := range list {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					return fmt.Errorf("spice: %v %s: %s value %g is not finite", d.Type, d.Name, w.Kind, v)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // walkBase calls add for every term of the time-invariant real stamp,
@@ -307,10 +353,9 @@ func addSources[T float64 | complex128](e *Engine, rhs []T, value func(*source) 
 // sourceNamed returns the independent source named name
 // (case-insensitive), voltage sources first, or nil.
 func (e *Engine) sourceNamed(name string) *source {
-	name = strings.ToLower(name)
 	for _, list := range [][]source{e.vsrc, e.isrc} {
 		for i := range list {
-			if strings.ToLower(list[i].name) == name {
+			if strings.EqualFold(list[i].name, name) {
 				return &list[i]
 			}
 		}
@@ -371,33 +416,43 @@ func (e *Engine) canceled() error {
 	}
 }
 
-// node returns the unknown index of a net, or -1 for ground.
-func (e *Engine) node(net string) int {
-	if net == "0" {
-		return -1
-	}
-	return e.nodeOf[net]
-}
-
 // NumUnknowns returns the size of the MNA system.
 func (e *Engine) NumUnknowns() int { return e.n }
 
 // NodeIndex exposes the unknown index for a net (-1 for ground),
 // with ok=false for unknown nets.
 func (e *Engine) NodeIndex(net string) (int, bool) {
-	net = circuit.NormalizeNet(net)
+	return e.node(circuit.NormalizeNet(net))
+}
+
+// node returns the unknown index of a normalized net, -1 for ground,
+// with ok=false for a net that is not the netlist's.
+func (e *Engine) node(net string) (int, bool) {
 	if net == "0" {
 		return -1, true
 	}
-	i, ok := e.nodeOf[net]
-	return i, ok
+	return slices.BinarySearch(e.nodeNames, net)
 }
 
 // BranchIndex returns the branch-current unknown of a V/E/L device
 // (case-insensitive).
 func (e *Engine) BranchIndex(name string) (int, bool) {
-	i, ok := e.branchOf[strings.ToLower(name)]
-	return i, ok
+	for _, s := range e.vsrc {
+		if strings.EqualFold(s.name, name) {
+			return s.br, true
+		}
+	}
+	for _, c := range e.vcvs {
+		if strings.EqualFold(c.name, name) {
+			return c.br, true
+		}
+	}
+	for _, l := range e.inds {
+		if strings.EqualFold(l.name, name) {
+			return l.br, true
+		}
+	}
+	return 0, false
 }
 
 // volt reads node voltage from a solution vector (ground = 0).

@@ -2,6 +2,7 @@ package spice
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -343,11 +344,25 @@ func parseMOS(deck *Deck, fields []string) error {
 	default:
 		return fmt.Errorf("spice: MOS %q has unknown model %q (want nmos/pmos)", fields[0], model)
 	}
+	// An absent geometry value is one fin, finger and copy, and the
+	// technology's gate length.
 	d := &circuit.Device{
 		Name: fields[0],
 		Type: typ,
 		Nets: []string{fields[1], fields[2], fields[3], fields[4]},
+		MOS:  circuit.MOS{NFin: 1, NF: 1, M: 1},
 	}
+	m := &d.MOS
+	// The model reads these values, and a line may give no others. The
+	// last six are extraction's, given all or none.
+	values := [...]struct {
+		key string
+		dst *float64
+	}{
+		{"nfin", &m.NFin}, {"nf", &m.NF}, {"m", &m.M}, {"l", &m.L},
+		{"dvth", &m.DVth}, {"dmu", &m.DMu}, {"ad", &m.AD}, {"as", &m.AS}, {"pd", &m.PD}, {"ps", &m.PS},
+	}
+	var given [len(values)]bool
 	for _, f := range fields[6:] {
 		eq := strings.IndexByte(f, '=')
 		if eq <= 0 {
@@ -358,10 +373,29 @@ func parseMOS(deck *Deck, fields []string) error {
 		if err != nil {
 			return fmt.Errorf("spice: MOS %q param %q: %v", fields[0], f, err)
 		}
+		k := -1
+		for i := range values {
+			if values[i].key == key {
+				k = i
+			}
+		}
+		if k < 0 {
+			return fmt.Errorf("spice: MOS %q has unknown parameter %q", fields[0], key)
+		}
 		if key == "l" {
 			v *= 1e9 // meters in decks, nm in the model
 		}
-		d.SetParam(key, v)
+		*values[k].dst = v
+		given[k] = true
+	}
+	if slices.Contains(given[4:], true) {
+		for k := 4; k < len(values); k++ {
+			if !given[k] {
+				return fmt.Errorf("spice: MOS %q has extraction values but no %s (give dvth, dmu, ad, as, pd and ps together)",
+					fields[0], values[k].key)
+			}
+		}
+		m.Extracted = true
 	}
 	return deck.Netlist.Add(d)
 }
@@ -375,19 +409,16 @@ func parseTwoTerm(deck *Deck, fields []string) error {
 		return fmt.Errorf("spice: %q value: %v", fields[0], err)
 	}
 	var typ circuit.DeviceType
-	var key string
 	switch strings.ToLower(fields[0])[0] {
 	case 'r':
-		typ, key = circuit.Resistor, "r"
+		typ = circuit.Resistor
 	case 'c':
-		typ, key = circuit.Capacitor, "c"
+		typ = circuit.Capacitor
 	case 'l':
-		typ, key = circuit.Inductor, "l"
+		typ = circuit.Inductor
 	}
-	d := &circuit.Device{Name: fields[0], Type: typ,
-		Nets: []string{fields[1], fields[2]}}
-	d.SetParam(key, v)
-	return deck.Netlist.Add(d)
+	return deck.Netlist.Add(&circuit.Device{Name: fields[0], Type: typ,
+		Nets: []string{fields[1], fields[2]}, Value: v})
 }
 
 // parseSource handles V/I lines: name p n [DC v] [AC mag [phase]]
@@ -404,7 +435,6 @@ func parseSource(deck *Deck, fields []string) error {
 	}
 	d := &circuit.Device{Name: fields[0], Type: typ,
 		Nets: []string{fields[1], fields[2]}}
-	d.SetParam("dc", 0)
 
 	rest := strings.Join(fields[3:], " ")
 	toks, err := tokenizeSourceSpec(rest)
@@ -422,9 +452,9 @@ func parseSource(deck *Deck, fields []string) error {
 			}
 			v, err := units.Parse(toks[i+1])
 			if err != nil {
-				return err
+				return fmt.Errorf("spice: source %q: DC %q: %v", fields[0], toks[i+1], err)
 			}
-			d.SetParam("dc", v)
+			d.DC = v
 			i += 2
 		case t == "ac":
 			if i+1 >= len(toks) {
@@ -432,13 +462,13 @@ func parseSource(deck *Deck, fields []string) error {
 			}
 			v, err := units.Parse(toks[i+1])
 			if err != nil {
-				return err
+				return fmt.Errorf("spice: source %q: AC %q: %v", fields[0], toks[i+1], err)
 			}
-			d.SetParam("acmag", v)
+			d.ACMag = v
 			i += 2
 			if i < len(toks) {
 				if ph, err := units.Parse(toks[i]); err == nil {
-					d.SetParam("acphase", ph)
+					d.ACPhase = ph
 					i++
 				}
 			}
@@ -457,11 +487,11 @@ func parseSource(deck *Deck, fields []string) error {
 					w.Times = append(w.Times, args[k])
 					w.Vals = append(w.Vals, args[k+1])
 				}
-				d.SetParam("dc", w.Vals[0])
+				d.DC = w.Vals[0]
 			} else {
 				w.Args = args
 				if len(args) > 0 {
-					d.SetParam("dc", args[0])
+					d.DC = args[0]
 				}
 			}
 			d.Wave = w
@@ -470,9 +500,9 @@ func parseSource(deck *Deck, fields []string) error {
 			// Bare leading value: DC.
 			v, err := units.Parse(toks[i])
 			if err != nil {
-				return fmt.Errorf("spice: source %q: unexpected token %q", fields[0], toks[i])
+				return fmt.Errorf("spice: source %q: unexpected token %q: %v", fields[0], toks[i], err)
 			}
-			d.SetParam("dc", v)
+			d.DC = v
 			i++
 		}
 	}
@@ -545,10 +575,8 @@ func parseControlled(deck *Deck, fields []string) error {
 	if strings.ToLower(fields[0])[0] == 'g' {
 		typ = circuit.VCCS
 	}
-	d := &circuit.Device{Name: fields[0], Type: typ,
-		Nets: []string{fields[1], fields[2], fields[3], fields[4]}}
-	d.SetParam("gain", gain)
-	return deck.Netlist.Add(d)
+	return deck.Netlist.Add(&circuit.Device{Name: fields[0], Type: typ,
+		Nets: []string{fields[1], fields[2], fields[3], fields[4]}, Value: gain})
 }
 
 func parseSubcktInst(deck *Deck, params map[string]string, subckts map[string]*subcktDef,

@@ -32,7 +32,7 @@ R2 mid 0 1k  $ inline comment
 		t.Errorf("analyses = %+v", deck.Analyses)
 	}
 	r := deck.Netlist.Device("r1")
-	if r == nil || r.Param("r", 0) != 1000 {
+	if r == nil || r.Value != 1000 {
 		t.Errorf("R1 wrong: %+v", r)
 	}
 }
@@ -48,8 +48,8 @@ R1 in 0 1k
 		t.Fatal(err)
 	}
 	v := deck.Netlist.Device("v1")
-	if v.Param("dc", 0) != 0.5 || v.Param("acmag", 0) != 1 || v.Param("acphase", 0) != 45 {
-		t.Errorf("v1 params wrong: %v", v.Params)
+	if v.DC != 0.5 || v.ACMag != 1 || v.ACPhase != 45 {
+		t.Errorf("v1 values wrong: %+v", v)
 	}
 }
 
@@ -67,12 +67,23 @@ Vg g 0 0.5
 	if m == nil || m.Type != circuit.NMOS {
 		t.Fatal("M1 missing or wrong type")
 	}
-	if m.Param("nfin", 0) != 8 || m.Param("nf", 0) != 4 || m.Param("m", 0) != 2 {
-		t.Errorf("geometry params wrong: %v", m.Params)
+	if m.MOS.NFin != 8 || m.MOS.NF != 4 || m.MOS.M != 2 || m.MOS.Extracted {
+		t.Errorf("geometry values wrong: %+v", m.MOS)
 	}
 	// l given in meters (14n) converts to nm.
-	if got := m.Param("l", 0); math.Abs(got-14) > 1e-9 {
+	if got := m.MOS.L; math.Abs(got-14) > 1e-9 {
 		t.Errorf("l = %g nm, want 14", got)
+	}
+
+	// Absent geometry is one fin, finger and copy at the technology's
+	// length; the extraction's values come as a group.
+	deck, err = ParseDeck("M2 d g 0 0 pmos dvth=0.01 dmu=0.9 ad=1 as=2 pd=3 ps=4\nVd d 0 0.8\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := circuit.MOS{NFin: 1, NF: 1, M: 1, Extracted: true, DVth: 0.01, DMu: 0.9, AD: 1, AS: 2, PD: 3, PS: 4}
+	if got := deck.Netlist.Device("m2").MOS; got != want {
+		t.Errorf("M2 values %+v, want %+v", got, want)
 	}
 }
 
@@ -104,12 +115,12 @@ R5 e 0 1k
 	if w == nil || w.Kind != "pwl" || len(w.Times) != 3 || w.Vals[1] != 0.8 {
 		t.Errorf("pwl wrong: %+v", w)
 	}
-	if nl.Device("v4").Param("dc", 0) != 0.8 {
+	if nl.Device("v4").DC != 0.8 {
 		t.Error("bare DC value not parsed")
 	}
 	i1 := nl.Device("i1")
-	if math.Abs(i1.Param("dc", 0)-10e-6) > 1e-18 || i1.Param("acmag", 0) != 1 {
-		t.Errorf("I1 params: %v", i1.Params)
+	if math.Abs(i1.DC-10e-6) > 1e-18 || i1.ACMag != 1 {
+		t.Errorf("I1 values: %+v", i1)
 	}
 }
 
@@ -197,10 +208,10 @@ Vg g 0 0.4
 	if err != nil {
 		t.Fatal(err)
 	}
-	if deck.Netlist.Device("r1").Param("r", 0) != 5000 {
+	if deck.Netlist.Device("r1").Value != 5000 {
 		t.Error("param in value position not substituted")
 	}
-	if deck.Netlist.Device("v1").Param("dc", 0) != 0.8 {
+	if deck.Netlist.Device("v1").DC != 0.8 {
 		t.Error("param as bare DC not substituted")
 	}
 }
@@ -275,6 +286,20 @@ func TestParseErrors(t *testing.T) {
 	for name, src := range cases {
 		if _, err := ParseDeck("title\n" + src); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+
+	// These errors name the element and what is wrong with it.
+	for src, want := range map[string]string{
+		// "nfn" for "nfin": the model would read a 1-fin device.
+		"Mn out in 0 0 nmos nfn=8 nf=1 m=1\n": `MOS "Mn" has unknown parameter "nfn"`,
+		"M1 d g 0 0 nmos nfin=8 dvth=0.01\n":  `MOS "M1" has extraction values but no dmu`,
+		"V1 a 0 1e308meg\n":                   `source "V1": unexpected token "1e308meg": units: "1e308meg" is out of range`,
+		"V1 a 0 DC 1e308meg\n":                `source "V1": DC "1e308meg": units: "1e308meg" is out of range`,
+		"V1 a 0 AC 1e308meg\n":                `source "V1": AC "1e308meg": units: "1e308meg" is out of range`,
+	} {
+		if _, err := ParseDeck("title\n" + src); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%q: error %v, want it to say %s", src, err, want)
 		}
 	}
 }

@@ -40,8 +40,8 @@ func TestRingFactorWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	nl := res.Netlist.Clone()
-	nl.Device("vcn").SetParam("dc", vctrl)
-	nl.Device("vcp").SetParam("dc", vdd-vctrl)
+	nl.Device("vcn").DC = vctrl
+	nl.Device("vcp").DC = vdd - vctrl
 	e, err := spice.New(ctx, tech, nl)
 	if err != nil {
 		t.Fatal(err)

@@ -500,7 +500,7 @@ func CheckTop(t *pdk.Tech, in TopInput, opts Options) *Report {
 						Msg: fmt.Sprintf("schematic device %s not found", dn)})
 					continue
 				}
-				want := d.Param("nfin", 0) * d.Param("nf", 0) * d.Param("m", 1)
+				want := d.MOS.NFin * d.MOS.NF * d.MOS.M
 				if want > 0 && math.Abs(want-float64(realized[dev])) > 0.5 {
 					rep.Add(Violation{Rule: RuleDevice, Cell: inst.Name,
 						Msg: fmt.Sprintf("layout device %c realizes %d fins, schematic %s has %g",

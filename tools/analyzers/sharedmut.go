@@ -30,7 +30,7 @@ var sharedTypes = []struct{ pkg, name string }{
 // mutate their receiver.
 var netlistMutators = map[string]bool{
 	"Add": true, "MustAdd": true, "Remove": true, "Annotate": true,
-	"RenameNet": true, "Merge": true, "SetParam": true,
+	"RenameNet": true, "Merge": true,
 }
 
 func runSharedMut(p *Pass) {

@@ -22,8 +22,8 @@ func bad(t *pdk.Tech, nl *circuit.Netlist) {
 
 func badDevice(d *circuit.Device) {
 	go func() {
-		// want: captured device mutated through SetParam
-		d.SetParam("nfin", 8)
+		// want: captured device mutated through a field write
+		d.MOS.NFin = 8
 	}()
 }
 
